@@ -37,7 +37,6 @@ std::size_t ApproxModelingViewBytes(const ModelingView& view) {
     const Matrix& slice = view.dynamic.slice(step);
     bytes += slice.rows() * slice.cols() * sizeof(double);
   }
-  if (view.columnar != nullptr) bytes += view.columnar->ApproxBytes();
   return bytes;
 }
 
@@ -130,6 +129,9 @@ std::shared_ptr<const ModelingView> ViewCache::GetOrBuild(
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return it->second->view;
     }
+    // A view larger than the whole shard would flush every older entry
+    // before being evicted itself; hand it back uncached instead.
+    if (entry.bytes > PerShardBudget()) return view;
     shard.bytes += entry.bytes;
     shard.lru.push_front(std::move(entry));
     shard.by_key.emplace(key, shard.lru.begin());

@@ -72,11 +72,12 @@ struct ViewCacheStats {
 /// estimator training, and serving bundle loads all converge on it).
 ///
 /// The byte budget is split evenly across shards; each shard evicts its
-/// own LRU tail while over budget, so a single over-budget insert may be
-/// evicted immediately (the caller keeps its shared_ptr regardless). A
-/// budget of zero bypasses storage entirely: every GetOrBuild builds and
-/// counts a miss, and the cache retains nothing — the bit-identity
-/// baseline. Tests wanting deterministic eviction order use one shard.
+/// own LRU tail while over budget. A view larger than a whole shard's
+/// budget is returned uncached (a miss that evicts nothing), so it never
+/// flushes the entries that do fit. A budget of zero bypasses storage
+/// entirely: every GetOrBuild builds and counts a miss, and the cache
+/// retains nothing — the bit-identity baseline. Tests wanting
+/// deterministic eviction order use one shard.
 ///
 /// Mirrors its counters into the obs registry (domd_view_cache_*) when
 /// observability is compiled in and enabled; the internal counters below

@@ -48,8 +48,9 @@ enum class FusionMethod {
 const char* FusionMethodToString(FusionMethod method);
 
 /// Default byte budget of the process-wide modeling-view cache (see
-/// cache/view_cache.h). Generous for the paper-scale fleets: one 200-avail
-/// x 1490-feature x 11-step view is ~26 MB.
+/// cache/view_cache.h), split over 8 shards of 32 MiB. A view is its
+/// row-major tensor only: one 200-avail x 1490-feature x 11-step view is
+/// ~25 MiB, so it fits a shard.
 inline constexpr std::size_t kDefaultViewCacheBytes = 256ull << 20;
 
 /// The full pipeline parameterization x-hat = (s, m, l, p, f) of Problem 2,

@@ -53,8 +53,6 @@ StatusOr<DomdEstimator> DomdEstimator::Train(
   for (std::size_t r : rows) {
     train.labels.push_back(estimator.all_view_->labels[r]);
   }
-  train.columnar = ColumnarView::Build(train.static_x, train.dynamic,
-                                       kDefaultFrameBins, config.parallelism);
 
   std::vector<std::string> dynamic_names;
   dynamic_names.reserve(estimator.engineer_.catalog().size());

@@ -62,8 +62,6 @@ ModelingView BuildModelingView(const Dataset& data,
     const auto delay = (*avail)->delay();
     if (delay.has_value()) view.labels[i] = static_cast<double>(*delay);
   }
-  view.columnar = ColumnarView::Build(view.static_x, view.dynamic,
-                                      kDefaultFrameBins, parallelism);
   return view;
 }
 
@@ -119,44 +117,23 @@ Status TimelineModelSet::Fit(
       for (std::size_t c : cols) names.push_back(dynamic_feature_names[c]);
     }
 
-    auto model = MakeModel(config);
-    auto* gbt = dynamic_cast<GbtRegressor*>(model.get());
-    if (gbt != nullptr && train.columnar != nullptr &&
-        gbt->params().tree.layout == TreeLayout::kColumnar) {
-      // Zero-copy columnar fit: borrow the shared view's prepared columns,
-      // in exactly the order HConcat would lay the row-major input out.
-      TrainingFrame frame;
-      frame.set_rows(train.avail_ids.size());
-      if (config.architecture == Architecture::kStacked) {
-        for (std::size_t c : cols) {
-          frame.AddColumn(train.columnar->dynamic_column(step, c));
-        }
-        frame.AddOwnedColumn(base_train_pred);
-      } else {
-        for (std::size_t c = 0; c < train.columnar->static_cols(); ++c) {
-          frame.AddColumn(train.columnar->static_column(c));
-        }
-        for (std::size_t c : cols) {
-          frame.AddColumn(train.columnar->dynamic_column(step, c));
-        }
+    // One fit path for every family and layout: only this step's inputs
+    // are assembled, so a GBT fit columnarizes the statics and the k
+    // selected columns (TrainingFrame::FromMatrix), never the whole
+    // catalog.
+    const Matrix dynamic_selected = slice.SelectColumns(cols);
+    Matrix input;
+    if (config.architecture == Architecture::kStacked) {
+      Matrix base_col(train.avail_ids.size(), 1);
+      for (std::size_t r = 0; r < base_train_pred.size(); ++r) {
+        base_col.at(r, 0) = base_train_pred[r];
       }
-      DOMD_RETURN_IF_ERROR(gbt->FitWithFrame(frame, train.labels));
+      input = Matrix::HConcat(dynamic_selected, base_col);
     } else {
-      // Row-major fallback: hand-assembled views without a columnar
-      // companion, the kRowMajor reference layout, and elastic net.
-      const Matrix dynamic_selected = slice.SelectColumns(cols);
-      Matrix input;
-      if (config.architecture == Architecture::kStacked) {
-        Matrix base_col(train.avail_ids.size(), 1);
-        for (std::size_t r = 0; r < base_train_pred.size(); ++r) {
-          base_col.at(r, 0) = base_train_pred[r];
-        }
-        input = Matrix::HConcat(dynamic_selected, base_col);
-      } else {
-        input = Matrix::HConcat(train.static_x, dynamic_selected);
-      }
-      DOMD_RETURN_IF_ERROR(model->Fit(input, train.labels));
+      input = Matrix::HConcat(train.static_x, dynamic_selected);
     }
+    auto model = MakeModel(config);
+    DOMD_RETURN_IF_ERROR(model->Fit(input, train.labels));
     models_.push_back(std::move(model));
     selected_.push_back(std::move(cols));
     input_names_.push_back(std::move(names));

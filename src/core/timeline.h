@@ -9,7 +9,6 @@
 #include "core/config.h"
 #include "core/fusion.h"
 #include "data/tables.h"
-#include "features/columnar.h"
 #include "features/feature_engineer.h"
 #include "features/feature_tensor.h"
 #include "ml/model.h"
@@ -18,17 +17,14 @@ namespace domd {
 
 /// A modeling-ready view of a set of avails: static features, the dynamic
 /// feature tensor over the logical-time grid, and delay labels (NaN-free:
-/// only closed avails belong in views used for fitting/evaluation).
+/// only closed avails belong in views used for fitting/evaluation). Views
+/// are row-major only; a GBT fit columnarizes just the columns its step
+/// model reads (TimelineModelSet::Fit), so scoring never pays for it.
 struct ModelingView {
   std::vector<std::int64_t> avail_ids;
   Matrix static_x;        ///< avails x |static features|.
   FeatureTensor dynamic;  ///< avails x |catalog| per grid step.
   std::vector<double> labels;
-  /// Columnar restructuring of static_x + dynamic (sorted per-feature
-  /// columns and u8/u16 bin codes), built once per view and shared by the
-  /// snapshot cache. Null on hand-assembled views; GBT training falls back
-  /// to columnarizing its own input matrix in that case.
-  std::shared_ptr<const ColumnarView> columnar;
 
   std::size_t num_steps() const { return dynamic.num_steps(); }
 };

@@ -89,30 +89,22 @@ OwnedColumn MakeOwnedColumn(std::vector<double> values,
   return owned;
 }
 
-FrameColumn ViewOfOwnedColumn(const OwnedColumn& owned) {
-  FrameColumn column;
-  column.values = owned.values;
-  column.order = owned.order;
-  column.codes8 = owned.codes8;
-  column.codes16 = owned.codes16;
-  column.cuts = owned.cuts;
-  return column;
-}
-
 TrainingFrame TrainingFrame::FromMatrix(const Matrix& x,
                                         std::size_t max_bins) {
   TrainingFrame frame;
-  frame.set_rows(x.rows());
+  frame.rows_ = x.rows();
   for (std::size_t c = 0; c < x.cols(); ++c) {
-    frame.AddOwnedColumn(x.Column(c), max_bins);
+    const OwnedColumn& owned =
+        frame.owned_.emplace_back(MakeOwnedColumn(x.Column(c), max_bins));
+    FrameColumn column;
+    column.values = owned.values;
+    column.order = owned.order;
+    column.codes8 = owned.codes8;
+    column.codes16 = owned.codes16;
+    column.cuts = owned.cuts;
+    frame.columns_.push_back(column);
   }
   return frame;
-}
-
-void TrainingFrame::AddOwnedColumn(std::vector<double> values,
-                                   std::size_t max_bins) {
-  owned_.push_back(MakeOwnedColumn(std::move(values), max_bins));
-  columns_.push_back(ViewOfOwnedColumn(owned_.back()));
 }
 
 }  // namespace domd

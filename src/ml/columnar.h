@@ -10,7 +10,7 @@
 
 namespace domd {
 
-/// Default bin budget for view-level quantization. 256 bins keep every
+/// Default bin budget for per-fit quantization. 256 bins keep every
 /// feature code in one byte; a larger budget widens codes to u16.
 inline constexpr std::size_t kDefaultFrameBins = 256;
 
@@ -45,9 +45,8 @@ inline std::size_t BinOf(double v, std::span<const double> cuts) {
 /// values, the rows presorted by (value, row index) — the exact order the
 /// per-node exact scan needs — and quantized bin codes (u8 when the cut
 /// count fits a byte, u16 otherwise; exactly one of the two spans is
-/// non-empty for a quantized column). Spans point either into a
-/// ColumnarView (shared, built once per modeling view) or into storage
-/// owned by the TrainingFrame itself.
+/// non-empty for a quantized column). Spans point into the OwnedColumn
+/// storage of the TrainingFrame that holds them.
 struct FrameColumn {
   std::span<const double> values;
   std::span<const std::uint32_t> order;
@@ -71,13 +70,10 @@ struct OwnedColumn {
 /// matching std::sort over (value, row) pairs in the exact split scan.
 OwnedColumn MakeOwnedColumn(std::vector<double> values, std::size_t max_bins);
 
-/// Span view over an owned column.
-FrameColumn ViewOfOwnedColumn(const OwnedColumn& owned);
-
-/// The columnar design matrix a GBT fit consumes: one FrameColumn per
-/// feature, all with the same row count. Columns either alias a shared
-/// ColumnarView (zero-copy, amortized across fits) or are owned here
-/// (assembled per fit, e.g. the stacked base-prediction column).
+/// The columnar design matrix a GBT fit consumes: one owned FrameColumn
+/// per feature, all with the same row count. Built per fit from the
+/// fit's own input matrix, so only the columns the model reads are ever
+/// sorted and quantized (DESIGN.md §13).
 class TrainingFrame {
  public:
   TrainingFrame() = default;
@@ -89,16 +85,6 @@ class TrainingFrame {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return columns_.size(); }
   const FrameColumn& column(std::size_t f) const { return columns_[f]; }
-
-  /// Declares the row count; every added column must match it.
-  void set_rows(std::size_t rows) { rows_ = rows; }
-
-  /// Adds a column backed by external storage (must outlive the frame).
-  void AddColumn(const FrameColumn& column) { columns_.push_back(column); }
-
-  /// Adds a column the frame sorts, codes, and owns.
-  void AddOwnedColumn(std::vector<double> values,
-                      std::size_t max_bins = kDefaultFrameBins);
 
  private:
   std::size_t rows_ = 0;

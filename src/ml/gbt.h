@@ -34,15 +34,12 @@ class GbtRegressor final : public Regressor {
       : params_(params), loss_(loss) {}
 
   /// Fits per params_.tree.layout: the default columnar path builds a
-  /// TrainingFrame from x (sorted + quantized columns) and trains on it;
-  /// kRowMajor keeps the legacy row-major scans. Both produce bit-identical
-  /// ensembles unless params_.tree.quantized opts into the binned scan.
+  /// TrainingFrame from x (every column of x sorted + quantized once per
+  /// fit, so callers pass only the columns the model reads) and trains on
+  /// it; kRowMajor keeps the legacy row-major scans. Both produce
+  /// bit-identical ensembles unless params_.tree.quantized opts into the
+  /// binned scan.
   Status Fit(const Matrix& x, const std::vector<double>& y) override;
-
-  /// Fits directly on a prepared columnar frame (zero-copy when the frame
-  /// aliases a shared ColumnarView), bypassing row-major assembly.
-  Status FitWithFrame(const TrainingFrame& frame,
-                      const std::vector<double>& y);
 
   double Predict(std::span<const double> row) const override;
 

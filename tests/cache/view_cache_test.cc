@@ -178,6 +178,66 @@ TEST(ViewCacheTest, TinyBudgetEvictsLeastRecentlyUsed) {
   EXPECT_NE(cache.Lookup(half_key), nullptr);   // newest entry survives
 }
 
+TEST(ViewCacheTest, OversizeViewIsReturnedUncachedWithoutFlushingTheShard) {
+  const Dataset data = SmallData();
+  const FeatureEngineer engineer(&data);
+  const std::vector<double> grid = LogicalTimeGrid(25.0);
+  const std::vector<std::int64_t> ids = AllIds(data);
+  const std::vector<std::int64_t> half(ids.begin(),
+                                       ids.begin() + ids.size() / 2);
+
+  ViewCache probe(1ull << 30, 1);
+  const std::size_t full_bytes = ApproxModelingViewBytes(
+      *BuildModelingViewShared(data, engineer, ids, grid, {},
+                               probe.max_bytes(), &probe));
+  const std::size_t half_bytes = ApproxModelingViewBytes(
+      *BuildModelingViewShared(data, engineer, half, grid, {},
+                               probe.max_bytes(), &probe));
+  ASSERT_LT(half_bytes, full_bytes);
+
+  // One shard whose whole budget holds the half view but not the full one.
+  ViewCache cache((half_bytes + full_bytes) / 2, 1);
+  BuildModelingViewShared(data, engineer, half, grid, {}, cache.max_bytes(),
+                          &cache);
+  const auto full = BuildModelingViewShared(data, engineer, ids, grid, {},
+                                            cache.max_bytes(), &cache);
+  EXPECT_EQ(full->avail_ids, ids);  // the caller still gets its view
+
+  const ViewCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, half_bytes);
+  EXPECT_NE(cache.Lookup(MakeViewCacheKey(data, half, grid)), nullptr);
+  EXPECT_EQ(cache.Lookup(MakeViewCacheKey(data, ids, grid)), nullptr);
+}
+
+// The benchmark-scale fleet (200 avails, 10% grid) must be retained by the
+// process-default cache: a view that outgrows its shard is rebuilt by every
+// HPT trial, CV run and bundle load that asks for it.
+TEST(ViewCacheTest, DefaultBudgetRetainsABenchScaleFleetView) {
+  SynthConfig config;
+  config.num_avails = 200;
+  config.mean_rccs_per_avail = 240;
+  config.ongoing_fraction = 0.05;
+  config.seed = 42;
+  const Dataset data = GenerateDataset(config);
+  const FeatureEngineer engineer(&data);
+  const std::vector<double> grid = LogicalTimeGrid(10.0);
+  const std::vector<std::int64_t> ids = AllIds(data);
+
+  ViewCache cache(kDefaultViewCacheBytes, 8);
+  const auto first = BuildModelingViewShared(
+      data, engineer, ids, grid, {}, kDefaultViewCacheBytes, &cache);
+  const auto second = BuildModelingViewShared(
+      data, engineer, ids, grid, {}, kDefaultViewCacheBytes, &cache);
+  EXPECT_EQ(first.get(), second.get());
+  const ViewCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_LE(ApproxModelingViewBytes(*first), kDefaultViewCacheBytes / 8);
+}
+
 TEST(ViewCacheTest, ShrinkingBudgetEvictsImmediately) {
   const Dataset data = SmallData();
   const FeatureEngineer engineer(&data);
