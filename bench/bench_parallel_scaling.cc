@@ -54,20 +54,6 @@ struct StageResult {
   bool bit_identical = true;
 };
 
-/// Row-major vs columnar single-thread GBT training comparison; the
-/// columnar layout must be a pure (>= 2x here) speedup: same models,
-/// byte-for-byte, in less wall time.
-struct LayoutResult {
-  double row_major_seconds = 0.0;
-  double columnar_seconds = 0.0;
-  bool bit_identical = false;
-  double speedup() const {
-    return columnar_seconds > 0.0 ? row_major_seconds / columnar_seconds
-                                  : 0.0;
-  }
-  bool pass() const { return bit_identical && speedup() >= 2.0; }
-};
-
 bool Run() {
   bench::Banner("Parallel scaling: engineering / training / CV");
   std::printf("hardware threads: %d\n", Parallelism::HardwareThreads());
@@ -134,39 +120,6 @@ bool Run() {
     stages.push_back(std::move(stage));
   }
 
-  // Stage 2b: the columnar-layout payoff, measured where it cannot hide —
-  // single-threaded, same view, same config, only the layout flag moved.
-  LayoutResult layout;
-  {
-    PipelineConfig config = bench::BenchBaseConfig();
-    config.parallelism.num_threads = 1;
-
-    config.gbt.tree.layout = TreeLayout::kRowMajor;
-    TimelineModelSet row_models;
-    layout.row_major_seconds = bench::TimeSeconds([&] {
-      row_models = TimelineModelSet();
-      if (!row_models.Fit(config, view, names).ok()) std::abort();
-    });
-    recorder.Record("gbt_training_row_major", layout.row_major_seconds);
-
-    config.gbt.tree.layout = TreeLayout::kColumnar;
-    TimelineModelSet col_models;
-    layout.columnar_seconds = bench::TimeSeconds([&] {
-      col_models = TimelineModelSet();
-      if (!col_models.Fit(config, view, names).ok()) std::abort();
-    });
-    recorder.Record("gbt_training_columnar", layout.columnar_seconds);
-
-    layout.bit_identical =
-        SerializeModels(row_models) == SerializeModels(col_models);
-    std::printf(
-        "\ngbt layout (1 thread): row-major %.3fs, columnar %.3fs "
-        "(%.2fx), identical=%s, gate(>=2x)=%s\n",
-        layout.row_major_seconds, layout.columnar_seconds, layout.speedup(),
-        layout.bit_identical ? "yes" : "NO",
-        layout.pass() ? "pass" : "FAIL");
-  }
-
   // Stage 3: cross-validation (parallel folds on top of the above).
   {
     StageResult stage;
@@ -227,16 +180,10 @@ bool Run() {
          << (s + 1 < stages.size() ? "," : "") << "\n";
   }
   json << "  },\n";
-  json << "  \"gbt_layout\": {\"row_major_seconds\": "
-       << layout.row_major_seconds
-       << ", \"columnar_seconds\": " << layout.columnar_seconds
-       << ", \"speedup\": " << layout.speedup()
-       << ", \"bit_identical\": " << (layout.bit_identical ? "true" : "false")
-       << ", \"pass\": " << (layout.pass() ? "true" : "false") << "},\n";
   json << "  \"stage_timings\": " << recorder.ToJson() << "\n}\n";
   std::printf("\nwrote BENCH_parallel_scaling.json\n");
 
-  bool ok = layout.pass();
+  bool ok = true;
   for (const StageResult& stage : stages) ok = ok && stage.bit_identical;
   return ok;
 }

@@ -17,21 +17,9 @@
 namespace domd {
 
 Status GbtRegressor::Fit(const Matrix& x, const std::vector<double>& y) {
-  if (params_.tree.layout == TreeLayout::kRowMajor) {
-    return FitImpl(&x, nullptr, y);
-  }
-  if (x.rows() == 0 || x.cols() == 0) {
-    return Status::InvalidArgument("gbt: empty design matrix");
-  }
-  const TrainingFrame frame = TrainingFrame::FromMatrix(x);
-  return FitImpl(nullptr, &frame, y);
-}
-
-Status GbtRegressor::FitImpl(const Matrix* x, const TrainingFrame* frame,
-                             const std::vector<double>& y) {
   DOMD_OBS_SPAN("gbt.fit");
-  const std::size_t n = frame ? frame->rows() : x->rows();
-  const std::size_t p = frame ? frame->cols() : x->cols();
+  const std::size_t n = x.rows();
+  const std::size_t p = x.cols();
   if (n == 0 || p == 0) {
     return Status::InvalidArgument("gbt: empty design matrix");
   }
@@ -42,6 +30,7 @@ Status GbtRegressor::FitImpl(const Matrix* x, const TrainingFrame* frame,
     return Status::InvalidArgument("gbt: rounds and learning rate must be positive");
   }
 
+  const TrainingFrame frame = TrainingFrame::FromMatrix(x);
   trees_.clear();
   training_curve_.clear();
   num_features_ = p;
@@ -106,11 +95,7 @@ Status GbtRegressor::FitImpl(const Matrix* x, const TrainingFrame* frame,
     RegressionTree tree;
     {
       DOMD_OBS_SPAN("gbt.split_search");
-      if (frame) {
-        tree.FitFrame(*frame, grad, hess, rows, features, params_.tree);
-      } else {
-        tree.Fit(*x, grad, hess, rows, features, params_.tree);
-      }
+      tree.Fit(frame, grad, hess, rows, features, params_.tree);
     }
 
     // Zero-curvature losses (absolute, pinball): the Newton step under the
@@ -123,8 +108,7 @@ Status GbtRegressor::FitImpl(const Matrix* x, const TrainingFrame* frame,
           loss_.kind() == LossKind::kQuantile ? loss_.tau() : 0.5;
       std::unordered_map<std::int32_t, std::vector<double>> leaf_residuals;
       for (std::size_t i : rows) {
-        const std::int32_t leaf =
-            frame ? tree.LeafForFrameRow(*frame, i) : tree.LeafFor(x->row(i));
+        const std::int32_t leaf = tree.LeafFor(x.row(i));
         leaf_residuals[leaf].push_back(y[i] - predictions[i]);
       }
       for (auto& [leaf, residuals] : leaf_residuals) {
@@ -138,9 +122,7 @@ Status GbtRegressor::FitImpl(const Matrix* x, const TrainingFrame* frame,
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-      const double step = frame ? tree.PredictFrameRow(*frame, i)
-                                : tree.Predict(x->row(i));
-      predictions[i] += params_.learning_rate * step;
+      predictions[i] += params_.learning_rate * tree.Predict(x.row(i));
     }
     trees_.push_back(std::move(tree));
 
@@ -319,7 +301,7 @@ StatusOr<GbtRegressor> GbtRegressor::Load(std::istream& in) {
   }
   model.trees_.reserve(num_trees);
   for (std::size_t t = 0; t < num_trees; ++t) {
-    auto tree = RegressionTree::Load(in);
+    auto tree = RegressionTree::Load(in, model.num_features_);
     if (!tree.ok()) return tree.status();
     model.trees_.push_back(std::move(*tree));
   }

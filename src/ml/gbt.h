@@ -33,12 +33,10 @@ class GbtRegressor final : public Regressor {
                         Loss loss = Loss::Squared())
       : params_(params), loss_(loss) {}
 
-  /// Fits per params_.tree.layout: the default columnar path builds a
-  /// TrainingFrame from x (every column of x sorted + quantized once per
-  /// fit, so callers pass only the columns the model reads) and trains on
-  /// it; kRowMajor keeps the legacy row-major scans. Both produce
-  /// bit-identical ensembles unless params_.tree.quantized opts into the
-  /// binned scan.
+  /// Builds a TrainingFrame from x (every column of x sorted once per fit,
+  /// so callers pass only the columns the model reads) and grows each
+  /// round's tree over it. Prediction updates and leaf refinement route
+  /// x's rows with the same traversal serving uses.
   Status Fit(const Matrix& x, const std::vector<double>& y) override;
 
   double Predict(std::span<const double> row) const override;
@@ -73,10 +71,6 @@ class GbtRegressor final : public Regressor {
   static StatusOr<GbtRegressor> Load(std::istream& in);
 
  private:
-  /// Shared boosting loop; exactly one of x / frame is non-null.
-  Status FitImpl(const Matrix* x, const TrainingFrame* frame,
-                 const std::vector<double>& y);
-
   GbtParams params_;
   Loss loss_;
   std::vector<RegressionTree> trees_;

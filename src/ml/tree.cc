@@ -4,7 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -27,7 +27,8 @@ constexpr std::size_t kMinParallelSplitWork = 2048;
 
 }  // namespace
 
-void RegressionTree::Fit(const Matrix& x, const std::vector<double>& grad,
+void RegressionTree::Fit(const TrainingFrame& frame,
+                         const std::vector<double>& grad,
                          const std::vector<double>& hess,
                          const std::vector<std::size_t>& rows,
                          const std::vector<std::size_t>& features,
@@ -38,16 +39,21 @@ void RegressionTree::Fit(const Matrix& x, const std::vector<double>& grad,
     return;
   }
   std::vector<std::size_t> work = rows;
-  Grow(x, grad, hess, work, 0, work.size(), features, params, 0);
+  // Node membership mask for the presorted exact scan. Each node marks its
+  // own rows before the split search and unmarks them after, so the vector
+  // is allocated once per tree.
+  std::vector<std::uint8_t> mask(frame.rows(), 0);
+  Grow(frame, grad, hess, work, 0, work.size(), features, params, 0, mask);
 }
 
-std::int32_t RegressionTree::Grow(const Matrix& x,
+std::int32_t RegressionTree::Grow(const TrainingFrame& frame,
                                   const std::vector<double>& grad,
                                   const std::vector<double>& hess,
                                   std::vector<std::size_t>& rows,
                                   std::size_t begin, std::size_t end,
                                   const std::vector<std::size_t>& features,
-                                  const TreeParams& params, int depth) {
+                                  const TreeParams& params, int depth,
+                                  std::vector<std::uint8_t>& mask) {
   double g_total = 0.0, h_total = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
     g_total += grad[rows[i]];
@@ -61,88 +67,13 @@ std::int32_t RegressionTree::Grow(const Matrix& x,
 
   if (depth >= params.max_depth || end - begin < 2) return node_id;
 
-  const SplitDecision split =
-      params.split_method == SplitMethod::kExact
-          ? FindSplitExact(x, grad, hess, rows, begin, end, features, params,
-                           g_total, h_total)
-          : FindSplitHistogram(x, grad, hess, rows, begin, end, features,
-                               params, g_total, h_total);
-  if (!split.found) return node_id;
-
-  // Partition rows in place around the threshold.
-  const std::size_t feature = split.feature;
-  const double threshold = split.threshold;
-  auto middle = std::partition(
-      rows.begin() + static_cast<std::ptrdiff_t>(begin),
-      rows.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t r) { return x.at(r, feature) <= threshold; });
-  const auto mid =
-      static_cast<std::size_t>(middle - rows.begin());
-  if (mid == begin || mid == end) return node_id;  // degenerate partition
-
-  const std::int32_t left =
-      Grow(x, grad, hess, rows, begin, mid, features, params, depth + 1);
-  const std::int32_t right =
-      Grow(x, grad, hess, rows, mid, end, features, params, depth + 1);
-
-  Node& node = nodes_[static_cast<std::size_t>(node_id)];
-  node.feature = static_cast<std::int32_t>(feature);
-  node.threshold = threshold;
-  node.gain = split.gain;
-  node.left = left;
-  node.right = right;
-  return node_id;
-}
-
-void RegressionTree::FitFrame(const TrainingFrame& frame,
-                              const std::vector<double>& grad,
-                              const std::vector<double>& hess,
-                              const std::vector<std::size_t>& rows,
-                              const std::vector<std::size_t>& features,
-                              const TreeParams& params) {
-  nodes_.clear();
-  if (rows.empty()) {
-    nodes_.push_back(Node{});
-    return;
-  }
-  std::vector<std::size_t> work = rows;
-  // Node membership mask for the presorted exact scan. Each node marks its
-  // own rows before the split search and unmarks them after, so the vector
-  // is allocated once per tree.
-  std::vector<std::uint8_t> mask(frame.rows(), 0);
-  GrowFrame(frame, grad, hess, work, 0, work.size(), features, params, 0,
-            mask);
-}
-
-std::int32_t RegressionTree::GrowFrame(const TrainingFrame& frame,
-                                       const std::vector<double>& grad,
-                                       const std::vector<double>& hess,
-                                       std::vector<std::size_t>& rows,
-                                       std::size_t begin, std::size_t end,
-                                       const std::vector<std::size_t>& features,
-                                       const TreeParams& params, int depth,
-                                       std::vector<std::uint8_t>& mask) {
-  double g_total = 0.0, h_total = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    g_total += grad[rows[i]];
-    h_total += hess[rows[i]];
-  }
-
-  const auto node_id = static_cast<std::int32_t>(nodes_.size());
-  nodes_.push_back(Node{});
-  nodes_[static_cast<std::size_t>(node_id)].weight =
-      NewtonWeight(g_total, h_total, params.lambda);
-
-  if (depth >= params.max_depth || end - begin < 2) return node_id;
-
-  const bool exact =
-      !params.quantized && params.split_method == SplitMethod::kExact;
+  const bool exact = params.split_method == SplitMethod::kExact;
   if (exact) {
     for (std::size_t i = begin; i < end; ++i) mask[rows[i]] = 1;
   }
-  const SplitDecision split = FindSplitFrame(
-      frame, grad, hess, rows, begin, end, features, params, g_total,
-      h_total, mask);
+  const SplitDecision split = FindSplit(frame, grad, hess, rows, begin, end,
+                                        features, params, g_total, h_total,
+                                        mask);
   if (exact) {
     for (std::size_t i = begin; i < end; ++i) mask[rows[i]] = 0;
   }
@@ -158,10 +89,10 @@ std::int32_t RegressionTree::GrowFrame(const TrainingFrame& frame,
   const auto mid = static_cast<std::size_t>(middle - rows.begin());
   if (mid == begin || mid == end) return node_id;  // degenerate partition
 
-  const std::int32_t left = GrowFrame(frame, grad, hess, rows, begin, mid,
-                                      features, params, depth + 1, mask);
-  const std::int32_t right = GrowFrame(frame, grad, hess, rows, mid, end,
-                                       features, params, depth + 1, mask);
+  const std::int32_t left = Grow(frame, grad, hess, rows, begin, mid,
+                                 features, params, depth + 1, mask);
+  const std::int32_t right = Grow(frame, grad, hess, rows, mid, end,
+                                  features, params, depth + 1, mask);
 
   Node& node = nodes_[static_cast<std::size_t>(node_id)];
   node.feature = static_cast<std::int32_t>(feature);
@@ -172,7 +103,7 @@ std::int32_t RegressionTree::GrowFrame(const TrainingFrame& frame,
   return node_id;
 }
 
-RegressionTree::SplitDecision RegressionTree::FindSplitFrame(
+RegressionTree::SplitDecision RegressionTree::FindSplit(
     const TrainingFrame& frame, const std::vector<double>& grad,
     const std::vector<double>& hess, const std::vector<std::size_t>& rows,
     std::size_t begin, std::size_t end,
@@ -181,9 +112,11 @@ RegressionTree::SplitDecision RegressionTree::FindSplitFrame(
     const std::vector<std::uint8_t>& mask) const {
   const double parent_score = ScoreHalf(g_total, h_total, params.lambda);
 
-  // Same dispatch/reduction shape as the row-major FindSplit*: independent
-  // per-feature scans, serial reduce in feature order — bit-identical at
-  // every thread count.
+  // Scan features independently (possibly in parallel), then reduce
+  // serially in feature order. Within a feature ties keep the earliest
+  // boundary and across features the strict > keeps the earliest feature —
+  // exactly the serial loop's selection, so the reduction is bit-identical
+  // for every thread count.
   std::vector<SplitDecision> per_feature(features.size());
   const int threads =
       (end - begin) * features.size() >= kMinParallelSplitWork
@@ -196,16 +129,12 @@ RegressionTree::SplitDecision RegressionTree::FindSplitFrame(
       threads, features.size(), grain,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t j = lo; j < hi; ++j) {
-          if (params.quantized) {
-            per_feature[j] = ScanFeatureQuantizedFrame(
-                frame, grad, hess, rows, begin, end, features[j], params,
-                g_total, h_total, parent_score);
-          } else if (params.split_method == SplitMethod::kExact) {
-            per_feature[j] = ScanFeatureExactFrame(
-                frame, grad, hess, end - begin, features[j], params, g_total,
-                h_total, parent_score, mask);
+          if (params.split_method == SplitMethod::kExact) {
+            per_feature[j] = ScanFeatureExact(frame, grad, hess, end - begin,
+                                              features[j], params, g_total,
+                                              h_total, parent_score, mask);
           } else {
-            per_feature[j] = ScanFeatureHistogramFrame(
+            per_feature[j] = ScanFeatureHistogram(
                 frame, grad, hess, rows, begin, end, features[j], params,
                 g_total, h_total, parent_score);
           }
@@ -223,16 +152,15 @@ RegressionTree::SplitDecision RegressionTree::FindSplitFrame(
   return best;
 }
 
-RegressionTree::SplitDecision RegressionTree::ScanFeatureExactFrame(
+RegressionTree::SplitDecision RegressionTree::ScanFeatureExact(
     const TrainingFrame& frame, const std::vector<double>& grad,
     const std::vector<double>& hess, std::size_t node_size,
     std::size_t feature, const TreeParams& params, double g_total,
     double h_total, double parent_score,
     const std::vector<std::uint8_t>& mask) const {
   // The column's global (value, row) order filtered by the node mask IS
-  // the per-node sorted sequence the row-major scan builds — same members,
-  // same order — so accumulating boundaries along the walk reproduces
-  // ScanFeatureExact bit for bit while skipping the per-node sort.
+  // the node's members sorted by (value, row), so the walk visits every
+  // boundary of the per-node sorted sequence without sorting the node.
   SplitDecision best;
   const FrameColumn& column = frame.column(feature);
   const double* values = column.values.data();
@@ -275,15 +203,12 @@ RegressionTree::SplitDecision RegressionTree::ScanFeatureExactFrame(
   return best;
 }
 
-RegressionTree::SplitDecision RegressionTree::ScanFeatureHistogramFrame(
+RegressionTree::SplitDecision RegressionTree::ScanFeatureHistogram(
     const TrainingFrame& frame, const std::vector<double>& grad,
     const std::vector<double>& hess, const std::vector<std::size_t>& rows,
     std::size_t begin, std::size_t end, std::size_t feature,
     const TreeParams& params, double g_total, double h_total,
     double parent_score) const {
-  // Same arithmetic and accumulation order as ScanFeatureHistogram; the
-  // only change is contiguous column reads instead of strided row-major
-  // gathers, so the inner loops autovectorize and stay bit-identical.
   SplitDecision best;
   const auto bins =
       static_cast<std::size_t>(std::max(2, params.histogram_bins));
@@ -331,260 +256,6 @@ RegressionTree::SplitDecision RegressionTree::ScanFeatureHistogramFrame(
   return best;
 }
 
-namespace {
-
-/// Code-indexed gradient/Hessian accumulation into 4 independent partial
-/// histograms (breaks the loop-carried FP dependence; the merge below is a
-/// dense autovectorizable add). Templated on the code width (u8/u16).
-template <typename Code>
-void AccumulateQuantized(const Code* codes, const double* grad,
-                         const double* hess,
-                         const std::vector<std::size_t>& rows,
-                         std::size_t begin, std::size_t end, std::size_t bins,
-                         std::vector<double>& part_g,
-                         std::vector<double>& part_h) {
-  std::size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      const std::size_t r = rows[i + lane];
-      const std::size_t b = codes[r];
-      part_g[lane * bins + b] += grad[r];
-      part_h[lane * bins + b] += hess[r];
-    }
-  }
-  for (; i < end; ++i) {
-    const std::size_t r = rows[i];
-    const std::size_t b = codes[r];
-    part_g[b] += grad[r];
-    part_h[b] += hess[r];
-  }
-}
-
-}  // namespace
-
-RegressionTree::SplitDecision RegressionTree::ScanFeatureQuantizedFrame(
-    const TrainingFrame& frame, const std::vector<double>& grad,
-    const std::vector<double>& hess, const std::vector<std::size_t>& rows,
-    std::size_t begin, std::size_t end, std::size_t feature,
-    const TreeParams& params, double g_total, double h_total,
-    double parent_score) const {
-  SplitDecision best;
-  const FrameColumn& column = frame.column(feature);
-  const std::size_t bins = column.bins();
-  if (bins < 2) return best;  // constant column
-
-  std::vector<double> part_g(4 * bins, 0.0), part_h(4 * bins, 0.0);
-  if (!column.codes8.empty()) {
-    AccumulateQuantized(column.codes8.data(), grad.data(), hess.data(), rows,
-                        begin, end, bins, part_g, part_h);
-  } else {
-    AccumulateQuantized(column.codes16.data(), grad.data(), hess.data(), rows,
-                        begin, end, bins, part_g, part_h);
-  }
-
-  double g_left = 0.0, h_left = 0.0;
-  for (std::size_t b = 0; b + 1 < bins; ++b) {
-    g_left += part_g[b] + part_g[bins + b] + part_g[2 * bins + b] +
-              part_g[3 * bins + b];
-    h_left += part_h[b] + part_h[bins + b] + part_h[2 * bins + b] +
-              part_h[3 * bins + b];
-    const double g_right = g_total - g_left;
-    const double h_right = h_total - h_left;
-    if (h_left < params.min_child_weight ||
-        h_right < params.min_child_weight) {
-      continue;
-    }
-    const double gain =
-        0.5 * (ScoreHalf(g_left, h_left, params.lambda) +
-               ScoreHalf(g_right, h_right, params.lambda) - parent_score) -
-        params.gamma;
-    if (gain > best.gain || (!best.found && gain > 0.0)) {
-      best.found = true;
-      best.feature = feature;
-      // Cuts are data midpoints, so the stored threshold matches what the
-      // exact scan would write whenever the bin budget holds every
-      // distinct value.
-      best.threshold = column.cuts[b];
-      best.gain = gain;
-    }
-  }
-  return best;
-}
-
-RegressionTree::SplitDecision RegressionTree::ScanFeatureExact(
-    const Matrix& x, const std::vector<double>& grad,
-    const std::vector<double>& hess, const std::vector<std::size_t>& rows,
-    std::size_t begin, std::size_t end, std::size_t feature,
-    const TreeParams& params, double g_total, double h_total,
-    double parent_score) const {
-  SplitDecision best;
-  std::vector<std::pair<double, std::size_t>> sorted;
-  sorted.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    sorted.emplace_back(x.at(rows[i], feature), rows[i]);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.front().first == sorted.back().first) return best;  // constant
-
-  double g_left = 0.0, h_left = 0.0;
-  for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-    g_left += grad[sorted[i].second];
-    h_left += hess[sorted[i].second];
-    if (sorted[i].first == sorted[i + 1].first) continue;  // no boundary
-    const double g_right = g_total - g_left;
-    const double h_right = h_total - h_left;
-    if (h_left < params.min_child_weight ||
-        h_right < params.min_child_weight) {
-      continue;
-    }
-    const double gain =
-        0.5 * (ScoreHalf(g_left, h_left, params.lambda) +
-               ScoreHalf(g_right, h_right, params.lambda) - parent_score) -
-        params.gamma;
-    if (gain > best.gain || (!best.found && gain > 0.0)) {
-      best.found = true;
-      best.feature = feature;
-      best.threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
-      best.gain = gain;
-    }
-  }
-  return best;
-}
-
-RegressionTree::SplitDecision RegressionTree::ScanFeatureHistogram(
-    const Matrix& x, const std::vector<double>& grad,
-    const std::vector<double>& hess, const std::vector<std::size_t>& rows,
-    std::size_t begin, std::size_t end, std::size_t feature,
-    const TreeParams& params, double g_total, double h_total,
-    double parent_score) const {
-  SplitDecision best;
-  const auto bins =
-      static_cast<std::size_t>(std::max(2, params.histogram_bins));
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = begin; i < end; ++i) {
-    const double v = x.at(rows[i], feature);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if (!(hi > lo)) return best;
-
-  // Task-local histogram: each worker accumulates into its own bins, so the
-  // parallel build shares no mutable state.
-  std::vector<double> bin_g(bins, 0.0), bin_h(bins, 0.0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = rows[i];
-    auto b = static_cast<std::size_t>((x.at(r, feature) - lo) / width);
-    if (b >= bins) b = bins - 1;
-    bin_g[b] += grad[r];
-    bin_h[b] += hess[r];
-  }
-
-  double g_left = 0.0, h_left = 0.0;
-  for (std::size_t b = 0; b + 1 < bins; ++b) {
-    g_left += bin_g[b];
-    h_left += bin_h[b];
-    const double g_right = g_total - g_left;
-    const double h_right = h_total - h_left;
-    if (h_left < params.min_child_weight ||
-        h_right < params.min_child_weight) {
-      continue;
-    }
-    const double gain =
-        0.5 * (ScoreHalf(g_left, h_left, params.lambda) +
-               ScoreHalf(g_right, h_right, params.lambda) - parent_score) -
-        params.gamma;
-    if (gain > best.gain || (!best.found && gain > 0.0)) {
-      best.found = true;
-      best.feature = feature;
-      best.threshold = lo + width * static_cast<double>(b + 1);
-      best.gain = gain;
-    }
-  }
-  return best;
-}
-
-RegressionTree::SplitDecision RegressionTree::FindSplitExact(
-    const Matrix& x, const std::vector<double>& grad,
-    const std::vector<double>& hess, const std::vector<std::size_t>& rows,
-    std::size_t begin, std::size_t end,
-    const std::vector<std::size_t>& features, const TreeParams& params,
-    double g_total, double h_total) const {
-  const double parent_score = ScoreHalf(g_total, h_total, params.lambda);
-
-  // Scan features independently (possibly in parallel), then reduce
-  // serially in feature order. Within a feature ties keep the earliest
-  // boundary and across features the strict > keeps the earliest feature —
-  // exactly the serial loop's selection, so the reduction is bit-identical
-  // for every thread count.
-  std::vector<SplitDecision> per_feature(features.size());
-  const int threads =
-      (end - begin) * features.size() >= kMinParallelSplitWork
-          ? params.num_threads
-          : 1;
-  const std::size_t grain =
-      (features.size() + static_cast<std::size_t>(std::max(1, threads)) - 1) /
-      static_cast<std::size_t>(std::max(1, threads));
-  (void)ParallelFor(
-      threads, features.size(), grain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          per_feature[j] =
-              ScanFeatureExact(x, grad, hess, rows, begin, end, features[j],
-                               params, g_total, h_total, parent_score);
-        }
-        return Status::OK();
-      });
-
-  SplitDecision best;
-  for (const SplitDecision& candidate : per_feature) {
-    if (candidate.found && (!best.found || candidate.gain > best.gain)) {
-      best = candidate;
-    }
-  }
-  if (best.found && best.gain <= 0.0) best.found = false;
-  return best;
-}
-
-RegressionTree::SplitDecision RegressionTree::FindSplitHistogram(
-    const Matrix& x, const std::vector<double>& grad,
-    const std::vector<double>& hess, const std::vector<std::size_t>& rows,
-    std::size_t begin, std::size_t end,
-    const std::vector<std::size_t>& features, const TreeParams& params,
-    double g_total, double h_total) const {
-  const double parent_score = ScoreHalf(g_total, h_total, params.lambda);
-
-  std::vector<SplitDecision> per_feature(features.size());
-  const int threads =
-      (end - begin) * features.size() >= kMinParallelSplitWork
-          ? params.num_threads
-          : 1;
-  const std::size_t grain =
-      (features.size() + static_cast<std::size_t>(std::max(1, threads)) - 1) /
-      static_cast<std::size_t>(std::max(1, threads));
-  (void)ParallelFor(
-      threads, features.size(), grain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          per_feature[j] = ScanFeatureHistogram(x, grad, hess, rows, begin,
-                                                end, features[j], params,
-                                                g_total, h_total,
-                                                parent_score);
-        }
-        return Status::OK();
-      });
-
-  SplitDecision best;
-  for (const SplitDecision& candidate : per_feature) {
-    if (candidate.found && (!best.found || candidate.gain > best.gain)) {
-      best = candidate;
-    }
-  }
-  if (best.found && best.gain <= 0.0) best.found = false;
-  return best;
-}
-
 double RegressionTree::Predict(std::span<const double> row) const {
   if (nodes_.empty()) return 0.0;
   std::int32_t node = 0;
@@ -622,32 +293,6 @@ std::int32_t RegressionTree::LeafFor(std::span<const double> row) const {
     const Node& n = nodes_[static_cast<std::size_t>(node)];
     node = row[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
                                                                    : n.right;
-  }
-  return node;
-}
-
-double RegressionTree::PredictFrameRow(const TrainingFrame& frame,
-                                       std::size_t row) const {
-  if (nodes_.empty()) return 0.0;
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature >= 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    const double v =
-        frame.column(static_cast<std::size_t>(n.feature)).values[row];
-    node = v <= n.threshold ? n.left : n.right;
-  }
-  return nodes_[static_cast<std::size_t>(node)].weight;
-}
-
-std::int32_t RegressionTree::LeafForFrameRow(const TrainingFrame& frame,
-                                             std::size_t row) const {
-  if (nodes_.empty()) return -1;
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature >= 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    const double v =
-        frame.column(static_cast<std::size_t>(n.feature)).values[row];
-    node = v <= n.threshold ? n.left : n.right;
   }
   return node;
 }
@@ -722,7 +367,8 @@ void RegressionTree::Save(std::ostream& out) const {
   }
 }
 
-StatusOr<RegressionTree> RegressionTree::Load(std::istream& in) {
+StatusOr<RegressionTree> RegressionTree::Load(std::istream& in,
+                                              std::size_t num_features) {
   std::string tag;
   std::size_t count = 0;
   if (!(in >> tag >> count) || tag != "tree") {
@@ -733,14 +379,39 @@ StatusOr<RegressionTree> RegressionTree::Load(std::istream& in) {
   }
   RegressionTree tree;
   tree.nodes_.resize(count);
-  for (Node& node : tree.nodes_) {
+  // Accept only what Save writes: a binary tree rooted at node 0 whose
+  // children follow their parent and whose non-root nodes each have one
+  // parent. Anything else lets a walk loop forever or read outside the
+  // node list or the input row.
+  std::vector<std::uint8_t> parents(count, 0);
+  const auto limit = static_cast<std::int32_t>(count);
+  for (std::int32_t i = 0; i < limit; ++i) {
+    Node& node = tree.nodes_[static_cast<std::size_t>(i)];
     if (!(in >> node.feature >> node.left >> node.right >> node.threshold >>
           node.weight >> node.gain)) {
       return Status::InvalidArgument("truncated tree node list");
     }
-    const auto limit = static_cast<std::int32_t>(count);
-    if (node.left >= limit || node.right >= limit) {
-      return Status::OutOfRange("tree child index out of range");
+    if (node.feature < 0) {
+      if (node.feature != -1 || node.left != -1 || node.right != -1) {
+        return Status::InvalidArgument("tree leaf must read -1 -1 -1");
+      }
+      continue;
+    }
+    if (static_cast<std::size_t>(node.feature) >= num_features) {
+      return Status::OutOfRange("tree split feature out of range");
+    }
+    for (const std::int32_t child : {node.left, node.right}) {
+      if (child <= i || child >= limit) {
+        return Status::OutOfRange("tree child index out of range");
+      }
+      if (++parents[static_cast<std::size_t>(child)] > 1) {
+        return Status::InvalidArgument("tree node has two parents");
+      }
+    }
+  }
+  for (std::size_t i = 1; i < count; ++i) {
+    if (parents[i] != 1) {
+      return Status::InvalidArgument("tree node unreachable from the root");
     }
   }
   return tree;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "ml/matrix.h"
 
 namespace domd {
 
@@ -18,14 +17,6 @@ class TrainingFrame;
 enum class SplitMethod {
   kExact,      ///< Sort node samples per feature, scan every boundary.
   kHistogram,  ///< Equal-width histograms per feature (approximate).
-};
-
-/// Physical layout the GBT trainer consumes. Both produce bit-identical
-/// models for every SplitMethod; kRowMajor survives as the reference
-/// implementation (bench baselines, identity tests).
-enum class TreeLayout {
-  kColumnar,  ///< Contiguous presorted per-feature columns (default).
-  kRowMajor,  ///< Legacy row-major Matrix scans.
 };
 
 /// Regression-tree growing parameters (the XGBoost-style regularized
@@ -43,15 +34,6 @@ struct TreeParams {
   /// thread count produces bit-identical trees (per-feature scans are
   /// independent; the cross-feature reduction is serial in feature order).
   int num_threads = 1;
-  /// Physical layout of the training scans. Runtime knob, never
-  /// serialized: both layouts grow bit-identical trees.
-  TreeLayout layout = TreeLayout::kColumnar;
-  /// Opt-in quantized (binned-code) split search over the frame's
-  /// precomputed u8/u16 codes. Reorders the gradient/Hessian accumulation
-  /// (per-bin partial sums instead of the sorted sequential fold), so
-  /// trees are NOT guaranteed bit-identical to the exact/histogram scans —
-  /// which is why it is off by default and never serialized.
-  bool quantized = false;
 };
 
 /// One regression tree fitted to per-sample gradients and Hessians (a
@@ -62,24 +44,15 @@ class RegressionTree {
  public:
   RegressionTree() = default;
 
-  /// Grows the tree greedily on the given sample rows (indices into x),
-  /// considering only `features` as split candidates.
-  void Fit(const Matrix& x, const std::vector<double>& grad,
+  /// Grows the tree greedily over a columnar TrainingFrame on the given
+  /// sample rows, considering only `features` as split candidates. The
+  /// exact scan walks each column's presorted (value, row) order filtered
+  /// by a node membership mask — the sequence a per-node sort of the
+  /// node's (value, row) pairs would produce — so no node ever sorts.
+  void Fit(const TrainingFrame& frame, const std::vector<double>& grad,
            const std::vector<double>& hess,
            const std::vector<std::size_t>& rows,
            const std::vector<std::size_t>& features, const TreeParams& params);
-
-  /// Grows the tree over a columnar TrainingFrame. Bit-identical to Fit on
-  /// the equivalent row-major matrix for both split methods (the exact
-  /// scan walks each column's presorted order filtered by a node
-  /// membership mask, reproducing the per-node sort's accumulation order
-  /// exactly); `params.quantized` switches to the binned-code scan, which
-  /// is approximate by design.
-  void FitFrame(const TrainingFrame& frame, const std::vector<double>& grad,
-                const std::vector<double>& hess,
-                const std::vector<std::size_t>& rows,
-                const std::vector<std::size_t>& features,
-                const TreeParams& params);
 
   /// The tree's output for one instance (no shrinkage applied).
   double Predict(std::span<const double> row) const;
@@ -95,12 +68,6 @@ class RegressionTree {
 
   /// Node index of the leaf this instance routes to.
   std::int32_t LeafFor(std::span<const double> row) const;
-
-  /// Predict / LeafFor for one row of a columnar frame (training-time
-  /// traversal without materializing row-major inputs).
-  double PredictFrameRow(const TrainingFrame& frame, std::size_t row) const;
-  std::int32_t LeafForFrameRow(const TrainingFrame& frame,
-                               std::size_t row) const;
 
   /// Appends this tree's nodes as flat parallel arrays for breadth-first
   /// batch traversal. `base` is the index the first appended node receives;
@@ -124,8 +91,12 @@ class RegressionTree {
   /// line, full double precision).
   void Save(std::ostream& out) const;
 
-  /// Reads a tree written by Save().
-  static StatusOr<RegressionTree> Load(std::istream& in);
+  /// Reads a tree written by Save(). Rejects anything but a binary tree
+  /// rooted at node 0 (children after their parent, one parent per
+  /// non-root node, leaves exactly "-1 -1 -1") and any split feature
+  /// >= num_features, so a loaded tree can never loop or read out of range.
+  static StatusOr<RegressionTree> Load(std::istream& in,
+                                       std::size_t num_features);
 
   std::size_t num_nodes() const { return nodes_.size(); }
   /// Number of leaves.
@@ -150,87 +121,36 @@ class RegressionTree {
     double gain = 0.0;
   };
 
-  std::int32_t Grow(const Matrix& x, const std::vector<double>& grad,
+  std::int32_t Grow(const TrainingFrame& frame,
+                    const std::vector<double>& grad,
                     const std::vector<double>& hess,
                     std::vector<std::size_t>& rows, std::size_t begin,
                     std::size_t end,
                     const std::vector<std::size_t>& features,
-                    const TreeParams& params, int depth);
+                    const TreeParams& params, int depth,
+                    std::vector<std::uint8_t>& mask);
 
-  std::int32_t GrowFrame(const TrainingFrame& frame,
-                         const std::vector<double>& grad,
-                         const std::vector<double>& hess,
-                         std::vector<std::size_t>& rows, std::size_t begin,
-                         std::size_t end,
-                         const std::vector<std::size_t>& features,
-                         const TreeParams& params, int depth,
-                         std::vector<std::uint8_t>& mask);
+  SplitDecision FindSplit(const TrainingFrame& frame,
+                          const std::vector<double>& grad,
+                          const std::vector<double>& hess,
+                          const std::vector<std::size_t>& rows,
+                          std::size_t begin, std::size_t end,
+                          const std::vector<std::size_t>& features,
+                          const TreeParams& params, double g_total,
+                          double h_total,
+                          const std::vector<std::uint8_t>& mask) const;
 
-  SplitDecision FindSplitFrame(const TrainingFrame& frame,
-                               const std::vector<double>& grad,
-                               const std::vector<double>& hess,
-                               const std::vector<std::size_t>& rows,
-                               std::size_t begin, std::size_t end,
-                               const std::vector<std::size_t>& features,
-                               const TreeParams& params, double g_total,
-                               double h_total,
-                               const std::vector<std::uint8_t>& mask) const;
-
-  SplitDecision ScanFeatureExactFrame(const TrainingFrame& frame,
-                                      const std::vector<double>& grad,
-                                      const std::vector<double>& hess,
-                                      std::size_t node_size,
-                                      std::size_t feature,
-                                      const TreeParams& params,
-                                      double g_total, double h_total,
-                                      double parent_score,
-                                      const std::vector<std::uint8_t>& mask)
-      const;
-
-  SplitDecision ScanFeatureHistogramFrame(
-      const TrainingFrame& frame, const std::vector<double>& grad,
-      const std::vector<double>& hess, const std::vector<std::size_t>& rows,
-      std::size_t begin, std::size_t end, std::size_t feature,
-      const TreeParams& params, double g_total, double h_total,
-      double parent_score) const;
-
-  SplitDecision ScanFeatureQuantizedFrame(
-      const TrainingFrame& frame, const std::vector<double>& grad,
-      const std::vector<double>& hess, const std::vector<std::size_t>& rows,
-      std::size_t begin, std::size_t end, std::size_t feature,
-      const TreeParams& params, double g_total, double h_total,
-      double parent_score) const;
-
-  SplitDecision FindSplitExact(const Matrix& x,
-                               const std::vector<double>& grad,
-                               const std::vector<double>& hess,
-                               const std::vector<std::size_t>& rows,
-                               std::size_t begin, std::size_t end,
-                               const std::vector<std::size_t>& features,
-                               const TreeParams& params, double g_total,
-                               double h_total) const;
-
-  SplitDecision FindSplitHistogram(const Matrix& x,
-                                   const std::vector<double>& grad,
-                                   const std::vector<double>& hess,
-                                   const std::vector<std::size_t>& rows,
-                                   std::size_t begin, std::size_t end,
-                                   const std::vector<std::size_t>& features,
-                                   const TreeParams& params, double g_total,
-                                   double h_total) const;
-
-  /// Best split of a single feature over rows [begin, end) — the unit of
-  /// work the parallel split search distributes.
-  SplitDecision ScanFeatureExact(const Matrix& x,
+  /// Best split of a single feature over the rows `mask` marks — the unit
+  /// of work the parallel split search distributes.
+  SplitDecision ScanFeatureExact(const TrainingFrame& frame,
                                  const std::vector<double>& grad,
                                  const std::vector<double>& hess,
-                                 const std::vector<std::size_t>& rows,
-                                 std::size_t begin, std::size_t end,
-                                 std::size_t feature, const TreeParams& params,
-                                 double g_total, double h_total,
-                                 double parent_score) const;
+                                 std::size_t node_size, std::size_t feature,
+                                 const TreeParams& params, double g_total,
+                                 double h_total, double parent_score,
+                                 const std::vector<std::uint8_t>& mask) const;
 
-  SplitDecision ScanFeatureHistogram(const Matrix& x,
+  SplitDecision ScanFeatureHistogram(const TrainingFrame& frame,
                                      const std::vector<double>& grad,
                                      const std::vector<double>& hess,
                                      const std::vector<std::size_t>& rows,

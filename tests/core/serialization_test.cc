@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/domd_estimator.h"
 #include "core/test_helpers.h"
@@ -116,7 +118,7 @@ TEST(SerializationTest, CorruptedInputsRejected) {
   }
   {
     std::stringstream buffer("tree 3\n0 1 2 0.5");
-    EXPECT_FALSE(RegressionTree::Load(buffer).ok());
+    EXPECT_FALSE(RegressionTree::Load(buffer, 1).ok());
   }
   {
     std::stringstream buffer("elastic_net v2\n");
@@ -134,7 +136,60 @@ TEST(SerializationTest, CorruptedInputsRejected) {
 
 TEST(SerializationTest, TreeChildIndexOutOfRangeRejected) {
   std::stringstream buffer("tree 1\n0 5 6 0.5 1.0 0.0\n");
-  EXPECT_FALSE(RegressionTree::Load(buffer).ok());
+  EXPECT_FALSE(RegressionTree::Load(buffer, 1).ok());
+}
+
+// A one-tree GBT model over two features whose tree is `tree` (in
+// RegressionTree::Save's text form): what a hand-edited model file read by
+// `domd evaluate/query/report --model` looks like.
+StatusOr<GbtRegressor> LoadOneTreeModel(const std::string& tree) {
+  std::stringstream buffer(
+      "gbt v1\nloss 0 1\nparams 1 0.5 3 1 1 0 0 32 1 1 7\nmodel 0 2 1\n" +
+      tree);
+  return GbtRegressor::Load(buffer);
+}
+
+TEST(SerializationTest, ModelLoadAcceptsAWellFormedTree) {
+  auto model = LoadOneTreeModel(
+      "tree 3\n1 1 2 0.5 0 1\n-1 -1 -1 0 -1 0\n-1 -1 -1 0 1 0\n");
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->Predict(std::vector<double>{9.0, 0.0}), -0.5);
+  EXPECT_EQ(model->Predict(std::vector<double>{9.0, 1.0}), 0.5);
+}
+
+TEST(SerializationTest, ModelLoadRejectsNegativeChild) {
+  EXPECT_FALSE(LoadOneTreeModel("tree 3\n0 -1 2 0.5 0 1\n"
+                                "-1 -1 -1 0 -1 0\n-1 -1 -1 0 1 0\n")
+                   .ok());
+}
+
+TEST(SerializationTest, ModelLoadRejectsSelfLoop) {
+  EXPECT_FALSE(LoadOneTreeModel("tree 3\n0 0 2 0.5 0 1\n"
+                                "-1 -1 -1 0 -1 0\n-1 -1 -1 0 1 0\n")
+                   .ok());
+}
+
+TEST(SerializationTest, ModelLoadRejectsBackEdgeCycle) {
+  // Node 1's right child points back at the root.
+  EXPECT_FALSE(LoadOneTreeModel("tree 4\n0 1 2 0.5 0 1\n0 3 0 0.25 0 1\n"
+                                "-1 -1 -1 0 1 0\n-1 -1 -1 0 -1 0\n")
+                   .ok());
+}
+
+TEST(SerializationTest, ModelLoadRejectsSharedChild) {
+  // Nodes 1 and 2 both claim leaves 3 and 4: a DAG, not a tree.
+  EXPECT_FALSE(LoadOneTreeModel("tree 5\n0 1 2 0.5 0 1\n1 3 4 0.5 0 1\n"
+                                "1 3 4 0.5 0 1\n-1 -1 -1 0 -1 0\n"
+                                "-1 -1 -1 0 1 0\n")
+                   .ok());
+}
+
+TEST(SerializationTest, ModelLoadRejectsSplitFeatureOutOfRange) {
+  // The model reads two features; a split on feature 5 would index past
+  // every input row.
+  EXPECT_FALSE(LoadOneTreeModel("tree 3\n5 1 2 0.5 0 1\n"
+                                "-1 -1 -1 0 -1 0\n-1 -1 -1 0 1 0\n")
+                   .ok());
 }
 
 class EstimatorSerializationTest : public ::testing::Test {

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "ml/gbt.h"
+#include "ml/loss.h"
 #include "ml/tree.h"
 
 namespace domd {
@@ -38,241 +42,252 @@ std::vector<double> RandomLabels(std::size_t rows, std::uint64_t seed) {
   return y;
 }
 
-std::string SaveToString(const GbtRegressor& model) {
-  std::ostringstream out;
-  model.Save(out);
-  return out.str();
-}
+/// A serial reference grower written independently of RegressionTree's
+/// columnar scans. Per node and per feature it sorts the node's
+/// (value, row) pairs and scans every boundary (exact), or fills
+/// equal-width bins (histogram); it partitions with std::partition and
+/// uses no threads. Grow() prints RegressionTree::Save's format, so the
+/// production grower must match it byte for byte.
+class ReferenceGrower {
+ public:
+  ReferenceGrower(const Matrix& x, const std::vector<double>& grad,
+                  const std::vector<double>& hess, const TreeParams& params)
+      : x_(x), grad_(grad), hess_(hess), params_(params) {}
 
-TEST(QuantizerCuts, MidpointsWhenDistinctFitsBudget) {
-  const std::vector<double> values = {3.0, 1.0, 2.0, 1.0, 3.0};
-  const std::vector<double> cuts = BuildQuantizerCuts(values, 256);
-  ASSERT_EQ(cuts.size(), 2u);
-  EXPECT_EQ(cuts[0], 0.5 * (1.0 + 2.0));
-  EXPECT_EQ(cuts[1], 0.5 * (2.0 + 3.0));
-}
-
-TEST(QuantizerCuts, ConstantColumnHasNoCuts) {
-  const std::vector<double> values = {4.0, 4.0, 4.0};
-  EXPECT_TRUE(BuildQuantizerCuts(values, 256).empty());
-}
-
-TEST(QuantizerCuts, SignedZerosCollapseToOneValue) {
-  const std::vector<double> values = {-0.0, +0.0, -0.0};
-  EXPECT_TRUE(BuildQuantizerCuts(values, 256).empty());
-  const std::vector<double> mixed = {-0.0, 1.0, +0.0};
-  const std::vector<double> cuts = BuildQuantizerCuts(mixed, 256);
-  ASSERT_EQ(cuts.size(), 1u);
-  EXPECT_EQ(cuts[0], 0.5);
-}
-
-TEST(QuantizerCuts, OverBudgetCutsAreStrictlyIncreasing) {
-  std::vector<double> values;
-  for (int i = 0; i < 2000; ++i) values.push_back(static_cast<double>(i));
-  const std::vector<double> cuts = BuildQuantizerCuts(values, 64);
-  ASSERT_FALSE(cuts.empty());
-  ASSERT_LE(cuts.size(), 63u);
-  for (std::size_t i = 1; i < cuts.size(); ++i) {
-    EXPECT_LT(cuts[i - 1], cuts[i]);
+  std::string Grow(std::vector<std::size_t> rows,
+                   const std::vector<std::size_t>& features) {
+    nodes_.clear();
+    if (rows.empty()) {
+      nodes_.push_back(Node{});
+    } else {
+      GrowNode(rows, 0, rows.size(), features, 0);
+    }
+    std::ostringstream out;
+    out << std::setprecision(17) << "tree " << nodes_.size() << "\n";
+    for (const Node& n : nodes_) {
+      out << n.feature << ' ' << n.left << ' ' << n.right << ' '
+          << n.threshold << ' ' << n.weight << ' ' << n.gain << "\n";
+    }
+    return out.str();
   }
-}
 
-TEST(QuantizerCuts, BinOfRoutesCutPointValuesLeft) {
-  // A value exactly on a cut belongs to the left bin — the same side the
-  // tree's `value <= threshold` comparison routes it.
-  const std::vector<double> cuts = {1.5, 2.5};
-  EXPECT_EQ(BinOf(1.0, cuts), 0u);
-  EXPECT_EQ(BinOf(1.5, cuts), 0u);
-  EXPECT_EQ(BinOf(2.0, cuts), 1u);
-  EXPECT_EQ(BinOf(2.5, cuts), 1u);
-  EXPECT_EQ(BinOf(3.0, cuts), 2u);
-  EXPECT_EQ(BinOf(std::numeric_limits<double>::quiet_NaN(), cuts), 2u);
-}
+ private:
+  struct Node {
+    std::int32_t feature = -1;
+    std::int32_t left = -1;
+    std::int32_t right = -1;
+    double threshold = 0.0;
+    double weight = 0.0;
+    double gain = 0.0;
+  };
 
-TEST(OwnedColumn, OrderMatchesValueThenRowSort) {
-  OwnedColumn owned =
-      MakeOwnedColumn({2.0, 1.0, 2.0, 0.5, 1.0}, 256);
-  const std::vector<std::uint32_t> expected = {3, 1, 4, 0, 2};
-  EXPECT_EQ(owned.order, expected);
-}
+  struct Split {
+    bool found = false;
+    std::size_t feature = 0;
+    double threshold = 0.0;
+    double gain = 0.0;
+  };
 
-TEST(OwnedColumn, WideBudgetUsesSixteenBitCodes) {
-  std::vector<double> values;
-  for (int i = 0; i < 1000; ++i) values.push_back(static_cast<double>(i));
-  OwnedColumn owned = MakeOwnedColumn(std::move(values), 1024);
-  EXPECT_TRUE(owned.codes8.empty());
-  ASSERT_EQ(owned.codes16.size(), 1000u);
-  EXPECT_EQ(owned.codes16[0], 0u);
-  EXPECT_EQ(owned.codes16[999], 999u);
-}
+  double Score(double g, double h) const {
+    return g * g / (h + params_.lambda);
+  }
 
-TEST(OwnedColumn, NarrowBudgetUsesByteCodes) {
-  OwnedColumn owned = MakeOwnedColumn({1.0, 2.0, 3.0}, 256);
-  ASSERT_EQ(owned.codes8.size(), 3u);
-  EXPECT_TRUE(owned.codes16.empty());
-  EXPECT_EQ(owned.codes8[0], 0u);
-  EXPECT_EQ(owned.codes8[2], 2u);
-}
+  /// Scores one boundary. Candidates arrive in feature order, then
+  /// boundary order, and only a strictly larger gain replaces the best —
+  /// so ties keep the earliest feature and the earliest boundary.
+  void Offer(double g_left, double h_left, double g_total, double h_total,
+             double parent_score, std::size_t feature, double threshold,
+             Split* best) const {
+    const double g_right = g_total - g_left;
+    const double h_right = h_total - h_left;
+    if (h_left < params_.min_child_weight ||
+        h_right < params_.min_child_weight) {
+      return;
+    }
+    const double gain =
+        0.5 * (Score(g_left, h_left) + Score(g_right, h_right) -
+               parent_score) -
+        params_.gamma;
+    if (gain > best->gain) *best = Split{true, feature, threshold, gain};
+  }
 
-class LayoutIdentityTest
-    : public ::testing::TestWithParam<std::tuple<SplitMethod, int>> {};
+  void ScanExact(const std::vector<std::size_t>& rows, std::size_t begin,
+                 std::size_t end, std::size_t feature, double g_total,
+                 double h_total, double parent_score, Split* best) const {
+    std::vector<std::pair<double, std::size_t>> sorted;
+    for (std::size_t i = begin; i < end; ++i) {
+      sorted.emplace_back(x_.at(rows[i], feature), rows[i]);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    double g_left = 0.0, h_left = 0.0;
+    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
+      g_left += grad_[sorted[i].second];
+      h_left += hess_[sorted[i].second];
+      if (sorted[i].first == sorted[i + 1].first) continue;
+      Offer(g_left, h_left, g_total, h_total, parent_score, feature,
+            0.5 * (sorted[i].first + sorted[i + 1].first), best);
+    }
+  }
 
-// The tentpole identity: columnar training must reproduce the row-major
-// ensemble bit for bit — same trees, same thresholds, same weights — for
-// both split methods and at every thread count.
-TEST_P(LayoutIdentityTest, ColumnarMatchesRowMajorBitwise) {
-  const auto [method, threads] = GetParam();
-  const Matrix x = RandomMatrix(240, 12, 7);
-  const std::vector<double> y = RandomLabels(240, 11);
+  void ScanHistogram(const std::vector<std::size_t>& rows, std::size_t begin,
+                     std::size_t end, std::size_t feature, double g_total,
+                     double h_total, double parent_score,
+                     Split* best) const {
+    const auto bins =
+        static_cast<std::size_t>(std::max(2, params_.histogram_bins));
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = begin; i < end; ++i) {
+      lo = std::min(lo, x_.at(rows[i], feature));
+      hi = std::max(hi, x_.at(rows[i], feature));
+    }
+    if (!(hi > lo)) return;
+    const double width = (hi - lo) / static_cast<double>(bins);
+    std::vector<double> bin_g(bins, 0.0), bin_h(bins, 0.0);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t r = rows[i];
+      auto b = static_cast<std::size_t>((x_.at(r, feature) - lo) / width);
+      b = std::min(b, bins - 1);
+      bin_g[b] += grad_[r];
+      bin_h[b] += hess_[r];
+    }
+    double g_left = 0.0, h_left = 0.0;
+    for (std::size_t b = 0; b + 1 < bins; ++b) {
+      g_left += bin_g[b];
+      h_left += bin_h[b];
+      Offer(g_left, h_left, g_total, h_total, parent_score, feature,
+            lo + width * static_cast<double>(b + 1), best);
+    }
+  }
 
-  GbtParams params;
-  params.num_rounds = 25;
-  params.subsample = 0.8;
-  params.colsample = 0.7;
-  params.tree.max_depth = 4;
-  params.tree.split_method = method;
-  params.tree.num_threads = threads;
+  std::int32_t GrowNode(std::vector<std::size_t>& rows, std::size_t begin,
+                        std::size_t end,
+                        const std::vector<std::size_t>& features,
+                        int depth) {
+    double g_total = 0.0, h_total = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      g_total += grad_[rows[i]];
+      h_total += hess_[rows[i]];
+    }
+    const auto id = static_cast<std::int32_t>(nodes_.size());
+    nodes_.push_back(Node{});
+    nodes_.back().weight = -g_total / (h_total + params_.lambda);
+    if (depth >= params_.max_depth || end - begin < 2) return id;
 
-  params.tree.layout = TreeLayout::kRowMajor;
-  GbtRegressor row_model(params, Loss::PseudoHuber(18.0));
-  ASSERT_TRUE(row_model.Fit(x, y).ok());
+    const double parent_score = Score(g_total, h_total);
+    Split best;
+    for (const std::size_t feature : features) {
+      if (params_.split_method == SplitMethod::kExact) {
+        ScanExact(rows, begin, end, feature, g_total, h_total, parent_score,
+                  &best);
+      } else {
+        ScanHistogram(rows, begin, end, feature, g_total, h_total,
+                      parent_score, &best);
+      }
+    }
+    if (!best.found) return id;
 
-  params.tree.layout = TreeLayout::kColumnar;
-  GbtRegressor col_model(params, Loss::PseudoHuber(18.0));
-  ASSERT_TRUE(col_model.Fit(x, y).ok());
+    const auto middle = std::partition(
+        rows.begin() + static_cast<std::ptrdiff_t>(begin),
+        rows.begin() + static_cast<std::ptrdiff_t>(end),
+        [&](std::size_t r) {
+          return x_.at(r, best.feature) <= best.threshold;
+        });
+    const auto mid = static_cast<std::size_t>(middle - rows.begin());
+    if (mid == begin || mid == end) return id;
 
-  EXPECT_EQ(SaveToString(row_model), SaveToString(col_model));
+    const std::int32_t left = GrowNode(rows, begin, mid, features, depth + 1);
+    const std::int32_t right = GrowNode(rows, mid, end, features, depth + 1);
+    Node& node = nodes_[static_cast<std::size_t>(id)];
+    node.feature = static_cast<std::int32_t>(best.feature);
+    node.left = left;
+    node.right = right;
+    node.threshold = best.threshold;
+    node.gain = best.gain;
+    return id;
+  }
+
+  const Matrix& x_;
+  const std::vector<double>& grad_;
+  const std::vector<double>& hess_;
+  TreeParams params_;
+  std::vector<Node> nodes_;
+};
+
+/// (split method, split-search threads, distinct values per column; 0 =
+/// continuous columns).
+using TreeReferenceParam = std::tuple<SplitMethod, int, int>;
+
+class TreeReferenceTest
+    : public ::testing::TestWithParam<TreeReferenceParam> {};
+
+// The production grower (presorted columns + node mask, parallel
+// per-feature scans) must reproduce the serial per-node sort-and-scan
+// reference byte for byte, boosting-round after boosting-round.
+TEST_P(TreeReferenceTest, TreesMatchSerialReference) {
+  const auto [method, threads, distinct] = GetParam();
+  // 1000 rows x 12 features keeps the top two levels of each tree above
+  // the parallel split search's work threshold, so the thread count
+  // really changes how the scan runs.
+  const std::size_t n = 1000;
+  const Matrix x = RandomMatrix(n, 12, 7, distinct);
+  const std::vector<double> y = RandomLabels(n, 11);
+  const TrainingFrame frame = TrainingFrame::FromMatrix(x);
+  const Loss loss = Loss::PseudoHuber(18.0);
+
+  TreeParams params;
+  params.max_depth = 4;
+  params.split_method = method;
+  params.num_threads = threads;
+
+  Rng rng(13);
+  std::vector<double> predictions(n, 20.0), grad(n), hess(n);
+  for (int round = 0; round < 8; ++round) {
+    for (std::size_t i = 0; i < n; ++i) {
+      grad[i] = loss.Gradient(predictions[i], y[i]);
+      hess[i] = loss.Hessian(predictions[i], y[i]);
+    }
+    std::vector<std::size_t> rows, features;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.8)) rows.push_back(i);
+    }
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+      if (rng.Bernoulli(0.7)) features.push_back(f);
+    }
+
+    RegressionTree tree;
+    tree.Fit(frame, grad, hess, rows, features, params);
+    ASSERT_GT(tree.num_nodes(), 1u) << "round " << round;
+    std::ostringstream out;
+    tree.Save(out);
+    ASSERT_EQ(out.str(),
+              ReferenceGrower(x, grad, hess, params).Grow(rows, features))
+        << "round " << round;
+
+    for (std::size_t i = 0; i < n; ++i) {
+      predictions[i] += 0.3 * tree.Predict(x.row(i));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    MethodsAndThreads, LayoutIdentityTest,
+    MethodThreadsData, TreeReferenceTest,
     ::testing::Combine(::testing::Values(SplitMethod::kExact,
                                          SplitMethod::kHistogram),
-                       ::testing::Values(1, 2, 4)));
+                       ::testing::Values(1, 2, 4), ::testing::Values(0, 5)),
+    [](const ::testing::TestParamInfo<TreeReferenceParam>& info) {
+      const bool exact = std::get<0>(info.param) == SplitMethod::kExact;
+      return std::string(exact ? "Exact" : "Histogram") + "_" +
+             std::to_string(std::get<1>(info.param)) + "T_" +
+             (std::get<2>(info.param) == 0 ? "Continuous" : "FiveDistinct");
+    });
 
-TEST(LayoutIdentity, AbsoluteLossLeafRefinementMatches) {
-  // The leaf-refinement path (LeafFor vs LeafForFrameRow) must route rows
-  // identically or the order statistics diverge.
-  const Matrix x = RandomMatrix(150, 6, 19);
-  const std::vector<double> y = RandomLabels(150, 23);
-
-  GbtParams params;
-  params.num_rounds = 15;
-  params.tree.layout = TreeLayout::kRowMajor;
-  GbtRegressor row_model(params, Loss::Absolute());
-  ASSERT_TRUE(row_model.Fit(x, y).ok());
-
-  params.tree.layout = TreeLayout::kColumnar;
-  GbtRegressor col_model(params, Loss::Absolute());
-  ASSERT_TRUE(col_model.Fit(x, y).ok());
-
-  EXPECT_EQ(SaveToString(row_model), SaveToString(col_model));
-}
-
-TEST(LayoutIdentity, DuplicateHeavyColumnsMatch) {
-  // Many ties stress the (value, row) ordering and the boundary-skip
-  // logic of the presorted exact walk.
-  const Matrix x = RandomMatrix(300, 8, 31, /*distinct=*/5);
-  const std::vector<double> y = RandomLabels(300, 37);
-
-  GbtParams params;
-  params.num_rounds = 20;
-  params.tree.layout = TreeLayout::kRowMajor;
-  GbtRegressor row_model(params, Loss::Squared());
-  ASSERT_TRUE(row_model.Fit(x, y).ok());
-
-  params.tree.layout = TreeLayout::kColumnar;
-  GbtRegressor col_model(params, Loss::Squared());
-  ASSERT_TRUE(col_model.Fit(x, y).ok());
-
-  EXPECT_EQ(SaveToString(row_model), SaveToString(col_model));
-}
-
-// --- Quantized (opt-in) path: split identity on bin-boundary edge cases.
-
-/// Grows one tree with the exact scan and one with the quantized scan and
-/// requires identical structure: same split features, and every training
-/// row routed to the same leaf partition.
-void ExpectQuantizedMatchesExact(const Matrix& x,
-                                 const std::vector<double>& y) {
-  GbtParams params;
-  params.num_rounds = 8;
-  params.tree.max_depth = 3;
-
-  params.tree.layout = TreeLayout::kRowMajor;
-  params.tree.quantized = false;
-  GbtRegressor exact(params, Loss::Squared());
-  ASSERT_TRUE(exact.Fit(x, y).ok());
-
-  params.tree.layout = TreeLayout::kColumnar;
-  params.tree.quantized = true;
-  GbtRegressor quantized(params, Loss::Squared());
-  ASSERT_TRUE(quantized.Fit(x, y).ok());
-
-  // Identical routing of every training row implies identical leaf
-  // partitions, hence identical weights and identical predictions.
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    EXPECT_EQ(exact.Predict(x.row(r)), quantized.Predict(x.row(r)))
-        << "row " << r;
-  }
-}
-
-TEST(QuantizedSplits, SmallIntegerGridMatchesExact) {
-  // Exactly representable values and fewer distinct values than bins:
-  // cuts are the exact scan's midpoints and all gradient sums are exact,
-  // so any split divergence is a real bug, not FP reordering.
-  const Matrix x = RandomMatrix(200, 5, 43, /*distinct=*/7);
-  std::vector<double> y(200);
-  for (std::size_t r = 0; r < y.size(); ++r) {
-    y[r] = x.at(r, 0) * 2.0 + x.at(r, 3);
-  }
-  ExpectQuantizedMatchesExact(x, y);
-}
-
-TEST(QuantizedSplits, AllIdenticalColumnNeverSplits) {
-  Matrix x = RandomMatrix(100, 3, 47, /*distinct=*/4);
-  for (std::size_t r = 0; r < x.rows(); ++r) x.at(r, 1) = 2.5;
-  std::vector<double> y(100);
-  for (std::size_t r = 0; r < y.size(); ++r) y[r] = x.at(r, 0);
-  ExpectQuantizedMatchesExact(x, y);
-}
-
-TEST(QuantizedSplits, SignedZeroColumnMatchesExact) {
-  Matrix x = RandomMatrix(120, 2, 53, /*distinct=*/3);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    x.at(r, 1) = (r % 3 == 0) ? -0.0 : ((r % 3 == 1) ? +0.0 : 1.0);
-  }
-  std::vector<double> y(120);
-  for (std::size_t r = 0; r < y.size(); ++r) {
-    y[r] = x.at(r, 1) == 0.0 ? 1.0 : 5.0;
-  }
-  ExpectQuantizedMatchesExact(x, y);
-}
-
-TEST(QuantizedSplits, ValuesExactlyOnCutPointsRouteLeft) {
-  // Train where distinct values {1,2} give a cut at 1.5, then feed rows
-  // whose feature sits exactly on that cut: both paths must route left.
-  Matrix x(60, 1);
-  std::vector<double> y(60);
-  for (std::size_t r = 0; r < 60; ++r) {
-    x.at(r, 0) = r < 30 ? 1.0 : 2.0;
-    y[r] = r < 30 ? 10.0 : 20.0;
-  }
-  GbtParams params;
-  params.num_rounds = 4;
-  params.tree.quantized = true;
-  GbtRegressor quantized(params, Loss::Squared());
-  ASSERT_TRUE(quantized.Fit(x, y).ok());
-
-  params.tree.quantized = false;
-  params.tree.layout = TreeLayout::kRowMajor;
-  GbtRegressor exact(params, Loss::Squared());
-  ASSERT_TRUE(exact.Fit(x, y).ok());
-
-  const std::vector<double> probe = {1.5};
-  EXPECT_EQ(exact.Predict(probe), quantized.Predict(probe));
-  const std::vector<double> left = {1.0};
-  EXPECT_EQ(quantized.Predict(probe), quantized.Predict(left));
+TEST(TrainingFrame, OrderMatchesValueThenRowSort) {
+  const double values[] = {2.0, 1.0, 2.0, 0.5, 1.0};
+  Matrix x(5, 1);
+  for (std::size_t r = 0; r < 5; ++r) x.at(r, 0) = values[r];
+  const std::vector<std::uint32_t> expected = {3, 1, 4, 0, 2};
+  EXPECT_EQ(TrainingFrame::FromMatrix(x).column(0).order, expected);
 }
 
 TEST(TrainingFrame, FromMatrixShapes) {
@@ -284,7 +299,6 @@ TEST(TrainingFrame, FromMatrixShapes) {
     const FrameColumn& column = frame.column(c);
     ASSERT_EQ(column.values.size(), 50u);
     ASSERT_EQ(column.order.size(), 50u);
-    EXPECT_EQ(column.codes8.size(), 50u);
     for (std::size_t r = 0; r < 50; ++r) {
       EXPECT_EQ(column.values[r], x.at(r, c));
     }

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "ml/columnar.h"
 
 namespace domd {
 namespace {
@@ -37,7 +38,7 @@ TEST(RegressionTreeTest, SplitsPerfectStepFunction) {
   params.max_depth = 2;
   params.lambda = 0.0;
   RegressionTree tree;
-  tree.Fit(x, grad, hess, AllRows(10), {0}, params);
+  tree.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(10), {0}, params);
 
   EXPECT_NEAR(tree.Predict(std::vector<double>{2.0}), -10.0, 1e-9);
   EXPECT_NEAR(tree.Predict(std::vector<double>{7.0}), 10.0, 1e-9);
@@ -59,7 +60,8 @@ TEST(RegressionTreeTest, RespectsMaxDepth) {
     params.max_depth = depth;
     params.min_child_weight = 1.0;
     RegressionTree tree;
-    tree.Fit(x, grad, hess, AllRows(200), {0, 1, 2}, params);
+    tree.Fit(TrainingFrame::FromMatrix(x),
+             grad, hess, AllRows(200), {0, 1, 2}, params);
     EXPECT_LE(tree.depth(), depth);
     EXPECT_LE(tree.num_leaves(), static_cast<std::size_t>(1) << depth);
   }
@@ -75,7 +77,8 @@ TEST(RegressionTreeTest, ConstantFeatureYieldsStump) {
   std::vector<double> grad, hess;
   SquaredTargets(y, &grad, &hess);
   RegressionTree tree;
-  tree.Fit(x, grad, hess, AllRows(20), {0}, TreeParams{});
+  tree.Fit(TrainingFrame::FromMatrix(x),
+           grad, hess, AllRows(20), {0}, TreeParams{});
   EXPECT_EQ(tree.num_nodes(), 1u);
   // Root weight = mean of y (lambda=1 shrinks slightly).
   EXPECT_NEAR(tree.Predict(std::vector<double>{3.0}), 9.5, 0.6);
@@ -94,7 +97,7 @@ TEST(RegressionTreeTest, MinChildWeightBlocksSmallLeaves) {
   params.min_child_weight = 3.0;  // forbids children with < 3 samples
   params.max_depth = 1;
   RegressionTree tree;
-  tree.Fit(x, grad, hess, AllRows(10), {0}, params);
+  tree.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(10), {0}, params);
   if (tree.num_nodes() > 1) {
     // Any split taken must leave >= 3 samples on the right.
     EXPECT_NEAR(tree.Predict(std::vector<double>{9.0}),
@@ -115,7 +118,7 @@ TEST(RegressionTreeTest, GammaPrunesWeakSplits) {
   TreeParams params;
   params.gamma = 100.0;  // demands massive gain
   RegressionTree tree;
-  tree.Fit(x, grad, hess, AllRows(100), {0}, params);
+  tree.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(100), {0}, params);
   EXPECT_EQ(tree.num_nodes(), 1u);
 }
 
@@ -128,11 +131,11 @@ TEST(RegressionTreeTest, LambdaShrinksLeafWeights) {
   TreeParams no_reg;
   no_reg.lambda = 0.0;
   RegressionTree tree_a;
-  tree_a.Fit(x, grad, hess, AllRows(4), {0}, no_reg);
+  tree_a.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(4), {0}, no_reg);
   TreeParams heavy;
   heavy.lambda = 4.0;
   RegressionTree tree_b;
-  tree_b.Fit(x, grad, hess, AllRows(4), {0}, heavy);
+  tree_b.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(4), {0}, heavy);
   // -G/(H+l): 40/4 = 10 vs 40/8 = 5.
   EXPECT_NEAR(tree_a.Predict(std::vector<double>{0.0}), 10.0, 1e-9);
   EXPECT_NEAR(tree_b.Predict(std::vector<double>{0.0}), 5.0, 1e-9);
@@ -153,13 +156,15 @@ TEST(RegressionTreeTest, HistogramApproximatesExact) {
   TreeParams exact;
   exact.max_depth = 3;
   RegressionTree tree_exact;
-  tree_exact.Fit(x, grad, hess, AllRows(500), {0, 1}, exact);
+  tree_exact.Fit(TrainingFrame::FromMatrix(x),
+                 grad, hess, AllRows(500), {0, 1}, exact);
 
   TreeParams histogram = exact;
   histogram.split_method = SplitMethod::kHistogram;
   histogram.histogram_bins = 64;
   RegressionTree tree_hist;
-  tree_hist.Fit(x, grad, hess, AllRows(500), {0, 1}, histogram);
+  tree_hist.Fit(TrainingFrame::FromMatrix(x),
+                grad, hess, AllRows(500), {0, 1}, histogram);
 
   // Both should recover the dominant step near 0.5.
   for (double probe : {0.1, 0.4, 0.6, 0.9}) {
@@ -181,7 +186,8 @@ TEST(RegressionTreeTest, ContributionsDecomposePrediction) {
   TreeParams params;
   params.max_depth = 4;
   RegressionTree tree;
-  tree.Fit(x, grad, hess, AllRows(100), {0, 1, 2}, params);
+  tree.Fit(TrainingFrame::FromMatrix(x),
+           grad, hess, AllRows(100), {0, 1, 2}, params);
 
   for (std::size_t r = 0; r < 10; ++r) {
     std::vector<double> contributions(3, 0.0);
@@ -204,7 +210,8 @@ TEST(RegressionTreeTest, GainsAttributeToSplitFeatures) {
   std::vector<double> grad, hess;
   SquaredTargets(y, &grad, &hess);
   RegressionTree tree;
-  tree.Fit(x, grad, hess, AllRows(50), {0, 1}, TreeParams{});
+  tree.Fit(TrainingFrame::FromMatrix(x),
+           grad, hess, AllRows(50), {0, 1}, TreeParams{});
   std::vector<double> gains(2, 0.0);
   tree.AccumulateGains(&gains);
   EXPECT_GT(gains[0], 0.0);
@@ -214,7 +221,8 @@ TEST(RegressionTreeTest, GainsAttributeToSplitFeatures) {
 TEST(RegressionTreeTest, EmptyRowsYieldZeroTree) {
   Matrix x(5, 1);
   RegressionTree tree;
-  tree.Fit(x, {0, 0, 0, 0, 0}, {1, 1, 1, 1, 1}, {}, {0}, TreeParams{});
+  tree.Fit(TrainingFrame::FromMatrix(x),
+           {0, 0, 0, 0, 0}, {1, 1, 1, 1, 1}, {}, {0}, TreeParams{});
   EXPECT_DOUBLE_EQ(tree.Predict(std::vector<double>{1.0}), 0.0);
 }
 

@@ -6,11 +6,9 @@
 //   domd stats     --dir DATA
 //   domd train     --dir DATA --model FILE [--window X] [--k K]
 //                  [--rounds R] [--seed S] [--threads N]
-//                  [--gbt-layout row|columnar] [--quantized-hist 0|1]
 //                  [--bundle DIR [--bundle-version V]]
 //   domd tune      --dir DATA [--trials N] [--patience P] [--seed S]
 //                  [--window X] [--k K] [--threads N]
-//                  [--gbt-layout row|columnar] [--quantized-hist 0|1]
 //   domd evaluate  --dir DATA --model FILE [--threads N]
 //   domd query     --dir DATA --model FILE --avail ID [--t T*] [--top K]
 //                  [--threads N]
@@ -45,16 +43,6 @@
 // process-wide modeling-view cache; 0 disables caching. Like --threads, it
 // never changes a single output bit — only how often feature engineering
 // reruns.
-//
-// --gbt-layout row|columnar (train/tune) picks the GBT training scan:
-// "columnar" (the default) trains over the pre-sorted per-feature columns
-// of DESIGN.md §13, "row" is the legacy per-node sort-and-scan reference.
-// Both layouts produce byte-identical model files; the flag only trades
-// wall-clock, and it is never written into a model or bundle.
-// --quantized-hist 1 additionally enables the opt-in quantized-histogram
-// fast path, which may pick split thresholds from bin boundaries — fast
-// but NOT guaranteed bit-identical to the exact scan; it is off by
-// default for exactly that reason.
 //
 // --metrics-json FILE (any command) dumps the run's metric registry as
 // JSON on exit: pipeline span histograms (features.block_sweep, gbt.fit,
@@ -166,23 +154,6 @@ Parallelism ThreadsFlag(const Flags& flags) {
   Parallelism parallelism;
   parallelism.num_threads = std::atoi(FlagOr(flags, "threads", "0").c_str());
   return parallelism;
-}
-
-// --gbt-layout row|columnar and --quantized-hist 0|1; runtime GBT
-// training knobs (DESIGN.md §13), never serialized into models.
-Status ApplyGbtLayoutFlags(const Flags& flags, PipelineConfig* config) {
-  const std::string layout = FlagOr(flags, "gbt-layout", "columnar");
-  if (layout == "row") {
-    config->gbt.tree.layout = TreeLayout::kRowMajor;
-  } else if (layout == "columnar") {
-    config->gbt.tree.layout = TreeLayout::kColumnar;
-  } else {
-    return Status::InvalidArgument("--gbt-layout must be \"row\" or "
-                                   "\"columnar\", got \"" + layout + "\"");
-  }
-  config->gbt.tree.quantized =
-      std::atoi(FlagOr(flags, "quantized-hist", "0").c_str()) != 0;
-  return Status::OK();
 }
 
 // --cache-bytes B; byte budget of the modeling-view cache (0 disables).
@@ -339,7 +310,6 @@ int CmdTrain(const Flags& flags) {
       std::atoll(FlagOr(flags, "seed", "42").c_str()));
   config.parallelism = ThreadsFlag(flags);
   config.cache_bytes = CacheBytesFlag(flags);
-  if (auto s = ApplyGbtLayoutFlags(flags, &config); !s.ok()) return Fail(s);
 
   Rng rng(config.seed + 1);
   const DataSplit split = *MakeSplit(data.avails, SplitOptions{}, &rng);
@@ -400,7 +370,6 @@ int CmdTune(const Flags& flags) {
       std::atoll(FlagOr(flags, "seed", "42").c_str()));
   config.parallelism = ThreadsFlag(flags);
   config.cache_bytes = CacheBytesFlag(flags);
-  if (auto s = ApplyGbtLayoutFlags(flags, &config); !s.ok()) return Fail(s);
 
   Rng rng(config.seed + 1);
   const DataSplit split = *MakeSplit(data.avails, SplitOptions{}, &rng);
