@@ -1,12 +1,14 @@
 // Streaming-ingestion harness (DESIGN.md §14–15): measures the DataStore's
 // durable append throughput, snapshot-query latency while the background
-// compaction races the readers, the cost of pinning a snapshot, and the
+// compaction races the readers, the cost of pinning a snapshot, the
 // in-process halves of the replication protocol (quorum-acked append +
-// cold-follower catch-up) — and checks the correctness contracts along
-// the way (every sampled snapshot internally consistent, final epoch ==
+// cold-follower catch-up), and what a dirty store's epoch costs next to a
+// materialized snapshot — and checks the correctness contracts along the
+// way (every sampled snapshot internally consistent, final epoch ==
 // content fingerprint, nothing pending after the last merge, replicas
-// converged to the primary's exact (seq, chain) position). Results land
-// in BENCH_ingest.json.
+// converged to the primary's exact (seq, chain) position, every streamed
+// epoch equal to its materialized cut's). Results land in
+// BENCH_ingest.json.
 
 #include <unistd.h>
 
@@ -57,6 +59,16 @@ std::vector<IngestMutation> CloneRccs(const Dataset& data,
   }
   return mutations;
 }
+
+/// One dirty_epoch row: epoch() and Snapshot() at one pending depth.
+struct DirtyEpochDepth {
+  std::size_t pending = 0;
+  double epoch_us_p50 = 0.0;
+  double epoch_us_p90 = 0.0;
+  double snapshot_us_p50 = 0.0;
+  double snapshot_us_p90 = 0.0;
+  bool epochs_equal = true;
+};
 
 std::int64_t NextRccId(const Dataset& data) {
   std::int64_t max_id = 0;
@@ -352,6 +364,86 @@ int Run() {
   recorder.Record("replication", stage_seconds(stage_start, stage_clock()));
   stage_start = stage_clock();
 
+  // ---- Dirty-cut epoch: what an ingest ack or freshness probe pays for
+  // the store's epoch, against a materialized Snapshot() of the same cut.
+  // The `domd generate` default fleet at bench_e2e-like pending depths
+  // (2048 is its merge threshold), amend-only so the depth is exact.
+  // Every sample first appends one more amend to an already-pending RCC:
+  // the generation is fresh (nothing cached) and the depth stays put.
+  constexpr std::size_t kDirtyDepths[] = {64, 512, 2048};
+  constexpr std::size_t kDirtySamples = 31;
+  std::vector<DirtyEpochDepth> dirty_depths;
+  std::size_t dirty_fleet_rccs = 0;
+  {
+    SynthConfig generate_defaults;
+    generate_defaults.num_avails = 200;
+    generate_defaults.mean_rccs_per_avail = 240.0;
+    generate_defaults.ongoing_fraction = 0.05;
+    generate_defaults.seed = 42;
+    const Dataset big = GenerateDataset(generate_defaults);
+    dirty_fleet_rccs = big.rccs.size();
+    auto dirty = DataStore::Open(big);
+    if (!dirty.ok()) {
+      std::fprintf(stderr, "dirty-epoch store open failed: %s\n",
+                   dirty.status().ToString().c_str());
+      return 1;
+    }
+    std::size_t amends = 0;
+    const auto amend = [&](std::size_t row) {
+      Rcc rcc = big.rccs.rows()[row];
+      rcc.settled_amount += static_cast<double>(++amends);
+      return (*dirty)->Append(MakeRccUpsert(std::move(rcc))).ok();
+    };
+    const auto micros = [](std::chrono::steady_clock::time_point from) {
+      return std::chrono::duration<double, std::micro>(
+                 std::chrono::steady_clock::now() - from)
+          .count();
+    };
+    std::size_t filled = 0;
+    for (const std::size_t depth : kDirtyDepths) {
+      while (filled < depth) {
+        if (!amend(filled++)) append_ok = false;
+      }
+      DirtyEpochDepth row;
+      std::vector<double> epoch_us;
+      std::vector<double> snapshot_us;
+      for (std::size_t sample = 0; sample < kDirtySamples; ++sample) {
+        if (!amend(sample % depth)) append_ok = false;
+        auto start = std::chrono::steady_clock::now();
+        const std::uint64_t epoch = (*dirty)->epoch();
+        epoch_us.push_back(micros(start));
+        const auto check = (*dirty)->Snapshot();
+        if (epoch != check->epoch() ||
+            epoch != ComputeDatasetFingerprint(check->data())) {
+          row.epochs_equal = false;
+        }
+
+        if (!amend(sample % depth)) append_ok = false;
+        start = std::chrono::steady_clock::now();
+        const auto snapshot = (*dirty)->Snapshot();
+        snapshot_us.push_back(micros(start));
+      }
+      row.pending = (*dirty)->pending_mutations();
+      std::sort(epoch_us.begin(), epoch_us.end());
+      std::sort(snapshot_us.begin(), snapshot_us.end());
+      row.epoch_us_p50 = Percentile(epoch_us, 50);
+      row.epoch_us_p90 = Percentile(epoch_us, 90);
+      row.snapshot_us_p50 = Percentile(snapshot_us, 50);
+      row.snapshot_us_p90 = Percentile(snapshot_us, 90);
+      std::printf("dirty epoch: %zu pending over %zu RCCs: epoch() p50 %.0f "
+                  "us p90 %.0f us, Snapshot() p50 %.0f us p90 %.0f us (%s)\n",
+                  row.pending, dirty_fleet_rccs, row.epoch_us_p50,
+                  row.epoch_us_p90, row.snapshot_us_p50, row.snapshot_us_p90,
+                  row.epochs_equal ? "epochs equal" : "EPOCH MISMATCH");
+      dirty_depths.push_back(row);
+    }
+  }
+  const bool dirty_epoch_ok =
+      std::all_of(dirty_depths.begin(), dirty_depths.end(),
+                  [](const DirtyEpochDepth& row) { return row.epochs_equal; });
+  recorder.Record("dirty_epoch", stage_seconds(stage_start, stage_clock()));
+  stage_start = stage_clock();
+
   // ---- Final accounting: everything merged, epoch == content.
   const auto final_snapshot = (*store)->Snapshot();
   const std::size_t expected_rccs = fleet.rccs.size() + kSingleAppends +
@@ -374,7 +466,8 @@ int Run() {
   const bool pass = append_ok && contention_ok.load() && accounting_ok &&
                     merges_during >= 1 && !query_us.empty() &&
                     batch_rps > 1000.0 && pin_ns < 10000.0 && repl_ok &&
-                    quorum_rps > 200.0 && catchup_ms < 10000.0;
+                    quorum_rps > 200.0 && catchup_ms < 10000.0 &&
+                    dirty_epoch_ok;
 
   std::ofstream json("BENCH_ingest.json");
   json << "{\n  \"bench\": \"ingest\",\n";
@@ -399,6 +492,19 @@ int Run() {
        << ", \"catchup_ms\": " << catchup_ms
        << ", \"catchup_records\": " << catchup_records
        << ", \"converged\": " << (repl_ok ? "true" : "false") << "},\n";
+  json << "  \"dirty_epoch\": {\"fleet_rccs\": " << dirty_fleet_rccs
+       << ", \"samples\": " << kDirtySamples << ", \"depths\": [";
+  for (std::size_t i = 0; i < dirty_depths.size(); ++i) {
+    const DirtyEpochDepth& row = dirty_depths[i];
+    json << (i == 0 ? "" : ", ") << "{\"pending\": " << row.pending
+         << ", \"epoch_us_p50\": " << row.epoch_us_p50
+         << ", \"epoch_us_p90\": " << row.epoch_us_p90
+         << ", \"snapshot_us_p50\": " << row.snapshot_us_p50
+         << ", \"snapshot_us_p90\": " << row.snapshot_us_p90
+         << ", \"epochs_equal\": " << (row.epochs_equal ? "true" : "false")
+         << "}";
+  }
+  json << "]},\n";
   json << "  \"final\": {\"rccs\": " << final_snapshot->data().rccs.size()
        << ", \"merges\": " << stats.merges
        << ", \"pending\": " << (*store)->pending_mutations()

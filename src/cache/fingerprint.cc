@@ -1,10 +1,23 @@
 #include "cache/fingerprint.h"
 
+#include <array>
 #include <bit>
 #include <mutex>
 
 namespace domd {
 namespace {
+
+constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
+
+/// kPrimePowers[k] == kFnvPrime^k mod 2^64.
+constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
+  }
+  return powers;
+}();
 
 std::uint64_t MixDouble(std::uint64_t hash, double value) {
   // Bit-exact: +0.0 and -0.0 hash differently, which is fine — the tables
@@ -100,20 +113,46 @@ bool ProbesMatch(const MemoEntry& a, const MemoEntry& b) {
 }  // namespace
 
 std::uint64_t FingerprintMix(std::uint64_t hash, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
+  // FNV-1a over the word's 8 little-endian bytes. Folding in a zero byte
+  // leaves only the multiply (hash ^ 0 == hash), so the word's high zero
+  // bytes collapse, with the last nonzero byte's own multiply, into one
+  // multiply by the matching power of the prime — the same value mod 2^64.
+  // Ids, dates and enums are mostly 1–3 bytes. A zero word counts as one
+  // zero byte followed by seven more.
+  const int bytes = (std::bit_width(word | 1) + 7) / 8;
+  for (int byte = 0; byte + 1 < bytes; ++byte) {
     hash ^= (word >> (byte * 8)) & 0xFF;
-    hash *= 0x100000001B3ull;
+    hash *= kFnvPrime;
   }
-  return hash;
+  hash ^= word >> ((bytes - 1) * 8);
+  return hash * kPrimePowers[9 - bytes];
+}
+
+DatasetFingerprintStream::DatasetFingerprintStream(std::size_t num_avails)
+    : hash_(FingerprintMix(kFingerprintSeed, num_avails)) {}
+
+void DatasetFingerprintStream::Add(std::span<const Avail> avails) {
+  std::uint64_t hash = hash_;
+  for (const Avail& avail : avails) hash = MixAvail(hash, avail);
+  hash_ = hash;
+}
+
+void DatasetFingerprintStream::BeginRccs(std::size_t num_rccs) {
+  hash_ = FingerprintMix(hash_, num_rccs);
+}
+
+void DatasetFingerprintStream::Add(std::span<const Rcc> rccs) {
+  std::uint64_t hash = hash_;
+  for (const Rcc& rcc : rccs) hash = MixRcc(hash, rcc);
+  hash_ = hash;
 }
 
 std::uint64_t ComputeDatasetFingerprint(const Dataset& data) {
-  std::uint64_t hash = kFingerprintSeed;
-  hash = FingerprintMix(hash, data.avails.size());
-  for (const Avail& avail : data.avails.rows()) hash = MixAvail(hash, avail);
-  hash = FingerprintMix(hash, data.rccs.size());
-  for (const Rcc& rcc : data.rccs.rows()) hash = MixRcc(hash, rcc);
-  return hash;
+  DatasetFingerprintStream stream(data.avails.size());
+  stream.Add(data.avails.rows());
+  stream.BeginRccs(data.rccs.size());
+  stream.Add(data.rccs.rows());
+  return stream.value();
 }
 
 std::uint64_t DatasetFingerprint(const Dataset& data) {

@@ -1,7 +1,9 @@
 #ifndef DOMD_CACHE_FINGERPRINT_H_
 #define DOMD_CACHE_FINGERPRINT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/tables.h"
@@ -18,6 +20,23 @@ std::uint64_t FingerprintMix(std::uint64_t hash, std::uint64_t word);
 /// fingerprint identically regardless of address — a bundle reloaded from
 /// disk shares cache entries with the estimator that wrote it.
 std::uint64_t ComputeDatasetFingerprint(const Dataset& data);
+
+/// ComputeDatasetFingerprint fed in runs of rows, for callers that can
+/// enumerate a dataset's rows without building it (DataStore::epoch()).
+/// Construct with the avail count, Add every avail row in table order,
+/// BeginRccs with the RCC count, Add every RCC row in table order: value()
+/// is then ComputeDatasetFingerprint of the dataset holding those rows.
+class DatasetFingerprintStream {
+ public:
+  explicit DatasetFingerprintStream(std::size_t num_avails);
+  void Add(std::span<const Avail> avails);
+  void BeginRccs(std::size_t num_rccs);
+  void Add(std::span<const Rcc> rccs);
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_;
+};
 
 /// Memoized ComputeDatasetFingerprint. The memo is keyed on the dataset's
 /// address and revalidated against cheap probes (table cardinalities and

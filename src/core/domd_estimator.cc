@@ -95,10 +95,12 @@ StatusOr<DomdEstimator> DomdEstimator::LoadModels(
 StatusOr<DomdEstimator> DomdEstimator::LoadModelsFromStream(
     const Dataset* data, std::istream& in, const Parallelism& parallelism,
     std::size_t cache_bytes) {
-  auto models = TimelineModelSet::Load(in);
+  DomdEstimator estimator(data, PipelineConfig{});
+  auto models = TimelineModelSet::Load(in, StaticFeatureNames().size(),
+                                       estimator.engineer_.catalog().size());
   if (!models.ok()) return models.status();
 
-  DomdEstimator estimator(data, models->config());
+  estimator.config_ = models->config();
   estimator.config_.parallelism = parallelism;
   estimator.config_.cache_bytes = cache_bytes;
   estimator.grid_ = LogicalTimeGrid(estimator.config_.window_width_pct);

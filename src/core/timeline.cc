@@ -239,7 +239,9 @@ Status TimelineModelSet::Save(std::ostream& out) const {
   return Status::OK();
 }
 
-StatusOr<TimelineModelSet> TimelineModelSet::Load(std::istream& in) {
+StatusOr<TimelineModelSet> TimelineModelSet::Load(std::istream& in,
+                                                   std::size_t num_static,
+                                                   std::size_t num_dynamic) {
   std::string tag, version;
   if (!(in >> tag >> version) || tag != "timeline_model_set" ||
       version != "v1") {
@@ -257,6 +259,11 @@ StatusOr<TimelineModelSet> TimelineModelSet::Load(std::istream& in) {
   if (stacked != 0) {
     auto base = LoadRegressor(in);
     if (!base.ok()) return base.status();
+    if ((*base)->num_features() > num_static) {
+      return Status::InvalidArgument(
+          "base model reads " + std::to_string((*base)->num_features()) +
+          " features but is fed " + std::to_string(num_static));
+    }
     set.base_model_ = std::move(*base);
   }
 
@@ -274,6 +281,11 @@ StatusOr<TimelineModelSet> TimelineModelSet::Load(std::istream& in) {
       if (!(in >> c)) {
         return Status::InvalidArgument("truncated selected record");
       }
+      if (c >= num_dynamic) {
+        return Status::InvalidArgument(
+            "step " + std::to_string(step) + " selects column " +
+            std::to_string(c) + " of " + std::to_string(num_dynamic));
+      }
     }
     if (!(in >> tag >> count) || tag != "names" || count > 1'000'000) {
       return Status::InvalidArgument("bad names record");
@@ -286,6 +298,15 @@ StatusOr<TimelineModelSet> TimelineModelSet::Load(std::istream& in) {
     }
     auto model = LoadRegressor(in);
     if (!model.ok()) return model.status();
+    const std::size_t width = set.is_stacked()
+                                  ? selected.size() + 1
+                                  : num_static + selected.size();
+    if ((*model)->num_features() > width) {
+      return Status::InvalidArgument(
+          "step " + std::to_string(step) + " model reads " +
+          std::to_string((*model)->num_features()) +
+          " features but is fed " + std::to_string(width));
+    }
     set.selected_.push_back(std::move(selected));
     set.input_names_.push_back(std::move(names));
     set.models_.push_back(std::move(*model));

@@ -88,8 +88,15 @@ class TimelineModelSet {
   /// every model) as text.
   Status Save(std::ostream& out) const;
 
-  /// Reads a model set written by Save().
-  static StatusOr<TimelineModelSet> Load(std::istream& in);
+  /// Reads a model set written by Save() that will score views with
+  /// `num_static` static and `num_dynamic` dynamic feature columns.
+  /// kInvalidArgument when a selected column is >= num_dynamic, or a model
+  /// reads more features than the input row it is fed: num_static for the
+  /// stacked base model, else num_static + |selected| (flat) or
+  /// |selected| + 1 (stacked).
+  static StatusOr<TimelineModelSet> Load(std::istream& in,
+                                         std::size_t num_static,
+                                         std::size_t num_dynamic);
 
  private:
   std::unique_ptr<Regressor> MakeModel(const PipelineConfig& config) const;

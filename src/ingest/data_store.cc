@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <set>
+#include <span>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -51,6 +53,96 @@ std::shared_ptr<const Dataset> Materialize(
     }
   }
   return merged;
+}
+
+/// The rows one table of a cut shows that its base does not: the latest
+/// pending value of each base row a tail record overrides, and the ids new
+/// to the table in order of first appearance in the tail.
+template <typename Row>
+struct PendingRows {
+  std::vector<std::pair<std::size_t, const Row*>> overrides;  ///< by row.
+  std::vector<const Row*> added;
+};
+
+/// Splits one table's tail records into PendingRows against its base table
+/// (`Row` and `Table` are Avail/AvailTable or Rcc/RccTable).
+template <typename Row, typename Table>
+PendingRows<Row> CollectPendingRows(const Table& base,
+                                    const std::vector<const Row*>& records) {
+  constexpr std::size_t kNotInBase = static_cast<std::size_t>(-1);
+  // In first-appearance order: (base row or kNotInBase, latest value).
+  std::vector<std::pair<std::size_t, const Row*>> latest;
+  std::unordered_map<std::int64_t, std::size_t> slot_of;
+  slot_of.reserve(records.size());
+  for (const Row* row : records) {
+    const auto [it, fresh] = slot_of.emplace(row->id, latest.size());
+    if (!fresh) {
+      latest[it->second].second = row;
+      continue;
+    }
+    const auto found = base.Find(row->id);
+    latest.emplace_back(
+        found.ok() ? static_cast<std::size_t>(*found - base.rows().data())
+                   : kNotInBase,
+        row);
+  }
+  PendingRows<Row> out;
+  for (const auto& [base_row, value] : latest) {
+    if (base_row == kNotInBase) {
+      out.added.push_back(value);
+    } else {
+      out.overrides.emplace_back(base_row, value);
+    }
+  }
+  std::sort(out.overrides.begin(), out.overrides.end());
+  return out;
+}
+
+/// Feeds one table of the cut to the fingerprint: base rows in table order,
+/// each replaced by its pending value, then the added rows.
+template <typename Row>
+void StreamRows(std::span<const Row> base_rows,
+                const PendingRows<Row>& pending,
+                DatasetFingerprintStream* stream) {
+  std::size_t next = 0;
+  for (const auto& [row, value] : pending.overrides) {
+    stream->Add(base_rows.subspan(next, row - next));
+    stream->Add(std::span<const Row>(value, 1));
+    next = row + 1;
+  }
+  stream->Add(base_rows.subspan(next));
+  for (const Row* row : pending.added) {
+    stream->Add(std::span<const Row>(row, 1));
+  }
+}
+
+/// EpochOf(*Materialize(base, tail)) without building either: the same
+/// rows in the same order go through the fingerprint. Materialize keeps
+/// each base row in place with the last upsert of its id, appends new ids
+/// in order of first appearance, and skips a record its Upsert rejects —
+/// exactly the records ValidateMutation rejects. Only the last write per id
+/// counts, so re-applying an already-merged tail prefix changes nothing
+/// here either. Row fields are all the fingerprint reads: an RCC moved to
+/// another avail keeps its row, and an avail amend changes only its row.
+std::uint64_t CutEpoch(const Dataset& base,
+                       const std::vector<IngestMutation>& tail) {
+  std::vector<const Avail*> avail_records;
+  std::vector<const Rcc*> rcc_records;
+  for (const IngestMutation& mutation : tail) {
+    if (!ValidateMutation(mutation).ok()) continue;
+    if (mutation.kind == MutationKind::kAvailUpsert) {
+      avail_records.push_back(&mutation.avail);
+    } else {
+      rcc_records.push_back(&mutation.rcc);
+    }
+  }
+  const auto avails = CollectPendingRows(base.avails, avail_records);
+  const auto rccs = CollectPendingRows(base.rccs, rcc_records);
+  DatasetFingerprintStream stream(base.avails.size() + avails.added.size());
+  StreamRows(std::span(base.avails.rows()), avails, &stream);
+  stream.BeginRccs(base.rccs.size() + rccs.added.size());
+  StreamRows(std::span(base.rccs.rows()), rccs, &stream);
+  return stream.value();
 }
 
 /// One (t*_start, t*_end, id) entry for an RCC of `data`, exactly as
@@ -475,52 +567,67 @@ void DataStore::FlushDelta() {
   // the cached snapshot stays valid and the generation does not move.
 }
 
+DataStore::Cut DataStore::PinCutLocked() const {
+  Cut cut;
+  cut.generation = generation_;
+  cut.base = base_;
+  cut.base_index = base_index_;
+  cut.base_epoch = base_epoch_;
+  cut.depth = PendingLocked();
+  if (cut.depth > 0) {
+    // The tail can reach below the pending cut (an un-rotated log keeps
+    // already-merged records in it); re-applying that prefix is a no-op
+    // on content and row order, so the whole tail is the cut.
+    cut.tail.reserve(tail_.size());
+    for (const TailRecord& record : tail_) cut.tail.push_back(record.mutation);
+  }
+  return cut;
+}
+
 std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
-  std::shared_ptr<const Dataset> base;
-  std::shared_ptr<const LogicalTimeIndex> base_index;
-  std::vector<IngestMutation> tail;
-  std::size_t depth = 0;
-  std::uint64_t generation = 0;
-  std::uint64_t base_epoch = 0;
+  Cut cut;
+  std::optional<std::uint64_t> known_epoch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (cached_snapshot_ != nullptr && cached_generation_ == generation_) {
       return cached_snapshot_;
     }
-    generation = generation_;
-    base = base_;
-    base_index = base_index_;
-    base_epoch = base_epoch_;
-    depth = PendingLocked();
-    if (depth > 0) {
-      // The tail can reach below the pending cut (an un-rotated log keeps
-      // already-merged records in it); re-applying that prefix is a no-op
-      // on content and row order, so the whole tail is the cut.
-      tail.reserve(tail_.size());
-      for (const TailRecord& record : tail_) tail.push_back(record.mutation);
+    cut = PinCutLocked();
+    if (cached_epoch_.has_value() &&
+        cached_epoch_->generation == cut.generation) {
+      known_epoch = cached_epoch_->epoch;
     }
   }
 
   auto snapshot = std::shared_ptr<DataSnapshot>(new DataSnapshot());
-  snapshot->base_epoch_ = base_epoch;
-  snapshot->delta_depth_ = depth;
-  if (depth == 0) {
-    snapshot->data_ = base;
-    snapshot->index_ = base_index;
-    snapshot->epoch_ = base_epoch;
+  snapshot->base_epoch_ = cut.base_epoch;
+  snapshot->delta_depth_ = cut.depth;
+  if (cut.depth == 0) {
+    snapshot->data_ = cut.base;
+    snapshot->index_ = cut.base_index;
+    snapshot->epoch_ = cut.base_epoch;
   } else {
     // Materialization happens outside the lock: appends keep landing in
     // the memtable while this cut is assembled.
-    auto merged = Materialize(*base, tail);
-    snapshot->epoch_ = EpochOf(*merged);
-    snapshot->index_ = BuildOverlay(*base, *merged, base_index, tail);
+    auto merged = Materialize(*cut.base, cut.tail);
+    // The copy is a fresh allocation that may reuse the address of a dead
+    // one the DatasetFingerprint memo still holds, with matching probes
+    // after an amend-only history. Dropping that entry keeps every
+    // ViewCache key built on this snapshot true to its content.
+    InvalidateFingerprint(*merged);
+    snapshot->epoch_ = known_epoch.has_value()
+                           ? *known_epoch
+                           : CutEpoch(*cut.base, cut.tail);
+    snapshot->index_ = BuildOverlay(*cut.base, *merged, cut.base_index,
+                                    cut.tail);
     snapshot->data_ = std::move(merged);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (generation_ == generation) {
+  if (generation_ == cut.generation) {
     cached_snapshot_ = snapshot;
-    cached_generation_ = generation;
+    cached_generation_ = cut.generation;
+    cached_epoch_ = CachedEpoch{cut.generation, snapshot->epoch_};
   }
   // Even if newer appends arrived meanwhile, this is a valid consistent
   // cut as of the call — return it without caching.
@@ -638,8 +745,25 @@ StatusOr<MergeStats> DataStore::Merge() {
 }
 
 std::uint64_t DataStore::epoch() const {
+  Cut cut;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (PendingLocked() == 0) return base_epoch_;
+    if (cached_epoch_.has_value() &&
+        cached_epoch_->generation == generation_) {
+      return cached_epoch_->epoch;
+    }
+    cut = PinCutLocked();
+  }
+  const std::uint64_t epoch = CutEpoch(*cut.base, cut.tail);
+  // The cached snapshot of an older generation stays put: dropping it
+  // here would free a whole dataset copy on the ack path. The next
+  // Snapshot() replaces it.
   std::lock_guard<std::mutex> lock(mu_);
-  return base_epoch_;
+  if (generation_ == cut.generation) {
+    cached_epoch_ = CachedEpoch{cut.generation, epoch};
+  }
+  return epoch;
 }
 
 std::uint64_t DataStore::last_seq() const {
@@ -673,7 +797,6 @@ IngestStats DataStore::stats() const {
     out.merges = merges_;
     out.merge_failures = merge_failures_;
     out.pending = PendingLocked();
-    out.epoch = base_epoch_;
     out.last_seq = last_seq_;
   }
   if (log_ != nullptr) {

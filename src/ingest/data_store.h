@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,7 +58,6 @@ struct IngestStats {
   std::uint64_t merges = 0;     ///< successful merges.
   std::uint64_t merge_failures = 0;
   std::size_t pending = 0;      ///< mutations not yet merged into base.
-  std::uint64_t epoch = 0;      ///< current base epoch.
   std::size_t log_bytes = 0;
   std::uint64_t last_seq = 0;   ///< sequence of the last applied mutation.
 };
@@ -203,7 +203,10 @@ class DataStore {
   /// snapshot intact.
   StatusOr<MergeStats> Merge();
 
-  /// Current base epoch (cheap; no materialization).
+  /// Epoch of the current cut: always equal to Snapshot()->epoch(), but
+  /// computed by streaming the base rows and pending mutations through the
+  /// fingerprint — no tables are copied and no overlay index is built.
+  /// O(rows) on a dirty store, cached per generation; O(1) when clean.
   std::uint64_t epoch() const;
 
   /// Sequence of the last applied mutation (0 before any mutation).
@@ -223,8 +226,10 @@ class DataStore {
 
   /// The canonical epoch of a dataset: drops any stale address-keyed
   /// fingerprint memo entry first, then fingerprints the content. Every
-  /// epoch bump goes through here, which is what makes an in-place amend
-  /// unable to resurrect a stale cached view (the ViewCache regression).
+  /// base epoch (Open, Merge, InstallSnapshot) goes through here, which is
+  /// what makes an in-place amend unable to resurrect a stale cached view
+  /// (the ViewCache regression). A dirty cut's epoch is streamed instead,
+  /// and Snapshot() drops the memo entry of its materialized copy itself.
   static std::uint64_t EpochOf(const Dataset& data);
 
  private:
@@ -236,7 +241,19 @@ class DataStore {
     std::uint64_t chain = 0;
   };
 
+  /// Everything one consistent cut is computed from, copied under mu_.
+  struct Cut {
+    std::uint64_t generation = 0;
+    std::shared_ptr<const Dataset> base;
+    std::shared_ptr<const LogicalTimeIndex> base_index;
+    std::uint64_t base_epoch = 0;
+    std::size_t depth = 0;              ///< pending mutations; 0 = clean.
+    std::vector<IngestMutation> tail;   ///< the whole tail when dirty.
+  };
+
   DataStore() = default;
+
+  Cut PinCutLocked() const;
 
   /// True if the avail id is visible in base, runs or memtable.
   bool HasAvailLocked(std::int64_t avail_id) const;
@@ -274,6 +291,12 @@ class DataStore {
   std::uint64_t generation_ = 0;  ///< bumped on every visible change.
   mutable std::shared_ptr<const DataSnapshot> cached_snapshot_;
   mutable std::uint64_t cached_generation_ = 0;
+  /// The epoch of the cut at one generation, set by epoch() or Snapshot().
+  struct CachedEpoch {
+    std::uint64_t generation = 0;
+    std::uint64_t epoch = 0;
+  };
+  mutable std::optional<CachedEpoch> cached_epoch_;
   std::uint64_t appended_ = 0;
   std::uint64_t replayed_ = 0;
   std::uint64_t merges_ = 0;

@@ -161,22 +161,21 @@ void ServeFrontend::RegisterBuiltinVerbs() {
   RegisterVerb("freshness", VerbPolicy::kWorker, [this](const JsonValue&,
                                                         Responder responder) {
     // Staleness probe: the live bundle embeds the data epoch it was
-    // trained from; the store's snapshot epoch says what the data looks
-    // like now. Unequal epochs mean a retrain would pick up new data.
-    // Worker, not inline: Snapshot() on a dirty store materializes the
-    // full overlay — O(dataset) — and under active ingestion every append
-    // bumps the generation, so the per-generation cache cannot save an
-    // event-loop shard from that cost.
+    // trained from; the store's epoch says what the data looks like now.
+    // Unequal epochs mean a retrain would pick up new data. Worker, not
+    // inline: on a dirty store epoch() streams every row through the
+    // fingerprint — O(dataset), though it copies nothing — and under
+    // active ingestion every append bumps the generation, so the
+    // per-generation cache cannot save an event-loop shard from that cost.
     const auto bundle = service_->bundle();
-    const auto snapshot = options_.store->Snapshot();
+    const std::uint64_t store_epoch = options_.store->epoch();
     const IngestStats stats = options_.store->stats();
     JsonValue out = JsonValue::Object();
     out.Set("ok", JsonValue::Bool(true));
     out.Set("bundle_version", JsonValue::String(bundle->version()));
     out.Set("bundle_epoch", JsonValue::String(HexEpoch(bundle->data_epoch())));
-    out.Set("store_epoch", JsonValue::String(HexEpoch(snapshot->epoch())));
-    out.Set("stale",
-            JsonValue::Bool(bundle->data_epoch() != snapshot->epoch()));
+    out.Set("store_epoch", JsonValue::String(HexEpoch(store_epoch)));
+    out.Set("stale", JsonValue::Bool(bundle->data_epoch() != store_epoch));
     out.Set("pending_mutations",
             JsonValue::Number(static_cast<double>(stats.pending)));
     out.Set("appended", JsonValue::Number(static_cast<double>(stats.appended)));
@@ -377,8 +376,7 @@ void ServeFrontend::RunIngest(const JsonValue& request, Responder responder) {
           JsonValue::Number(static_cast<double>(mutations->size())));
   out.Set("pending_mutations",
           JsonValue::Number(static_cast<double>(stats.pending)));
-  out.Set("store_epoch",
-          JsonValue::String(HexEpoch(options_.store->Snapshot()->epoch())));
+  out.Set("store_epoch", JsonValue::String(HexEpoch(options_.store->epoch())));
   if (options_.repl != nullptr) {
     out.Set("last_seq", JsonValue::Number(static_cast<double>(last_seq)));
   }

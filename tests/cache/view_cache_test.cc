@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "cache/fingerprint.h"
+#include "common/rng.h"
 #include "data/logical_time.h"
 #include "synth/generator.h"
 
@@ -86,6 +89,114 @@ TEST(FingerprintTest, OneMutatedRccRowChangesFingerprint) {
   EXPECT_NE(ComputeDatasetFingerprint(mutated), before);
   row.settled_amount -= 1.0;
   EXPECT_EQ(ComputeDatasetFingerprint(mutated), before);
+}
+
+/// The byte-at-a-time FNV-1a step FingerprintMix must reproduce exactly.
+std::uint64_t ReferenceMix(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (byte * 8)) & 0xFF;
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+TEST(FingerprintTest, MixMatchesByteAtATimeReference) {
+  std::vector<std::uint64_t> words = {0,
+                                      1,
+                                      0xFF,
+                                      0x100,
+                                      (std::uint64_t{1} << 56) - 1,
+                                      std::uint64_t{1} << 56,
+                                      std::uint64_t{1} << 63,
+                                      ~std::uint64_t{0}};
+  for (const std::int64_t negative :
+       {std::int64_t{-1}, std::int64_t{-2}, std::int64_t{-256},
+        std::int64_t{-45000}, std::numeric_limits<std::int64_t>::min()}) {
+    words.push_back(static_cast<std::uint64_t>(negative));
+  }
+  Rng rng(2718);
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Shift by a random amount so every byte length is well represented.
+    words.push_back(rng.Next() >> (rng.Next() % 64));
+  }
+  std::uint64_t hash = kFingerprintSeed;
+  std::uint64_t reference = kFingerprintSeed;
+  for (const std::uint64_t word : words) {
+    ASSERT_EQ(FingerprintMix(hash, word), ReferenceMix(hash, word)) << word;
+    hash = FingerprintMix(hash, word);
+    reference = ReferenceMix(reference, word);
+  }
+  EXPECT_EQ(hash, reference);
+}
+
+/// Two avails (one still ongoing) and three RCCs (one still open) with
+/// literal fields.
+Dataset GoldenDataset() {
+  Dataset data;
+  Avail closed;
+  closed.id = 7;
+  closed.ship_id = 301;
+  closed.status = AvailStatus::kClosed;
+  closed.planned_start = *Date::Parse("2019-01-07");
+  closed.planned_end = *Date::Parse("2019-06-28");
+  closed.actual_start = *Date::Parse("2019-01-09");
+  closed.actual_end = *Date::Parse("2019-08-15");
+  closed.ship_class = 2;
+  closed.rmc_id = 3;
+  closed.ship_age_years = 17.25;
+  closed.avail_type = 1;
+  closed.homeport = 4;
+  closed.prior_avail_count = 5;
+  closed.contract_value_musd = 88.5;
+  closed.crew_size = 310;
+  Avail ongoing = closed;
+  ongoing.id = 12;
+  ongoing.ship_id = 418;
+  ongoing.status = AvailStatus::kOngoing;
+  ongoing.planned_start = *Date::Parse("2020-03-02");
+  ongoing.planned_end = *Date::Parse("2020-11-20");
+  ongoing.actual_start = *Date::Parse("2020-03-02");
+  ongoing.actual_end.reset();
+  ongoing.ship_age_years = 6.5;
+  ongoing.contract_value_musd = 120.0;
+  EXPECT_TRUE(data.avails.Add(closed).ok());
+  EXPECT_TRUE(data.avails.Add(ongoing).ok());
+
+  Rcc growth;
+  growth.id = 1001;
+  growth.avail_id = 7;
+  growth.type = RccType::kGrowth;
+  growth.swlin = *Swlin::Parse("434-11-001");
+  growth.creation_date = *Date::Parse("2019-02-11");
+  growth.settled_date = *Date::Parse("2019-03-29");
+  growth.settled_amount = 1357.25;
+  Rcc new_work = growth;
+  new_work.id = 1002;
+  new_work.type = RccType::kNewWork;
+  new_work.swlin = *Swlin::Parse("256-02-117");
+  new_work.creation_date = *Date::Parse("2019-04-01");
+  new_work.settled_date = *Date::Parse("2019-07-19");
+  new_work.settled_amount = 88000.5;
+  Rcc open = growth;
+  open.id = 2001;
+  open.avail_id = 12;
+  open.type = RccType::kNewGrowth;
+  open.swlin = *Swlin::Parse("999-99-999");
+  open.creation_date = *Date::Parse("2020-05-14");
+  open.settled_date.reset();
+  open.settled_amount = 0.0;
+  EXPECT_TRUE(data.rccs.Add(growth).ok());
+  EXPECT_TRUE(data.rccs.Add(new_work).ok());
+  EXPECT_TRUE(data.rccs.Add(open).ok());
+  return data;
+}
+
+TEST(FingerprintTest, GoldenDatasetFingerprint) {
+  // Integer-only arithmetic over fixed fields: the value holds for every
+  // compiler and sanitizer build. Epochs, ViewCache keys and retrain
+  // version names are all this value, so it must never drift.
+  const Dataset data = GoldenDataset();
+  EXPECT_EQ(ComputeDatasetFingerprint(data), 0xbb42f41d1b26ad70ull);
 }
 
 TEST(FingerprintTest, IdAndGridDigestsAreOrderSensitive) {

@@ -130,7 +130,7 @@ TEST(SerializationTest, CorruptedInputsRejected) {
   }
   {
     std::stringstream buffer("timeline_model_set v1\nbroken");
-    EXPECT_FALSE(TimelineModelSet::Load(buffer).ok());
+    EXPECT_FALSE(TimelineModelSet::Load(buffer, 8, 8).ok());
   }
 }
 
@@ -218,7 +218,8 @@ TEST_F(EstimatorSerializationTest, TimelineModelSetRoundTrip) {
 
   std::stringstream buffer;
   ASSERT_TRUE(models.Save(buffer).ok());
-  auto loaded = TimelineModelSet::Load(buffer);
+  auto loaded = TimelineModelSet::Load(buffer, StaticFeatureNames().size(),
+                                       fixture_->dynamic_names.size());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(loaded->num_steps(), models.num_steps());
   for (std::size_t step = 0; step < models.num_steps(); ++step) {
@@ -241,7 +242,8 @@ TEST_F(EstimatorSerializationTest, StackedModelSetRoundTrip) {
       models.Fit(config, fixture_->train, fixture_->dynamic_names).ok());
   std::stringstream buffer;
   ASSERT_TRUE(models.Save(buffer).ok());
-  auto loaded = TimelineModelSet::Load(buffer);
+  auto loaded = TimelineModelSet::Load(buffer, StaticFeatureNames().size(),
+                                       fixture_->dynamic_names.size());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->is_stacked());
   const auto original = models.PredictPerStep(fixture_->validation);
@@ -288,7 +290,8 @@ TEST_F(EstimatorSerializationTest, HistogramSplitModelSetRoundTrip) {
 
   std::stringstream buffer;
   ASSERT_TRUE(models.Save(buffer).ok());
-  auto loaded = TimelineModelSet::Load(buffer);
+  auto loaded = TimelineModelSet::Load(buffer, StaticFeatureNames().size(),
+                                       fixture_->dynamic_names.size());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const auto original = models.PredictPerStep(fixture_->validation);
   const auto restored = loaded->PredictPerStep(fixture_->validation);
@@ -333,6 +336,106 @@ TEST_F(EstimatorSerializationTest, ElasticNetFusionEstimatorRoundTrip) {
 TEST_F(EstimatorSerializationTest, LoadFromMissingFileFails) {
   EXPECT_FALSE(
       DomdEstimator::LoadModels(&fixture_->data, "/nonexistent/m.txt").ok());
+}
+
+// The model file SaveModels writes for a FastConfig estimator.
+std::string SavedModelText(const Dataset& data,
+                           const std::vector<std::int64_t>& train_ids,
+                           Architecture architecture) {
+  PipelineConfig config = FastConfig();
+  config.window_width_pct = 50.0;
+  config.architecture = architecture;
+  auto estimator = DomdEstimator::Train(&data, config, train_ids);
+  EXPECT_TRUE(estimator.ok()) << estimator.status();
+  std::stringstream text;
+  EXPECT_TRUE(estimator->models().Save(text).ok());
+  return text.str();
+}
+
+// `text` with whitespace-separated field `field` (0 is the tag) of the
+// first line at or after offset `from` that starts with `tag` replaced by
+// `value`.
+std::string EditField(const std::string& text, const std::string& tag,
+                      std::size_t field, const std::string& value,
+                      std::size_t from = 0) {
+  const std::size_t start = text.find("\n" + tag + " ", from) + 1;
+  const std::size_t end = text.find('\n', start);
+  std::istringstream line(text.substr(start, end - start));
+  std::vector<std::string> fields;
+  for (std::string f; line >> f;) fields.push_back(f);
+  EXPECT_LT(field, fields.size());
+  fields[field] = value;
+  std::string edited;
+  for (const std::string& f : fields) edited += (edited.empty() ? "" : " ") + f;
+  return text.substr(0, start) + edited + text.substr(end);
+}
+
+// A GBT "model <base-score> <num-features> <trees>" line's feature count,
+// for the first such line at or after `from`, raised by one.
+std::string WidenModel(const std::string& text, std::size_t from) {
+  const std::size_t start = text.find("\nmodel ", from) + 1;
+  std::istringstream line(text.substr(start, text.find('\n', start) - start));
+  std::string tag, base_score;
+  std::size_t num_features = 0;
+  line >> tag >> base_score >> num_features;
+  return EditField(text, "model", 2, std::to_string(num_features + 1), from);
+}
+
+class ModelInputWidthTest : public EstimatorSerializationTest {
+ protected:
+  // Loads model text the way bundles and `--model` files are loaded.
+  static Status Load(const std::string& text) {
+    std::istringstream in(text);
+    return DomdEstimator::LoadModelsFromStream(&fixture_->data, in).status();
+  }
+  // The load fails for `why`, not for some parse error an edit caused.
+  static void ExpectRejected(const std::string& text, const std::string& why) {
+    const Status status = Load(text);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find(why), std::string::npos) << status;
+  }
+  static std::string Flat() {
+    return SavedModelText(fixture_->data, fixture_->split.train,
+                          Architecture::kNonStacked);
+  }
+  static std::string Stacked() {
+    return SavedModelText(fixture_->data, fixture_->split.train,
+                          Architecture::kStacked);
+  }
+};
+
+TEST_F(ModelInputWidthTest, AcceptsModelsWithinTheirInputWidths) {
+  // The control for the edits below: the files they start from load.
+  EXPECT_TRUE(Load(Flat()).ok());
+  EXPECT_TRUE(Load(Stacked()).ok());
+}
+
+TEST_F(ModelInputWidthTest, RejectsSelectedColumnPastTheCatalog) {
+  const std::string text = Flat();
+  // `selected <count> <first column> ...`: one past the last catalog column.
+  ExpectRejected(EditField(text, "selected", 2,
+                           std::to_string(fixture_->dynamic_names.size())),
+                 "step 0 selects column");
+}
+
+TEST_F(ModelInputWidthTest, RejectsStepModelWiderThanItsInput) {
+  const std::string text = Flat();
+  // Statics + selected columns: one more feature reads past the row.
+  ExpectRejected(WidenModel(text, text.find("\nselected ")),
+                 "step 0 model reads");
+}
+
+TEST_F(ModelInputWidthTest, RejectsStackedStepModelWiderThanItsInput) {
+  const std::string text = Stacked();
+  // Selected columns + the base prediction, plus one.
+  ExpectRejected(WidenModel(text, text.find("\nselected ")),
+                 "step 0 model reads");
+}
+
+TEST_F(ModelInputWidthTest, RejectsBaseModelWiderThanTheStatics) {
+  const std::string text = Stacked();
+  ExpectRejected(WidenModel(text, text.find("\nstacked 1")),
+                 "base model reads");
 }
 
 }  // namespace

@@ -5,13 +5,16 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/fingerprint.h"
+#include "common/rng.h"
 #include "fault/fault.h"
+#include "ingest/ingest_log.h"
 #include "synth/generator.h"
 
 namespace domd {
@@ -75,6 +78,99 @@ Rcc NewRcc(std::int64_t id, std::int64_t avail_id) {
   // merge's %.6g rewrite round-trips and the epoch survives reopen.
   rcc.settled_amount = 1357.25;
   return rcc;
+}
+
+/// A seeded stream of valid mutation batches over a fleet, mixing every
+/// kind a dirty cut's row order depends on: in-place RCC amends, new RCC
+/// ids (later upserted again), RCCs moved to another avail, avail amends
+/// and new avails. truth() is the content after the batches handed out so
+/// far, kept by applying the same upserts in order.
+class RandomHistory {
+ public:
+  RandomHistory(Dataset fleet, std::uint64_t seed)
+      : truth_(std::move(fleet)),
+        rng_(seed),
+        next_avail_id_(MaxAvailId(truth_) + 1),
+        next_rcc_id_(MaxRccId(truth_) + 1) {}
+
+  /// One to four mutations; only in-place RCC amends when `amend_only`.
+  std::vector<IngestMutation> NextBatch(bool amend_only = false) {
+    std::vector<IngestMutation> batch(1 + Pick(4));
+    for (IngestMutation& mutation : batch) {
+      mutation = Next(amend_only);
+      const Status applied =
+          mutation.kind == MutationKind::kAvailUpsert
+              ? truth_.avails.Upsert(mutation.avail)
+              : truth_.rccs.Upsert(mutation.rcc);
+      EXPECT_TRUE(applied.ok()) << applied.ToString();
+    }
+    return batch;
+  }
+
+  const Dataset& truth() const { return truth_; }
+
+ private:
+  std::size_t Pick(std::size_t n) {
+    return static_cast<std::size_t>(rng_.Next() % n);
+  }
+
+  IngestMutation Next(bool amend_only) {
+    const std::vector<Avail>& avails = truth_.avails.rows();
+    const std::vector<Rcc>& rccs = truth_.rccs.rows();
+    switch (amend_only ? 0 : Pick(6)) {
+      case 1: {
+        Rcc rcc = NewRcc(next_rcc_id_++, avails[Pick(avails.size())].id);
+        new_rcc_ids_.push_back(rcc.id);
+        return MakeRccUpsert(rcc);
+      }
+      case 2:
+        if (!new_rcc_ids_.empty()) {
+          Rcc rcc =
+              **truth_.rccs.Find(new_rcc_ids_[Pick(new_rcc_ids_.size())]);
+          rcc.settled_amount += 1.0;
+          return MakeRccUpsert(rcc);
+        }
+        break;
+      case 3: {
+        Rcc rcc = rccs[Pick(rccs.size())];
+        rcc.avail_id = avails[Pick(avails.size())].id;
+        return MakeRccUpsert(rcc);
+      }
+      case 4: {
+        Avail avail = avails[Pick(avails.size())];
+        avail.planned_end = avail.planned_end + 1 + Pick(30);
+        avail.crew_size = 100 + static_cast<int>(Pick(400));
+        return MakeAvailUpsert(avail);
+      }
+      case 5:
+        return MakeAvailUpsert(NewAvail(next_avail_id_++));
+      default:
+        break;
+    }
+    Rcc rcc = rccs[Pick(rccs.size())];
+    rcc.settled_amount = 0.25 * static_cast<double>(Pick(400000));
+    return MakeRccUpsert(rcc);
+  }
+
+  Dataset truth_;
+  Rng rng_;
+  std::int64_t next_avail_id_;
+  std::int64_t next_rcc_id_;
+  std::vector<std::int64_t> new_rcc_ids_;
+};
+
+/// epoch() first, so the streamed path runs before any snapshot of this
+/// generation exists; then it must equal everything the materialized cut
+/// and the history's own content say.
+void ExpectEpochIsContent(const DataStore& store, const Dataset& truth,
+                          int step) {
+  const std::uint64_t epoch = store.epoch();
+  const auto snapshot = store.Snapshot();
+  EXPECT_EQ(epoch, snapshot->epoch()) << "step " << step;
+  EXPECT_EQ(epoch, ComputeDatasetFingerprint(snapshot->data()))
+      << "step " << step;
+  EXPECT_EQ(epoch, DatasetFingerprint(snapshot->data())) << "step " << step;
+  EXPECT_EQ(epoch, ComputeDatasetFingerprint(truth)) << "step " << step;
 }
 
 class ScopedTempDir {
@@ -329,6 +425,81 @@ TEST(DataStoreTest, InPlaceAmendCannotServeStaleFingerprint) {
   EXPECT_EQ(DatasetFingerprint(data), epoch);
 }
 
+TEST(DataStoreTest, EpochMatchesMaterializedContent) {
+  ScopedTempDir dir("epochstream");
+  const Dataset fleet = SmallFleet();
+  const std::string log_path = dir.path() + "/ingest.log";
+  {
+    // A replayed record that fails validation: Materialize's Upsert skips
+    // it, so the stream must too (appends can never log one).
+    IngestLog::ReplayResult replay;
+    auto log = IngestLog::Open(log_path, &replay);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    Rcc invalid = fleet.rccs.rows()[fleet.rccs.size() / 2];
+    invalid.settled_amount = -1.0;
+    ASSERT_TRUE((*log)->Append(MakeRccUpsert(invalid)).ok());
+  }
+  // No persist_dir: merges leave the whole log in the tail, so every cut
+  // re-applies an already-merged prefix.
+  DataStoreOptions logged;
+  logged.log_path = log_path;
+  auto with_log = DataStore::Open(fleet, logged);
+  ASSERT_TRUE(with_log.ok()) << with_log.status().ToString();
+  ASSERT_EQ((*with_log)->pending_mutations(), 1u);
+  auto in_memory = DataStore::Open(fleet);
+  ASSERT_TRUE(in_memory.ok());
+
+  RandomHistory history(fleet, 17);
+  ExpectEpochIsContent(**with_log, history.truth(), -1);
+  for (int step = 0; step < 300; ++step) {
+    const std::vector<IngestMutation> batch = history.NextBatch();
+    ASSERT_TRUE((*in_memory)->AppendBatch(batch).ok());
+    ASSERT_TRUE((*with_log)->AppendBatch(batch).ok());
+    if (step % 7 == 3) (*in_memory)->FlushDelta();
+    if (step % 50 == 25) {
+      ASSERT_TRUE((*in_memory)->Merge().ok());
+    }
+    if (step % 60 == 30) {
+      ASSERT_TRUE((*with_log)->Merge().ok());
+    }
+    if (step == 150) {
+      // Replace the in-memory store's dirty state with the logged store's
+      // exported cut, as a catching-up replica does.
+      auto exported = (*with_log)->TailFrom(0, nullptr, 0);
+      ASSERT_TRUE(exported.ok() && exported->snapshot);
+      std::vector<IngestMutation> rows;
+      for (const std::string& payload : exported->rows) {
+        auto row = DecodeMutation(payload);
+        ASSERT_TRUE(row.ok());
+        rows.push_back(std::move(*row));
+      }
+      ASSERT_TRUE((*in_memory)
+                      ->InstallSnapshot(rows, exported->last_seq,
+                                        exported->chain)
+                      .ok());
+    }
+    ExpectEpochIsContent(**in_memory, history.truth(), step);
+    ExpectEpochIsContent(**with_log, history.truth(), step);
+  }
+}
+
+TEST(DataStoreTest, DirtySnapshotFingerprintIsNeverStale) {
+  // Amend-only: table sizes and last ids never move, so a dead snapshot's
+  // memo entry would pass every probe for a new copy at its address.
+  const Dataset fleet = SmallFleet();
+  auto store = DataStore::Open(fleet);
+  ASSERT_TRUE(store.ok());
+  RandomHistory history(fleet, 5);
+  for (int step = 0; step < 200; ++step) {
+    ASSERT_TRUE(
+        (*store)->AppendBatch(history.NextBatch(/*amend_only=*/true)).ok());
+    const auto snapshot = (*store)->Snapshot();
+    ASSERT_GT(snapshot->delta_depth(), 0u);
+    EXPECT_EQ(DatasetFingerprint(snapshot->data()), snapshot->epoch())
+        << "step " << step;
+  }
+}
+
 TEST(DataStoreConcurrencyTest, PinnedSnapshotsStableUnderWritersAndMerges) {
   DataStoreOptions options;
   options.merge_threshold = 8;  // keep the background merger busy.
@@ -384,6 +555,88 @@ TEST(DataStoreConcurrencyTest, PinnedSnapshotsStableUnderWritersAndMerges) {
   EXPECT_EQ(pinned->epoch(), pinned_epoch);
   EXPECT_EQ(pinned->data().rccs.size(), pinned_rccs);
   EXPECT_FALSE(pinned->data().rccs.Find(first_new_id).ok());
+}
+
+TEST(DataStoreConcurrencyTest, EpochReadersRaceWritersAndMerges) {
+  const Dataset fleet = SmallFleet();
+  RandomHistory history(fleet, 99);
+  std::vector<std::vector<IngestMutation>> batches(120);
+  for (auto& batch : batches) batch = history.NextBatch();
+
+  // The epoch after every prefix of the batches, replayed serially.
+  std::map<std::uint64_t, std::size_t> prefix_of;
+  {
+    auto replay = DataStore::Open(fleet);
+    ASSERT_TRUE(replay.ok());
+    prefix_of.emplace((*replay)->epoch(), 0);
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_TRUE((*replay)->AppendBatch(batches[b]).ok());
+      prefix_of.emplace((*replay)->epoch(), b + 1);
+    }
+    ASSERT_EQ((*replay)->epoch(), ComputeDatasetFingerprint(history.truth()));
+  }
+  // Distinct prefixes make "which prefix did this read see" well defined.
+  ASSERT_EQ(prefix_of.size(), batches.size() + 1);
+
+  DataStoreOptions options;
+  options.merge_threshold = 6;  // keep the background merger busy.
+  auto store = DataStore::Open(fleet, options);
+  ASSERT_TRUE(store.ok());
+  // One in-memory batch is far shorter than a scheduling quantum, so the
+  // writer paces itself: after each batch it waits until every reader has
+  // started a read, then appends the next batch while those reads run.
+  struct Read {
+    std::size_t from = 0;  ///< batches acknowledged when the read began.
+    std::size_t to = 0;    ///< ... and when it returned.
+    std::uint64_t epoch = 0;
+  };
+  constexpr std::size_t kReaders = 3;  // two epoch(), one Snapshot().
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> appended{0};
+  std::vector<std::atomic<std::size_t>> started(kReaders);
+  std::vector<std::vector<Read>> reads(kReaders);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      do {
+        Read read;
+        read.from = appended.load();
+        started[r].store(read.from + 1);
+        if (r < 2) {
+          read.epoch = (*store)->epoch();
+        } else {
+          const auto snapshot = (*store)->Snapshot();
+          read.epoch = snapshot->epoch();
+          EXPECT_EQ(read.epoch, ComputeDatasetFingerprint(snapshot->data()));
+        }
+        read.to = appended.load();
+        reads[r].push_back(read);
+      } while (!done.load());
+    });
+  }
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    EXPECT_TRUE((*store)->AppendBatch(batches[b]).ok());
+    appended.store(b + 1);
+    for (const auto& reader : started) {
+      while (reader.load() < b + 2) std::this_thread::yield();
+    }
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ((*store)->epoch(), ComputeDatasetFingerprint(history.truth()));
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    for (const Read& read : reads[r]) {
+      const auto prefix = prefix_of.find(read.epoch);
+      ASSERT_NE(prefix, prefix_of.end())
+          << "reader " << r << " saw epoch " << read.epoch
+          << ", which no prefix of the history produces";
+      // Linearizable: every batch acknowledged before the read began is
+      // in it, and at most the one being appended as it returned.
+      EXPECT_GE(prefix->second, read.from) << "reader " << r << " was stale";
+      EXPECT_LE(prefix->second, read.to + 1) << "reader " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -690,8 +690,7 @@ int CmdIngest(const Flags& flags) {
   std::printf("appended %zu mutations (%zu pending, log %zu bytes, "
               "epoch %016llx)\n",
               applied, stats.pending, stats.log_bytes,
-              static_cast<unsigned long long>(
-                  store->store->Snapshot()->epoch()));
+              static_cast<unsigned long long>(store->store->epoch()));
 
   if (std::atoi(FlagOr(flags, "merge", "0").c_str()) != 0) {
     auto merged = store->store->Merge();
