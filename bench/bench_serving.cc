@@ -4,7 +4,9 @@
 // gets a valid response tagged with a bundle version, every estimate is
 // bit-identical to the tagged bundle's reference answer (zero torn
 // models), and overload answers an explicit RESOURCE_EXHAUSTED reject.
-// Throughput and latency percentiles land in BENCH_serving.json.
+// It also times the reference (point) scoring call, which must equal the
+// estimator's own query bit for bit. Throughput and latency percentiles
+// land in BENCH_serving.json.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -557,6 +559,73 @@ bool ClusterPass(const ClusterResult& cluster) {
          cluster.chaos.hedged >= 1;
 }
 
+// ---- Reference-scoring phase ----------------------------------------------
+
+constexpr std::size_t kReferenceSweeps = 5;
+
+struct ReferenceScoringResult {
+  std::size_t calls = 0;
+  double score_ref_us_p50 = 0.0;
+  bool bit_identical = true;
+};
+
+/// True when a reference answer equals the bundle estimator's own query
+/// bit for bit: fused estimate, step count, band over the steps, and the
+/// last step's drivers (names and contributions).
+bool SameAnswer(const ServePrediction& scored, const DomdQueryResult& query) {
+  double low = query.steps.front().estimated_delay_days;
+  double high = low;
+  for (const DomdStepEstimate& step : query.steps) {
+    low = std::min(low, step.estimated_delay_days);
+    high = std::max(high, step.estimated_delay_days);
+  }
+  const auto& drivers = query.steps.back().top_features;
+  bool same = BitIdentical(scored.estimate_days, query.fused_estimate_days) &&
+              scored.num_steps == query.steps.size() &&
+              BitIdentical(scored.band_low, low) &&
+              BitIdentical(scored.band_high, high) &&
+              scored.top_features.size() == drivers.size();
+  for (std::size_t i = 0; same && i < drivers.size(); ++i) {
+    same = scored.top_features[i].feature_name == drivers[i].feature_name &&
+           BitIdentical(scored.top_features[i].contribution,
+                        drivers[i].contribution);
+  }
+  return same;
+}
+
+/// Checks ScoreReferenceAvail against QueryAtLogicalTime on every
+/// reference avail at every grid t*, then times it over kReferenceSweeps
+/// sweeps of the same calls.
+ReferenceScoringResult RunReferenceScoring(const ModelBundle& bundle) {
+  ReferenceScoringResult out;
+  for (const Avail& avail : bundle.data().avails.rows()) {
+    for (const double t_star : bundle.grid()) {
+      const auto scored = bundle.ScoreReferenceAvail(avail.id, t_star);
+      const auto query =
+          bundle.estimator().QueryAtLogicalTime(avail.id, t_star);
+      out.bit_identical = out.bit_identical && scored.ok() && query.ok() &&
+                          SameAnswer(*scored, *query);
+    }
+  }
+  std::vector<double> micros;
+  for (std::size_t sweep = 0; sweep < kReferenceSweeps; ++sweep) {
+    for (const Avail& avail : bundle.data().avails.rows()) {
+      for (const double t_star : bundle.grid()) {
+        const auto start = std::chrono::steady_clock::now();
+        const auto scored = bundle.ScoreReferenceAvail(avail.id, t_star);
+        micros.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+        if (!scored.ok()) out.bit_identical = false;
+      }
+    }
+  }
+  out.calls = micros.size();
+  std::sort(micros.begin(), micros.end());
+  out.score_ref_us_p50 = Percentile(micros, 50);
+  return out;
+}
+
 int Run() {
   bench::Banner("Serving: micro-batched scoring with mid-run hot-swap");
   obs::StageRecorder recorder;
@@ -685,6 +754,16 @@ int Run() {
                   : 0.0,
               batch_scoring.bit_identical ? "yes" : "NO");
   recorder.Record("batch_scoring", stage_seconds(stage_start, stage_clock()));
+  stage_start = stage_clock();
+
+  // ---- Reference-scoring phase: the point verb's bundle call on every
+  // reference avail at every grid t*, identical to the estimator's query.
+  const ReferenceScoringResult reference = RunReferenceScoring(**v1);
+  std::printf("reference scoring: %zu calls, p50 %.2f us, identical=%s\n",
+              reference.calls, reference.score_ref_us_p50,
+              reference.bit_identical ? "yes" : "NO");
+  recorder.Record("reference_scoring",
+                  stage_seconds(stage_start, stage_clock()));
 
   // ---- Load phase: kClientThreads concurrent clients, one mid-run swap.
   ServeOptions options;
@@ -844,7 +923,8 @@ int Run() {
                         total &&
                     load_stats.swaps == 1 && burst_rejected > 0 &&
                     burst_other == 0 && burst_ok > 0 && open_loop_pass &&
-                    cluster_pass && batch_scoring.pass();
+                    cluster_pass && batch_scoring.pass() &&
+                    reference.bit_identical;
 
   std::ofstream json("BENCH_serving.json");
   json << "{\n  \"bench\": \"serving\",\n";
@@ -878,6 +958,13 @@ int Run() {
        << (batch_scoring.bit_identical ? "true" : "false")
        << ", \"pass\": " << (batch_scoring.pass() ? "true" : "false")
        << "},\n";
+  json << "  \"reference_scoring\": {\"avails\": " << data.avails.size()
+       << ", \"grid_points\": " << (*v1)->grid().size()
+       << ", \"sweeps\": " << kReferenceSweeps
+       << ", \"calls\": " << reference.calls
+       << ", \"score_ref_us_p50\": " << reference.score_ref_us_p50
+       << ", \"bit_identical\": "
+       << (reference.bit_identical ? "true" : "false") << "},\n";
   json << "  \"open_loop\": {\"connections\": " << open_loop.connections
        << ", \"target_rps\": " << kOpenLoopTargetRps
        << ", \"requests\": " << open_loop.requests

@@ -260,15 +260,24 @@ void ClusterRouter::RunJob(Job& job) {
   std::uint64_t key = 0;
   if (const JsonValue* avail_id = job.request.Find("avail_id");
       avail_id != nullptr && avail_id->is_number()) {
-    key = KeyForAvail(
-        static_cast<std::int64_t>(avail_id->number_value()));
+    // Checked by the shards' own parser before any hop, so a rejection
+    // here answers exactly what the owning shard would.
+    const auto point = ParsePointRequest(job.request);
+    if (!point.ok()) {
+      job.responder.Respond(ErrorToJson(point.status()).Serialize());
+      return;
+    }
+    key = KeyForAvail(point->avail_id);
   } else {
     // Detached scoring travels with its avail; the ship owns the key so a
-    // ship's traffic lands on one shard regardless of avail numbering.
+    // ship's traffic lands on one shard regardless of avail numbering. A
+    // malformed ship_id routes like an absent one, and the owning shard's
+    // parser rejects it.
     const JsonValue* avail = job.request.Find("avail");
-    const double ship_id =
-        avail != nullptr ? avail->NumberOr("ship_id", 0.0) : 0.0;
-    key = KeyForShip(static_cast<std::int64_t>(ship_id));
+    const auto ship_id = avail != nullptr
+                             ? IntegerMember(*avail, "ship_id", 0)
+                             : StatusOr<std::int64_t>(0);
+    key = KeyForShip(ship_id.ok() ? *ship_id : 0);
   }
   RunSingle(job, host_map_.OwnerIndexOf(key));
 }
@@ -309,19 +318,20 @@ void ClusterRouter::RunScatter(Job& job) {
   // answers exactly as it would a direct single-avail request.
   std::vector<std::string> sublines(n);
   std::vector<std::string> results(n);
+  std::vector<std::int64_t> avail_ids(n, 0);
   std::vector<bool> done(n, false);
   std::size_t errors = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const JsonValue& id = ids.items()[i];
-    if (!id.is_number()) {
-      results[i] = ErrorToJson(Status::InvalidArgument(
-                                   "avail_ids[" + std::to_string(i) +
-                                   "] must be a number"))
-                       .Serialize();
+    const auto avail_id =
+        IntegerFromJson(id, "avail_ids[" + std::to_string(i) + "]");
+    if (!avail_id.ok()) {
+      results[i] = ErrorToJson(avail_id.status()).Serialize();
       done[i] = true;
       ++errors;
       continue;
     }
+    avail_ids[i] = *avail_id;
     JsonValue sub = JsonValue::Object();
     sub.Set("avail_id", id);
     if (const JsonValue* t = job.request.Find("t_star"); t != nullptr) {
@@ -338,9 +348,7 @@ void ClusterRouter::RunScatter(Job& job) {
   std::vector<std::vector<std::size_t>> by_shard(host_map_.num_shards());
   for (std::size_t i = 0; i < n; ++i) {
     if (done[i]) continue;
-    by_shard[host_map_.OwnerIndexOf(KeyForAvail(
-                 static_cast<std::int64_t>(ids.items()[i].number_value())))]
-        .push_back(i);
+    by_shard[host_map_.OwnerIndexOf(KeyForAvail(avail_ids[i]))].push_back(i);
   }
   std::size_t fanout = 0;
   for (const auto& group : by_shard) fanout += group.empty() ? 0 : 1;
@@ -406,8 +414,7 @@ void ClusterRouter::RunScatter(Job& job) {
   // failures above marked the primary down).
   for (std::size_t i = 0; i < n; ++i) {
     if (done[i]) continue;
-    const std::size_t s = host_map_.OwnerIndexOf(KeyForAvail(
-        static_cast<std::int64_t>(ids.items()[i].number_value())));
+    const std::size_t s = host_map_.OwnerIndexOf(KeyForAvail(avail_ids[i]));
     bool hedged = false;
     auto line = RouteToShard(s, sublines[i], deadline, &hedged);
     any_hedged = any_hedged || hedged;
@@ -469,21 +476,25 @@ void ClusterRouter::RunIngest(Job& job) {
     shard_avails.push_back(JsonValue::Array());
     shard_rccs.push_back(JsonValue::Array());
   }
-  if (avails != nullptr) {
-    for (const JsonValue& row : avails->items()) {
-      const std::size_t s = host_map_.OwnerIndexOf(
-          KeyForAvail(static_cast<std::int64_t>(row.NumberOr("id", 0.0))));
-      shard_avails[s].Append(row);
+  // A malformed routing key rejects the whole batch before any hop, so no
+  // shard applies its part of a batch the owning shard would refuse.
+  const auto split = [&](const JsonValue* rows, const std::string& key,
+                         std::vector<JsonValue>* out) -> Status {
+    if (rows == nullptr) return Status::OK();
+    for (const JsonValue& row : rows->items()) {
+      const auto id = IntegerMember(row, key, 0);
+      if (!id.ok()) return id.status();
+      const std::size_t s = host_map_.OwnerIndexOf(KeyForAvail(*id));
+      (*out)[s].Append(row);
       touched[s] = true;
     }
-  }
-  if (rccs != nullptr) {
-    for (const JsonValue& row : rccs->items()) {
-      const std::size_t s = host_map_.OwnerIndexOf(KeyForAvail(
-          static_cast<std::int64_t>(row.NumberOr("avail_id", 0.0))));
-      shard_rccs[s].Append(row);
-      touched[s] = true;
-    }
+    return Status::OK();
+  };
+  Status split_status = split(avails, "id", &shard_avails);
+  if (split_status.ok()) split_status = split(rccs, "avail_id", &shard_rccs);
+  if (!split_status.ok()) {
+    job.responder.Respond(ErrorToJson(split_status).Serialize());
+    return;
   }
   std::size_t fanout = 0;
   for (std::size_t s = 0; s < num_shards; ++s) {

@@ -499,10 +499,13 @@ void ServeFrontend::Handle(std::string line, Responder responder) {
   // bundle, answered inline on the shard (no queueing).
   if (const JsonValue* avail_id = request->Find("avail_id");
       avail_id != nullptr && avail_id->is_number()) {
+    const auto point = ParsePointRequest(*request);
+    if (!point.ok()) {
+      responder.Respond(ErrorToJson(point.status()).Serialize());
+      return;
+    }
     const auto result = service_->bundle()->ScoreReferenceAvail(
-        static_cast<std::int64_t>(avail_id->number_value()),
-        request->NumberOr("t_star", 100.0),
-        static_cast<std::size_t>(request->NumberOr("top_k", 5)));
+        point->avail_id, point->t_star, point->top_k);
     if (!result.ok()) {
       responder.Respond(ErrorToJson(result.status()).Serialize());
       return;

@@ -399,6 +399,10 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
       bundle->snapshot_, models_in, parallelism, cache_bytes);
   if (!estimator.ok()) return estimator.status();
   bundle->estimator_ = std::make_unique<DomdEstimator>(std::move(*estimator));
+  // PredictBatch equals per-row Predict bit for bit (DESIGN.md §13), so
+  // the table holds exactly what QueryAtLogicalTime would predict.
+  bundle->reference_steps_ = bundle->estimator_->models().PredictPerStep(
+      *bundle->estimator_->shared_view());
 
   // Frozen Status-Query indexes over the reference fleet: built once here,
   // read-only (and thus freely concurrent) for the bundle's lifetime.
@@ -417,27 +421,45 @@ StatusOr<std::shared_ptr<const ModelBundle>> LoadBundleWithRetry(
       });
 }
 
-StatusOr<ServePrediction> ModelBundle::ScoreReferenceAvail(
-    std::int64_t avail_id, double t_star, std::size_t top_k) const {
-  auto result = estimator_->QueryAtLogicalTime(avail_id, t_star, top_k);
-  if (!result.ok()) return result.status();
+ServePrediction ModelBundle::AssemblePrediction(
+    const ModelingView& view, std::size_t row,
+    const std::vector<std::vector<double>>& per_step, std::int64_t avail_id,
+    double t_star, std::size_t top_k) const {
+  int last_step = GridIndexAtOrBefore(grid(), t_star);
+  if (last_step < 0) last_step = 0;  // before start: base step only.
+  const auto last = static_cast<std::size_t>(last_step);
 
   ServePrediction prediction;
   prediction.avail_id = avail_id;
   prediction.t_star = t_star;
-  prediction.estimate_days = result->fused_estimate_days;
-  prediction.num_steps = result->steps.size();
-  prediction.band_low = result->steps.front().estimated_delay_days;
-  prediction.band_high = prediction.band_low;
-  for (const DomdStepEstimate& step : result->steps) {
-    prediction.band_low = std::min(prediction.band_low,
-                                   step.estimated_delay_days);
-    prediction.band_high = std::max(prediction.band_high,
-                                    step.estimated_delay_days);
-  }
-  prediction.top_features = result->steps.back().top_features;
   prediction.bundle_version = version_;
+
+  std::vector<double> prefix;
+  prefix.reserve(last + 1);
+  for (std::size_t step = 0; step <= last; ++step) {
+    prefix.push_back(per_step[step][row]);
+  }
+  prediction.num_steps = prefix.size();
+  prediction.estimate_days = FusePredictions(config().fusion, prefix);
+  prediction.band_low = *std::min_element(prefix.begin(), prefix.end());
+  prediction.band_high = *std::max_element(prefix.begin(), prefix.end());
+  const TimelineModelSet& models = estimator_->models();
+  prediction.top_features = TopContributions(
+      models.model(last), models.BuildInputRow(view, row, last),
+      models.input_names(last), top_k);
   return prediction;
+}
+
+StatusOr<ServePrediction> ModelBundle::ScoreReferenceAvail(
+    std::int64_t avail_id, double t_star, std::size_t top_k) const {
+  const ModelingView& view = *estimator_->shared_view();
+  const int row = view.dynamic.RowOf(avail_id);
+  if (row < 0) {
+    return Status::NotFound("avail " + std::to_string(avail_id) +
+                            " unknown to the estimator");
+  }
+  return AssemblePrediction(view, static_cast<std::size_t>(row),
+                            reference_steps_, avail_id, t_star, top_k);
 }
 
 std::vector<StatusOr<ServePrediction>> ModelBundle::ScoreBatch(
@@ -511,41 +533,16 @@ std::vector<StatusOr<ServePrediction>> ModelBundle::ScoreBatch(
   const ModelingView view = BuildModelingView(batch_data, engineer, temp_ids,
                                               grid(), parallelism);
 
-  const TimelineModelSet& models = estimator_->models();
   // Batched scoring: one PredictPerStep sweep drives the breadth-first
   // batch scorer over the whole micro-batch per step — bit-identical to
-  // per-row BuildInputRow + Predict traversal. BuildInputRow survives only
-  // for the single attribution input each request still needs.
-  const std::vector<std::vector<double>> per_step_all =
-      models.PredictPerStep(view);
+  // per-row BuildInputRow + Predict traversal.
+  const std::vector<std::vector<double>> per_step =
+      estimator_->models().PredictPerStep(view);
   for (std::size_t row = 0; row < valid_slots.size(); ++row) {
-    const std::size_t slot = valid_slots[row];
-    const ScoreRequest& request = requests[slot];
-
-    int last_step = GridIndexAtOrBefore(grid(), request.t_star);
-    if (last_step < 0) last_step = 0;  // before start: base step only.
-
-    ServePrediction prediction;
-    prediction.avail_id = request.avail.id;
-    prediction.t_star = request.t_star;
-    prediction.bundle_version = version_;
-
-    std::vector<double> per_step;
-    per_step.reserve(static_cast<std::size_t>(last_step) + 1);
-    for (int step = 0; step <= last_step; ++step) {
-      per_step.push_back(per_step_all[static_cast<std::size_t>(step)][row]);
-    }
-    prediction.num_steps = per_step.size();
-    prediction.estimate_days = FusePredictions(config().fusion, per_step);
-    prediction.band_low = *std::min_element(per_step.begin(), per_step.end());
-    prediction.band_high = *std::max_element(per_step.begin(), per_step.end());
-    const auto last = static_cast<std::size_t>(last_step);
-    const std::vector<double> last_input =
-        models.BuildInputRow(view, row, last);
-    prediction.top_features =
-        TopContributions(models.model(last), last_input,
-                         models.input_names(last), request.top_k);
-    out[slot] = std::move(prediction);
+    const ScoreRequest& request = requests[valid_slots[row]];
+    out[valid_slots[row]] =
+        AssemblePrediction(view, row, per_step, request.avail.id,
+                           request.t_star, request.top_k);
   }
   return out;
 }

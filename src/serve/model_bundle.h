@@ -102,7 +102,9 @@ class ModelBundle {
   /// reads only).
   const StatusQueryEngine& query_engine() const { return *query_engine_; }
 
-  /// Scores one avail of the bundle's reference fleet by id.
+  /// Scores one avail of the bundle's reference fleet by id: a prefix of
+  /// the reference step table plus one attribution at the last step —
+  /// bit-identical to `estimator().QueryAtLogicalTime`.
   StatusOr<ServePrediction> ScoreReferenceAvail(std::int64_t avail_id,
                                                 double t_star,
                                                 std::size_t top_k = 5) const;
@@ -122,6 +124,14 @@ class ModelBundle {
  private:
   ModelBundle() = default;
 
+  /// The one answer assembly of both scoring paths: fuses and bands
+  /// `per_step[0..t*][row]`, then attributes `view`'s `row` at the last
+  /// step (t* before the start clamps to step 0).
+  ServePrediction AssemblePrediction(
+      const ModelingView& view, std::size_t row,
+      const std::vector<std::vector<double>>& per_step,
+      std::int64_t avail_id, double t_star, std::size_t top_k) const;
+
   std::string version_;
   std::uint64_t schema_hash_ = 0;
   std::string directory_;
@@ -133,6 +143,10 @@ class ModelBundle {
   std::shared_ptr<const DataSnapshot> snapshot_;
   std::unique_ptr<DomdEstimator> estimator_;
   std::unique_ptr<StatusQueryEngine> query_engine_;
+  /// Per-step estimates of every reference avail, [step][row of the
+  /// estimator's shared view]: one batched PredictPerStep at Load, so a
+  /// reference point reads a prefix instead of predicting every step.
+  std::vector<std::vector<double>> reference_steps_;
 };
 
 /// Crash-safe bundle distribution: copies the published bundle at

@@ -1,9 +1,16 @@
 #include "serve/wire.h"
 
+#include <cmath>
+
 #include "data/integrity.h"
 
 namespace domd {
 namespace {
+
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 StatusOr<Date> DateMember(const JsonValue& object, const std::string& key,
                           bool required) {
@@ -21,15 +28,81 @@ StatusOr<Date> DateMember(const JsonValue& object, const std::string& key,
   return Date::Parse(member->string_value());
 }
 
+/// `value` as an integer in [min, max], or nullopt. [-2^63, 2^63) is
+/// int64's range exactly in doubles: inside it the cast is defined, and
+/// the bounds compare as integers.
+std::optional<std::int64_t> ToInteger(const JsonValue& value,
+                                      std::int64_t min, std::int64_t max) {
+  if (!value.is_number()) return std::nullopt;
+  const double v = value.number_value();
+  if (std::trunc(v) != v || !(v >= -0x1p63 && v < 0x1p63)) {
+    return std::nullopt;
+  }
+  const auto n = static_cast<std::int64_t>(v);
+  if (n < min || n > max) return std::nullopt;
+  return n;
+}
+
+/// Why ToInteger refused `value`; `name` is built only on this path.
+Status NotAnInteger(const JsonValue& value, const std::string& name,
+                    std::int64_t min, std::int64_t max) {
+  if (!value.is_number()) {
+    return Status::InvalidArgument(name + " must be a number");
+  }
+  return Status::InvalidArgument(name + " must be an integer in [" +
+                                 std::to_string(min) + ", " +
+                                 std::to_string(max) + "]");
+}
+
 }  // namespace
+
+StatusOr<std::int64_t> IntegerFromJson(const JsonValue& value,
+                                       const std::string& name,
+                                       std::int64_t min, std::int64_t max) {
+  if (const auto n = ToInteger(value, min, max)) return *n;
+  return NotAnInteger(value, name, min, max);
+}
+
+StatusOr<std::int64_t> IntegerMember(const JsonValue& object,
+                                     const std::string& key,
+                                     std::int64_t fallback, std::int64_t min,
+                                     std::int64_t max) {
+  const JsonValue* member = object.Find(key);
+  if (member == nullptr || member->is_null()) return fallback;
+  if (const auto n = ToInteger(*member, min, max)) return *n;
+  return NotAnInteger(*member, "member \"" + key + "\"", min, max);
+}
+
+StatusOr<PointRequest> ParsePointRequest(const JsonValue& request) {
+  PointRequest point;
+  const JsonValue* avail_id = request.Find("avail_id");
+  if (avail_id == nullptr) {
+    return Status::InvalidArgument("request has no \"avail_id\" member");
+  }
+  const auto id = ToInteger(*avail_id, kInt64Min, kInt64Max);
+  if (!id.has_value()) {
+    return NotAnInteger(*avail_id, "member \"avail_id\"", kInt64Min,
+                        kInt64Max);
+  }
+  point.avail_id = *id;
+  point.t_star = request.NumberOr("t_star", 100.0);
+  auto top_k = IntegerMember(request, "top_k", 5, 0, kInt64Max);
+  if (!top_k.ok()) return top_k.status();
+  point.top_k = static_cast<std::size_t>(*top_k);
+  return point;
+}
 
 StatusOr<Avail> AvailFromJson(const JsonValue& object) {
   if (!object.is_object()) {
     return Status::InvalidArgument("\"avail\" must be an object");
   }
   Avail avail;
-  avail.id = static_cast<std::int64_t>(object.NumberOr("id", 0));
-  avail.ship_id = static_cast<std::int64_t>(object.NumberOr("ship_id", 0));
+  auto id = IntegerMember(object, "id", 0);
+  if (!id.ok()) return id.status();
+  avail.id = *id;
+  auto ship_id = IntegerMember(object, "ship_id", 0);
+  if (!ship_id.ok()) return ship_id.status();
+  avail.ship_id = *ship_id;
   auto status = AvailStatusFromString(object.StringOr("status", "ongoing"));
   if (!status.ok()) return status.status();
   avail.status = *status;
@@ -50,15 +123,19 @@ StatusOr<Avail> AvailFromJson(const JsonValue& object) {
     avail.actual_end = *parsed;
   }
 
-  avail.ship_class = static_cast<int>(object.NumberOr("ship_class", 0));
-  avail.rmc_id = static_cast<int>(object.NumberOr("rmc_id", 0));
+  for (const auto& [key, field] :
+       {std::pair{"ship_class", &avail.ship_class},
+        std::pair{"rmc_id", &avail.rmc_id},
+        std::pair{"avail_type", &avail.avail_type},
+        std::pair{"homeport", &avail.homeport},
+        std::pair{"prior_avail_count", &avail.prior_avail_count},
+        std::pair{"crew_size", &avail.crew_size}}) {
+    auto value = IntegerMember(object, key, 0, kIntMin, kIntMax);
+    if (!value.ok()) return value.status();
+    *field = static_cast<int>(*value);
+  }
   avail.ship_age_years = object.NumberOr("ship_age_years", 0);
-  avail.avail_type = static_cast<int>(object.NumberOr("avail_type", 0));
-  avail.homeport = static_cast<int>(object.NumberOr("homeport", 0));
-  avail.prior_avail_count =
-      static_cast<int>(object.NumberOr("prior_avail_count", 0));
   avail.contract_value_musd = object.NumberOr("contract_value_musd", 0);
-  avail.crew_size = static_cast<int>(object.NumberOr("crew_size", 0));
   return avail;
 }
 
@@ -67,8 +144,12 @@ StatusOr<Rcc> RccFromJson(const JsonValue& object) {
     return Status::InvalidArgument("each rcc must be an object");
   }
   Rcc rcc;
-  rcc.id = static_cast<std::int64_t>(object.NumberOr("id", 0));
-  rcc.avail_id = static_cast<std::int64_t>(object.NumberOr("avail_id", 0));
+  auto id = IntegerMember(object, "id", 0);
+  if (!id.ok()) return id.status();
+  rcc.id = *id;
+  auto avail_id = IntegerMember(object, "avail_id", 0);
+  if (!avail_id.ok()) return avail_id.status();
+  rcc.avail_id = *avail_id;
   auto type = RccTypeFromCode(object.StringOr("type", "G"));
   if (!type.ok()) return type.status();
   rcc.type = *type;
@@ -82,8 +163,9 @@ StatusOr<Rcc> RccFromJson(const JsonValue& object) {
     if (!parsed.ok()) return parsed.status();
     rcc.swlin = *parsed;
   } else if (swlin->is_number()) {
-    auto parsed =
-        Swlin::FromInt(static_cast<std::int64_t>(swlin->number_value()));
+    auto code = IntegerFromJson(*swlin, "member \"swlin\"");
+    if (!code.ok()) return code.status();
+    auto parsed = Swlin::FromInt(*code);
     if (!parsed.ok()) return parsed.status();
     rcc.swlin = *parsed;
   } else {
@@ -166,8 +248,9 @@ StatusOr<ScoreRequest> ParseScoreRequest(const JsonValue& request) {
     }
   }
   score.t_star = request.NumberOr("t_star", 100.0);
-  const double top_k = request.NumberOr("top_k", 5);
-  score.top_k = top_k < 0 ? 0 : static_cast<std::size_t>(top_k);
+  auto top_k = IntegerMember(request, "top_k", 5, 0, kInt64Max);
+  if (!top_k.ok()) return top_k.status();
+  score.top_k = static_cast<std::size_t>(*top_k);
 
   // Shared integrity gate: reject at parse time anything the training
   // pipeline's dataset checks would refuse (zero planned duration, RCCs

@@ -1,6 +1,8 @@
 #ifndef DOMD_SERVE_WIRE_H_
 #define DOMD_SERVE_WIRE_H_
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +25,36 @@ namespace domd {
 /// instead: {"avail_id": 7, "t_star": 60}.
 /// Control requests: {"cmd": "stats" | "ping" | "swap" | "shutdown"}.
 
+/// Reads a JSON number that must hold an integer, checked before any cast:
+/// kInvalidArgument unless `value` is a number v with std::trunc(v) == v
+/// and min <= v <= max. `name` labels the error. Casting the double
+/// directly is undefined out of range (1e300) and silently truncates a
+/// fraction (7.5).
+StatusOr<std::int64_t> IntegerFromJson(
+    const JsonValue& value, const std::string& name,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max = std::numeric_limits<std::int64_t>::max());
+
+/// IntegerFromJson over the optional member `key` of `object`: `fallback`
+/// when the member is absent or null.
+StatusOr<std::int64_t> IntegerMember(
+    const JsonValue& object, const std::string& key, std::int64_t fallback,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max = std::numeric_limits<std::int64_t>::max());
+
+/// A reference-fleet scoring request: {"avail_id": N, "t_star": T,
+/// "top_k": K}.
+struct PointRequest {
+  std::int64_t avail_id = 0;
+  double t_star = 100.0;
+  std::size_t top_k = 5;
+};
+
+/// Parses a reference-fleet request (the server, the router and the CLI
+/// share it): kInvalidArgument unless "avail_id" is an integer and
+/// "top_k", when present, a non-negative one.
+StatusOr<PointRequest> ParsePointRequest(const JsonValue& request);
+
 /// Parses one JSON avail object (the schema of a prediction request's
 /// "avail" member) into an Avail row.
 StatusOr<Avail> AvailFromJson(const JsonValue& object);
@@ -40,7 +72,8 @@ StatusOr<std::vector<IngestMutation>> ParseIngestMutations(
     const JsonValue& request);
 
 /// Parses the "avail"/"rccs"/"t_star"/"top_k" members of a request object
-/// into a detached ScoreRequest.
+/// into a detached ScoreRequest. Integer members are range-checked as by
+/// IntegerMember; a negative "top_k" is rejected, as on a point request.
 StatusOr<ScoreRequest> ParseScoreRequest(const JsonValue& request);
 
 /// The request's "deadline_ms" member, if present and positive.

@@ -168,6 +168,45 @@ TEST(ReactorChaosTest, WirePredictionsBitIdenticalToDirectServiceCalls) {
   EXPECT_EQ(wire.StringOr("bundle_version", ""), direct->bundle_version);
 }
 
+// A point's integers are range-checked before the cast: an avail_id or
+// top_k outside its type (1e300, -1e19), a fraction (7.5, 2.5) or a
+// negative top_k answers INVALID_ARGUMENT instead of a wrapped id, a
+// truncated one, or SIZE_MAX drivers. An integral double is an integer.
+TEST(ReactorChaosTest, PointRequestsRejectNonIntegralOrOutOfRangeIntegers) {
+  const auto& fixture = GetServeFixture();
+  WireServer server(fixture.v1);
+  TestClient client = TestClient::Connect(server.port());
+  ASSERT_TRUE(client.connected());
+  const std::string id =
+      std::to_string(fixture.v1->data().avails.rows().front().id);
+
+  for (const std::string& bad :
+       {std::string(R"({"avail_id": 1e300})"),
+        std::string(R"({"avail_id": -1e19})"),
+        "{\"avail_id\": " + id + ".5}",
+        "{\"avail_id\": " + id + ", \"top_k\": -1}",
+        "{\"avail_id\": " + id + ", \"top_k\": 2.5}",
+        "{\"avail_id\": " + id + ", \"top_k\": 1e300}"}) {
+    const JsonValue response = Rpc(client, bad);
+    EXPECT_FALSE(response.BoolOr("ok", true)) << bad;
+    EXPECT_EQ(response.StringOr("code", ""), "INVALID_ARGUMENT") << bad;
+  }
+
+  // Control: integral doubles answer the integer form's bytes, all but the
+  // per-request latency.
+  const auto answer = [&](const std::string& line) {
+    const JsonValue response = Rpc(client, line);
+    EXPECT_TRUE(response.BoolOr("ok", false)) << line;
+    JsonValue stripped = JsonValue::Object();
+    for (const auto& [key, value] : response.members()) {
+      if (key != "latency_ms") stripped.Set(key, value);
+    }
+    return stripped.Serialize();
+  };
+  EXPECT_EQ(answer("{\"avail_id\": " + id + ".0, \"top_k\": 3.0}"),
+            answer("{\"avail_id\": " + id + ", \"top_k\": 3}"));
+}
+
 TEST(ReactorChaosTest, InjectedAcceptFaultDegradesThatConnectionOnly) {
   DOMD_SKIP_WITHOUT_FAULTS();
   const auto& fixture = GetServeFixture();

@@ -340,6 +340,49 @@ TEST(RouterChaosTest, ScatterGatherSurvivesPartialShardFailure) {
   }
 }
 
+// Routing keys are range-checked before any hop: a point whose avail_id
+// is not an int64 is rejected by the router itself, a bad scatter id gets
+// an error in its own slot, and an ingest row with a fractional key is
+// refused whole, so no shard applies part of it.
+TEST(RouterChaosTest, RejectsNonIntegralOrOutOfRangeKeysBeforeAnyHop) {
+  auto cluster = InProcCluster::Start(2, 1, GetServeFixture().v1,
+                                      FastRouterOptions());
+  ASSERT_NE(cluster, nullptr);
+  auto point = JsonValue::Parse(
+      Rpc(cluster->router_port, R"({"avail_id": 1e300, "t_star": 60})"));
+  ASSERT_TRUE(point.ok());
+  EXPECT_FALSE(point->BoolOr("ok", true));
+  EXPECT_EQ(point->StringOr("code", ""), "INVALID_ARGUMENT");
+  EXPECT_EQ(cluster->router->stats().routed, 0u);
+
+  const std::int64_t id = cluster->AvailOwnedBy(0);
+  ASSERT_GE(id, 0);
+  auto scatter = JsonValue::Parse(
+      Rpc(cluster->router_port, "{\"avail_ids\": [" + std::to_string(id) +
+                                    ", 7.5, 1e300], \"t_star\": 60}"));
+  ASSERT_TRUE(scatter.ok());
+  EXPECT_EQ(scatter->NumberOr("errors", -1), 2.0);
+  const JsonValue* results = scatter->Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->items().size(), 3u);
+  EXPECT_EQ(StripLatency(results->items()[0].Serialize()),
+            StripLatency(Rpc(cluster->shards[0][0]->port,
+                             "{\"avail_id\": " + std::to_string(id) +
+                                 ", \"t_star\": 60}")));
+  for (std::size_t slot : {1, 2}) {
+    EXPECT_EQ(results->items()[slot].StringOr("code", ""), "INVALID_ARGUMENT")
+        << slot;
+  }
+
+  auto ingest = JsonValue::Parse(Rpc(
+      cluster->router_port,
+      R"({"cmd": "ingest", "rccs": [{"id": 1, "avail_id": 2.5, "type": "G",)"
+      R"( "swlin": "434-11-001", "creation_date": "2024-02-01"}]})"));
+  ASSERT_TRUE(ingest.ok());
+  EXPECT_EQ(ingest->StringOr("code", ""), "INVALID_ARGUMENT");
+  EXPECT_EQ(cluster->router->stats().ingest_routed, 0u);
+}
+
 TEST(RouterChaosTest, OverloadShedsWithResourceExhausted) {
   RouterOptions options = FastRouterOptions();
   options.workers = 1;

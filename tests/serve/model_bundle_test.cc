@@ -16,6 +16,7 @@
 
 #include "query/status_query.h"
 #include "serve/serve_test_fixture.h"
+#include "serve/wire.h"
 
 namespace domd {
 namespace {
@@ -210,33 +211,145 @@ TEST(ModelBundleTest, RewritingABundleReplacesItAtomically) {
   EXPECT_FALSE(std::filesystem::exists(dir + ".old"));
 }
 
+/// The reference answer the estimator gives: QueryAtLogicalTime predicts
+/// and attributes every step up to t* by itself.
+ServePrediction PredictionFromQuery(const DomdQueryResult& result,
+                                    const std::string& version) {
+  ServePrediction prediction;
+  prediction.avail_id = result.avail_id;
+  prediction.t_star = result.query_t_star;
+  prediction.estimate_days = result.fused_estimate_days;
+  prediction.num_steps = result.steps.size();
+  prediction.band_low = result.steps.front().estimated_delay_days;
+  prediction.band_high = prediction.band_low;
+  for (const DomdStepEstimate& step : result.steps) {
+    prediction.band_low =
+        std::min(prediction.band_low, step.estimated_delay_days);
+    prediction.band_high =
+        std::max(prediction.band_high, step.estimated_delay_days);
+  }
+  prediction.top_features = result.steps.back().top_features;
+  prediction.bundle_version = version;
+  return prediction;
+}
+
+/// Empty when `scored` equals `expected` bit for bit, else what differs.
+std::string ReferenceMismatch(const ServePrediction& scored,
+                              const ServePrediction& expected) {
+  if (!BitIdentical(scored.estimate_days, expected.estimate_days)) {
+    return "estimate_days";
+  }
+  if (!BitIdentical(scored.band_low, expected.band_low) ||
+      !BitIdentical(scored.band_high, expected.band_high)) {
+    return "band";
+  }
+  if (scored.num_steps != expected.num_steps) return "num_steps";
+  if (scored.top_features.size() != expected.top_features.size()) {
+    return "top_features count";
+  }
+  for (std::size_t i = 0; i < scored.top_features.size(); ++i) {
+    if (scored.top_features[i].feature_name !=
+            expected.top_features[i].feature_name ||
+        !BitIdentical(scored.top_features[i].contribution,
+                      expected.top_features[i].contribution)) {
+      return "top_features[" + std::to_string(i) + "]";
+    }
+  }
+  if (PredictionToJson(scored, 1.5).Serialize() !=
+      PredictionToJson(expected, 1.5).Serialize()) {
+    return "wire bytes";
+  }
+  return "";
+}
+
+// ScoreReferenceAvail reads a prefix of the step table built at Load and
+// attributes the last step once; the bundle's own estimator predicts and
+// attributes every step per query. Both must agree bit for bit on every
+// reference avail, at every grid t* and off it, for every top_k, across
+// architectures, model families and fusion methods. The reference is the
+// loaded bundle's estimator, not the in-memory one it was written from:
+// the bundle's CSV round trip rounds RCC amounts.
 TEST(ModelBundleTest, ReferenceScoreMatchesEstimatorQuery) {
   const auto& fixture = GetServeFixture();
-  for (std::int64_t id : fixture.pipeline.split.test) {
-    const auto expected = fixture.estimator_v1->QueryAtLogicalTime(id, 100.0);
-    const auto scored = fixture.v1->ScoreReferenceAvail(id, 100.0);
-    ASSERT_TRUE(expected.ok()) << expected.status();
-    ASSERT_TRUE(scored.ok()) << scored.status();
-    EXPECT_TRUE(BitIdentical(scored->estimate_days,
-                             expected->fused_estimate_days));
-    EXPECT_EQ(scored->num_steps, expected->steps.size());
-    EXPECT_EQ(scored->bundle_version, "v1");
-    double low = expected->steps.front().estimated_delay_days;
-    double high = low;
-    for (const DomdStepEstimate& step : expected->steps) {
-      low = std::min(low, step.estimated_delay_days);
-      high = std::max(high, step.estimated_delay_days);
+  std::vector<std::shared_ptr<const ModelBundle>> bundles = {fixture.v1};
+  const std::string pid = std::to_string(::getpid());
+  for (const Architecture architecture :
+       {Architecture::kNonStacked, Architecture::kStacked}) {
+    for (const ModelFamily family :
+         {ModelFamily::kGbt, ModelFamily::kElasticNet}) {
+      for (const FusionMethod fusion :
+           {FusionMethod::kAverage, FusionMethod::kMedian}) {
+        PipelineConfig config = testing_internal::FastConfig();
+        config.window_width_pct = 10.0;
+        config.architecture = architecture;
+        config.model_family = family;
+        config.fusion = fusion;
+        auto estimator = DomdEstimator::Train(
+            &fixture.pipeline.data, config, fixture.pipeline.split.train);
+        ASSERT_TRUE(estimator.ok()) << estimator.status();
+        const std::string dir = ::testing::TempDir() +
+                                "/domd_bundle_identity" +
+                                std::to_string(bundles.size()) + "." + pid;
+        ASSERT_TRUE(ModelBundle::Write(*estimator, fixture.pipeline.data, dir,
+                                       "identity")
+                        .ok());
+        auto bundle = ModelBundle::Load(dir);
+        ASSERT_TRUE(bundle.ok()) << bundle.status();
+        bundles.push_back(std::move(*bundle));
+        std::filesystem::remove_all(dir);
+      }
     }
-    EXPECT_TRUE(BitIdentical(scored->band_low, low));
-    EXPECT_TRUE(BitIdentical(scored->band_high, high));
-    EXPECT_LE(scored->band_low, scored->estimate_days);
-    EXPECT_GE(scored->band_high, scored->estimate_days);
   }
+
+  std::size_t cases = 0;
+  std::size_t outside_band = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  for (const auto& bundle : bundles) {
+    std::vector<double> t_stars = bundle->grid();
+    t_stars.insert(t_stars.end(), {-5.0, 0.0, 4.99, 55.0, 250.0});
+    for (const Avail& avail : bundle->data().avails.rows()) {
+      for (const double t_star : t_stars) {
+        for (const std::size_t top_k : {0, 1, 5, 1000}) {
+          const auto expected =
+              bundle->estimator().QueryAtLogicalTime(avail.id, t_star, top_k);
+          const auto scored =
+              bundle->ScoreReferenceAvail(avail.id, t_star, top_k);
+          ASSERT_TRUE(expected.ok()) << expected.status();
+          ASSERT_TRUE(scored.ok()) << scored.status();
+          ++cases;
+          // Fusion weights the steps it fuses: the band holds the estimate.
+          outside_band += scored->estimate_days < scored->band_low ||
+                          scored->estimate_days > scored->band_high;
+          const std::string mismatch = ReferenceMismatch(
+              *scored, PredictionFromQuery(*expected, bundle->version()));
+          if (mismatch.empty()) continue;
+          if (mismatches++ == 0) {
+            first_mismatch = bundle->config().ToString() + " avail " +
+                             std::to_string(avail.id) + " t* " +
+                             std::to_string(t_star) + " top_k " +
+                             std::to_string(top_k) + ": " + mismatch;
+          }
+        }
+      }
+    }
+  }
+  // v1's 50% grid has 3 steps and each 10% grid 11, plus 5 off-grid t*.
+  EXPECT_EQ(cases, fixture.pipeline.data.avails.size() * 4u *
+                       ((3u + 5u) + 8u * (11u + 5u)));
+  EXPECT_EQ(outside_band, 0u);
+  EXPECT_EQ(mismatches, 0u) << first_mismatch;
 }
 
 TEST(ModelBundleTest, ScoreReferenceUnknownAvailFails) {
   const auto& fixture = GetServeFixture();
-  EXPECT_FALSE(fixture.v1->ScoreReferenceAvail(999999, 100.0).ok());
+  const auto scored = fixture.v1->ScoreReferenceAvail(999999, 100.0);
+  ASSERT_FALSE(scored.ok());
+  EXPECT_EQ(scored.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(scored.status().ToString(),
+            fixture.v1->estimator().QueryAtLogicalTime(999999, 100.0)
+                .status()
+                .ToString());
 }
 
 TEST(ModelBundleTest, DetachedScoreBatchMatchesReferenceBitIdentically) {

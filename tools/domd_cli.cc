@@ -522,10 +522,11 @@ int CmdPredict(const Flags& flags) {
       // {"avail_id": N, "t_star": T, "top_k": K}.
       if (const JsonValue* avail_id = request->Find("avail_id");
           avail_id != nullptr && avail_id->is_number()) {
-        const auto result = (*bundle)->ScoreReferenceAvail(
-            static_cast<std::int64_t>(avail_id->number_value()),
-            request->NumberOr("t_star", 100.0),
-            static_cast<std::size_t>(request->NumberOr("top_k", 5)));
+        const auto point = ParsePointRequest(*request);
+        const auto result =
+            point.ok() ? (*bundle)->ScoreReferenceAvail(
+                             point->avail_id, point->t_star, point->top_k)
+                       : StatusOr<ServePrediction>(point.status());
         if (!result.ok()) {
           std::printf("%s\n",
                       ErrorToJson(result.status()).Serialize().c_str());
