@@ -3,7 +3,9 @@
 // threads on the default 73-avail fleet (Table 5 RCC load). Every parallel
 // path is required to be bit-identical to the serial one, so this harness
 // both times each stage and cross-checks the outputs; results land in
-// BENCH_parallel_scaling.json.
+// BENCH_parallel_scaling.json. It exits nonzero on any mismatch, and when
+// GBT training at 4 threads is slower than at 1 on a host with at least 4
+// hardware threads.
 
 #include <bit>
 #include <cstdio>
@@ -96,7 +98,8 @@ bool Run() {
     names.push_back(def.name);
   }
 
-  // Stage 2: GBT timeline training (parallel split search inside trees).
+  // Stage 2: GBT timeline training (the per-step fits run in parallel,
+  // each one serial inside).
   {
     StageResult stage;
     stage.name = "gbt_training";
@@ -185,6 +188,16 @@ bool Run() {
 
   bool ok = true;
   for (const StageResult& stage : stages) ok = ok && stage.bit_identical;
+  // Threads must not make training slower where there are cores for them
+  // (index 2 is 4 threads).
+  const StageResult& training = stages[1];
+  if (Parallelism::HardwareThreads() >= 4 &&
+      training.seconds[2] > training.seconds[0]) {
+    std::printf("FAIL: gbt_training at 4 threads (%.3fs) is slower than "
+                "at 1 (%.3fs)\n",
+                training.seconds[2], training.seconds[0]);
+    ok = false;
+  }
   return ok;
 }
 

@@ -12,7 +12,8 @@ shard 0 runs three quorum-2 replicated replicas (durable stores, retrain
 roots), live mutations stream through the router, the shard-0 ingest
 primary is killed mid-stream (a follower must take over writes), the
 dead replica restarts on its old port and catches back up until router
-`freshness` reports the shard converged, and a retrain scatter leaves
+`freshness` reports the shard converged, and a retrain scatter — shard 0
+trained once, its other replicas adopting byte-identical bundles — leaves
 every replica predicting for avails that only ever existed as mutations
 — byte-identically across shard-0 replicas.
 
@@ -727,8 +728,9 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
     mutations stream through the router; the shard-0 ingest primary is then
     killed, a follower must take over writes, the dead replica restarts on
     its old port and catches back up (router freshness reports the shard
-    converged), and a retrain scatter leaves every replica answering for
-    avails that only ever existed as mutations."""
+    converged), and a retrain scatter — one training for shard 0, whose
+    other replicas adopt byte-identical bundles — leaves every replica
+    answering for avails that only ever existed as mutations."""
     server_bin = build / "tools" / "domd_serve"
     router_bin = build / "tools" / "domd_router"
     expect(router_bin.exists(), f"missing {router_bin}")
@@ -892,16 +894,37 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
         servers[primary_index] = (process, port)
         wait_converged()
 
-        # Retrain scatter: every replica of every shard retrains onto its
-        # own store cut; converged shard-0 replicas derive one version.
+        # Retrain scatter, trained once per shard: one converged shard-0
+        # replica trains and the other two adopt its models, so all three
+        # publish one version; single-replica shards train themselves.
         retrain = rpc({"cmd": "retrain"})
         expect(retrain.get("ok"), f"bad retrain scatter: {retrain}")
-        shard0_versions = {entry.get("bundle_version")
-                           for entry in retrain.get("retrained", [])
-                           if entry.get("shard") == 0}
+        entries = retrain.get("retrained", [])
+        shard0 = [e for e in entries if e.get("shard") == 0]
+        shard0_versions = {entry.get("bundle_version") for entry in shard0}
         expect(len(shard0_versions) == 1 and "v1" not in shard0_versions,
                f"shard-0 replicas retrained onto different versions: "
                f"{retrain}")
+        expect(len(shard0) == 3 and
+               sum(1 for e in shard0 if e.get("trained") is True) == 1,
+               f"shard 0 did not train exactly once: {retrain}")
+        expect(all(e.get("trained") is True
+                   for e in entries if e.get("shard") != 0),
+               f"a single-replica shard did not train itself: {retrain}")
+
+        # Adopters publish what their own training would have written:
+        # the three shard-0 bundle directories match file for file.
+        version = shard0_versions.pop()
+        bundle_dirs = [work / f"repl{r}_retrain" / version for r in range(3)]
+        names = sorted(p.name for p in bundle_dirs[0].iterdir())
+        expect(names, f"empty retrained bundle {bundle_dirs[0]}")
+        for bundle_dir in bundle_dirs[1:]:
+            expect(sorted(p.name for p in bundle_dir.iterdir()) == names,
+                   f"{bundle_dir} holds other files than {bundle_dirs[0]}")
+            for name in names:
+                expect((bundle_dir / name).read_bytes() ==
+                       (bundle_dirs[0] / name).read_bytes(),
+                       f"{bundle_dir / name} differs from replica 0's")
 
         # Every streamed avail predicts through the router on a retrained
         # bundle — including those ingested during the failover window.
@@ -962,8 +985,9 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
               f"streamed {2 * len(first_ids + second_ids)} mutations, "
               f"survived an ingest-primary kill (failover acked after "
               f"{attempts} attempt(s)), caught the restarted replica up, "
-              f"and retrained every replica onto one converged cut "
-              f"({len(owned)} avails owned by shard 0)")
+              f"and retrained every replica onto one converged cut, "
+              f"training shard 0 once ({len(owned)} avails owned by "
+              f"shard 0)")
     finally:
         for process, _ in servers:
             if process.poll() is None:

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "serve/json.h"
+#include "serve/wire.h"
 
 namespace domd {
 namespace cluster {
@@ -73,9 +75,14 @@ StatusOr<HostMap> HostMap::Parse(const std::string& json_text) {
   if (!doc->is_object()) {
     return Status::InvalidArgument("cluster spec must be a JSON object");
   }
-  const double vnodes_raw = doc->NumberOr("vnodes", 64);
-  if (vnodes_raw < 1) {
-    return Status::InvalidArgument("cluster spec vnodes must be >= 1");
+  // Integers are range-checked before any cast: a fractional or
+  // out-of-range "vnodes" or shard "id" (1.5, 1e12, 1e300) is rejected,
+  // not truncated or wrapped.
+  const auto vnodes = IntegerMember(*doc, "vnodes", 64, 1,
+                                    std::numeric_limits<int>::max());
+  if (!vnodes.ok()) {
+    return Status::InvalidArgument("cluster spec: " +
+                                   vnodes.status().message());
   }
   const JsonValue* shards_member = doc->Find("shards");
   if (shards_member == nullptr || !shards_member->is_array()) {
@@ -92,7 +99,11 @@ StatusOr<HostMap> HostMap::Parse(const std::string& json_text) {
     if (id == nullptr || !id->is_number()) {
       return Status::InvalidArgument("each shard needs a numeric \"id\"");
     }
-    shard.id = static_cast<int>(id->number_value());
+    const auto shard_id =
+        IntegerFromJson(*id, "shard \"id\"", std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max());
+    if (!shard_id.ok()) return shard_id.status();
+    shard.id = static_cast<int>(*shard_id);
     const JsonValue* replicas = entry.Find("replicas");
     if (replicas == nullptr || !replicas->is_array()) {
       return Status::InvalidArgument(
@@ -110,8 +121,7 @@ StatusOr<HostMap> HostMap::Parse(const std::string& json_text) {
     }
     shards.push_back(std::move(shard));
   }
-  return Create(std::move(shards),
-                static_cast<std::size_t>(vnodes_raw));
+  return Create(std::move(shards), static_cast<std::size_t>(*vnodes));
 }
 
 StatusOr<HostMap> HostMap::LoadFile(const std::string& path) {

@@ -654,39 +654,82 @@ void ClusterRouter::RunFreshness(Job& job) {
 }
 
 void ClusterRouter::RunRetrainScatter(Job& job) {
-  // Every replica holds the replicated data, so every replica retrains
-  // itself onto the same cut; a converged cluster derives the same
-  // default version (the snapshot epoch), keeping the fleet uniform.
+  // Replicas of a shard at one store epoch hold the same tables in the
+  // same row order, and training is deterministic, so each shard trains
+  // once. `retrain` with "ship_models" goes to its replicas in ingest
+  // preference order until one answers ok; every other replica gets an
+  // `adopt` of those models for that epoch, which writes, loads and swaps
+  // without training. A replica whose adopt fails for any reason — a
+  // lagging follower at another epoch, a standalone replica holding other
+  // data, an adopt line over the shard reactor's 1 MiB request cap — gets
+  // a plain `retrain`. Each replica answers only after its swap, so the
+  // ack still follows every replica's swap.
+  JsonValue train_request = job.request;
+  train_request.Set("ship_models", JsonValue::Bool(true));
+  const std::string train_line = train_request.Serialize();
+  const auto rpc = [&](const Endpoint& endpoint, const std::string& line) {
+    return pool_.Rpc(endpoint, line,
+                     Clock::now() + options_.rollout_rpc_deadline);
+  };
+
   JsonValue results = JsonValue::Array();
   bool all_ok = true;
   for (std::size_t s = 0; s < host_map_.num_shards(); ++s) {
     const ShardSpec& spec = host_map_.shards()[s];
-    for (const Endpoint& endpoint : spec.replicas) {
-      auto response = pool_.Rpc(
-          endpoint, job.raw_line,
-          Clock::now() + options_.rollout_rpc_deadline);
+    std::vector<JsonValue> entries(spec.replicas.size());
+    // One entry per replica from the answer of the verb it got last.
+    const auto record = [&](std::size_t r, bool trained,
+                            const StatusOr<std::string>& response) {
       JsonValue entry = JsonValue::Object();
       entry.Set("shard", JsonValue::Number(static_cast<double>(spec.id)));
-      entry.Set("endpoint", JsonValue::String(endpoint.ToString()));
-      if (!response.ok()) {
-        all_ok = false;
-        entry.Set("ok", JsonValue::Bool(false));
-        entry.Set("error",
-                  JsonValue::String(response.status().message()));
-        results.Append(std::move(entry));
-        continue;
-      }
-      auto parsed = JsonValue::Parse(*response);
+      entry.Set("endpoint", JsonValue::String(spec.replicas[r].ToString()));
+      const StatusOr<JsonValue> parsed =
+          response.ok() ? JsonValue::Parse(*response)
+                        : StatusOr<JsonValue>(response.status());
       const bool ok = parsed.ok() && parsed->BoolOr("ok", false);
-      all_ok = all_ok && ok;
       entry.Set("ok", JsonValue::Bool(ok));
-      if (parsed.ok()) {
+      if (!response.ok()) {
+        entry.Set("error", JsonValue::String(response.status().message()));
+      } else if (parsed.ok()) {
         entry.Set("bundle_version",
                   JsonValue::String(parsed->StringOr("bundle_version", "")));
         if (!ok) {
           entry.Set("error", JsonValue::String(parsed->StringOr("error", "")));
         }
       }
+      entry.Set("trained", JsonValue::Bool(trained));
+      entries[r] = std::move(entry);
+      return parsed;
+    };
+
+    const std::vector<std::size_t> order = IngestPreferenceOrder(s);
+    std::size_t next = 0;
+    std::string adopt_line;
+    while (next < order.size() && adopt_line.empty()) {
+      const std::size_t r = order[next++];
+      const auto trained =
+          record(r, true, rpc(spec.replicas[r], train_line));
+      if (!trained.ok() || !trained->BoolOr("ok", false)) continue;
+      JsonValue adopt = JsonValue::Object();
+      adopt.Set("cmd", JsonValue::String("adopt"));
+      adopt.Set("version",
+                JsonValue::String(trained->StringOr("bundle_version", "")));
+      adopt.Set("bundle_epoch",
+                JsonValue::String(trained->StringOr("bundle_epoch", "")));
+      adopt.Set("models", JsonValue::String(trained->StringOr("models", "")));
+      adopt.Set("models_checksum",
+                JsonValue::String(trained->StringOr("models_checksum", "")));
+      adopt_line = adopt.Serialize();
+    }
+    for (; next < order.size(); ++next) {
+      const std::size_t r = order[next];
+      const auto adopted = record(r, false, rpc(spec.replicas[r], adopt_line));
+      if (!adopted.ok() || !adopted->BoolOr("ok", false)) {
+        record(r, true, rpc(spec.replicas[r], job.raw_line));
+      }
+    }
+    for (JsonValue& entry : entries) {
+      all_ok = all_ok && entry.BoolOr("ok", false);
       results.Append(std::move(entry));
     }
   }

@@ -109,10 +109,13 @@ struct RouterStatsSnapshot {
 ///   {"cmd": "freshness"}        cluster-wide freshness: every replica of
 ///                               every shard answers, with per-shard
 ///                               convergence (all replicas at one epoch).
-///   {"cmd": "retrain", ...}     fanned out to every replica of every
-///                               shard (each holds the replicated data),
-///                               so the whole cluster retrains onto the
-///                               same ingested state.
+///   {"cmd": "retrain", ...}     one training per shard: the first
+///                               replica in ingest preference order to
+///                               answer ok trains and ships its models;
+///                               every other replica adopts them for the
+///                               trained-on epoch, or retrains itself
+///                               when it cannot (other epoch, other data).
+///                               Answers once every replica has swapped.
 ///   {"cmd": "shutdown"}         stop the router (never the shards).
 ///
 /// Hedging: each routed request walks the shard's replica preference

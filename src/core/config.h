@@ -72,7 +72,7 @@ struct PipelineConfig {
   GbtParams gbt;  ///< effective GBT params (overwritten when tuned).
   ElasticNetParams elastic_net;
 
-  /// Execution parallelism (feature engineering, GBT split search, CV
+  /// Execution parallelism (feature engineering, timeline steps, CV
   /// folds). Runtime knob: not serialized, and results are bit-identical
   /// for every thread count — num_threads = 1 reproduces the serial path
   /// exactly.

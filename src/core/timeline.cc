@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/parallel.h"
 #include "features/static_features.h"
 #include "ml/metrics.h"
 
@@ -70,9 +71,7 @@ std::unique_ptr<Regressor> TimelineModelSet::MakeModel(
   if (config.model_family == ModelFamily::kElasticNet) {
     return std::make_unique<ElasticNetRegression>(config.elastic_net);
   }
-  GbtParams gbt = config.gbt;
-  gbt.tree.num_threads = config.parallelism.EffectiveThreads();
-  return std::make_unique<GbtRegressor>(gbt, config.MakeLoss());
+  return std::make_unique<GbtRegressor>(config.gbt, config.MakeLoss());
 }
 
 Status TimelineModelSet::Fit(
@@ -99,45 +98,66 @@ Status TimelineModelSet::Fit(
     base_train_pred = base_model_->PredictBatch(train.static_x);
   }
 
-  auto selector = CreateSelector(config.selection, config.seed);
-
-  for (std::size_t step = 0; step < steps; ++step) {
-    const Matrix& slice = train.dynamic.slice(step);
-    // Task 2: per-step top-k selection over dynamic features only.
-    std::vector<std::size_t> cols =
-        selector->SelectTopK(slice, train.labels, config.num_features);
-
-    // Input column names, in the exact order the model sees its features.
-    std::vector<std::string> names;
-    if (config.architecture == Architecture::kStacked) {
-      for (std::size_t c : cols) names.push_back(dynamic_feature_names[c]);
-      names.push_back("BASE_PREDICTION");
-    } else {
-      names = static_names;
-      for (std::size_t c : cols) names.push_back(dynamic_feature_names[c]);
+  Matrix base_col;
+  if (config.architecture == Architecture::kStacked) {
+    base_col = Matrix(train.avail_ids.size(), 1);
+    for (std::size_t r = 0; r < base_train_pred.size(); ++r) {
+      base_col.at(r, 0) = base_train_pred[r];
     }
-
-    // One fit path for every family and layout: only this step's inputs
-    // are assembled, so a GBT fit columnarizes the statics and the k
-    // selected columns (TrainingFrame::FromMatrix), never the whole
-    // catalog.
-    const Matrix dynamic_selected = slice.SelectColumns(cols);
-    Matrix input;
-    if (config.architecture == Architecture::kStacked) {
-      Matrix base_col(train.avail_ids.size(), 1);
-      for (std::size_t r = 0; r < base_train_pred.size(); ++r) {
-        base_col.at(r, 0) = base_train_pred[r];
-      }
-      input = Matrix::HConcat(dynamic_selected, base_col);
-    } else {
-      input = Matrix::HConcat(train.static_x, dynamic_selected);
-    }
-    auto model = MakeModel(config);
-    DOMD_RETURN_IF_ERROR(model->Fit(input, train.labels));
-    models_.push_back(std::move(model));
-    selected_.push_back(std::move(cols));
-    input_names_.push_back(std::move(names));
   }
+
+  // The steps are independent: each makes its own selector, selectors and
+  // models reseed on every call, and a step reads only the shared view and
+  // base prediction and writes only its own slots. So the steps run in
+  // parallel while each step's selection and fit stay serial, and every
+  // model is byte-identical to the serial loop's at any thread count.
+  std::vector<std::unique_ptr<Regressor>> models(steps);
+  std::vector<std::vector<std::size_t>> selected(steps);
+  std::vector<std::vector<std::string>> input_names(steps);
+  DOMD_RETURN_IF_ERROR(ParallelFor(
+      config.parallelism.EffectiveThreads(), steps, /*grain=*/1,
+      [&](std::size_t begin, std::size_t end) -> Status {
+        for (std::size_t step = begin; step < end; ++step) {
+          const Matrix& slice = train.dynamic.slice(step);
+          // Task 2: per-step top-k selection over dynamic features only.
+          std::vector<std::size_t> cols =
+              CreateSelector(config.selection, config.seed)
+                  ->SelectTopK(slice, train.labels, config.num_features);
+
+          // Input column names, in the exact order the model sees its
+          // features.
+          std::vector<std::string> names;
+          if (config.architecture == Architecture::kStacked) {
+            for (std::size_t c : cols) {
+              names.push_back(dynamic_feature_names[c]);
+            }
+            names.push_back("BASE_PREDICTION");
+          } else {
+            names = static_names;
+            for (std::size_t c : cols) {
+              names.push_back(dynamic_feature_names[c]);
+            }
+          }
+
+          // One fit path for every family: only this step's inputs are
+          // assembled, so a GBT fit columnarizes the statics and the k
+          // selected columns (TrainingFrame::FromMatrix), never the whole
+          // catalog.
+          const Matrix dynamic_selected = slice.SelectColumns(cols);
+          const Matrix input =
+              config.architecture == Architecture::kStacked
+                  ? Matrix::HConcat(dynamic_selected, base_col)
+                  : Matrix::HConcat(train.static_x, dynamic_selected);
+          models[step] = MakeModel(config);
+          DOMD_RETURN_IF_ERROR(models[step]->Fit(input, train.labels));
+          selected[step] = std::move(cols);
+          input_names[step] = std::move(names);
+        }
+        return Status::OK();
+      }));
+  models_ = std::move(models);
+  selected_ = std::move(selected);
+  input_names_ = std::move(input_names);
   return Status::OK();
 }
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "ml/columnar.h"
 
 namespace domd {
@@ -20,10 +19,6 @@ double NewtonWeight(double g, double h, double lambda) {
 double ScoreHalf(double g, double h, double lambda) {
   return g * g / (h + lambda);
 }
-
-/// Rows-times-features below which the split search stays serial: with so
-/// little work the ParallelFor dispatch costs more than it saves.
-constexpr std::size_t kMinParallelSplitWork = 2048;
 
 }  // namespace
 
@@ -112,38 +107,17 @@ RegressionTree::SplitDecision RegressionTree::FindSplit(
     const std::vector<std::uint8_t>& mask) const {
   const double parent_score = ScoreHalf(g_total, h_total, params.lambda);
 
-  // Scan features independently (possibly in parallel), then reduce
-  // serially in feature order. Within a feature ties keep the earliest
-  // boundary and across features the strict > keeps the earliest feature —
-  // exactly the serial loop's selection, so the reduction is bit-identical
-  // for every thread count.
-  std::vector<SplitDecision> per_feature(features.size());
-  const int threads =
-      (end - begin) * features.size() >= kMinParallelSplitWork
-          ? params.num_threads
-          : 1;
-  const std::size_t grain =
-      (features.size() + static_cast<std::size_t>(std::max(1, threads)) - 1) /
-      static_cast<std::size_t>(std::max(1, threads));
-  (void)ParallelFor(
-      threads, features.size(), grain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          if (params.split_method == SplitMethod::kExact) {
-            per_feature[j] = ScanFeatureExact(frame, grad, hess, end - begin,
-                                              features[j], params, g_total,
-                                              h_total, parent_score, mask);
-          } else {
-            per_feature[j] = ScanFeatureHistogram(
-                frame, grad, hess, rows, begin, end, features[j], params,
-                g_total, h_total, parent_score);
-          }
-        }
-        return Status::OK();
-      });
-
+  // Within a feature ties keep the earliest boundary, and across features
+  // the strict > keeps the earliest feature.
   SplitDecision best;
-  for (const SplitDecision& candidate : per_feature) {
+  for (const std::size_t feature : features) {
+    const SplitDecision candidate =
+        params.split_method == SplitMethod::kExact
+            ? ScanFeatureExact(frame, grad, hess, end - begin, feature,
+                               params, g_total, h_total, parent_score, mask)
+            : ScanFeatureHistogram(frame, grad, hess, rows, begin, end,
+                                   feature, params, g_total, h_total,
+                                   parent_score);
     if (candidate.found && (!best.found || candidate.gain > best.gain)) {
       best = candidate;
     }

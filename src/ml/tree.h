@@ -29,11 +29,6 @@ struct TreeParams {
   double gamma = 0.0;             ///< Minimum gain to accept a split.
   SplitMethod split_method = SplitMethod::kExact;
   int histogram_bins = 32;
-  /// Workers for the per-feature split search (histogram build included).
-  /// Runtime knob, not a model parameter: never serialized, and every
-  /// thread count produces bit-identical trees (per-feature scans are
-  /// independent; the cross-feature reduction is serial in feature order).
-  int num_threads = 1;
 };
 
 /// One regression tree fitted to per-sample gradients and Hessians (a
@@ -140,8 +135,7 @@ class RegressionTree {
                           double h_total,
                           const std::vector<std::uint8_t>& mask) const;
 
-  /// Best split of a single feature over the rows `mask` marks — the unit
-  /// of work the parallel split search distributes.
+  /// Best split of a single feature over the rows `mask` marks.
   SplitDecision ScanFeatureExact(const TrainingFrame& frame,
                                  const std::vector<double>& grad,
                                  const std::vector<double>& hess,

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -33,12 +34,27 @@ std::string DefaultStageRoot() {
       .string();
 }
 
-/// Epochs are 64-bit fingerprints; hex strings keep them exact on the
-/// wire (a JSON double would round them past 2^53).
-std::string HexEpoch(std::uint64_t epoch) {
+/// Epochs and bundle checksums are 64-bit hashes; hex strings keep them
+/// exact on the wire (a JSON double would round them past 2^53).
+std::string Hex64(std::uint64_t value) {
   char buffer[20];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, epoch);
+  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
   return std::string(buffer);
+}
+
+/// The version names a directory under retrain_root; a multi-component
+/// value ("../../dir") would write and load a bundle outside it, so only a
+/// single plain path component is accepted.
+Status CheckVersionComponent(const std::string& verb,
+                             const std::string& version) {
+  if (version.empty() || version == "." || version == ".." ||
+      version.find('/') != std::string::npos ||
+      version.find('\\') != std::string::npos) {
+    return Status::InvalidArgument(verb +
+                                   " \"version\" must be a single path "
+                                   "component, got \"" + version + "\"");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -173,8 +189,8 @@ void ServeFrontend::RegisterBuiltinVerbs() {
     JsonValue out = JsonValue::Object();
     out.Set("ok", JsonValue::Bool(true));
     out.Set("bundle_version", JsonValue::String(bundle->version()));
-    out.Set("bundle_epoch", JsonValue::String(HexEpoch(bundle->data_epoch())));
-    out.Set("store_epoch", JsonValue::String(HexEpoch(store_epoch)));
+    out.Set("bundle_epoch", JsonValue::String(Hex64(bundle->data_epoch())));
+    out.Set("store_epoch", JsonValue::String(Hex64(store_epoch)));
     out.Set("stale", JsonValue::Bool(bundle->data_epoch() != store_epoch));
     out.Set("pending_mutations",
             JsonValue::Number(static_cast<double>(stats.pending)));
@@ -200,10 +216,16 @@ void ServeFrontend::RegisterBuiltinVerbs() {
   if (!options_.retrain_root.empty()) {
     // A full training run can take minutes; kSlowWorker keeps it off the
     // worker thread so queued ingest acks and stage/swap flips never wait
-    // behind it.
+    // behind it. `adopt` shares the thread: it writes and loads a whole
+    // bundle, and ordering it behind a retrain on the same replica is
+    // harmless.
     RegisterVerb("retrain", VerbPolicy::kSlowWorker,
                  [this](const JsonValue& request, Responder responder) {
                    RunRetrain(request, std::move(responder));
+                 });
+    RegisterVerb("adopt", VerbPolicy::kSlowWorker,
+                 [this](const JsonValue& request, Responder responder) {
+                   RunAdopt(request, std::move(responder));
                  });
   }
 }
@@ -376,7 +398,7 @@ void ServeFrontend::RunIngest(const JsonValue& request, Responder responder) {
           JsonValue::Number(static_cast<double>(mutations->size())));
   out.Set("pending_mutations",
           JsonValue::Number(static_cast<double>(stats.pending)));
-  out.Set("store_epoch", JsonValue::String(HexEpoch(options_.store->epoch())));
+  out.Set("store_epoch", JsonValue::String(Hex64(options_.store->epoch())));
   if (options_.repl != nullptr) {
     out.Set("last_seq", JsonValue::Number(static_cast<double>(last_seq)));
   }
@@ -385,26 +407,16 @@ void ServeFrontend::RunIngest(const JsonValue& request, Responder responder) {
 
 void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
   // The continuous-retraining loop: pin a consistent cut of everything
-  // ingested so far, train with the live bundle's pipeline config, write
-  // the result as a fresh bundle version and hot-swap it through the same
-  // SwapBundle path `swap` uses. Failure at any step keeps the
-  // last-known-good bundle serving.
+  // ingested so far, train with the live bundle's pipeline config, and
+  // publish the result as a fresh bundle version. Failure at any step
+  // keeps the last-known-good bundle serving. The version is checked
+  // before training, not after.
   const auto snapshot = options_.store->Snapshot();
-
-  // The version names a directory under retrain_root; a multi-component
-  // value ("../../dir") would write and load a bundle outside it, so only
-  // a single plain path component is accepted — checked before training,
-  // not after.
   const std::string version =
-      request.StringOr("version", "e" + HexEpoch(snapshot->epoch()));
-  if (version.empty() || version == "." || version == ".." ||
-      version.find('/') != std::string::npos ||
-      version.find('\\') != std::string::npos) {
-    responder.Respond(
-        ErrorToJson(Status::InvalidArgument(
-                        "retrain \"version\" must be a single path "
-                        "component, got \"" + version + "\""))
-            .Serialize());
+      request.StringOr("version", "e" + Hex64(snapshot->epoch()));
+  const Status valid = CheckVersionComponent("retrain", version);
+  if (!valid.ok()) {
+    responder.Respond(ErrorToJson(valid).Serialize());
     return;
   }
 
@@ -421,24 +433,77 @@ void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
     responder.Respond(ErrorToJson(estimator.status()).Serialize());
     return;
   }
+  std::ostringstream models_out;
+  const Status saved = estimator->models().Save(models_out);
+  if (!saved.ok()) {
+    responder.Respond(ErrorToJson(saved).Serialize());
+    return;
+  }
+  const std::string models = models_out.str();
 
+  JsonValue out = PublishBundle(*snapshot, version, models);
+  if (out.BoolOr("ok", false)) {
+    out.Set("trained_avails",
+            JsonValue::Number(static_cast<double>(train_ids.size())));
+    if (request.BoolOr("ship_models", false)) {
+      // The exact models.txt bytes and the checksum the MANIFEST records:
+      // the router hands them to this shard's other replicas as `adopt`.
+      out.Set("models", JsonValue::String(models));
+      out.Set("models_checksum",
+              JsonValue::String(Hex64(BundleFileChecksum(models))));
+    }
+  }
+  responder.Respond(out.Serialize());
+}
+
+void ServeFrontend::RunAdopt(const JsonValue& request, Responder responder) {
+  // A shard peer's retrain, adopted instead of repeated. The epoch is
+  // content (DESIGN.md §14): a replica whose store is at the epoch the
+  // models were trained on holds the same tables in the same row order,
+  // so its own training would produce exactly these bytes. Any refusal or
+  // failure keeps the live bundle serving.
+  const auto snapshot = options_.store->Snapshot();
+  const std::string version = request.StringOr("version", "");
+  const JsonValue* models = request.Find("models");
+  Status valid = CheckVersionComponent("adopt", version);
+  if (valid.ok() && (models == nullptr || !models->is_string())) {
+    valid = Status::InvalidArgument("adopt needs a string \"models\"");
+  }
+  if (valid.ok()) {
+    const std::string epoch = Hex64(snapshot->epoch());
+    const std::string bundle_epoch = request.StringOr("bundle_epoch", "");
+    if (bundle_epoch != epoch) {
+      valid = Status::FailedPrecondition(
+          "adopt: models trained on epoch \"" + bundle_epoch +
+          "\" but this replica is at " + epoch);
+    } else if (request.StringOr("models_checksum", "") !=
+               Hex64(BundleFileChecksum(models->string_value()))) {
+      valid = Status::DataLoss("adopt: \"models\" do not match "
+                               "\"models_checksum\"");
+    }
+  }
+  if (!valid.ok()) {
+    responder.Respond(ErrorToJson(valid).Serialize());
+    return;
+  }
+  responder.Respond(
+      PublishBundle(*snapshot, version, models->string_value()).Serialize());
+}
+
+JsonValue ServeFrontend::PublishBundle(const DataSnapshot& snapshot,
+                                       const std::string& version,
+                                       const std::string& models_text) {
   const std::string dir = options_.retrain_root + "/" + version;
   std::error_code ec;
   std::filesystem::create_directories(options_.retrain_root, ec);
   if (ec) {
-    responder.Respond(
-        ErrorToJson(Status::IoError("cannot create retrain root " +
-                                    options_.retrain_root + ": " +
-                                    ec.message()))
-            .Serialize());
-    return;
+    return ErrorToJson(Status::IoError("cannot create retrain root " +
+                                       options_.retrain_root + ": " +
+                                       ec.message()));
   }
   const Status written =
-      ModelBundle::Write(*estimator, snapshot->data(), dir, version);
-  if (!written.ok()) {
-    responder.Respond(ErrorToJson(written).Serialize());
-    return;
-  }
+      ModelBundle::WriteModels(models_text, snapshot.data(), dir, version);
+  if (!written.ok()) return ErrorToJson(written);
   auto bundle = LoadBundleWithRetry(dir, options_.parallelism,
                                     options_.cache_bytes,
                                     options_.load_retry);
@@ -447,18 +512,15 @@ void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
     JsonValue out = ErrorToJson(bundle.status());
     out.Set("bundle_version",
             JsonValue::String(service_->bundle()->version()));
-    responder.Respond(out.Serialize());
-    return;
+    return out;
   }
   service_->SwapBundle(*bundle);
   JsonValue out = JsonValue::Object();
   out.Set("ok", JsonValue::Bool(true));
   out.Set("bundle_version", JsonValue::String((*bundle)->version()));
   out.Set("bundle_dir", JsonValue::String(dir));
-  out.Set("bundle_epoch", JsonValue::String(HexEpoch(snapshot->epoch())));
-  out.Set("trained_avails",
-          JsonValue::Number(static_cast<double>(train_ids.size())));
-  responder.Respond(out.Serialize());
+  out.Set("bundle_epoch", JsonValue::String(Hex64(snapshot.epoch())));
+  return out;
 }
 
 void ServeFrontend::Handle(std::string line, Responder responder) {
@@ -524,10 +586,15 @@ void ServeFrontend::Handle(std::string line, Responder responder) {
     responder.Respond(ErrorToJson(score.status()).Serialize());
     return;
   }
+  const auto ms = RequestDeadlineMs(*request);
+  if (!ms.ok()) {
+    responder.Respond(ErrorToJson(ms.status()).Serialize());
+    return;
+  }
   std::optional<PredictionService::Clock::time_point> deadline;
-  if (const auto ms = RequestDeadlineMs(*request); ms.has_value()) {
+  if (ms->has_value()) {
     deadline = start + std::chrono::microseconds(
-                           static_cast<std::int64_t>(*ms * 1000.0));
+                           static_cast<std::int64_t>(**ms * 1000.0));
   }
   service_->SubmitAsync(
       std::move(*score), deadline,

@@ -32,9 +32,10 @@ struct FrontendOptions {
   /// frontend). When set, the frontend registers the `ingest` and
   /// `freshness` verbs over it — and, when retrain_root is also set, the
   /// `retrain` verb that trains a fresh bundle from a consistent snapshot
-  /// and hot-swaps it through the usual swap machinery.
+  /// and hot-swaps it through the usual swap machinery, and the `adopt`
+  /// verb that publishes a shard peer's models trained on the same epoch.
   DataStore* store = nullptr;
-  /// Directory `retrain` writes new bundle versions under.
+  /// Directory `retrain` and `adopt` write new bundle versions under.
   std::string retrain_root;
   /// Optional ingest replication layer (not owned; must outlive the
   /// frontend; requires `store`). When set, the frontend registers the
@@ -69,8 +70,8 @@ enum class VerbPolicy {
 /// shard; worker verbs (swap/stage/ingest/freshness — blocking disk I/O,
 /// bounded retry, snapshot materialization) queue to a dedicated worker
 /// thread so they can never stall an event-loop shard; slow-worker verbs
-/// (retrain — a full training run) get their own thread so a long job
-/// never delays a queued durability ack or flip. `shutdown` responds
+/// (retrain — a full training run — and adopt) get their own thread so a
+/// long job never delays a queued durability ack or flip. `shutdown` responds
 /// through RespondThenStop, which stops the reactor only after the
 /// response line has drained. Requests with no `cmd` score: reference-
 /// fleet requests (`avail_id`) answer inline against one bundle snapshot,
@@ -87,7 +88,10 @@ enum class VerbPolicy {
 /// With a DataStore attached (DESIGN.md §14), `ingest` appends mutations
 /// durably, `freshness` reports the live bundle's data epoch against the
 /// store's, and `retrain` closes the loop: pin a snapshot, train, write a
-/// new bundle version, hot-swap.
+/// new bundle version, hot-swap. With `"ship_models": true` its answer also
+/// carries the models text and checksum, which `adopt` takes on another
+/// replica of the shard: a replica whose store is at the trained-on epoch
+/// writes those models over its own tables and swaps, without training.
 class ServeFrontend {
  public:
   /// A verb handler: answers the parsed request via `responder`, exactly
@@ -129,6 +133,14 @@ class ServeFrontend {
   void RunStage(const JsonValue& request, Responder responder);
   void RunIngest(const JsonValue& request, Responder responder);
   void RunRetrain(const JsonValue& request, Responder responder);
+  void RunAdopt(const JsonValue& request, Responder responder);
+  /// The write -> load -> swap tail `retrain` and `adopt` share: publishes
+  /// `models_text` over `snapshot`'s tables as <retrain_root>/<version>
+  /// and hot-swaps it. Returns the answer: ok with the new version, dir
+  /// and epoch, or the error (the live bundle keeps serving).
+  JsonValue PublishBundle(const DataSnapshot& snapshot,
+                          const std::string& version,
+                          const std::string& models_text);
 
   PredictionService* const service_;
   const FrontendOptions options_;
@@ -141,7 +153,7 @@ class ServeFrontend {
   std::condition_variable worker_available_;
   std::condition_variable slow_available_;
   std::deque<WorkerJob> worker_queue_;
-  std::deque<WorkerJob> slow_queue_;  ///< kSlowWorker jobs (retrain).
+  std::deque<WorkerJob> slow_queue_;  ///< kSlowWorker jobs (retrain, adopt).
   bool stopping_ = false;
   /// Staged bundles by their staged directory, kept loaded so the flip
   /// half of a rollout swaps without touching disk.

@@ -35,17 +35,6 @@ std::uint64_t Fnv1a(std::uint64_t hash, std::string_view text) {
   return hash;
 }
 
-/// Plain FNV-1a 64 over a file's raw bytes — the per-file checksum recorded
-/// in the MANIFEST and re-verified on every load.
-std::uint64_t FileChecksum(std::string_view bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 bool IsValidVersionTag(const std::string& version) {
   if (version.empty() || version.size() > 128) return false;
   return std::none_of(version.begin(), version.end(), [](char c) {
@@ -154,9 +143,26 @@ std::uint64_t ServingSchemaHash() {
   return hash;
 }
 
+std::uint64_t BundleFileChecksum(std::string_view bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
 Status ModelBundle::Write(const DomdEstimator& estimator, const Dataset& data,
                           const std::string& dir,
                           const std::string& version) {
+  std::ostringstream models_out;
+  DOMD_RETURN_IF_ERROR(estimator.models().Save(models_out));
+  return WriteModels(models_out.str(), data, dir, version);
+}
+
+Status ModelBundle::WriteModels(const std::string& models_text,
+                                const Dataset& data, const std::string& dir,
+                                const std::string& version) {
   if (!IsValidVersionTag(version)) {
     return Status::InvalidArgument(
         "bundle version must be a non-empty whitespace-free tag");
@@ -179,9 +185,6 @@ Status ModelBundle::Write(const DomdEstimator& estimator, const Dataset& data,
 
   const std::string avails_text = data.avails.ToCsv().Serialize();
   const std::string rccs_text = data.rccs.ToCsv().Serialize();
-  std::ostringstream models_out;
-  DOMD_RETURN_IF_ERROR(estimator.models().Save(models_out));
-  const std::string models_text = models_out.str();
 
   DOMD_RETURN_IF_ERROR(
       WriteFileDurable(staging + "/" + kAvailsName, avails_text));
@@ -196,12 +199,12 @@ Status ModelBundle::Write(const DomdEstimator& estimator, const Dataset& data,
   manifest << "schema_hash " << ServingSchemaHash() << "\n";
   manifest << "avails " << data.avails.size() << "\n";
   manifest << "rccs " << data.rccs.size() << "\n";
-  manifest << "checksum " << kAvailsName << " " << FileChecksum(avails_text)
+  manifest << "checksum " << kAvailsName << " "
+           << BundleFileChecksum(avails_text) << "\n";
+  manifest << "checksum " << kRccsName << " " << BundleFileChecksum(rccs_text)
            << "\n";
-  manifest << "checksum " << kRccsName << " " << FileChecksum(rccs_text)
-           << "\n";
-  manifest << "checksum " << kModelsName << " " << FileChecksum(models_text)
-           << "\n";
+  manifest << "checksum " << kModelsName << " "
+           << BundleFileChecksum(models_text) << "\n";
   DOMD_RETURN_IF_ERROR(
       WriteFileDurable(staging + "/" + kManifestName, manifest.str()));
   FsyncDirectory(staging);
@@ -256,7 +259,7 @@ Status CopyBundleDurable(const std::string& src_dir,
     if (!bytes.ok()) return bytes.status();
     const auto expected = checksums.find(name);
     if (expected != checksums.end() &&
-        FileChecksum(*bytes) != expected->second) {
+        BundleFileChecksum(*bytes) != expected->second) {
       return Status::DataLoss(src_dir + "/" + name +
                               ": checksum mismatch during staging copy");
     }
@@ -347,11 +350,11 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
       }
       return bytes.status();
     }
-    if (has_checksums && FileChecksum(*bytes) != checksums[name]) {
+    if (has_checksums && BundleFileChecksum(*bytes) != checksums[name]) {
       return Status::DataLoss(
           dir + "/" + name + ": checksum mismatch (manifest " +
           std::to_string(checksums[name]) + ", file " +
-          std::to_string(FileChecksum(*bytes)) +
+          std::to_string(BundleFileChecksum(*bytes)) +
           ") — bundle is torn or corrupt");
     }
     payload[name] = std::move(*bytes);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/retry.h"
@@ -66,11 +67,19 @@ std::uint64_t ServingSchemaHash();
 /// Legacy v1 manifests (no checksums) still load, skipping verification.
 class ModelBundle {
  public:
-  /// Writes `estimator` (trained over `data`) as a bundle directory.
-  /// `version` must be a non-empty whitespace-free tag (e.g. "v7" or a
-  /// content hash); it comes back verbatim in every prediction.
+  /// Writes `estimator` (trained over `data`) as a bundle directory:
+  /// serializes its model set and calls WriteModels.
   static Status Write(const DomdEstimator& estimator, const Dataset& data,
                       const std::string& dir, const std::string& version);
+
+  /// The one bundle writer: publishes `models_text` (a TimelineModelSet
+  /// serialization) with `data` as its reference fleet. `version` must be
+  /// a non-empty whitespace-free tag (e.g. "v7" or a content hash); it
+  /// comes back verbatim in every prediction. A replica adopting a shard
+  /// peer's retrain writes the shipped text over its own tables here.
+  static Status WriteModels(const std::string& models_text,
+                            const Dataset& data, const std::string& dir,
+                            const std::string& version);
 
   /// Loads a bundle directory: manifest + schema-compatibility check,
   /// reference tables, model stack (features for the reference fleet come
@@ -148,6 +157,10 @@ class ModelBundle {
   /// reference point reads a prefix instead of predicting every step.
   std::vector<std::vector<double>> reference_steps_;
 };
+
+/// The per-file checksum a bundle MANIFEST records (FNV-1a 64 over the
+/// raw bytes).
+std::uint64_t BundleFileChecksum(std::string_view bytes);
 
 /// Crash-safe bundle distribution: copies the published bundle at
 /// `src_dir` into `dest_dir` through the same staging protocol as

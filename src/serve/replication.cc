@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "fault/fault.h"
@@ -57,9 +58,14 @@ JsonValue SeqNumber(std::uint64_t seq) {
   return JsonValue::Number(static_cast<double>(seq));
 }
 
-std::uint64_t SeqOf(const JsonValue& request, const std::string& key) {
-  const double value = request.NumberOr(key, 0.0);
-  return value <= 0 ? 0 : static_cast<std::uint64_t>(value);
+/// A sequence member: 0 when absent or null, else an integer in [0, 2^63)
+/// checked before the cast — kInvalidArgument for 2.5, -1 or 1e300, which
+/// a cast would truncate, clamp or make undefined.
+StatusOr<std::uint64_t> SeqOf(const JsonValue& message,
+                              const std::string& key) {
+  auto seq = IntegerMember(message, key, 0, 0);
+  if (!seq.ok()) return seq.status();
+  return static_cast<std::uint64_t>(*seq);
 }
 
 }  // namespace
@@ -215,7 +221,9 @@ Status ReplicationManager::PullSnapshot(const cluster::Endpoint& endpoint) {
   }
   auto rows = DecodePayloads(response->Find("rows"));
   if (!rows.ok()) return rows.status();
-  return store_->InstallSnapshot(*rows, SeqOf(*response, "last_seq"),
+  auto snap_seq = SeqOf(*response, "last_seq");
+  if (!snap_seq.ok()) return snap_seq.status();
+  return store_->InstallSnapshot(*rows, *snap_seq,
                                  ParseHexChain(
                                      response->StringOr("chain", "0")));
 }
@@ -249,10 +257,11 @@ Status ReplicationManager::SyncFromPeers() {
       if (response->BoolOr("snapshot", false)) {
         auto rows = DecodePayloads(response->Find("rows"));
         if (!rows.ok()) return rows.status();
-        const std::uint64_t snap_seq = SeqOf(*response, "last_seq");
-        if (snap_seq <= store_->last_seq()) break;  // no forward progress.
+        auto snap_seq = SeqOf(*response, "last_seq");
+        if (!snap_seq.ok()) return snap_seq.status();
+        if (*snap_seq <= store_->last_seq()) break;  // no forward progress.
         DOMD_RETURN_IF_ERROR(store_->InstallSnapshot(
-            *rows, snap_seq,
+            *rows, *snap_seq,
             ParseHexChain(response->StringOr("chain", "0"))));
         NoteCatchup();
         made_progress = true;
@@ -261,8 +270,10 @@ Status ReplicationManager::SyncFromPeers() {
       auto records = DecodePayloads(response->Find("records"));
       if (!records.ok()) return records.status();
       if (records->empty()) break;
-      const Status applied = store_->ApplyReplicated(
-          SeqOf(*response, "first_seq"), *records, nullptr);
+      auto first_seq = SeqOf(*response, "first_seq");
+      if (!first_seq.ok()) return first_seq.status();
+      const Status applied =
+          store_->ApplyReplicated(*first_seq, *records, nullptr);
       if (!applied.ok()) {
         if (applied.code() != StatusCode::kDataLoss) return applied;
         // Our history diverged from this peer's below the chain anchor:
@@ -358,13 +369,14 @@ bool ReplicationManager::SendBatch(std::size_t peer_index,
   // eats the acknowledgement — the sender must fall back to catch-up,
   // which deduplicates by sequence on redelivery.
   if (!DOMD_FAULT_POINT("repl.ack").Check().ok()) return false;
-  const std::uint64_t peer_last = SeqOf(*response, "last_seq");
+  const auto peer_last = SeqOf(*response, "last_seq");
+  if (!peer_last.ok()) return false;
   if (response->BoolOr("ok", false)) {
-    RecordAck(peer_index, peer_last);
+    RecordAck(peer_index, *peer_last);
     return true;
   }
   if (response->BoolOr("need_catchup", false)) {
-    RecordAck(peer_index, peer_last);  // learn its true position.
+    RecordAck(peer_index, *peer_last);  // learn its true position.
   }
   return false;
 }
@@ -381,9 +393,12 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
   std::uint64_t next = 0;
   std::uint64_t peer_chain = 0;
   bool peer_chain_known = false;
-  const auto note_position = [&](const JsonValue& response) {
-    const std::uint64_t peer_last = SeqOf(response, "last_seq");
-    RecordAck(peer_index, peer_last);
+  // The peer's (seq, chain) position; nullopt when its seq is malformed.
+  const auto note_position =
+      [&](const JsonValue& response) -> std::optional<std::uint64_t> {
+    const auto peer_last = SeqOf(response, "last_seq");
+    if (!peer_last.ok()) return std::nullopt;
+    RecordAck(peer_index, *peer_last);
     if (const JsonValue* chain = response.Find("chain");
         chain != nullptr && chain->is_string()) {
       peer_chain = ParseHexChain(chain->string_value());
@@ -391,7 +406,7 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
     } else {
       peer_chain_known = false;
     }
-    return peer_last;
+    return *peer_last;
   };
   {
     if (!DOMD_FAULT_POINT("repl.send").Check().ok()) return false;
@@ -401,7 +416,9 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
     probe.Set("records", JsonValue::Array());
     auto response = RpcJson(endpoint, probe);
     if (!response.ok()) return false;
-    next = note_position(*response) + 1;
+    const auto peer_last = note_position(*response);
+    if (!peer_last.has_value()) return false;
+    next = *peer_last + 1;
   }
   bool transferred = false;
   for (;;) {
@@ -433,9 +450,10 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
     if (!response.ok()) return false;
     if (!DOMD_FAULT_POINT("repl.ack").Check().ok()) return false;
     if (response->BoolOr("ok", false)) {
-      const std::uint64_t peer_last = note_position(*response);
-      if (peer_last < next) return false;  // no forward progress.
-      next = peer_last + 1;
+      const auto peer_last = note_position(*response);
+      // No forward progress (or a malformed position).
+      if (!peer_last.has_value() || *peer_last < next) return false;
+      next = *peer_last + 1;
       transferred = true;
       continue;
     }
@@ -452,15 +470,19 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
       install.Set("chain", JsonValue::String(HexChain(snapshot->chain)));
       auto installed = RpcJson(endpoint, install);
       if (!installed.ok() || !installed->BoolOr("ok", false)) return false;
-      next = note_position(*installed) + 1;
+      const auto peer_last = note_position(*installed);
+      if (!peer_last.has_value()) return false;
+      next = *peer_last + 1;
       transferred = true;
       continue;
     }
     if (response->BoolOr("need_catchup", false)) {
       (void)note_position(*response);  // learn its true (seq, chain).
-      const std::uint64_t next_seq = SeqOf(*response, "next_seq");
-      if (next_seq == 0 || next_seq == next) return false;  // stuck.
-      next = next_seq;
+      const auto next_seq = SeqOf(*response, "next_seq");
+      if (!next_seq.ok() || *next_seq == 0 || *next_seq == next) {
+        return false;  // stuck.
+      }
+      next = *next_seq;
       continue;
     }
     return false;  // hard application error on the peer.
@@ -535,9 +557,10 @@ JsonValue ReplicationManager::HandleReplicate(const JsonValue& request) {
   if (request.BoolOr("snapshot", false)) {
     auto rows = DecodePayloads(request.Find("rows"));
     if (!rows.ok()) return ErrorToJson(rows.status());
-    const std::uint64_t snap_seq = SeqOf(request, "last_seq");
+    const auto snap_seq = SeqOf(request, "last_seq");
+    if (!snap_seq.ok()) return ErrorToJson(snap_seq.status());
     const Status installed = store_->InstallSnapshot(
-        *rows, snap_seq, ParseHexChain(request.StringOr("chain", "0")));
+        *rows, *snap_seq, ParseHexChain(request.StringOr("chain", "0")));
     if (!installed.ok()) return ErrorToJson(installed);
     // Counted where the data landed, not only on the pusher: if the ack
     // for this install is lost in flight, the primary's retry finds us
@@ -553,14 +576,15 @@ JsonValue ReplicationManager::HandleReplicate(const JsonValue& request) {
     out.Set("chain", JsonValue::String(HexChain(chain)));
     return out;
   }
-  const std::uint64_t first_seq = SeqOf(request, "first_seq");
-  if (first_seq == 0) {
+  const auto first_seq = SeqOf(request, "first_seq");
+  if (!first_seq.ok()) return ErrorToJson(first_seq.status());
+  if (*first_seq == 0) {
     return ErrorToJson(
         Status::InvalidArgument("replicate needs \"first_seq\" >= 1"));
   }
   auto records = DecodePayloads(request.Find("records"));
   if (!records.ok()) return ErrorToJson(records.status());
-  const Status applied = store_->ApplyReplicated(first_seq, *records);
+  const Status applied = store_->ApplyReplicated(*first_seq, *records);
   // Every answer carries the local (last_seq, chain) position as one
   // consistent pair: the sender anchors its next TailFrom on it, and the
   // chain is what lets a primary detect that this replica's record at
@@ -590,7 +614,12 @@ JsonValue ReplicationManager::HandleReplicate(const JsonValue& request) {
 }
 
 JsonValue ReplicationManager::HandleCatchup(const JsonValue& request) {
-  const std::uint64_t from_seq = SeqOf(request, "from_seq");
+  const auto from_seq = SeqOf(request, "from_seq");
+  if (!from_seq.ok()) return ErrorToJson(from_seq.status());
+  const auto max_records = IntegerMember(
+      request, "max_records",
+      static_cast<std::int64_t>(options_.catchup_batch), 0);
+  if (!max_records.ok()) return ErrorToJson(max_records.status());
   std::uint64_t have_chain = 0;
   const std::uint64_t* have_chain_ptr = nullptr;
   if (const JsonValue* chain = request.Find("have_chain");
@@ -598,10 +627,8 @@ JsonValue ReplicationManager::HandleCatchup(const JsonValue& request) {
     have_chain = ParseHexChain(chain->string_value());
     have_chain_ptr = &have_chain;
   }
-  const auto max_records = static_cast<std::size_t>(
-      request.NumberOr("max_records",
-                       static_cast<double>(options_.catchup_batch)));
-  auto tail = store_->TailFrom(from_seq, have_chain_ptr, max_records);
+  auto tail = store_->TailFrom(*from_seq, have_chain_ptr,
+                               static_cast<std::size_t>(*max_records));
   if (!tail.ok()) return ErrorToJson(tail.status());
   NoteCatchup();
   JsonValue out = JsonValue::Object();

@@ -11,6 +11,7 @@ constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
 constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+constexpr double kMaxDeadlineMs = 86'400'000.0;  // one day.
 
 StatusOr<Date> DateMember(const JsonValue& object, const std::string& key,
                           bool required) {
@@ -260,10 +261,14 @@ StatusOr<ScoreRequest> ParseScoreRequest(const JsonValue& request) {
   return score;
 }
 
-std::optional<double> RequestDeadlineMs(const JsonValue& request) {
+StatusOr<std::optional<double>> RequestDeadlineMs(const JsonValue& request) {
   const double ms = request.NumberOr("deadline_ms", 0);
-  if (ms > 0) return ms;
-  return std::nullopt;
+  if (ms > kMaxDeadlineMs) {
+    return Status::InvalidArgument(
+        "member \"deadline_ms\" must be at most 86400000 (one day)");
+  }
+  if (ms > 0) return std::optional<double>(ms);
+  return std::optional<double>();
 }
 
 JsonValue PredictionToJson(const ServePrediction& prediction,

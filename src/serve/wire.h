@@ -76,8 +76,10 @@ StatusOr<std::vector<IngestMutation>> ParseIngestMutations(
 /// IntegerMember; a negative "top_k" is rejected, as on a point request.
 StatusOr<ScoreRequest> ParseScoreRequest(const JsonValue& request);
 
-/// The request's "deadline_ms" member, if present and positive.
-std::optional<double> RequestDeadlineMs(const JsonValue& request);
+/// The request's "deadline_ms" member, if present and positive;
+/// kInvalidArgument above one day (1e300 would overflow the microsecond
+/// clock offset it becomes).
+StatusOr<std::optional<double>> RequestDeadlineMs(const JsonValue& request);
 
 /// Renders a successful prediction (latency measured by the caller).
 JsonValue PredictionToJson(const ServePrediction& prediction,

@@ -73,6 +73,28 @@ TEST(HostMapTest, RejectsStructuralErrors) {
           .ok());
 }
 
+// Shard ids and vnodes are integers checked before the cast, which would
+// truncate 1.5 to shard 1 and wrap 1e12 into an arbitrary int.
+TEST(HostMapTest, RejectsNonIntegralOrOutOfRangeIntegers) {
+  for (const char* spec :
+       {R"({"shards": [{"id": 1.5, "replicas": ["127.0.0.1:7501"]}]})",
+        R"({"shards": [{"id": 1e12, "replicas": ["127.0.0.1:7501"]}]})",
+        R"({"shards": [{"id": -1e300, "replicas": ["127.0.0.1:7501"]}]})",
+        R"({"vnodes": 2.5, "shards": [{"id": 0, "replicas": ["h:1"]}]})",
+        R"({"vnodes": 1e300, "shards": [{"id": 0, "replicas": ["h:1"]}]})",
+        R"({"vnodes": 0, "shards": [{"id": 0, "replicas": ["h:1"]}]})"}) {
+    const auto map = HostMap::Parse(spec);
+    ASSERT_FALSE(map.ok()) << spec;
+    EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  // An integral double is an integer.
+  const auto map = HostMap::Parse(
+      R"({"vnodes": 8.0, "shards": [{"id": 3.0, "replicas": ["h:1"]}]})");
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  EXPECT_EQ(map->shards().front().id, 3);
+  EXPECT_EQ(map->ring().vnodes_per_shard(), 8u);
+}
+
 TEST(HostMapTest, OwnerIndexAgreesWithRing) {
   auto map = HostMap::Parse(kSpec);
   ASSERT_TRUE(map.ok());

@@ -1,16 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cctype>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/timeline.h"
 #include "data/logical_time.h"
 #include "eval/cross_validation.h"
 #include "features/feature_engineer.h"
-#include "ml/gbt.h"
+#include "select/selectors.h"
 #include "synth/generator.h"
 
 namespace domd {
@@ -94,47 +96,74 @@ TEST(ParallelDeterminismTest, FeatureTensorBitIdenticalOnRowSubset) {
   }
 }
 
-std::string FitAndSerialize(const Matrix& x, const std::vector<double>& y,
-                            SplitMethod method, int threads) {
-  GbtParams params;
-  params.num_rounds = 25;
-  params.tree.max_depth = 4;
-  params.tree.split_method = method;
-  params.tree.num_threads = threads;
-  GbtRegressor model(params);
-  const Status status = model.Fit(x, y);
-  EXPECT_TRUE(status.ok()) << status;
-  std::ostringstream out;
-  model.Save(out);
-  return out.str();
-}
+/// (architecture, model family, selector) of one timeline fit.
+using TimelineFitParam =
+    std::tuple<Architecture, ModelFamily, SelectionMethod>;
 
-class GbtDeterminismTest : public ::testing::TestWithParam<SplitMethod> {};
+class TimelineFitDeterminismTest
+    : public ::testing::TestWithParam<TimelineFitParam> {};
 
-TEST_P(GbtDeterminismTest, SerializedModelIdenticalAcrossThreadCounts) {
-  const Dataset data = SeededFleet();
-  const std::vector<std::int64_t> ids = AllIds(data);
-  const std::vector<double> grid = LogicalTimeGrid(25.0);
+// TimelineModelSet::Fit runs its steps in parallel, each step's selection
+// and fit serial inside it: the serialized set must equal the serial fit's
+// at every thread count, for every architecture, family and selector.
+TEST_P(TimelineFitDeterminismTest, SerializedSetIdenticalAcrossThreadCounts) {
+  // A small fleet at the 25% grid (5 steps) keeps the RFE cases, which
+  // refit a GBT over the whole catalog, to about a second each.
+  SynthConfig fleet;
+  fleet.seed = 42;
+  fleet.num_avails = 30;
+  fleet.mean_rccs_per_avail = 40;
+  const Dataset data = GenerateDataset(fleet);
   const FeatureEngineer engineer(&data);
-  const ModelingView view = BuildModelingView(data, engineer, ids, grid);
-  const Matrix& x = view.dynamic.slice(2);
+  const ModelingView view = BuildModelingView(data, engineer, AllIds(data),
+                                              LogicalTimeGrid(25.0));
+  std::vector<std::string> names;
+  for (const FeatureDef& def : engineer.catalog().features()) {
+    names.push_back(def.name);
+  }
 
-  const std::string serial = FitAndSerialize(x, view.labels, GetParam(), 1);
+  PipelineConfig config;
+  std::tie(config.architecture, config.model_family, config.selection) =
+      GetParam();
+  config.num_features = 12;
+  config.gbt.num_rounds = 10;
+  const auto fit = [&](int threads) {
+    config.parallelism.num_threads = threads;
+    TimelineModelSet models;
+    const Status status = models.Fit(config, view, names);
+    EXPECT_TRUE(status.ok()) << status;
+    EXPECT_EQ(models.num_steps(), view.num_steps());
+    std::ostringstream out;
+    EXPECT_TRUE(models.Save(out).ok());
+    return out.str();
+  };
+
+  const std::string serial = fit(1);
   ASSERT_FALSE(serial.empty());
-  for (int threads : kThreadCounts) {
-    EXPECT_EQ(FitAndSerialize(x, view.labels, GetParam(), threads), serial)
-        << "threads=" << threads;
+  for (int threads : {2, 4, 8}) {
+    EXPECT_EQ(fit(threads), serial) << "threads=" << threads;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SplitMethods, GbtDeterminismTest,
-                         ::testing::Values(SplitMethod::kExact,
-                                           SplitMethod::kHistogram),
-                         [](const auto& info) {
-                           return info.param == SplitMethod::kExact
-                                      ? "Exact"
-                                      : "Histogram";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    ArchitectureFamilySelector, TimelineFitDeterminismTest,
+    ::testing::Combine(::testing::Values(Architecture::kNonStacked,
+                                         Architecture::kStacked),
+                       ::testing::Values(ModelFamily::kGbt,
+                                         ModelFamily::kElasticNet),
+                       ::testing::ValuesIn(kAllSelectionMethods)),
+    [](const ::testing::TestParamInfo<TimelineFitParam>& info) {
+      std::string name =
+          std::string(std::get<0>(info.param) == Architecture::kStacked
+                          ? "Stacked"
+                          : "NonStacked") +
+          "_" + ModelFamilyToString(std::get<1>(info.param)) + "_" +
+          SelectionMethodToString(std::get<2>(info.param));
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 TEST(ParallelDeterminismTest, CrossValidationMetricsIdenticalAcrossThreads) {
   const Dataset data = SeededFleet();

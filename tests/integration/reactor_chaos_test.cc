@@ -8,10 +8,12 @@
 // round-trips doubles exactly, so equality is exact, not approximate).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -205,6 +207,28 @@ TEST(ReactorChaosTest, PointRequestsRejectNonIntegralOrOutOfRangeIntegers) {
   };
   EXPECT_EQ(answer("{\"avail_id\": " + id + ".0, \"top_k\": 3.0}"),
             answer("{\"avail_id\": " + id + ", \"top_k\": 3}"));
+}
+
+// A detached request's deadline becomes a microsecond clock offset: a
+// "deadline_ms" beyond one day (1e300 overflowed the cast) answers
+// INVALID_ARGUMENT, and a sane one still scores.
+TEST(ReactorChaosTest, DetachedRequestRejectsOutOfRangeDeadline) {
+  const auto& fixture = GetServeFixture();
+  WireServer server(fixture.v1);
+  TestClient client = TestClient::Connect(server.port());
+  ASSERT_TRUE(client.connected());
+  std::string body = kDetachedRequest;
+  body.pop_back();  // reopen the object to append a member.
+
+  for (const char* deadline : {"1e300", "1e17", "86400001"}) {
+    const JsonValue response =
+        Rpc(client, body + ", \"deadline_ms\": " + deadline + "}");
+    EXPECT_FALSE(response.BoolOr("ok", true)) << deadline;
+    EXPECT_EQ(response.StringOr("code", ""), "INVALID_ARGUMENT") << deadline;
+  }
+  const JsonValue scored =
+      Rpc(client, body + ", \"deadline_ms\": 60000}");
+  EXPECT_TRUE(scored.BoolOr("ok", false)) << scored.Serialize();
 }
 
 TEST(ReactorChaosTest, InjectedAcceptFaultDegradesThatConnectionOnly) {
@@ -464,6 +488,93 @@ TEST(ReactorIngestTest, RetrainRejectsMultiComponentVersionAndFreshnessAnswers) 
   EXPECT_FALSE(fresh.BoolOr("stale", true));
   EXPECT_EQ(fresh.StringOr("bundle_epoch", "b"),
             fresh.StringOr("store_epoch", "s"));
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// `adopt` publishes a shard peer's retrained models only at the epoch they
+// were trained on: a bad version or non-string models answer
+// INVALID_ARGUMENT, another epoch FAILED_PRECONDITION and a checksum
+// mismatch DATA_LOSS, each leaving the live bundle serving. The right
+// epoch and checksum publish exactly the shipped bytes.
+TEST(ReactorIngestTest, AdoptChecksVersionModelsEpochAndChecksum) {
+  const auto& fixture = GetServeFixture();
+  auto store = DataStore::Open(fixture.v1->data());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const std::string root = ::testing::TempDir() + "/domd_rchaos_adopt." +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(root);
+  FrontendOptions frontend_options;
+  frontend_options.store = store->get();
+  frontend_options.retrain_root = root;
+  WireServer server(fixture.v1, {}, frontend_options);
+  TestClient client = TestClient::Connect(server.port());
+  ASSERT_TRUE(client.connected());
+
+  // Shipped models are the exact models.txt bytes the trainer wrote.
+  const JsonValue trained = Rpc(
+      client, R"({"cmd": "retrain", "version": "t1", "ship_models": true})");
+  ASSERT_TRUE(trained.BoolOr("ok", false)) << trained.Serialize();
+  const std::string models = trained.StringOr("models", "");
+  const std::string checksum = trained.StringOr("models_checksum", "");
+  const std::string epoch = trained.StringOr("bundle_epoch", "");
+  ASSERT_FALSE(models.empty());
+  EXPECT_EQ(models, ReadFile(root + "/t1/models.txt"));
+  // A plain retrain ships nothing.
+  const JsonValue plain =
+      Rpc(client, R"({"cmd": "retrain", "version": "t2"})");
+  ASSERT_TRUE(plain.BoolOr("ok", false));
+  EXPECT_EQ(plain.Find("models"), nullptr);
+  EXPECT_EQ(plain.Find("models_checksum"), nullptr);
+
+  const auto adopt = [&](const std::string& version, JsonValue shipped,
+                         const std::string& at_epoch,
+                         const std::string& sum) {
+    JsonValue request = JsonValue::Object();
+    request.Set("cmd", JsonValue::String("adopt"));
+    request.Set("version", JsonValue::String(version));
+    request.Set("bundle_epoch", JsonValue::String(at_epoch));
+    request.Set("models", std::move(shipped));
+    request.Set("models_checksum", JsonValue::String(sum));
+    return Rpc(client, request.Serialize());
+  };
+  const JsonValue text = JsonValue::String(models);
+  const struct {
+    JsonValue response;
+    const char* code;
+  } refusals[] = {
+      {adopt("../outside", text, epoch, checksum), "INVALID_ARGUMENT"},
+      {adopt("", text, epoch, checksum), "INVALID_ARGUMENT"},
+      {adopt("a0", JsonValue::Number(7), epoch, checksum),
+       "INVALID_ARGUMENT"},
+      {adopt("a0", text, "0000000000000000", checksum),
+       "FAILED_PRECONDITION"},
+      {adopt("a0", text, epoch, "0000000000000000"), "DATA_LOSS"},
+  };
+  for (const auto& refusal : refusals) {
+    EXPECT_FALSE(refusal.response.BoolOr("ok", true));
+    EXPECT_EQ(refusal.response.StringOr("code", ""), refusal.code)
+        << refusal.response.Serialize();
+  }
+  EXPECT_FALSE(std::filesystem::exists(root + "/a0"));
+  EXPECT_EQ(Rpc(client, R"({"cmd": "ping"})").StringOr("bundle_version", ""),
+            "t2");
+
+  const JsonValue adopted = adopt("a1", text, epoch, checksum);
+  ASSERT_TRUE(adopted.BoolOr("ok", false)) << adopted.Serialize();
+  EXPECT_EQ(adopted.StringOr("bundle_version", ""), "a1");
+  EXPECT_EQ(adopted.StringOr("bundle_epoch", ""), epoch);
+  for (const char* name : {"models.txt", "avails.csv", "rccs.csv"}) {
+    EXPECT_EQ(ReadFile(root + "/a1/" + name), ReadFile(root + "/t1/" + name))
+        << name;
+  }
+  EXPECT_EQ(Rpc(client, R"({"cmd": "ping"})").StringOr("bundle_version", ""),
+            "a1");
+  std::filesystem::remove_all(root);
 }
 
 TEST(ReactorChaosTest, ArmedButDisabledReactorFaultsChangeNothing) {

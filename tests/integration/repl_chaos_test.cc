@@ -17,6 +17,8 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "cluster/host_map.h"
+#include "cluster/router.h"
 #include "fault/fault.h"
 #include "ingest/data_store.h"
 #include "ingest/ingest_log.h"
@@ -183,6 +186,7 @@ struct ReplReplica {
     FrontendOptions options;
     options.store = store.get();
     options.repl = repl.get();
+    options.retrain_root = dir + "/retrain";
     frontend = std::make_unique<ServeFrontend>(service.get(), options);
     serving.store(frontend.get());
     return true;
@@ -299,6 +303,9 @@ class ReplCluster {
   }
 
   int port(std::size_t index) const { return replicas_[index]->port; }
+  const std::string& replica_dir(std::size_t index) const {
+    return replicas_[index]->dir;
+  }
   DataStore* store(std::size_t index) const {
     return replicas_[index]->store.get();
   }
@@ -643,6 +650,254 @@ TEST(ReplRegressionTest, WireIdentityWithoutReplication) {
       "{\"cmd\":\"replicate\",\"first_seq\":5,\"records\":[]}");
   EXPECT_TRUE(repl_probe.BoolOr("ok", false));
   EXPECT_EQ(repl_probe.NumberOr("last_seq", 0), 4.0);
+}
+
+// ---------------------------------------------------------------------------
+// Sequence members are integers checked before the cast: a fractional,
+// negative or overflowing from_seq / first_seq / max_records answers
+// INVALID_ARGUMENT over the wire instead of being truncated (2.5 -> 2),
+// clamped (-1 -> 0, a snapshot request) or cast with undefined behavior
+// (1e300).
+// ---------------------------------------------------------------------------
+
+TEST(ReplRegressionTest, RejectsNonIntegralSequenceMembers) {
+  auto cluster = ReplCluster::Start(1, /*quorum=*/1);
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(IngestUntilAcked(cluster->port(0), IngestLine(9500, 2)));
+
+  for (const std::string& bad :
+       {std::string(R"({"cmd":"catchup","from_seq":2.5})"),
+        std::string(R"({"cmd":"catchup","from_seq":-1})"),
+        std::string(R"({"cmd":"catchup","from_seq":1e300})"),
+        std::string(R"({"cmd":"catchup","from_seq":1,"max_records":-1})"),
+        std::string(R"({"cmd":"catchup","from_seq":1,"max_records":1e300})"),
+        std::string(R"({"cmd":"replicate","first_seq":2.5,"records":[]})"),
+        std::string(R"({"cmd":"replicate","first_seq":-1,"records":[]})"),
+        std::string(R"({"cmd":"replicate","first_seq":1e300,"records":[]})"),
+        std::string(R"({"cmd":"replicate","snapshot":true,"rows":[],)"
+                    R"("last_seq":2.5,"chain":"0"})")}) {
+    const JsonValue response = ParsedRpc(cluster->port(0), bad);
+    EXPECT_FALSE(response.BoolOr("ok", true)) << bad;
+    EXPECT_EQ(response.StringOr("code", ""), "INVALID_ARGUMENT") << bad;
+  }
+  // Integral doubles are integers: the store is untouched and catch-up
+  // still answers.
+  const JsonValue tail = ParsedRpc(
+      cluster->port(0), R"({"cmd":"catchup","from_seq":1.0,"max_records":8})");
+  EXPECT_TRUE(tail.BoolOr("ok", false)) << tail.Serialize();
+  EXPECT_EQ(tail.NumberOr("last_seq", 0), 4.0);
+  EXPECT_EQ(cluster->store(0)->last_seq(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Train once per shard (DESIGN.md §14): behind a ClusterRouter, `retrain`
+// trains on one replica of each shard and the others adopt its models for
+// the trained-on epoch — or retrain themselves when their data differs.
+// ---------------------------------------------------------------------------
+
+/// A ClusterRouter on its own reactor over `shards` (replica ports per
+/// shard, shard ids 0..n-1). The prober is off, so each shard's preference
+/// order is its spec order.
+struct RouterFront {
+  std::unique_ptr<cluster::ClusterRouter> router;
+  std::unique_ptr<Reactor> reactor;
+  int port = 0;
+
+  static std::unique_ptr<RouterFront> Start(
+      const std::vector<std::vector<int>>& shards) {
+    std::vector<cluster::ShardSpec> specs;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      cluster::ShardSpec spec;
+      spec.id = static_cast<int>(s);
+      for (const int port : shards[s]) {
+        spec.replicas.push_back({"127.0.0.1", port});
+      }
+      specs.push_back(std::move(spec));
+    }
+    auto host_map = cluster::HostMap::Create(std::move(specs));
+    if (!host_map.ok()) return nullptr;
+    cluster::RouterOptions options;
+    options.workers = 2;
+    options.start_prober = false;
+    auto front = std::make_unique<RouterFront>();
+    front->router = std::make_unique<cluster::ClusterRouter>(
+        std::move(*host_map), options);
+    ReactorOptions reactor_options;
+    reactor_options.port = 0;
+    reactor_options.num_shards = 1;
+    cluster::ClusterRouter* router = front->router.get();
+    auto reactor = Reactor::Create(
+        reactor_options, [router](std::string line, Responder responder) {
+          router->Handle(std::move(line), std::move(responder));
+        });
+    if (!reactor.ok()) return nullptr;
+    front->reactor = std::move(*reactor);
+    front->port = front->reactor->port();
+    return front;
+  }
+};
+
+/// The "retrained" entries of a router retrain answer.
+std::vector<JsonValue> RetrainedEntries(const JsonValue& response) {
+  const JsonValue* retrained = response.Find("retrained");
+  if (retrained == nullptr || !retrained->is_array()) return {};
+  return retrained->items();
+}
+
+std::size_t CountTrained(const std::vector<JsonValue>& entries) {
+  std::size_t trained = 0;
+  for (const JsonValue& entry : entries) {
+    if (entry.BoolOr("trained", false)) ++trained;
+  }
+  return trained;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A point answer with its per-request latency removed.
+std::string PointBytes(int port, std::int64_t avail_id) {
+  const JsonValue answer = ParsedRpc(
+      port, "{\"avail_id\": " + std::to_string(avail_id) +
+                ", \"t_star\": 60, \"top_k\": 3}");
+  JsonValue stripped = JsonValue::Object();
+  for (const auto& [key, value] : answer.members()) {
+    if (key != "latency_ms") stripped.Set(key, value);
+  }
+  return stripped.Serialize();
+}
+
+/// Avails whose points the tests compare: a few of the fixture fleet's
+/// plus every streamed one.
+std::vector<std::int64_t> PointIds(const std::vector<std::int64_t>& streamed) {
+  std::vector<std::int64_t> ids = streamed;
+  const auto& rows = GetServeFixture().pipeline.data.avails.rows();
+  for (std::size_t i = 0; i < rows.size() && i < 4; ++i) {
+    ids.push_back(rows[i].id);
+  }
+  return ids;
+}
+
+TEST(ReplRouterTest, RetrainTrainsOncePerShardAndAdoptersMatchTheTrainer) {
+  auto cluster = ReplCluster::Start(2, /*quorum=*/2);
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(IngestUntilAcked(cluster->port(0), IngestLine(9600, 3)));
+  ASSERT_TRUE(WaitFor([&] { return cluster->Converged({0, 1}); },
+                      std::chrono::milliseconds(10000)));
+  auto front = RouterFront::Start({{cluster->port(0), cluster->port(1)}});
+  ASSERT_NE(front, nullptr);
+
+  const JsonValue response =
+      ParsedRpc(front->port, R"({"cmd":"retrain","version":"r1"})");
+  ASSERT_TRUE(response.BoolOr("ok", false)) << response.Serialize();
+  const std::vector<JsonValue> entries = RetrainedEntries(response);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(CountTrained(entries), 1u) << response.Serialize();
+  for (const JsonValue& entry : entries) {
+    EXPECT_TRUE(entry.BoolOr("ok", false));
+    EXPECT_EQ(entry.StringOr("bundle_version", ""), "r1");
+    EXPECT_EQ(entry.Find("models"), nullptr);  // the router keeps them.
+  }
+
+  // The adopter's bundle directory is what its own training would have
+  // written: every file, MANIFEST included, equals the trainer's.
+  for (const char* name :
+       {"MANIFEST", "models.txt", "avails.csv", "rccs.csv"}) {
+    const std::string trainer =
+        FileBytes(cluster->replica_dir(0) + "/retrain/r1/" + name);
+    ASSERT_FALSE(trainer.empty()) << name;
+    EXPECT_EQ(FileBytes(cluster->replica_dir(1) + "/retrain/r1/" + name),
+              trainer)
+        << name;
+  }
+
+  // Routed and direct points agree byte for byte (latency aside), on
+  // both replicas, for fleet and streamed avails alike.
+  for (const std::int64_t id : PointIds(IdsOf(9600, 3))) {
+    const std::string routed = PointBytes(front->port, id);
+    EXPECT_NE(routed.find("\"bundle_version\":\"r1\""), std::string::npos)
+        << routed;
+    EXPECT_EQ(PointBytes(cluster->port(0), id), routed) << id;
+    EXPECT_EQ(PointBytes(cluster->port(1), id), routed) << id;
+  }
+}
+
+TEST(ReplRouterTest, LaggingReplicaRefusesAdoptKeepsServingThenRetrains) {
+  auto cluster = ReplCluster::Start(2, /*quorum=*/1);
+  ASSERT_NE(cluster, nullptr);
+  // Every outbound replicate fails, so replica 1 never sees the batch that
+  // quorum 1 acknowledges on replica 0: their epochs differ.
+  ScopedFaultInjection lag("repl.send=fail-first:1000000");
+  ASSERT_TRUE(IngestUntilAcked(cluster->port(0), IngestLine(9700, 2)));
+  ASSERT_NE(cluster->store(0)->epoch(), cluster->store(1)->epoch());
+
+  const JsonValue trained = ParsedRpc(
+      cluster->port(0),
+      R"({"cmd":"retrain","version":"t1","ship_models":true})");
+  ASSERT_TRUE(trained.BoolOr("ok", false)) << trained.Serialize();
+  JsonValue adopt = JsonValue::Object();
+  adopt.Set("cmd", JsonValue::String("adopt"));
+  adopt.Set("version", JsonValue::String("t1"));
+  for (const char* key : {"bundle_epoch", "models", "models_checksum"}) {
+    adopt.Set(key, JsonValue::String(trained.StringOr(key, "")));
+  }
+  const std::vector<std::int64_t> ids = PointIds({});
+  std::vector<std::string> before;
+  for (const std::int64_t id : ids) {
+    before.push_back(PointBytes(cluster->port(1), id));
+  }
+  const JsonValue refused = ParsedRpc(cluster->port(1), adopt.Serialize());
+  EXPECT_FALSE(refused.BoolOr("ok", true));
+  EXPECT_EQ(refused.StringOr("code", ""), "FAILED_PRECONDITION")
+      << refused.Serialize();
+  EXPECT_FALSE(std::filesystem::exists(cluster->replica_dir(1) +
+                                       "/retrain/t1"));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(PointBytes(cluster->port(1), ids[i]), before[i]) << ids[i];
+  }
+
+  // The router's adopt meets the same refusal, and the lagging replica is
+  // retrained on its own data instead.
+  auto front = RouterFront::Start({{cluster->port(0), cluster->port(1)}});
+  ASSERT_NE(front, nullptr);
+  const JsonValue response =
+      ParsedRpc(front->port, R"({"cmd":"retrain","version":"r1"})");
+  ASSERT_TRUE(response.BoolOr("ok", false)) << response.Serialize();
+  const std::vector<JsonValue> entries = RetrainedEntries(response);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(CountTrained(entries), 2u) << response.Serialize();
+  EXPECT_NE(FileBytes(cluster->replica_dir(0) + "/retrain/r1/avails.csv"),
+            FileBytes(cluster->replica_dir(1) + "/retrain/r1/avails.csv"));
+  for (const std::size_t r : {0u, 1u}) {
+    EXPECT_EQ(ParsedRpc(cluster->port(r), R"({"cmd":"ping"})")
+                  .StringOr("bundle_version", ""),
+              "r1");
+  }
+}
+
+TEST(ReplRouterTest, StandaloneReplicasWithDifferentDataBothTrain) {
+  auto a = ReplCluster::Start(1, /*quorum=*/1);
+  auto b = ReplCluster::Start(1, /*quorum=*/1);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_TRUE(IngestUntilAcked(b->port(0), IngestLine(9800, 2)));
+  ASSERT_NE(a->store(0)->epoch(), b->store(0)->epoch());
+  auto front = RouterFront::Start({{a->port(0), b->port(0)}});
+  ASSERT_NE(front, nullptr);
+
+  const JsonValue response =
+      ParsedRpc(front->port, R"({"cmd":"retrain","version":"r1"})");
+  ASSERT_TRUE(response.BoolOr("ok", false)) << response.Serialize();
+  const std::vector<JsonValue> entries = RetrainedEntries(response);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(CountTrained(entries), 2u) << response.Serialize();
+  for (const JsonValue& entry : entries) {
+    EXPECT_TRUE(entry.BoolOr("ok", false));
+    EXPECT_EQ(entry.StringOr("bundle_version", ""), "r1");
+  }
 }
 
 }  // namespace

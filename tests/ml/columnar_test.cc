@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "ml/loss.h"
 #include "ml/tree.h"
@@ -214,21 +215,20 @@ class ReferenceGrower {
   std::vector<Node> nodes_;
 };
 
-/// (split method, split-search threads, distinct values per column; 0 =
+/// (split method, concurrent fits, distinct values per column; 0 =
 /// continuous columns).
 using TreeReferenceParam = std::tuple<SplitMethod, int, int>;
 
 class TreeReferenceTest
     : public ::testing::TestWithParam<TreeReferenceParam> {};
 
-// The production grower (presorted columns + node mask, parallel
-// per-feature scans) must reproduce the serial per-node sort-and-scan
-// reference byte for byte, boosting-round after boosting-round.
+// The production grower (presorted columns + node mask) must reproduce the
+// serial per-node sort-and-scan reference byte for byte, boosting-round
+// after boosting-round. Timeline steps fit concurrently, so each round
+// also grows the same tree from that many threads at once over one shared
+// frame: every copy must equal the reference.
 TEST_P(TreeReferenceTest, TreesMatchSerialReference) {
   const auto [method, threads, distinct] = GetParam();
-  // 1000 rows x 12 features keeps the top two levels of each tree above
-  // the parallel split search's work threshold, so the thread count
-  // really changes how the scan runs.
   const std::size_t n = 1000;
   const Matrix x = RandomMatrix(n, 12, 7, distinct);
   const std::vector<double> y = RandomLabels(n, 11);
@@ -238,7 +238,6 @@ TEST_P(TreeReferenceTest, TreesMatchSerialReference) {
   TreeParams params;
   params.max_depth = 4;
   params.split_method = method;
-  params.num_threads = threads;
 
   Rng rng(13);
   std::vector<double> predictions(n, 20.0), grad(n), hess(n);
@@ -255,14 +254,25 @@ TEST_P(TreeReferenceTest, TreesMatchSerialReference) {
       if (rng.Bernoulli(0.7)) features.push_back(f);
     }
 
-    RegressionTree tree;
-    tree.Fit(frame, grad, hess, rows, features, params);
-    ASSERT_GT(tree.num_nodes(), 1u) << "round " << round;
-    std::ostringstream out;
-    tree.Save(out);
-    ASSERT_EQ(out.str(),
-              ReferenceGrower(x, grad, hess, params).Grow(rows, features))
-        << "round " << round;
+    std::vector<RegressionTree> trees(static_cast<std::size_t>(threads));
+    ASSERT_TRUE(ParallelFor(threads, trees.size(), /*grain=*/1,
+                            [&](std::size_t begin, std::size_t end) {
+                              for (std::size_t t = begin; t < end; ++t) {
+                                trees[t].Fit(frame, grad, hess, rows,
+                                             features, params);
+                              }
+                              return Status::OK();
+                            })
+                    .ok());
+    const std::string reference =
+        ReferenceGrower(x, grad, hess, params).Grow(rows, features);
+    for (const RegressionTree& tree : trees) {
+      ASSERT_GT(tree.num_nodes(), 1u) << "round " << round;
+      std::ostringstream out;
+      tree.Save(out);
+      ASSERT_EQ(out.str(), reference) << "round " << round;
+    }
+    const RegressionTree& tree = trees.front();
 
     for (std::size_t i = 0; i < n; ++i) {
       predictions[i] += 0.3 * tree.Predict(x.row(i));

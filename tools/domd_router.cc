@@ -29,6 +29,17 @@
 //                                        by-shard; halts and reports on the
 //                                        first failure, leaving unflipped
 //                                        shards on last-known-good
+//   {"cmd": "ingest", ...}               mutations split by owning shard,
+//                                        each part sent to that shard's
+//                                        ingest primary
+//   {"cmd": "freshness"}                 every replica's epochs, with per-
+//                                        shard convergence
+//   {"cmd": "retrain", "version": V}     one training per shard: one
+//                                        replica trains and ships its
+//                                        models, the others adopt them for
+//                                        the same epoch (or retrain when
+//                                        their data differs); answers after
+//                                        every replica has swapped
 //   {"cmd": "ping"} / {"cmd": "shutdown"}
 //
 // The cluster-spec file is JSON (see src/cluster/host_map.h):

@@ -30,7 +30,7 @@
 //
 // With --ingest-log FILE the server opens a streaming DataStore (DESIGN.md
 // §14) seeded from the bundle's reference fleet, replaying any records
-// already in FILE, and three more verbs come online:
+// already in FILE, and more verbs come online:
 //
 //   {"cmd": "ingest", "avails": [...], "rccs": [...]}
 //       validate + durably log + apply avail/RCC upserts
@@ -38,7 +38,14 @@
 //                                        store's (is the model stale?)
 //   {"cmd": "retrain", "version": V}     train a new bundle from a pinned
 //                                        snapshot under --retrain-root and
-//                                        hot-swap it (requires the flag)
+//                                        hot-swap it (requires the flag);
+//                                        "ship_models": true also returns
+//                                        the models text and checksum
+//   {"cmd": "adopt", "version": V, "bundle_epoch": E, "models": M,
+//    "models_checksum": C}
+//       publish a shard peer's retrained models under --retrain-root and
+//       hot-swap them, only when this store is at epoch E (requires the
+//       flag; the router sends it so a shard trains once)
 //
 // --merge-threshold N starts a background merger that compacts the delta
 // into the base once N mutations are pending (0, the default, merges only
