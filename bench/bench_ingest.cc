@@ -1,11 +1,11 @@
 // Streaming-ingestion harness (DESIGN.md §14–15): measures the DataStore's
-// durable append throughput, snapshot-query latency while the background
+// durable append throughput, snapshot-pin latency while the background
 // compaction races the readers, the cost of pinning a snapshot, the
 // in-process halves of the replication protocol (quorum-acked append +
 // cold-follower catch-up), and what a dirty store's epoch costs next to a
 // materialized snapshot — and checks the correctness contracts along the
-// way (every sampled snapshot internally consistent, final epoch ==
-// content fingerprint, nothing pending after the last merge, replicas
+// way (every sampled snapshot's epoch == its content fingerprint, final
+// epoch == content fingerprint, nothing pending after the last merge, replicas
 // converged to the primary's exact (seq, chain) position, every streamed
 // epoch equal to its materialized cut's). Results land in
 // BENCH_ingest.json.
@@ -152,10 +152,9 @@ int Run() {
                   stage_seconds(stage_start, stage_clock()));
   stage_start = stage_clock();
 
-  // ---- Queries racing compaction: a writer keeps the delta growing, a
-  // merger keeps compacting it, and the reader measures pin+query latency
-  // against whichever representation each snapshot happens to catch
-  // (overlay or freshly merged base).
+  // ---- Snapshots racing compaction: a writer keeps the delta growing, a
+  // merger keeps compacting it, and the reader times Snapshot() on
+  // whichever cut it catches (dirty, materialized, or freshly merged).
   std::atomic<bool> stop{false};
   std::atomic<bool> contention_ok{true};
   std::atomic<std::size_t> contention_appends{0};
@@ -189,15 +188,13 @@ int Run() {
          kContentionWindow) {
     const auto query_start = std::chrono::steady_clock::now();
     const auto snapshot = (*store)->Snapshot();
-    const std::size_t active = snapshot->rcc_index().CountActive(60.0);
     const auto query_end = std::chrono::steady_clock::now();
     query_us.push_back(
         std::chrono::duration<double, std::micro>(query_end - query_start)
             .count());
-    // Consistency of the pinned cut: the index covers exactly its table,
-    // and the category count can never exceed it.
-    if (snapshot->rcc_index().size() != snapshot->data().rccs.size() ||
-        active > snapshot->data().rccs.size()) {
+    // Consistency of the pinned cut, checked outside the timed region: its
+    // epoch is the fingerprint of exactly the tables it pins.
+    if (snapshot->epoch() != ComputeDatasetFingerprint(snapshot->data())) {
       contention_ok.store(false);
     }
   }
@@ -211,7 +208,7 @@ int Run() {
   const double query_p99 = Percentile(query_us, 99);
   const std::uint64_t merges_during = (*store)->stats().merges -
                                       merges_before;
-  std::printf("query under merge: %zu queries, p50 %.1f us, p99 %.1f us "
+  std::printf("snapshot under merge: %zu pins, p50 %.1f us, p99 %.1f us "
               "(%zu appends, %llu merges in window)\n",
               query_us.size(), query_p50, query_p99,
               contention_appends.load(),

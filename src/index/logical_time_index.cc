@@ -1,9 +1,6 @@
 #include "index/logical_time_index.h"
 
-#include <utility>
-
 #include "index/avl_tree_index.h"
-#include "index/delta_overlay_index.h"
 #include "index/interval_tree_index.h"
 #include "index/naive_join_index.h"
 
@@ -17,8 +14,6 @@ const char* IndexBackendToString(IndexBackend backend) {
       return "AVLTree";
     case IndexBackend::kNaiveJoin:
       return "NaiveJoin";
-    case IndexBackend::kDeltaOverlay:
-      return "DeltaOverlay";
   }
   return "?";
 }
@@ -42,7 +37,7 @@ std::size_t LogicalTimeIndex::CountCreated(double t_star) const {
 }
 
 StatusOr<std::unique_ptr<LogicalTimeIndex>> MakeLogicalTimeIndex(
-    IndexBackend backend, DeltaOverlayConfig config) {
+    IndexBackend backend) {
   switch (backend) {
     case IndexBackend::kIntervalTree:
       return std::unique_ptr<LogicalTimeIndex>(
@@ -53,15 +48,6 @@ StatusOr<std::unique_ptr<LogicalTimeIndex>> MakeLogicalTimeIndex(
     case IndexBackend::kNaiveJoin:
       return std::unique_ptr<LogicalTimeIndex>(
           std::make_unique<NaiveJoinIndex>());
-    case IndexBackend::kDeltaOverlay:
-      if (config.base == nullptr) {
-        return Status::InvalidArgument(
-            "MakeLogicalTimeIndex: kDeltaOverlay needs a base index");
-      }
-      return std::unique_ptr<LogicalTimeIndex>(
-          std::make_unique<DeltaOverlayIndex>(std::move(config.base),
-                                              std::move(config.overlay),
-                                              std::move(config.superseded)));
   }
   return Status::InvalidArgument("MakeLogicalTimeIndex: unknown backend");
 }

@@ -28,7 +28,6 @@ enum class IndexBackend {
   kIntervalTree,  ///< Augmented balanced interval tree (§4.1).
   kAvlTree,       ///< Dual AVL trees over start/end times (§4.1).
   kNaiveJoin,     ///< Materialized wide-row join + scans (pandas-merge stand-in).
-  kDeltaOverlay,  ///< Immutable base + in-memory delta overlay (ingestion).
 };
 
 const char* IndexBackendToString(IndexBackend backend);
@@ -74,23 +73,10 @@ class LogicalTimeIndex {
   virtual IndexBackend backend() const = 0;
 };
 
-/// Construction arguments for the kDeltaOverlay backend: an immutable base
-/// index shared with live snapshots, the delta entries layered on top, and
-/// the base ids the delta supersedes (amended rows whose current interval
-/// lives in the overlay). Unused by the self-contained backends.
-struct DeltaOverlayConfig {
-  std::shared_ptr<const LogicalTimeIndex> base;
-  std::vector<IndexEntry> overlay;
-  std::vector<std::int64_t> superseded;
-};
-
-/// The one factory every construction site goes through. Self-contained
-/// backends (kIntervalTree/kAvlTree/kNaiveJoin) never fail and ignore
-/// `config`; kDeltaOverlay requires `config.base` and rejects a null one
-/// as InvalidArgument. Returning StatusOr keeps the signature uniform so
-/// backends with real preconditions register like any other.
+/// The one factory every construction site goes through. No backend has
+/// a precondition; an out-of-range enum value is InvalidArgument.
 StatusOr<std::unique_ptr<LogicalTimeIndex>> MakeLogicalTimeIndex(
-    IndexBackend backend, DeltaOverlayConfig config = {});
+    IndexBackend backend);
 
 }  // namespace domd
 

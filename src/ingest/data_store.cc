@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "cache/fingerprint.h"
-#include "data/logical_time.h"
 #include "fault/fault.h"
-#include "index/group_tree.h"
 
 namespace domd {
 namespace {
@@ -145,70 +142,6 @@ std::uint64_t CutEpoch(const Dataset& base,
   return stream.value();
 }
 
-/// One (t*_start, t*_end, id) entry for an RCC of `data`, exactly as
-/// BuildIndexEntries computes it for the base build.
-bool EntryFor(const Dataset& data, std::int64_t rcc_id, IndexEntry* out) {
-  const auto rcc = data.rccs.Find(rcc_id);
-  if (!rcc.ok()) return false;
-  const auto avail = data.avails.Find((*rcc)->avail_id);
-  if (!avail.ok()) return false;
-  out->id = rcc_id;
-  out->start = LogicalTime(**avail, (*rcc)->creation_date);
-  out->end = (*rcc)->settled_date.has_value()
-                 ? LogicalTime(**avail, *(*rcc)->settled_date)
-                 : IndexEntry::kOpenEnd;
-  return true;
-}
-
-/// Builds the delta-overlay view for a dirty snapshot: pending RCC
-/// upserts supersede their base entries and re-enter with their merged
-/// intervals; a pending avail amend re-times every base RCC under that
-/// avail (their logical-time mapping depends on the avail's planned
-/// window).
-std::shared_ptr<const LogicalTimeIndex> BuildOverlay(
-    const Dataset& base, const Dataset& merged,
-    std::shared_ptr<const LogicalTimeIndex> base_index,
-    const std::vector<IngestMutation>& ordered) {
-  std::set<std::int64_t> readd;  // ordered: deterministic overlay order.
-  std::unordered_set<std::int64_t> superseded;
-  const auto consider = [&](const IngestMutation& mutation) {
-    if (mutation.kind == MutationKind::kAvailUpsert) {
-      if (!base.avails.Find(mutation.avail.id).ok()) return;
-      for (const std::size_t row :
-           base.rccs.RowsForAvail(mutation.avail.id)) {
-        const std::int64_t id = base.rccs.rows()[row].id;
-        superseded.insert(id);
-        readd.insert(id);
-      }
-    } else {
-      if (base.rccs.Find(mutation.rcc.id).ok()) {
-        superseded.insert(mutation.rcc.id);
-      }
-      readd.insert(mutation.rcc.id);
-    }
-  };
-  for (const IngestMutation& mutation : ordered) consider(mutation);
-
-  DeltaOverlayConfig config;
-  config.base = std::move(base_index);
-  config.superseded.assign(superseded.begin(), superseded.end());
-  config.overlay.reserve(readd.size());
-  for (const std::int64_t id : readd) {
-    IndexEntry entry;
-    if (EntryFor(merged, id, &entry)) config.overlay.push_back(entry);
-  }
-  auto overlay =
-      MakeLogicalTimeIndex(IndexBackend::kDeltaOverlay, std::move(config));
-  return std::shared_ptr<const LogicalTimeIndex>(std::move(*overlay));
-}
-
-std::shared_ptr<const LogicalTimeIndex> BuildBaseIndex(
-    const Dataset& data, IndexBackend backend) {
-  auto index = MakeLogicalTimeIndex(backend).value();
-  index->Build(BuildIndexEntries(data));
-  return std::shared_ptr<const LogicalTimeIndex>(std::move(index));
-}
-
 }  // namespace
 
 std::uint64_t DataStore::EpochOf(const Dataset& data) {
@@ -222,16 +155,10 @@ std::uint64_t DataStore::EpochOf(const Dataset& data) {
 
 StatusOr<std::unique_ptr<DataStore>> DataStore::Open(
     Dataset base, DataStoreOptions options) {
-  if (options.index_backend == IndexBackend::kDeltaOverlay) {
-    return Status::InvalidArgument(
-        "DataStore: the base index backend must be self-contained");
-  }
   auto store = std::unique_ptr<DataStore>(new DataStore());
   store->options_ = std::move(options);
   store->base_ = std::make_shared<const Dataset>(std::move(base));
   store->base_epoch_ = EpochOf(*store->base_);
-  store->base_index_ =
-      BuildBaseIndex(*store->base_, store->options_.index_backend);
   if (!store->options_.log_path.empty()) {
     IngestLog::ReplayResult replay;
     auto log = IngestLog::Open(store->options_.log_path, &replay);
@@ -517,7 +444,6 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   }
   auto merged = std::make_shared<const Dataset>(std::move(data));
   const std::uint64_t new_epoch = EpochOf(*merged);
-  auto new_index = BuildBaseIndex(*merged, options_.index_backend);
 
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
   std::lock_guard<std::mutex> append_lock(append_mu_);
@@ -534,7 +460,6 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   {
     std::lock_guard<std::mutex> lock(mu_);
     base_ = std::move(merged);
-    base_index_ = std::move(new_index);
     base_epoch_ = new_epoch;
     runs_.clear();
     (void)memtable_.Freeze();
@@ -571,7 +496,6 @@ DataStore::Cut DataStore::PinCutLocked() const {
   Cut cut;
   cut.generation = generation_;
   cut.base = base_;
-  cut.base_index = base_index_;
   cut.base_epoch = base_epoch_;
   cut.depth = PendingLocked();
   if (cut.depth > 0) {
@@ -604,7 +528,6 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
   snapshot->delta_depth_ = cut.depth;
   if (cut.depth == 0) {
     snapshot->data_ = cut.base;
-    snapshot->index_ = cut.base_index;
     snapshot->epoch_ = cut.base_epoch;
   } else {
     // Materialization happens outside the lock: appends keep landing in
@@ -618,8 +541,6 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
     snapshot->epoch_ = known_epoch.has_value()
                            ? *known_epoch
                            : CutEpoch(*cut.base, cut.tail);
-    snapshot->index_ = BuildOverlay(*cut.base, *merged, cut.base_index,
-                                    cut.tail);
     snapshot->data_ = std::move(merged);
   }
 
@@ -663,10 +584,9 @@ StatusOr<MergeStats> DataStore::Merge() {
   if (stats.merged_mutations == 0) return stats;
 
   // The expensive half runs without any store lock: copy + apply + epoch
-  // fingerprint + full index rebuild over the merged tables.
+  // fingerprint over the merged tables.
   auto merged = Materialize(*base, cut);
   const std::uint64_t new_epoch = EpochOf(*merged);
-  auto new_index = BuildBaseIndex(*merged, options_.index_backend);
 
   const Status fault = DOMD_FAULT_POINT("ingest.merge.commit").Check();
   if (!fault.ok()) {
@@ -695,7 +615,6 @@ StatusOr<MergeStats> DataStore::Merge() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     base_ = std::move(merged);
-    base_index_ = std::move(new_index);
     base_epoch_ = new_epoch;
     runs_.erase(runs_.begin(),
                 runs_.begin() + static_cast<std::ptrdiff_t>(cut_runs));

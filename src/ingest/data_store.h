@@ -13,7 +13,6 @@
 
 #include "common/status.h"
 #include "data/tables.h"
-#include "index/logical_time_index.h"
 #include "ingest/delta_index.h"
 #include "ingest/ingest_log.h"
 #include "ingest/mutation.h"
@@ -30,9 +29,6 @@ struct DataStoreOptions {
   /// rccs.csv, durably). Empty means merges stay in-memory and the log is
   /// never truncated, so a restart can still rebuild the full state.
   std::string persist_dir;
-  /// Backend of the base logical-time index snapshots expose (the delta
-  /// overlay wraps it while mutations are pending).
-  IndexBackend index_backend = IndexBackend::kAvlTree;
   /// When > 0, a background merger thread compacts the delta into the
   /// base whenever at least this many mutations are pending.
   std::size_t merge_threshold = 0;
@@ -81,12 +77,11 @@ struct ReplTail {
 };
 
 /// An immutable, epoch-stamped view of the store: the avail/RCC tables at
-/// one consistent cut plus a logical-time index over the RCCs at that cut
-/// (the base index when clean, a DeltaOverlayIndex layering pending
-/// mutations over the shared base when dirty). The epoch *is* the PR-4
-/// dataset fingerprint of the exposed tables, so every downstream cache
-/// keyed on DatasetFingerprint invalidates exactly when the data changes
-/// and stays warm when it does not.
+/// one consistent cut (the shared base when clean, a materialized copy of
+/// base + pending mutations when dirty). The epoch *is* the dataset
+/// fingerprint of the exposed tables, so every downstream cache keyed on
+/// DatasetFingerprint invalidates exactly when the data changes and stays
+/// warm when it does not.
 ///
 /// Snapshots pin their state: merges and appends after the pin never
 /// mutate what a live snapshot sees. Deeply const and safe to share
@@ -98,11 +93,9 @@ class DataSnapshot {
   /// Shared ownership for consumers that outlive the store (estimators
   /// hold this so "the dataset must outlive the estimator" is automatic).
   const std::shared_ptr<const Dataset>& shared_data() const { return data_; }
-  /// Logical-time index over the snapshot's RCCs.
-  const LogicalTimeIndex& rcc_index() const { return *index_; }
   /// Epoch of the merged base under this snapshot (== epoch() if clean).
   std::uint64_t base_epoch() const { return base_epoch_; }
-  /// Pending mutations overlaid on the base in this snapshot.
+  /// Pending mutations applied over the base in this snapshot.
   std::size_t delta_depth() const { return delta_depth_; }
 
  private:
@@ -110,14 +103,13 @@ class DataSnapshot {
   DataSnapshot() = default;
 
   std::shared_ptr<const Dataset> data_;
-  std::shared_ptr<const LogicalTimeIndex> index_;
   std::uint64_t epoch_ = 0;
   std::uint64_t base_epoch_ = 0;
   std::size_t delta_depth_ = 0;
 };
 
 /// The single entry point through which the pipeline reads data
-/// (DESIGN.md §14). A DataStore owns an immutable base dataset + index, a
+/// (DESIGN.md §14). A DataStore owns an immutable base dataset, a
 /// DeltaIndex memtable absorbing appends, frozen delta runs awaiting
 /// compaction, and (optionally) the crash-safe IngestLog that makes every
 /// accepted append durable before it becomes visible.
@@ -195,8 +187,8 @@ class DataStore {
   /// background merger does this implicitly before compacting).
   void FlushDelta();
 
-  /// Compacts base + runs + memtable into a fresh immutable base,
-  /// rebuilds the base index, bumps the epoch to the new fingerprint and
+  /// Compacts base + runs + memtable into a fresh immutable base, bumps
+  /// the epoch to the new fingerprint and
   /// — when a persist_dir is configured — durably rewrites the base CSVs
   /// and truncates the log. Guarded by the ingest.merge.commit fault
   /// point: a failed merge leaves the base, the log and every pinned
@@ -205,7 +197,7 @@ class DataStore {
 
   /// Epoch of the current cut: always equal to Snapshot()->epoch(), but
   /// computed by streaming the base rows and pending mutations through the
-  /// fingerprint — no tables are copied and no overlay index is built.
+  /// fingerprint — no tables are copied.
   /// O(rows) on a dirty store, cached per generation; O(1) when clean.
   std::uint64_t epoch() const;
 
@@ -245,7 +237,6 @@ class DataStore {
   struct Cut {
     std::uint64_t generation = 0;
     std::shared_ptr<const Dataset> base;
-    std::shared_ptr<const LogicalTimeIndex> base_index;
     std::uint64_t base_epoch = 0;
     std::size_t depth = 0;              ///< pending mutations; 0 = clean.
     std::vector<IngestMutation> tail;   ///< the whole tail when dirty.
@@ -274,7 +265,6 @@ class DataStore {
                                   ///< applies (stats reads log size).
   std::mutex merge_mu_;   ///< serializes merges (and snapshot installs).
   std::shared_ptr<const Dataset> base_;
-  std::shared_ptr<const LogicalTimeIndex> base_index_;
   std::uint64_t base_epoch_ = 0;
   std::vector<std::shared_ptr<const DeltaRun>> runs_;
   DeltaIndex memtable_;

@@ -391,7 +391,7 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
 
   // The reference fleet goes behind an in-memory DataStore so every bundle
   // consumer reads through the same snapshot-isolated cut; the pinned
-  // snapshot keeps the tables address-stable for the estimator and index.
+  // snapshot keeps the tables address-stable for the estimator.
   auto store = DataStore::Open(std::move(reference));
   if (!store.ok()) return store.status();
   bundle->store_ = std::move(*store);
@@ -406,13 +406,15 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
   // the table holds exactly what QueryAtLogicalTime would predict.
   bundle->reference_steps_ = bundle->estimator_->models().PredictPerStep(
       *bundle->estimator_->shared_view());
-
-  // Frozen Status-Query indexes over the reference fleet: built once here,
-  // read-only (and thus freely concurrent) for the bundle's lifetime.
-  bundle->query_engine_ = std::make_unique<StatusQueryEngine>(
-      &bundle->snapshot_->data(), IndexBackend::kAvlTree);
-
   return std::shared_ptr<const ModelBundle>(std::move(bundle));
+}
+
+const StatusQueryEngine& ModelBundle::query_engine() const {
+  std::call_once(query_engine_once_, [this] {
+    query_engine_ = std::make_unique<StatusQueryEngine>(&snapshot_->data(),
+                                                        IndexBackend::kAvlTree);
+  });
+  return *query_engine_;
 }
 
 StatusOr<std::shared_ptr<const ModelBundle>> LoadBundleWithRetry(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,7 +49,7 @@ std::uint64_t ServingSchemaHash();
 
 /// An immutable, versioned serving artifact: the trained `DomdEstimator`
 /// stack (per-step models + pipeline config), the reference fleet it was
-/// trained over, and frozen Status-Query indexes over that fleet. A bundle
+/// trained over, and the fleet's per-step reference estimates. A bundle
 /// is written once by `Write`, loaded whole by `Load`, and never mutated
 /// afterwards — every accessor is const and safe to call from any number
 /// of threads concurrently (shared-immutable, per DESIGN.md §6).
@@ -84,7 +85,7 @@ class ModelBundle {
   /// Loads a bundle directory: manifest + schema-compatibility check,
   /// reference tables, model stack (features for the reference fleet come
   /// from the modeling-view cache, honoring `parallelism` and
-  /// `cache_bytes`), and the frozen Status-Query index build. Returns a
+  /// `cache_bytes`), and the reference step table. Returns a
   /// shared_ptr because serving hot-swaps bundles behind an atomic
   /// shared_ptr; the pointee is deeply const. Hot-swapping to a bundle
   /// whose reference tables are content-identical to the live one reuses
@@ -107,9 +108,9 @@ class ModelBundle {
   const DomdEstimator& estimator() const { return *estimator_; }
   const PipelineConfig& config() const { return estimator_->config(); }
   const std::vector<double>& grid() const { return estimator_->grid(); }
-  /// Frozen Status-Query engine over the reference fleet (concurrent
-  /// reads only).
-  const StatusQueryEngine& query_engine() const { return *query_engine_; }
+  /// Status-Query engine over the reference fleet, built on the first
+  /// call (thread-safe; concurrent reads only). No scoring path reads it.
+  const StatusQueryEngine& query_engine() const;
 
   /// Scores one avail of the bundle's reference fleet by id: a prefix of
   /// the reference step table plus one attribution at the last step —
@@ -151,7 +152,8 @@ class ModelBundle {
   std::unique_ptr<DataStore> store_;
   std::shared_ptr<const DataSnapshot> snapshot_;
   std::unique_ptr<DomdEstimator> estimator_;
-  std::unique_ptr<StatusQueryEngine> query_engine_;
+  mutable std::once_flag query_engine_once_;
+  mutable std::unique_ptr<StatusQueryEngine> query_engine_;
   /// Per-step estimates of every reference avail, [step][row of the
   /// estimator's shared view]: one batched PredictPerStep at Load, so a
   /// reference point reads a prefix instead of predicting every step.

@@ -53,6 +53,15 @@ TEST(NaiveJoinIndexTest, FactoryProducesCorrectTypes) {
   }
 }
 
+TEST(NaiveJoinIndexTest, FactoryRejectsUnknownBackend) {
+  // The factory's one error path: no paper backend has a precondition.
+  const auto unknown = static_cast<IndexBackend>(3);
+  auto index = MakeLogicalTimeIndex(unknown);
+  EXPECT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_STREQ(IndexBackendToString(unknown), "?");
+}
+
 TEST(NaiveJoinIndexTest, BackendNames) {
   EXPECT_STREQ(IndexBackendToString(IndexBackend::kIntervalTree),
                "IntervalTree");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <map>
@@ -14,6 +15,8 @@
 #include "cache/fingerprint.h"
 #include "common/rng.h"
 #include "fault/fault.h"
+#include "index/group_tree.h"
+#include "index/logical_time_index.h"
 #include "ingest/ingest_log.h"
 #include "synth/generator.h"
 
@@ -159,6 +162,37 @@ class RandomHistory {
   std::vector<std::int64_t> new_rcc_ids_;
 };
 
+std::vector<std::int64_t> Sorted(std::vector<std::int64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// A cut's tables must feed the paper's logical-time index exactly as the
+/// true tables do: for every Eq. 3-6 category and t*, an index built over
+/// `got` returns the ids an index over `want` returns. Order is not part
+/// of the contract, membership is.
+void ExpectIndexesLike(const Dataset& got, const Dataset& want) {
+  auto got_index = MakeLogicalTimeIndex(IndexBackend::kAvlTree);
+  auto want_index = MakeLogicalTimeIndex(IndexBackend::kAvlTree);
+  ASSERT_TRUE(got_index.ok() && want_index.ok());
+  (*got_index)->Build(BuildIndexEntries(got));
+  (*want_index)->Build(BuildIndexEntries(want));
+  ASSERT_EQ((*got_index)->size(), (*want_index)->size());
+
+  std::vector<std::int64_t> got_ids;
+  std::vector<std::int64_t> want_ids;
+  for (const RccStatusCategory category :
+       {RccStatusCategory::kActive, RccStatusCategory::kSettled,
+        RccStatusCategory::kCreated, RccStatusCategory::kNotCreated}) {
+    for (const double t_star : {-50.0, 0.0, 10.0, 45.0, 90.0, 200.0, 1e6}) {
+      (*got_index)->Collect(category, t_star, &got_ids);
+      (*want_index)->Collect(category, t_star, &want_ids);
+      EXPECT_EQ(Sorted(got_ids), Sorted(want_ids))
+          << RccStatusCategoryToString(category) << " @ t*=" << t_star;
+    }
+  }
+}
+
 /// epoch() first, so the streamed path runs before any snapshot of this
 /// generation exists; then it must equal everything the materialized cut
 /// and the history's own content say.
@@ -225,6 +259,17 @@ TEST(DataStoreTest, SnapshotIsCachedWhileClean) {
   EXPECT_EQ(c.get(), (*store)->Snapshot().get());
 }
 
+TEST(DataStoreTest, CleanCutIndexesLikeTheOpenedFleet) {
+  const Dataset fleet = SmallFleet();
+  auto store = DataStore::Open(fleet);
+  ASSERT_TRUE(store.ok());
+  const auto clean = (*store)->Snapshot();
+  EXPECT_EQ(clean->delta_depth(), 0u);
+  EXPECT_EQ(clean->epoch(), ComputeDatasetFingerprint(fleet));
+  EXPECT_EQ(clean->data().rccs.size(), fleet.rccs.size());
+  ExpectIndexesLike(clean->data(), fleet);
+}
+
 TEST(DataStoreTest, RejectsRccForUnknownAvail) {
   auto store = DataStore::Open(SmallFleet());
   ASSERT_TRUE(store.ok());
@@ -255,6 +300,35 @@ TEST(DataStoreTest, AppendBatchIntroducingAvailWithItsRccs) {
   EXPECT_EQ(after->delta_depth(), 2u);
 }
 
+TEST(DataStoreTest, DirtyCutIndexesLikeTheTrueTables) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  const auto base = (*store)->Snapshot();
+  Dataset truth = base->data();
+  const Avail avail = truth.avails.rows()[2];
+  const std::int64_t rcc_id = MaxRccId(truth) + 1;
+
+  // Inserts: a new open RCC (end = +infinity) and a new settled one.
+  Rcc open = NewRcc(rcc_id, avail.id);
+  open.creation_date = avail.actual_start + 20;
+  open.settled_date = std::nullopt;
+  open.settled_amount = 0.0;
+  Rcc settled = NewRcc(rcc_id + 1, avail.id);
+  settled.creation_date = avail.actual_start + 20;
+  settled.settled_date = settled.creation_date + 30;
+  for (const Rcc& rcc : {open, settled}) {
+    ASSERT_TRUE((*store)->Append(MakeRccUpsert(rcc)).ok());
+    ASSERT_TRUE(truth.rccs.Upsert(rcc).ok());
+  }
+
+  const auto dirty = (*store)->Snapshot();
+  ASSERT_EQ(dirty->delta_depth(), 2u);
+  EXPECT_EQ(dirty->epoch(), ComputeDatasetFingerprint(truth));
+  ExpectIndexesLike(dirty->data(), truth);
+  EXPECT_FALSE(base->data().rccs.Find(open.id).ok());
+  EXPECT_FALSE(base->data().rccs.Find(settled.id).ok());
+}
+
 TEST(DataStoreTest, MergePreservesEpochAndContent) {
   auto store = DataStore::Open(SmallFleet());
   ASSERT_TRUE(store.ok());
@@ -271,7 +345,7 @@ TEST(DataStoreTest, MergePreservesEpochAndContent) {
   EXPECT_EQ(merged->old_epoch, base->epoch());
 
   const auto clean = (*store)->Snapshot();
-  // The merge changed representation (overlay -> base), not content, so
+  // The merge changed representation (delta -> base), not content, so
   // the epoch must not move: same rows => same fingerprint => same epoch.
   EXPECT_EQ(clean->epoch(), dirty->epoch());
   EXPECT_EQ(merged->new_epoch, dirty->epoch());
@@ -282,6 +356,76 @@ TEST(DataStoreTest, MergePreservesEpochAndContent) {
 
   // The pinned pre-merge snapshots still read their own cuts.
   EXPECT_EQ(base->data().rccs.size() + 1, clean->data().rccs.size());
+}
+
+TEST(DataStoreTest, AmendReplacesTheRowAndMergeKeepsIt) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  const auto before = (*store)->Snapshot();
+  // Settle a previously-open RCC: the amend must replace its row in place.
+  const Rcc* open = nullptr;
+  for (const Rcc& rcc : before->data().rccs.rows()) {
+    if (!rcc.settled_date.has_value()) {
+      open = &rcc;
+      break;
+    }
+  }
+  ASSERT_NE(open, nullptr) << "fleet has no open RCC to settle";
+  const std::size_t row = static_cast<std::size_t>(
+      open - before->data().rccs.rows().data());
+  Rcc amended = *open;
+  amended.settled_date = amended.creation_date + 14;
+  amended.settled_amount = 777.25;
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(amended)).ok());
+
+  Dataset truth = before->data();
+  ASSERT_TRUE(truth.rccs.Upsert(amended).ok());
+  const auto dirty = (*store)->Snapshot();
+  ASSERT_EQ(dirty->delta_depth(), 1u);
+  // An amend replaces, it does not add.
+  EXPECT_EQ(dirty->data().rccs.size(), before->data().rccs.size());
+  EXPECT_EQ(dirty->data().rccs.rows()[row].settled_date,
+            amended.settled_date);
+  EXPECT_EQ(dirty->epoch(), ComputeDatasetFingerprint(truth));
+  // The settled interval supersedes the open one for every t*.
+  ExpectIndexesLike(dirty->data(), truth);
+  // The pinned cut still reads the open row.
+  EXPECT_FALSE(before->data().rccs.rows()[row].settled_date.has_value());
+
+  ASSERT_TRUE((*store)->Merge().ok());
+  const auto merged = (*store)->Snapshot();
+  EXPECT_EQ(merged->delta_depth(), 0u);
+  EXPECT_EQ(merged->epoch(), dirty->epoch());
+  EXPECT_EQ(merged->data().rccs.size(), before->data().rccs.size());
+  EXPECT_EQ(merged->data().rccs.rows()[row].settled_date,
+            amended.settled_date);
+  ExpectIndexesLike(merged->data(), truth);
+}
+
+TEST(DataStoreTest, FrozenRunAndMemtableShareOneDirtyCut) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  const auto base = (*store)->Snapshot();
+  Dataset truth = base->data();
+  const std::int64_t rcc_id = MaxRccId(truth) + 1;
+
+  // Memtable -> frozen run -> more memtable: one cut must read both.
+  const Rcc frozen = NewRcc(rcc_id, truth.avails.rows()[0].id);
+  const Rcc live = NewRcc(rcc_id + 1, truth.avails.rows()[1].id);
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(frozen)).ok());
+  (*store)->FlushDelta();
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(live)).ok());
+  ASSERT_TRUE(truth.rccs.Upsert(frozen).ok());
+  ASSERT_TRUE(truth.rccs.Upsert(live).ok());
+
+  const auto dirty = (*store)->Snapshot();
+  ASSERT_EQ(dirty->delta_depth(), 2u);
+  EXPECT_TRUE(dirty->data().rccs.Find(frozen.id).ok());
+  EXPECT_TRUE(dirty->data().rccs.Find(live.id).ok());
+  EXPECT_EQ(dirty->data().rccs.size(), base->data().rccs.size() + 2);
+  EXPECT_EQ(dirty->epoch(), ComputeDatasetFingerprint(truth));
+  ExpectIndexesLike(dirty->data(), truth);
+  EXPECT_FALSE(base->data().rccs.Find(frozen.id).ok());
 }
 
 TEST(DataStoreTest, MergeFaultLeavesStateIntactAndRetrySucceeds) {
@@ -526,10 +670,10 @@ TEST(DataStoreConcurrencyTest, PinnedSnapshotsStableUnderWritersAndMerges) {
   threads.emplace_back([&] {
     while (!done.load()) {
       const auto snapshot = (*store)->Snapshot();
-      // Every observed cut is internally consistent: its index covers
-      // exactly its table.
-      ASSERT_EQ(snapshot->rcc_index().size(),
-                snapshot->data().rccs.size());
+      // Every observed cut is internally consistent: its epoch is the
+      // fingerprint of exactly the tables it pins.
+      ASSERT_EQ(snapshot->epoch(),
+                ComputeDatasetFingerprint(snapshot->data()));
       ASSERT_GE(snapshot->data().rccs.size(), pinned_rccs);
     }
   });

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "query/status_query.h"
@@ -466,6 +468,59 @@ TEST(ModelBundleTest, FrozenQueryEngineAnswersStatusQueries) {
   ASSERT_TRUE(expected.ok());
   EXPECT_DOUBLE_EQ(*from_bundle, *expected);
   EXPECT_GT(*from_bundle, 0.0);
+}
+
+TEST(ModelBundleTest, QueryEngineIsBuiltOnceOnFirstConcurrentUse) {
+  // A fresh load: no earlier test has touched this bundle's engine, so the
+  // four racing calls below are its first.
+  const auto& fixture = GetServeFixture();
+  auto bundle = ModelBundle::Load(fixture.dir_v1);
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<const StatusQueryEngine*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = &(*bundle)->query_engine();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  ASSERT_NE(seen[0], nullptr);
+  EXPECT_EQ(&seen[0]->data(), &(*bundle)->data());
+
+  const StatusQueryEngine direct(&(*bundle)->data(), IndexBackend::kAvlTree);
+  for (const RccStatusCategory category :
+       {RccStatusCategory::kActive, RccStatusCategory::kSettled,
+        RccStatusCategory::kCreated, RccStatusCategory::kNotCreated}) {
+    for (const AggregateFn aggregate : {AggregateFn::kCount, AggregateFn::kSum,
+                                        AggregateFn::kAvg, AggregateFn::kMax}) {
+      for (const double t_star : {0.0, 35.0, 100.0, 150.0}) {
+        for (const bool grouped : {false, true}) {
+          StatusQuery query;
+          query.category = category;
+          query.aggregate = aggregate;
+          if (grouped) {
+            query.type_filter = RccType::kGrowth;
+            query.swlin_level = 1;
+            query.swlin_prefix = 4;
+          }
+          const auto got = seen[0]->Execute(query, t_star);
+          const auto want = direct.Execute(query, t_star);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ASSERT_TRUE(want.ok()) << want.status();
+          EXPECT_TRUE(BitIdentical(*got, *want))
+              << RccStatusCategoryToString(category) << " "
+              << AggregateFnToString(aggregate) << " @ t*=" << t_star
+              << (grouped ? " grouped" : "");
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
