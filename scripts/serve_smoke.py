@@ -57,6 +57,10 @@ corrupt-bundle fixture (one flipped byte in models.txt) is offered via
 `swap` — the server must reject it as DATA_LOSS, keep serving the
 last-known-good bundle bit-identically, and still report ready.
 
+The default mode first checks that an undeclared flag exits 2: domd_serve
+with `--no-such-flag 1` never starts listening, and `domd train` with
+the retired `--quantized-hist 1` writes no model.
+
 Exits non-zero on the first mismatch. Used by the CI serving smoke and
 chaos jobs; runnable locally the same way.
 """
@@ -261,6 +265,33 @@ def train_bundles(build, work):
                           "--avail", "3", "--t", "60")
     expect("days" in predict_out, f"unexpected predict output: {predict_out}")
     return bundle_v1, bundle_v2
+
+
+def check_bad_flags_rejected(build, bundle, work):
+    """An undeclared flag exits 2 before anything runs: domd_serve never
+    listens, and `domd train` writes no model."""
+    runs = (
+        ("domd_serve", [build / "tools" / "domd_serve", "--bundle", bundle,
+                        "--port", "0", "--no-such-flag", "1"],
+         "--no-such-flag"),
+        ("domd train", [build / "tools" / "domd", "train", "--dir",
+                        work / "fleet", "--model", work / "rejected.txt",
+                        "--quantized-hist", "1"],
+         "--quantized-hist"),
+    )
+    for name, argv, flag in runs:
+        try:
+            result = subprocess.run([str(arg) for arg in argv],
+                                    capture_output=True, text=True,
+                                    timeout=30)
+        except subprocess.TimeoutExpired:
+            fail(f"{name} kept running with {flag}")
+        expect(result.returncode == 2 and flag in result.stderr and
+               "listening" not in result.stdout,
+               f"{name} with {flag} exited {result.returncode}:\n"
+               f"{result.stdout}{result.stderr}")
+    expect(not (work / "rejected.txt").exists(),
+           "domd train wrote a model despite an undeclared flag")
 
 
 def run_normal_flow(server_bin, bundle_v1, bundle_v2):
@@ -1176,6 +1207,7 @@ def main():
         run_fault_flow(server_bin, bundle_v1, bundle_v2, work)
         print("serve_smoke: PASS (fault injection)")
     else:
+        check_bad_flags_rejected(build, bundle_v1, work)
         run_normal_flow(server_bin, bundle_v1, bundle_v2)
         print("serve_smoke: PASS")
 

@@ -1,6 +1,7 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "fault/fault.h"
@@ -24,12 +25,41 @@ bool IsHedgeableResponse(const std::string& line) {
   return code == "UNAVAILABLE" || code == "RESOURCE_EXHAUSTED";
 }
 
+/// What a prediction must carry before it may queue. Ownership is decided
+/// on the worker, but a malformed request is answered on the reactor shard
+/// and never shed as RESOURCE_EXHAUSTED.
+Status CheckPrediction(const JsonValue& request) {
+  const JsonValue* avail_ids = request.Find("avail_ids");
+  const JsonValue* avail_id = request.Find("avail_id");
+  if (avail_ids == nullptr && avail_id == nullptr &&
+      request.Find("avail") == nullptr) {
+    return Status::InvalidArgument(
+        "request needs \"avail_id\", \"avail_ids\", or \"avail\"");
+  }
+  if (avail_ids != nullptr && !avail_ids->is_array()) {
+    return Status::InvalidArgument("\"avail_ids\" must be an array");
+  }
+  if (avail_id != nullptr && avail_ids == nullptr && !avail_id->is_number()) {
+    return Status::InvalidArgument("\"avail_id\" must be a number");
+  }
+  return Status::OK();
+}
+
+Status CheckRollout(const JsonValue& request) {
+  if (request.StringOr("bundle", "").empty()) {
+    return Status::InvalidArgument("rollout needs \"bundle\"");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
     : host_map_(std::move(host_map)),
       options_(options),
-      pool_(options.upstream) {
+      pool_(options.upstream),
+      verbs_(std::max<std::size_t>(1, options.workers), /*slow_workers=*/0,
+             options.max_queue_depth, "router worker queue full") {
   const std::size_t num_shards = host_map_.num_shards();
   replica_states_.resize(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
@@ -60,11 +90,38 @@ ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
   cells_.shard_up.assign(num_shards, nullptr);
 #endif
 
-  const std::size_t workers = std::max<std::size_t>(1, options_.workers);
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  // Control verbs read local state and answer inline; everything that
+  // waits on a shard hops to the worker pool.
+  verbs_.Register("ping", VerbPolicy::kInline,
+                  [this](const VerbRequest&, Responder responder) {
+                    JsonValue out = JsonValue::Object();
+                    out.Set("ok", JsonValue::Bool(true));
+                    out.Set("role", JsonValue::String("router"));
+                    out.Set("num_shards",
+                            JsonValue::Number(static_cast<double>(
+                                host_map_.num_shards())));
+                    responder.Respond(out.Serialize());
+                  });
+  verbs_.Register("health", VerbPolicy::kInline,
+                  [this](const VerbRequest&, Responder responder) {
+                    responder.Respond(HealthJson().Serialize());
+                  });
+  verbs_.Register("stats", VerbPolicy::kInline,
+                  [this](const VerbRequest&, Responder responder) {
+                    responder.Respond(StatsJson().Serialize());
+                  });
+  verbs_.Register("", VerbPolicy::kWorker,
+                  std::bind_front(&ClusterRouter::RunPredict, this),
+                  CheckPrediction);
+  verbs_.Register("rollout", VerbPolicy::kWorker,
+                  std::bind_front(&ClusterRouter::RunRollout, this),
+                  CheckRollout);
+  verbs_.Register("ingest", VerbPolicy::kWorker,
+                  std::bind_front(&ClusterRouter::RunIngest, this));
+  verbs_.Register("freshness", VerbPolicy::kWorker,
+                  std::bind_front(&ClusterRouter::RunFreshness, this));
+  verbs_.Register("retrain", VerbPolicy::kWorker,
+                  std::bind_front(&ClusterRouter::RunRetrainScatter, this));
   if (options_.start_prober) {
     prober_ = std::thread([this] { ProberLoop(); });
   }
@@ -72,35 +129,15 @@ ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
 
 ClusterRouter::~ClusterRouter() {
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_ = true;
-    work_available_.notify_all();
-  }
-  {
     std::lock_guard<std::mutex> lock(prober_mutex_);
     prober_stop_ = true;
     prober_cv_.notify_all();
   }
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
   if (prober_.joinable()) prober_.join();
-  pool_.CloseIdle();
 }
 
-void ClusterRouter::WorkerLoop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      work_available_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping, fully drained.
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    RunJob(job);
-  }
+void ClusterRouter::Handle(std::string line, Responder responder) {
+  verbs_.Handle(std::move(line), std::move(responder));
 }
 
 void ClusterRouter::ProberLoop() {
@@ -115,156 +152,21 @@ void ClusterRouter::ProberLoop() {
   }
 }
 
-void ClusterRouter::Dispatch(Job job) {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  if (stopping_) return;  // teardown races a late request: drop it.
-  if (queue_.size() >= options_.max_queue_depth) {
-    rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    job.responder.Respond(
-        ErrorToJson(Status::ResourceExhausted("router worker queue full"))
-            .Serialize());
-    return;
-  }
-  queue_.push_back(std::move(job));
-  work_available_.notify_one();
-}
-
-void ClusterRouter::Handle(std::string line, Responder responder) {
-  auto request = JsonValue::Parse(line);
-  if (!request.ok()) {
-    responder.Respond(ErrorToJson(request.status()).Serialize());
-    return;
-  }
-
-  const std::string cmd = request->StringOr("cmd", "");
-  if (cmd == "ping") {
-    JsonValue out = JsonValue::Object();
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("role", JsonValue::String("router"));
-    out.Set("num_shards",
-            JsonValue::Number(static_cast<double>(host_map_.num_shards())));
-    responder.Respond(out.Serialize());
-    return;
-  }
-  if (cmd == "health") {
-    responder.Respond(HealthJson().Serialize());
-    return;
-  }
-  if (cmd == "stats") {
-    responder.Respond(StatsJson().Serialize());
-    return;
-  }
-  if (cmd == "metrics") {
-    JsonValue out = JsonValue::Object();
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("content_type", JsonValue::String("text/plain; version=0.0.4"));
-    out.Set("payload", JsonValue::String(
-                           obs::MetricsRegistry::Default().RenderPrometheus()));
-    responder.Respond(out.Serialize());
-    return;
-  }
-  if (cmd == "shutdown") {
-    // Stops the router only; the shards it fronts keep serving.
-    JsonValue out = JsonValue::Object();
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("shutting_down", JsonValue::Bool(true));
-    responder.RespondThenStop(out.Serialize());
-    return;
-  }
-  if (cmd == "rollout") {
-    if (request->StringOr("bundle", "").empty()) {
-      responder.Respond(
-          ErrorToJson(Status::InvalidArgument("rollout needs \"bundle\""))
-              .Serialize());
-      return;
-    }
-    Job job;
-    job.request = std::move(*request);
-    job.raw_line = std::move(line);
-    job.responder = std::move(responder);
-    Dispatch(std::move(job));
-    return;
-  }
-  if (cmd == "ingest" || cmd == "freshness" || cmd == "retrain") {
-    // Ingest-tier verbs: blocking upstream I/O (per-shard routing, full
-    // fan-out), so they hop to the worker pool like routed predictions.
-    Job job;
-    job.request = std::move(*request);
-    job.raw_line = std::move(line);
-    job.responder = std::move(responder);
-    Dispatch(std::move(job));
-    return;
-  }
-  if (!cmd.empty()) {
-    responder.Respond(
-        ErrorToJson(Status::InvalidArgument("unknown cmd \"" + cmd + "\""))
-            .Serialize());
-    return;
-  }
-
-  // Prediction traffic. Ownership is decided here (cheap ring lookup) but
-  // the blocking upstream I/O always happens on the worker pool.
-  const JsonValue* avail_ids = request->Find("avail_ids");
-  const JsonValue* avail_id = request->Find("avail_id");
-  const JsonValue* avail = request->Find("avail");
-  if (avail_ids == nullptr && avail_id == nullptr && avail == nullptr) {
-    responder.Respond(
-        ErrorToJson(Status::InvalidArgument(
-                        "request needs \"avail_id\", \"avail_ids\", or "
-                        "\"avail\""))
-            .Serialize());
-    return;
-  }
-  if (avail_ids != nullptr && !avail_ids->is_array()) {
-    responder.Respond(
-        ErrorToJson(Status::InvalidArgument("\"avail_ids\" must be an array"))
-            .Serialize());
-    return;
-  }
-  if (avail_id != nullptr && avail_ids == nullptr && !avail_id->is_number()) {
-    responder.Respond(
-        ErrorToJson(Status::InvalidArgument("\"avail_id\" must be a number"))
-            .Serialize());
-    return;
-  }
-  Job job;
-  job.request = std::move(*request);
-  job.raw_line = std::move(line);
-  job.responder = std::move(responder);
-  Dispatch(std::move(job));
-}
-
-void ClusterRouter::RunJob(Job& job) {
-  const std::string cmd = job.request.StringOr("cmd", "");
-  if (cmd == "rollout") {
-    RunRollout(job);
-    return;
-  }
-  if (cmd == "ingest") {
-    RunIngest(job);
-    return;
-  }
-  if (cmd == "freshness") {
-    RunFreshness(job);
-    return;
-  }
-  if (cmd == "retrain") {
-    RunRetrainScatter(job);
-    return;
-  }
-  if (const JsonValue* ids = job.request.Find("avail_ids");
+void ClusterRouter::RunPredict(const VerbRequest& request,
+                               Responder responder) {
+  if (const JsonValue* ids = request.json.Find("avail_ids");
       ids != nullptr && ids->is_array()) {
-    RunScatter(job);
+    RunScatter(request, responder);
     return;
   }
   std::uint64_t key = 0;
-  if (const JsonValue* avail_id = job.request.Find("avail_id");
+  if (const JsonValue* avail_id = request.json.Find("avail_id");
       avail_id != nullptr && avail_id->is_number()) {
     // Checked by the shards' own parser before any hop, so a rejection
     // here answers exactly what the owning shard would.
-    const auto point = ParsePointRequest(job.request);
+    const auto point = ParsePointRequest(request.json);
     if (!point.ok()) {
-      job.responder.Respond(ErrorToJson(point.status()).Serialize());
+      responder.Respond(ErrorToJson(point.status()).Serialize());
       return;
     }
     key = KeyForAvail(point->avail_id);
@@ -273,23 +175,25 @@ void ClusterRouter::RunJob(Job& job) {
     // ship's traffic lands on one shard regardless of avail numbering. A
     // malformed ship_id routes like an absent one, and the owning shard's
     // parser rejects it.
-    const JsonValue* avail = job.request.Find("avail");
+    const JsonValue* avail = request.json.Find("avail");
     const auto ship_id = avail != nullptr
                              ? IntegerMember(*avail, "ship_id", 0)
                              : StatusOr<std::int64_t>(0);
     key = KeyForShip(ship_id.ok() ? *ship_id : 0);
   }
-  RunSingle(job, host_map_.OwnerIndexOf(key));
+  RunSingle(request.line, host_map_.OwnerIndexOf(key), responder);
 }
 
-void ClusterRouter::RunSingle(Job& job, std::size_t shard_index) {
+void ClusterRouter::RunSingle(const std::string& line,
+                              std::size_t shard_index,
+                              const Responder& responder) {
   routed_.fetch_add(1, std::memory_order_relaxed);
   if (obs::Counter* cell = cells_.routed_by_shard[shard_index];
       cell != nullptr && obs::Enabled()) {
     cell->Increment();
   }
   bool hedged = false;
-  auto response = RouteToShard(shard_index, job.raw_line,
+  auto response = RouteToShard(shard_index, line,
                                Clock::now() + options_.upstream_deadline,
                                &hedged);
   if (hedged) {
@@ -299,17 +203,18 @@ void ClusterRouter::RunSingle(Job& job, std::size_t shard_index) {
   if (!response.ok()) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     if (cells_.failed != nullptr && obs::Enabled()) cells_.failed->Increment();
-    job.responder.Respond(ErrorToJson(response.status()).Serialize());
+    responder.Respond(ErrorToJson(response.status()).Serialize());
     return;
   }
   // Verbatim forwarding: a routed answer is bit-identical to asking the
   // owning shard directly (the bit-identity contract, DESIGN.md §12).
-  job.responder.Respond(std::move(*response));
+  responder.Respond(std::move(*response));
 }
 
-void ClusterRouter::RunScatter(Job& job) {
+void ClusterRouter::RunScatter(const VerbRequest& request,
+                               const Responder& responder) {
   scattered_.fetch_add(1, std::memory_order_relaxed);
-  const JsonValue& ids = *job.request.Find("avail_ids");
+  const JsonValue& ids = *request.json.Find("avail_ids");
   const std::size_t n = ids.items().size();
   const Clock::time_point deadline =
       Clock::now() + options_.upstream_deadline;
@@ -334,10 +239,10 @@ void ClusterRouter::RunScatter(Job& job) {
     avail_ids[i] = *avail_id;
     JsonValue sub = JsonValue::Object();
     sub.Set("avail_id", id);
-    if (const JsonValue* t = job.request.Find("t_star"); t != nullptr) {
+    if (const JsonValue* t = request.json.Find("t_star"); t != nullptr) {
       sub.Set("t_star", *t);
     }
-    if (const JsonValue* k = job.request.Find("top_k"); k != nullptr) {
+    if (const JsonValue* k = request.json.Find("top_k"); k != nullptr) {
       sub.Set("top_k", *k);
     }
     sublines[i] = sub.Serialize();
@@ -448,17 +353,18 @@ void ClusterRouter::RunScatter(Job& job) {
   out += ", \"hedged\": ";
   out += any_hedged ? "true" : "false";
   out += ", \"errors\": " + std::to_string(errors) + "}";
-  job.responder.Respond(std::move(out));
+  responder.Respond(std::move(out));
 }
 
-void ClusterRouter::RunIngest(Job& job) {
+void ClusterRouter::RunIngest(const VerbRequest& request,
+                              Responder responder) {
   const Clock::time_point deadline =
       Clock::now() + options_.upstream_deadline;
-  const JsonValue* avails = job.request.Find("avails");
-  const JsonValue* rccs = job.request.Find("rccs");
+  const JsonValue* avails = request.json.Find("avails");
+  const JsonValue* rccs = request.json.Find("rccs");
   if ((avails != nullptr && !avails->is_array()) ||
       (rccs != nullptr && !rccs->is_array())) {
-    job.responder.Respond(
+    responder.Respond(
         ErrorToJson(
             Status::InvalidArgument("\"avails\"/\"rccs\" must be arrays"))
             .Serialize());
@@ -493,7 +399,7 @@ void ClusterRouter::RunIngest(Job& job) {
   Status split_status = split(avails, "id", &shard_avails);
   if (split_status.ok()) split_status = split(rccs, "avail_id", &shard_rccs);
   if (!split_status.ok()) {
-    job.responder.Respond(ErrorToJson(split_status).Serialize());
+    responder.Respond(ErrorToJson(split_status).Serialize());
     return;
   }
   std::size_t fanout = 0;
@@ -501,7 +407,7 @@ void ClusterRouter::RunIngest(Job& job) {
     if (touched[s]) ++fanout;
   }
   if (fanout == 0) {
-    job.responder.Respond(
+    responder.Respond(
         ErrorToJson(Status::InvalidArgument(
                         "ingest needs \"avails\" and/or \"rccs\" rows"))
             .Serialize());
@@ -566,7 +472,7 @@ void ClusterRouter::RunIngest(Job& job) {
   // verbatim (the bit-identity contract); failures and multi-shard
   // batches aggregate per-shard results.
   if (fanout == 1 && all_ok) {
-    job.responder.Respond(std::move(sole_response));
+    responder.Respond(std::move(sole_response));
     return;
   }
   JsonValue out = JsonValue::Object();
@@ -575,10 +481,10 @@ void ClusterRouter::RunIngest(Job& job) {
   out.Set("shards", JsonValue::Number(static_cast<double>(fanout)));
   out.Set("hedged", JsonValue::Bool(any_hedged));
   out.Set("results", std::move(results));
-  job.responder.Respond(out.Serialize());
+  responder.Respond(out.Serialize());
 }
 
-void ClusterRouter::RunFreshness(Job& job) {
+void ClusterRouter::RunFreshness(const VerbRequest&, Responder responder) {
   // Cluster-wide freshness: every replica of every shard answers, and a
   // shard counts as converged when all of its replicas report one store
   // epoch — the replication bit-identity invariant, observable from the
@@ -650,10 +556,11 @@ void ClusterRouter::RunFreshness(Job& job) {
   out.Set("converged", JsonValue::Bool(all_converged));
   out.Set("stale", JsonValue::Bool(any_stale));
   out.Set("shards", std::move(shards));
-  job.responder.Respond(out.Serialize());
+  responder.Respond(out.Serialize());
 }
 
-void ClusterRouter::RunRetrainScatter(Job& job) {
+void ClusterRouter::RunRetrainScatter(const VerbRequest& request,
+                                      Responder responder) {
   // Replicas of a shard at one store epoch hold the same tables in the
   // same row order, and training is deterministic, so each shard trains
   // once. `retrain` with "ship_models" goes to its replicas in ingest
@@ -664,7 +571,7 @@ void ClusterRouter::RunRetrainScatter(Job& job) {
   // data, an adopt line over the shard reactor's 1 MiB request cap — gets
   // a plain `retrain`. Each replica answers only after its swap, so the
   // ack still follows every replica's swap.
-  JsonValue train_request = job.request;
+  JsonValue train_request = request.json;
   train_request.Set("ship_models", JsonValue::Bool(true));
   const std::string train_line = train_request.Serialize();
   const auto rpc = [&](const Endpoint& endpoint, const std::string& line) {
@@ -725,7 +632,7 @@ void ClusterRouter::RunRetrainScatter(Job& job) {
       const std::size_t r = order[next];
       const auto adopted = record(r, false, rpc(spec.replicas[r], adopt_line));
       if (!adopted.ok() || !adopted->BoolOr("ok", false)) {
-        record(r, true, rpc(spec.replicas[r], job.raw_line));
+        record(r, true, rpc(spec.replicas[r], request.line));
       }
     }
     for (JsonValue& entry : entries) {
@@ -737,7 +644,7 @@ void ClusterRouter::RunRetrainScatter(Job& job) {
   out.Set("ok", JsonValue::Bool(all_ok));
   out.Set("role", JsonValue::String("router"));
   out.Set("retrained", std::move(results));
-  job.responder.Respond(out.Serialize());
+  responder.Respond(out.Serialize());
 }
 
 std::vector<std::size_t> ClusterRouter::PreferenceOrder(
@@ -911,10 +818,11 @@ void ClusterRouter::ProbeOnce() {
   PublishShardGauges();
 }
 
-void ClusterRouter::RunRollout(Job& job) {
+void ClusterRouter::RunRollout(const VerbRequest& request,
+                               Responder responder) {
   std::unique_lock<std::mutex> rollout_lock(rollout_mutex_, std::try_to_lock);
   if (!rollout_lock.owns_lock()) {
-    job.responder.Respond(
+    responder.Respond(
         ErrorToJson(
             Status::FailedPrecondition("a rollout is already in progress"))
             .Serialize());
@@ -924,7 +832,7 @@ void ClusterRouter::RunRollout(Job& job) {
   if (cells_.rollouts != nullptr && obs::Enabled()) {
     cells_.rollouts->Increment();
   }
-  const std::string bundle = job.request.StringOr("bundle", "");
+  const std::string bundle = request.json.StringOr("bundle", "");
 
   JsonValue flipped = JsonValue::Array();
   // Halts the rollout and reports exactly where it stopped. Every shard is
@@ -946,7 +854,7 @@ void ClusterRouter::RunRollout(Job& job) {
     out.Set("code", JsonValue::String(StatusCodeToString(error.code())));
     out.Set("error", JsonValue::String(error.message()));
     out.Set("flipped_shards", flipped);
-    job.responder.Respond(out.Serialize());
+    responder.Respond(out.Serialize());
   };
   const auto rpc = [&](const Endpoint& endpoint,
                        const std::string& line) -> StatusOr<JsonValue> {
@@ -1070,7 +978,7 @@ void ClusterRouter::RunRollout(Job& job) {
   out.Set("ok", JsonValue::Bool(true));
   out.Set("bundle_version", JsonValue::String(staged_version));
   out.Set("flipped_shards", flipped);
-  job.responder.Respond(out.Serialize());
+  responder.Respond(out.Serialize());
 }
 
 RouterStatsSnapshot ClusterRouter::stats() const {
@@ -1080,8 +988,7 @@ RouterStatsSnapshot ClusterRouter::stats() const {
   snapshot.ingest_routed = ingest_routed_.load(std::memory_order_relaxed);
   snapshot.hedged = hedged_.load(std::memory_order_relaxed);
   snapshot.failed = failed_.load(std::memory_order_relaxed);
-  snapshot.rejected_overload =
-      rejected_overload_.load(std::memory_order_relaxed);
+  snapshot.rejected_overload = verbs_.shed();
   snapshot.probes = probes_.load(std::memory_order_relaxed);
   snapshot.rollouts = rollouts_.load(std::memory_order_relaxed);
   snapshot.rollout_failures =

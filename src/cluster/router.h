@@ -5,8 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,6 +15,7 @@
 #include "obs/metrics.h"
 #include "serve/json.h"
 #include "serve/reactor.h"
+#include "serve/verb_table.h"
 
 namespace domd {
 namespace cluster {
@@ -86,37 +85,11 @@ struct RouterStatsSnapshot {
 /// verbatim — a routed request that succeeds is bit-identical to asking
 /// that shard directly.
 ///
-/// Verbs:
-///   {"avail_id": N, ...}        forwarded to the owning shard.
-///   {"avail": {...}, ...}       detached scoring, owner keyed by ship_id.
-///   {"avail_ids": [...], ...}   scatter-gather: per-id subrequests fan
-///                               out to the owning shards over pipelined
-///                               upstream connections and merge back in
-///                               request order.
-///   {"cmd": "health"}           per-shard routing state.
-///   {"cmd": "stats"}            router counters.
-///   {"cmd": "metrics"}          Prometheus exposition.
-///   {"cmd": "ping"}             liveness.
-///   {"cmd": "rollout", "bundle": DIR}  coordinated rollout (stage every
-///                               shard, verify, flip shard-by-shard,
-///                               halt-and-report on first failure).
-///   {"cmd": "ingest", ...}      mutations split by owning shard (avails
-///                               by id, RCCs by avail_id — an RCC always
-///                               travels with its avail) and routed to
-///                               each shard's current ingest primary,
-///                               failing over to the next healthy replica
-///                               when the primary is dead or refuses.
-///   {"cmd": "freshness"}        cluster-wide freshness: every replica of
-///                               every shard answers, with per-shard
-///                               convergence (all replicas at one epoch).
-///   {"cmd": "retrain", ...}     one training per shard: the first
-///                               replica in ingest preference order to
-///                               answer ok trains and ships its models;
-///                               every other replica adopts them for the
-///                               trained-on epoch, or retrains itself
-///                               when it cannot (other epoch, other data).
-///                               Answers once every replica has swapped.
-///   {"cmd": "shutdown"}         stop the router (never the shards).
+/// The constructor registers every verb on a VerbTable: the control verbs
+/// (ping, health, stats, and the table's metrics and shutdown) inline, and
+/// predictions, rollout, ingest, freshness and retrain on a pool of
+/// `workers` threads whose queue `max_queue_depth` bounds. Each Run*
+/// handler documents its verb; tools/domd_router.cc lists the wire forms.
 ///
 /// Hedging: each routed request walks the shard's replica preference
 /// order (primary first, replicas the prober marked down or breaker-open
@@ -137,7 +110,7 @@ class ClusterRouter {
 
   /// Routes one client request line; always answers via `responder`,
   /// exactly once. Control verbs answer inline on the reactor shard;
-  /// routed verbs hop to the worker pool.
+  /// routed verbs hop to the table's bounded worker pool.
   void Handle(std::string line, Responder responder);
 
   /// One synchronous probe round over every replica of every shard
@@ -150,12 +123,6 @@ class ClusterRouter {
   std::vector<ReplicaState> replica_states(std::size_t shard_index) const;
 
  private:
-  struct Job {
-    JsonValue request;
-    std::string raw_line;
-    Responder responder;
-  };
-
   /// Obs cells (null when compiled out), registered once per router.
   struct MetricCells {
     std::vector<obs::Counter*> routed_by_shard;  ///< {shard="<id>"}.
@@ -168,18 +135,17 @@ class ClusterRouter {
     obs::Counter* rollout_failures = nullptr;
   };
 
-  void WorkerLoop();
   void ProberLoop();
-  void Dispatch(Job job);  ///< enqueue or reject with backpressure.
 
-  /// Executes one routed job on a worker thread.
-  void RunJob(Job& job);
-  void RunSingle(Job& job, std::size_t shard_index);
-  void RunScatter(Job& job);
-  void RunRollout(Job& job);
-  void RunIngest(Job& job);
-  void RunFreshness(Job& job);
-  void RunRetrainScatter(Job& job);
+  /// Worker verbs. RunPredict picks scatter-gather or one owning shard.
+  void RunPredict(const VerbRequest& request, Responder responder);
+  void RunSingle(const std::string& line, std::size_t shard_index,
+                 const Responder& responder);
+  void RunScatter(const VerbRequest& request, const Responder& responder);
+  void RunRollout(const VerbRequest& request, Responder responder);
+  void RunIngest(const VerbRequest& request, Responder responder);
+  void RunFreshness(const VerbRequest& request, Responder responder);
+  void RunRetrainScatter(const VerbRequest& request, Responder responder);
 
   /// Sends `line` to shard `shard_index` with hedged retries across its
   /// replica preference order. Success returns the replica's verbatim
@@ -221,16 +187,8 @@ class ClusterRouter {
   mutable std::mutex state_mutex_;  ///< guards replica_states_.
   std::vector<std::vector<ReplicaState>> replica_states_;  ///< [shard][rep].
 
-  std::mutex queue_mutex_;
-  std::condition_variable work_available_;
-  std::deque<Job> queue_;
-  bool stopping_ = false;
-
   std::mutex rollout_mutex_;  ///< one rollout at a time.
 
-  /// The prober waits on its own cv: the worker queue uses notify_one, and
-  /// a shared cv could hand a job wakeup to the sleeping prober instead of
-  /// a worker.
   std::mutex prober_mutex_;
   std::condition_variable prober_cv_;
   bool prober_stop_ = false;
@@ -240,13 +198,14 @@ class ClusterRouter {
   std::atomic<std::uint64_t> ingest_routed_{0};
   std::atomic<std::uint64_t> hedged_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> rejected_overload_{0};
   std::atomic<std::uint64_t> probes_{0};
   std::atomic<std::uint64_t> rollouts_{0};
   std::atomic<std::uint64_t> rollout_failures_{0};
 
-  std::vector<std::thread> workers_;
-  std::thread prober_;  ///< joined in the destructor after workers.
+  std::thread prober_;  ///< joined in the destructor.
+  /// Last member: its workers answer every queued request and join before
+  /// the state they route over is destroyed.
+  VerbTable verbs_;
 };
 
 }  // namespace cluster

@@ -192,11 +192,6 @@ StatusOr<std::string> UpstreamPool::Rpc(const Endpoint& endpoint,
   return Status::Unavailable("unreachable");  // loop always returns.
 }
 
-void UpstreamPool::CloseIdle() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  idle_.clear();
-}
-
 std::size_t UpstreamPool::idle_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t count = 0;

@@ -94,10 +94,6 @@ class UpstreamPool {
   StatusOr<std::string> Rpc(const Endpoint& endpoint, const std::string& line,
                             Clock::time_point deadline);
 
-  /// Closes every idle connection (the owning router stops; in-flight
-  /// checked-out connections close when their holders drop them).
-  void CloseIdle();
-
   /// Idle connections currently parked (tests).
   std::size_t idle_count() const;
 

@@ -6,13 +6,13 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "fault/fault.h"
-#include "obs/metrics.h"
 #include "serve/wire.h"
 
 namespace domd {
@@ -64,49 +64,29 @@ ServeFrontend::ServeFrontend(PredictionService* service,
     : service_(service),
       options_(std::move(options)),
       stage_root_(options_.stage_root.empty() ? DefaultStageRoot()
-                                              : options_.stage_root) {
-  RegisterBuiltinVerbs();
-  worker_ = std::thread(
-      [this] { WorkerLoop(&worker_queue_, &worker_available_); });
-  slow_worker_ =
-      std::thread([this] { WorkerLoop(&slow_queue_, &slow_available_); });
-}
-
-ServeFrontend::~ServeFrontend() {
-  {
-    std::lock_guard<std::mutex> lock(worker_mutex_);
-    stopping_ = true;
-    worker_available_.notify_all();
-    slow_available_.notify_all();
-  }
-  if (worker_.joinable()) worker_.join();
-  if (slow_worker_.joinable()) slow_worker_.join();
-}
-
-void ServeFrontend::RegisterVerb(const std::string& name, VerbPolicy policy,
-                                 VerbHandler handler) {
-  verbs_[name] = Verb{policy, std::move(handler)};
-}
-
-void ServeFrontend::RegisterBuiltinVerbs() {
-  RegisterVerb("ping", VerbPolicy::kInline,
-               [this](const JsonValue&, Responder responder) {
-                 JsonValue out = JsonValue::Object();
-                 out.Set("ok", JsonValue::Bool(true));
-                 out.Set("bundle_version",
-                         JsonValue::String(service_->bundle()->version()));
-                 responder.Respond(out.Serialize());
-               });
-  RegisterVerb("stats", VerbPolicy::kInline,
-               [this](const JsonValue&, Responder responder) {
-                 JsonValue out = StatsToJson(service_->stats());
-                 if (options_.store != nullptr && options_.repl != nullptr) {
-                   out.Set("repl", options_.repl->StatsJson());
-                 }
-                 responder.Respond(out.Serialize());
-               });
-  RegisterVerb("health", VerbPolicy::kInline, [this](const JsonValue&,
-                                                     Responder responder) {
+                                              : options_.stage_root),
+      verbs_(/*workers=*/1, /*slow_workers=*/1) {
+  verbs_.Register("", VerbPolicy::kInline,
+                  std::bind_front(&ServeFrontend::Score, this));
+  verbs_.Register("ping", VerbPolicy::kInline,
+                  [this](const VerbRequest&, Responder responder) {
+                    JsonValue out = JsonValue::Object();
+                    out.Set("ok", JsonValue::Bool(true));
+                    out.Set("bundle_version",
+                            JsonValue::String(service_->bundle()->version()));
+                    responder.Respond(out.Serialize());
+                  });
+  verbs_.Register("stats", VerbPolicy::kInline,
+                  [this](const VerbRequest&, Responder responder) {
+                    JsonValue out = StatsToJson(service_->stats());
+                    if (options_.store != nullptr &&
+                        options_.repl != nullptr) {
+                      out.Set("repl", options_.repl->StatsJson());
+                    }
+                    responder.Respond(out.Serialize());
+                  });
+  verbs_.Register("health", VerbPolicy::kInline, [this](const VerbRequest&,
+                                                        Responder responder) {
     // Readiness probe: "ready" means the service is admitting work (the
     // breaker is not shedding). The identity fields let orchestration
     // confirm which bundle answers before routing traffic.
@@ -138,44 +118,19 @@ void ServeFrontend::RegisterBuiltinVerbs() {
     }
     responder.Respond(out.Serialize());
   });
-  RegisterVerb("metrics", VerbPolicy::kInline, [](const JsonValue&,
-                                                  Responder responder) {
-    // Prometheus text exposition 0.0.4. The multi-line payload is safe on
-    // the NDJSON wire because Serialize() escapes every newline.
-    JsonValue out = JsonValue::Object();
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("content_type", JsonValue::String("text/plain; version=0.0.4"));
-    out.Set("payload",
-            JsonValue::String(
-                obs::MetricsRegistry::Default().RenderPrometheus()));
-    responder.Respond(out.Serialize());
-  });
-  RegisterVerb("swap", VerbPolicy::kWorker,
-               [this](const JsonValue& request, Responder responder) {
-                 RunSwap(request, std::move(responder));
-               });
-  RegisterVerb("stage", VerbPolicy::kWorker,
-               [this](const JsonValue& request, Responder responder) {
-                 RunStage(request, std::move(responder));
-               });
-  RegisterVerb("shutdown", VerbPolicy::kInline,
-               [](const JsonValue&, Responder responder) {
-                 JsonValue out = JsonValue::Object();
-                 out.Set("ok", JsonValue::Bool(true));
-                 out.Set("shutting_down", JsonValue::Bool(true));
-                 responder.RespondThenStop(out.Serialize());
-               });
+  verbs_.Register("swap", VerbPolicy::kWorker,
+                  std::bind_front(&ServeFrontend::RunSwap, this));
+  verbs_.Register("stage", VerbPolicy::kWorker,
+                  std::bind_front(&ServeFrontend::RunStage, this));
 
   if (options_.store == nullptr) return;
 
   // Streaming-ingestion verbs (DESIGN.md §14), registered only when the
   // server owns a DataStore.
-  RegisterVerb("ingest", VerbPolicy::kWorker,
-               [this](const JsonValue& request, Responder responder) {
-                 RunIngest(request, std::move(responder));
-               });
-  RegisterVerb("freshness", VerbPolicy::kWorker, [this](const JsonValue&,
-                                                        Responder responder) {
+  verbs_.Register("ingest", VerbPolicy::kWorker,
+                  std::bind_front(&ServeFrontend::RunIngest, this));
+  verbs_.Register("freshness", VerbPolicy::kWorker,
+                  [this](const VerbRequest&, Responder responder) {
     // Staleness probe: the live bundle embeds the data epoch it was
     // trained from; the store's epoch says what the data looks like now.
     // Unequal epochs mean a retrain would pick up new data. Worker, not
@@ -202,16 +157,18 @@ void ServeFrontend::RegisterBuiltinVerbs() {
     // Peer-to-peer replication verbs (DESIGN.md §15). kWorker, not
     // kInline: a sequenced apply fsyncs the local log and an out-of-range
     // catch-up request materializes a snapshot.
-    RegisterVerb("replicate", VerbPolicy::kWorker,
-                 [this](const JsonValue& request, Responder responder) {
-                   responder.Respond(
-                       options_.repl->HandleReplicate(request).Serialize());
-                 });
-    RegisterVerb("catchup", VerbPolicy::kWorker,
-                 [this](const JsonValue& request, Responder responder) {
-                   responder.Respond(
-                       options_.repl->HandleCatchup(request).Serialize());
-                 });
+    verbs_.Register("replicate", VerbPolicy::kWorker,
+                    [this](const VerbRequest& request, Responder responder) {
+                      responder.Respond(
+                          options_.repl->HandleReplicate(request.json)
+                              .Serialize());
+                    });
+    verbs_.Register("catchup", VerbPolicy::kWorker,
+                    [this](const VerbRequest& request, Responder responder) {
+                      responder.Respond(
+                          options_.repl->HandleCatchup(request.json)
+                              .Serialize());
+                    });
   }
   if (!options_.retrain_root.empty()) {
     // A full training run can take minutes; kSlowWorker keeps it off the
@@ -219,35 +176,19 @@ void ServeFrontend::RegisterBuiltinVerbs() {
     // behind it. `adopt` shares the thread: it writes and loads a whole
     // bundle, and ordering it behind a retrain on the same replica is
     // harmless.
-    RegisterVerb("retrain", VerbPolicy::kSlowWorker,
-                 [this](const JsonValue& request, Responder responder) {
-                   RunRetrain(request, std::move(responder));
-                 });
-    RegisterVerb("adopt", VerbPolicy::kSlowWorker,
-                 [this](const JsonValue& request, Responder responder) {
-                   RunAdopt(request, std::move(responder));
-                 });
+    verbs_.Register("retrain", VerbPolicy::kSlowWorker,
+                    std::bind_front(&ServeFrontend::RunRetrain, this));
+    verbs_.Register("adopt", VerbPolicy::kSlowWorker,
+                    std::bind_front(&ServeFrontend::RunAdopt, this));
   }
 }
 
-void ServeFrontend::WorkerLoop(std::deque<WorkerJob>* queue,
-                               std::condition_variable* available) {
-  for (;;) {
-    WorkerJob job;
-    {
-      std::unique_lock<std::mutex> lock(worker_mutex_);
-      available->wait(lock,
-                      [&] { return stopping_ || !queue->empty(); });
-      if (queue->empty()) return;  // stopping, fully drained.
-      job = std::move(queue->front());
-      queue->pop_front();
-    }
-    job.handler(job.request, std::move(job.responder));
-  }
+void ServeFrontend::Handle(std::string line, Responder responder) {
+  verbs_.Handle(std::move(line), std::move(responder));
 }
 
-void ServeFrontend::RunSwap(const JsonValue& request, Responder responder) {
-  std::string dir = request.StringOr("bundle", "");
+void ServeFrontend::RunSwap(const VerbRequest& request, Responder responder) {
+  std::string dir = request.json.StringOr("bundle", "");
   if (dir.empty()) {
     responder.Respond(
         ErrorToJson(Status::InvalidArgument("swap needs \"bundle\""))
@@ -270,7 +211,7 @@ void ServeFrontend::RunSwap(const JsonValue& request, Responder responder) {
   // disk: the staged bundle was fully loaded and validated at stage time.
   std::shared_ptr<const ModelBundle> staged;
   {
-    std::lock_guard<std::mutex> lock(worker_mutex_);
+    std::lock_guard<std::mutex> lock(staged_mutex_);
     const auto it = staged_.find(dir);
     if (it != staged_.end()) staged = it->second;
   }
@@ -301,8 +242,8 @@ void ServeFrontend::RunSwap(const JsonValue& request, Responder responder) {
   responder.Respond(out.Serialize());
 }
 
-void ServeFrontend::RunStage(const JsonValue& request, Responder responder) {
-  std::string bundle_dir = request.StringOr("bundle", "");
+void ServeFrontend::RunStage(const VerbRequest& request, Responder responder) {
+  std::string bundle_dir = request.json.StringOr("bundle", "");
   if (bundle_dir.empty()) {
     responder.Respond(
         ErrorToJson(Status::InvalidArgument("stage needs \"bundle\""))
@@ -338,7 +279,7 @@ void ServeFrontend::RunStage(const JsonValue& request, Responder responder) {
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(worker_mutex_);
+    std::lock_guard<std::mutex> lock(staged_mutex_);
     staged_[dest] = *bundle;
   }
   JsonValue out = JsonValue::Object();
@@ -348,10 +289,10 @@ void ServeFrontend::RunStage(const JsonValue& request, Responder responder) {
   responder.Respond(out.Serialize());
 }
 
-void ServeFrontend::RunIngest(const JsonValue& request, Responder responder) {
+void ServeFrontend::RunIngest(const VerbRequest& request, Responder responder) {
   // Parse, validate, durably append. Runs on the worker because the log
   // fsync (and any triggered merge wait) must never block a shard.
-  auto mutations = ParseIngestMutations(request);
+  auto mutations = ParseIngestMutations(request.json);
   if (!mutations.ok()) {
     responder.Respond(ErrorToJson(mutations.status()).Serialize());
     return;
@@ -405,7 +346,8 @@ void ServeFrontend::RunIngest(const JsonValue& request, Responder responder) {
   responder.Respond(out.Serialize());
 }
 
-void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
+void ServeFrontend::RunRetrain(const VerbRequest& request,
+                               Responder responder) {
   // The continuous-retraining loop: pin a consistent cut of everything
   // ingested so far, train with the live bundle's pipeline config, and
   // publish the result as a fresh bundle version. Failure at any step
@@ -413,7 +355,7 @@ void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
   // before training, not after.
   const auto snapshot = options_.store->Snapshot();
   const std::string version =
-      request.StringOr("version", "e" + Hex64(snapshot->epoch()));
+      request.json.StringOr("version", "e" + Hex64(snapshot->epoch()));
   const Status valid = CheckVersionComponent("retrain", version);
   if (!valid.ok()) {
     responder.Respond(ErrorToJson(valid).Serialize());
@@ -445,7 +387,7 @@ void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
   if (out.BoolOr("ok", false)) {
     out.Set("trained_avails",
             JsonValue::Number(static_cast<double>(train_ids.size())));
-    if (request.BoolOr("ship_models", false)) {
+    if (request.json.BoolOr("ship_models", false)) {
       // The exact models.txt bytes and the checksum the MANIFEST records:
       // the router hands them to this shard's other replicas as `adopt`.
       out.Set("models", JsonValue::String(models));
@@ -456,27 +398,28 @@ void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
   responder.Respond(out.Serialize());
 }
 
-void ServeFrontend::RunAdopt(const JsonValue& request, Responder responder) {
+void ServeFrontend::RunAdopt(const VerbRequest& request, Responder responder) {
   // A shard peer's retrain, adopted instead of repeated. The epoch is
   // content (DESIGN.md §14): a replica whose store is at the epoch the
   // models were trained on holds the same tables in the same row order,
   // so its own training would produce exactly these bytes. Any refusal or
   // failure keeps the live bundle serving.
   const auto snapshot = options_.store->Snapshot();
-  const std::string version = request.StringOr("version", "");
-  const JsonValue* models = request.Find("models");
+  const std::string version = request.json.StringOr("version", "");
+  const JsonValue* models = request.json.Find("models");
   Status valid = CheckVersionComponent("adopt", version);
   if (valid.ok() && (models == nullptr || !models->is_string())) {
     valid = Status::InvalidArgument("adopt needs a string \"models\"");
   }
   if (valid.ok()) {
     const std::string epoch = Hex64(snapshot->epoch());
-    const std::string bundle_epoch = request.StringOr("bundle_epoch", "");
+    const std::string bundle_epoch =
+        request.json.StringOr("bundle_epoch", "");
     if (bundle_epoch != epoch) {
       valid = Status::FailedPrecondition(
           "adopt: models trained on epoch \"" + bundle_epoch +
           "\" but this replica is at " + epoch);
-    } else if (request.StringOr("models_checksum", "") !=
+    } else if (request.json.StringOr("models_checksum", "") !=
                Hex64(BundleFileChecksum(models->string_value()))) {
       valid = Status::DataLoss("adopt: \"models\" do not match "
                                "\"models_checksum\"");
@@ -523,45 +466,12 @@ JsonValue ServeFrontend::PublishBundle(const DataSnapshot& snapshot,
   return out;
 }
 
-void ServeFrontend::Handle(std::string line, Responder responder) {
-  const Clock::time_point start = Clock::now();
-
-  auto request = JsonValue::Parse(line);
-  if (!request.ok()) {
-    responder.Respond(ErrorToJson(request.status()).Serialize());
-    return;
-  }
-
-  const std::string cmd = request->StringOr("cmd", "");
-  if (!cmd.empty()) {
-    const auto it = verbs_.find(cmd);
-    if (it == verbs_.end()) {
-      responder.Respond(
-          ErrorToJson(Status::InvalidArgument("unknown cmd \"" + cmd + "\""))
-              .Serialize());
-      return;
-    }
-    if (it->second.policy == VerbPolicy::kInline) {
-      it->second.handler(*request, std::move(responder));
-      return;
-    }
-    WorkerJob job;
-    job.handler = it->second.handler;
-    job.request = std::move(*request);
-    job.responder = std::move(responder);
-    const bool slow = it->second.policy == VerbPolicy::kSlowWorker;
-    std::lock_guard<std::mutex> lock(worker_mutex_);
-    if (stopping_) return;  // teardown races a late job: drop it.
-    (slow ? slow_queue_ : worker_queue_).push_back(std::move(job));
-    (slow ? slow_available_ : worker_available_).notify_one();
-    return;
-  }
-
+void ServeFrontend::Score(const VerbRequest& request, Responder responder) {
   // Reference-fleet scoring: cheap lock-free read against the current
   // bundle, answered inline on the shard (no queueing).
-  if (const JsonValue* avail_id = request->Find("avail_id");
+  if (const JsonValue* avail_id = request.json.Find("avail_id");
       avail_id != nullptr && avail_id->is_number()) {
-    const auto point = ParsePointRequest(*request);
+    const auto point = ParsePointRequest(request.json);
     if (!point.ok()) {
       responder.Respond(ErrorToJson(point.status()).Serialize());
       return;
@@ -573,7 +483,7 @@ void ServeFrontend::Handle(std::string line, Responder responder) {
       return;
     }
     responder.Respond(
-        PredictionToJson(*result, ElapsedMs(start, Clock::now()))
+        PredictionToJson(*result, ElapsedMs(request.received, Clock::now()))
             .Serialize());
     return;
   }
@@ -581,16 +491,17 @@ void ServeFrontend::Handle(std::string line, Responder responder) {
   // Detached scoring through the admission queue + micro-batcher. The
   // completion fires on the batcher thread (or inline for an immediate
   // rejection) and posts the response back to the owning shard.
-  auto score = ParseScoreRequest(*request);
+  auto score = ParseScoreRequest(request.json);
   if (!score.ok()) {
     responder.Respond(ErrorToJson(score.status()).Serialize());
     return;
   }
-  const auto ms = RequestDeadlineMs(*request);
+  const auto ms = RequestDeadlineMs(request.json);
   if (!ms.ok()) {
     responder.Respond(ErrorToJson(ms.status()).Serialize());
     return;
   }
+  const Clock::time_point start = request.received;
   std::optional<PredictionService::Clock::time_point> deadline;
   if (ms->has_value()) {
     deadline = start + std::chrono::microseconds(

@@ -379,11 +379,13 @@ void Reactor::Wait() {
 
 ReactorStatsSnapshot Reactor::stats() const {
   ReactorStatsSnapshot s;
+  // The reap count first, with acquire: every close it counts is then
+  // visible in the connection and buffer counters read after it.
+  s.idle_reaped = idle_reaped_.load(std::memory_order_acquire);
   s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.open_connections = open_connections_.load(std::memory_order_relaxed);
+  s.open_connections = open_connections_.load(std::memory_order_acquire);
   s.rejected_at_capacity =
       rejected_at_capacity_.load(std::memory_order_relaxed);
-  s.idle_reaped = idle_reaped_.load(std::memory_order_relaxed);
   s.write_stall_disconnects =
       write_stall_disconnects_.load(std::memory_order_relaxed);
   s.buffer_limit_disconnects =
@@ -394,7 +396,7 @@ ReactorStatsSnapshot Reactor::stats() const {
   s.read_errors = read_errors_.load(std::memory_order_relaxed);
   s.write_errors = write_errors_.load(std::memory_order_relaxed);
   s.accept_faults = accept_faults_.load(std::memory_order_relaxed);
-  s.buffered_bytes = buffered_bytes_.load(std::memory_order_relaxed);
+  s.buffered_bytes = buffered_bytes_.load(std::memory_order_acquire);
   return s;
 }
 
@@ -503,16 +505,19 @@ void CloseConnection(ShardContext& ctx, std::uint64_t conn_id) {
   auto it = ctx.shard->conns.find(conn_id);
   if (it == ctx.shard->conns.end()) return;
   Connection& conn = it->second;
-  ::epoll_ctl(ctx.shard->epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
-  ::close(conn.fd);
+  // Accounting first, then the close: a peer that sees EOF (and a reader
+  // that sees the reap counted after this call) also sees the connection
+  // gone from the counters.
   ctx.buffered_bytes->fetch_sub(conn.accounted_bytes,
-                                std::memory_order_relaxed);
+                                std::memory_order_release);
   const std::uint64_t open =
-      ctx.open_connections->fetch_sub(1, std::memory_order_relaxed) - 1;
+      ctx.open_connections->fetch_sub(1, std::memory_order_release) - 1;
   if (obs::Gauge* gauge = ReactorCells().open_connections;
       gauge != nullptr && obs::Enabled()) {
     gauge->Set(static_cast<double>(open));
   }
+  ::epoll_ctl(ctx.shard->epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
+  ::close(conn.fd);
   ctx.shard->conns.erase(it);
 }
 
@@ -798,9 +803,9 @@ void ReapIdle(ShardContext& ctx) {
       ctx.shard->wheel.Insert(conn_id, ctx.shard->wheel.TickOf(deadline) + 1);
       continue;
     }
-    ctx.idle_reaped->fetch_add(1, std::memory_order_relaxed);
-    Bump(ReactorCells().idle_reaped);
     CloseConnection(ctx, conn_id);
+    ctx.idle_reaped->fetch_add(1, std::memory_order_release);
+    Bump(ReactorCells().idle_reaped);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "fault/fault.h"
 #include "ingest/data_store.h"
@@ -168,6 +169,23 @@ TEST(ReactorChaosTest, WirePredictionsBitIdenticalToDirectServiceCalls) {
   EXPECT_EQ(wire.NumberOr("band_low", -1), direct->band_low);
   EXPECT_EQ(wire.NumberOr("band_high", -1), direct->band_high);
   EXPECT_EQ(wire.StringOr("bundle_version", ""), direct->bundle_version);
+
+  // The shard's error and control answers, byte for byte. Without a
+  // store, `ingest` is not a verb at all.
+  const std::string invalid = R"({"ok":false,"code":"INVALID_ARGUMENT",)";
+  for (const auto& [request, answer] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"not json", invalid + R"("error":"json: bad token"})"},
+           {R"({"cmd":"nope"})",
+            invalid + R"("error":"unknown cmd \"nope\""})"},
+           {R"({"cmd":"ingest"})",
+            invalid + R"("error":"unknown cmd \"ingest\""})"},
+           {R"({"cmd":"ping"})", R"({"ok":true,"bundle_version":"v1"})"},
+           {R"({"cmd":"shutdown"})", R"({"ok":true,"shutting_down":true})"},
+       }) {
+    EXPECT_EQ(testing_internal::Rpc(server.port(), request), answer)
+        << request;
+  }
 }
 
 // A point's integers are range-checked before the cast: an avail_id or

@@ -43,17 +43,8 @@ namespace {
 
 using fault::ScopedFaultInjection;
 using testing_internal::GetServeFixture;
-using testing_internal::TestClient;
+using testing_internal::Rpc;
 using testing_internal::WaitFor;
-
-/// One request/response round trip against a port.
-std::string Rpc(int port, const std::string& line) {
-  TestClient client = TestClient::Connect(port);
-  if (!client.connected()) return "";
-  if (!client.SendLine(line)) return "";
-  auto response = client.ReadLine();
-  return response.has_value() ? *response : "";
-}
 
 JsonValue ParsedRpc(int port, const std::string& line) {
   auto parsed = JsonValue::Parse(Rpc(port, line));
@@ -416,14 +407,16 @@ TEST(ReplChaosTest, UnackedDivergentTimelineReplacedAfterFailover) {
                       std::chrono::milliseconds(10000)));
 
   // Batch B becomes durable on replica 0 alone: every outbound replicate
-  // fails, so quorum 2 cannot be reached and the client is told so.
+  // fails, so quorum 2 cannot be reached and the client is told so. The
+  // kill happens inside the fault scope: once the scope closes, replica
+  // 0's sender would ship B to its peers.
   {
     ScopedFaultInjection fault("repl.send=fail-first:1000000");
     const JsonValue response =
         ParsedRpc(cluster->port(0), IngestLine(6100, 2));
     ASSERT_FALSE(response.BoolOr("ok", false));
+    cluster->Kill(0);
   }
-  cluster->Kill(0);
 
   // Batch C takes B's sequence numbers on the new primary's timeline.
   ASSERT_TRUE(IngestUntilAcked(cluster->port(1), IngestLine(6200, 2)));

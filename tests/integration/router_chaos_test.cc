@@ -30,7 +30,7 @@ namespace cluster {
 namespace {
 
 using testing_internal::GetServeFixture;
-using testing_internal::TestClient;
+using testing_internal::Rpc;
 using testing_internal::WaitFor;
 
 /// One in-process serve stack: the exact objects domd_serve wires up,
@@ -134,15 +134,6 @@ RouterOptions FastRouterOptions() {
   return options;
 }
 
-/// One request/response round trip against a port.
-std::string Rpc(int port, const std::string& line) {
-  TestClient client = TestClient::Connect(port);
-  EXPECT_TRUE(client.connected());
-  EXPECT_TRUE(client.SendLine(line));
-  auto response = client.ReadLine();
-  return response.has_value() ? *response : "";
-}
-
 /// Serializes `line` with its "latency_ms" member dropped: latency is
 /// measured per-request by whichever process answered, so it is the one
 /// field that legitimately differs between a routed and a direct answer.
@@ -207,10 +198,29 @@ TEST(RouterChaosTest, ControlVerbsAnswerInline) {
     }
   }
 
-  auto bad = JsonValue::Parse(Rpc(cluster->router_port, "{\"cmd\":\"nope\"}"));
-  ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(bad->BoolOr("ok", true));
-  EXPECT_EQ(bad->StringOr("code", ""), "INVALID_ARGUMENT");
+  // Exact answer lines, byte for byte. The malformed predictions and the
+  // bundle-less rollout are answered before the worker queue, so none is
+  // ever shed.
+  const std::string invalid = R"({"ok":false,"code":"INVALID_ARGUMENT",)";
+  const std::vector<std::pair<std::string, std::string>> pinned = {
+      {"not json", invalid + R"("error":"json: bad token"})"},
+      {R"({"cmd":"nope"})", invalid + R"("error":"unknown cmd \"nope\""})"},
+      {"{}", invalid + R"("error":"request needs \"avail_id\", )"
+                       R"(\"avail_ids\", or \"avail\""})"},
+      {R"({"avail_ids": 3})",
+       invalid + R"("error":"\"avail_ids\" must be an array"})"},
+      {R"({"avail_id": "x"})",
+       invalid + R"("error":"\"avail_id\" must be a number"})"},
+      {R"({"cmd":"rollout"})",
+       invalid + R"("error":"rollout needs \"bundle\""})"},
+      {R"({"cmd":"ping"})", R"({"ok":true,"role":"router","num_shards":2})"},
+  };
+  for (const auto& [request, answer] : pinned) {
+    EXPECT_EQ(Rpc(cluster->router_port, request), answer) << request;
+  }
+  EXPECT_EQ(cluster->router->stats().routed, 0u);
+  EXPECT_EQ(Rpc(cluster->router_port, R"({"cmd":"shutdown"})"),
+            R"({"ok":true,"shutting_down":true})");
 }
 
 TEST(RouterChaosTest, HedgesToReplicaWhenPrimaryDies) {

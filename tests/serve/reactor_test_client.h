@@ -174,6 +174,15 @@ class TestClient {
   std::string buffer_;
 };
 
+/// One request/response round trip on a fresh connection to `port`; ""
+/// when the connect, the send or the read fails.
+inline std::string Rpc(int port, const std::string& line) {
+  TestClient client = TestClient::Connect(port);
+  if (!client.connected() || !client.SendLine(line)) return "";
+  auto response = client.ReadLine();
+  return response.has_value() ? *response : "";
+}
+
 }  // namespace testing_internal
 }  // namespace domd
 

@@ -53,19 +53,23 @@
 // environment variable) arms deterministic fault injection at the named
 // fault points (DESIGN.md §10) — chaos-testing only, off by default.
 // Builds with -DDOMD_DISABLE_FAULTS refuse the flag.
+//
+// Flags are checked before a subcommand runs: a flag the subcommand does
+// not list above, a flag without a value, a number that does not parse or
+// is out of range (--threads abc, --seed -1), or a missing required flag
+// exits 2 and names the flag.
 
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <fstream>
 
 #include "cache/view_cache.h"
 #include "core/domd_estimator.h"
-#include "fault/fault.h"
 #include "ingest/data_store.h"
 #include "core/pipeline_optimizer.h"
 #include "data/logical_time.h"
@@ -78,59 +82,14 @@
 #include "report/report_writer.h"
 #include "obfuscate/obfuscator.h"
 #include "synth/generator.h"
+#include "tool_flags.h"
 
 namespace domd {
 namespace {
 
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      flags[key.substr(2)] = argv[++i];
-    }
-  }
-  return flags;
-}
-
-std::string FlagOr(const Flags& flags, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-/// Arms fault injection from --fault-spec or $DOMD_FAULT_SPEC before the
-/// subcommand runs. Returns 0 on success (or nothing to arm), 2 on a
-/// malformed spec or when fault support was compiled out.
-int ArmFaults(const Flags& flags) {
-  std::string spec = FlagOr(flags, "fault-spec", "");
-  if (spec.empty()) {
-    if (const char* env = std::getenv("DOMD_FAULT_SPEC")) spec = env;
-  }
-  if (spec.empty()) return 0;
-#if DOMD_FAULT_COMPILED
-  const Status status = fault::FaultRegistry::Default().ApplySpec(spec);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: --fault-spec: %s\n",
-                 status.ToString().c_str());
-    return 2;
-  }
-  fault::SetEnabled(true);
-  std::fprintf(stderr, "domd: fault injection armed: %s\n", spec.c_str());
-  return 0;
-#else
-  std::fprintf(stderr,
-               "error: --fault-spec given but fault injection was compiled "
-               "out (-DDOMD_DISABLE_FAULTS)\n");
-  return 2;
-#endif
 }
 
 /// Writes the default metric registry as JSON. Surfaces every counter,
@@ -152,15 +111,14 @@ int DumpMetricsJson(const std::string& path) {
 // --threads N; N = 0 (the default) resolves to hardware_concurrency.
 Parallelism ThreadsFlag(const Flags& flags) {
   Parallelism parallelism;
-  parallelism.num_threads = std::atoi(FlagOr(flags, "threads", "0").c_str());
+  parallelism.num_threads = static_cast<int>(flags.Int("threads", 0));
   return parallelism;
 }
 
 // --cache-bytes B; byte budget of the modeling-view cache (0 disables).
 std::size_t CacheBytesFlag(const Flags& flags) {
-  const auto it = flags.find("cache-bytes");
-  if (it == flags.end()) return kDefaultViewCacheBytes;
-  return static_cast<std::size_t>(std::atoll(it->second.c_str()));
+  return static_cast<std::size_t>(
+      flags.Int("cache-bytes", kDefaultViewCacheBytes));
 }
 
 /// Every subcommand reads --dir through a DataStore snapshot (DESIGN.md
@@ -173,14 +131,11 @@ struct StoreHandle {
 };
 
 StatusOr<StoreHandle> OpenStore(const Flags& flags, bool for_ingest = false) {
-  const auto it = flags.find("dir");
-  if (it == flags.end()) {
-    return Status::InvalidArgument("--dir is required");
-  }
+  const std::string dir = flags.String("dir");
   DataStoreOptions options;
   // Read-only commands replay an existing log but never create one.
   options.adopt_existing_log_only = !for_ingest;
-  auto store = DataStore::OpenDir(it->second, std::move(options));
+  auto store = DataStore::OpenDir(dir, std::move(options));
   if (!store.ok()) return store.status();
   StoreHandle handle;
   handle.store = std::move(*store);
@@ -202,20 +157,25 @@ StatusOr<StoreHandle> OpenStore(const Flags& flags, bool for_ingest = false) {
   }
   if (report.num_warnings > 0) {
     std::fprintf(stderr, "warning: %zu integrity warnings in %s\n",
-                 report.num_warnings, it->second.c_str());
+                 report.num_warnings, dir.c_str());
   }
   return handle;
 }
 
+/// --model FILE over the store's pinned snapshot (evaluate/query/report).
+StatusOr<DomdEstimator> LoadEstimator(const Flags& flags,
+                                      const StoreHandle& store) {
+  return DomdEstimator::LoadModels(store.snapshot, flags.String("model"),
+                                   ThreadsFlag(flags), CacheBytesFlag(flags));
+}
+
 int CmdGenerate(const Flags& flags) {
   SynthConfig config;
-  config.num_avails = std::atoi(FlagOr(flags, "avails", "200").c_str());
-  config.mean_rccs_per_avail =
-      std::atof(FlagOr(flags, "rccs-per-avail", "240").c_str());
-  config.ongoing_fraction = std::atof(FlagOr(flags, "ongoing", "0.05").c_str());
-  config.seed =
-      static_cast<std::uint64_t>(std::atoll(FlagOr(flags, "seed", "42").c_str()));
-  const std::string dir = FlagOr(flags, "dir", ".");
+  config.num_avails = static_cast<int>(flags.Int("avails", 200));
+  config.mean_rccs_per_avail = flags.Double("rccs-per-avail", 240);
+  config.ongoing_fraction = flags.Double("ongoing", 0.05);
+  config.seed = static_cast<std::uint64_t>(flags.Int("seed", 42));
+  const std::string dir = flags.String("dir", ".");
 
   const Dataset data = GenerateDataset(config);
   if (auto s = data.avails.WriteFile(dir + "/avails.csv"); !s.ok()) {
@@ -232,23 +192,18 @@ int CmdGenerate(const Flags& flags) {
 int CmdObfuscate(const Flags& flags) {
   auto store = OpenStore(flags);
   if (!store.ok()) return Fail(store.status());
-  const auto out_it = flags.find("out");
-  if (out_it == flags.end()) {
-    return Fail(Status::InvalidArgument("--out is required"));
-  }
+  const std::string out = flags.String("out");
   ObfuscationConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(FlagOr(flags, "seed", "53391").c_str()));
+  config.seed = static_cast<std::uint64_t>(flags.Int("seed", 53391));
   Obfuscator obfuscator(config);
   const Dataset masked = obfuscator.Obfuscate(store->data());
-  if (auto s = masked.avails.WriteFile(out_it->second + "/avails.csv");
-      !s.ok()) {
+  if (auto s = masked.avails.WriteFile(out + "/avails.csv"); !s.ok()) {
     return Fail(s);
   }
-  if (auto s = masked.rccs.WriteFile(out_it->second + "/rccs.csv"); !s.ok()) {
+  if (auto s = masked.rccs.WriteFile(out + "/rccs.csv"); !s.ok()) {
     return Fail(s);
   }
-  std::printf("obfuscated dataset written to %s\n", out_it->second.c_str());
+  std::printf("obfuscated dataset written to %s\n", out.c_str());
   return 0;
 }
 
@@ -286,28 +241,17 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
-// Builds the paper's split and trains; shared by train/evaluate.
-struct TrainedContext {
-  Dataset data;
-  DataSplit split;
-};
-
 int CmdTrain(const Flags& flags) {
   auto store = OpenStore(flags);
   if (!store.ok()) return Fail(store.status());
   const Dataset& data = store->data();
-  const auto model_it = flags.find("model");
-  if (model_it == flags.end()) {
-    return Fail(Status::InvalidArgument("--model is required"));
-  }
+  const std::string model = flags.String("model");
 
   PipelineConfig config;
-  config.window_width_pct = std::atof(FlagOr(flags, "window", "10").c_str());
-  config.num_features =
-      static_cast<std::size_t>(std::atoi(FlagOr(flags, "k", "60").c_str()));
-  config.gbt.num_rounds = std::atoi(FlagOr(flags, "rounds", "150").c_str());
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(FlagOr(flags, "seed", "42").c_str()));
+  config.window_width_pct = flags.Double("window", 10);
+  config.num_features = static_cast<std::size_t>(flags.Int("k", 60));
+  config.gbt.num_rounds = static_cast<int>(flags.Int("rounds", 150));
+  config.seed = static_cast<std::uint64_t>(flags.Int("seed", 42));
   config.parallelism = ThreadsFlag(flags);
   config.cache_bytes = CacheBytesFlag(flags);
 
@@ -321,21 +265,18 @@ int CmdTrain(const Flags& flags) {
   auto estimator =
       DomdEstimator::Train(store->snapshot, config, split.train);
   if (!estimator.ok()) return Fail(estimator.status());
-  if (auto s = estimator->SaveModels(model_it->second); !s.ok()) {
-    return Fail(s);
-  }
-  std::printf("model written to %s\n", model_it->second.c_str());
+  if (auto s = estimator->SaveModels(model); !s.ok()) return Fail(s);
+  std::printf("model written to %s\n", model.c_str());
 
   // Optional serving artifact: models + reference fleet + frozen indexes.
-  if (const auto bundle_it = flags.find("bundle"); bundle_it != flags.end()) {
-    const std::string version = FlagOr(flags, "bundle-version", "v1");
-    if (auto s = ModelBundle::Write(*estimator, data, bundle_it->second,
-                                    version);
+  if (flags.Has("bundle")) {
+    const std::string bundle = flags.String("bundle");
+    const std::string version = flags.String("bundle-version", "v1");
+    if (auto s = ModelBundle::Write(*estimator, data, bundle, version);
         !s.ok()) {
       return Fail(s);
     }
-    std::printf("bundle %s written to %s\n", version.c_str(),
-                bundle_it->second.c_str());
+    std::printf("bundle %s written to %s\n", version.c_str(), bundle.c_str());
   }
 
   // Quick test-set check.
@@ -363,11 +304,9 @@ int CmdTune(const Flags& flags) {
   const Dataset& data = store->data();
 
   PipelineConfig config;
-  config.window_width_pct = std::atof(FlagOr(flags, "window", "10").c_str());
-  config.num_features =
-      static_cast<std::size_t>(std::atoi(FlagOr(flags, "k", "60").c_str()));
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(FlagOr(flags, "seed", "42").c_str()));
+  config.window_width_pct = flags.Double("window", 10);
+  config.num_features = static_cast<std::size_t>(flags.Int("k", 60));
+  config.seed = static_cast<std::uint64_t>(flags.Int("seed", 42));
   config.parallelism = ThreadsFlag(flags);
   config.cache_bytes = CacheBytesFlag(flags);
 
@@ -401,8 +340,8 @@ int CmdTune(const Flags& flags) {
   };
 
   TunerOptions tuner_options;
-  tuner_options.num_trials = std::atoi(FlagOr(flags, "trials", "30").c_str());
-  tuner_options.patience = std::atoi(FlagOr(flags, "patience", "0").c_str());
+  tuner_options.num_trials = static_cast<int>(flags.Int("trials", 30));
+  tuner_options.patience = static_cast<int>(flags.Int("patience", 0));
   tuner_options.seed = config.seed + 1;
   Tuner tuner(&space, TpeOptions{});
   const TuningResult result = tuner.Run(objective, tuner_options);
@@ -422,14 +361,7 @@ int CmdTune(const Flags& flags) {
 int CmdEvaluate(const Flags& flags) {
   auto store = OpenStore(flags);
   if (!store.ok()) return Fail(store.status());
-  const auto model_it = flags.find("model");
-  if (model_it == flags.end()) {
-    return Fail(Status::InvalidArgument("--model is required"));
-  }
-  auto estimator = DomdEstimator::LoadModels(store->snapshot,
-                                             model_it->second,
-                                             ThreadsFlag(flags),
-                                             CacheBytesFlag(flags));
+  auto estimator = LoadEstimator(flags, *store);
   if (!estimator.ok()) return Fail(estimator.status());
 
   // Table-7-style panel over every closed avail.
@@ -454,21 +386,12 @@ int CmdEvaluate(const Flags& flags) {
 int CmdQuery(const Flags& flags) {
   auto store = OpenStore(flags);
   if (!store.ok()) return Fail(store.status());
-  const auto model_it = flags.find("model");
-  const auto avail_it = flags.find("avail");
-  if (model_it == flags.end() || avail_it == flags.end()) {
-    return Fail(Status::InvalidArgument("--model and --avail are required"));
-  }
-  auto estimator = DomdEstimator::LoadModels(store->snapshot,
-                                             model_it->second,
-                                             ThreadsFlag(flags),
-                                             CacheBytesFlag(flags));
+  auto estimator = LoadEstimator(flags, *store);
   if (!estimator.ok()) return Fail(estimator.status());
 
-  const std::int64_t avail_id = std::atoll(avail_it->second.c_str());
-  const double t_star = std::atof(FlagOr(flags, "t", "100").c_str());
-  const auto top_k =
-      static_cast<std::size_t>(std::atoi(FlagOr(flags, "top", "5").c_str()));
+  const std::int64_t avail_id = flags.Int("avail", 0);
+  const double t_star = flags.Double("t", 100);
+  const auto top_k = static_cast<std::size_t>(flags.Int("top", 5));
   const auto result =
       estimator->QueryAtLogicalTime(avail_id, t_star, top_k);
   if (!result.ok()) return Fail(result.status());
@@ -493,20 +416,15 @@ int CmdQuery(const Flags& flags) {
 // (human-readable output) or a file of JSON request lines in the server's
 // wire format (one JSON response per line on stdout).
 int CmdPredict(const Flags& flags) {
-  const auto bundle_it = flags.find("bundle");
-  if (bundle_it == flags.end()) {
-    return Fail(Status::InvalidArgument("--bundle is required"));
-  }
-  auto bundle = ModelBundle::Load(bundle_it->second, ThreadsFlag(flags),
+  const std::string bundle_dir = flags.String("bundle");
+  auto bundle = ModelBundle::Load(bundle_dir, ThreadsFlag(flags),
                                   CacheBytesFlag(flags));
   if (!bundle.ok()) return Fail(bundle.status());
 
-  if (const auto request_it = flags.find("request");
-      request_it != flags.end()) {
-    std::ifstream in(request_it->second);
-    if (!in) {
-      return Fail(Status::IoError("cannot open " + request_it->second));
-    }
+  if (flags.Has("request")) {
+    const std::string request_path = flags.String("request");
+    std::ifstream in(request_path);
+    if (!in) return Fail(Status::IoError("cannot open " + request_path));
     std::string line;
     int failures = 0;
     while (std::getline(in, line)) {
@@ -556,19 +474,17 @@ int CmdPredict(const Flags& flags) {
     return failures == 0 ? 0 : 1;
   }
 
-  const auto avail_it = flags.find("avail");
-  if (avail_it == flags.end()) {
+  if (!flags.Has("avail")) {
     return Fail(Status::InvalidArgument("--avail or --request is required"));
   }
-  const std::int64_t avail_id = std::atoll(avail_it->second.c_str());
-  const double t_star = std::atof(FlagOr(flags, "t", "100").c_str());
-  const auto top_k =
-      static_cast<std::size_t>(std::atoi(FlagOr(flags, "top", "5").c_str()));
+  const std::int64_t avail_id = flags.Int("avail", 0);
+  const double t_star = flags.Double("t", 100);
+  const auto top_k = static_cast<std::size_t>(flags.Int("top", 5));
   const auto result =
       (*bundle)->ScoreReferenceAvail(avail_id, t_star, top_k);
   if (!result.ok()) return Fail(result.status());
 
-  std::printf("bundle %s (version %s)\n", bundle_it->second.c_str(),
+  std::printf("bundle %s (version %s)\n", bundle_dir.c_str(),
               result->bundle_version.c_str());
   std::printf("avail %lld at t* = %.1f%%: %.1f days "
               "(band %.1f .. %.1f over %zu steps)\n",
@@ -586,11 +502,7 @@ int CmdPredict(const Flags& flags) {
 int CmdSql(const Flags& flags) {
   auto store = OpenStore(flags);
   if (!store.ok()) return Fail(store.status());
-  const auto query_it = flags.find("query");
-  if (query_it == flags.end()) {
-    return Fail(Status::InvalidArgument("--query is required"));
-  }
-  const auto parsed = ParseStatusQuery(query_it->second);
+  const auto parsed = ParseStatusQuery(flags.String("query"));
   if (!parsed.ok()) return Fail(parsed.status());
 
   StatusQueryEngine engine(&store->data(), IndexBackend::kAvlTree);
@@ -621,34 +533,25 @@ int CmdSql(const Flags& flags) {
 int CmdReport(const Flags& flags) {
   auto store = OpenStore(flags);
   if (!store.ok()) return Fail(store.status());
-  const auto model_it = flags.find("model");
-  if (model_it == flags.end()) {
-    return Fail(Status::InvalidArgument("--model is required"));
-  }
-  auto estimator = DomdEstimator::LoadModels(store->snapshot,
-                                             model_it->second,
-                                             ThreadsFlag(flags),
-                                             CacheBytesFlag(flags));
+  auto estimator = LoadEstimator(flags, *store);
   if (!estimator.ok()) return Fail(estimator.status());
 
   ReportOptions options;
-  options.query_t_star = std::atof(FlagOr(flags, "t", "60").c_str());
+  options.query_t_star = flags.Double("t", 60);
   ReportWriter writer(options);
   const auto report = writer.FleetReport(store->data(), *estimator);
   if (!report.ok()) return Fail(report.status());
 
-  const auto out_it = flags.find("out");
-  if (out_it == flags.end()) {
+  if (!flags.Has("out")) {
     std::printf("%s", report->c_str());
     return 0;
   }
-  std::FILE* file = std::fopen(out_it->second.c_str(), "w");
-  if (file == nullptr) {
-    return Fail(Status::IoError("cannot open " + out_it->second));
-  }
+  const std::string out = flags.String("out");
+  std::FILE* file = std::fopen(out.c_str(), "w");
+  if (file == nullptr) return Fail(Status::IoError("cannot open " + out));
   std::fputs(report->c_str(), file);
   std::fclose(file);
-  std::printf("report written to %s\n", out_it->second.c_str());
+  std::printf("report written to %s\n", out.c_str());
   return 0;
 }
 
@@ -661,12 +564,10 @@ int CmdIngest(const Flags& flags) {
   if (!store.ok()) return Fail(store.status());
 
   std::size_t applied = 0;
-  if (const auto mutations_it = flags.find("mutations");
-      mutations_it != flags.end()) {
-    std::ifstream in(mutations_it->second);
-    if (!in) {
-      return Fail(Status::IoError("cannot open " + mutations_it->second));
-    }
+  if (flags.Has("mutations")) {
+    const std::string mutations_path = flags.String("mutations");
+    std::ifstream in(mutations_path);
+    if (!in) return Fail(Status::IoError("cannot open " + mutations_path));
     std::vector<IngestMutation> batch;
     std::string line;
     while (std::getline(in, line)) {
@@ -680,8 +581,8 @@ int CmdIngest(const Flags& flags) {
       }
     }
     if (batch.empty()) {
-      return Fail(Status::InvalidArgument(mutations_it->second +
-                                          " holds no mutations"));
+      return Fail(
+          Status::InvalidArgument(mutations_path + " holds no mutations"));
     }
     if (auto s = store->store->AppendBatch(batch); !s.ok()) return Fail(s);
     applied = batch.size();
@@ -693,7 +594,7 @@ int CmdIngest(const Flags& flags) {
               applied, stats.pending, stats.log_bytes,
               static_cast<unsigned long long>(store->store->epoch()));
 
-  if (std::atoi(FlagOr(flags, "merge", "0").c_str()) != 0) {
+  if (flags.Int("merge", 0) != 0) {
     auto merged = store->store->Merge();
     if (!merged.ok()) return Fail(merged.status());
     std::printf("merged %zu mutations: epoch %016llx -> %016llx%s\n",
@@ -714,36 +615,75 @@ int Usage() {
   return 2;
 }
 
+/// One subcommand and the flags it accepts (beyond --fault-spec and
+/// --metrics-json, which every subcommand takes).
+struct Subcommand {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<FlagSpec> flags;
+};
+
+std::vector<Subcommand> Subcommands() {
+  const FlagSpec dir = Required(StringFlag("dir"));
+  const FlagSpec model = Required(StringFlag("model"));
+  constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+  const FlagSpec seed = IntFlag("seed", 0, kInt64Max);
+  const FlagSpec threads = IntFlag("threads", 0, kMaxThreadsFlag);
+  const FlagSpec cache_bytes = IntFlag("cache-bytes", 0, kMaxBytesFlag);
+  const FlagSpec window = DoubleFlag("window");
+  const FlagSpec k = IntFlag("k", 0, kMaxIntFlag);
+  const FlagSpec avail = IntFlag("avail", -kInt64Max - 1, kInt64Max);
+  const FlagSpec t = DoubleFlag("t");
+  const FlagSpec top = IntFlag("top", 0, kMaxIntFlag);
+  return {
+      {"generate", CmdGenerate,
+       {StringFlag("dir"), IntFlag("avails", 0, kMaxIntFlag),
+        DoubleFlag("rccs-per-avail"), DoubleFlag("ongoing"), seed}},
+      {"obfuscate", CmdObfuscate, {dir, Required(StringFlag("out")), seed}},
+      {"stats", CmdStats, {dir}},
+      {"train", CmdTrain,
+       {dir, model, window, k, IntFlag("rounds", 0, kMaxIntFlag), seed,
+        threads, cache_bytes, StringFlag("bundle"),
+        StringFlag("bundle-version")}},
+      {"tune", CmdTune,
+       {dir, IntFlag("trials", 0, kMaxIntFlag),
+        IntFlag("patience", 0, kMaxIntFlag), seed, window, k, threads,
+        cache_bytes}},
+      {"evaluate", CmdEvaluate, {dir, model, threads, cache_bytes}},
+      {"query", CmdQuery,
+       {dir, model, Required(avail), t, top, threads, cache_bytes}},
+      {"predict", CmdPredict,
+       {Required(StringFlag("bundle")), avail, t, top, StringFlag("request"),
+        threads, cache_bytes}},
+      {"sql", CmdSql, {dir, Required(StringFlag("query"))}},
+      {"report", CmdReport,
+       {dir, model, StringFlag("out"), t, threads, cache_bytes}},
+      {"ingest", CmdIngest,
+       {dir, StringFlag("mutations"), IntFlag("merge", 0, 1)}},
+  };
+}
+
 }  // namespace
 }  // namespace domd
 
 int main(int argc, char** argv) {
   if (argc < 2) return domd::Usage();
-  const std::string command = argv[1];
-  const domd::Flags flags = domd::ParseFlags(argc, argv, 2);
-  if (const int rc = domd::ArmFaults(flags); rc != 0) return rc;
-  int exit_code = 2;
-  bool dispatched = true;
-  if (command == "generate") exit_code = domd::CmdGenerate(flags);
-  else if (command == "obfuscate") exit_code = domd::CmdObfuscate(flags);
-  else if (command == "stats") exit_code = domd::CmdStats(flags);
-  else if (command == "train") exit_code = domd::CmdTrain(flags);
-  else if (command == "tune") exit_code = domd::CmdTune(flags);
-  else if (command == "evaluate") exit_code = domd::CmdEvaluate(flags);
-  else if (command == "query") exit_code = domd::CmdQuery(flags);
-  else if (command == "predict") exit_code = domd::CmdPredict(flags);
-  else if (command == "sql") exit_code = domd::CmdSql(flags);
-  else if (command == "report") exit_code = domd::CmdReport(flags);
-  else if (command == "ingest") exit_code = domd::CmdIngest(flags);
-  else dispatched = false;
-  if (!dispatched) return domd::Usage();
-  // --metrics-json PATH: dump everything the run observed (pipeline spans,
-  // stage histograms) once the command finishes, pass or fail.
-  if (const auto it = flags.find("metrics-json"); it != flags.end()) {
-    if (int rc = domd::DumpMetricsJson(it->second); rc != 0 &&
-        exit_code == 0) {
-      exit_code = rc;
+  for (domd::Subcommand& command : domd::Subcommands()) {
+    if (command.name != std::string(argv[1])) continue;
+    command.flags.push_back(domd::StringFlag("metrics-json"));
+    const auto flags =
+        domd::ParseToolFlags("domd", argc, argv, 2, std::move(command.flags));
+    if (!flags.has_value()) return 2;
+    int exit_code = command.run(*flags);
+    // --metrics-json PATH: dump everything the run observed (pipeline
+    // spans, stage histograms) once the command finishes, pass or fail.
+    if (flags->Has("metrics-json")) {
+      if (int rc = domd::DumpMetricsJson(flags->String("metrics-json"));
+          rc != 0 && exit_code == 0) {
+        exit_code = rc;
+      }
     }
+    return exit_code;
   }
-  return exit_code;
+  return domd::Usage();
 }

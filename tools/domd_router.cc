@@ -7,6 +7,10 @@
 //               [--max-connections C] [--idle-timeout-ms T]
 //               [--fault-spec SPEC]
 //
+// Only the flags above are accepted: an unknown flag, a flag without a
+// value, or a number that does not parse or is out of range (--port 70000,
+// --workers abc, --max-queue -1) exits 2 with an error naming the flag.
+//
 // Speaks the same newline-delimited JSON wire protocol as domd_serve and
 // listens on 127.0.0.1:P (P = 0 picks an ephemeral port, printed as
 // "listening on 127.0.0.1:<port>"). Clients talk to the router exactly as
@@ -56,103 +60,56 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/router.h"
-#include "fault/fault.h"
 #include "serve/reactor.h"
+#include "tool_flags.h"
 
 namespace domd {
 namespace {
 
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      flags[key.substr(2)] = argv[++i];
-    }
-  }
-  return flags;
-}
-
-std::string FlagOr(const Flags& flags, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-int ArmFaults(const Flags& flags) {
-  std::string spec = FlagOr(flags, "fault-spec", "");
-  if (spec.empty()) {
-    if (const char* env = std::getenv("DOMD_FAULT_SPEC")) spec = env;
-  }
-  if (spec.empty()) return 0;
-#if DOMD_FAULT_COMPILED
-  const Status status = fault::FaultRegistry::Default().ApplySpec(spec);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: --fault-spec: %s\n",
-                 status.ToString().c_str());
-    return 2;
-  }
-  fault::SetEnabled(true);
-  std::fprintf(stderr, "domd_router: fault injection armed: %s\n",
-               spec.c_str());
-  return 0;
-#else
-  std::fprintf(stderr,
-               "error: --fault-spec given but fault injection was compiled "
-               "out (-DDOMD_DISABLE_FAULTS)\n");
-  return 2;
-#endif
+std::vector<FlagSpec> RouterFlags() {
+  return WithReactorFlags({Required(StringFlag("cluster-spec")),
+                           IntFlag("workers", 0, kMaxThreadsFlag),
+                           IntFlag("max-queue", 0, kMaxIntFlag),
+                           IntFlag("hedge-ms", 0, kMaxIntFlag),
+                           IntFlag("upstream-deadline-ms", 0, kMaxIntFlag),
+                           IntFlag("probe-interval-ms", 0, kMaxIntFlag),
+                           IntFlag("probe-timeout-ms", 0, kMaxIntFlag),
+                           IntFlag("rollout-deadline-ms", 0, kMaxIntFlag)});
 }
 
 int Run(const Flags& flags) {
-  const auto spec_it = flags.find("cluster-spec");
-  if (spec_it == flags.end()) {
-    std::fprintf(stderr, "error: --cluster-spec is required\n");
-    return 2;
-  }
-  if (const int rc = ArmFaults(flags); rc != 0) return rc;
+  const std::string spec_path = flags.String("cluster-spec");
 
-  auto host_map = cluster::HostMap::LoadFile(spec_it->second);
+  auto host_map = cluster::HostMap::LoadFile(spec_path);
   if (!host_map.ok()) {
     std::fprintf(stderr, "error: %s\n", host_map.status().ToString().c_str());
     return 1;
   }
 
   cluster::RouterOptions options;
-  options.workers = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "workers", "4").c_str()));
-  options.max_queue_depth = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "max-queue", "512").c_str()));
-  options.hedge_deadline = std::chrono::milliseconds(
-      std::atoi(FlagOr(flags, "hedge-ms", "250").c_str()));
-  options.upstream_deadline = std::chrono::milliseconds(
-      std::atoi(FlagOr(flags, "upstream-deadline-ms", "5000").c_str()));
-  options.probe_interval = std::chrono::milliseconds(
-      std::atoi(FlagOr(flags, "probe-interval-ms", "500").c_str()));
-  options.probe_timeout = std::chrono::milliseconds(
-      std::atoi(FlagOr(flags, "probe-timeout-ms", "250").c_str()));
-  options.rollout_rpc_deadline = std::chrono::milliseconds(
-      std::atoi(FlagOr(flags, "rollout-deadline-ms", "30000").c_str()));
+  options.workers = static_cast<std::size_t>(flags.Int("workers", 4));
+  options.max_queue_depth =
+      static_cast<std::size_t>(flags.Int("max-queue", 512));
+  options.hedge_deadline =
+      std::chrono::milliseconds(flags.Int("hedge-ms", 250));
+  options.upstream_deadline =
+      std::chrono::milliseconds(flags.Int("upstream-deadline-ms", 5000));
+  options.probe_interval =
+      std::chrono::milliseconds(flags.Int("probe-interval-ms", 500));
+  options.probe_timeout =
+      std::chrono::milliseconds(flags.Int("probe-timeout-ms", 250));
+  options.rollout_rpc_deadline =
+      std::chrono::milliseconds(flags.Int("rollout-deadline-ms", 30000));
   cluster::ClusterRouter router(std::move(*host_map), options);
 
-  ReactorOptions reactor_options;
-  reactor_options.port = std::atoi(FlagOr(flags, "port", "7432").c_str());
-  reactor_options.num_shards = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "loop-shards", "2").c_str()));
-  reactor_options.max_connections = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "max-connections", "1024").c_str()));
-  reactor_options.idle_timeout = std::chrono::milliseconds(
-      std::atoll(FlagOr(flags, "idle-timeout-ms", "60000").c_str()));
   auto reactor = Reactor::Create(
-      reactor_options, [&router](std::string line, Responder responder) {
+      ReactorOptionsFromFlags(flags, 7432),
+      [&router](std::string line, Responder responder) {
         router.Handle(std::move(line), std::move(responder));
       });
   if (!reactor.ok()) {
@@ -161,7 +118,7 @@ int Run(const Flags& flags) {
   }
 
   std::printf("domd_router: %zu shards from %s\n",
-              router.host_map().num_shards(), spec_it->second.c_str());
+              router.host_map().num_shards(), spec_path.c_str());
   std::printf("listening on 127.0.0.1:%d\n", (*reactor)->port());
   std::fflush(stdout);
 
@@ -186,5 +143,7 @@ int Run(const Flags& flags) {
 int main(int argc, char** argv) {
   // A shard closing mid-write must not kill the router.
   std::signal(SIGPIPE, SIG_IGN);
-  return domd::Run(domd::ParseFlags(argc, argv, 1));
+  const auto flags =
+      domd::ParseToolFlags("domd_router", argc, argv, 1, domd::RouterFlags());
+  return flags.has_value() ? domd::Run(*flags) : 2;
 }

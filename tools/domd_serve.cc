@@ -11,6 +11,10 @@
 //              [--repl-peers H:P,H:P] [--repl-quorum Q]
 //              [--repl-queue-bytes B] [--repl-role primary|follower]
 //
+// Only the flags above are accepted: an unknown flag, a flag without a
+// value, or a number that does not parse or is out of range (--port 70000,
+// --threads abc, --max-queue -1) exits 2 with an error naming the flag.
+//
 // Listens on 127.0.0.1:P (P = 0 picks an ephemeral port; the chosen port is
 // printed on stdout as "listening on 127.0.0.1:<port>"). Each connection
 // carries one JSON object per line and receives one JSON object per line:
@@ -91,91 +95,53 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/host_map.h"
-#include "fault/fault.h"
+#include "common/strings.h"
 #include "ingest/data_store.h"
 #include "serve/frontend.h"
 #include "serve/reactor.h"
 #include "serve/replication.h"
 #include "serve/wire.h"
+#include "tool_flags.h"
 
 namespace domd {
 namespace {
 
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      flags[key.substr(2)] = argv[++i];
-    }
-  }
-  return flags;
-}
-
-std::string FlagOr(const Flags& flags, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-/// Arms fault injection from --fault-spec or $DOMD_FAULT_SPEC. Returns 0
-/// on success (or nothing to arm), 2 on a malformed spec or when fault
-/// support was compiled out.
-int ArmFaults(const Flags& flags) {
-  std::string spec = FlagOr(flags, "fault-spec", "");
-  if (spec.empty()) {
-    if (const char* env = std::getenv("DOMD_FAULT_SPEC")) spec = env;
-  }
-  if (spec.empty()) return 0;
-#if DOMD_FAULT_COMPILED
-  const Status status = fault::FaultRegistry::Default().ApplySpec(spec);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: --fault-spec: %s\n",
-                 status.ToString().c_str());
-    return 2;
-  }
-  fault::SetEnabled(true);
-  std::fprintf(stderr, "domd_serve: fault injection armed: %s\n",
-               spec.c_str());
-  return 0;
-#else
-  std::fprintf(stderr,
-               "error: --fault-spec given but fault injection was compiled "
-               "out (-DDOMD_DISABLE_FAULTS)\n");
-  return 2;
-#endif
+std::vector<FlagSpec> ServeFlags() {
+  return WithReactorFlags(
+      {Required(StringFlag("bundle")), IntFlag("threads", 0, kMaxThreadsFlag),
+       IntFlag("max-queue", 0, kMaxIntFlag),
+       IntFlag("max-batch", 1, kMaxIntFlag),
+       IntFlag("batch-linger-us", 0, kMaxIntFlag),
+       IntFlag("cache-bytes", 0, kMaxBytesFlag),
+       IntFlag("load-retries", 1, kMaxIntFlag),
+       IntFlag("breaker-threshold", 0, kMaxIntFlag),
+       IntFlag("breaker-open-ms", 0, kMaxIntFlag),
+       IntFlag("max-request-bytes", 1, kMaxBytesFlag),
+       StringFlag("ingest-log"), StringFlag("retrain-root"),
+       IntFlag("merge-threshold", 0, kMaxIntFlag), StringFlag("persist-dir"),
+       StringFlag("repl-peers"), IntFlag("repl-quorum", 1, kMaxIntFlag),
+       IntFlag("repl-queue-bytes", 1, kMaxBytesFlag),
+       StringFlag("repl-role")});
 }
 
 int Run(const Flags& flags) {
-  const auto bundle_it = flags.find("bundle");
-  if (bundle_it == flags.end()) {
-    std::fprintf(stderr, "error: --bundle is required\n");
-    return 2;
-  }
-  if (const int rc = ArmFaults(flags); rc != 0) return rc;
+  const std::string bundle_dir = flags.String("bundle");
   Parallelism parallelism;
-  parallelism.num_threads =
-      std::atoi(FlagOr(flags, "threads", "0").c_str());
-  std::size_t cache_bytes = kDefaultViewCacheBytes;
-  if (const auto it = flags.find("cache-bytes"); it != flags.end()) {
-    cache_bytes = static_cast<std::size_t>(std::atoll(it->second.c_str()));
-  }
+  parallelism.num_threads = static_cast<int>(flags.Int("threads", 0));
+  const auto cache_bytes = static_cast<std::size_t>(
+      flags.Int("cache-bytes", kDefaultViewCacheBytes));
 
   RetryOptions load_retry;
-  load_retry.max_attempts =
-      std::atoi(FlagOr(flags, "load-retries", "4").c_str());
-  auto bundle = LoadBundleWithRetry(bundle_it->second, parallelism,
-                                    cache_bytes, load_retry);
+  load_retry.max_attempts = static_cast<int>(flags.Int("load-retries", 4));
+  auto bundle = LoadBundleWithRetry(bundle_dir, parallelism, cache_bytes,
+                                    load_retry);
   if (!bundle.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  bundle.status().ToString().c_str());
@@ -183,30 +149,28 @@ int Run(const Flags& flags) {
   }
 
   ServeOptions options;
-  options.max_queue_depth = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "max-queue", "256").c_str()));
-  options.max_batch_size = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "max-batch", "16").c_str()));
-  options.batch_linger = std::chrono::microseconds(
-      std::atoi(FlagOr(flags, "batch-linger-us", "200").c_str()));
+  options.max_queue_depth =
+      static_cast<std::size_t>(flags.Int("max-queue", 256));
+  options.max_batch_size = static_cast<std::size_t>(flags.Int("max-batch", 16));
+  options.batch_linger =
+      std::chrono::microseconds(flags.Int("batch-linger-us", 200));
   options.parallelism = parallelism;
-  options.breaker_failure_threshold = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "breaker-threshold", "5").c_str()));
-  options.breaker_open_duration = std::chrono::milliseconds(
-      std::atoi(FlagOr(flags, "breaker-open-ms", "1000").c_str()));
+  options.breaker_failure_threshold =
+      static_cast<std::size_t>(flags.Int("breaker-threshold", 5));
+  options.breaker_open_duration =
+      std::chrono::milliseconds(flags.Int("breaker-open-ms", 1000));
   PredictionService service(*bundle, options);
 
   // Streaming ingestion: the store's base is the bundle's reference
   // fleet, so freshness epochs and retrain cuts both extend the data the
   // live model was trained from.
   std::unique_ptr<DataStore> store;
-  const std::string persist_dir = FlagOr(flags, "persist-dir", "");
-  const auto log_it = flags.find("ingest-log");
-  if (!persist_dir.empty() || log_it != flags.end()) {
+  const std::string persist_dir = flags.String("persist-dir");
+  if (!persist_dir.empty() || flags.Has("ingest-log")) {
     DataStoreOptions store_options;
-    if (log_it != flags.end()) store_options.log_path = log_it->second;
-    store_options.merge_threshold = static_cast<std::size_t>(
-        std::atoll(FlagOr(flags, "merge-threshold", "0").c_str()));
+    store_options.log_path = flags.String("ingest-log");
+    store_options.merge_threshold =
+        static_cast<std::size_t>(flags.Int("merge-threshold", 0));
     StatusOr<std::unique_ptr<DataStore>> opened =
         Status::Internal("store not opened");
     if (!persist_dir.empty()) {
@@ -256,15 +220,11 @@ int Run(const Flags& flags) {
   // plain --ingest-log server keeps its exact pre-replication wire
   // behavior.
   std::unique_ptr<ReplicationManager> repl;
-  const std::string repl_peers = FlagOr(flags, "repl-peers", "");
-  const std::string repl_role = FlagOr(flags, "repl-role", "");
+  const std::string repl_peers = flags.String("repl-peers");
+  const std::string repl_role = flags.String("repl-role");
   if (store != nullptr && (!repl_peers.empty() || !repl_role.empty())) {
     ReplicationOptions repl_options;
-    std::string rest = repl_peers;
-    while (!rest.empty()) {
-      const std::size_t comma = rest.find(',');
-      const std::string token = rest.substr(0, comma);
-      rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
+    for (const std::string& token : StrSplit(repl_peers, ',')) {
       if (token.empty()) continue;
       auto endpoint = cluster::Endpoint::Parse(token);
       if (!endpoint.ok()) {
@@ -274,12 +234,10 @@ int Run(const Flags& flags) {
       }
       repl_options.peers.push_back(*endpoint);
     }
-    repl_options.quorum = static_cast<std::size_t>(
-        std::atoi(FlagOr(flags, "repl-quorum", "1").c_str()));
-    repl_options.queue_bytes = static_cast<std::size_t>(std::atoll(
-        FlagOr(flags, "repl-queue-bytes",
-               std::to_string(std::size_t{4} << 20))
-            .c_str()));
+    repl_options.quorum =
+        static_cast<std::size_t>(flags.Int("repl-quorum", 1));
+    repl_options.queue_bytes = static_cast<std::size_t>(
+        flags.Int("repl-queue-bytes", std::int64_t{4} << 20));
     repl_options.start_primary = repl_role == "primary";
     repl = std::make_unique<ReplicationManager>(store.get(), repl_options);
     std::printf("domd_serve: replication on (%zu peers, quorum %zu, %s)\n",
@@ -292,22 +250,13 @@ int Run(const Flags& flags) {
   frontend_options.cache_bytes = cache_bytes;
   frontend_options.load_retry = load_retry;
   frontend_options.store = store.get();
-  frontend_options.retrain_root = FlagOr(flags, "retrain-root", "");
+  frontend_options.retrain_root = flags.String("retrain-root");
   frontend_options.repl = repl.get();
   ServeFrontend frontend(&service, frontend_options);
 
-  ReactorOptions reactor_options;
-  reactor_options.port = std::atoi(FlagOr(flags, "port", "7433").c_str());
-  reactor_options.num_shards = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "loop-shards", "2").c_str()));
-  reactor_options.max_connections = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "max-connections", "1024").c_str()));
-  reactor_options.idle_timeout = std::chrono::milliseconds(
-      std::atoll(FlagOr(flags, "idle-timeout-ms", "60000").c_str()));
+  ReactorOptions reactor_options = ReactorOptionsFromFlags(flags, 7433);
   reactor_options.max_request_bytes = static_cast<std::size_t>(
-      std::atoll(FlagOr(flags, "max-request-bytes",
-                        std::to_string(std::size_t{1} << 20))
-                     .c_str()));
+      flags.Int("max-request-bytes", std::int64_t{1} << 20));
   auto reactor = Reactor::Create(
       reactor_options, [&frontend](std::string line, Responder responder) {
         frontend.Handle(std::move(line), std::move(responder));
@@ -319,7 +268,7 @@ int Run(const Flags& flags) {
   }
 
   std::printf("domd_serve: bundle %s (version %s, %zu reference avails)\n",
-              bundle_it->second.c_str(), (*bundle)->version().c_str(),
+              bundle_dir.c_str(), (*bundle)->version().c_str(),
               (*bundle)->data().avails.size());
   std::printf("listening on 127.0.0.1:%d\n", (*reactor)->port());
   std::fflush(stdout);
@@ -346,5 +295,7 @@ int Run(const Flags& flags) {
 int main(int argc, char** argv) {
   // A peer closing mid-write must not kill the server.
   std::signal(SIGPIPE, SIG_IGN);
-  return domd::Run(domd::ParseFlags(argc, argv, 1));
+  const auto flags =
+      domd::ParseToolFlags("domd_serve", argc, argv, 1, domd::ServeFlags());
+  return flags.has_value() ? domd::Run(*flags) : 2;
 }
