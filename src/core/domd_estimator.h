@@ -105,12 +105,6 @@ class DomdEstimator {
       const Parallelism& parallelism = {},
       std::size_t cache_bytes = kDefaultViewCacheBytes);
 
-  /// The pinned snapshot this estimator was built from, or nullptr when it
-  /// was constructed over a raw Dataset pointer.
-  const std::shared_ptr<const DataSnapshot>& snapshot() const {
-    return snapshot_;
-  }
-
   /// The immutable all-avails view snapshot (shared with the cache and any
   /// other estimator built over the same dataset/grid/catalog).
   const std::shared_ptr<const ModelingView>& shared_view() const {
@@ -127,7 +121,7 @@ class DomdEstimator {
                                       std::size_t top_k) const;
 
   const Dataset* data_;
-  /// Set by the snapshot overloads: pins the DataStore cut (tables + index)
+  /// Set by the snapshot overloads: pins the DataStore cut whose tables
   /// `data_` points into for the estimator's lifetime.
   std::shared_ptr<const DataSnapshot> snapshot_;
   PipelineConfig config_;

@@ -13,32 +13,15 @@
 namespace domd {
 namespace {
 
-/// Binary search in a frozen run (sorted by (kind, id)).
-const IngestMutation* FindInRun(const DeltaRun& run, MutationKind kind,
-                                std::int64_t id) {
-  const std::pair<int, std::int64_t> key{static_cast<int>(kind), id};
-  const auto it = std::lower_bound(
-      run.mutations.begin(), run.mutations.end(), key,
-      [](const IngestMutation& m, const std::pair<int, std::int64_t>& k) {
-        return std::pair<int, std::int64_t>(static_cast<int>(m.kind),
-                                            m.key_id()) < k;
-      });
-  if (it == run.mutations.end() || it->kind != kind || it->key_id() != id) {
-    return nullptr;
-  }
-  return &*it;
-}
-
 /// Applies mutations in their original append (= sequence) order on top
-/// of a copy of the base. Sequence order — not the memtable's key order —
-/// is load-bearing for replication (DESIGN.md §15): applying a history
-/// prefix and then the rest produces the same tables, row for row, as
-/// applying everything at once, so replicas that merge at different cut
-/// points still converge to bit-identical epochs. Re-applying an
-/// already-merged prefix is harmless: upserts are idempotent and never
-/// move an existing row. Mutations were validated at append/replay time,
-/// so upserts cannot fail here; a record that still fails (defensive) is
-/// skipped deterministically.
+/// of a copy of the base. Sequence order is load-bearing for replication
+/// (DESIGN.md §15): applying a history prefix and then the rest produces
+/// the same tables, row for row, as applying everything at once, so
+/// replicas that merge at different cut points still converge to
+/// bit-identical epochs. Re-applying an already-merged prefix is harmless:
+/// upserts are idempotent and never move an existing row. Mutations were
+/// validated at append/replay time, so upserts cannot fail here; a record
+/// that still fails (defensive) is skipped deterministically.
 std::shared_ptr<const Dataset> Materialize(
     const Dataset& base, const std::vector<IngestMutation>& ordered) {
   auto merged = std::make_shared<Dataset>(base);
@@ -144,6 +127,12 @@ std::uint64_t CutEpoch(const Dataset& base,
 
 }  // namespace
 
+Status WriteBaseTables(const Dataset& data, const std::string& dir) {
+  DOMD_RETURN_IF_ERROR(
+      WriteFileDurably(dir + "/avails.csv", data.avails.ToCsv().Serialize()));
+  return WriteFileDurably(dir + "/rccs.csv", data.rccs.ToCsv().Serialize());
+}
+
 std::uint64_t DataStore::EpochOf(const Dataset& data) {
   // Dropping the address-keyed memo entry first is load-bearing: an
   // in-place amend can preserve the memo's cheap probes (cardinalities +
@@ -172,8 +161,8 @@ StatusOr<std::unique_ptr<DataStore>> DataStore::Open(
       store->last_chain_ =
           MutationChain(store->last_chain_, EncodeMutation(mutation));
       ++store->last_seq_;
-      store->tail_.push_back({mutation, store->last_chain_});
-      store->memtable_.Apply(std::move(mutation));
+      store->pending_[{mutation.kind, mutation.key_id()}] = store->last_seq_;
+      store->tail_.push_back({std::move(mutation), store->last_chain_});
     }
     store->replayed_ = replay.records.size();
     if (store->replayed_ > 0) store->generation_ = 1;
@@ -214,21 +203,8 @@ DataStore::~DataStore() {
 }
 
 bool DataStore::HasAvailLocked(std::int64_t avail_id) const {
-  if (memtable_.Find(MutationKind::kAvailUpsert, avail_id) != nullptr) {
-    return true;
-  }
-  for (const auto& run : runs_) {
-    if (FindInRun(*run, MutationKind::kAvailUpsert, avail_id) != nullptr) {
-      return true;
-    }
-  }
-  return base_->avails.Find(avail_id).ok();
-}
-
-std::size_t DataStore::PendingLocked() const {
-  std::size_t pending = memtable_.size();
-  for (const auto& run : runs_) pending += run->mutations.size();
-  return pending;
+  return pending_.count({MutationKind::kAvailUpsert, avail_id}) > 0 ||
+         base_->avails.Find(avail_id).ok();
 }
 
 Status DataStore::ValidateBatchLocked(
@@ -255,7 +231,7 @@ void DataStore::AbsorbBatchLocked(
     last_chain_ = MutationChain(last_chain_, EncodeMutation(mutation));
     ++last_seq_;
     tail_.push_back({mutation, last_chain_});
-    memtable_.Apply(mutation);
+    pending_[{mutation.kind, mutation.key_id()}] = last_seq_;
   }
   ++generation_;
   if (options_.merge_threshold > 0 &&
@@ -270,7 +246,7 @@ Status DataStore::Append(const IngestMutation& mutation) {
 
 Status DataStore::AppendBatch(const std::vector<IngestMutation>& mutations,
                               std::uint64_t* last_seq) {
-  // Validation, log write, and memtable apply all happen under append_mu_
+  // Validation, log write, and tail append all happen under append_mu_
   // (mu_ is taken inside it, matching Merge's rotation block): referential
   // checks and visibility use one consistent cut, so an RCC referencing an
   // avail from any previously acknowledged batch can never be spuriously
@@ -448,21 +424,13 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
   std::lock_guard<std::mutex> append_lock(append_mu_);
   if (!options_.persist_dir.empty()) {
-    Status persisted =
-        WriteFileDurably(options_.persist_dir + "/avails.csv",
-                         merged->avails.ToCsv().Serialize());
-    if (persisted.ok()) {
-      persisted = WriteFileDurably(options_.persist_dir + "/rccs.csv",
-                                   merged->rccs.ToCsv().Serialize());
-    }
-    DOMD_RETURN_IF_ERROR(persisted);
+    DOMD_RETURN_IF_ERROR(WriteBaseTables(*merged, options_.persist_dir));
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     base_ = std::move(merged);
     base_epoch_ = new_epoch;
-    runs_.clear();
-    (void)memtable_.Freeze();
+    pending_.clear();
     tail_.clear();
     tail_base_seq_ = last_seq;
     tail_base_chain_ = chain;
@@ -484,17 +452,10 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   return Status::OK();
 }
 
-void DataStore::FlushDelta() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (memtable_.empty()) return;
-  runs_.push_back(memtable_.Freeze());
-  // Content is unchanged (the run holds exactly the memtable's rows), so
-  // the cached snapshot stays valid and the generation does not move.
-}
-
 DataStore::Cut DataStore::PinCutLocked() const {
   Cut cut;
   cut.generation = generation_;
+  cut.seq = last_seq_;
   cut.base = base_;
   cut.base_epoch = base_epoch_;
   cut.depth = PendingLocked();
@@ -524,14 +485,13 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
   }
 
   auto snapshot = std::shared_ptr<DataSnapshot>(new DataSnapshot());
-  snapshot->base_epoch_ = cut.base_epoch;
   snapshot->delta_depth_ = cut.depth;
   if (cut.depth == 0) {
     snapshot->data_ = cut.base;
     snapshot->epoch_ = cut.base_epoch;
   } else {
-    // Materialization happens outside the lock: appends keep landing in
-    // the memtable while this cut is assembled.
+    // Materialization happens outside the lock: appends keep landing on
+    // the tail while this cut is assembled.
     auto merged = Materialize(*cut.base, cut.tail);
     // The copy is a fresh allocation that may reuse the address of a dead
     // one the DatasetFingerprint memo still holds, with matching probes
@@ -558,34 +518,23 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
 StatusOr<MergeStats> DataStore::Merge() {
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
 
-  std::shared_ptr<const Dataset> base;
-  std::vector<IngestMutation> cut;
-  std::size_t cut_runs = 0;
-  std::uint64_t cut_seq = 0;
-  MergeStats stats;
+  Cut cut;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!memtable_.empty()) runs_.push_back(memtable_.Freeze());
-    base = base_;
-    cut_runs = runs_.size();
-    cut_seq = last_seq_;
-    // The merge input is the append-order tail, not the key-sorted runs:
-    // sequence order keeps the merged row order — and with it the epoch —
-    // a pure function of history, independent of where this replica's
-    // merge cuts happen to land (see Materialize).
-    cut.reserve(tail_.size());
-    for (const TailRecord& record : tail_) cut.push_back(record.mutation);
-    for (const auto& run : runs_) {
-      stats.merged_mutations += run->mutations.size();
-    }
-    stats.old_epoch = base_epoch_;
-    stats.new_epoch = base_epoch_;
+    cut = PinCutLocked();
   }
-  if (stats.merged_mutations == 0) return stats;
+  MergeStats stats;
+  stats.merged_mutations = cut.depth;
+  stats.old_epoch = cut.base_epoch;
+  stats.new_epoch = cut.base_epoch;
+  if (cut.depth == 0) return stats;
 
   // The expensive half runs without any store lock: copy + apply + epoch
-  // fingerprint over the merged tables.
-  auto merged = Materialize(*base, cut);
+  // fingerprint over the merged tables. The input is the append-order
+  // tail, so the merged row order — and with it the epoch — is a pure
+  // function of history, independent of where this replica's merge cuts
+  // happen to land (see Materialize).
+  auto merged = Materialize(*cut.base, cut.tail);
   const std::uint64_t new_epoch = EpochOf(*merged);
 
   const Status fault = DOMD_FAULT_POINT("ingest.merge.commit").Check();
@@ -596,13 +545,7 @@ StatusOr<MergeStats> DataStore::Merge() {
   }
 
   if (!options_.persist_dir.empty()) {
-    Status persisted = WriteFileDurably(
-        options_.persist_dir + "/avails.csv",
-        merged->avails.ToCsv().Serialize());
-    if (persisted.ok()) {
-      persisted = WriteFileDurably(options_.persist_dir + "/rccs.csv",
-                                   merged->rccs.ToCsv().Serialize());
-    }
+    const Status persisted = WriteBaseTables(*merged, options_.persist_dir);
     if (!persisted.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       ++merge_failures_;
@@ -616,15 +559,17 @@ StatusOr<MergeStats> DataStore::Merge() {
     std::lock_guard<std::mutex> lock(mu_);
     base_ = std::move(merged);
     base_epoch_ = new_epoch;
-    runs_.erase(runs_.begin(),
-                runs_.begin() + static_cast<std::ptrdiff_t>(cut_runs));
+    // Keys upserted again after the cut stay pending.
+    std::erase_if(pending_, [&cut](const auto& entry) {
+      return entry.second <= cut.seq;
+    });
     if (log_ == nullptr || will_rotate) {
-      // The new base embodies the tail through cut_seq — drop that
+      // The new base embodies the tail through cut.seq — drop that
       // prefix, advancing the tail base (and its chain anchor) to the
       // cut. When the log sticks around un-rotated (no persist_dir) the
       // tail keeps mirroring it instead, so TailFrom can still serve
       // every sequence the log would replay.
-      while (!tail_.empty() && tail_base_seq_ < cut_seq) {
+      while (!tail_.empty() && tail_base_seq_ < cut.seq) {
         tail_base_chain_ = tail_.front().chain;
         ++tail_base_seq_;
         tail_.pop_front();
@@ -688,11 +633,6 @@ std::uint64_t DataStore::epoch() const {
 std::uint64_t DataStore::last_seq() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_seq_;
-}
-
-std::uint64_t DataStore::last_chain() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_chain_;
 }
 
 void DataStore::Position(std::uint64_t* seq, std::uint64_t* chain) const {

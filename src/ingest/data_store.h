@@ -4,16 +4,17 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "data/tables.h"
-#include "ingest/delta_index.h"
 #include "ingest/ingest_log.h"
 #include "ingest/mutation.h"
 
@@ -53,7 +54,7 @@ struct IngestStats {
   std::uint64_t replicated = 0; ///< mutations applied via ApplyReplicated.
   std::uint64_t merges = 0;     ///< successful merges.
   std::uint64_t merge_failures = 0;
-  std::size_t pending = 0;      ///< mutations not yet merged into base.
+  std::size_t pending = 0;      ///< == pending_mutations().
   std::size_t log_bytes = 0;
   std::uint64_t last_seq = 0;   ///< sequence of the last applied mutation.
 };
@@ -90,12 +91,8 @@ class DataSnapshot {
  public:
   std::uint64_t epoch() const { return epoch_; }
   const Dataset& data() const { return *data_; }
-  /// Shared ownership for consumers that outlive the store (estimators
-  /// hold this so "the dataset must outlive the estimator" is automatic).
-  const std::shared_ptr<const Dataset>& shared_data() const { return data_; }
-  /// Epoch of the merged base under this snapshot (== epoch() if clean).
-  std::uint64_t base_epoch() const { return base_epoch_; }
-  /// Pending mutations applied over the base in this snapshot.
+  /// Pending mutations (distinct keys) applied over the base in this
+  /// snapshot.
   std::size_t delta_depth() const { return delta_depth_; }
 
  private:
@@ -104,20 +101,19 @@ class DataSnapshot {
 
   std::shared_ptr<const Dataset> data_;
   std::uint64_t epoch_ = 0;
-  std::uint64_t base_epoch_ = 0;
   std::size_t delta_depth_ = 0;
 };
 
 /// The single entry point through which the pipeline reads data
-/// (DESIGN.md §14). A DataStore owns an immutable base dataset, a
-/// DeltaIndex memtable absorbing appends, frozen delta runs awaiting
-/// compaction, and (optionally) the crash-safe IngestLog that makes every
-/// accepted append durable before it becomes visible.
+/// (DESIGN.md §14). A DataStore owns an immutable base dataset, the
+/// append-order tail of mutations applied since (the one in-memory record
+/// of pending data), and (optionally) the crash-safe IngestLog that makes
+/// every accepted append durable before it becomes visible.
 ///
 /// Concurrency contract: Append/AppendBatch, Snapshot and Merge may all
 /// race freely. Readers pin an epoch via Snapshot() and never block on
-/// writers; the background merger (or an explicit Merge) compacts
-/// base+runs into a fresh immutable base and bumps the epoch — it never
+/// writers; the background merger (or an explicit Merge) compacts base +
+/// tail into a fresh immutable base and bumps the epoch — it never
 /// mutates state a live snapshot references.
 class DataStore {
  public:
@@ -141,7 +137,7 @@ class DataStore {
   /// mutations return the same cached snapshot (pinning is O(1)).
   std::shared_ptr<const DataSnapshot> Snapshot() const;
 
-  /// Validates, durably logs, then applies one mutation to the memtable.
+  /// Validates, durably logs, then appends one mutation to the tail.
   Status Append(const IngestMutation& mutation);
 
   /// Batch variant: all-or-nothing validation, one log fsync. On success
@@ -183,16 +179,11 @@ class DataStore {
   Status InstallSnapshot(const std::vector<IngestMutation>& rows,
                          std::uint64_t last_seq, std::uint64_t chain);
 
-  /// Freezes the memtable into an immutable run (no epoch change; the
-  /// background merger does this implicitly before compacting).
-  void FlushDelta();
-
-  /// Compacts base + runs + memtable into a fresh immutable base, bumps
-  /// the epoch to the new fingerprint and
-  /// — when a persist_dir is configured — durably rewrites the base CSVs
-  /// and truncates the log. Guarded by the ingest.merge.commit fault
-  /// point: a failed merge leaves the base, the log and every pinned
-  /// snapshot intact.
+  /// Compacts the base and the tail into a fresh immutable base, bumps the
+  /// epoch to the new fingerprint and — when a persist_dir is configured —
+  /// durably rewrites the base CSVs and truncates the log. Guarded by the
+  /// ingest.merge.commit fault point: a failed merge leaves the base, the
+  /// log, the pending count and every pinned snapshot intact.
   StatusOr<MergeStats> Merge();
 
   /// Epoch of the current cut: always equal to Snapshot()->epoch(), but
@@ -203,14 +194,13 @@ class DataStore {
 
   /// Sequence of the last applied mutation (0 before any mutation).
   std::uint64_t last_seq() const;
-  /// History chain at last_seq() (MutationChain folded over the history).
-  std::uint64_t last_chain() const;
-  /// Both of the above as one consistent pair — the anchor a replication
-  /// peer verifies before extending this store's history (reading them
-  /// separately could tear across a concurrent apply).
+  /// last_seq() and the history chain at it (MutationChain folded over the
+  /// history) as one consistent pair — the anchor a replication peer
+  /// verifies before extending this store's history.
   void Position(std::uint64_t* seq, std::uint64_t* chain) const;
 
-  /// Mutations not yet compacted into the base (runs + memtable).
+  /// Distinct (kind, id) keys with an upsert not yet compacted into the
+  /// base.
   std::size_t pending_mutations() const;
 
   IngestStats stats() const;
@@ -236,9 +226,10 @@ class DataStore {
   /// Everything one consistent cut is computed from, copied under mu_.
   struct Cut {
     std::uint64_t generation = 0;
+    std::uint64_t seq = 0;              ///< last_seq_ at the pin.
     std::shared_ptr<const Dataset> base;
     std::uint64_t base_epoch = 0;
-    std::size_t depth = 0;              ///< pending mutations; 0 = clean.
+    std::size_t depth = 0;              ///< pending keys; 0 = clean.
     std::vector<IngestMutation> tail;   ///< the whole tail when dirty.
   };
 
@@ -246,14 +237,15 @@ class DataStore {
 
   Cut PinCutLocked() const;
 
-  /// True if the avail id is visible in base, runs or memtable.
+  /// True if the avail id is in the base or has a pending upsert.
   bool HasAvailLocked(std::int64_t avail_id) const;
-  std::size_t PendingLocked() const;
+  std::size_t PendingLocked() const { return pending_.size(); }
   /// Referential validation of a batch against the current cut (mu_ held).
   Status ValidateBatchLocked(
       const std::vector<IngestMutation>& mutations) const;
-  /// Applies a validated, durably logged batch to memtable + tail (mu_
-  /// held): assigns sequences, folds the chain, bumps the generation.
+  /// Appends a validated, durably logged batch to the tail (mu_ held):
+  /// assigns sequences, folds the chain, marks each key pending, bumps the
+  /// generation.
   void AbsorbBatchLocked(const std::vector<IngestMutation>& mutations);
   void MergerLoop();
 
@@ -261,13 +253,11 @@ class DataStore {
   std::unique_ptr<IngestLog> log_;
 
   mutable std::mutex mu_;
-  mutable std::mutex append_mu_;  ///< orders log writes with memtable
-                                  ///< applies (stats reads log size).
+  mutable std::mutex append_mu_;  ///< orders log writes with tail
+                                  ///< appends (stats reads log size).
   std::mutex merge_mu_;   ///< serializes merges (and snapshot installs).
   std::shared_ptr<const Dataset> base_;
   std::uint64_t base_epoch_ = 0;
-  std::vector<std::shared_ptr<const DeltaRun>> runs_;
-  DeltaIndex memtable_;
   /// Append-order mirror of the log's record range (tail_base_seq_,
   /// last_seq_]: what Materialize applies (sequence order makes the merged
   /// row order independent of when merges happen — the replication
@@ -275,6 +265,11 @@ class DataStore {
   std::deque<TailRecord> tail_;
   std::uint64_t tail_base_seq_ = 0;
   std::uint64_t tail_base_chain_ = 0;
+  /// (kind, id) -> sequence of that key's newest unmerged upsert. Its size
+  /// is the pending count; a committed merge erases the entries at or
+  /// below its cut. The tail can reach below the cut (an un-rotated log
+  /// keeps merged records), so the tail's length is not the count.
+  std::map<std::pair<MutationKind, std::int64_t>, std::uint64_t> pending_;
   std::uint64_t last_seq_ = 0;
   std::uint64_t last_chain_ = 0;
   std::uint64_t replicated_ = 0;
@@ -296,6 +291,12 @@ class DataStore {
   bool stopping_ = false;
   std::thread merger_;  ///< last member: joins before teardown.
 };
+
+/// Durably writes `data` as the base tables of a store directory:
+/// dir/avails.csv, then dir/rccs.csv, each through WriteFileDurably. The
+/// one writer of the files OpenDir reads — Merge, InstallSnapshot and a
+/// server seeding a fresh persist dir all go through it.
+Status WriteBaseTables(const Dataset& data, const std::string& dir);
 
 }  // namespace domd
 

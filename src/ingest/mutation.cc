@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,11 @@ StatusOr<std::int64_t> ParseInt(std::string_view text) {
 Status ParseIntInto(std::string_view text, int* out) {
   auto value = ParseInt(text);
   if (!value.ok()) return value.status();
+  if (*value < std::numeric_limits<int>::min() ||
+      *value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("mutation: integer field \"" +
+                                   std::string(text) + "\" out of range");
+  }
   *out = static_cast<int>(*value);
   return Status::OK();
 }

@@ -23,13 +23,14 @@ enum class MutationKind {
 
 /// One replayable mutation record: exactly one of `avail`/`rcc` is
 /// meaningful, selected by `kind`. Plain value type — records travel
-/// through the log, the memtable and the frozen runs by copy.
+/// through the log, the store's tail and the replication wire by copy.
 struct IngestMutation {
   MutationKind kind = MutationKind::kRccUpsert;
   Avail avail;
   Rcc rcc;
 
-  /// The id the memtable keys on (within its kind).
+  /// The record's id within its kind: (kind, key_id()) names the row an
+  /// upsert replaces, the key the store counts pending mutations by.
   std::int64_t key_id() const {
     return kind == MutationKind::kAvailUpsert ? avail.id : rcc.id;
   }
@@ -48,7 +49,9 @@ Status ValidateMutation(const IngestMutation& mutation);
 /// bit-identity of ingest vs batch depends on the log not rounding again).
 std::string EncodeMutation(const IngestMutation& mutation);
 
-/// Parses a payload produced by EncodeMutation.
+/// Parses a payload produced by EncodeMutation. kInvalidArgument for a
+/// malformed payload, including an integer field outside its type's range
+/// (an avail's six `int` fields must fit in int, not wrap).
 StatusOr<IngestMutation> DecodeMutation(std::string_view payload);
 
 /// Folds one encoded payload into a running replication history chain.

@@ -389,13 +389,12 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
         std::to_string(report.num_errors) + " errors)");
   }
 
-  // The reference fleet goes behind an in-memory DataStore so every bundle
-  // consumer reads through the same snapshot-isolated cut; the pinned
-  // snapshot keeps the tables address-stable for the estimator.
+  // The reference fleet is read through an in-memory DataStore's clean
+  // cut, like every other consumer's data; the pinned snapshot keeps the
+  // tables address-stable for the estimator after the store is gone.
   auto store = DataStore::Open(std::move(reference));
   if (!store.ok()) return store.status();
-  bundle->store_ = std::move(*store);
-  bundle->snapshot_ = bundle->store_->Snapshot();
+  bundle->snapshot_ = (*store)->Snapshot();
 
   std::istringstream models_in(payload[kModelsName]);
   auto estimator = DomdEstimator::LoadModelsFromStream(

@@ -98,12 +98,9 @@ class ModelBundle {
   std::uint64_t schema_hash() const { return schema_hash_; }
   const std::string& directory() const { return directory_; }
   const Dataset& data() const { return snapshot_->data(); }
-  /// The pinned DataStore cut the bundle serves from. Its epoch is the
-  /// dataset fingerprint of the reference fleet, so `data_epoch()` tells a
-  /// freshness probe exactly which data generation this bundle embeds.
-  const std::shared_ptr<const DataSnapshot>& snapshot() const {
-    return snapshot_;
-  }
+  /// Epoch of the pinned reference cut: the dataset fingerprint of the
+  /// reference fleet, so a freshness probe knows exactly which data
+  /// generation this bundle embeds.
   std::uint64_t data_epoch() const { return snapshot_->epoch(); }
   const DomdEstimator& estimator() const { return *estimator_; }
   const PipelineConfig& config() const { return estimator_->config(); }
@@ -145,11 +142,9 @@ class ModelBundle {
   std::string version_;
   std::uint64_t schema_hash_ = 0;
   std::string directory_;
-  /// The reference fleet lives behind a DataStore: `snapshot_` pins the
-  /// epoch-stamped cut every accessor serves from (address-stable target of
-  /// the estimator's back-pointer), and the store keeps the bundle on the
-  /// same read path as every other pipeline consumer (DESIGN.md §14).
-  std::unique_ptr<DataStore> store_;
+  /// The epoch-stamped cut of the reference fleet every accessor serves
+  /// from (address-stable target of the estimator's back-pointer). It owns
+  /// its tables, so Load keeps no DataStore (DESIGN.md §14).
   std::shared_ptr<const DataSnapshot> snapshot_;
   std::unique_ptr<DomdEstimator> estimator_;
   mutable std::once_flag query_engine_once_;

@@ -1,9 +1,9 @@
 #include "serve/replication.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -19,8 +19,28 @@ std::string HexChain(std::uint64_t chain) {
   return std::string(buffer);
 }
 
-std::uint64_t ParseHexChain(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 16);
+/// A chain member: nullopt when absent or null, else a string of 1–16 hex
+/// digits, as HexChain writes it. kInvalidArgument for anything else
+/// ("zz", "", "-1", "0x12", 17 digits, a number): no malformed chain reads
+/// as some other chain.
+StatusOr<std::optional<std::uint64_t>> ChainOf(const JsonValue& message,
+                                               const std::string& key) {
+  const JsonValue* member = message.Find(key);
+  if (member == nullptr || member->is_null()) {
+    return std::optional<std::uint64_t>();
+  }
+  if (member->is_string()) {
+    const std::string& text = member->string_value();
+    const char* end = text.data() + text.size();
+    std::uint64_t chain = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, chain, 16);
+    if (!text.empty() && text.size() <= 16 && ec == std::errc() &&
+        ptr == end) {
+      return std::optional<std::uint64_t>(chain);
+    }
+  }
+  return Status::InvalidArgument("member \"" + key +
+                                 "\" must be a string of 1-16 hex digits");
 }
 
 /// Decodes an array of EncodeMutation payload strings.
@@ -223,9 +243,9 @@ Status ReplicationManager::PullSnapshot(const cluster::Endpoint& endpoint) {
   if (!rows.ok()) return rows.status();
   auto snap_seq = SeqOf(*response, "last_seq");
   if (!snap_seq.ok()) return snap_seq.status();
-  return store_->InstallSnapshot(*rows, *snap_seq,
-                                 ParseHexChain(
-                                     response->StringOr("chain", "0")));
+  auto chain = ChainOf(*response, "chain");
+  if (!chain.ok()) return chain.status();
+  return store_->InstallSnapshot(*rows, *snap_seq, chain->value_or(0));
 }
 
 Status ReplicationManager::SyncFromPeers() {
@@ -242,10 +262,14 @@ Status ReplicationManager::SyncFromPeers() {
         if (stopping_) return Status::Unavailable("repl: shutting down");
       }
       made_progress = false;
-      const std::uint64_t have_chain = store_->last_chain();
+      // One consistent (seq, chain) pair: an apply landing between two
+      // separate reads would send a chain that does not anchor from_seq.
+      std::uint64_t have_seq = 0;
+      std::uint64_t have_chain = 0;
+      store_->Position(&have_seq, &have_chain);
       JsonValue request = JsonValue::Object();
       request.Set("cmd", JsonValue::String("catchup"));
-      request.Set("from_seq", SeqNumber(store_->last_seq() + 1));
+      request.Set("from_seq", SeqNumber(have_seq + 1));
       request.Set("have_chain", JsonValue::String(HexChain(have_chain)));
       request.Set("max_records",
                   SeqNumber(static_cast<std::uint64_t>(
@@ -259,10 +283,11 @@ Status ReplicationManager::SyncFromPeers() {
         if (!rows.ok()) return rows.status();
         auto snap_seq = SeqOf(*response, "last_seq");
         if (!snap_seq.ok()) return snap_seq.status();
+        auto chain = ChainOf(*response, "chain");
+        if (!chain.ok()) return chain.status();
         if (*snap_seq <= store_->last_seq()) break;  // no forward progress.
-        DOMD_RETURN_IF_ERROR(store_->InstallSnapshot(
-            *rows, *snap_seq,
-            ParseHexChain(response->StringOr("chain", "0"))));
+        DOMD_RETURN_IF_ERROR(
+            store_->InstallSnapshot(*rows, *snap_seq, chain->value_or(0)));
         NoteCatchup();
         made_progress = true;
         continue;
@@ -393,19 +418,15 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
   std::uint64_t next = 0;
   std::uint64_t peer_chain = 0;
   bool peer_chain_known = false;
-  // The peer's (seq, chain) position; nullopt when its seq is malformed.
+  // The peer's (seq, chain) position; nullopt when either is malformed.
   const auto note_position =
       [&](const JsonValue& response) -> std::optional<std::uint64_t> {
     const auto peer_last = SeqOf(response, "last_seq");
-    if (!peer_last.ok()) return std::nullopt;
+    const auto chain = ChainOf(response, "chain");
+    if (!peer_last.ok() || !chain.ok()) return std::nullopt;
     RecordAck(peer_index, *peer_last);
-    if (const JsonValue* chain = response.Find("chain");
-        chain != nullptr && chain->is_string()) {
-      peer_chain = ParseHexChain(chain->string_value());
-      peer_chain_known = true;
-    } else {
-      peer_chain_known = false;
-    }
+    peer_chain_known = chain->has_value();
+    peer_chain = chain->value_or(0);
     return *peer_last;
   };
   {
@@ -559,8 +580,10 @@ JsonValue ReplicationManager::HandleReplicate(const JsonValue& request) {
     if (!rows.ok()) return ErrorToJson(rows.status());
     const auto snap_seq = SeqOf(request, "last_seq");
     if (!snap_seq.ok()) return ErrorToJson(snap_seq.status());
-    const Status installed = store_->InstallSnapshot(
-        *rows, *snap_seq, ParseHexChain(request.StringOr("chain", "0")));
+    const auto snap_chain = ChainOf(request, "chain");
+    if (!snap_chain.ok()) return ErrorToJson(snap_chain.status());
+    const Status installed =
+        store_->InstallSnapshot(*rows, *snap_seq, snap_chain->value_or(0));
     if (!installed.ok()) return ErrorToJson(installed);
     // Counted where the data landed, not only on the pusher: if the ack
     // for this install is lost in flight, the primary's retry finds us
@@ -620,15 +643,11 @@ JsonValue ReplicationManager::HandleCatchup(const JsonValue& request) {
       request, "max_records",
       static_cast<std::int64_t>(options_.catchup_batch), 0);
   if (!max_records.ok()) return ErrorToJson(max_records.status());
-  std::uint64_t have_chain = 0;
-  const std::uint64_t* have_chain_ptr = nullptr;
-  if (const JsonValue* chain = request.Find("have_chain");
-      chain != nullptr && chain->is_string()) {
-    have_chain = ParseHexChain(chain->string_value());
-    have_chain_ptr = &have_chain;
-  }
-  auto tail = store_->TailFrom(*from_seq, have_chain_ptr,
-                               static_cast<std::size_t>(*max_records));
+  const auto have_chain = ChainOf(request, "have_chain");
+  if (!have_chain.ok()) return ErrorToJson(have_chain.status());
+  auto tail = store_->TailFrom(
+      *from_seq, have_chain->has_value() ? &have_chain->value() : nullptr,
+      static_cast<std::size_t>(*max_records));
   if (!tail.ok()) return ErrorToJson(tail.status());
   NoteCatchup();
   JsonValue out = JsonValue::Object();

@@ -350,7 +350,7 @@ TEST(DataStoreTest, MergePreservesEpochAndContent) {
   EXPECT_EQ(clean->epoch(), dirty->epoch());
   EXPECT_EQ(merged->new_epoch, dirty->epoch());
   EXPECT_EQ(clean->delta_depth(), 0u);
-  EXPECT_EQ(clean->base_epoch(), clean->epoch());
+  EXPECT_EQ((*store)->epoch(), clean->epoch());
   EXPECT_EQ((*store)->pending_mutations(), 0u);
   EXPECT_EQ(clean->data().rccs.size(), dirty->data().rccs.size());
 
@@ -402,30 +402,69 @@ TEST(DataStoreTest, AmendReplacesTheRowAndMergeKeepsIt) {
   ExpectIndexesLike(merged->data(), truth);
 }
 
-TEST(DataStoreTest, FrozenRunAndMemtableShareOneDirtyCut) {
+TEST(DataStoreTest, PendingCountsEachKeyOnce) {
   auto store = DataStore::Open(SmallFleet());
   ASSERT_TRUE(store.ok());
-  const auto base = (*store)->Snapshot();
-  Dataset truth = base->data();
-  const std::int64_t rcc_id = MaxRccId(truth) + 1;
+  Dataset truth = (*store)->Snapshot()->data();
+  const Avail avail = NewAvail(MaxAvailId(truth) + 1);
+  Rcc rcc = NewRcc(MaxRccId(truth) + 1, avail.id);
 
-  // Memtable -> frozen run -> more memtable: one cut must read both.
-  const Rcc frozen = NewRcc(rcc_id, truth.avails.rows()[0].id);
-  const Rcc live = NewRcc(rcc_id + 1, truth.avails.rows()[1].id);
-  ASSERT_TRUE((*store)->Append(MakeRccUpsert(frozen)).ok());
-  (*store)->FlushDelta();
-  ASSERT_TRUE((*store)->Append(MakeRccUpsert(live)).ok());
-  ASSERT_TRUE(truth.rccs.Upsert(frozen).ok());
-  ASSERT_TRUE(truth.rccs.Upsert(live).ok());
+  // The RCC rides a later batch than its new avail: validation finds the
+  // avail among the pending keys.
+  ASSERT_TRUE((*store)->Append(MakeAvailUpsert(avail)).ok());
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(rcc)).ok());
+  rcc.settled_amount += 1.0;
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(rcc)).ok());
+  EXPECT_EQ((*store)->pending_mutations(), 2u);
+  EXPECT_EQ((*store)->Snapshot()->delta_depth(), 2u);
 
-  const auto dirty = (*store)->Snapshot();
-  ASSERT_EQ(dirty->delta_depth(), 2u);
-  EXPECT_TRUE(dirty->data().rccs.Find(frozen.id).ok());
-  EXPECT_TRUE(dirty->data().rccs.Find(live.id).ok());
-  EXPECT_EQ(dirty->data().rccs.size(), base->data().rccs.size() + 2);
-  EXPECT_EQ(dirty->epoch(), ComputeDatasetFingerprint(truth));
-  ExpectIndexesLike(dirty->data(), truth);
-  EXPECT_FALSE(base->data().rccs.Find(frozen.id).ok());
+  // A failed merge leaves the count alone; the RCC upserted again after it
+  // is still one key.
+  {
+    ScopedFaultInjection faults("ingest.merge.commit=fail-nth:1");
+    EXPECT_FALSE((*store)->Merge().ok());
+  }
+  EXPECT_EQ((*store)->pending_mutations(), 2u);
+  rcc.settled_amount += 1.0;
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(rcc)).ok());
+  EXPECT_EQ((*store)->pending_mutations(), 2u);
+  EXPECT_EQ((*store)->stats().pending, 2u);
+  EXPECT_EQ((*store)->Snapshot()->delta_depth(), 2u);
+
+  auto merged = (*store)->Merge();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->merged_mutations, 2u);
+  EXPECT_EQ((*store)->pending_mutations(), 0u);
+  ASSERT_TRUE(truth.avails.Upsert(avail).ok());
+  ASSERT_TRUE(truth.rccs.Upsert(rcc).ok());
+  EXPECT_EQ((*store)->Snapshot()->epoch(), ComputeDatasetFingerprint(truth));
+
+  // An upsert that lands between a merge's cut and its commit stays
+  // pending: the commit erases only keys at or below its cut. The commit
+  // fault point is hit after the cut is pinned, and sleeps.
+  rcc.settled_amount += 1.0;
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(rcc)).ok());
+  {
+    ScopedFaultInjection faults("ingest.merge.commit=latency-ms:200");
+    const fault::FaultPoint& commit =
+        fault::FaultRegistry::Default().GetPoint("ingest.merge.commit");
+    std::atomic<bool> finished{false};
+    std::thread merger([&] {
+      auto during = (*store)->Merge();
+      EXPECT_TRUE(during.ok()) << during.status().ToString();
+      if (during.ok()) {
+        EXPECT_EQ(during->merged_mutations, 1u);
+      }
+      finished.store(true);
+    });
+    while (commit.hits() == 0 && !finished.load()) std::this_thread::yield();
+    rcc.settled_amount += 1.0;
+    EXPECT_TRUE((*store)->Append(MakeRccUpsert(rcc)).ok());
+    merger.join();
+  }
+  EXPECT_EQ((*store)->pending_mutations(), 1u);
+  ASSERT_TRUE(truth.rccs.Upsert(rcc).ok());
+  EXPECT_EQ((*store)->Snapshot()->epoch(), ComputeDatasetFingerprint(truth));
 }
 
 TEST(DataStoreTest, MergeFaultLeavesStateIntactAndRetrySucceeds) {
@@ -599,7 +638,6 @@ TEST(DataStoreTest, EpochMatchesMaterializedContent) {
     const std::vector<IngestMutation> batch = history.NextBatch();
     ASSERT_TRUE((*in_memory)->AppendBatch(batch).ok());
     ASSERT_TRUE((*with_log)->AppendBatch(batch).ok());
-    if (step % 7 == 3) (*in_memory)->FlushDelta();
     if (step % 50 == 25) {
       ASSERT_TRUE((*in_memory)->Merge().ok());
     }
@@ -621,6 +659,7 @@ TEST(DataStoreTest, EpochMatchesMaterializedContent) {
                       ->InstallSnapshot(rows, exported->last_seq,
                                         exported->chain)
                       .ok());
+      EXPECT_EQ((*in_memory)->pending_mutations(), 0u);
     }
     ExpectEpochIsContent(**in_memory, history.truth(), step);
     ExpectEpochIsContent(**with_log, history.truth(), step);

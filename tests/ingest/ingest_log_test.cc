@@ -8,9 +8,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "fault/fault.h"
 #include "synth/generator.h"
 
@@ -426,6 +428,31 @@ TEST(IngestMutationTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(DecodeMutation("X|1|2").ok());
   EXPECT_FALSE(DecodeMutation("A|notanumber|1").ok());
   EXPECT_FALSE(DecodeMutation("R|1|2|G").ok());  // short field count.
+
+  // An avail's int fields (ship_class, rmc_id, avail_type, homeport,
+  // prior_avail_count, crew_size) must fit in int: 4294967297 must not
+  // wrap to 1.
+  const IngestMutation avail = SampleMutations(2).front();
+  ASSERT_EQ(avail.kind, MutationKind::kAvailUpsert);
+  const std::vector<std::string> fields = StrSplit(EncodeMutation(avail), '|');
+  for (const std::size_t field : {8, 9, 11, 12, 13, 15}) {
+    std::vector<std::string> edited = fields;
+    for (const char* bad :
+         {"4294967297", "2147483648", "-2147483649", "9223372036854775807"}) {
+      edited[field] = bad;
+      const auto decoded = DecodeMutation(StrJoin(edited, "|"));
+      ASSERT_FALSE(decoded.ok()) << "field " << field << " = " << bad;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+    // The int range itself decodes.
+    for (const int edge : {std::numeric_limits<int>::min(),
+                           std::numeric_limits<int>::max()}) {
+      edited[field] = std::to_string(edge);
+      const auto decoded = DecodeMutation(StrJoin(edited, "|"));
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(EncodeMutation(*decoded), StrJoin(edited, "|"));
+    }
+  }
 }
 
 }  // namespace

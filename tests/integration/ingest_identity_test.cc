@@ -22,9 +22,10 @@ namespace {
 /// mutation stream must be byte-for-byte the same as training from the
 /// equivalent batch dataset. The synth generator assigns avail and RCC ids
 /// sequentially in row order, so splitting the fleet at an avail boundary
-/// and streaming the suffix reproduces the batch row order after the
-/// memtable's (kind, id) sort — which is what makes the fingerprints, the
-/// serialized models and the predictions exactly comparable.
+/// and streaming the suffix in row order reproduces the batch row order (a
+/// cut appends new ids in order of first appearance in the stream) — which
+/// is what makes the fingerprints, the serialized models and the
+/// predictions exactly comparable.
 class IngestIdentityTest : public ::testing::Test {
  protected:
   static constexpr int kNumAvails = 20;

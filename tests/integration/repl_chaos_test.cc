@@ -27,9 +27,9 @@
 
 #include "cluster/host_map.h"
 #include "cluster/router.h"
+#include "common/strings.h"
 #include "fault/fault.h"
 #include "ingest/data_store.h"
-#include "ingest/ingest_log.h"
 #include "serve/frontend.h"
 #include "serve/json.h"
 #include "serve/prediction_service.h"
@@ -238,14 +238,7 @@ class ReplCluster {
       std::filesystem::remove_all(replica.dir, ec);
       std::filesystem::create_directories(replica.dir, ec);
       if (ec) return nullptr;
-      if (!WriteFileDurably(replica.dir + "/avails.csv",
-                            data.avails.ToCsv().Serialize())
-               .ok() ||
-          !WriteFileDurably(replica.dir + "/rccs.csv",
-                            data.rccs.ToCsv().Serialize())
-               .ok()) {
-        return nullptr;
-      }
+      if (!WriteBaseTables(data, replica.dir).ok()) return nullptr;
       if (!replica.BuildStack(cluster->PeersOf(i), quorum)) return nullptr;
     }
     return cluster;
@@ -650,7 +643,9 @@ TEST(ReplRegressionTest, WireIdentityWithoutReplication) {
 // negative or overflowing from_seq / first_seq / max_records answers
 // INVALID_ARGUMENT over the wire instead of being truncated (2.5 -> 2),
 // clamped (-1 -> 0, a snapshot request) or cast with undefined behavior
-// (1e300).
+// (1e300). So do a chain or have_chain that is not 1-16 hex digits (a
+// snapshot push at chain "zz" must not install at chain 0) and a record
+// whose int field overflows int (ship_class 4294967297 is not 1).
 // ---------------------------------------------------------------------------
 
 TEST(ReplRegressionTest, RejectsNonIntegralSequenceMembers) {
@@ -658,6 +653,18 @@ TEST(ReplRegressionTest, RejectsNonIntegralSequenceMembers) {
   ASSERT_NE(cluster, nullptr);
   ASSERT_TRUE(IngestUntilAcked(cluster->port(0), IngestLine(9500, 2)));
 
+  std::vector<std::string> wrapping_avail = StrSplit(
+      EncodeMutation(MakeAvailUpsert(
+          cluster->store(0)->Snapshot()->data().avails.rows().front())),
+      '|');
+  wrapping_avail[8] = "4294967297";  // ship_class.
+  const std::string wrapping_record =
+      R"({"cmd":"replicate","first_seq":5,"records":[")" +
+      StrJoin(wrapping_avail, "|") + R"("]})";
+  const auto snapshot_at = [](const std::string& chain) {
+    return R"({"cmd":"replicate","snapshot":true,"rows":[],"last_seq":3,)"
+           R"("chain":)" + chain + "}";
+  };
   for (const std::string& bad :
        {std::string(R"({"cmd":"catchup","from_seq":2.5})"),
         std::string(R"({"cmd":"catchup","from_seq":-1})"),
@@ -668,7 +675,13 @@ TEST(ReplRegressionTest, RejectsNonIntegralSequenceMembers) {
         std::string(R"({"cmd":"replicate","first_seq":-1,"records":[]})"),
         std::string(R"({"cmd":"replicate","first_seq":1e300,"records":[]})"),
         std::string(R"({"cmd":"replicate","snapshot":true,"rows":[],)"
-                    R"("last_seq":2.5,"chain":"0"})")}) {
+                    R"("last_seq":2.5,"chain":"0"})"),
+        snapshot_at(R"("zz")"), snapshot_at(R"("")"), snapshot_at(R"("-1")"),
+        snapshot_at(R"("12zz")"), snapshot_at(R"("0x12")"),
+        snapshot_at(R"("00000000000000001")"), snapshot_at("7"),
+        std::string(R"({"cmd":"catchup","from_seq":1,"have_chain":"zz"})"),
+        std::string(R"({"cmd":"catchup","from_seq":1,"have_chain":" 1"})"),
+        wrapping_record}) {
     const JsonValue response = ParsedRpc(cluster->port(0), bad);
     EXPECT_FALSE(response.BoolOr("ok", true)) << bad;
     EXPECT_EQ(response.StringOr("code", ""), "INVALID_ARGUMENT") << bad;

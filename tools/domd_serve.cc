@@ -185,14 +185,7 @@ int Run(const Flags& flags) {
         return 1;
       }
       if (!std::filesystem::exists(persist_dir + "/avails.csv")) {
-        Status seeded =
-            WriteFileDurably(persist_dir + "/avails.csv",
-                             (*bundle)->data().avails.ToCsv().Serialize());
-        if (seeded.ok()) {
-          seeded =
-              WriteFileDurably(persist_dir + "/rccs.csv",
-                               (*bundle)->data().rccs.ToCsv().Serialize());
-        }
+        const Status seeded = WriteBaseTables((*bundle)->data(), persist_dir);
         if (!seeded.ok()) {
           std::fprintf(stderr, "error: --persist-dir: %s\n",
                        seeded.ToString().c_str());
