@@ -141,14 +141,19 @@ void ClusterRouter::Handle(std::string line, Responder responder) {
 }
 
 void ClusterRouter::ProberLoop() {
+  // Probe first, then wait: health and the ingest primary are known as soon
+  // as the replicas answer, not one probe_interval after start.
   for (;;) {
     {
-      std::unique_lock<std::mutex> lock(prober_mutex_);
-      prober_cv_.wait_for(lock, options_.probe_interval,
-                          [this] { return prober_stop_; });
+      std::lock_guard<std::mutex> lock(prober_mutex_);
       if (prober_stop_) return;
     }
     ProbeOnce();
+    std::unique_lock<std::mutex> lock(prober_mutex_);
+    if (prober_cv_.wait_for(lock, options_.probe_interval,
+                            [this] { return prober_stop_; })) {
+      return;
+    }
   }
 }
 

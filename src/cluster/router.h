@@ -38,7 +38,8 @@ struct RouterOptions {
   std::chrono::milliseconds upstream_deadline{5000};
   /// Health-probe period. Each round probes `health` on every replica of
   /// every shard and updates the routing state (up/down, breaker
-  /// readiness, served bundle version).
+  /// readiness, served bundle version). The first round runs as the
+  /// prober starts, the next one probe_interval later.
   std::chrono::milliseconds probe_interval{500};
   /// Probe RPC budget (smaller than a routed request: probes must fail
   /// fast so a dead shard is detected within ~one probe round).

@@ -1,7 +1,8 @@
 #include "common/csv.h"
 
 #include <fstream>
-#include <sstream>
+
+#include "common/strings.h"
 
 namespace domd {
 namespace {
@@ -23,11 +24,17 @@ void AppendField(std::string* out, std::string_view field) {
   out->push_back('"');
 }
 
+// The characters that end a run of ordinary unquoted field text.
+bool IsSpecial(char c) {
+  return c == ',' || c == '"' || c == '\n' || c == '\r';
+}
+
 // Parses one CSV record starting at *pos; advances *pos past the record's
 // trailing newline. Returns false on unterminated quote. *lines_spanned is
 // the number of physical lines the record occupies (1 plus any newlines
 // consumed inside quoted fields), so callers can report 1-based physical
-// line numbers even after multi-line quoted fields.
+// line numbers even after multi-line quoted fields. Each run of ordinary
+// characters is appended to its field in one call.
 bool ParseRecord(std::string_view text, std::size_t* pos,
                  std::vector<std::string>* fields,
                  std::size_t* lines_spanned) {
@@ -36,31 +43,36 @@ bool ParseRecord(std::string_view text, std::size_t* pos,
   std::string field;
   bool in_quotes = false;
   std::size_t i = *pos;
-  for (; i < text.size(); ++i) {
-    const char c = text[i];
+  while (i < text.size()) {
+    std::size_t end = i;
     if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
+      while (end < text.size() && text[end] != '"') {
+        if (text[end] == '\n') ++*lines_spanned;
+        ++end;
+      }
+    } else {
+      while (end < text.size() && !IsSpecial(text[end])) ++end;
+    }
+    field.append(text.data() + i, end - i);
+    i = end;
+    if (i == text.size()) break;
+    const char c = text[i++];
+    if (in_quotes) {
+      // A doubled quote is a literal one; a single quote closes the field.
+      if (i < text.size() && text[i] == '"') {
+        field.push_back('"');
+        ++i;
       } else {
-        if (c == '\n') ++*lines_spanned;
-        field.push_back(c);
+        in_quotes = false;
       }
     } else if (c == '"') {
       in_quotes = true;
     } else if (c == ',') {
       fields->push_back(std::move(field));
       field.clear();
-    } else if (c == '\n' || c == '\r') {
-      if (c == '\r' && i + 1 < text.size() && text[i + 1] == '\n') ++i;
-      ++i;
-      break;
     } else {
-      field.push_back(c);
+      if (c == '\r' && i < text.size() && text[i] == '\n') ++i;
+      break;
     }
   }
   if (in_quotes) return false;
@@ -91,11 +103,13 @@ StatusOr<CsvDocument> CsvDocument::Parse(std::string_view text) {
     if (!ParseRecord(text, &pos, &fields, &spanned)) {
       return Status::InvalidArgument("unterminated quote in CSV header");
     }
-    doc.header_ = fields;
+    doc.header_ = std::move(fields);
     line += spanned;
   }
   while (pos < text.size()) {
     const std::size_t row_line = line;
+    // Each row moves its vector into the document: one allocation per row.
+    fields.reserve(doc.header_.size());
     if (!ParseRecord(text, &pos, &fields, &spanned)) {
       return Status::InvalidArgument("unterminated quote in CSV row at line " +
                                      std::to_string(row_line));
@@ -109,17 +123,15 @@ StatusOr<CsvDocument> CsvDocument::Parse(std::string_view text) {
           std::to_string(fields.size()) + " fields, header has " +
           std::to_string(doc.header_.size()));
     }
-    doc.rows_.push_back(fields);
+    doc.rows_.push_back(std::move(fields));
   }
   return doc;
 }
 
 StatusOr<CsvDocument> CsvDocument::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Parse(buffer.str());
+  auto text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return Parse(*text);
 }
 
 std::string CsvDocument::Serialize() const {

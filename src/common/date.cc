@@ -58,6 +58,9 @@ bool ParseUint(std::string_view text, std::size_t* pos, int* out) {
   return true;
 }
 
+// The ASCII digit for a value in [0, 9].
+char Digit(int value) { return static_cast<char>('0' + value); }
+
 }  // namespace
 
 Date Date::FromCivil(int year, int month, int day) {
@@ -132,9 +135,19 @@ int Date::day() const {
 std::string Date::ToString() const {
   int y, m, d;
   CivilFromDays(serial_, &y, &m, &d);
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
-  return buf;
+  // "%04d-%02d-%02d": years 0-9999 are written digit by digit, any other
+  // year through snprintf into a buffer wide enough for any int fields.
+  if (y < 0 || y > 9999) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
+    return buf;
+  }
+  const char text[] = {Digit(y / 1000),    Digit(y / 100 % 10),
+                       Digit(y / 10 % 10), Digit(y % 10),
+                       '-',                Digit(m / 10),
+                       Digit(m % 10),      '-',
+                       Digit(d / 10),      Digit(d % 10)};
+  return std::string(text, sizeof(text));
 }
 
 std::string Date::ToUsString() const {

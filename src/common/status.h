@@ -146,6 +146,20 @@ class StatusOr {
   std::variant<T, Status> rep_;
 };
 
+/// Sets `*out` to `value` when it names an enumerator of `Enum`, whose
+/// enumerators run from 0 to `last`: the check for an enum field read back
+/// from a text file. Any other value is InvalidArgument naming `field`, so
+/// a hand-edited file never reaches a switch that has no case for it.
+template <typename Enum>
+Status ReadEnum(int value, Enum last, const char* field, Enum* out) {
+  if (value < 0 || value > static_cast<int>(last)) {
+    return Status::InvalidArgument(std::string(field) + " " +
+                                   std::to_string(value) + " is out of range");
+  }
+  *out = static_cast<Enum>(value);
+  return Status::OK();
+}
+
 }  // namespace domd
 
 /// Propagates an error Status from an expression, absl-style.

@@ -1,6 +1,11 @@
 #include "common/strings.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 
 namespace domd {
@@ -81,6 +86,32 @@ std::string StrToLower(std::string_view text) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   return out;
+}
+
+StatusOr<std::string> ReadFileToString(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open " + path);
+  struct stat info {};
+  const bool sized = ::fstat(fd, &info) == 0 && S_ISREG(info.st_mode);
+  // One spare byte, so the read that finds the end needs no second buffer.
+  std::string bytes(sized ? static_cast<std::size_t>(info.st_size) + 1 : 4096,
+                    '\0');
+  std::size_t used = 0;
+  for (;;) {
+    if (used == bytes.size()) bytes.resize(2 * bytes.size());
+    const ssize_t n = ::read(fd, bytes.data() + used, bytes.size() - used);
+    if (n > 0) {
+      used += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      ::close(fd);
+      return Status::IoError("read failed for " + path);
+    }
+  }
+  ::close(fd);
+  bytes.resize(used);
+  return bytes;
 }
 
 }  // namespace domd

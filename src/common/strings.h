@@ -34,6 +34,11 @@ std::string StrToLower(std::string_view text);
 /// and "inf"/"nan" (case-insensitive); locale-independent.
 StatusOr<double> ParseDouble(std::string_view text);
 
+/// Reads a whole file into one string, allocated once from the file's size
+/// (a file that is not regular, or that grows while it is read, is still
+/// read to its end). IoError when the file cannot be opened or read.
+StatusOr<std::string> ReadFileToString(const std::string& path);
+
 }  // namespace domd
 
 #endif  // DOMD_COMMON_STRINGS_H_

@@ -41,15 +41,7 @@ const char* FusionMethodToString(FusionMethod method) {
 }
 
 Loss PipelineConfig::MakeLoss() const {
-  switch (loss) {
-    case LossKind::kSquared:
-      return Loss::Squared();
-    case LossKind::kAbsolute:
-      return Loss::Absolute();
-    case LossKind::kPseudoHuber:
-      return Loss::PseudoHuber(huber_delta);
-  }
-  return Loss::Squared();
+  return Loss::FromKind(loss, huber_delta);
 }
 
 void PipelineConfig::Save(std::ostream& out) const {
@@ -96,12 +88,30 @@ StatusOr<PipelineConfig> PipelineConfig::Load(std::istream& in) {
         config.elastic_net.max_iterations >> config.elastic_net.tolerance)) {
     return Status::InvalidArgument("bad pipeline config elastic-net record");
   }
-  config.selection = static_cast<SelectionMethod>(selection);
-  config.model_family = static_cast<ModelFamily>(family);
-  config.architecture = static_cast<Architecture>(architecture);
-  config.loss = static_cast<LossKind>(loss);
-  config.fusion = static_cast<FusionMethod>(fusion);
-  config.gbt.tree.split_method = static_cast<SplitMethod>(split_method);
+  DOMD_RETURN_IF_ERROR(ReadEnum(selection,
+                                SelectionMethod::kMutualInformationApprox,
+                                "pipeline config: selection",
+                                &config.selection));
+  DOMD_RETURN_IF_ERROR(ReadEnum(family, ModelFamily::kElasticNet,
+                                "pipeline config: model family",
+                                &config.model_family));
+  DOMD_RETURN_IF_ERROR(ReadEnum(architecture, Architecture::kStacked,
+                                "pipeline config: architecture",
+                                &config.architecture));
+  DOMD_RETURN_IF_ERROR(ReadEnum(loss, LossKind::kQuantile,
+                                "pipeline config: loss", &config.loss));
+  DOMD_RETURN_IF_ERROR(ReadEnum(fusion, FusionMethod::kWeightedRecent,
+                                "pipeline config: fusion", &config.fusion));
+  DOMD_RETURN_IF_ERROR(ReadEnum(split_method, SplitMethod::kHistogram,
+                                "pipeline config: split method",
+                                &config.gbt.tree.split_method));
+  // A quantile loss keeps its level in huber_delta (Loss::tau()).
+  if (config.loss == LossKind::kQuantile &&
+      !(config.huber_delta > 0.0 && config.huber_delta < 1.0)) {
+    return Status::InvalidArgument(
+        "pipeline config: quantile level " +
+        std::to_string(config.huber_delta) + " is outside (0, 1)");
+  }
   return config;
 }
 

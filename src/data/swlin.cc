@@ -1,7 +1,5 @@
 #include "data/swlin.h"
 
-#include <cstdio>
-
 namespace domd {
 
 StatusOr<Swlin> Swlin::Parse(std::string_view text) {
@@ -49,10 +47,14 @@ std::int64_t Swlin::Prefix(int level) const {
 }
 
 std::string Swlin::ToString() const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%d%d%d-%d%d-%d%d%d", digit(0), digit(1),
-                digit(2), digit(3), digit(4), digit(5), digit(6), digit(7));
-  return buf;
+  // Every digit is 0-9 (Parse and FromInt are the only writers), so each
+  // lands in its own slot of "DDD-DD-DDD".
+  static constexpr int kSlot[kNumDigits] = {0, 1, 2, 4, 5, 7, 8, 9};
+  std::string out(kNumDigits + 2, '-');
+  for (int i = 0; i < kNumDigits; ++i) {
+    out[static_cast<std::size_t>(kSlot[i])] = static_cast<char>('0' + digit(i));
+  }
+  return out;
 }
 
 }  // namespace domd

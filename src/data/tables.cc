@@ -2,17 +2,19 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 
 #include "common/strings.h"
 
 namespace domd {
 namespace {
 
+/// The tables' double format: the C++ standard defines to_chars' general
+/// format at precision 6 as printf's "%.6g", so these are its bytes.
 std::string FormatDouble(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v,
+                                    std::chars_format::general, 6);
+  return std::string(buf, result.ptr);
 }
 
 StatusOr<std::int64_t> ParseInt64(const std::string& text) {

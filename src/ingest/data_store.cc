@@ -13,6 +13,14 @@
 namespace domd {
 namespace {
 
+/// The answer to an RCC that names an avail neither the store nor its
+/// batch holds: appends and snapshot installs reject it alike.
+Status UnknownAvail(const Rcc& rcc) {
+  return Status::NotFound("ingest: RCC " + std::to_string(rcc.id) +
+                          " references unknown avail " +
+                          std::to_string(rcc.avail_id));
+}
+
 /// Applies mutations in their original append (= sequence) order on top
 /// of a copy of the base. Sequence order is load-bearing for replication
 /// (DESIGN.md §15): applying a history prefix and then the rest produces
@@ -216,10 +224,7 @@ Status DataStore::ValidateBatchLocked(
       batch_avails.insert(mutation.avail.id);
     } else if (batch_avails.count(mutation.rcc.avail_id) == 0 &&
                !HasAvailLocked(mutation.rcc.avail_id)) {
-      return Status::NotFound(
-          "ingest: RCC " + std::to_string(mutation.rcc.id) +
-          " references unknown avail " +
-          std::to_string(mutation.rcc.avail_id));
+      return UnknownAvail(mutation.rcc);
     }
   }
   return Status::OK();
@@ -409,11 +414,15 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   // Build the replacement dataset outside every lock: rows arrive avail
   // rows first, then RCC rows, both in the responder's table row order,
   // so upserting them in order reproduces its tables byte for byte.
+  // An RCC must name an avail upserted before it, as Append requires; a
+  // rejected snapshot installs nothing.
   Dataset data;
   for (const IngestMutation& row : rows) {
     DOMD_RETURN_IF_ERROR(ValidateMutation(row));
     if (row.kind == MutationKind::kAvailUpsert) {
       DOMD_RETURN_IF_ERROR(data.avails.Upsert(row.avail));
+    } else if (!data.avails.Find(row.rcc.avail_id).ok()) {
+      return UnknownAvail(row.rcc);
     } else {
       DOMD_RETURN_IF_ERROR(data.rccs.Upsert(row.rcc));
     }

@@ -175,7 +175,9 @@ class DataStore {
   /// (`rows` as produced by TailFrom's snapshot mode), adopting its
   /// sequence position and history chain. Requires a persist_dir when a
   /// log is attached (the rotated-empty log is only recoverable next to
-  /// freshly persisted base tables). Pinned snapshots are unaffected.
+  /// freshly persisted base tables). Pinned snapshots are unaffected. Rows
+  /// are checked as Append checks them: an RCC naming an avail no earlier
+  /// row upserts is NotFound, and a rejected snapshot installs nothing.
   Status InstallSnapshot(const std::vector<IngestMutation>& rows,
                          std::uint64_t last_seq, std::uint64_t chain);
 

@@ -287,10 +287,14 @@ StatusOr<GbtRegressor> GbtRegressor::Load(std::istream& in) {
       tag != "params") {
     return Status::InvalidArgument("bad GBT params record");
   }
-  params.tree.split_method = static_cast<SplitMethod>(split_method);
+  DOMD_RETURN_IF_ERROR(ReadEnum(split_method, SplitMethod::kHistogram,
+                                "GBT split method",
+                                &params.tree.split_method));
+  LossKind kind = LossKind::kSquared;
+  DOMD_RETURN_IF_ERROR(
+      ReadEnum(loss_kind, LossKind::kQuantile, "GBT loss", &kind));
 
-  GbtRegressor model(params, Loss::FromKind(static_cast<LossKind>(loss_kind),
-                                            delta));
+  GbtRegressor model(params, Loss::FromKind(kind, delta));
   std::size_t num_trees = 0;
   if (!(in >> tag >> model.base_score_ >> model.num_features_ >> num_trees) ||
       tag != "model") {

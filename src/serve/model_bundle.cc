@@ -10,6 +10,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/strings.h"
 #include "core/fusion.h"
 #include "data/integrity.h"
 #include "data/logical_time.h"
@@ -47,13 +48,9 @@ bool IsValidVersionTag(const std::string& version) {
 /// flips bytes of what was read, which the checksum gate must then catch.
 StatusOr<std::string> ReadFileBytes(const std::string& path) {
   DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.read").Check());
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed for " + path);
-  std::string bytes = buffer.str();
-  DOMD_FAULT_POINT("serve.bundle.corrupt").MaybeCorrupt(&bytes);
+  auto bytes = ReadFileToString(path);
+  if (!bytes.ok()) return bytes.status();
+  DOMD_FAULT_POINT("serve.bundle.corrupt").MaybeCorrupt(&*bytes);
   return bytes;
 }
 

@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace domd {
 namespace {
@@ -143,6 +147,103 @@ TEST(CsvTest, MalformedFixtureFileReportsLineNumber) {
   EXPECT_NE(loaded.status().message().find("line 3"), std::string::npos)
       << loaded.status().message();
   std::remove(path.c_str());
+}
+
+// A character-at-a-time RFC 4180 reader: the reference Parse must agree
+// with on every input, fields, statuses and messages alike.
+struct ReferenceCsv {
+  bool ok = true;
+  std::string error;
+  std::vector<std::vector<std::string>> records;  ///< header first.
+};
+
+ReferenceCsv ParseOneCharAtATime(const std::string& text) {
+  ReferenceCsv out;
+  std::size_t i = 0;
+  std::size_t line = 1;
+  bool header = true;
+  while (i < text.size()) {
+    const std::size_t record_line = line;
+    std::vector<std::string> fields;
+    std::string field;
+    bool in_quotes = false;
+    for (; i < text.size(); ++i) {
+      const char c = text[i];
+      if (in_quotes) {
+        if (c == '"' && i + 1 < text.size() && text[i + 1] == '"') {
+          field.push_back('"');
+          ++i;
+        } else if (c == '"') {
+          in_quotes = false;
+        } else {
+          if (c == '\n') ++line;
+          field.push_back(c);
+        }
+      } else if (c == '"') {
+        in_quotes = true;
+      } else if (c == ',') {
+        fields.push_back(field);
+        field.clear();
+      } else if (c == '\n' || c == '\r') {
+        if (c == '\r' && i + 1 < text.size() && text[i + 1] == '\n') ++i;
+        ++i;
+        break;
+      } else {
+        field.push_back(c);
+      }
+    }
+    ++line;
+    if (in_quotes) {
+      out.ok = false;
+      out.error = header ? "unterminated quote in CSV header"
+                         : "unterminated quote in CSV row at line " +
+                               std::to_string(record_line);
+      return out;
+    }
+    fields.push_back(field);
+    if (!header && fields.size() == 1 && fields[0].empty()) continue;
+    if (!header && fields.size() != out.records[0].size()) {
+      out.ok = false;
+      out.error = "CSV row at line " + std::to_string(record_line) + " has " +
+                  std::to_string(fields.size()) + " fields, header has " +
+                  std::to_string(out.records[0].size());
+      return out;
+    }
+    out.records.push_back(fields);
+    header = false;
+  }
+  return out;
+}
+
+TEST(CsvTest, ParseAgreesWithACharAtATimeReader) {
+  // Short documents over the characters that steer the parser, so quotes,
+  // doubled quotes, CR/LF pairs, blank lines and ragged rows all occur.
+  static constexpr char kAlphabet[] = {'a', 'b', ',', ',', '"', '\n',
+                                       '\n', '\r', 'x', ' '};
+  Rng rng(31);
+  std::size_t parsed_ok = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string text;
+    const std::size_t length = rng.Next() % 40;
+    for (std::size_t i = 0; i < length; ++i) {
+      text.push_back(kAlphabet[rng.Next() % sizeof(kAlphabet)]);
+    }
+    const ReferenceCsv want = ParseOneCharAtATime(text);
+    const auto got = CsvDocument::Parse(text);
+    ASSERT_EQ(got.ok(), want.ok) << testing::PrintToString(text);
+    if (!want.ok) {
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+      ASSERT_EQ(got.status().message(), want.error)
+          << testing::PrintToString(text);
+      continue;
+    }
+    ++parsed_ok;
+    std::vector<std::vector<std::string>> records;
+    if (!want.records.empty()) records.push_back(got->header());
+    for (const auto& row : got->rows()) records.push_back(row);
+    ASSERT_EQ(records, want.records) << testing::PrintToString(text);
+  }
+  EXPECT_GT(parsed_ok, 1000u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <string>
 
@@ -149,6 +150,32 @@ TEST(ParseDoubleTest, PropertyAgreesWithStrtodOnFullValidStrings) {
               std::bit_cast<std::uint64_t>(reference))
         << buf;
   }
+}
+
+TEST(ReadFileToStringTest, ReadsEveryByteOfAFile) {
+  const std::string path = ::testing::TempDir() + "/domd_read_file_test.bin";
+  Rng rng(4);
+  for (const std::size_t size : {0u, 1u, 4095u, 4096u, 4097u, 300000u}) {
+    std::string bytes;
+    for (std::size_t i = 0; i < size; ++i) {
+      bytes.push_back(static_cast<char>(rng.Next()));  // NULs included.
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    const auto read = ReadFileToString(path);
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(*read, bytes) << size;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ReadFileToStringTest, MissingFileAndDirectoryAreIoErrors) {
+  EXPECT_EQ(ReadFileToString("/nonexistent/dir/file").status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(ReadFileToString(::testing::TempDir()).status().code(),
+            StatusCode::kIoError);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/domd_estimator.h"
 #include "core/test_helpers.h"
 
@@ -131,6 +133,103 @@ TEST(SerializationTest, CorruptedInputsRejected) {
   {
     std::stringstream buffer("timeline_model_set v1\nbroken");
     EXPECT_FALSE(TimelineModelSet::Load(buffer, 8, 8).ok());
+  }
+}
+
+/// `text` with token `token` of line `line` (0-based; line 0 is the
+/// header) replaced by `value`: a hand-edited model or config file.
+std::string EditToken(const std::string& text, std::size_t line,
+                      std::size_t token, const std::string& value) {
+  std::vector<std::string> lines = StrSplit(text, '\n');
+  std::vector<std::string> tokens = StrSplit(lines.at(line), ' ');
+  tokens.at(token) = value;
+  lines[line] = StrJoin(tokens, " ");
+  return StrJoin(lines, "\n");
+}
+
+std::string SavedDefaultConfig() {
+  std::stringstream saved;
+  PipelineConfig().Save(saved);
+  return saved.str();
+}
+
+TEST(SerializationTest, PipelineConfigRejectsOutOfRangeEnums) {
+  struct Edit {
+    std::size_t line;
+    std::size_t token;
+    std::string value;
+    std::string field;
+  };
+  for (const Edit& edit : std::vector<Edit>{{1, 0, "99", "selection"},
+                                            {1, 0, "-1", "selection"},
+                                            {1, 2, "2", "model family"},
+                                            {1, 3, "2", "architecture"},
+                                            {1, 4, "7", "loss"},
+                                            {1, 7, "9", "fusion"},
+                                            {2, 6, "5", "split method"}}) {
+    std::stringstream buffer(
+        EditToken(SavedDefaultConfig(), edit.line, edit.token, edit.value));
+    const auto loaded = PipelineConfig::Load(buffer);
+    ASSERT_FALSE(loaded.ok()) << edit.field << " " << edit.value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(edit.field), std::string::npos)
+        << loaded.status();
+  }
+  // The last enumerator of each field still loads.
+  std::string text = SavedDefaultConfig();
+  for (const auto& [line, token, value] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::string>>{
+           {1, 0, "5"}, {1, 2, "1"}, {1, 3, "1"}, {1, 7, "4"}, {2, 6, "1"}}) {
+    text = EditToken(text, line, token, value);
+  }
+  std::stringstream buffer(text);
+  const auto loaded = PipelineConfig::Load(buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->selection, SelectionMethod::kMutualInformationApprox);
+  EXPECT_EQ(loaded->fusion, FusionMethod::kWeightedRecent);
+  EXPECT_EQ(loaded->gbt.tree.split_method, SplitMethod::kHistogram);
+}
+
+TEST(SerializationTest, PipelineConfigLoadsTheQuantileLoss) {
+  // Loss 3 is the quantile loss; huber_delta holds its level.
+  const std::string quantile = EditToken(SavedDefaultConfig(), 1, 4, "3");
+  std::stringstream buffer(EditToken(quantile, 1, 5, "0.9"));
+  const auto loaded = PipelineConfig::Load(buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const Loss loss = loaded->MakeLoss();
+  EXPECT_EQ(loss.kind(), LossKind::kQuantile);
+  EXPECT_DOUBLE_EQ(loss.tau(), 0.9);
+  // A level outside (0, 1) -- the default 18 among them -- is rejected.
+  for (const std::string level : {"18", "1", "0", "-0.5"}) {
+    std::stringstream bad(EditToken(quantile, 1, 5, level));
+    const auto rejected = PipelineConfig::Load(bad);
+    ASSERT_FALSE(rejected.ok()) << level;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find("quantile level"),
+              std::string::npos)
+        << rejected.status();
+  }
+}
+
+TEST(SerializationTest, GbtRejectsOutOfRangeEnums) {
+  const std::string model =
+      "gbt v1\nloss 0 1\nparams 1 0.5 3 1 1 0 0 32 1 1 7\nmodel 0 2 0\n";
+  {
+    std::stringstream buffer(model);
+    ASSERT_TRUE(GbtRegressor::Load(buffer).ok());
+  }
+  for (const auto& [line, token, value, field] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::string,
+                              std::string>>{{1, 1, "4", "loss"},
+                                            {1, 1, "-1", "loss"},
+                                            {2, 7, "5", "split method"},
+                                            {2, 7, "2", "split method"}}) {
+    std::stringstream buffer(EditToken(model, line, token, value));
+    const auto loaded = GbtRegressor::Load(buffer);
+    ASSERT_FALSE(loaded.ok()) << field << " " << value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(field), std::string::npos)
+        << loaded.status();
   }
 }
 

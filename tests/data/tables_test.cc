@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdarg>
+#include <cstdio>
+#include <limits>
 #include <set>
+
+#include "common/rng.h"
+#include "common/strings.h"
+#include "synth/generator.h"
 
 namespace domd {
 namespace {
@@ -148,6 +158,208 @@ TEST(RccTableTest, ScaleByOneIsIdentityCardinality) {
   RccTable table;
   ASSERT_TRUE(table.Add(MakeRcc(1, 10)).ok());
   EXPECT_EQ(table.Scale(1).size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The table codec's byte contract (DESIGN.md §14): doubles are printf's
+// "%.6g", dates "%04d-%02d-%02d" and SWLINs "ddd-dd-ddd". printf itself is
+// the oracle for each.
+// ---------------------------------------------------------------------------
+
+__attribute__((format(printf, 1, 2))) std::string Printf(const char* format,
+                                                         ...) {
+  char buf[64];
+  va_list args;
+  va_start(args, format);
+  const int n = std::vsnprintf(buf, sizeof(buf), format, args);
+  va_end(args);
+  EXPECT_GE(n, 0);
+  EXPECT_LT(n, static_cast<int>(sizeof(buf)));
+  return buf;
+}
+
+std::string DoubleOracle(double v) { return Printf("%.6g", v); }
+
+std::string DateOracle(Date date) {
+  return Printf("%04d-%02d-%02d", date.year(), date.month(), date.day());
+}
+
+std::string SwlinOracle(const Swlin& swlin) {
+  return Printf("%d%d%d-%d%d-%d%d%d", swlin.digit(0), swlin.digit(1),
+                swlin.digit(2), swlin.digit(3), swlin.digit(4),
+                swlin.digit(5), swlin.digit(6), swlin.digit(7));
+}
+
+/// Counts the cells of `column` that differ from `want`, naming the first.
+void ExpectColumn(const CsvDocument& doc, std::size_t column,
+                  const std::vector<std::string>& want) {
+  ASSERT_EQ(doc.num_rows(), want.size());
+  std::size_t mismatches = 0;
+  std::string first;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (doc.rows()[i][column] == want[i]) continue;
+    if (mismatches++ == 0) {
+      first = "row " + std::to_string(i) + ": wrote \"" +
+              doc.rows()[i][column] + "\", printf \"" + want[i] + "\"";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << doc.header()[column] << ": " << first;
+}
+
+TEST(TableCodecTest, DoublesAreWrittenAsPrintfG6) {
+  std::vector<double> values = {0.0,      -0.0, 1e-5, 123456.5,
+                                999999.5, 1e15, DBL_MAX,
+                                std::numeric_limits<double>::denorm_min()};
+  Rng rng(20);
+  for (int i = 0; i < 100000; ++i) {
+    switch (i % 4) {
+      case 0:  // any bit pattern: every exponent, subnormals, inf and nan.
+        values.push_back(std::bit_cast<double>(rng.Next()));
+        break;
+      case 1:  // amounts in cents.
+        values.push_back(std::round(rng.Uniform(0.0, 1e9)) / 100.0);
+        break;
+      case 2:  // log-uniform magnitudes of either sign.
+        values.push_back((rng.Uniform() < 0.5 ? -1.0 : 1.0) *
+                         std::exp(rng.Uniform(-60.0, 60.0)));
+        break;
+      default:  // halfway between two 6-digit values, at a random scale.
+        values.push_back((std::floor(rng.Uniform(1e5, 1e6)) + 0.5) *
+                         std::pow(10.0, std::floor(rng.Uniform(-8.0, 9.0))));
+        break;
+    }
+  }
+  AvailTable avails;
+  RccTable rccs;
+  std::vector<std::string> value_text;
+  std::vector<std::string> negated_text;
+  std::vector<std::string> amount_text;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    Avail avail = MakeAvail(static_cast<std::int64_t>(i));
+    avail.contract_value_musd = values[i];
+    avail.ship_age_years = -values[i];
+    ASSERT_TRUE(avails.Add(avail).ok());
+    Rcc rcc = MakeRcc(static_cast<std::int64_t>(i), 0);
+    rcc.settled_amount = std::fabs(values[i]);
+    ASSERT_TRUE(rccs.Add(rcc).ok());
+    value_text.push_back(DoubleOracle(values[i]));
+    negated_text.push_back(DoubleOracle(-values[i]));
+    amount_text.push_back(DoubleOracle(std::fabs(values[i])));
+  }
+  const CsvDocument avail_doc = avails.ToCsv();
+  ExpectColumn(avail_doc, *avail_doc.ColumnIndex("contract_value_musd"),
+               value_text);
+  ExpectColumn(avail_doc, *avail_doc.ColumnIndex("ship_age_years"),
+               negated_text);
+  const CsvDocument rcc_doc = rccs.ToCsv();
+  ExpectColumn(rcc_doc, *rcc_doc.ColumnIndex("settled_amount"), amount_text);
+}
+
+bool IsLeapYear(int y) { return (y % 4 == 0 && y % 100 != 0) || y % 400 == 0; }
+
+int DaysIn(int y, int m) {
+  static constexpr int kDays[] = {31, 28, 31, 30, 31, 30,
+                                  31, 31, 30, 31, 30, 31};
+  return m == 2 && IsLeapYear(y) ? 29 : kDays[m - 1];
+}
+
+TEST(TableCodecTest, DatesAreWrittenAsPrintfIso) {
+  // Every day of years 1-9999, walked one civil day at a time.
+  Date date = Date::FromCivil(1, 1, 1);
+  std::size_t days = 0;
+  std::size_t mismatches = 0;
+  std::string first;
+  for (int y = 1; y <= 9999; ++y) {
+    for (int m = 1; m <= 12; ++m) {
+      for (int d = 1; d <= DaysIn(y, m); ++d, ++days, date = date.AddDays(1)) {
+        const std::string want = Printf("%04d-%02d-%02d", y, m, d);
+        const std::string got = date.ToString();
+        if (got != want && mismatches++ == 0) first = got + " != " + want;
+      }
+    }
+  }
+  EXPECT_EQ(days, 3652059u);
+  EXPECT_EQ(mismatches, 0u) << first;
+
+  // Years outside 1-9999: zero, negative, and from 10000 up to the largest
+  // year Date::Parse reads (1,000,000), which round-trip through Parse.
+  std::vector<int> years = {0,     -1,     -44,    -999,   -1000,
+                            -9999, -10000, -12345, 10000,  10001,
+                            99999, 100000, 999999, 1000000};
+  for (int y = 10000; y <= 1000000; y += 997) years.push_back(y);
+  for (const int y : years) {
+    for (const auto& [m, d] : {std::pair{1, 1}, std::pair{2, DaysIn(y, 2)},
+                               std::pair{12, 31}}) {
+      const Date civil = Date::FromCivil(y, m, d);
+      ASSERT_EQ(civil.ToString(), Printf("%04d-%02d-%02d", y, m, d));
+      if (y < 0) continue;
+      const auto parsed = Date::Parse(civil.ToString());
+      ASSERT_TRUE(parsed.ok()) << civil.ToString();
+      EXPECT_EQ(*parsed, civil);
+    }
+  }
+}
+
+TEST(TableCodecTest, SwlinsAreWrittenAsPrintfDigits) {
+  std::vector<std::int64_t> codes = {0, 1, 43411001, 99999999};
+  Rng rng(8);
+  for (int i = 0; i < 100000; ++i) {
+    codes.push_back(static_cast<std::int64_t>(rng.Next() % 100000000));
+  }
+  for (const std::int64_t code : codes) {
+    int digit[8];
+    for (int i = 0, scale = 10000000; i < 8; ++i, scale /= 10) {
+      digit[i] = static_cast<int>(code / scale % 10);
+    }
+    const auto swlin = Swlin::FromInt(code);
+    ASSERT_TRUE(swlin.ok());
+    ASSERT_EQ(swlin->ToString(),
+              Printf("%d%d%d-%d%d-%d%d%d", digit[0], digit[1], digit[2],
+                     digit[3], digit[4], digit[5], digit[6], digit[7]))
+        << code;
+  }
+}
+
+TEST(TableCodecTest, GeneratedFleetMatchesAPrintfWriter) {
+  SynthConfig config;
+  config.seed = 11;
+  config.num_avails = 60;
+  config.mean_rccs_per_avail = 80;
+  const Dataset fleet = GenerateDataset(config);
+  ASSERT_GT(fleet.rccs.size(), 1000u);
+
+  const auto optional_date = [](const std::optional<Date>& date) {
+    return date.has_value() ? DateOracle(*date) : std::string();
+  };
+  std::string avails =
+      "avail_id,ship_id,status,plan_start,plan_end,actual_start,actual_end,"
+      "ship_class,rmc_id,ship_age_years,avail_type,homeport,"
+      "prior_avail_count,contract_value_musd,crew_size\n";
+  for (const Avail& a : fleet.avails.rows()) {
+    avails += StrJoin(
+        {std::to_string(a.id), std::to_string(a.ship_id),
+         AvailStatusToString(a.status), DateOracle(a.planned_start),
+         DateOracle(a.planned_end), DateOracle(a.actual_start),
+         optional_date(a.actual_end), std::to_string(a.ship_class),
+         std::to_string(a.rmc_id), DoubleOracle(a.ship_age_years),
+         std::to_string(a.avail_type), std::to_string(a.homeport),
+         std::to_string(a.prior_avail_count),
+         DoubleOracle(a.contract_value_musd), std::to_string(a.crew_size)},
+        ",") + "\n";
+  }
+  std::string rccs =
+      "rcc_id,avail_id,type,swlin,creation_date,settled_date,"
+      "settled_amount\n";
+  for (const Rcc& r : fleet.rccs.rows()) {
+    rccs += StrJoin({std::to_string(r.id), std::to_string(r.avail_id),
+                     RccTypeToCode(r.type), SwlinOracle(r.swlin),
+                     DateOracle(r.creation_date),
+                     optional_date(r.settled_date),
+                     DoubleOracle(r.settled_amount)},
+                    ",") + "\n";
+  }
+  EXPECT_EQ(fleet.avails.ToCsv().Serialize(), avails);
+  EXPECT_EQ(fleet.rccs.ToCsv().Serialize(), rccs);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "cache/fingerprint.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "fault/fault.h"
 #include "index/group_tree.h"
 #include "index/logical_time_index.h"
@@ -555,6 +556,78 @@ TEST(DataStoreTest, CrashedLogRotationLosesNothing) {
   // ...idempotently: identical content, identical epoch.
   EXPECT_TRUE(snapshot->data().rccs.Find(rcc_id).ok());
   EXPECT_EQ(snapshot->epoch(), merged_epoch);
+}
+
+std::string FileBytes(const std::string& path) {
+  auto bytes = ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+TEST(DataStoreTest, InstallSnapshotRejectsRccForUnknownAvail) {
+  ScopedTempDir dir("snapshotref");
+  const Dataset fleet = SmallFleet();
+  ASSERT_TRUE(fleet.avails.WriteFile(dir.path() + "/avails.csv").ok());
+  ASSERT_TRUE(fleet.rccs.WriteFile(dir.path() + "/rccs.csv").ok());
+  auto store = DataStore::OpenDir(dir.path());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(
+      (*store)->Append(MakeRccUpsert(NewRcc(MaxRccId(fleet) + 1, 4))).ok());
+
+  // A peer's export plus one RCC naming an avail that no row upserts.
+  auto exported = (*store)->TailFrom(0, nullptr, 0);
+  ASSERT_TRUE(exported.ok() && exported->snapshot);
+  std::vector<IngestMutation> rows;
+  for (const std::string& payload : exported->rows) {
+    auto row = DecodeMutation(payload);
+    ASSERT_TRUE(row.ok());
+    rows.push_back(std::move(*row));
+  }
+  const std::int64_t ghost_avail = MaxAvailId(fleet) + 100;
+  const IngestMutation orphan =
+      MakeRccUpsert(NewRcc(MaxRccId(fleet) + 2, ghost_avail));
+  rows.push_back(orphan);
+
+  std::uint64_t seq = 0;
+  std::uint64_t chain = 0;
+  (*store)->Position(&seq, &chain);
+  const std::uint64_t epoch = (*store)->epoch();
+  const std::vector<std::string> files = {"avails.csv", "rccs.csv",
+                                          "ingest.log"};
+  std::vector<std::string> bytes;
+  for (const std::string& file : files) {
+    bytes.push_back(FileBytes(dir.path() + "/" + file));
+  }
+
+  const Status installed =
+      (*store)->InstallSnapshot(rows, exported->last_seq + 5, chain ^ 1);
+  EXPECT_EQ(installed.code(), StatusCode::kNotFound);
+  EXPECT_NE(installed.message().find("references unknown avail " +
+                                     std::to_string(ghost_avail)),
+            std::string::npos)
+      << installed.ToString();
+  // The status an Append of the same row gets.
+  EXPECT_EQ(installed.ToString(), (*store)->Append(orphan).ToString());
+
+  // Nothing was installed: position, epoch, pending tail, files and log.
+  std::uint64_t seq_after = 0;
+  std::uint64_t chain_after = 0;
+  (*store)->Position(&seq_after, &chain_after);
+  EXPECT_EQ(seq_after, seq);
+  EXPECT_EQ(chain_after, chain);
+  EXPECT_EQ((*store)->epoch(), epoch);
+  EXPECT_EQ((*store)->pending_mutations(), 1u);
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    EXPECT_EQ(FileBytes(dir.path() + "/" + files[f]), bytes[f]) << files[f];
+  }
+
+  // The export alone installs, at the same content.
+  rows.pop_back();
+  ASSERT_TRUE((*store)
+                  ->InstallSnapshot(rows, exported->last_seq, exported->chain)
+                  .ok());
+  EXPECT_EQ((*store)->epoch(), epoch);
+  EXPECT_EQ((*store)->pending_mutations(), 0u);
 }
 
 TEST(DataStoreTest, CrashBeforeMergeReplaysTheLog) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -693,6 +694,53 @@ TEST(ReplRegressionTest, RejectsNonIntegralSequenceMembers) {
   EXPECT_TRUE(tail.BoolOr("ok", false)) << tail.Serialize();
   EXPECT_EQ(tail.NumberOr("last_seq", 0), 4.0);
   EXPECT_EQ(cluster->store(0)->last_seq(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// A snapshot push is checked like an append: an RCC naming an avail that no
+// row of the snapshot upserts answers NOT_FOUND, and the replica installs
+// nothing and keeps its role.
+// ---------------------------------------------------------------------------
+
+TEST(ReplRegressionTest, SnapshotPushWithUnknownAvailInstallsNothing) {
+  auto cluster = ReplCluster::Start(1, /*quorum=*/1);
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(IngestUntilAcked(cluster->port(0), IngestLine(9700, 2)));
+  DataStore* store = cluster->store(0);
+  const auto before = store->Snapshot();
+  std::uint64_t seq = 0;
+  std::uint64_t chain = 0;
+  store->Position(&seq, &chain);
+
+  const Dataset& data = before->data();
+  std::int64_t ghost_avail = 0;
+  for (const Avail& avail : data.avails.rows()) {
+    ghost_avail = std::max(ghost_avail, avail.id + 100);
+  }
+  Rcc orphan = data.rccs.rows().front();
+  orphan.avail_id = ghost_avail;
+  const std::string push =
+      R"({"cmd":"replicate","snapshot":true,"rows":[")" +
+      EncodeMutation(MakeAvailUpsert(data.avails.rows().front())) + R"(",")" +
+      EncodeMutation(MakeRccUpsert(orphan)) +
+      R"("],"last_seq":99,"chain":"abc"})";
+  const JsonValue response = ParsedRpc(cluster->port(0), push);
+  EXPECT_FALSE(response.BoolOr("ok", true)) << response.Serialize();
+  EXPECT_EQ(response.StringOr("code", ""), "NOT_FOUND");
+  EXPECT_NE(response.StringOr("error", "")
+                .find("references unknown avail " +
+                      std::to_string(ghost_avail)),
+            std::string::npos)
+      << response.Serialize();
+
+  std::uint64_t seq_after = 0;
+  std::uint64_t chain_after = 0;
+  store->Position(&seq_after, &chain_after);
+  EXPECT_EQ(seq_after, seq);
+  EXPECT_EQ(chain_after, chain);
+  EXPECT_EQ(store->Snapshot()->epoch(), before->epoch());
+  const JsonValue health = ParsedRpc(cluster->port(0), R"({"cmd":"health"})");
+  EXPECT_EQ(health.StringOr("ingest_role", ""), "standalone");
 }
 
 // ---------------------------------------------------------------------------

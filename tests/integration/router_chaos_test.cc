@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -260,6 +262,74 @@ TEST(RouterChaosTest, HedgesToReplicaWhenPrimaryDies) {
   ASSERT_EQ(states.size(), 2u);
   EXPECT_FALSE(states[0].up);
   EXPECT_TRUE(states[1].up);
+}
+
+// The background prober probes as it starts, not one probe_interval later:
+// with the interval at 60 s, health must report every replica up and ready
+// within 2 s.
+TEST(RouterChaosTest, ProberProbesAtStart) {
+  RouterOptions options = FastRouterOptions();
+  options.start_prober = true;
+  options.probe_interval = std::chrono::seconds(60);
+  auto cluster = InProcCluster::Start(2, 2, GetServeFixture().v1, options);
+  ASSERT_NE(cluster, nullptr);
+  const auto all_ready = [&] {
+    auto health =
+        JsonValue::Parse(Rpc(cluster->router_port, "{\"cmd\":\"health\"}"));
+    if (!health.ok() || !health->BoolOr("all_shards_routable", false)) {
+      return false;
+    }
+    for (const JsonValue& shard : health->Find("shards")->items()) {
+      for (const JsonValue& replica : shard.Find("replicas")->items()) {
+        if (!replica.BoolOr("up", false) || !replica.BoolOr("ready", false)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(WaitFor(all_ready, std::chrono::milliseconds(2000)));
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (const ReplicaState& state : cluster->router->replica_states(s)) {
+      EXPECT_EQ(state.bundle_version, "v1");
+    }
+  }
+  EXPECT_GE(cluster->router->stats().probes, 4u);
+}
+
+// A router whose replicas never answer still destructs promptly: the
+// prober checks for shutdown before its first round and wakes from its
+// wait, so teardown costs at most the round in flight.
+TEST(RouterChaosTest, ProberOverDeadReplicasStopsPromptly) {
+  std::vector<ShardSpec> specs;
+  for (int s = 0; s < 2; ++s) {
+    ShardSpec spec;
+    spec.id = s;
+    for (int r = 0; r < 2; ++r) {
+      auto shard = InProcShard::Start(GetServeFixture().v1);
+      ASSERT_NE(shard, nullptr);
+      spec.replicas.push_back({"127.0.0.1", shard->port});
+      shard.reset();  // the listener goes: nothing answers on its port.
+    }
+    specs.push_back(std::move(spec));
+  }
+  auto host_map = HostMap::Create(std::move(specs));
+  ASSERT_TRUE(host_map.ok()) << host_map.status();
+  RouterOptions options = FastRouterOptions();
+  options.start_prober = true;
+  options.probe_interval = std::chrono::seconds(60);
+  options.probe_timeout = std::chrono::milliseconds(250);
+  for (const auto linger : {std::chrono::milliseconds(0),
+                            std::chrono::milliseconds(100)}) {
+    const auto start = std::chrono::steady_clock::now();
+    {
+      ClusterRouter router(*host_map, options);
+      std::this_thread::sleep_for(linger);
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start - linger;
+    EXPECT_LT(elapsed, 4 * options.probe_timeout)
+        << "linger " << linger.count() << " ms";
+  }
 }
 
 TEST(RouterChaosTest, ScatterGatherMergesInRequestOrder) {
