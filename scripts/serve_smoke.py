@@ -268,12 +268,30 @@ def train_bundles(build, work):
 
 
 def check_bad_flags_rejected(build, bundle, work):
-    """An undeclared flag exits 2 before anything runs: domd_serve never
-    listens, and `domd train` writes no model."""
+    """An undeclared flag, or a replication flag domd_serve would misread
+    or ignore, exits 2 naming the flag before anything runs: domd_serve
+    never listens, and `domd train` writes no model."""
+    serve = [build / "tools" / "domd_serve", "--bundle", bundle, "--port", "0"]
+    store = ["--persist-dir", work / "rejected_store"]
     runs = (
-        ("domd_serve", [build / "tools" / "domd_serve", "--bundle", bundle,
-                        "--port", "0", "--no-such-flag", "1"],
-         "--no-such-flag"),
+        ("domd_serve", serve + ["--no-such-flag", "1"], "--no-such-flag"),
+        ("domd_serve", serve + ["--repl-queue-bytes", "1"],
+         "--repl-queue-bytes"),
+        # A misspelt role must not run as a follower.
+        ("domd_serve", serve + store + ["--repl-peers", "127.0.0.1:1",
+                                        "--repl-role", "primry"],
+         "--repl-role"),
+        # A quorum above the replica count could never ack an ingest.
+        ("domd_serve", serve + store + ["--repl-peers", "127.0.0.1:1",
+                                        "--repl-quorum", "3"],
+         "--repl-quorum"),
+        ("domd_serve", serve + store + ["--repl-quorum", "2"],
+         "--repl-quorum"),
+        # Without an ingest store there is nothing to replicate.
+        ("domd_serve", serve + ["--repl-peers", "127.0.0.1:1"],
+         "--repl-peers"),
+        ("domd_serve", serve + ["--repl-quorum", "1"], "--repl-quorum"),
+        ("domd_serve", serve + ["--repl-role", "follower"], "--repl-role"),
         ("domd train", [build / "tools" / "domd", "train", "--dir",
                         work / "fleet", "--model", work / "rejected.txt",
                         "--quantized-hist", "1"],
@@ -757,9 +775,10 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
     three replicas under quorum-2 replication, shards 1..K-1 single-replica,
     all with durable stores and retrain roots, fronted by domd_router. Live
     mutations stream through the router; the shard-0 ingest primary is then
-    killed, a follower must take over writes, the dead replica restarts on
-    its old port and catches back up (router freshness reports the shard
-    converged), and a retrain scatter — one training for shard 0, whose
+    killed, a follower must take over writes and merge them away from its
+    log's tail, the dead replica restarts on its old port and is installed
+    from a snapshot push (router freshness reports the shard converged),
+    and a retrain scatter — one training for shard 0, whose
     other replicas adopt byte-identical bundles — leaves every replica
     answering for avails that only ever existed as mutations."""
     server_bin = build / "tools" / "domd_serve"
@@ -773,9 +792,12 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
                          for i, p in enumerate(repl_ports) if i != replica)
         persist = work / f"repl{replica}"
         persist.mkdir(parents=True, exist_ok=True)
+        # Below shard 0's share of the post-kill batch (one avail and its
+        # RCC, two keys), so the surviving primary merges that batch.
         return ("--persist-dir", str(persist),
                 "--retrain-root", str(work / f"repl{replica}_retrain"),
-                "--repl-peers", peers, "--repl-quorum", "2")
+                "--repl-peers", peers, "--repl-quorum", "2",
+                "--merge-threshold", "1")
 
     servers = []     # (process, port) per endpoint, for teardown.
     spec_shards = []
@@ -906,24 +928,53 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
         primary_index = next(i for i, (_, port) in enumerate(servers)
                              if port == primary_port)
 
+        def shard_rpc(port, request):
+            with connect_with_retry(port) as sock:
+                shard_stream = sock.makefile("rw")
+                return make_rpc(shard_stream)(request)
+
         # Kill the primary. A follower must promote itself on the next
         # routed write; the client-side retry loop absorbs the window.
         primary_process, _ = servers[primary_index]
         primary_process.kill()
         primary_process.wait(timeout=30)
+        survivors = [p for p in repl_ports if p != primary_port]
+        merges_before = {p: shard_rpc(p, {"cmd": "freshness"})["merges"]
+                         for p in survivors}
 
         second_ids = list(range(71, 83))
         _, attempts = ingest_until_acked(second_ids)
 
-        # Restart the dead replica on its old port with its old store; the
-        # new primary's catch-up must replay everything it missed (and
-        # replace any unreplicated suffix it died holding).
+        # The new primary merges the post-kill batch and rotates its log:
+        # what the dead replica lacks leaves the tail for the base tables.
+        def new_primary_merged():
+            for p in survivors:
+                if shard_rpc(p, {"cmd": "health"}).get(
+                        "ingest_role") == "primary":
+                    merges = shard_rpc(p, {"cmd": "freshness"})["merges"]
+                    return merges > merges_before[p]
+            return False
+
+        deadline = time.time() + 30
+        while time.time() < deadline and not new_primary_merged():
+            time.sleep(0.2)
+        expect(new_primary_merged(),
+               "the surviving shard-0 primary never merged the post-kill "
+               "batch")
+
+        # Restart the dead replica on its old port with its old store. It
+        # sits below the new primary's tail, so it converges only through
+        # a snapshot push, which a receiver counts as a catch-up.
         process, port = start_server(server_bin, bundle_v1,
                                      repl_args(primary_index),
                                      port=primary_port)
         expect(port == primary_port, "restarted replica lost its port")
         servers[primary_index] = (process, port)
         wait_converged()
+        rejoined = shard_rpc(primary_port, {"cmd": "stats"})["repl"]
+        expect(rejoined.get("catchups", 0) >= 1,
+               f"the restarted replica converged without a snapshot "
+               f"install: {rejoined}")
 
         # Retrain scatter, trained once per shard: one converged shard-0
         # replica trains and the other two adopt its models, so all three
@@ -970,11 +1021,6 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
         # Replication bit-identity, observed from outside: each shard-0
         # replica, asked directly, knows exactly the same set of streamed
         # avails and answers for them byte-identically (latency aside).
-        def shard_rpc(port, request):
-            with connect_with_retry(port) as sock:
-                shard_stream = sock.makefile("rw")
-                return make_rpc(shard_stream)(request)
-
         def strip_latency(reply):
             return {k: v for k, v in reply.items() if k != "latency_ms"}
 
@@ -1015,7 +1061,8 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
         print(f"serve_smoke: replicated cluster of {num_shards} shards "
               f"streamed {2 * len(first_ids + second_ids)} mutations, "
               f"survived an ingest-primary kill (failover acked after "
-              f"{attempts} attempt(s)), caught the restarted replica up, "
+              f"{attempts} attempt(s)), installed the restarted replica "
+              f"from a snapshot, "
               f"and retrained every replica onto one converged cut, "
               f"training shard 0 once ({len(owned)} avails owned by "
               f"shard 0)")

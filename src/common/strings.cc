@@ -88,6 +88,16 @@ std::string StrToLower(std::string_view text) {
   return out;
 }
 
+std::string Hex64(std::uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (auto digit = out.rbegin(); digit != out.rend(); ++digit) {
+    *digit = kDigits[value & 0xf];
+    value >>= 4;
+  }
+  return out;
+}
+
 StatusOr<std::string> ReadFileToString(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return Status::IoError("cannot open " + path);

@@ -1,6 +1,7 @@
 #ifndef DOMD_COMMON_STRINGS_H_
 #define DOMD_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,10 @@ bool StrStartsWith(std::string_view text, std::string_view prefix);
 
 /// Lower-cases ASCII letters.
 std::string StrToLower(std::string_view text);
+
+/// `value` as 16 lowercase hex digits, zero-padded (printf's "%016llx"):
+/// how epochs, history chains, checksums and log headers are written.
+std::string Hex64(std::uint64_t value);
 
 /// Parses `text` as a double, checked. The whole string must be a valid
 /// number: empty input, partial parses ("1.2.3", "5 days", " 1"), and

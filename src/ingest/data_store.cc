@@ -338,16 +338,16 @@ StatusOr<ReplTail> DataStore::TailFrom(std::uint64_t from_seq,
                                        const std::uint64_t* have_chain,
                                        std::size_t max_records) {
   DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("repl.catchup").Check());
-  std::lock_guard<std::mutex> append_lock(append_mu_);
   ReplTail out;
-  // from_seq 0 is the explicit "my history is useless, send everything"
-  // request: skip the chain handshake and export a snapshot directly.
-  bool need_snapshot = from_seq == 0;
-  {
+  // Tail mode reads under mu_ alone: every writer of tail_ holds it, so a
+  // push never waits on an append's or a log rotation's fsync. from_seq 0
+  // is the explicit "my history is useless, send everything" request: skip
+  // the chain handshake and export a snapshot directly.
+  if (from_seq != 0) {
     std::lock_guard<std::mutex> lock(mu_);
     out.last_seq = last_seq_;
     out.chain = last_chain_;
-    if (!need_snapshot && from_seq > last_seq_ + 1) {
+    if (from_seq > last_seq_ + 1) {
       out.requester_ahead = true;
       return out;
     }
@@ -355,23 +355,16 @@ StatusOr<ReplTail> DataStore::TailFrom(std::uint64_t from_seq,
     // against ours at that anchor when we still hold it; an anchor below
     // our tail base means the records it wants were compacted into the
     // base tables, and only a snapshot can bring it forward.
-    if (!need_snapshot) {
-      const std::uint64_t anchor = from_seq - 1;
-      if (anchor < tail_base_seq_) {
-        need_snapshot = true;
-      } else {
-        const std::uint64_t anchor_chain =
-            anchor == tail_base_seq_
-                ? tail_base_chain_
-                : tail_[static_cast<std::size_t>(anchor - tail_base_seq_ -
-                                                 1)]
-                      .chain;
-        if (have_chain != nullptr && *have_chain != anchor_chain) {
-          need_snapshot = true;  // divergent prefix.
-        }
-      }
-    }
-    if (!need_snapshot) {
+    const std::uint64_t anchor = from_seq - 1;
+    const bool compacted = anchor < tail_base_seq_;
+    const bool diverged =
+        !compacted && have_chain != nullptr &&
+        *have_chain != (anchor == tail_base_seq_
+                            ? tail_base_chain_
+                            : tail_[static_cast<std::size_t>(
+                                        anchor - tail_base_seq_ - 1)]
+                                  .chain);
+    if (!compacted && !diverged) {
       out.first_seq = from_seq;
       const std::uint64_t end =
           std::min<std::uint64_t>(last_seq_, from_seq + max_records - 1);
@@ -386,9 +379,15 @@ StatusOr<ReplTail> DataStore::TailFrom(std::uint64_t from_seq,
       return out;
     }
   }
-  // Snapshot export. append_mu_ is still held, so no writer can advance
-  // the store between the cut above and the Snapshot() call below: the
+  // Snapshot export. append_mu_ pins the store: no writer can advance it
+  // between the position read below and the Snapshot() call, so the
   // exported rows are exactly the state at (last_seq, chain).
+  std::lock_guard<std::mutex> append_lock(append_mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out.last_seq = last_seq_;
+    out.chain = last_chain_;
+  }
   const auto snap = Snapshot();
   out.snapshot = true;
   const Dataset& data = snap->data();

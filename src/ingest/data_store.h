@@ -165,8 +165,10 @@ class DataStore {
   /// compacted away — or when `have_chain` (the requester's history chain
   /// at from_seq-1, pass nullptr to skip the check) proves the requester's
   /// prefix diverged from ours. from_seq 0 forces snapshot mode (the
-  /// requester declares its history useless). Guarded by the repl.catchup
-  /// fault point.
+  /// requester declares its history useless). Tail mode takes only the
+  /// store lock, so it never waits on a log fsync; snapshot mode also holds
+  /// the append lock to pin (last_seq, chain) against its export. Guarded
+  /// by the repl.catchup fault point.
   StatusOr<ReplTail> TailFrom(std::uint64_t from_seq,
                               const std::uint64_t* have_chain,
                               std::size_t max_records);
@@ -256,7 +258,8 @@ class DataStore {
 
   mutable std::mutex mu_;
   mutable std::mutex append_mu_;  ///< orders log writes with tail
-                                  ///< appends (stats reads log size).
+                                  ///< appends (stats reads log size)
+                                  ///< and pins TailFrom's snapshots.
   std::mutex merge_mu_;   ///< serializes merges (and snapshot installs).
   std::shared_ptr<const Dataset> base_;
   std::uint64_t base_epoch_ = 0;

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/strings.h"
 #include "fault/fault.h"
 
 namespace domd {
@@ -29,16 +30,9 @@ std::uint64_t Fnv1a(std::string_view bytes) {
   return hash;
 }
 
-std::string HexU64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
-
 std::string EncodeRecord(const IngestMutation& mutation) {
   const std::string payload = EncodeMutation(mutation);
-  return std::to_string(payload.size()) + " " + HexU64(Fnv1a(payload)) +
+  return std::to_string(payload.size()) + " " + Hex64(Fnv1a(payload)) +
          " " + payload + "\n";
 }
 
@@ -46,7 +40,7 @@ std::string EncodeRecord(const IngestMutation& mutation) {
 std::string EncodeHeaderV2(std::uint64_t base_seq,
                            std::uint64_t base_chain) {
   return std::string(kHeaderV2Prefix) + std::to_string(base_seq) + " " +
-         HexU64(base_chain) + "\n";
+         Hex64(base_chain) + "\n";
 }
 
 /// Parses the v1 or v2 header line of `contents`. On success sets the
@@ -332,52 +326,6 @@ Status IngestLog::AppendBatch(
   appended_ += mutations.size();
   count_ += mutations.size();
   return Status::OK();
-}
-
-StatusOr<IngestLog::TailRead> IngestLog::ReadFrom(
-    std::uint64_t from_seq) const {
-  if (from_seq <= base_seq_) {
-    return Status::OutOfRange(
-        "ingest log " + path_ + " starts at sequence " +
-        std::to_string(base_seq_ + 1) + "; records before that were "
-        "compacted into the base tables (snapshot transfer required)");
-  }
-  TailRead tail;
-  tail.first_seq = from_seq;
-  if (from_seq > last_seq()) return tail;  // nothing new: empty tail.
-
-  // Re-read the whole file. The caller serializes against Append/Rotate,
-  // so the on-disk state matches this object's (base_seq_, count_) view
-  // and a scan failure here is real corruption, not a race.
-  std::string contents;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) {
-      return Status::IoError("cannot reopen ingest log " + path_ +
-                             " for a tail read");
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    contents = buffer.str();
-  }
-  std::size_t record_begin = 0;
-  std::uint64_t base_seq = 0;
-  std::uint64_t base_chain = 0;
-  DOMD_RETURN_IF_ERROR(
-      ParseHeader(contents, &record_begin, &base_seq, &base_chain));
-  std::vector<IngestMutation> records;
-  bool torn = false;
-  ScanRecords(contents, record_begin, &records, &torn);
-  if (torn || base_seq != base_seq_ || records.size() != count_) {
-    return Status::DataLoss("ingest log " + path_ +
-                            " changed underneath a tail read");
-  }
-  const std::size_t skip = from_seq - base_seq_ - 1;
-  tail.records.assign(
-      std::make_move_iterator(records.begin() +
-                              static_cast<std::ptrdiff_t>(skip)),
-      std::make_move_iterator(records.end()));
-  return tail;
 }
 
 Status IngestLog::Rotate(const std::vector<IngestMutation>& still_pending,

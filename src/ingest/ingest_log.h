@@ -51,12 +51,6 @@ class IngestLog {
     std::uint64_t base_chain = 0; ///< chain value at base_seq.
   };
 
-  /// The tail of the log from one sequence number (ReadFrom).
-  struct TailRead {
-    std::uint64_t first_seq = 0;  ///< sequence of records.front().
-    std::vector<IngestMutation> records;
-  };
-
   /// Opens (creating if absent) the log at `path`, replaying existing
   /// records into `replay` (required). A torn tail is truncated in place.
   static StatusOr<std::unique_ptr<IngestLog>> Open(const std::string& path,
@@ -71,14 +65,6 @@ class IngestLog {
 
   /// Durably appends a batch with a single fsync.
   Status AppendBatch(const std::vector<IngestMutation>& mutations);
-
-  /// Re-reads the log file and returns every record with sequence >=
-  /// from_seq (empty when from_seq is past the end). kOutOfRange when
-  /// from_seq <= base_seq(): those records were compacted into the base
-  /// tables by a rotation and can only be recovered via snapshot transfer.
-  /// The caller must serialize this against Append/Rotate (the DataStore
-  /// holds append_mu_ across both).
-  StatusOr<TailRead> ReadFrom(std::uint64_t from_seq) const;
 
   /// Atomically replaces the log's contents with `still_pending` after a
   /// merge has durably persisted everything else (log rotation). The new

@@ -3,8 +3,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <optional>
@@ -12,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "fault/fault.h"
 #include "serve/wire.h"
 
@@ -32,14 +31,6 @@ std::string DefaultStageRoot() {
           ("domd_staged." + std::to_string(::getpid()) + "." +
            std::to_string(instance.fetch_add(1))))
       .string();
-}
-
-/// Epochs and bundle checksums are 64-bit hashes; hex strings keep them
-/// exact on the wire (a JSON double would round them past 2^53).
-std::string Hex64(std::uint64_t value) {
-  char buffer[20];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-  return std::string(buffer);
 }
 
 /// The version names a directory under retrain_root; a multi-component
@@ -314,18 +305,12 @@ void ServeFrontend::RunIngest(const VerbRequest& request, Responder responder) {
     return;
   }
   if (options_.repl != nullptr && !mutations->empty()) {
-    std::vector<std::string> payloads;
-    payloads.reserve(mutations->size());
-    for (const IngestMutation& mutation : *mutations) {
-      payloads.push_back(EncodeMutation(mutation));
-    }
-    options_.repl->QueueBatch(last_seq - mutations->size() + 1,
-                              std::move(payloads));
     const Status quorum = options_.repl->AwaitQuorum(last_seq);
     if (!quorum.ok()) {
       // Durable locally but not yet on quorum - 1 peers: report the
-      // failure (the batch stays queued/log-shipped and sequenced
-      // redelivery is idempotent, so a client retry is safe).
+      // failure (the senders keep shipping the batch from the store's
+      // tail, and sequenced redelivery is idempotent, so a client retry
+      // is safe).
       JsonValue out = ErrorToJson(quorum);
       out.Set("last_seq", JsonValue::Number(static_cast<double>(last_seq)));
       responder.Respond(out.Serialize());

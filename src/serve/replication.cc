@@ -2,25 +2,18 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 #include <optional>
 #include <utility>
 
+#include "common/strings.h"
 #include "fault/fault.h"
 #include "serve/wire.h"
 
 namespace domd {
 namespace {
 
-std::string HexChain(std::uint64_t chain) {
-  char buffer[20];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, chain);
-  return std::string(buffer);
-}
-
 /// A chain member: nullopt when absent or null, else a string of 1–16 hex
-/// digits, as HexChain writes it. kInvalidArgument for anything else
+/// digits, as Hex64 writes it. kInvalidArgument for anything else
 /// ("zz", "", "-1", "0x12", 17 digits, a number): no malformed chain reads
 /// as some other chain.
 StatusOr<std::optional<std::uint64_t>> ChainOf(const JsonValue& message,
@@ -185,11 +178,17 @@ StatusOr<JsonValue> ReplicationManager::RpcJson(
   return JsonValue::Parse(*line);
 }
 
-void ReplicationManager::RecordAck(std::size_t peer_index,
-                                   std::uint64_t acked_seq) {
+std::optional<ReplicationManager::Position>
+ReplicationManager::RecordPosition(std::size_t peer_index,
+                                   const JsonValue& response) {
+  const auto seq = SeqOf(response, "last_seq");
+  const auto chain = ChainOf(response, "chain");
+  if (!seq.ok() || !chain.ok() || !chain->has_value()) return std::nullopt;
+  const Position position{*seq, **chain};
   std::lock_guard<std::mutex> lock(mu_);
   Peer& peer = peers_[peer_index];
-  peer.acked_seq = std::max(peer.acked_seq, acked_seq);
+  peer.acked_seq = std::max(peer.acked_seq, position.seq);
+  peer.position = position;
   peer.last_contact = Clock::now();
   ack_cv_.notify_all();
 #if DOMD_OBS_COMPILED
@@ -199,6 +198,7 @@ void ReplicationManager::RecordAck(std::size_t peer_index,
         static_cast<double>(last - std::min(peer.acked_seq, last)));
   }
 #endif
+  return position;
 }
 
 Status ReplicationManager::EnsurePrimary() {
@@ -221,31 +221,11 @@ Status ReplicationManager::EnsurePrimary() {
     return synced;
   }
   role_ = ReplRole::kPrimary;
-  // Senders take over from here: discover every peer's position and push
+  // Senders take over from here: probe every peer's position and push
   // whatever each is missing.
-  for (Peer& peer : peers_) peer.need_catchup = true;
+  for (Peer& peer : peers_) peer.position.reset();
   work_cv_.notify_all();
   return Status::OK();
-}
-
-Status ReplicationManager::PullSnapshot(const cluster::Endpoint& endpoint) {
-  JsonValue request = JsonValue::Object();
-  request.Set("cmd", JsonValue::String("catchup"));
-  request.Set("from_seq", SeqNumber(0));  // force snapshot mode.
-  auto response = RpcJson(endpoint, request);
-  if (!response.ok()) return response.status();
-  if (!response->BoolOr("ok", false) ||
-      !response->BoolOr("snapshot", false)) {
-    return Status::Unavailable("repl: peer " + endpoint.ToString() +
-                               " did not serve a snapshot");
-  }
-  auto rows = DecodePayloads(response->Find("rows"));
-  if (!rows.ok()) return rows.status();
-  auto snap_seq = SeqOf(*response, "last_seq");
-  if (!snap_seq.ok()) return snap_seq.status();
-  auto chain = ChainOf(*response, "chain");
-  if (!chain.ok()) return chain.status();
-  return store_->InstallSnapshot(*rows, *snap_seq, chain->value_or(0));
 }
 
 Status ReplicationManager::SyncFromPeers() {
@@ -255,6 +235,10 @@ Status ReplicationManager::SyncFromPeers() {
   // skipped — a sole survivor must still be able to promote.
   for (const Peer& entry : peers_) {
     const cluster::Endpoint endpoint = entry.endpoint;
+    // Set once our history diverged from this peer's below the chain
+    // anchor: the next request asks for a snapshot (from_seq 0), and
+    // whatever the peer sends replaces our history wholesale.
+    bool want_snapshot = false;
     bool made_progress = true;
     while (made_progress) {
       {
@@ -269,14 +253,17 @@ Status ReplicationManager::SyncFromPeers() {
       store_->Position(&have_seq, &have_chain);
       JsonValue request = JsonValue::Object();
       request.Set("cmd", JsonValue::String("catchup"));
-      request.Set("from_seq", SeqNumber(have_seq + 1));
-      request.Set("have_chain", JsonValue::String(HexChain(have_chain)));
+      request.Set("from_seq", SeqNumber(want_snapshot ? 0 : have_seq + 1));
+      request.Set("have_chain", JsonValue::String(Hex64(have_chain)));
       request.Set("max_records",
                   SeqNumber(static_cast<std::uint64_t>(
                       options_.catchup_batch)));
       auto response = RpcJson(endpoint, request);
-      if (!response.ok()) break;  // unreachable: skip this peer.
-      if (!response->BoolOr("ok", false)) break;
+      if (!response.ok() || !response->BoolOr("ok", false)) {
+        if (!want_snapshot) break;  // unreachable: skip this peer.
+        return Status::Unavailable("repl: peer " + endpoint.ToString() +
+                                   " did not serve a snapshot");
+      }
       if (response->BoolOr("behind", false)) break;  // nothing newer there.
       if (response->BoolOr("snapshot", false)) {
         auto rows = DecodePayloads(response->Find("rows"));
@@ -285,10 +272,13 @@ Status ReplicationManager::SyncFromPeers() {
         if (!snap_seq.ok()) return snap_seq.status();
         auto chain = ChainOf(*response, "chain");
         if (!chain.ok()) return chain.status();
-        if (*snap_seq <= store_->last_seq()) break;  // no forward progress.
+        if (!want_snapshot && *snap_seq <= store_->last_seq()) {
+          break;  // no forward progress.
+        }
         DOMD_RETURN_IF_ERROR(
             store_->InstallSnapshot(*rows, *snap_seq, chain->value_or(0)));
         NoteCatchup();
+        want_snapshot = false;
         made_progress = true;
         continue;
       }
@@ -301,9 +291,9 @@ Status ReplicationManager::SyncFromPeers() {
           store_->ApplyReplicated(*first_seq, *records, nullptr);
       if (!applied.ok()) {
         if (applied.code() != StatusCode::kDataLoss) return applied;
-        // Our history diverged from this peer's below the chain anchor:
-        // discard ours wholesale.
-        DOMD_RETURN_IF_ERROR(PullSnapshot(endpoint));
+        want_snapshot = true;
+        made_progress = true;
+        continue;
       }
       NoteCatchup();
       made_progress = response->BoolOr("more", false);
@@ -329,32 +319,13 @@ void ReplicationManager::PromoterLoop() {
   }
 }
 
-void ReplicationManager::QueueBatch(std::uint64_t first_seq,
-                                    std::vector<std::string> payloads) {
-  if (payloads.empty() || peers_.empty()) return;
-  std::size_t bytes = 0;
-  for (const std::string& payload : payloads) bytes += payload.size();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Peer& peer : peers_) {
-    // A peer already in catch-up reads the log instead; queueing behind
-    // its back would only replay records the catch-up already covers.
-    if (peer.need_catchup) continue;
-    if (peer.queued_bytes + bytes > options_.queue_bytes) {
-      // Overflow: the queue is an optimization, the log is the truth.
-      // Drop everything queued and let the sender resync from the log.
-      peer.queue.clear();
-      peer.queued_bytes = 0;
-      peer.need_catchup = true;
-      continue;
-    }
-    peer.queue.push_back(Batch{first_seq, payloads, bytes});
-    peer.queued_bytes += bytes;
-  }
-  work_cv_.notify_all();
-}
-
 Status ReplicationManager::AwaitQuorum(std::uint64_t seq) {
-  if (options_.quorum <= 1 || peers_.empty()) return Status::OK();
+  if (peers_.empty()) return Status::OK();
+  std::unique_lock<std::mutex> lock(mu_);
+  // The records through `seq` are in the store's tail: wake the senders,
+  // which ship from it.
+  work_cv_.notify_all();
+  if (options_.quorum <= 1) return Status::OK();
   const std::size_t needed = options_.quorum - 1;
   if (needed > peers_.size()) {
     return Status::Unavailable(
@@ -362,7 +333,6 @@ Status ReplicationManager::AwaitQuorum(std::uint64_t seq) {
         " exceeds the replica set (" + std::to_string(peers_.size() + 1) +
         " replicas)");
   }
-  std::unique_lock<std::mutex> lock(mu_);
   const auto deadline = Clock::now() + options_.ack_timeout;
   const auto satisfied = [&] {
     std::size_t acks = 0;
@@ -380,56 +350,23 @@ Status ReplicationManager::AwaitQuorum(std::uint64_t seq) {
       "ms (durable locally; sequenced redelivery is idempotent)");
 }
 
-bool ReplicationManager::SendBatch(std::size_t peer_index,
-                                   const Batch& batch) {
+bool ReplicationManager::PushTail(std::size_t peer_index) {
   const cluster::Endpoint endpoint = peers_[peer_index].endpoint;
-  if (!DOMD_FAULT_POINT("repl.send").Check().ok()) return false;
-  JsonValue message = JsonValue::Object();
-  message.Set("cmd", JsonValue::String("replicate"));
-  message.Set("first_seq", SeqNumber(batch.first_seq));
-  message.Set("records", PayloadArray(batch.payloads));
-  auto response = RpcJson(endpoint, message);
-  if (!response.ok()) return false;
-  // The ack-loss window: the follower applied the batch but this fault
-  // eats the acknowledgement — the sender must fall back to catch-up,
-  // which deduplicates by sequence on redelivery.
-  if (!DOMD_FAULT_POINT("repl.ack").Check().ok()) return false;
-  const auto peer_last = SeqOf(*response, "last_seq");
-  if (!peer_last.ok()) return false;
-  if (response->BoolOr("ok", false)) {
-    RecordAck(peer_index, *peer_last);
-    return true;
-  }
-  if (response->BoolOr("need_catchup", false)) {
-    RecordAck(peer_index, *peer_last);  // learn its true position.
-  }
-  return false;
-}
-
-bool ReplicationManager::PushCatchup(std::size_t peer_index) {
-  const cluster::Endpoint endpoint = peers_[peer_index].endpoint;
-  // Probe: an empty sequenced batch at our head. Both possible answers
-  // (ok / need_catchup) report the peer's last applied (seq, chain) pair.
-  // The chain is load-bearing: after a failover, a restarted replica can
-  // hold a record at the same sequence number from the dead primary's
-  // unreplicated timeline. The number alone looks contiguous; only the
-  // chain mismatch at the anchor reveals the divergence, and TailFrom
-  // answers it with a snapshot instead of extending the wrong history.
-  std::uint64_t next = 0;
-  std::uint64_t peer_chain = 0;
-  bool peer_chain_known = false;
-  // The peer's (seq, chain) position; nullopt when either is malformed.
-  const auto note_position =
-      [&](const JsonValue& response) -> std::optional<std::uint64_t> {
-    const auto peer_last = SeqOf(response, "last_seq");
-    const auto chain = ChainOf(response, "chain");
-    if (!peer_last.ok() || !chain.ok()) return std::nullopt;
-    RecordAck(peer_index, *peer_last);
-    peer_chain_known = chain->has_value();
-    peer_chain = chain->value_or(0);
-    return *peer_last;
-  };
+  std::optional<Position> at;
   {
+    std::lock_guard<std::mutex> lock(mu_);
+    at = peers_[peer_index].position;
+  }
+  const bool probed = !at.has_value();
+  if (probed) {
+    // Probe: an empty sequenced batch at our head. Both possible answers
+    // (ok / need_catchup) report the peer's last applied (seq, chain)
+    // pair. The chain is load-bearing: after a failover, a restarted
+    // replica can hold a record at the same sequence number from the dead
+    // primary's unreplicated timeline. The number alone looks contiguous;
+    // only the chain mismatch at the anchor reveals the divergence, and
+    // TailFrom answers it with a snapshot instead of extending the wrong
+    // history.
     if (!DOMD_FAULT_POINT("repl.send").Check().ok()) return false;
     JsonValue probe = JsonValue::Object();
     probe.Set("cmd", JsonValue::String("replicate"));
@@ -437,19 +374,22 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
     probe.Set("records", JsonValue::Array());
     auto response = RpcJson(endpoint, probe);
     if (!response.ok()) return false;
-    const auto peer_last = note_position(*response);
-    if (!peer_last.has_value()) return false;
-    next = *peer_last + 1;
+    at = RecordPosition(peer_index, *response);
+    if (!at.has_value()) return false;
   }
-  bool transferred = false;
+  // A push that had to find the peer first, or that shipped a snapshot,
+  // is a catch-up; the push of a just-appended batch is not.
+  bool caught_up = false;
+  // from_seq 0 asks TailFrom for a snapshot (the peer diverged).
+  std::uint64_t from = at->seq + 1;
+  std::uint64_t chain = at->chain;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_ || role_ != ReplRole::kPrimary) return false;
     }
-    auto tail = store_->TailFrom(
-        next, peer_chain_known ? &peer_chain : nullptr,
-        options_.catchup_batch);
+    auto tail = store_->TailFrom(from, from == 0 ? nullptr : &chain,
+                                 options_.catchup_batch);
     if (!tail.ok()) return false;
     if (tail->requester_ahead ||
         (!tail->snapshot && tail->records.empty())) {
@@ -461,7 +401,7 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
       message.Set("snapshot", JsonValue::Bool(true));
       message.Set("rows", PayloadArray(tail->rows));
       message.Set("last_seq", SeqNumber(tail->last_seq));
-      message.Set("chain", JsonValue::String(HexChain(tail->chain)));
+      message.Set("chain", JsonValue::String(Hex64(tail->chain)));
     } else {
       message.Set("first_seq", SeqNumber(tail->first_seq));
       message.Set("records", PayloadArray(tail->records));
@@ -469,97 +409,67 @@ bool ReplicationManager::PushCatchup(std::size_t peer_index) {
     if (!DOMD_FAULT_POINT("repl.send").Check().ok()) return false;
     auto response = RpcJson(endpoint, message);
     if (!response.ok()) return false;
+    // The ack-loss window: the peer applied the push but this fault eats
+    // the answer. The next push probes again, and the peer deduplicates
+    // the redelivered records by sequence.
     if (!DOMD_FAULT_POINT("repl.ack").Check().ok()) return false;
-    if (response->BoolOr("ok", false)) {
-      const auto peer_last = note_position(*response);
-      // No forward progress (or a malformed position).
-      if (!peer_last.has_value() || *peer_last < next) return false;
-      next = *peer_last + 1;
-      transferred = true;
-      continue;
-    }
     if (response->BoolOr("diverged", false)) {
       // The peer's history contradicts ours where sequences overlap:
       // replace it wholesale with a snapshot at our head.
-      auto snapshot = store_->TailFrom(0, nullptr, 0);
-      if (!snapshot.ok()) return false;
-      JsonValue install = JsonValue::Object();
-      install.Set("cmd", JsonValue::String("replicate"));
-      install.Set("snapshot", JsonValue::Bool(true));
-      install.Set("rows", PayloadArray(snapshot->rows));
-      install.Set("last_seq", SeqNumber(snapshot->last_seq));
-      install.Set("chain", JsonValue::String(HexChain(snapshot->chain)));
-      auto installed = RpcJson(endpoint, install);
-      if (!installed.ok() || !installed->BoolOr("ok", false)) return false;
-      const auto peer_last = note_position(*installed);
-      if (!peer_last.has_value()) return false;
-      next = *peer_last + 1;
-      transferred = true;
+      from = 0;
       continue;
     }
-    if (response->BoolOr("need_catchup", false)) {
-      (void)note_position(*response);  // learn its true (seq, chain).
-      const auto next_seq = SeqOf(*response, "next_seq");
-      if (!next_seq.ok() || *next_seq == 0 || *next_seq == next) {
-        return false;  // stuck.
-      }
-      next = *next_seq;
-      continue;
+    const bool applied = response->BoolOr("ok", false);
+    if (!applied && !response->BoolOr("need_catchup", false)) {
+      return false;  // hard application error on the peer.
     }
-    return false;  // hard application error on the peer.
+    const auto position = RecordPosition(peer_index, *response);
+    if (!position.has_value()) return false;
+    if (applied) {
+      if (position->seq < from) return false;  // no forward progress.
+      caught_up = caught_up || probed || tail->snapshot;
+    } else if (position->seq + 1 == from) {
+      return false;  // a gap at the sequence we sent: stuck.
+    }
+    from = position->seq + 1;
+    chain = position->chain;
   }
-  if (transferred) NoteCatchup();
+  if (caught_up) NoteCatchup();
   return true;
 }
 
 void ReplicationManager::SenderLoop(std::size_t peer_index) {
   std::unique_lock<std::mutex> lock(mu_);
   Peer& peer = peers_[peer_index];
+  const auto stale_contact = [&] {
+    return Clock::now() - peer.last_contact > 5 * options_.idle_poll;
+  };
+  // A primary pushes when it does not know the peer's position, when the
+  // peer trails the store, or when contact went stale: the liveness probe
+  // of an idle cluster, which finds a follower that silently restarted.
+  // mu_ does not guard the store's last_seq, but AwaitQuorum notifies
+  // under mu_ after every append, so no wait misses a record to ship.
+  const auto push_due = [&] {
+    return role_ == ReplRole::kPrimary &&
+           (!peer.position.has_value() ||
+            peer.position->seq < store_->last_seq() || stale_contact());
+  };
   while (!stopping_) {
-    work_cv_.wait_for(lock, options_.idle_poll, [&] {
-      return stopping_ ||
-             (role_ == ReplRole::kPrimary &&
-              (!peer.queue.empty() || peer.need_catchup));
-    });
+    work_cv_.wait_for(lock, options_.idle_poll,
+                      [&] { return stopping_ || push_due(); });
     if (stopping_) break;
-    if (role_ != ReplRole::kPrimary) {
-      // Demoted (or never promoted): queued batches belong to a write
-      // path we no longer own.
-      peer.queue.clear();
-      peer.queued_bytes = 0;
-      continue;
-    }
-    const std::uint64_t last = store_->last_seq();
-    const bool stale_contact =
-        Clock::now() - peer.last_contact > 5 * options_.idle_poll;
-    if (peer.need_catchup ||
-        (peer.queue.empty() && (peer.acked_seq < last || stale_contact))) {
-      // Log-based resync: covers queue overflow, transport failures, a
-      // follower that silently restarted empty, and the periodic
-      // liveness probe of an otherwise idle cluster.
-      peer.need_catchup = false;
-      lock.unlock();
-      const bool ok = PushCatchup(peer_index);
-      lock.lock();
-      if (!ok && role_ == ReplRole::kPrimary) {
-        peer.need_catchup = true;
+    if (!push_due()) continue;
+    if (stale_contact()) peer.position.reset();
+    lock.unlock();
+    const bool pushed = PushTail(peer_index);
+    lock.lock();
+    if (!pushed) {
+      peer.position.reset();
+      if (role_ == ReplRole::kPrimary) {
         // Back off one idle tick instead of hot-spinning on a dead peer.
         work_cv_.wait_for(lock, options_.idle_poll,
                           [this] { return stopping_; });
       }
-      continue;
-    }
-    if (peer.queue.empty()) continue;
-    Batch batch = std::move(peer.queue.front());
-    peer.queue.pop_front();
-    peer.queued_bytes -= batch.bytes;
-    lock.unlock();
-    const bool sent = SendBatch(peer_index, batch);
-    lock.lock();
-    if (!sent) {
-      peer.queue.clear();
-      peer.queued_bytes = 0;
-      peer.need_catchup = true;
     }
   }
 }
@@ -568,7 +478,7 @@ void ReplicationManager::DemoteOnPush() {
   std::lock_guard<std::mutex> lock(mu_);
   if (role_ != ReplRole::kPrimary) return;
   // A valid push means another replica is acting primary: the write path
-  // defines the role, so step down. Senders drop their queues on the next
+  // defines the role, so step down. Senders stop pushing on their next
   // wake.
   role_ = ReplRole::kFollower;
   work_cv_.notify_all();
@@ -596,7 +506,7 @@ JsonValue ReplicationManager::HandleReplicate(const JsonValue& request) {
     JsonValue out = JsonValue::Object();
     out.Set("ok", JsonValue::Bool(true));
     out.Set("last_seq", SeqNumber(last_seq));
-    out.Set("chain", JsonValue::String(HexChain(chain)));
+    out.Set("chain", JsonValue::String(Hex64(chain)));
     return out;
   }
   const auto first_seq = SeqOf(request, "first_seq");
@@ -621,12 +531,12 @@ JsonValue ReplicationManager::HandleReplicate(const JsonValue& request) {
     JsonValue out = JsonValue::Object();
     out.Set("ok", JsonValue::Bool(true));
     out.Set("last_seq", SeqNumber(last_seq));
-    out.Set("chain", JsonValue::String(HexChain(chain)));
+    out.Set("chain", JsonValue::String(Hex64(chain)));
     return out;
   }
   JsonValue out = ErrorToJson(applied);
   out.Set("last_seq", SeqNumber(last_seq));
-  out.Set("chain", JsonValue::String(HexChain(chain)));
+  out.Set("chain", JsonValue::String(Hex64(chain)));
   if (applied.code() == StatusCode::kFailedPrecondition) {
     out.Set("need_catchup", JsonValue::Bool(true));
     out.Set("next_seq", SeqNumber(last_seq + 1));
@@ -659,7 +569,7 @@ JsonValue ReplicationManager::HandleCatchup(const JsonValue& request) {
   }
   if (tail->snapshot) {
     out.Set("snapshot", JsonValue::Bool(true));
-    out.Set("chain", JsonValue::String(HexChain(tail->chain)));
+    out.Set("chain", JsonValue::String(Hex64(tail->chain)));
     out.Set("rows", PayloadArray(tail->rows));
     return out;
   }
@@ -681,9 +591,7 @@ JsonValue ReplicationManager::StatsJson() const {
     JsonValue entry = JsonValue::Object();
     entry.Set("endpoint", JsonValue::String(peer.endpoint.ToString()));
     entry.Set("acked_seq", SeqNumber(peer.acked_seq));
-    entry.Set("queued_bytes",
-              SeqNumber(static_cast<std::uint64_t>(peer.queued_bytes)));
-    entry.Set("catching_up", JsonValue::Bool(peer.need_catchup));
+    entry.Set("catching_up", JsonValue::Bool(!peer.position.has_value()));
     peer_array.Append(std::move(entry));
   }
   out.Set("peers", std::move(peer_array));

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,10 +28,6 @@ struct ReplicationOptions {
   /// quorum - 1 peers confirmed it. 1 (the default) acks on local
   /// durability alone — the pre-replication behavior.
   std::size_t quorum = 1;
-  /// Byte bound of each peer's in-memory replication queue. Overflow
-  /// drops the queue and falls back to log-based catch-up: the log is the
-  /// source of truth, the queue only an optimization.
-  std::size_t queue_bytes = std::size_t{4} << 20;
   /// How long AwaitQuorum waits for follower acks before reporting the
   /// write as durable-locally-only (kUnavailable; redelivery is safe —
   /// sequenced applies are idempotent).
@@ -41,7 +37,8 @@ struct ReplicationOptions {
   /// Sender idle tick: how often an idle primary re-examines a peer
   /// (lag check, liveness probe of a silently restarted follower).
   std::chrono::milliseconds idle_poll{200};
-  /// Records per catch-up batch.
+  /// Records per push: the most one `replicate` a sender ships, or one
+  /// `catchup` answer a promoting replica pulls, carries.
   std::size_t catchup_batch = 512;
   /// Eagerly promote at startup (background, best-effort): the node
   /// syncs from reachable peers and starts pushing without waiting for
@@ -61,12 +58,14 @@ enum class ReplRole {
 const char* ReplRoleName(ReplRole role);
 
 /// Sequenced log shipping between the replicas of one shard (DESIGN.md
-/// §15). The manager owns one sender thread per peer, each draining a
-/// bounded in-memory queue of freshly acknowledged batches; a peer that
-/// falls behind (queue overflow, transport failure, restart) is switched
-/// to log-based catch-up, which streams the primary's durable tail — or a
-/// full snapshot when the tail was compacted away — until the peer is
-/// level again.
+/// §15). The manager owns one sender thread per peer, and every sender
+/// ships from the store's tail (DataStore::TailFrom) alone, as a Raft
+/// leader ships from its log. A sender keeps the (seq, chain) position
+/// the peer last reported and pushes the records past it, at most
+/// catchup_batch per `replicate`, until the peer is level. When that
+/// position is unknown (after a promotion, a failed exchange or stale
+/// contact) the sender probes for it first; a peer below the tail's
+/// compacted base, or on a diverged history, gets a full snapshot.
 ///
 /// Roles are write-path-defined rather than elected: the replica the
 /// router lands `ingest` on promotes itself (after syncing to the highest
@@ -99,14 +98,11 @@ class ReplicationManager {
   /// flight on another thread — the router hedges to the next replica.
   Status EnsurePrimary();
 
-  /// Hands one locally durable batch (already applied at sequences
-  /// [first_seq, first_seq + payloads.size())) to the per-peer senders.
-  void QueueBatch(std::uint64_t first_seq,
-                  std::vector<std::string> payloads);
-
-  /// Blocks until quorum - 1 peers acknowledged everything through `seq`
-  /// (at most ack_timeout). kUnavailable on timeout: the batch is durable
-  /// locally and still queued/log-shipped, so the caller reports the
+  /// Called once a batch is locally durable through `seq`: wakes the
+  /// senders to ship it (at any quorum), then blocks until quorum - 1
+  /// peers acknowledged everything through `seq` (at most ack_timeout).
+  /// kUnavailable on timeout: the batch is durable locally and the
+  /// senders keep shipping it from the tail, so the caller reports the
   /// write as not-yet-quorum-replicated rather than lost.
   Status AwaitQuorum(std::uint64_t seq);
 
@@ -131,37 +127,35 @@ class ReplicationManager {
   JsonValue StatsJson() const;
 
  private:
-  struct Batch {
-    std::uint64_t first_seq = 0;
-    std::vector<std::string> payloads;
-    std::size_t bytes = 0;
+  /// A peer's last applied sequence and its history chain there, as one
+  /// of its answers reported them.
+  struct Position {
+    std::uint64_t seq = 0;
+    std::uint64_t chain = 0;
   };
   struct Peer {
     cluster::Endpoint endpoint;
-    std::deque<Batch> queue;
-    std::size_t queued_bytes = 0;
-    /// Queue abandoned (overflow, transport failure, sequence gap): the
-    /// sender must resync from the log before resuming queued pushes.
-    bool need_catchup = true;
     std::uint64_t acked_seq = 0;
+    /// Unknown until the peer answers, and again after a failed exchange,
+    /// a stale contact or a promotion: the next push probes first.
+    std::optional<Position> position;
     Clock::time_point last_contact{};
     obs::Gauge* lag_cell = nullptr;
   };
 
   void SenderLoop(std::size_t peer_index);
   void PromoterLoop();
-  /// One queued batch to one peer. False switches the peer to catch-up.
-  bool SendBatch(std::size_t peer_index, const Batch& batch);
-  /// Probes the peer's position, then pushes tail batches (or a
-  /// snapshot) until it is level. False = retry after the next idle tick.
-  bool PushCatchup(std::size_t peer_index);
+  /// Pushes tail records (or a snapshot) until the peer is level, probing
+  /// its position first when it is unknown. False = forget the position
+  /// and retry after the next idle tick.
+  bool PushTail(std::size_t peer_index);
   Status SyncFromPeers();
-  /// Pulls and installs a full snapshot from `endpoint` (divergence or
-  /// compacted-tail recovery during promotion).
-  Status PullSnapshot(const cluster::Endpoint& endpoint);
   StatusOr<JsonValue> RpcJson(const cluster::Endpoint& endpoint,
                               const JsonValue& message);
-  void RecordAck(std::size_t peer_index, std::uint64_t acked_seq);
+  /// Records the position a peer's answer reports (its ack, contact time
+  /// and lag); nullopt when last_seq or chain is absent or malformed.
+  std::optional<Position> RecordPosition(std::size_t peer_index,
+                                         const JsonValue& response);
   void NoteCatchup();
   void DemoteOnPush();
 

@@ -60,6 +60,22 @@ TEST(StringsTest, ToLower) {
   EXPECT_EQ(StrToLower("MiXeD123"), "mixed123");
 }
 
+TEST(StringsTest, Hex64WritesSixteenLowercaseDigits) {
+  EXPECT_EQ(Hex64(0), "0000000000000000");
+  EXPECT_EQ(Hex64(0xdeadbeef), "00000000deadbeef");
+  EXPECT_EQ(Hex64(UINT64_MAX), "ffffffffffffffff");
+  // The bytes printf's "%016llx" writes: the form every epoch, chain,
+  // checksum and log header already on disk or on the wire was written in.
+  Rng rng(16);
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t value = rng.Next() >> (i % 64);
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(value));
+    EXPECT_EQ(Hex64(value), buf);
+  }
+}
+
 TEST(ParseDoubleTest, ParsesPlainAndExponentForms) {
   EXPECT_DOUBLE_EQ(*ParseDouble("0"), 0.0);
   EXPECT_DOUBLE_EQ(*ParseDouble("-12.5"), -12.5);

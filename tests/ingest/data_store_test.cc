@@ -756,6 +756,192 @@ TEST(DataStoreTest, DirtySnapshotFingerprintIsNeverStale) {
   }
 }
 
+/// A history as TailFrom must serve it: the payload appended at sequence s
+/// is payloads[s - 1], and the history chain after it is chains[s].
+struct Sequenced {
+  std::vector<std::string> payloads;
+  std::vector<std::uint64_t> chains{0};
+
+  void Add(const std::vector<IngestMutation>& batch) {
+    for (const IngestMutation& mutation : batch) {
+      payloads.push_back(EncodeMutation(mutation));
+      chains.push_back(MutationChain(chains.back(), payloads.back()));
+    }
+  }
+  std::uint64_t last_seq() const { return payloads.size(); }
+  std::vector<std::string> From(std::uint64_t seq) const {
+    return {payloads.begin() + static_cast<std::ptrdiff_t>(seq - 1),
+            payloads.end()};
+  }
+};
+
+/// Appends `count` batches of `history` to `store`, recording them.
+void AppendBatches(DataStore* store, RandomHistory* history, int count,
+                   Sequenced* appended) {
+  for (int b = 0; b < count; ++b) {
+    const auto batch = history->NextBatch();
+    ASSERT_TRUE(store->AppendBatch(batch).ok());
+    appended->Add(batch);
+  }
+}
+
+/// The rows a snapshot export of `data` carries: avails, then RCCs, each in
+/// table order.
+std::vector<std::string> ExportRows(const Dataset& data) {
+  std::vector<std::string> rows;
+  for (const Avail& avail : data.avails.rows()) {
+    rows.push_back(EncodeMutation(MakeAvailUpsert(avail)));
+  }
+  for (const Rcc& rcc : data.rccs.rows()) {
+    rows.push_back(EncodeMutation(MakeRccUpsert(rcc)));
+  }
+  return rows;
+}
+
+TEST(DataStoreTest, TailFromServesTheAppendedRecordsBySequence) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  RandomHistory history(SmallFleet(), 5);
+  Sequenced appended;
+  AppendBatches(store->get(), &history, 4, &appended);
+  const std::uint64_t last = appended.last_seq();
+  ASSERT_GE(last, 4u);
+  // From every sequence, with and without the requester's chain: the
+  // records byte-equal to EncodeMutation of what was appended there.
+  for (std::uint64_t from = 1; from <= last + 1; ++from) {
+    const std::uint64_t* anchors[] = {nullptr, &appended.chains[from - 1]};
+    for (const std::uint64_t* chain : anchors) {
+      auto tail = (*store)->TailFrom(from, chain, 100);
+      ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+      EXPECT_FALSE(tail->snapshot) << from;
+      EXPECT_FALSE(tail->requester_ahead) << from;
+      EXPECT_FALSE(tail->more) << from;
+      EXPECT_EQ(tail->first_seq, from);
+      EXPECT_EQ(tail->last_seq, last);
+      EXPECT_EQ(tail->records, appended.From(from)) << from;
+    }
+  }
+}
+
+TEST(DataStoreTest, TailFromCapsTheReplyAtMaxRecords) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  RandomHistory history(SmallFleet(), 6);
+  Sequenced appended;
+  AppendBatches(store->get(), &history, 8, &appended);
+  ASSERT_GT(appended.last_seq(), 8u);
+  // A walk of capped replies covers the tail once, in order: every reply
+  // but the last is full and says more follows.
+  std::vector<std::string> walked;
+  std::uint64_t from = 1;
+  for (;;) {
+    auto tail = (*store)->TailFrom(from, &appended.chains[from - 1], 4);
+    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+    ASSERT_FALSE(tail->snapshot);
+    EXPECT_EQ(tail->first_seq, from);
+    ASSERT_LE(tail->records.size(), 4u);
+    walked.insert(walked.end(), tail->records.begin(), tail->records.end());
+    from += tail->records.size();
+    if (!tail->more) break;
+    ASSERT_EQ(tail->records.size(), 4u);
+  }
+  EXPECT_EQ(from, appended.last_seq() + 1);
+  EXPECT_EQ(walked, appended.payloads);
+}
+
+TEST(DataStoreTest, TailFromNumberingContinuesAcrossAPersistedMerge) {
+  ScopedTempDir dir("tailmerge");
+  const Dataset fleet = SmallFleet();
+  ASSERT_TRUE(WriteBaseTables(fleet, dir.path()).ok());
+  RandomHistory history(fleet, 7);
+  Sequenced appended;
+  std::uint64_t cut = 0;
+  {
+    auto store = DataStore::OpenDir(dir.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    AppendBatches(store->get(), &history, 3, &appended);
+    auto merged = (*store)->Merge();
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    ASSERT_TRUE(merged->persisted);
+    cut = appended.last_seq();
+    AppendBatches(store->get(), &history, 2, &appended);
+
+    // The records past the cut keep their numbers, anchored on the chain
+    // at the cut...
+    auto tail = (*store)->TailFrom(cut + 1, &appended.chains[cut], 100);
+    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+    EXPECT_FALSE(tail->snapshot);
+    EXPECT_EQ(tail->first_seq, cut + 1);
+    EXPECT_EQ(tail->records, appended.From(cut + 1));
+
+    // ...and an anchor below the cut was compacted into the base tables:
+    // only a snapshot of the whole current state serves it.
+    for (std::uint64_t from = 1; from <= cut; ++from) {
+      auto below = (*store)->TailFrom(from, &appended.chains[from - 1], 100);
+      ASSERT_TRUE(below.ok()) << below.status().ToString();
+      ASSERT_TRUE(below->snapshot) << from;
+      EXPECT_TRUE(below->records.empty());
+      EXPECT_EQ(below->last_seq, appended.last_seq());
+      EXPECT_EQ(below->chain, appended.chains.back());
+      EXPECT_EQ(below->rows, ExportRows((*store)->Snapshot()->data()));
+    }
+  }
+  // A restart replays the rotated log under the same numbering.
+  auto reopened = DataStore::OpenDir(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->last_seq(), appended.last_seq());
+  auto tail = (*reopened)->TailFrom(cut + 1, &appended.chains[cut], 100);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_FALSE(tail->snapshot);
+  EXPECT_EQ(tail->first_seq, cut + 1);
+  EXPECT_EQ(tail->records, appended.From(cut + 1));
+}
+
+TEST(DataStoreTest, TailFromAnswersADivergedChainWithASnapshot) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  RandomHistory history(SmallFleet(), 8);
+  Sequenced appended;
+  AppendBatches(store->get(), &history, 3, &appended);
+  const auto rows = ExportRows((*store)->Snapshot()->data());
+  // A requester whose chain at its anchor is not ours holds another
+  // history there: extending it would be wrong at any sequence.
+  for (std::uint64_t from = 1; from <= appended.last_seq() + 1; ++from) {
+    const std::uint64_t wrong = appended.chains[from - 1] ^ 1;
+    auto tail = (*store)->TailFrom(from, &wrong, 100);
+    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+    ASSERT_TRUE(tail->snapshot) << from;
+    EXPECT_TRUE(tail->records.empty());
+    EXPECT_EQ(tail->last_seq, appended.last_seq());
+    EXPECT_EQ(tail->chain, appended.chains.back());
+    EXPECT_EQ(tail->rows, rows);
+  }
+}
+
+TEST(DataStoreTest, TailFromPastTheNextSequenceReportsRequesterAhead) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  RandomHistory history(SmallFleet(), 9);
+  Sequenced appended;
+  AppendBatches(store->get(), &history, 2, &appended);
+  const std::uint64_t last = appended.last_seq();
+  for (const std::uint64_t from : {last + 2, last + 100}) {
+    auto tail = (*store)->TailFrom(from, nullptr, 100);
+    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+    EXPECT_TRUE(tail->requester_ahead) << from;
+    EXPECT_FALSE(tail->snapshot);
+    EXPECT_TRUE(tail->records.empty());
+    EXPECT_EQ(tail->last_seq, last);
+  }
+  // One past the end is a requester that is level, not ahead.
+  auto level = (*store)->TailFrom(last + 1, &appended.chains[last], 100);
+  ASSERT_TRUE(level.ok()) << level.status().ToString();
+  EXPECT_FALSE(level->requester_ahead);
+  EXPECT_FALSE(level->snapshot);
+  EXPECT_FALSE(level->more);
+  EXPECT_TRUE(level->records.empty());
+}
+
 TEST(DataStoreConcurrencyTest, PinnedSnapshotsStableUnderWritersAndMerges) {
   DataStoreOptions options;
   options.merge_threshold = 8;  // keep the background merger busy.
@@ -893,6 +1079,66 @@ TEST(DataStoreConcurrencyTest, EpochReadersRaceWritersAndMerges) {
       EXPECT_LE(prefix->second, read.to + 1) << "reader " << r;
     }
   }
+}
+
+TEST(DataStoreConcurrencyTest, TailFromRacesAppendsAndMerges) {
+  const Dataset fleet = SmallFleet();
+  RandomHistory history(fleet, 41);
+  std::vector<std::vector<IngestMutation>> batches(150);
+  Sequenced expected;
+  for (auto& batch : batches) {
+    batch = history.NextBatch();
+    expected.Add(batch);
+  }
+
+  DataStoreOptions options;
+  options.merge_threshold = 8;  // the merger keeps cutting the tail's base.
+  auto store = DataStore::Open(fleet, options);
+  ASSERT_TRUE(store.ok());
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> tail_reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(300 + r);
+      do {
+        // Anchors near the head: some in the tail, some merged below it.
+        const std::uint64_t last = (*store)->last_seq();
+        const std::uint64_t from =
+            last + 1 - rng.Next() % (std::min<std::uint64_t>(last, 32) + 1);
+        auto tail = (*store)->TailFrom(
+            from, r == 0 ? nullptr : &expected.chains[from - 1], 16);
+        ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+        ASSERT_FALSE(tail->requester_ahead);
+        if (tail->snapshot) continue;
+        ASSERT_EQ(tail->first_seq, from);
+        ASSERT_LE(tail->records.size(), 16u);
+        ASSERT_LE(from - 1 + tail->records.size(), tail->last_seq);
+        if (!tail->more) {
+          ASSERT_EQ(from - 1 + tail->records.size(), tail->last_seq);
+        }
+        // Every record returned at sequence s is the one appended at s.
+        for (std::size_t i = 0; i < tail->records.size(); ++i) {
+          ASSERT_EQ(tail->records[i], expected.payloads[from - 1 + i])
+              << "sequence " << from + i;
+        }
+        tail_reads.fetch_add(1);
+      } while (!done.load());
+    });
+  }
+  for (const auto& batch : batches) {
+    EXPECT_TRUE((*store)->AppendBatch(batch).ok());
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_GT(tail_reads.load(), 0u);
+  std::uint64_t seq = 0;
+  std::uint64_t chain = 0;
+  (*store)->Position(&seq, &chain);
+  EXPECT_EQ(seq, expected.last_seq());
+  EXPECT_EQ(chain, expected.chains.back());
 }
 
 }  // namespace

@@ -330,70 +330,6 @@ TEST_F(IngestLogTest, V1HeaderReplaysAsBaseZero) {
   EXPECT_EQ((*log)->last_seq(), mutations.size());
 }
 
-TEST_F(IngestLogTest, ReadFromReturnsTheSequencedTail) {
-  path_ = TempLogPath("readfrom");
-  const std::vector<IngestMutation> mutations = SampleMutations(6);
-  IngestLog::ReplayResult replay;
-  auto log = IngestLog::Open(path_, &replay);
-  ASSERT_TRUE(log.ok());
-  ASSERT_TRUE((*log)->AppendBatch(mutations).ok());
-
-  auto tail = (*log)->ReadFrom(4);
-  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
-  EXPECT_EQ(tail->first_seq, 4u);
-  ASSERT_EQ(tail->records.size(), 3u);
-  for (std::size_t i = 0; i < tail->records.size(); ++i) {
-    EXPECT_TRUE(SameMutation(tail->records[i], mutations[3 + i])) << i;
-  }
-  // Past the end: empty, not an error (the caller is caught up).
-  auto caught_up = (*log)->ReadFrom(mutations.size() + 1);
-  ASSERT_TRUE(caught_up.ok());
-  EXPECT_TRUE(caught_up->records.empty());
-  // Sequence 1 is the very first record.
-  auto all = (*log)->ReadFrom(1);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->records.size(), mutations.size());
-}
-
-TEST_F(IngestLogTest, ReadFromSpansRotationWithoutAGap) {
-  // A follower mid-catch-up across a primary-side rotation: records it
-  // has not read yet keep their sequence numbers in the rotated log, so
-  // the same ReadFrom cursor continues without skipping or re-reading.
-  path_ = TempLogPath("readfromrotate");
-  const std::vector<IngestMutation> mutations = SampleMutations(8);
-  IngestLog::ReplayResult replay;
-  auto log = IngestLog::Open(path_, &replay);
-  ASSERT_TRUE(log.ok());
-  ASSERT_TRUE(
-      (*log)
-          ->AppendBatch({mutations.begin(), mutations.begin() + 6})
-          .ok());
-
-  auto before = (*log)->ReadFrom(5);
-  ASSERT_TRUE(before.ok());
-  ASSERT_EQ(before->records.size(), 2u);
-
-  // Rotation compacts sequences 1..4 into the base; 5 and 6 stay pending
-  // under their original numbering, and two more records arrive.
-  ASSERT_TRUE((*log)->Rotate({mutations[4], mutations[5]}, 4, 0x77).ok());
-  ASSERT_TRUE((*log)->AppendBatch({mutations[6], mutations[7]}).ok());
-
-  auto after = (*log)->ReadFrom(5);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(after->first_seq, 5u);
-  ASSERT_EQ(after->records.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_TRUE(SameMutation(after->records[i], mutations[4 + i])) << i;
-  }
-
-  // Sequences at or below the new base were compacted away: only a
-  // snapshot transfer can recover them.
-  auto compacted = (*log)->ReadFrom(4);
-  ASSERT_FALSE(compacted.ok());
-  EXPECT_EQ(compacted.status().code(), StatusCode::kOutOfRange)
-      << compacted.status().ToString();
-}
-
 TEST(IngestMutationTest, CodecRoundTripsDoublesExactly) {
   Avail avail;
   avail.id = 7;

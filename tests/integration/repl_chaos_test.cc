@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/fingerprint.h"
 #include "cluster/host_map.h"
 #include "cluster/router.h"
 #include "common/strings.h"
@@ -131,18 +132,19 @@ bool HasNoAvailIds(DataStore* store, const std::vector<std::int64_t>& ids) {
   return true;
 }
 
-/// Replication knobs tuned for test wall-clock: tight idle polls so
-/// catch-up and liveness probes fire within milliseconds, and a quorum
-/// wait short enough that the deliberately-unreplicatable test finishes
-/// fast.
+/// Replication knobs tuned for test wall-clock: a quorum wait short enough
+/// that the deliberately-unreplicatable test finishes fast, and the
+/// caller's idle poll (ReplCluster's default of 50 ms makes catch-up and
+/// liveness probes fire within milliseconds).
 ReplicationOptions FastReplOptions(std::vector<cluster::Endpoint> peers,
-                                   std::size_t quorum) {
+                                   std::size_t quorum,
+                                   std::chrono::milliseconds idle_poll) {
   ReplicationOptions options;
   options.peers = std::move(peers);
   options.quorum = quorum;
   options.ack_timeout = std::chrono::milliseconds(3000);
   options.rpc_timeout = std::chrono::milliseconds(1000);
-  options.idle_poll = std::chrono::milliseconds(50);
+  options.idle_poll = idle_poll;
   options.catchup_batch = 8;  // small: multi-round-trip catch-ups.
   return options;
 }
@@ -155,12 +157,39 @@ ReplicationOptions FastReplOptions(std::vector<cluster::Endpoint> peers,
 struct ReplReplica {
   std::string dir;
   int port = 0;
+  std::chrono::milliseconds idle_poll{50};  ///< its senders' idle tick.
   std::unique_ptr<DataStore> store;
   std::unique_ptr<PredictionService> service;
   std::unique_ptr<ReplicationManager> repl;
   std::unique_ptr<ServeFrontend> frontend;
-  std::unique_ptr<Reactor> reactor;
   std::atomic<ServeFrontend*> serving{nullptr};
+  /// `replicate` requests that reached this replica's reactor.
+  std::atomic<int> replicate_requests{0};
+  std::unique_ptr<Reactor> reactor;  ///< after what its handler reads.
+
+  /// Binds the reactor on `at` (0 = ephemeral). Its handler indirects
+  /// through `serving`, so it outlives stack rebuilds.
+  bool Listen(int at) {
+    ReactorOptions options;
+    options.port = at;
+    options.num_shards = 1;
+    auto created = Reactor::Create(
+        options, [this](std::string line, Responder responder) {
+          if (StrStartsWith(line, R"({"cmd":"replicate")")) {
+            replicate_requests.fetch_add(1);
+          }
+          ServeFrontend* frontend = serving.load();
+          if (frontend == nullptr) {
+            responder.Respond("{\"ok\":false,\"error\":\"starting\"}");
+            return;
+          }
+          frontend->Handle(std::move(line), std::move(responder));
+        });
+    if (!created.ok()) return false;
+    reactor = std::move(*created);
+    port = reactor->port();
+    return true;
+  }
 
   /// Opens the persisted store (replaying the log), builds the serve
   /// stack, and publishes it to the reactor. `quorum` 0 builds without a
@@ -173,7 +202,7 @@ struct ReplReplica {
     service = std::make_unique<PredictionService>(GetServeFixture().v1);
     if (quorum > 0) {
       repl = std::make_unique<ReplicationManager>(
-          store.get(), FastReplOptions(std::move(peers), quorum));
+          store.get(), FastReplOptions(std::move(peers), quorum, idle_poll));
     }
     FrontendOptions options;
     options.store = store.get();
@@ -199,8 +228,9 @@ struct ReplReplica {
 /// N replicas of one shard, each the other N-1's peer.
 class ReplCluster {
  public:
-  static std::unique_ptr<ReplCluster> Start(std::size_t n,
-                                            std::size_t quorum) {
+  static std::unique_ptr<ReplCluster> Start(
+      std::size_t n, std::size_t quorum,
+      std::chrono::milliseconds idle_poll = std::chrono::milliseconds(50)) {
     auto cluster = std::make_unique<ReplCluster>();
     cluster->quorum_ = quorum;
     // Phase 1: reactors first — peer lists need every port before any
@@ -208,22 +238,8 @@ class ReplCluster {
     // the frontends (every replica starts as a quiescent follower).
     for (std::size_t i = 0; i < n; ++i) {
       auto replica = std::make_unique<ReplReplica>();
-      ReplReplica* raw = replica.get();
-      ReactorOptions options;
-      options.port = 0;
-      options.num_shards = 1;
-      auto reactor = Reactor::Create(
-          options, [raw](std::string line, Responder responder) {
-            ServeFrontend* frontend = raw->serving.load();
-            if (frontend == nullptr) {
-              responder.Respond("{\"ok\":false,\"error\":\"starting\"}");
-              return;
-            }
-            frontend->Handle(std::move(line), std::move(responder));
-          });
-      if (!reactor.ok()) return nullptr;
-      replica->reactor = std::move(*reactor);
-      replica->port = replica->reactor->port();
+      replica->idle_poll = idle_poll;
+      if (!replica->Listen(0)) return nullptr;
       cluster->replicas_.push_back(std::move(replica));
     }
     // Phase 2: persisted dirs seeded with the fixture fleet, then the
@@ -269,22 +285,7 @@ class ReplCluster {
   bool Restart(std::size_t index) {
     ReplReplica& replica = *replicas_[index];
     if (!replica.BuildStack(PeersOf(index), quorum_)) return false;
-    ReactorOptions options;
-    options.port = replica.port;
-    options.num_shards = 1;
-    ReplReplica* raw = &replica;
-    auto reactor = Reactor::Create(
-        options, [raw](std::string line, Responder responder) {
-          ServeFrontend* frontend = raw->serving.load();
-          if (frontend == nullptr) {
-            responder.Respond("{\"ok\":false,\"error\":\"starting\"}");
-            return;
-          }
-          frontend->Handle(std::move(line), std::move(responder));
-        });
-    if (!reactor.ok()) return false;
-    replica.reactor = std::move(*reactor);
-    return true;
+    return replica.Listen(replica.port);
   }
 
   int port(std::size_t index) const { return replicas_[index]->port; }
@@ -296,6 +297,9 @@ class ReplCluster {
   }
   ReplicationManager* repl(std::size_t index) const {
     return replicas_[index]->repl.get();
+  }
+  int replicate_requests(std::size_t index) const {
+    return replicas_[index]->replicate_requests.load();
   }
 
   /// Every listed replica at one (last_seq, epoch) — the bit-identity
@@ -474,11 +478,10 @@ TEST(ReplCatchupTest, FollowerCatchesUpAcrossPrimaryRotation) {
   cluster->Kill(2);
   ASSERT_TRUE(IngestUntilAcked(cluster->port(0), IngestLine(7100, 4)));
 
-  // Wait for the primary's sender to hit the dead peer and abandon its
-  // in-memory queue (the peer flips to catching_up). Without this the
-  // queued batches can survive until the restart and deliver directly —
-  // correct, but then no catch-up transfer ever needs to happen and the
-  // counter assertion below would be meaningless.
+  // Wait for the primary's sender to fail a push to the dead peer and
+  // forget its position (the peer flips to catching_up). The sender then
+  // probes the restarted replica before shipping anything, and finds it
+  // below the tail that the merge below compacts away.
   const std::string dead_endpoint = "127.0.0.1:" +
                                     std::to_string(cluster->port(2));
   ASSERT_TRUE(WaitFor(
@@ -518,6 +521,32 @@ TEST(ReplCatchupTest, FollowerCatchesUpAcrossPrimaryRotation) {
   EXPECT_TRUE(WaitFor([&] { return cluster->repl(2)->catchups() > 0; },
                       std::chrono::milliseconds(10000)))
       << "repl2=" << cluster->repl(2)->StatsJson().Serialize();
+}
+
+// ---------------------------------------------------------------------------
+// Senders ship from the store's tail and probe only when they do not know
+// where a peer is: N acknowledged ingests reach the follower as at most
+// N + 1 `replicate` requests — one push each, plus the probe that follows
+// the promotion. A sender that probed before every push would send 2N.
+// ---------------------------------------------------------------------------
+
+TEST(ReplPushTest, OnePushPerAckedIngest) {
+  // An idle tick far past the test's length: contact goes stale only
+  // after five of them, so no liveness probe fires.
+  auto cluster =
+      ReplCluster::Start(2, /*quorum=*/2, std::chrono::milliseconds(30000));
+  ASSERT_NE(cluster, nullptr);
+  constexpr int kIngests = 12;
+  for (int i = 0; i < kIngests; ++i) {
+    const JsonValue response =
+        ParsedRpc(cluster->port(0), IngestLine(9800 + 10 * i, 2));
+    ASSERT_TRUE(response.BoolOr("ok", false)) << response.Serialize();
+  }
+  EXPECT_TRUE(WaitFor([&] { return cluster->Converged({0, 1}); },
+                      std::chrono::milliseconds(10000)));
+  EXPECT_LE(cluster->replicate_requests(1), kIngests + 1);
+  EXPECT_GE(cluster->replicate_requests(1), kIngests);
+  EXPECT_EQ(cluster->replicate_requests(0), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -741,6 +770,91 @@ TEST(ReplRegressionTest, SnapshotPushWithUnknownAvailInstallsNothing) {
   EXPECT_EQ(store->Snapshot()->epoch(), before->epoch());
   const JsonValue health = ParsedRpc(cluster->port(0), R"({"cmd":"health"})");
   EXPECT_EQ(health.StringOr("ingest_role", ""), "standalone");
+}
+
+// ---------------------------------------------------------------------------
+// A promoting replica whose pulled tail contradicts its own history
+// (DATA_LOSS on apply) asks that peer for a snapshot (from_seq 0) and
+// installs what it sends, even one at a lower sequence than its own: its
+// own history is the one that diverged.
+// ---------------------------------------------------------------------------
+
+TEST(ReplRegressionTest, DivergedPullInstallsThePeersSnapshot) {
+  const Dataset& fleet = GetServeFixture().pipeline.data;
+  const std::string dir = ::testing::TempDir() + "/domd_repl_pull_" +
+                          std::to_string(::getpid());
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir, ec);
+  ASSERT_TRUE(WriteBaseTables(fleet, dir).ok());
+  auto store = DataStore::OpenDir(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  Avail avail = fleet.avails.rows().front();
+  for (int i = 0; i < 2; ++i) {
+    avail.crew_size += 1;
+    ASSERT_TRUE((*store)->Append(MakeAvailUpsert(avail)).ok());
+  }
+
+  // The peer holds another record at sequence 1, and its snapshot is the
+  // fixture fleet at sequence 1.
+  avail.crew_size += 10;
+  const std::string other = EncodeMutation(MakeAvailUpsert(avail));
+  JsonValue rows = JsonValue::Array();
+  for (const Avail& row : fleet.avails.rows()) {
+    rows.Append(JsonValue::String(EncodeMutation(MakeAvailUpsert(row))));
+  }
+  for (const Rcc& row : fleet.rccs.rows()) {
+    rows.Append(JsonValue::String(EncodeMutation(MakeRccUpsert(row))));
+  }
+  std::atomic<int> snapshots{0};
+  ReactorOptions peer_options;
+  peer_options.port = 0;
+  peer_options.num_shards = 1;
+  auto peer = Reactor::Create(
+      peer_options, [&](std::string line, Responder responder) {
+        const auto request = JsonValue::Parse(line);
+        JsonValue out = JsonValue::Object();
+        const bool catchup =
+            request.ok() && request->StringOr("cmd", "") == "catchup";
+        out.Set("ok", JsonValue::Bool(catchup));
+        if (catchup) {
+          const double from_seq = request->NumberOr("from_seq", -1);
+          out.Set("last_seq", JsonValue::Number(1));
+          if (from_seq == 0) {
+            snapshots.fetch_add(1);
+            out.Set("snapshot", JsonValue::Bool(true));
+            out.Set("chain", JsonValue::String("abc"));
+            out.Set("rows", rows);
+          } else {
+            // Before the snapshot: the overlapping, contradicting record.
+            // After it: nothing newer.
+            JsonValue records = JsonValue::Array();
+            if (snapshots.load() == 0) records.Append(JsonValue::String(other));
+            out.Set("first_seq", JsonValue::Number(
+                                     snapshots.load() == 0 ? 1 : from_seq));
+            out.Set("records", std::move(records));
+          }
+        }
+        responder.Respond(out.Serialize());
+      });
+  ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+  {
+    ReplicationManager repl(
+        store->get(), FastReplOptions({{"127.0.0.1", (*peer)->port()}}, 1,
+                                      std::chrono::milliseconds(50)));
+    const Status promoted = repl.EnsurePrimary();
+    ASSERT_TRUE(promoted.ok()) << promoted.ToString();
+    EXPECT_EQ(snapshots.load(), 1);
+    std::uint64_t seq = 0;
+    std::uint64_t chain = 0;
+    (*store)->Position(&seq, &chain);
+    EXPECT_EQ(seq, 1u);
+    EXPECT_EQ(chain, 0xabcu);
+    EXPECT_EQ((*store)->epoch(), ComputeDatasetFingerprint(fleet));
+  }
+  peer->reset();
+  store->reset();
+  std::filesystem::remove_all(dir, ec);
 }
 
 // ---------------------------------------------------------------------------

@@ -220,6 +220,11 @@ TEST(ReactorTest, IdleTimeoutReapingIsDeterministicUnderInjectableClock) {
 
   TestClient idle_client = TestClient::Connect(reactor->port());
   ASSERT_TRUE(idle_client.connected());
+  // A round trip at fake t=0. open_connections counts a connection when
+  // it is accepted, but its shard stamps its activity when it adopts it,
+  // which without this could happen after the clock moves to 500.
+  ASSERT_TRUE(idle_client.SendLine("hello"));
+  ASSERT_TRUE(idle_client.ReadLine().has_value());
   ASSERT_TRUE(WaitFor([&] { return reactor->stats().open_connections == 1; }));
 
   TestClient active_client = TestClient::Connect(reactor->port());

@@ -9,11 +9,15 @@
 //              [--ingest-log FILE] [--retrain-root DIR]
 //              [--merge-threshold N] [--persist-dir DIR]
 //              [--repl-peers H:P,H:P] [--repl-quorum Q]
-//              [--repl-queue-bytes B] [--repl-role primary|follower]
+//              [--repl-role primary|follower]
 //
 // Only the flags above are accepted: an unknown flag, a flag without a
 // value, or a number that does not parse or is out of range (--port 70000,
-// --threads abc, --max-queue -1) exits 2 with an error naming the flag.
+// --threads abc, --max-queue -1) exits 2 with an error naming the flag. So
+// does a replication flag the server would misread or ignore: a
+// --repl-role other than primary or follower, a --repl-quorum above the
+// replica count (the --repl-peers entries plus this one), or any --repl-*
+// flag without --persist-dir or --ingest-log.
 //
 // Listens on 127.0.0.1:P (P = 0 picks an ephemeral port; the chosen port is
 // printed on stdout as "listening on 127.0.0.1:<port>"). Each connection
@@ -64,11 +68,12 @@
 // --repl-peers lists the other replicas of this shard and turns on
 // sequenced log shipping (DESIGN.md §15): `replicate` and `catchup` come
 // online, ingest acks only after the mutation is locally durable AND
-// --repl-quorum replicas (counting this one) hold it, and followers that
-// fall behind are caught up from the log in the background. --repl-role
-// primary promotes eagerly at startup (after syncing from reachable
-// peers); the default follower stance promotes on the first routed
-// ingest. --repl-quorum 1 (default) acks on local durability alone.
+// --repl-quorum replicas (counting this one) hold it, and the primary
+// ships each follower what it lacks straight from the store's tail (a
+// snapshot when the follower sits below the last persisted merge).
+// --repl-role primary promotes eagerly at startup (after syncing from
+// reachable peers); the default follower stance promotes on the first
+// routed ingest. --repl-quorum 1 (default) acks on local durability alone.
 //
 // Front-end: a non-blocking epoll reactor (DESIGN.md §11) — one acceptor
 // plus --loop-shards event-loop shards, each owning its connections. Client
@@ -97,6 +102,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,11 +133,62 @@ std::vector<FlagSpec> ServeFlags() {
        StringFlag("ingest-log"), StringFlag("retrain-root"),
        IntFlag("merge-threshold", 0, kMaxIntFlag), StringFlag("persist-dir"),
        StringFlag("repl-peers"), IntFlag("repl-quorum", 1, kMaxIntFlag),
-       IntFlag("repl-queue-bytes", 1, kMaxBytesFlag),
        StringFlag("repl-role")});
 }
 
+/// The replication the flags configure: nullopt without --repl-peers or
+/// --repl-role, which keeps a plain ingest server's exact pre-replication
+/// wire behavior. kInvalidArgument, naming the flag, for a flag the server
+/// would otherwise misread or ignore.
+StatusOr<std::optional<ReplicationOptions>> ReplicationFromFlags(
+    const Flags& flags) {
+  const bool has_store =
+      !flags.String("persist-dir").empty() || flags.Has("ingest-log");
+  for (const std::string name : {"repl-peers", "repl-quorum", "repl-role"}) {
+    if (flags.Has(name) && !has_store) {
+      return Status::InvalidArgument(
+          "--" + name +
+          " needs --persist-dir or --ingest-log: replication ships the "
+          "ingest store");
+    }
+  }
+  const std::string role = flags.String("repl-role");
+  if (flags.Has("repl-role") && role != "primary" && role != "follower") {
+    return Status::InvalidArgument(
+        "--repl-role must be primary or follower, got \"" + role + "\"");
+  }
+  ReplicationOptions options;
+  for (const std::string& token : StrSplit(flags.String("repl-peers"), ',')) {
+    if (token.empty()) continue;
+    auto endpoint = cluster::Endpoint::Parse(token);
+    if (!endpoint.ok()) {
+      return Status::InvalidArgument("--repl-peers: " +
+                                     endpoint.status().ToString());
+    }
+    options.peers.push_back(*endpoint);
+  }
+  options.quorum = static_cast<std::size_t>(flags.Int("repl-quorum", 1));
+  if (options.quorum > options.peers.size() + 1) {
+    return Status::InvalidArgument(
+        "--repl-quorum " + std::to_string(options.quorum) +
+        " exceeds the replica count " +
+        std::to_string(options.peers.size() + 1) +
+        " (this replica plus the --repl-peers entries)");
+  }
+  if (options.peers.empty() && role.empty()) {
+    return std::optional<ReplicationOptions>();
+  }
+  options.start_primary = role == "primary";
+  return std::optional<ReplicationOptions>(std::move(options));
+}
+
 int Run(const Flags& flags) {
+  const auto repl_options = ReplicationFromFlags(flags);
+  if (!repl_options.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 repl_options.status().message().c_str());
+    return 2;
+  }
   const std::string bundle_dir = flags.String("bundle");
   Parallelism parallelism;
   parallelism.num_threads = static_cast<int>(flags.Int("threads", 0));
@@ -209,32 +266,12 @@ int Run(const Flags& flags) {
         static_cast<unsigned long long>(ingest.last_seq));
   }
 
-  // Replication: configured only when a replication flag is present, so a
-  // plain --ingest-log server keeps its exact pre-replication wire
-  // behavior.
   std::unique_ptr<ReplicationManager> repl;
-  const std::string repl_peers = flags.String("repl-peers");
-  const std::string repl_role = flags.String("repl-role");
-  if (store != nullptr && (!repl_peers.empty() || !repl_role.empty())) {
-    ReplicationOptions repl_options;
-    for (const std::string& token : StrSplit(repl_peers, ',')) {
-      if (token.empty()) continue;
-      auto endpoint = cluster::Endpoint::Parse(token);
-      if (!endpoint.ok()) {
-        std::fprintf(stderr, "error: --repl-peers: %s\n",
-                     endpoint.status().ToString().c_str());
-        return 2;
-      }
-      repl_options.peers.push_back(*endpoint);
-    }
-    repl_options.quorum =
-        static_cast<std::size_t>(flags.Int("repl-quorum", 1));
-    repl_options.queue_bytes = static_cast<std::size_t>(
-        flags.Int("repl-queue-bytes", std::int64_t{4} << 20));
-    repl_options.start_primary = repl_role == "primary";
-    repl = std::make_unique<ReplicationManager>(store.get(), repl_options);
+  if (repl_options->has_value()) {
+    const ReplicationOptions& replication = **repl_options;
+    repl = std::make_unique<ReplicationManager>(store.get(), replication);
     std::printf("domd_serve: replication on (%zu peers, quorum %zu, %s)\n",
-                repl_options.peers.size(), repl_options.quorum,
+                replication.peers.size(), replication.quorum,
                 ReplRoleName(repl->role()));
   }
 
