@@ -8,12 +8,8 @@
 // estimator's own query bit for bit. Throughput and latency percentiles
 // land in BENCH_serving.json.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,6 +31,7 @@
 #include "bench/bench_common.h"
 #include "cluster/hash_ring.h"
 #include "cluster/router.h"
+#include "cluster/upstream.h"
 #include "core/domd_estimator.h"
 #include "obs/stage.h"
 #include "serve/frontend.h"
@@ -110,20 +107,23 @@ void RaiseFdLimit(rlim_t want) {
   ::setrlimit(RLIMIT_NOFILE, &lim);
 }
 
-int ConnectLoopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+using TimePoint = std::chrono::steady_clock::time_point;
+
+/// Dials a bench server's loopback port; an invalid connection on failure.
+cluster::UpstreamConn DialLoopback(int port) {
+  auto conn = cluster::UpstreamConn::Dial(
+      {"127.0.0.1", port},
+      std::chrono::steady_clock::now() + std::chrono::seconds(5));
+  return conn.ok() ? std::move(*conn) : cluster::UpstreamConn();
+}
+
+/// One request/response round trip on `conn`, bounded by 10 s.
+StatusOr<std::string> Exchange(cluster::UpstreamConn& conn,
+                               const std::string& line) {
+  const TimePoint deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  DOMD_RETURN_IF_ERROR(conn.SendLine(line, deadline));
+  return conn.ReadLine(deadline);
 }
 
 /// Drives the epoll reactor front-end with kOpenLoopConnections sockets in
@@ -160,30 +160,28 @@ OpenLoopResult RunOpenLoop(std::shared_ptr<const ModelBundle> bundle,
   std::vector<std::string> requests;
   for (const Avail& avail : data.avails.rows()) {
     requests.push_back("{\"avail_id\": " + std::to_string(avail.id) +
-                       ", \"t_star\": 60}\n");
+                       ", \"t_star\": 60}");
   }
 
-  using TimePoint = std::chrono::steady_clock::time_point;
-  std::vector<int> fds;
+  std::vector<cluster::UpstreamConn> conns;
   std::vector<std::deque<TimePoint>> in_flight(kOpenLoopConnections);
-  std::vector<std::string> read_buffers(kOpenLoopConnections);
   const int client_epoll = ::epoll_create1(0);
   if (client_epoll < 0) return out;
   for (std::size_t i = 0; i < kOpenLoopConnections; ++i) {
-    const int fd = ConnectLoopback(port);
-    if (fd < 0) break;
+    cluster::UpstreamConn conn = DialLoopback(port);
+    if (!conn.valid()) break;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = i;
-    ::epoll_ctl(client_epoll, EPOLL_CTL_ADD, fd, &ev);
-    fds.push_back(fd);
+    ::epoll_ctl(client_epoll, EPOLL_CTL_ADD, conn.fd(), &ev);
+    conns.push_back(std::move(conn));
   }
-  out.connections = fds.size();
+  out.connections = conns.size();
   if (out.connections < kOpenLoopConnections) {
     std::fprintf(stderr, "open-loop: only %zu/%zu connections\n",
                  out.connections, kOpenLoopConnections);
   }
-  out.ran = !fds.empty();
+  out.ran = !conns.empty();
   if (!out.ran) {
     ::close(client_epoll);
     return out;
@@ -199,18 +197,9 @@ OpenLoopResult RunOpenLoop(std::shared_ptr<const ModelBundle> bundle,
     const int n = ::epoll_wait(client_epoll, events, 128, wait_ms);
     for (int e = 0; e < n; ++e) {
       const std::size_t index = static_cast<std::size_t>(events[e].data.u64);
-      char chunk[8192];
-      for (;;) {
-        const ssize_t got = ::recv(fds[index], chunk, sizeof(chunk),
-                                   MSG_DONTWAIT);
-        if (got <= 0) break;
-        read_buffers[index].append(chunk, static_cast<std::size_t>(got));
-      }
-      std::string& buffer = read_buffers[index];
-      std::size_t newline;
-      while ((newline = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, newline);
-        buffer.erase(0, newline + 1);
+      // A deadline already past reads only the lines that have arrived.
+      for (auto line = conns[index].ReadLine(TimePoint{}); line.ok();
+           line = conns[index].ReadLine(TimePoint{})) {
         ++out.responses;
         if (in_flight[index].empty()) {
           ++out.invalid;  // response with no matching request.
@@ -223,8 +212,8 @@ OpenLoopResult RunOpenLoop(std::shared_ptr<const ModelBundle> bundle,
                                 .count());
         // A valid answer is a JSON object with "ok": true and a tagged
         // bundle version; anything else (error, truncation) is invalid.
-        if (line.find("\"ok\":true") == std::string::npos ||
-            line.find("\"bundle_version\"") == std::string::npos) {
+        if (line->find("\"ok\":true") == std::string::npos ||
+            line->find("\"bundle_version\"") == std::string::npos) {
           ++out.invalid;
         }
       }
@@ -239,18 +228,13 @@ OpenLoopResult RunOpenLoop(std::shared_ptr<const ModelBundle> bundle,
         kOpenLoopRequests,
         static_cast<std::size_t>(elapsed * kOpenLoopTargetRps));
     while (sent < due) {
-      const std::size_t index = sent % fds.size();
-      const std::string& line = requests[sent % requests.size()];
-      // Request lines are tiny; a full socket buffer here would mean the
+      const std::size_t index = sent % conns.size();
+      // Request lines are tiny; a send that fails here would mean the
       // server stopped reading entirely, which the final accounting
       // (responses < requests) surfaces anyway.
-      std::size_t offset = 0;
-      while (offset < line.size()) {
-        const ssize_t n = ::send(fds[index], line.data() + offset,
-                                 line.size() - offset, MSG_NOSIGNAL);
-        if (n <= 0) break;
-        offset += static_cast<std::size_t>(n);
-      }
+      conns[index].SendLine(
+          requests[sent % requests.size()],
+          std::chrono::steady_clock::now() + std::chrono::seconds(1));
       in_flight[index].push_back(std::chrono::steady_clock::now());
       ++sent;
     }
@@ -276,7 +260,7 @@ OpenLoopResult RunOpenLoop(std::shared_ptr<const ModelBundle> bundle,
   out.p50_ms = Percentile(latencies, 50);
   out.p99_ms = Percentile(latencies, 99);
 
-  for (const int fd : fds) ::close(fd);
+  conns.clear();
   ::close(client_epoll);
   (*reactor)->Stop();
   (*reactor)->Wait();
@@ -294,51 +278,6 @@ OpenLoopResult RunOpenLoop(std::shared_ptr<const ModelBundle> bundle,
 constexpr std::size_t kClusterClientThreads = 4;
 constexpr std::size_t kClusterRequestsPerThread = 150;
 constexpr std::size_t kChaosRequests = 300;
-
-/// Blocking NDJSON client over one loopback connection.
-class LineClient {
- public:
-  explicit LineClient(int port) : fd_(ConnectLoopback(port)) {}
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  LineClient(const LineClient&) = delete;
-  LineClient& operator=(const LineClient&) = delete;
-
-  bool connected() const { return fd_ >= 0; }
-
-  bool SendLine(const std::string& line) {
-    std::string framed = line;
-    framed.push_back('\n');
-    std::size_t offset = 0;
-    while (offset < framed.size()) {
-      const ssize_t n = ::send(fd_, framed.data() + offset,
-                               framed.size() - offset, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      offset += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  bool ReadLine(std::string* out) {
-    for (;;) {
-      const std::size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        out->assign(buffer_, 0, newline);
-        buffer_.erase(0, newline + 1);
-        return true;
-      }
-      char chunk[4096];
-      const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (got <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(got));
-    }
-  }
-
- private:
-  int fd_;
-  std::string buffer_;
-};
 
 /// One in-process serve stack (the objects domd_serve wires up) on an
 /// ephemeral loopback port.
@@ -481,21 +420,16 @@ ClusterResult RunCluster(std::shared_ptr<const ModelBundle> bundle,
     std::vector<std::thread> clients;
     for (std::size_t t = 0; t < kClusterClientThreads; ++t) {
       clients.emplace_back([&, t] {
-        LineClient client(cluster->router_port);
-        if (!client.connected()) {
+        cluster::UpstreamConn client = DialLoopback(cluster->router_port);
+        if (!client.valid()) {
           invalid.fetch_add(kClusterRequestsPerThread);
           return;
         }
-        std::string response;
         for (std::size_t i = 0; i < kClusterRequestsPerThread; ++i) {
           const std::size_t slot =
               (t * kClusterRequestsPerThread + i) % requests.size();
-          if (!client.SendLine(requests[slot]) ||
-              !client.ReadLine(&response)) {
-            invalid.fetch_add(1);
-            continue;
-          }
-          if (ValidRoutedResponse(response)) {
+          const auto response = Exchange(client, requests[slot]);
+          if (response.ok() && ValidRoutedResponse(*response)) {
             ok.fetch_add(1);
           } else {
             invalid.fetch_add(1);
@@ -523,18 +457,13 @@ ClusterResult RunCluster(std::shared_ptr<const ModelBundle> bundle,
     std::fprintf(stderr, "cluster: chaos start failed\n");
     return out;
   }
-  LineClient client(cluster->router_port);
-  if (!client.connected()) return out;
+  cluster::UpstreamConn client = DialLoopback(cluster->router_port);
+  if (!client.valid()) return out;
   out.chaos.requests = kChaosRequests;
-  std::string response;
   for (std::size_t i = 0; i < kChaosRequests; ++i) {
     if (i == kChaosRequests / 2) cluster->shards[0][0]->Kill();
-    if (!client.SendLine(requests[i % requests.size()]) ||
-        !client.ReadLine(&response)) {
-      ++out.chaos.failed;
-      continue;
-    }
-    if (ValidRoutedResponse(response)) {
+    const auto response = Exchange(client, requests[i % requests.size()]);
+    if (response.ok() && ValidRoutedResponse(*response)) {
       ++out.chaos.ok;
     } else {
       ++out.chaos.failed;

@@ -57,7 +57,6 @@ Status CheckRollout(const JsonValue& request) {
 ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
     : host_map_(std::move(host_map)),
       options_(options),
-      pool_(options.upstream),
       verbs_(std::max<std::size_t>(1, options.workers), /*slow_workers=*/0,
              options.max_queue_depth, "router worker queue full") {
   const std::size_t num_shards = host_map_.num_shards();
@@ -282,7 +281,8 @@ void ClusterRouter::RunScatter(const VerbRequest& request,
     }
     bool sent_all = true;
     for (std::size_t i : by_shard[s]) {
-      if (!conn->SendLine(sublines[i], deadline).ok()) {
+      if (!DOMD_FAULT_POINT("cluster.route.send").Check().ok() ||
+          !conn->SendLine(sublines[i], deadline).ok()) {
         sent_all = false;
         break;
       }
@@ -299,7 +299,9 @@ void ClusterRouter::RunScatter(const VerbRequest& request,
     bool conn_healthy = true;
     for (std::size_t gi = 0; gi < by_shard[s].size(); ++gi) {
       const std::size_t i = by_shard[s][gi];
-      auto line = conns[s].ReadLine(deadline);
+      const Status injected = DOMD_FAULT_POINT("cluster.route.recv").Check();
+      auto line = injected.ok() ? conns[s].ReadLine(deadline)
+                                : StatusOr<std::string>(injected);
       if (!line.ok()) {
         // Every pipelined response after a transport failure is lost;
         // the unanswered tail re-routes through hedging below.

@@ -50,7 +50,6 @@ struct RouterOptions {
   std::chrono::milliseconds rollout_rpc_deadline{30000};
   /// Start the background prober (tests drive ProbeOnce() by hand).
   bool start_prober = true;
-  UpstreamOptions upstream;
 };
 
 /// What the router currently believes about one replica endpoint.

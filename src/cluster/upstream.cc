@@ -8,7 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 #include "fault/fault.h"
@@ -17,12 +19,46 @@ namespace domd {
 namespace cluster {
 namespace {
 
-int RemainingMs(UpstreamConn::Clock::time_point deadline) {
-  const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - UpstreamConn::Clock::now());
-  if (remaining.count() <= 0) return 0;
-  if (remaining.count() > 60000) return 60000;
-  return static_cast<int>(remaining.count());
+using Clock = UpstreamConn::Clock;
+
+/// A dial's budget when the caller's deadline is later.
+constexpr std::chrono::milliseconds kConnectTimeout{1000};
+/// Idle connections kept per endpoint; extras close on Return.
+constexpr std::size_t kMaxIdlePerEndpoint = 8;
+
+/// True once `fd` is ready for `events`; false when `deadline` passes
+/// first (or poll itself fails). Polls at least once, so a deadline
+/// already past still sees what has arrived, and resumes after a signal
+/// and after each capped poll, so only the deadline ends the wait.
+bool WaitReady(int fd, short events, Clock::time_point deadline) {
+  for (;;) {
+    const auto remaining = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    pollfd pfd{fd, events, 0};
+    const int ready = ::poll(
+        &pfd, 1, static_cast<int>(std::clamp<std::int64_t>(remaining.count(),
+                                                           0, 60000)));
+    if (ready > 0) return true;
+    if (ready < 0 && errno != EINTR) return false;
+    if (Clock::now() >= deadline) return false;
+  }
+}
+
+/// A fresh dial bounded by kConnectTimeout (and by `deadline` if sooner).
+StatusOr<UpstreamConn> PoolDial(const Endpoint& endpoint,
+                                Clock::time_point deadline) {
+  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("cluster.route.connect").Check());
+  return UpstreamConn::Dial(
+      endpoint, std::min(deadline, Clock::now() + kConnectTimeout));
+}
+
+/// Sends `line` on `conn` and reads one answer.
+StatusOr<std::string> Exchange(UpstreamConn& conn, const std::string& line,
+                               Clock::time_point deadline) {
+  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("cluster.route.send").Check());
+  DOMD_RETURN_IF_ERROR(conn.SendLine(line, deadline));
+  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("cluster.route.recv").Check());
+  return conn.ReadLine(deadline);
 }
 
 }  // namespace
@@ -30,7 +66,6 @@ int RemainingMs(UpstreamConn::Clock::time_point deadline) {
 UpstreamConn& UpstreamConn::operator=(UpstreamConn&& other) noexcept {
   Close();
   fd_ = other.fd_;
-  reused_ = other.reused_;
   buffer_ = std::move(other.buffer_);
   other.fd_ = -1;
   return *this;
@@ -44,76 +79,65 @@ void UpstreamConn::Close() {
 
 StatusOr<UpstreamConn> UpstreamConn::Dial(const Endpoint& endpoint,
                                           Clock::time_point deadline) {
-  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("cluster.route.connect").Check());
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) {
+  UpstreamConn conn;
+  conn.fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (conn.fd_ < 0) {
     return Status::IoError("socket(): " + std::string(std::strerror(errno)));
   }
   const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  ::setsockopt(conn.fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(endpoint.port));
   if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
     return Status::InvalidArgument("bad upstream host \"" + endpoint.host +
                                    "\" (IPv4 literals only)");
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
-      errno != EINPROGRESS) {
-    const Status status = Status::Unavailable(
-        "connect " + endpoint.ToString() + ": " + std::strerror(errno));
-    ::close(fd);
-    return status;
+  const std::string where = "connect " + endpoint.ToString();
+  const auto* peer = reinterpret_cast<const sockaddr*>(&addr);
+  if (::connect(conn.fd_, peer, sizeof(addr)) < 0 && errno != EINPROGRESS) {
+    return Status::Unavailable(where + ": " + std::strerror(errno));
   }
   // Wait for the non-blocking connect to resolve, bounded by the deadline.
-  pollfd pfd{fd, POLLOUT, 0};
-  const int ready = ::poll(&pfd, 1, RemainingMs(deadline));
+  if (!WaitReady(conn.fd_, POLLOUT, deadline)) {
+    return Status::Unavailable(where + ": timed out");
+  }
   int error = 0;
   socklen_t len = sizeof(error);
-  if (ready <= 0 ||
-      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) != 0 ||
+  if (::getsockopt(conn.fd_, SOL_SOCKET, SO_ERROR, &error, &len) != 0 ||
       error != 0) {
-    ::close(fd);
-    return Status::Unavailable(
-        "connect " + endpoint.ToString() + ": " +
-        (ready <= 0 ? "timed out" : std::strerror(error)));
+    return Status::Unavailable(where + ": " + std::strerror(error));
   }
-  UpstreamConn conn;
-  conn.fd_ = fd;
   return conn;
 }
 
-Status UpstreamConn::SendLine(const std::string& line,
-                              Clock::time_point deadline) {
-  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("cluster.route.send").Check());
-  const std::string framed = line + "\n";
+Status UpstreamConn::Send(std::string_view bytes,
+                          Clock::time_point deadline) {
   std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent,
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
                              MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd pfd{fd_, POLLOUT, 0};
-      const int wait_ms = RemainingMs(deadline);
-      if (wait_ms == 0 || ::poll(&pfd, 1, wait_ms) <= 0) {
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (!WaitReady(fd_, POLLOUT, deadline)) {
         return Status::Unavailable("upstream send timed out");
       }
-      continue;
+    } else if (n < 0 && errno != EINTR) {
+      return Status::Unavailable("upstream send: " +
+                                 std::string(std::strerror(errno)));
     }
-    return Status::Unavailable("upstream send: " +
-                               std::string(std::strerror(errno)));
   }
   return Status::OK();
 }
 
+Status UpstreamConn::SendLine(const std::string& line,
+                              Clock::time_point deadline) {
+  return Send(line + "\n", deadline);
+}
+
 StatusOr<std::string> UpstreamConn::ReadLine(Clock::time_point deadline) {
-  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("cluster.route.recv").Check());
   for (;;) {
     const std::size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
@@ -121,9 +145,7 @@ StatusOr<std::string> UpstreamConn::ReadLine(Clock::time_point deadline) {
       buffer_.erase(0, newline + 1);
       return out;
     }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int wait_ms = RemainingMs(deadline);
-    if (wait_ms == 0 || ::poll(&pfd, 1, wait_ms) <= 0) {
+    if (!WaitReady(fd_, POLLIN, deadline)) {
       return Status::Unavailable("upstream read timed out");
     }
     char chunk[8192];
@@ -132,7 +154,7 @@ StatusOr<std::string> UpstreamConn::ReadLine(Clock::time_point deadline) {
       return Status::Unavailable("upstream closed the connection");
     }
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
       return Status::Unavailable("upstream read: " +
                                  std::string(std::strerror(errno)));
     }
@@ -140,63 +162,51 @@ StatusOr<std::string> UpstreamConn::ReadLine(Clock::time_point deadline) {
   }
 }
 
-UpstreamPool::UpstreamPool(UpstreamOptions options)
-    : options_(options) {}
+UpstreamConn UpstreamPool::TakeIdle(const Endpoint& endpoint) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = idle_.find(endpoint.ToString());
+  if (it == idle_.end() || it->second.empty()) return UpstreamConn();
+  UpstreamConn conn = std::move(it->second.back());
+  it->second.pop_back();
+  return conn;
+}
 
 StatusOr<UpstreamConn> UpstreamPool::Checkout(const Endpoint& endpoint,
                                               Clock::time_point deadline) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = idle_.find(endpoint.ToString());
-    if (it != idle_.end() && !it->second.empty()) {
-      UpstreamConn conn = std::move(it->second.back());
-      it->second.pop_back();
-      conn.reused_ = true;
-      return conn;
-    }
-  }
-  const auto dial_deadline =
-      std::min(deadline, Clock::now() + options_.connect_timeout);
-  return UpstreamConn::Dial(endpoint, dial_deadline);
+  UpstreamConn idle = TakeIdle(endpoint);
+  if (idle.valid()) return idle;
+  return PoolDial(endpoint, deadline);
 }
 
 void UpstreamPool::Return(const Endpoint& endpoint, UpstreamConn conn) {
   if (!conn.valid()) return;
-  conn.reused_ = false;
   std::lock_guard<std::mutex> lock(mutex_);
   auto& idle = idle_[endpoint.ToString()];
-  if (idle.size() >= options_.max_idle_per_endpoint) return;  // conn closes.
+  if (idle.size() >= kMaxIdlePerEndpoint) return;  // conn closes.
   idle.push_back(std::move(conn));
 }
 
 StatusOr<std::string> UpstreamPool::Rpc(const Endpoint& endpoint,
                                         const std::string& line,
                                         Clock::time_point deadline) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    auto conn = Checkout(endpoint, deadline);
-    if (!conn.ok()) return conn.status();
-    const bool was_reused = conn->reused();
-    Status sent = conn->SendLine(line, deadline);
-    if (sent.ok()) {
-      auto response = conn->ReadLine(deadline);
-      if (response.ok()) {
-        Return(endpoint, std::move(*conn));
-        return response;
-      }
-      sent = response.status();
+  UpstreamConn idle = TakeIdle(endpoint);
+  if (idle.valid()) {
+    auto response = Exchange(idle, line, deadline);
+    if (response.ok()) {
+      Return(endpoint, std::move(idle));
+      return response;
     }
-    // A stale pooled connection fails exactly like a dead shard; one
-    // fresh dial disambiguates before the endpoint is blamed.
-    if (!was_reused) return sent;
+    // A stale pooled connection fails exactly like a dead peer; one fresh
+    // dial tells them apart before the endpoint is blamed. A timeout used
+    // the whole deadline, so it is final: the peer may still be working
+    // on the request, and a resend would run it twice.
+    if (Clock::now() >= deadline) return response;
   }
-  return Status::Unavailable("unreachable");  // loop always returns.
-}
-
-std::size_t UpstreamPool::idle_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& [endpoint, conns] : idle_) count += conns.size();
-  return count;
+  auto conn = PoolDial(endpoint, deadline);
+  if (!conn.ok()) return conn.status();
+  auto response = Exchange(*conn, line, deadline);
+  if (response.ok()) Return(endpoint, std::move(*conn));
+  return response;
 }
 
 }  // namespace cluster

@@ -2,10 +2,10 @@
 #define DOMD_CLUSTER_UPSTREAM_H_
 
 #include <chrono>
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/host_map.h"
@@ -14,10 +14,14 @@
 namespace domd {
 namespace cluster {
 
-/// One upstream NDJSON connection: a non-blocking TCP socket plus its
-/// partial-line read buffer. Movable; closes on destruction. All I/O is
-/// deadline-bounded via poll, so a hung shard costs the caller exactly its
-/// deadline, never a wedged thread.
+/// One NDJSON connection: a non-blocking TCP socket plus its partial-line
+/// read buffer. The one socket client of the repo: the router and
+/// replication reach their peers through it (via UpstreamPool), and the
+/// tests and bench_serving talk to servers with it. Movable; closes on
+/// destruction. Every wait is bounded by its deadline and lasts until it:
+/// a signal or a long wait never ends one early, and a deadline already
+/// past still takes what has arrived. So a hung peer costs the caller
+/// exactly its deadline, never a wedged thread.
 class UpstreamConn {
  public:
   UpstreamConn() = default;
@@ -35,50 +39,39 @@ class UpstreamConn {
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
-  /// True when this connection came out of the idle pool rather than a
-  /// fresh dial — its peer may have silently gone away, so a transport
-  /// failure on it warrants one redial before the endpoint is blamed.
-  bool reused() const { return reused_; }
+
+  /// Writes all of `bytes` by `deadline`.
+  Status Send(std::string_view bytes, Clock::time_point deadline);
 
   /// Writes `line` plus the terminating newline, all of it, by `deadline`.
-  /// Fault point cluster.route.send can inject a failure.
   Status SendLine(const std::string& line, Clock::time_point deadline);
 
   /// Reads the next newline-terminated line (newline stripped) by
-  /// `deadline`. EOF and timeouts are kUnavailable. Fault point
-  /// cluster.route.recv can inject a failure.
+  /// `deadline`. EOF and timeouts are kUnavailable.
   StatusOr<std::string> ReadLine(Clock::time_point deadline);
 
   void Close();
 
  private:
-  friend class UpstreamPool;
   int fd_ = -1;
-  bool reused_ = false;
   std::string buffer_;
 };
 
-/// Tuning knobs of the upstream client.
-struct UpstreamOptions {
-  std::chrono::milliseconds connect_timeout{1000};
-  /// Idle connections kept per endpoint; extras close on Return.
-  std::size_t max_idle_per_endpoint = 8;
-};
-
 /// A thread-safe pool of persistent upstream connections, keyed by
-/// endpoint. Checkout pops an idle connection or dials a new one; Return
-/// parks a still-healthy connection for reuse. `Rpc` is the one-call
-/// request/response path routers use for single-shard verbs; scatter-
-/// gather checks out one connection per shard and polls them itself.
+/// endpoint. Checkout pops an idle connection or dials a new one (within
+/// 1 s, or sooner by the caller's deadline); Return parks a still-healthy
+/// connection for reuse, up to 8 per endpoint. `Rpc` is the one-call
+/// request/response path routers and replication use; scatter-gather
+/// checks out one connection per shard and pipelines over it itself.
+///
+/// Fault point cluster.route.connect fires on every dial the pool makes,
+/// and cluster.route.send / .recv on every send and read of `Rpc` and of
+/// the router's scatter pipeline. A bare UpstreamConn fires none of them.
 class UpstreamPool {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit UpstreamPool(UpstreamOptions options = {});
-
-  /// An idle pooled connection, or a fresh dial bounded by
-  /// options.connect_timeout (and by `deadline` if sooner). Fault point
-  /// cluster.route.connect can inject a dial failure.
+  /// An idle pooled connection, or a fresh dial.
   StatusOr<UpstreamConn> Checkout(const Endpoint& endpoint,
                                   Clock::time_point deadline);
 
@@ -89,17 +82,17 @@ class UpstreamPool {
 
   /// One round trip: checkout, send `line`, read one response line,
   /// return the connection. A transport failure on a *reused* pooled
-  /// connection (stale peer) is retried once on a fresh dial before the
-  /// endpoint is reported failed.
+  /// connection (stale peer) is retried once, on a fresh dial, if the
+  /// deadline has not passed.
   StatusOr<std::string> Rpc(const Endpoint& endpoint, const std::string& line,
                             Clock::time_point deadline);
 
-  /// Idle connections currently parked (tests).
-  std::size_t idle_count() const;
-
  private:
-  const UpstreamOptions options_;
-  mutable std::mutex mutex_;
+  /// Pops an idle connection to `endpoint`; an invalid one if none is
+  /// parked.
+  UpstreamConn TakeIdle(const Endpoint& endpoint);
+
+  std::mutex mutex_;
   std::map<std::string, std::vector<UpstreamConn>> idle_;  ///< by endpoint.
 };
 

@@ -1,25 +1,6 @@
 #include "features/feature_tensor.h"
 
-#include <cstring>
-#include <fstream>
-
 namespace domd {
-namespace {
-
-constexpr char kMagic[8] = {'D', 'O', 'M', 'D', 'T', 'N', 'S', '1'};
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-}  // namespace
 
 StatusOr<FeatureTensor> FeatureTensor::SelectAvails(
     const std::vector<std::int64_t>& ids) const {
@@ -38,64 +19,6 @@ StatusOr<FeatureTensor> FeatureTensor::SelectAvails(
     out.slices_[step] = slices_[step].SelectRows(rows);
   }
   return out;
-}
-
-Status FeatureTensor::SaveBinary(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  WritePod(out, static_cast<std::uint64_t>(avail_ids_.size()));
-  WritePod(out, static_cast<std::uint64_t>(time_grid_.size()));
-  WritePod(out, static_cast<std::uint64_t>(num_features()));
-  for (std::int64_t id : avail_ids_) WritePod(out, id);
-  for (double t : time_grid_) WritePod(out, t);
-  for (const Matrix& slice : slices_) {
-    out.write(reinterpret_cast<const char*>(slice.data().data()),
-              static_cast<std::streamsize>(slice.data().size() *
-                                           sizeof(double)));
-  }
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::OK();
-}
-
-StatusOr<FeatureTensor> FeatureTensor::LoadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a DoMD tensor cache: " + path);
-  }
-  std::uint64_t num_avails = 0, num_steps = 0, features = 0;
-  if (!ReadPod(in, &num_avails) || !ReadPod(in, &num_steps) ||
-      !ReadPod(in, &features)) {
-    return Status::InvalidArgument("truncated tensor header");
-  }
-  if (num_avails > 10'000'000 || num_steps > 10'000 ||
-      features > 10'000'000) {
-    return Status::OutOfRange("implausible tensor dimensions");
-  }
-  std::vector<std::int64_t> ids(num_avails);
-  for (std::int64_t& id : ids) {
-    if (!ReadPod(in, &id)) {
-      return Status::InvalidArgument("truncated avail id list");
-    }
-  }
-  std::vector<double> grid(num_steps);
-  for (double& t : grid) {
-    if (!ReadPod(in, &t)) {
-      return Status::InvalidArgument("truncated time grid");
-    }
-  }
-  FeatureTensor tensor(std::move(ids), std::move(grid), features);
-  for (std::size_t step = 0; step < num_steps; ++step) {
-    Matrix& slice = tensor.slice(step);
-    in.read(reinterpret_cast<char*>(slice.data().data()),
-            static_cast<std::streamsize>(slice.data().size() *
-                                         sizeof(double)));
-    if (!in) return Status::InvalidArgument("truncated tensor slice");
-  }
-  return tensor;
 }
 
 }  // namespace domd

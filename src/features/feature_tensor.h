@@ -47,14 +47,6 @@ class FeatureTensor {
   StatusOr<FeatureTensor> SelectAvails(
       const std::vector<std::int64_t>& ids) const;
 
-  /// Writes the tensor as a compact binary cache file. Feature engineering
-  /// is the expensive step of serving — a cache lets a server restart
-  /// without re-sweeping the RCC history.
-  Status SaveBinary(const std::string& path) const;
-
-  /// Reads a cache written by SaveBinary.
-  static StatusOr<FeatureTensor> LoadBinary(const std::string& path);
-
  private:
   std::vector<std::int64_t> avail_ids_;
   std::vector<double> time_grid_;

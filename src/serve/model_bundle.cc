@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -52,6 +51,61 @@ StatusOr<std::string> ReadFileBytes(const std::string& path) {
   if (!bytes.ok()) return bytes.status();
   DOMD_FAULT_POINT("serve.bundle.corrupt").MaybeCorrupt(&*bytes);
   return bytes;
+}
+
+/// What a bundle MANIFEST records.
+struct Manifest {
+  std::string version;
+  std::uint64_t schema_hash = 0;
+  std::size_t num_avails = 0;
+  std::size_t num_rccs = 0;
+  /// Per payload file; empty for a v1 manifest, which records none.
+  std::map<std::string, std::uint64_t> checksums;
+};
+
+/// Parses the MANIFEST text of the bundle in `dir` (named in errors), for
+/// Load and for CopyBundleDurable alike. v1 manifests (pre-checksum) are
+/// still accepted so old artifacts load; they simply skip the corruption
+/// gate. Every v2 manifest must name a checksum for all three payload
+/// files.
+StatusOr<Manifest> ParseManifest(const std::string& dir,
+                                 const std::string& text) {
+  std::istringstream in(text);
+  std::string magic, format;
+  if (!(in >> magic >> format) || magic != "domd_bundle" ||
+      (format != "v1" && format != "v2")) {
+    return Status::InvalidArgument(dir + ": not a domd bundle (bad magic)");
+  }
+  Manifest manifest;
+  std::string key;
+  if (!(in >> key >> manifest.version) || key != "version" ||
+      !IsValidVersionTag(manifest.version)) {
+    return Status::InvalidArgument(dir + ": bad manifest version record");
+  }
+  if (!(in >> key >> manifest.schema_hash) || key != "schema_hash") {
+    return Status::InvalidArgument(dir + ": bad manifest schema_hash record");
+  }
+  if (!(in >> key >> manifest.num_avails) || key != "avails" ||
+      !(in >> key >> manifest.num_rccs) || key != "rccs") {
+    return Status::InvalidArgument(dir + ": bad manifest cardinality record");
+  }
+  if (format == "v1") return manifest;
+  std::string name;
+  std::uint64_t sum = 0;
+  while (in >> key >> name >> sum) {
+    if (key != "checksum") {
+      return Status::InvalidArgument(dir + ": bad manifest record \"" + key +
+                                     "\"");
+    }
+    manifest.checksums[name] = sum;
+  }
+  for (const char* required : {kAvailsName, kRccsName, kModelsName}) {
+    if (manifest.checksums.count(required) == 0) {
+      return Status::DataLoss(dir + ": manifest lacks a checksum for " +
+                              required + " — torn or tampered bundle");
+    }
+  }
+  return manifest;
 }
 
 /// Writes `content` to `path` and fsyncs it before closing, so a committed
@@ -214,33 +268,13 @@ Status ModelBundle::WriteModels(const std::string& models_text,
 
 Status CopyBundleDurable(const std::string& src_dir,
                          const std::string& dest_dir) {
-  // Read the manifest first: its checksum records gate the copy exactly
-  // like they gate Load, so a corrupt source never propagates.
+  // Read and parse the manifest first, by Load's rules: its checksum
+  // records gate the copy exactly like they gate Load, so a corrupt or
+  // torn source never propagates, and a bad manifest stages nothing.
   auto manifest_bytes = ReadFileBytes(src_dir + "/" + kManifestName);
   if (!manifest_bytes.ok()) return manifest_bytes.status();
-
-  std::map<std::string, std::uint64_t> checksums;
-  {
-    std::istringstream manifest(*manifest_bytes);
-    std::string magic, format;
-    if (!(manifest >> magic >> format) || magic != "domd_bundle" ||
-        (format != "v1" && format != "v2")) {
-      return Status::InvalidArgument(src_dir +
-                                     ": not a domd bundle (bad magic)");
-    }
-    if (format == "v2") {
-      std::string line;
-      std::getline(manifest, line);  // rest of the magic line.
-      while (std::getline(manifest, line)) {
-        std::istringstream record(line);
-        std::string key, name;
-        std::uint64_t sum = 0;
-        if ((record >> key >> name >> sum) && key == "checksum") {
-          checksums[name] = sum;
-        }
-      }
-    }
-  }
+  auto manifest = ParseManifest(src_dir, *manifest_bytes);
+  if (!manifest.ok()) return manifest.status();
 
   const std::string staging = dest_dir + ".tmp";
   std::error_code ec;
@@ -254,8 +288,8 @@ Status CopyBundleDurable(const std::string& src_dir,
   for (const char* name : {kModelsName, kAvailsName, kRccsName}) {
     auto bytes = ReadFileBytes(src_dir + "/" + name);
     if (!bytes.ok()) return bytes.status();
-    const auto expected = checksums.find(name);
-    if (expected != checksums.end() &&
+    const auto expected = manifest->checksums.find(name);
+    if (expected != manifest->checksums.end() &&
         BundleFileChecksum(*bytes) != expected->second) {
       return Status::DataLoss(src_dir + "/" + name +
                               ": checksum mismatch during staging copy");
@@ -272,59 +306,22 @@ Status CopyBundleDurable(const std::string& src_dir,
 StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
     const std::string& dir, const Parallelism& parallelism,
     std::size_t cache_bytes) {
-  std::ifstream manifest(dir + "/" + kManifestName);
-  if (!manifest) {
+  auto manifest_text = ReadFileToString(dir + "/" + kManifestName);
+  if (!manifest_text.ok()) {
     return Status::IoError("cannot open bundle manifest in " + dir);
   }
   DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.read").Check());
-  std::string magic, format;
-  if (!(manifest >> magic >> format) || magic != "domd_bundle" ||
-      (format != "v1" && format != "v2")) {
-    return Status::InvalidArgument(dir + ": not a domd bundle (bad magic)");
-  }
-  // v1 manifests (pre-checksum) are still accepted so old artifacts load;
-  // they simply skip the corruption gate. Every v2 manifest must name a
-  // checksum for all three payload files.
-  const bool has_checksums = format == "v2";
-  std::string version;
-  std::uint64_t schema_hash = 0;
-  std::size_t num_avails = 0, num_rccs = 0;
-  std::string key;
-  if (!(manifest >> key >> version) || key != "version" ||
-      !IsValidVersionTag(version)) {
-    return Status::InvalidArgument(dir + ": bad manifest version record");
-  }
-  if (!(manifest >> key >> schema_hash) || key != "schema_hash") {
-    return Status::InvalidArgument(dir + ": bad manifest schema_hash record");
-  }
-  if (!(manifest >> key >> num_avails) || key != "avails" ||
-      !(manifest >> key >> num_rccs) || key != "rccs") {
-    return Status::InvalidArgument(dir + ": bad manifest cardinality record");
-  }
-  std::map<std::string, std::uint64_t> checksums;
-  if (has_checksums) {
-    std::string name;
-    std::uint64_t sum = 0;
-    while (manifest >> key >> name >> sum) {
-      if (key != "checksum") {
-        return Status::InvalidArgument(dir + ": bad manifest record \"" +
-                                       key + "\"");
-      }
-      checksums[name] = sum;
-    }
-    for (const char* required : {kAvailsName, kRccsName, kModelsName}) {
-      if (checksums.count(required) == 0) {
-        return Status::DataLoss(dir + ": manifest lacks a checksum for " +
-                                required + " — torn or tampered bundle");
-      }
-    }
-  }
+  auto manifest = ParseManifest(dir, *manifest_text);
+  if (!manifest.ok()) return manifest.status();
+  const std::map<std::string, std::uint64_t>& checksums = manifest->checksums;
+  const bool has_checksums = !checksums.empty();
 
   // Schema-compatibility gate: a bundle written under a different feature
   // catalog would misalign model input columns — refuse early and loudly.
-  if (schema_hash != ServingSchemaHash()) {
+  if (manifest->schema_hash != ServingSchemaHash()) {
     return Status::FailedPrecondition(
-        dir + ": bundle schema hash " + std::to_string(schema_hash) +
+        dir + ": bundle schema hash " +
+        std::to_string(manifest->schema_hash) +
         " does not match this binary's feature schema " +
         std::to_string(ServingSchemaHash()));
   }
@@ -347,10 +344,10 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
       }
       return bytes.status();
     }
-    if (has_checksums && BundleFileChecksum(*bytes) != checksums[name]) {
+    if (has_checksums && BundleFileChecksum(*bytes) != checksums.at(name)) {
       return Status::DataLoss(
           dir + "/" + name + ": checksum mismatch (manifest " +
-          std::to_string(checksums[name]) + ", file " +
+          std::to_string(checksums.at(name)) + ", file " +
           std::to_string(BundleFileChecksum(*bytes)) +
           ") — bundle is torn or corrupt");
     }
@@ -358,8 +355,8 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
   }
 
   auto bundle = std::shared_ptr<ModelBundle>(new ModelBundle());
-  bundle->version_ = version;
-  bundle->schema_hash_ = schema_hash;
+  bundle->version_ = manifest->version;
+  bundle->schema_hash_ = manifest->schema_hash;
   bundle->directory_ = dir;
 
   Dataset reference;
@@ -374,8 +371,8 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
   if (!rccs.ok()) return rccs.status();
   reference.rccs = std::move(*rccs);
 
-  if (reference.avails.size() != num_avails ||
-      reference.rccs.size() != num_rccs) {
+  if (reference.avails.size() != manifest->num_avails ||
+      reference.rccs.size() != manifest->num_rccs) {
     return Status::FailedPrecondition(
         dir + ": reference tables do not match manifest cardinalities");
   }

@@ -161,8 +161,10 @@ std::uint64_t BundleFileChecksum(std::string_view bytes);
 
 /// Crash-safe bundle distribution: copies the published bundle at
 /// `src_dir` into `dest_dir` through the same staging protocol as
-/// `ModelBundle::Write` — every file is read (serve.bundle.read), verified
-/// against the manifest checksums, staged durably into `dest_dir.tmp`
+/// `ModelBundle::Write` — the manifest is parsed by `Load`'s rules (a v2
+/// manifest missing a checksum is kDataLoss before anything is staged),
+/// every file is read (serve.bundle.read), verified against the manifest
+/// checksums, staged durably into `dest_dir.tmp`
 /// (serve.bundle.write), and atomically renamed into place
 /// (serve.bundle.commit). This is the per-shard "stage" step of a
 /// coordinated cluster rollout: a crash or injected fault mid-copy leaves

@@ -99,7 +99,7 @@ const char* ReplRoleName(ReplRole role) {
 
 ReplicationManager::ReplicationManager(DataStore* store,
                                        ReplicationOptions options)
-    : store_(store), options_(std::move(options)), pool_(options_.upstream) {
+    : store_(store), options_(std::move(options)) {
   role_ = options_.peers.empty() ? ReplRole::kStandalone
                                  : ReplRole::kFollower;
   peers_.resize(options_.peers.size());

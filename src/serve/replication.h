@@ -44,7 +44,6 @@ struct ReplicationOptions {
   /// syncs from reachable peers and starts pushing without waiting for
   /// the first routed ingest.
   bool start_primary = false;
-  cluster::UpstreamOptions upstream;
 };
 
 /// A replica's current stance toward the write path.

@@ -178,6 +178,32 @@ TEST(ModelBundleTest, V2ManifestMissingAChecksumLineIsDataLoss) {
   EXPECT_EQ(bundle.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(ModelBundleTest, CopyRefusesAV2ManifestMissingAChecksum) {
+  const auto& fixture = GetServeFixture();
+  const std::string src = ::testing::TempDir() + "/domd_bundle_copy_nosum";
+  const std::string dest = src + "_dest";
+  for (const std::string& dir : {src, dest, dest + ".tmp"}) {
+    std::filesystem::remove_all(dir);
+  }
+  std::filesystem::copy(fixture.dir_v1, src,
+                        std::filesystem::copy_options::recursive);
+  {
+    // Keep every manifest record but the models.txt checksum.
+    std::ifstream in(src + "/MANIFEST");
+    std::string kept, line;
+    while (std::getline(in, line)) {
+      if (line.rfind("checksum models.txt", 0) != 0) kept += line + "\n";
+    }
+    in.close();
+    std::ofstream(src + "/MANIFEST", std::ios::trunc) << kept;
+  }
+  // The copy reads the manifest by Load's rules: nothing is staged.
+  EXPECT_EQ(ModelBundle::Load(src).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(CopyBundleDurable(src, dest).code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(std::filesystem::exists(dest));
+  EXPECT_FALSE(std::filesystem::exists(dest + ".tmp"));
+}
+
 TEST(ModelBundleTest, LegacyV1ManifestStillLoadsWithoutChecksums) {
   const auto& fixture = GetServeFixture();
   const std::string dir = ::testing::TempDir() + "/domd_bundle_legacy";

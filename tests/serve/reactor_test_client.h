@@ -1,20 +1,17 @@
 #ifndef DOMD_TESTS_SERVE_REACTOR_TEST_CLIENT_H_
 #define DOMD_TESTS_SERVE_REACTOR_TEST_CLIENT_H_
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
 #include <thread>
+
+#include "cluster/upstream.h"
 
 namespace domd {
 namespace testing_internal {
@@ -31,63 +28,36 @@ inline bool WaitFor(const std::function<bool()>& pred,
   return pred();
 }
 
-/// A deliberately low-level blocking TCP client for wire-level assertions:
-/// it can split writes at arbitrary byte boundaries, half-close, reset
-/// abruptly, or simply stop reading — the misbehaviors the reactor must
-/// survive.
+/// The repo's one socket client (cluster::UpstreamConn) plus what a
+/// production client must never do, for wire-level assertions: split
+/// writes at arbitrary byte boundaries, half-close, reset abruptly, shrink
+/// its receive buffer, or simply stop reading — the misbehaviors the
+/// reactor must survive.
 class TestClient {
  public:
-  TestClient() = default;
-  ~TestClient() { Close(); }
-  TestClient(const TestClient&) = delete;
-  TestClient& operator=(const TestClient&) = delete;
-  TestClient(TestClient&& other) noexcept { *this = std::move(other); }
-  TestClient& operator=(TestClient&& other) noexcept {
-    Close();
-    fd_ = other.fd_;
-    buffer_ = std::move(other.buffer_);
-    other.fd_ = -1;
-    return *this;
-  }
+  using Clock = cluster::UpstreamConn::Clock;
 
-  /// Connects to 127.0.0.1:port. `rcvbuf_bytes` > 0 shrinks the client's
-  /// receive buffer before connecting (so the peer hits EAGAIN quickly in
+  /// Connects to 127.0.0.1:port. `rcvbuf_bytes` > 0 then shrinks the
+  /// client's receive buffer (so the peer hits EAGAIN quickly in
   /// slow-reader tests).
   static TestClient Connect(int port, int rcvbuf_bytes = 0) {
     TestClient client;
-    client.fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (client.fd_ < 0) return client;
+    auto conn = cluster::UpstreamConn::Dial(
+        {"127.0.0.1", port}, Clock::now() + std::chrono::seconds(5));
+    if (!conn.ok()) return client;
+    client.conn_ = std::move(*conn);
     if (rcvbuf_bytes > 0) {
-      ::setsockopt(client.fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
+      ::setsockopt(client.conn_.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
                    sizeof(rcvbuf_bytes));
-    }
-    const int one = 1;
-    ::setsockopt(client.fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(client.fd_, reinterpret_cast<sockaddr*>(&addr),
-                  sizeof(addr)) < 0) {
-      ::close(client.fd_);
-      client.fd_ = -1;
     }
     return client;
   }
 
-  bool connected() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
+  bool connected() const { return conn_.valid(); }
 
   /// Sends all of `bytes`; returns false on any send failure.
   bool Send(const std::string& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
+    return conn_.Send(bytes, Clock::now() + std::chrono::seconds(10)).ok();
   }
 
   /// Sends one request line (appends the newline).
@@ -109,69 +79,44 @@ class TestClient {
   /// on EOF / error / timeout.
   std::optional<std::string> ReadLine(std::chrono::milliseconds timeout =
                                           std::chrono::milliseconds(10000)) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    for (;;) {
-      const std::size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(deadline -
-                                     std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) return std::nullopt;
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-      if (ready <= 0) return std::nullopt;
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return std::nullopt;  // EOF or reset.
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
+    auto line = conn_.ReadLine(Clock::now() + timeout);
+    if (!line.ok()) return std::nullopt;
+    return std::move(*line);
   }
 
   /// True once the peer has closed (EOF or reset) within `timeout`. Any
   /// bytes received while waiting are discarded.
   bool AtEof(std::chrono::milliseconds timeout =
                  std::chrono::milliseconds(5000)) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    const auto deadline = Clock::now() + timeout;
     for (;;) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(deadline -
-                                     std::chrono::steady_clock::now());
+      const auto remaining =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              deadline - Clock::now());
       if (remaining.count() <= 0) return false;
-      pollfd pfd{fd_, POLLIN, 0};
+      pollfd pfd{conn_.fd(), POLLIN, 0};
       if (::poll(&pfd, 1, static_cast<int>(remaining.count())) <= 0) {
         return false;
       }
       char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return true;
+      const ssize_t n = ::recv(conn_.fd(), chunk, sizeof(chunk), 0);
+      if (n == 0 || (n < 0 && errno != EAGAIN && errno != EINTR)) return true;
     }
   }
 
   /// Half-close: FIN the write side, keep reading.
-  void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
+  void ShutdownWrite() { ::shutdown(conn_.fd(), SHUT_WR); }
 
   /// Abrupt close: SO_LINGER(0) turns close() into a TCP RST.
   void ResetAbruptly() {
-    if (fd_ < 0) return;
+    if (!conn_.valid()) return;
     linger hard{1, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
-    ::close(fd_);
-    fd_ = -1;
-  }
-
-  void Close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
+    ::setsockopt(conn_.fd(), SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+    conn_.Close();
   }
 
  private:
-  int fd_ = -1;
-  std::string buffer_;
+  cluster::UpstreamConn conn_;
 };
 
 /// One request/response round trip on a fresh connection to `port`; ""
