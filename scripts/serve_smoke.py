@@ -28,7 +28,9 @@ existed as a mutation stream — the continuous-retraining loop end to end.
 The third form is the sharded-cluster mode: it launches K domd_serve
 shards (shard 0 with a replica) plus a domd_router fronting them, checks
 routed answers against the shards directly (bit-identity, latency aside),
-exercises scatter-gather, kills shard 0's primary mid-load and requires
+exercises scatter-gather, routes a full-size detached request (a whole
+RCC stream) and a truncated one (the router's parse error must equal the
+shard's byte for byte), kills shard 0's primary mid-load and requires
 hedging to keep client-visible errors bounded, restarts it on the same
 port and waits for the router's health prober to report the rejoin, then
 drives a coordinated rollout to a second bundle through the router.
@@ -65,6 +67,7 @@ Exits non-zero on the first mismatch. Used by the CI serving smoke and
 chaos jobs; runnable locally the same way.
 """
 
+import csv
 import json
 import re
 import resource
@@ -600,6 +603,50 @@ def run_open_loop(server_bin, bundle_v1, connections, target_rps):
             server.kill()
 
 
+def detached_from_fleet(fleet, target_rccs=300):
+    """A detached request for the fleet avail whose RCC stream is nearest
+    `target_rccs` long, carrying the avail and every one of its RCCs as a
+    client would send them (a full-size line, ~40 KB)."""
+    with open(fleet / "avails.csv", newline="") as f:
+        avails = list(csv.DictReader(f))
+    streams = {}
+    with open(fleet / "rccs.csv", newline="") as f:
+        for rcc in csv.DictReader(f):
+            streams.setdefault(rcc["avail_id"], []).append(rcc)
+    row = min(avails, key=lambda a: (
+        abs(len(streams.get(a["avail_id"], [])) - target_rccs),
+        int(a["avail_id"])))
+    avail = {"id": int(row["avail_id"]), "ship_id": int(row["ship_id"]),
+             "status": row["status"], "planned_start": row["plan_start"],
+             "planned_end": row["plan_end"],
+             "actual_start": row["actual_start"]}
+    if row["actual_end"]:
+        avail["actual_end"] = row["actual_end"]
+    for key in ("ship_class", "rmc_id", "avail_type", "homeport",
+                "prior_avail_count", "crew_size"):
+        avail[key] = int(row[key])
+    for key in ("ship_age_years", "contract_value_musd"):
+        avail[key] = float(row[key])
+    rccs = []
+    for rcc in streams[row["avail_id"]]:
+        item = {"id": int(rcc["rcc_id"]), "type": rcc["type"],
+                "swlin": rcc["swlin"],
+                "creation_date": rcc["creation_date"]}
+        if rcc["settled_date"]:
+            item["settled_date"] = rcc["settled_date"]
+        item["settled_amount"] = float(rcc["settled_amount"])
+        rccs.append(item)
+    return {"avail": avail, "rccs": rccs, "top_k": 5, "t_star": 60}
+
+
+def raw_rpc(port, line):
+    """Sends `line` as is on a fresh connection; returns the answer line's
+    bytes, newline included."""
+    with connect_with_retry(port) as sock:
+        sock.sendall(line.encode() + b"\n")
+        return sock.makefile("rb").readline()
+
+
 def run_cluster_flow(build, bundle_v1, bundle_v2, work, num_shards):
     """Cluster mode: K single-replica shards plus a replicated shard 0,
     fronted by domd_router. Verifies routed answers against the shards
@@ -669,6 +716,32 @@ def run_cluster_flow(build, bundle_v1, bundle_v2, work, num_shards):
         expect(scatter.get("ok") and scatter.get("errors") == 0 and
                [r.get("avail_id") for r in scatter.get("results", [])] == ids,
                f"bad scatter-gather response: {scatter}")
+
+        # A full-size detached request (a whole RCC stream) routed by its
+        # ship: every shard serves the same bundle, so the routed answer,
+        # latency aside, must equal each shard's direct answer, the owner's
+        # included.
+        detached = detached_from_fleet(work / "fleet")
+        routed = rpc(detached)
+        expect(routed.get("ok") and
+               routed.get("avail_id") == detached["avail"]["id"],
+               f"routed detached predict failed: {routed}")
+        for _, port in shards[:-1]:
+            direct = strip_latency(shard_rpc(port, detached))
+            expect(strip_latency(routed) == direct,
+                   f"routed detached answer differs from shard :{port}'s "
+                   f"({len(detached['rccs'])} rccs)")
+
+        # A truncated detached line: the router's parse error must be the
+        # shard's, byte for byte.
+        line = json.dumps(detached, separators=(",", ":"))
+        cut = line[:len(line) // 2]
+        routed_error = raw_rpc(router_port, cut)
+        direct_error = raw_rpc(shards[0][1], cut)
+        expect(routed_error.startswith(b'{"ok":false') and
+               routed_error == direct_error,
+               f"truncated detached line: router answered {routed_error!r}, "
+               f"shard {direct_error!r}")
 
         # Wait for the prober to mark every replica up before the chaos.
         deadline = time.time() + 10

@@ -67,7 +67,9 @@ UpstreamConn& UpstreamConn::operator=(UpstreamConn&& other) noexcept {
   Close();
   fd_ = other.fd_;
   buffer_ = std::move(other.buffer_);
+  scanned_ = other.scanned_;
   other.fd_ = -1;
+  other.scanned_ = 0;
   return *this;
 }
 
@@ -75,6 +77,7 @@ void UpstreamConn::Close() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
   buffer_.clear();
+  scanned_ = 0;
 }
 
 StatusOr<UpstreamConn> UpstreamConn::Dial(const Endpoint& endpoint,
@@ -139,12 +142,16 @@ Status UpstreamConn::SendLine(const std::string& line,
 
 StatusOr<std::string> UpstreamConn::ReadLine(Clock::time_point deadline) {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    // Each byte is searched once: a long line arriving over many reads
+    // costs linear time, not quadratic.
+    const std::size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
       std::string out = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return out;
     }
+    scanned_ = buffer_.size();
     if (!WaitReady(fd_, POLLIN, deadline)) {
       return Status::Unavailable("upstream read timed out");
     }

@@ -55,6 +55,7 @@ class UpstreamConn {
  private:
   int fd_ = -1;
   std::string buffer_;
+  std::size_t scanned_ = 0;  ///< prefix of buffer_ known to hold no '\n'.
 };
 
 /// A thread-safe pool of persistent upstream connections, keyed by

@@ -1,10 +1,10 @@
 #include "serve/json.h"
 
 #include <array>
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <tuple>
+#include <utility>
 
 namespace domd {
 
@@ -43,145 +43,176 @@ JsonValue JsonValue::Object() {
 
 void JsonValue::Append(JsonValue value) { items_.push_back(std::move(value)); }
 
-void JsonValue::Set(const std::string& key, JsonValue value) {
+void JsonValue::Set(std::string_view key, JsonValue value) {
   for (auto& [k, v] : members_) {
     if (k == key) {
       v = std::move(value);
       return;
     }
   }
-  members_.emplace_back(key, std::move(value));
+  members_.emplace_back(std::string(key), std::move(value));
 }
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
+const JsonValue* JsonValue::Find(std::string_view key) const {
   for (const auto& [k, v] : members_) {
     if (k == key) return &v;
   }
   return nullptr;
 }
 
-double JsonValue::NumberOr(const std::string& key, double fallback) const {
+double JsonValue::NumberOr(std::string_view key, double fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_number()) ? v->number_value() : fallback;
 }
 
-std::string JsonValue::StringOr(const std::string& key,
+std::string JsonValue::StringOr(std::string_view key,
                                 const std::string& fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_string()) ? v->string_value() : fallback;
 }
 
-bool JsonValue::BoolOr(const std::string& key, bool fallback) const {
+bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_bool()) ? v->bool_value() : fallback;
 }
 
-std::string JsonQuote(std::string_view text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 namespace {
 
-std::string FormatNumber(double value) {
+/// Appends `text` quoted and escaped, each run of bytes that needs no
+/// escape in one call.
+void AppendQuoted(std::string_view text, std::string* out) {
+  out->push_back('"');
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(text.data() + run, text.size() - run);
+  out->push_back('"');
+}
+
+void AppendNumber(double value, std::string* out) {
+  char buf[32];
   // The integer fast-path must skip -0.0: casting to long long would emit
   // "0" and lose the sign on the round-trip (to_chars keeps "-0").
   if (std::isfinite(value) && value == std::floor(value) &&
       std::fabs(value) < 1e15 && !(value == 0.0 && std::signbit(value))) {
-    return std::to_string(static_cast<long long>(value));
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf),
+                                         static_cast<long long>(value));
+    out->append(buf, ptr);
+    return;
   }
-  if (!std::isfinite(value)) return "null";  // JSON has no Inf/NaN.
-  std::array<char, 32> buf;
-  const auto [ptr, ec] =
-      std::to_chars(buf.data(), buf.data() + buf.size(), value);
-  return ec == std::errc() ? std::string(buf.data(), ptr) : "0";
+  if (!std::isfinite(value)) {
+    out->append("null");  // JSON has no Inf/NaN.
+    return;
+  }
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  if (ec == std::errc()) {
+    out->append(buf, ptr);
+  } else {
+    out->push_back('0');
+  }
 }
 
 }  // namespace
 
-std::string JsonValue::Serialize() const {
-  switch (kind_) {
-    case Kind::kNull:
-      return "null";
-    case Kind::kBool:
-      return bool_ ? "true" : "false";
-    case Kind::kNumber:
-      return FormatNumber(number_);
-    case Kind::kString:
-      return JsonQuote(string_);
-    case Kind::kArray: {
-      std::string out = "[";
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (i != 0) out += ",";
-        out += items_[i].Serialize();
-      }
-      return out + "]";
-    }
-    case Kind::kObject: {
-      std::string out = "{";
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (i != 0) out += ",";
-        out += JsonQuote(members_[i].first);
-        out += ":";
-        out += members_[i].second.Serialize();
-      }
-      return out + "}";
-    }
-  }
-  return "null";
+std::string JsonQuote(std::string_view text) {
+  std::string out;
+  AppendQuoted(text, &out);
+  return out;
 }
 
-namespace {
+std::string JsonValue::Serialize() const {
+  std::string out;
+  SerializeTo(&out);
+  return out;
+}
+
+void JsonValue::SerializeTo(std::string* out) const {
+  switch (kind_) {
+    case Kind::kNull:
+      out->append("null");
+      return;
+    case Kind::kBool:
+      out->append(bool_ ? "true" : "false");
+      return;
+    case Kind::kNumber:
+      AppendNumber(number_, out);
+      return;
+    case Kind::kString:
+      AppendQuoted(string_, out);
+      return;
+    case Kind::kArray:
+      out->push_back('[');
+      for (std::size_t i = 0; i < items_.size(); ++i) {
+        if (i != 0) out->push_back(',');
+        items_[i].SerializeTo(out);
+      }
+      out->push_back(']');
+      return;
+    case Kind::kObject:
+      out->push_back('{');
+      for (std::size_t i = 0; i < members_.size(); ++i) {
+        if (i != 0) out->push_back(',');
+        AppendQuoted(members_[i].first, out);
+        out->push_back(':');
+        members_[i].second.SerializeTo(out);
+      }
+      out->push_back('}');
+      return;
+  }
+  out->append("null");
+}
 
 /// Recursive-descent JSON parser over a string_view with a depth cap
-/// (untrusted network input must not be able to overflow the stack).
-class Parser {
+/// (untrusted network input must not be able to overflow the stack). Each
+/// value is built where it lives: the caller's result, an array slot or an
+/// object member.
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
-  StatusOr<JsonValue> ParseDocument() {
-    auto value = ParseValue(0);
-    if (!value.ok()) return value.status();
+  Status ParseDocument(JsonValue* out) {
+    DOMD_RETURN_IF_ERROR(ParseValue(0, out));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Status::InvalidArgument("json: trailing characters at offset " +
                                      std::to_string(pos_));
     }
-    return value;
+    return Status::OK();
   }
 
  private:
+  using Kind = JsonValue::Kind;
   static constexpr int kMaxDepth = 64;
 
-  StatusOr<JsonValue> ParseValue(int depth) {
+  /// Parses one value into `out`, which is null.
+  Status ParseValue(int depth, JsonValue* out) {
     if (depth > kMaxDepth) {
       return Status::InvalidArgument("json: nesting too deep");
     }
@@ -189,38 +220,37 @@ class Parser {
     if (pos_ >= text_.size()) {
       return Status::InvalidArgument("json: unexpected end of input");
     }
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(depth);
-    if (c == '[') return ParseArray(depth);
-    if (c == '"') {
-      auto s = ParseString();
-      if (!s.ok()) return s.status();
-      return JsonValue::String(std::move(*s));
+    switch (text_[pos_]) {
+      case '{':
+        return ParseObject(depth, out);
+      case '[':
+        return ParseArray(depth, out);
+      case '"':
+        out->kind_ = Kind::kString;
+        return ParseString(&out->string_);
+      case 't':
+      case 'f':
+        out->kind_ = Kind::kBool;
+        out->bool_ = text_[pos_] == 't';
+        return Consume(out->bool_ ? "true" : "false");
+      case 'n':
+        return Consume("null");
+      default:
+        return ParseNumber(out);
     }
-    if (c == 't' || c == 'f') return ParseKeyword(c == 't');
-    if (c == 'n') {
-      if (!Consume("null")) return Status::InvalidArgument("json: bad token");
-      return JsonValue::Null();
-    }
-    return ParseNumber();
   }
 
-  StatusOr<JsonValue> ParseKeyword(bool value) {
-    if (!Consume(value ? "true" : "false")) {
-      return Status::InvalidArgument("json: bad token");
-    }
-    return JsonValue::Bool(value);
-  }
-
-  StatusOr<JsonValue> ParseNumber() {
+  Status ParseNumber(JsonValue* out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
       ++pos_;
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+            c == '-' || c == '+')) {
+        break;
+      }
       ++pos_;
     }
     double value = 0.0;
@@ -230,106 +260,113 @@ class Parser {
       return Status::InvalidArgument("json: malformed number at offset " +
                                      std::to_string(start));
     }
-    return JsonValue::Number(value);
+    out->kind_ = Kind::kNumber;
+    out->number_ = value;
+    return Status::OK();
   }
 
-  StatusOr<std::string> ParseString() {
+  /// Appends the string at pos_ to `out`: each run up to the next quote
+  /// or backslash in one call.
+  Status ParseString(std::string* out) {
     if (text_[pos_] != '"') {
       return Status::InvalidArgument("json: expected string");
     }
     ++pos_;
-    std::string out;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
+      std::size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\') {
+        ++run;
+      }
+      out->append(text_.data() + pos_, run - pos_);
+      pos_ = run;
+      if (pos_ >= text_.size()) break;
+      if (text_[pos_] == '"') {
         ++pos_;
-        return out;
+        return Status::OK();
       }
-      if (c == '\\') {
-        if (pos_ + 1 >= text_.size()) break;
-        const char esc = text_[pos_ + 1];
-        pos_ += 2;
-        switch (esc) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Status::InvalidArgument("json: truncated \\u escape");
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_ + static_cast<std::size_t>(i)];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Status::InvalidArgument("json: bad \\u escape");
-              }
-            }
-            pos_ += 4;
-            // UTF-8 encode (basic multilingual plane only; surrogate pairs
-            // never appear in this codebase's ASCII identifiers).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            return Status::InvalidArgument("json: bad escape character");
-        }
-        continue;
+      if (pos_ + 1 >= text_.size()) break;  // a lone trailing backslash.
+      const char esc = text_[pos_ + 1];
+      pos_ += 2;
+      switch (esc) {
+        case '"':
+          out->push_back('"');
+          break;
+        case '\\':
+          out->push_back('\\');
+          break;
+        case '/':
+          out->push_back('/');
+          break;
+        case 'n':
+          out->push_back('\n');
+          break;
+        case 'r':
+          out->push_back('\r');
+          break;
+        case 't':
+          out->push_back('\t');
+          break;
+        case 'b':
+          out->push_back('\b');
+          break;
+        case 'f':
+          out->push_back('\f');
+          break;
+        case 'u':
+          DOMD_RETURN_IF_ERROR(ParseUnicodeEscape(out));
+          break;
+        default:
+          return Status::InvalidArgument("json: bad escape character");
       }
-      out += c;
-      ++pos_;
     }
     return Status::InvalidArgument("json: unterminated string");
   }
 
-  StatusOr<JsonValue> ParseArray(int depth) {
+  /// The four hex digits after "\u", appended to `out` as UTF-8 (basic
+  /// multilingual plane only; surrogate pairs never appear in this
+  /// codebase's ASCII identifiers).
+  Status ParseUnicodeEscape(std::string* out) {
+    if (pos_ + 4 > text_.size()) {
+      return Status::InvalidArgument("json: truncated \\u escape");
+    }
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_ + static_cast<std::size_t>(i)];
+      code <<= 4;
+      if (h >= '0' && h <= '9') {
+        code |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        code |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        code |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return Status::InvalidArgument("json: bad \\u escape");
+      }
+    }
+    pos_ += 4;
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+    return Status::OK();
+  }
+
+  Status ParseArray(int depth, JsonValue* out) {
     ++pos_;  // '['
-    JsonValue array = JsonValue::Array();
+    out->kind_ = Kind::kArray;
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == ']') {
       ++pos_;
-      return array;
+      return Status::OK();
     }
     while (true) {
-      auto value = ParseValue(depth + 1);
-      if (!value.ok()) return value.status();
-      array.Append(std::move(*value));
+      DOMD_RETURN_IF_ERROR(ParseValue(depth + 1, &out->items_.emplace_back()));
       SkipWhitespace();
       if (pos_ >= text_.size()) {
         return Status::InvalidArgument("json: unterminated array");
@@ -340,35 +377,37 @@ class Parser {
       }
       if (text_[pos_] == ']') {
         ++pos_;
-        return array;
+        return Status::OK();
       }
       return Status::InvalidArgument("json: expected ',' or ']'");
     }
   }
 
-  StatusOr<JsonValue> ParseObject(int depth) {
+  Status ParseObject(int depth, JsonValue* out) {
     ++pos_;  // '{'
-    JsonValue object = JsonValue::Object();
+    out->kind_ = Kind::kObject;
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
-      return object;
+      return Status::OK();
     }
+    // Sibling objects mostly share their members (an RCC stream), so the
+    // last object closed at this depth sizes this one's vector.
+    out->members_.reserve(member_hint_[depth]);
     while (true) {
       SkipWhitespace();
       if (pos_ >= text_.size()) {
         return Status::InvalidArgument("json: unterminated object");
       }
-      auto key = ParseString();
-      if (!key.ok()) return key.status();
+      std::string key;
+      DOMD_RETURN_IF_ERROR(ParseString(&key));
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != ':') {
         return Status::InvalidArgument("json: expected ':' after key");
       }
       ++pos_;
-      auto value = ParseValue(depth + 1);
-      if (!value.ok()) return value.status();
-      object.Set(*key, std::move(*value));
+      DOMD_RETURN_IF_ERROR(
+          ParseValue(depth + 1, MemberSlot(out, std::move(key))));
       SkipWhitespace();
       if (pos_ >= text_.size()) {
         return Status::InvalidArgument("json: unterminated object");
@@ -379,16 +418,35 @@ class Parser {
       }
       if (text_[pos_] == '}') {
         ++pos_;
-        return object;
+        member_hint_[depth] = out->members_.size();
+        return Status::OK();
       }
       return Status::InvalidArgument("json: expected ',' or '}'");
     }
   }
 
-  bool Consume(std::string_view token) {
-    if (text_.substr(pos_, token.size()) != token) return false;
+  /// The null value that `key`'s member of `object` is parsed into. A
+  /// duplicate key overwrites its first occurrence in place, as Set does.
+  static JsonValue* MemberSlot(JsonValue* object, std::string key) {
+    for (auto& [k, v] : object->members_) {
+      if (k == key) {
+        v = JsonValue();
+        return &v;
+      }
+    }
+    return &object->members_
+                .emplace_back(std::piecewise_construct,
+                              std::forward_as_tuple(std::move(key)),
+                              std::forward_as_tuple())
+                .second;
+  }
+
+  Status Consume(std::string_view token) {
+    if (text_.substr(pos_, token.size()) != token) {
+      return Status::InvalidArgument("json: bad token");
+    }
     pos_ += token.size();
-    return true;
+    return Status::OK();
   }
 
   void SkipWhitespace() {
@@ -401,12 +459,13 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::array<std::size_t, kMaxDepth + 1> member_hint_{};
 };
 
-}  // namespace
-
 StatusOr<JsonValue> JsonValue::Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  JsonValue value;
+  DOMD_RETURN_IF_ERROR(JsonParser(text).ParseDocument(&value));
+  return value;
 }
 
 }  // namespace domd

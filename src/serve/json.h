@@ -48,16 +48,16 @@ class JsonValue {
   /// Appends to an array value.
   void Append(JsonValue value);
   /// Sets (or overwrites) an object member.
-  void Set(const std::string& key, JsonValue value);
+  void Set(std::string_view key, JsonValue value);
 
   /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
+  const JsonValue* Find(std::string_view key) const;
 
   /// Typed member accessors with defaults, for lenient request parsing.
-  double NumberOr(const std::string& key, double fallback) const;
-  std::string StringOr(const std::string& key,
+  double NumberOr(std::string_view key, double fallback) const;
+  std::string StringOr(std::string_view key,
                        const std::string& fallback) const;
-  bool BoolOr(const std::string& key, bool fallback) const;
+  bool BoolOr(std::string_view key, bool fallback) const;
 
   /// Serializes on one line (no trailing newline). Doubles that hold exact
   /// integers print without a decimal point; others use max round-trip
@@ -68,6 +68,11 @@ class JsonValue {
   static StatusOr<JsonValue> Parse(std::string_view text);
 
  private:
+  friend class JsonParser;  // builds each value where it lives.
+
+  /// Appends the Serialize() bytes to `out`.
+  void SerializeTo(std::string* out) const;
+
   Kind kind_;
   bool bool_ = false;
   double number_ = 0.0;

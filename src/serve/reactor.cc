@@ -141,6 +141,7 @@ struct Connection {
   std::deque<Slot> slots;        ///< ordered response slots.
   std::uint64_t base_seq = 0;    ///< seq of slots.front().
   std::uint64_t next_seq = 0;
+  std::size_t scanned = 0;   ///< prefix of read_buffer known to hold no \n.
   bool discarding = false;   ///< dropping an oversized line up to its \n.
   bool read_closed = false;  ///< peer half-closed its write side.
   bool want_write = false;   ///< EPOLLOUT armed.
@@ -634,31 +635,41 @@ void EnqueueImmediate(Connection& conn, const std::string& text) {
 
 /// Splits the read buffer into request lines and hands each to the
 /// handler. Oversized lines are answered and discarded without killing
-/// the connection.
+/// the connection. Lines are consumed by offset and the buffer is erased
+/// once per call; the newline search resumes where the last call's
+/// stopped, so each byte is searched once.
 void ParseLines(ShardContext& ctx, Connection& conn) {
+  std::string& buffer = conn.read_buffer;
+  std::size_t begin = 0;  // first byte not yet consumed.
   for (;;) {
-    const std::size_t newline = conn.read_buffer.find('\n');
+    const std::size_t newline =
+        buffer.find('\n', std::max(begin, conn.scanned));
     if (conn.discarding) {
       if (newline == std::string::npos) {
-        conn.read_buffer.clear();  // still inside the oversized line.
+        buffer.clear();  // still inside the oversized line.
+        conn.scanned = 0;
         return;
       }
-      conn.read_buffer.erase(0, newline + 1);
+      begin = newline + 1;
       conn.discarding = false;
       continue;
     }
     if (newline == std::string::npos) {
-      if (conn.read_buffer.size() > ctx.options->max_request_bytes) {
+      if (buffer.size() - begin > ctx.options->max_request_bytes) {
         ctx.oversized_requests->fetch_add(1, std::memory_order_relaxed);
         Bump(ReactorCells().oversized);
         EnqueueImmediate(conn, ctx.options->oversize_response);
         conn.discarding = true;
-        conn.read_buffer.clear();
+        buffer.clear();
+        conn.scanned = 0;
+        return;
       }
+      buffer.erase(0, begin);
+      conn.scanned = buffer.size();
       return;
     }
-    std::string line = conn.read_buffer.substr(0, newline);
-    conn.read_buffer.erase(0, newline + 1);
+    std::string line = buffer.substr(begin, newline - begin);
+    begin = newline + 1;
     if (line.size() > ctx.options->max_request_bytes) {
       ctx.oversized_requests->fetch_add(1, std::memory_order_relaxed);
       Bump(ReactorCells().oversized);

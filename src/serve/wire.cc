@@ -13,17 +13,18 @@ constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr double kMaxDeadlineMs = 86'400'000.0;  // one day.
 
-StatusOr<Date> DateMember(const JsonValue& object, const std::string& key,
+StatusOr<Date> DateMember(const JsonValue& object, std::string_view key,
                           bool required) {
   const JsonValue* member = object.Find(key);
   if (member == nullptr || member->is_null()) {
     if (required) {
-      return Status::InvalidArgument("missing date member \"" + key + "\"");
+      return Status::InvalidArgument("missing date member \"" +
+                                     std::string(key) + "\"");
     }
     return Date();
   }
   if (!member->is_string()) {
-    return Status::InvalidArgument("member \"" + key +
+    return Status::InvalidArgument("member \"" + std::string(key) +
                                    "\" must be an ISO date string");
   }
   return Date::Parse(member->string_value());
@@ -65,13 +66,14 @@ StatusOr<std::int64_t> IntegerFromJson(const JsonValue& value,
 }
 
 StatusOr<std::int64_t> IntegerMember(const JsonValue& object,
-                                     const std::string& key,
+                                     std::string_view key,
                                      std::int64_t fallback, std::int64_t min,
                                      std::int64_t max) {
   const JsonValue* member = object.Find(key);
   if (member == nullptr || member->is_null()) return fallback;
   if (const auto n = ToInteger(*member, min, max)) return *n;
-  return NotAnInteger(*member, "member \"" + key + "\"", min, max);
+  return NotAnInteger(*member, "member \"" + std::string(key) + "\"", min,
+                      max);
 }
 
 StatusOr<PointRequest> ParsePointRequest(const JsonValue& request) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ingest/mutation.h"
@@ -38,7 +39,7 @@ StatusOr<std::int64_t> IntegerFromJson(
 /// IntegerFromJson over the optional member `key` of `object`: `fallback`
 /// when the member is absent or null.
 StatusOr<std::int64_t> IntegerMember(
-    const JsonValue& object, const std::string& key, std::int64_t fallback,
+    const JsonValue& object, std::string_view key, std::int64_t fallback,
     std::int64_t min = std::numeric_limits<std::int64_t>::min(),
     std::int64_t max = std::numeric_limits<std::int64_t>::max());
 

@@ -1,13 +1,18 @@
-// The one socket client: UpstreamConn's deadline-bounded waits, the
-// pool's retry-once rule, and where the cluster.route.* fault sites fire.
-// Every peer is a real reactor on a loopback port with a scripted handler.
+// The one socket client: UpstreamConn's deadline-bounded waits and line
+// framing, the pool's retry-once rule, and where the cluster.route.* fault
+// sites fire. Peers are real reactors on a loopback port with a scripted
+// handler, or a raw socket that splits the byte stream where a test says.
 
 #include "cluster/upstream.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
@@ -124,6 +129,90 @@ TEST(UpstreamConnTest, ReadLineEndsAtItsDeadlineAndPollsOnceWhenItHasPassed) {
   auto late = conn->ReadLine(Clock::now() - Ms(1));
   ASSERT_TRUE(late.ok()) << late.status().ToString();
   EXPECT_EQ(*late, "answered");
+}
+
+/// A raw loopback peer that accepts one connection and sends it `writes`
+/// in order, each as its own blocking send after `pause`, so the client
+/// sees the byte stream split where the test says.
+class WritingPeer {
+ public:
+  WritingPeer(std::vector<std::string> writes, Ms pause) {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    auto* raw = reinterpret_cast<sockaddr*>(&addr);
+    EXPECT_EQ(::bind(listener_, raw, sizeof(addr)), 0);
+    EXPECT_EQ(::listen(listener_, 1), 0);
+    EXPECT_EQ(::getsockname(listener_, raw, &len), 0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, writes = std::move(writes), pause] {
+      const int fd = ::accept(listener_, nullptr, nullptr);
+      if (fd < 0) return;
+      for (const std::string& bytes : writes) {
+        std::this_thread::sleep_for(pause);
+        std::size_t sent = 0;
+        while (sent < bytes.size()) {
+          const ssize_t n = ::send(fd, bytes.data() + sent,
+                                   bytes.size() - sent, MSG_NOSIGNAL);
+          if (n <= 0) break;
+          sent += static_cast<std::size_t>(n);
+        }
+      }
+      char byte;
+      ::recv(fd, &byte, 1, 0);  // held open until the client closes.
+      ::close(fd);
+    });
+  }
+  ~WritingPeer() {
+    ::shutdown(listener_, SHUT_RDWR);  // wakes an accept no dial reached.
+    thread_.join();
+    ::close(listener_);
+  }
+
+  Endpoint endpoint() const { return {"127.0.0.1", port_}; }
+
+ private:
+  int listener_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+TEST(UpstreamConnTest, ReadsAMultiMegabyteLineIntact) {
+  // Larger than a bench-fleet snapshot (4.6 MB), so it arrives over
+  // hundreds of reads; a line pipelined behind it follows intact.
+  std::string big(6 << 20, 'x');
+  for (std::size_t i = 0; i < big.size(); i += 251) {
+    big[i] = static_cast<char>('a' + i % 26);
+  }
+  WritingPeer peer({big + "\nafter\n"}, Ms(0));
+  auto conn = UpstreamConn::Dial(peer.endpoint(), In(1000));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  auto line = conn->ReadLine(In(10000));
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  EXPECT_TRUE(*line == big) << "read " << line->size() << " bytes";
+  auto after = conn->ReadLine(In(1000));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, "after");
+  conn->Close();
+}
+
+TEST(UpstreamConnTest, SplitAndPipelinedLinesArriveWholeAndInOrder) {
+  // Lines split across sends, several lines in one send, a split right
+  // after a newline and an empty line.
+  WritingPeer peer({"al", "pha\nbe", "ta\ngamma\ndelta\n", "eps", "ilon\n",
+                    "\nzeta\n"},
+                   Ms(20));
+  auto conn = UpstreamConn::Dial(peer.endpoint(), In(1000));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  for (const char* want :
+       {"alpha", "beta", "gamma", "delta", "epsilon", "", "zeta"}) {
+    auto line = conn->ReadLine(In(2000));
+    ASSERT_TRUE(line.ok()) << want << ": " << line.status().ToString();
+    EXPECT_EQ(*line, want);
+  }
+  conn->Close();
 }
 
 TEST(UpstreamPoolTest, StaleIdleConnectionsRetryOnAFreshDial) {

@@ -119,6 +119,35 @@ TEST(ReactorTest, PipelinedRequestsAnsweredInRequestOrder) {
   }
 }
 
+TEST(ReactorTest, LongLinesOverManyReadsAndPipelinedLinesArriveWhole) {
+  // Lines that span many reads, sent in uneven pieces with short lines
+  // pipelined before, between and after them: each request arrives whole
+  // and is answered in order.
+  auto reactor = MustCreate(ReactorOptions{}, EchoHandler());
+  TestClient client = TestClient::Connect(reactor->port());
+  ASSERT_TRUE(client.connected());
+  std::string big(300000, 'x');
+  for (std::size_t i = 0; i < big.size(); i += 101) {
+    big[i] = static_cast<char>('a' + i % 26);
+  }
+  const std::string medium = big.substr(0, 40000);
+  const std::string stream =
+      "one\ntwo\n" + big + "\nthree\n" + medium + "\nfour\n";
+  std::size_t piece = 7;
+  for (std::size_t pos = 0; pos < stream.size(); pos += piece) {
+    piece = piece * 7 % 50021 + 1;
+    ASSERT_TRUE(client.Send(stream.substr(pos, piece)));
+    std::this_thread::sleep_for(Ms(1));
+  }
+  for (const std::string& want : {std::string("one"), std::string("two"),
+                                  big, std::string("three"), medium,
+                                  std::string("four")}) {
+    const auto response = client.ReadLine();
+    ASSERT_TRUE(response.has_value()) << want.substr(0, 8);
+    EXPECT_TRUE(*response == "echo:" + want) << want.substr(0, 8);
+  }
+}
+
 TEST(ReactorTest, OversizedRequestAnsweredAndConnectionKeptAlive) {
   ReactorOptions options;
   options.max_request_bytes = 64;
