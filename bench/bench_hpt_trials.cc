@@ -88,17 +88,19 @@ void RunFig6e(bench::ModelingBench& env, int num_trials,
 }
 
 /// Total wall seconds spent materializing the train+validation views for
-/// `num_trials` same-width trials through `cache` under `cache_bytes`.
-double TrialViewSeconds(const bench::ModelingBench& env, int num_trials,
-                        std::size_t cache_bytes, ViewCache* cache) {
+/// `num_trials` same-width trials through `cache` under `cache_bytes`,
+/// keyed on the fleet's `epoch`.
+double TrialViewSeconds(const bench::ModelingBench& env, std::uint64_t epoch,
+                        int num_trials, std::size_t cache_bytes,
+                        ViewCache* cache) {
   double total = 0.0;
   for (int trial = 0; trial < num_trials; ++trial) {
     const auto start = std::chrono::steady_clock::now();
     const auto train = BuildModelingViewShared(
-        env.data, *env.engineer, env.split.train, env.grid, {}, cache_bytes,
-        cache);
+        env.data, epoch, *env.engineer, env.split.train, env.grid, {},
+        cache_bytes, cache);
     const auto validation = BuildModelingViewShared(
-        env.data, *env.engineer, env.split.validation, env.grid, {},
+        env.data, epoch, *env.engineer, env.split.validation, env.grid, {},
         cache_bytes, cache);
     const auto end = std::chrono::steady_clock::now();
     total += std::chrono::duration<double>(end - start).count();
@@ -118,15 +120,19 @@ bool RunCacheStage(const bench::ModelingBench& env, int num_trials,
     return false;
   }
 
+  // Both runs key every trial on one fingerprint of the fleet.
+  const std::uint64_t epoch = ComputeDatasetFingerprint(env.data);
+
   // Cache off: every trial pays the full feature-engineering sweep
   // (exactly what --cache-bytes 0 gives the CLI pipelines).
   ViewCache off_cache(0, 1);
-  const double off_seconds = TrialViewSeconds(env, num_trials, 0, &off_cache);
+  const double off_seconds =
+      TrialViewSeconds(env, epoch, num_trials, 0, &off_cache);
 
   // Cache on: trial 1 builds each view once; trials 2..N are hits.
   ViewCache on_cache(256ull << 20, 8);
   const double on_seconds = TrialViewSeconds(
-      env, num_trials, on_cache.max_bytes(), &on_cache);
+      env, epoch, num_trials, on_cache.max_bytes(), &on_cache);
 
   const ViewCacheStats stats = on_cache.Stats();
   const double speedup =

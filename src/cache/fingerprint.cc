@@ -2,19 +2,16 @@
 
 #include <array>
 #include <bit>
-#include <mutex>
 
 namespace domd {
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
-
-/// kPrimePowers[k] == kFnvPrime^k mod 2^64.
+/// kPrimePowers[k] == kFnv1aPrime^k mod 2^64.
 constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
   std::array<std::uint64_t, 9> powers{};
   powers[0] = 1;
   for (std::size_t k = 1; k < powers.size(); ++k) {
-    powers[k] = powers[k - 1] * kFnvPrime;
+    powers[k] = powers[k - 1] * kFnv1aPrime;
   }
   return powers;
 }();
@@ -71,45 +68,6 @@ std::uint64_t MixRcc(std::uint64_t hash, const Rcc& rcc) {
   return hash;
 }
 
-/// One memo slot: the dataset's address plus cheap revalidation probes.
-struct MemoEntry {
-  const Dataset* dataset = nullptr;
-  std::size_t num_avails = 0;
-  std::size_t num_rccs = 0;
-  std::int64_t last_avail_id = 0;
-  std::int64_t last_rcc_id = 0;
-  std::uint64_t fingerprint = 0;
-};
-
-constexpr std::size_t kMemoCapacity = 64;
-
-std::mutex& MemoMutex() {
-  static std::mutex& mutex = *new std::mutex;
-  return mutex;
-}
-
-std::vector<MemoEntry>& MemoEntries() {
-  static std::vector<MemoEntry>& entries = *new std::vector<MemoEntry>;
-  return entries;
-}
-
-MemoEntry MakeProbe(const Dataset& data) {
-  MemoEntry probe;
-  probe.dataset = &data;
-  probe.num_avails = data.avails.size();
-  probe.num_rccs = data.rccs.size();
-  probe.last_avail_id =
-      data.avails.empty() ? 0 : data.avails.rows().back().id;
-  probe.last_rcc_id = data.rccs.empty() ? 0 : data.rccs.rows().back().id;
-  return probe;
-}
-
-bool ProbesMatch(const MemoEntry& a, const MemoEntry& b) {
-  return a.dataset == b.dataset && a.num_avails == b.num_avails &&
-         a.num_rccs == b.num_rccs && a.last_avail_id == b.last_avail_id &&
-         a.last_rcc_id == b.last_rcc_id;
-}
-
 }  // namespace
 
 std::uint64_t FingerprintMix(std::uint64_t hash, std::uint64_t word) {
@@ -122,7 +80,7 @@ std::uint64_t FingerprintMix(std::uint64_t hash, std::uint64_t word) {
   const int bytes = (std::bit_width(word | 1) + 7) / 8;
   for (int byte = 0; byte + 1 < bytes; ++byte) {
     hash ^= (word >> (byte * 8)) & 0xFF;
-    hash *= kFnvPrime;
+    hash *= kFnv1aPrime;
   }
   hash ^= word >> ((bytes - 1) * 8);
   return hash * kPrimePowers[9 - bytes];
@@ -153,38 +111,6 @@ std::uint64_t ComputeDatasetFingerprint(const Dataset& data) {
   stream.BeginRccs(data.rccs.size());
   stream.Add(data.rccs.rows());
   return stream.value();
-}
-
-std::uint64_t DatasetFingerprint(const Dataset& data) {
-  MemoEntry probe = MakeProbe(data);
-  {
-    std::lock_guard<std::mutex> lock(MemoMutex());
-    for (const MemoEntry& entry : MemoEntries()) {
-      if (ProbesMatch(entry, probe)) return entry.fingerprint;
-    }
-  }
-  probe.fingerprint = ComputeDatasetFingerprint(data);
-  std::lock_guard<std::mutex> lock(MemoMutex());
-  auto& entries = MemoEntries();
-  // A racer may have inserted the same dataset meanwhile; dedupe by probe.
-  for (const MemoEntry& entry : entries) {
-    if (ProbesMatch(entry, probe)) return entry.fingerprint;
-  }
-  if (entries.size() >= kMemoCapacity) entries.erase(entries.begin());
-  entries.push_back(probe);
-  return probe.fingerprint;
-}
-
-void InvalidateFingerprint(const Dataset& data) {
-  std::lock_guard<std::mutex> lock(MemoMutex());
-  auto& entries = MemoEntries();
-  for (std::size_t i = 0; i < entries.size();) {
-    if (entries[i].dataset == &data) {
-      entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
 }
 
 std::uint64_t DigestIds(const std::vector<std::int64_t>& ids) {

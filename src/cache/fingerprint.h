@@ -6,19 +6,22 @@
 #include <span>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "data/tables.h"
 
 namespace domd {
 
 /// Folds one 64-bit word into an FNV-1a style running hash. The seed for a
 /// fresh digest is kFingerprintSeed.
-inline constexpr std::uint64_t kFingerprintSeed = 0xCBF29CE484222325ull;
+inline constexpr std::uint64_t kFingerprintSeed = kFnv1aSeed;
 std::uint64_t FingerprintMix(std::uint64_t hash, std::uint64_t word);
 
 /// Content digest of a full dataset: every field of every avail and RCC
 /// row, in insertion order. Two datasets with identical table contents
 /// fingerprint identically regardless of address — a bundle reloaded from
-/// disk shares cache entries with the estimator that wrote it.
+/// disk shares cache entries with the estimator that wrote it. O(rows) and
+/// never remembered: a DataSnapshot carries it as its epoch, and a caller
+/// holding only a Dataset computes it once per use.
 std::uint64_t ComputeDatasetFingerprint(const Dataset& data);
 
 /// ComputeDatasetFingerprint fed in runs of rows, for callers that can
@@ -37,19 +40,6 @@ class DatasetFingerprintStream {
  private:
   std::uint64_t hash_;
 };
-
-/// Memoized ComputeDatasetFingerprint. The memo is keyed on the dataset's
-/// address and revalidated against cheap probes (table cardinalities and
-/// boundary row ids), so the O(rows) content hash runs once per dataset in
-/// the common append-only workflow (tables only grow via Add, and modeling
-/// treats the dataset as frozen). An in-place row mutation that preserves
-/// the probes must be followed by InvalidateFingerprint — the
-/// fingerprint-sensitivity test covers the recompute path directly via
-/// ComputeDatasetFingerprint.
-std::uint64_t DatasetFingerprint(const Dataset& data);
-
-/// Drops the memo entry for a dataset (call after mutating rows in place).
-void InvalidateFingerprint(const Dataset& data);
 
 /// Order-sensitive digest of an avail-id selection.
 std::uint64_t DigestIds(const std::vector<std::int64_t>& ids);

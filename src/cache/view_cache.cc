@@ -16,11 +16,11 @@ void BumpObsCounter(const char*, std::uint64_t = 1) {}
 
 }  // namespace
 
-ViewCacheKey MakeViewCacheKey(const Dataset& data,
+ViewCacheKey MakeViewCacheKey(std::uint64_t dataset_epoch,
                               const std::vector<std::int64_t>& avail_ids,
                               const std::vector<double>& grid) {
   ViewCacheKey key;
-  key.dataset_fingerprint = DatasetFingerprint(data);
+  key.dataset_epoch = dataset_epoch;
   key.ids_digest = DigestIds(avail_ids);
   key.grid_digest = DigestGrid(grid);
   key.catalog_version = FeatureCatalogVersion();
@@ -182,13 +182,13 @@ void ViewCache::ResetCounters() {
 }
 
 std::shared_ptr<const ModelingView> BuildModelingViewShared(
-    const Dataset& data, const FeatureEngineer& engineer,
+    const Dataset& data, std::uint64_t epoch, const FeatureEngineer& engineer,
     const std::vector<std::int64_t>& avail_ids,
     const std::vector<double>& grid, const Parallelism& parallelism,
     std::size_t cache_bytes, ViewCache* cache) {
   if (cache == nullptr) cache = &ViewCache::Default();
   cache->SetMaxBytes(cache_bytes);
-  const ViewCacheKey key = MakeViewCacheKey(data, avail_ids, grid);
+  const ViewCacheKey key = MakeViewCacheKey(epoch, avail_ids, grid);
   return cache->GetOrBuild(key, [&] {
     return BuildModelingView(data, engineer, avail_ids, grid, parallelism);
   });

@@ -15,13 +15,13 @@
 
 namespace domd {
 
-/// Identity of one memoized modeling view: which dataset snapshot, which
-/// avail selection (order-sensitive), which logical-time grid, and which
-/// feature catalog produced it. Parallelism is deliberately absent — view
-/// construction is bit-identical at every thread count (DESIGN.md §5), so
-/// a view built at one thread count serves every other.
+/// Identity of one memoized modeling view: which dataset content (its
+/// epoch), which avail selection (order-sensitive), which logical-time
+/// grid, and which feature catalog produced it. Parallelism is deliberately
+/// absent — view construction is bit-identical at every thread count
+/// (DESIGN.md §5), so a view built at one thread count serves every other.
 struct ViewCacheKey {
-  std::uint64_t dataset_fingerprint = 0;
+  std::uint64_t dataset_epoch = 0;
   std::uint64_t ids_digest = 0;
   std::uint64_t grid_digest = 0;
   std::uint64_t catalog_version = 0;
@@ -32,7 +32,7 @@ struct ViewCacheKey {
 struct ViewCacheKeyHash {
   std::size_t operator()(const ViewCacheKey& key) const {
     std::uint64_t hash = kFingerprintSeed;
-    hash = FingerprintMix(hash, key.dataset_fingerprint);
+    hash = FingerprintMix(hash, key.dataset_epoch);
     hash = FingerprintMix(hash, key.ids_digest);
     hash = FingerprintMix(hash, key.grid_digest);
     hash = FingerprintMix(hash, key.catalog_version);
@@ -40,9 +40,10 @@ struct ViewCacheKeyHash {
   }
 };
 
-/// Builds the cache key for a view request (memoized dataset fingerprint +
-/// id/grid digests + the process's feature-catalog version).
-ViewCacheKey MakeViewCacheKey(const Dataset& data,
+/// Builds the cache key for a view request: the dataset's epoch (its
+/// ComputeDatasetFingerprint, which a DataSnapshot carries as epoch()),
+/// the id/grid digests and the process's feature-catalog version.
+ViewCacheKey MakeViewCacheKey(std::uint64_t dataset_epoch,
                               const std::vector<std::int64_t>& avail_ids,
                               const std::vector<double>& grid);
 
@@ -150,15 +151,17 @@ class ViewCache {
   std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// Cache-aware BuildModelingView: keys the request, consults `cache`
-/// (ViewCache::Default() when null) under a budget of `cache_bytes`, and
-/// memoizes the built snapshot. The budget is applied to the target cache
-/// via SetMaxBytes — with several concurrent budgets the last writer wins,
-/// which is harmless because the budget only bounds retention, never
-/// changes any returned bits. cache_bytes == 0 disables retention: every
-/// call engineers features from scratch, exactly like BuildModelingView.
+/// Cache-aware BuildModelingView: keys the request on `epoch`, which must
+/// be ComputeDatasetFingerprint(data) (a snapshot's epoch() is), consults
+/// `cache` (ViewCache::Default() when null) under a budget of
+/// `cache_bytes`, and memoizes the built snapshot. The budget is applied
+/// to the target cache via SetMaxBytes — with several concurrent budgets
+/// the last writer wins, which is harmless because the budget only bounds
+/// retention, never changes any returned bits. cache_bytes == 0 disables
+/// retention: every call engineers features from scratch, exactly like
+/// BuildModelingView.
 std::shared_ptr<const ModelingView> BuildModelingViewShared(
-    const Dataset& data, const FeatureEngineer& engineer,
+    const Dataset& data, std::uint64_t epoch, const FeatureEngineer& engineer,
     const std::vector<std::int64_t>& avail_ids,
     const std::vector<double>& grid, const Parallelism& parallelism = {},
     std::size_t cache_bytes = kDefaultViewCacheBytes,

@@ -4,32 +4,24 @@
 #include <set>
 #include <string>
 
+#include "common/fnv1a.h"
+
 namespace domd {
 namespace cluster {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t Fnv1a(const void* data, std::size_t size,
-                    std::uint64_t seed = kFnvOffset) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
+/// The ring's FNV-1a seed: FNV's offset basis short of its last decimal
+/// digit. Every placement ever computed used it, so it stays.
+constexpr std::uint64_t kRingSeed = 1469598103934665603ull;
 
 }  // namespace
 
 std::uint64_t HashKey(std::uint64_t value) {
-  unsigned char bytes[8];
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((value >> (8 * i)) & 0xff);
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
   }
-  return Fnv1a(bytes, sizeof(bytes));
+  return Fnv1a(std::string_view(bytes, sizeof(bytes)), kRingSeed);
 }
 
 StatusOr<HashRing> HashRing::Create(const std::vector<int>& shard_ids,
@@ -57,7 +49,7 @@ StatusOr<HashRing> HashRing::Create(const std::vector<int>& shard_ids,
       const std::string label =
           "shard/" + std::to_string(id) + "/" + std::to_string(v);
       ring.points_.push_back(
-          Point{Fnv1a(label.data(), label.size()), id});
+          Point{Fnv1a(label, kRingSeed), id});
     }
   }
   // Hash collisions between virtual points are astronomically unlikely but

@@ -53,14 +53,10 @@ void PipelineConfig::Save(std::ostream& out) const {
       << ' ' << huber_delta << ' ' << hpt_trials << ' '
       << static_cast<int>(fusion) << ' ' << window_width_pct << ' ' << seed
       << "\n";
-  out << gbt.num_rounds << ' ' << gbt.learning_rate << ' '
-      << gbt.tree.max_depth << ' ' << gbt.tree.min_child_weight << ' '
-      << gbt.tree.lambda << ' ' << gbt.tree.gamma << ' '
-      << static_cast<int>(gbt.tree.split_method) << ' '
-      << gbt.tree.histogram_bins << ' ' << gbt.subsample << ' '
-      << gbt.colsample << ' ' << gbt.seed << "\n";
-  out << elastic_net.alpha << ' ' << elastic_net.l1_ratio << ' '
-      << elastic_net.max_iterations << ' ' << elastic_net.tolerance << "\n";
+  WriteGbtParams(out, gbt);
+  out << "\n";
+  WriteElasticNetParams(out, elastic_net);
+  out << "\n";
 }
 
 StatusOr<PipelineConfig> PipelineConfig::Load(std::istream& in) {
@@ -70,24 +66,15 @@ StatusOr<PipelineConfig> PipelineConfig::Load(std::istream& in) {
     return Status::InvalidArgument("bad pipeline config header");
   }
   PipelineConfig config;
-  int selection = 0, family = 0, architecture = 0, loss = 0, fusion = 0,
-      split_method = 0;
+  int selection = 0, family = 0, architecture = 0, loss = 0, fusion = 0;
   if (!(in >> selection >> config.num_features >> family >> architecture >>
         loss >> config.huber_delta >> config.hpt_trials >> fusion >>
         config.window_width_pct >> config.seed)) {
     return Status::InvalidArgument("bad pipeline config body");
   }
-  if (!(in >> config.gbt.num_rounds >> config.gbt.learning_rate >>
-        config.gbt.tree.max_depth >> config.gbt.tree.min_child_weight >>
-        config.gbt.tree.lambda >> config.gbt.tree.gamma >> split_method >>
-        config.gbt.tree.histogram_bins >> config.gbt.subsample >>
-        config.gbt.colsample >> config.gbt.seed)) {
-    return Status::InvalidArgument("bad pipeline config GBT record");
-  }
-  if (!(in >> config.elastic_net.alpha >> config.elastic_net.l1_ratio >>
-        config.elastic_net.max_iterations >> config.elastic_net.tolerance)) {
-    return Status::InvalidArgument("bad pipeline config elastic-net record");
-  }
+  DOMD_RETURN_IF_ERROR(ReadGbtParams(in, "pipeline config GBT", &config.gbt));
+  DOMD_RETURN_IF_ERROR(ReadElasticNetParams(
+      in, "pipeline config elastic-net", &config.elastic_net));
   DOMD_RETURN_IF_ERROR(ReadEnum(selection,
                                 SelectionMethod::kMutualInformationApprox,
                                 "pipeline config: selection",
@@ -102,9 +89,6 @@ StatusOr<PipelineConfig> PipelineConfig::Load(std::istream& in) {
                                 "pipeline config: loss", &config.loss));
   DOMD_RETURN_IF_ERROR(ReadEnum(fusion, FusionMethod::kWeightedRecent,
                                 "pipeline config: fusion", &config.fusion));
-  DOMD_RETURN_IF_ERROR(ReadEnum(split_method, SplitMethod::kHistogram,
-                                "pipeline config: split method",
-                                &config.gbt.tree.split_method));
   // A quantile loss keeps its level in huber_delta (Loss::tau()).
   if (config.loss == LossKind::kQuantile &&
       !(config.huber_delta > 0.0 && config.huber_delta < 1.0)) {

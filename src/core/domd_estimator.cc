@@ -10,8 +10,8 @@
 
 namespace domd {
 
-StatusOr<DomdEstimator> DomdEstimator::Train(
-    const Dataset* data, const PipelineConfig& config,
+StatusOr<DomdEstimator> DomdEstimator::TrainKeyed(
+    const Dataset* data, std::uint64_t epoch, const PipelineConfig& config,
     const std::vector<std::int64_t>& train_ids) {
   if (train_ids.empty()) {
     return Status::InvalidArgument("DomdEstimator: empty training set");
@@ -33,7 +33,7 @@ StatusOr<DomdEstimator> DomdEstimator::Train(
   all_ids.reserve(data->avails.size());
   for (const Avail& avail : data->avails.rows()) all_ids.push_back(avail.id);
   estimator.all_view_ =
-      BuildModelingViewShared(*data, estimator.engineer_, all_ids,
+      BuildModelingViewShared(*data, epoch, estimator.engineer_, all_ids,
                               estimator.grid_, config.parallelism,
                               config.cache_bytes);
 
@@ -64,13 +64,21 @@ StatusOr<DomdEstimator> DomdEstimator::Train(
 }
 
 StatusOr<DomdEstimator> DomdEstimator::Train(
+    const Dataset* data, const PipelineConfig& config,
+    const std::vector<std::int64_t>& train_ids) {
+  return TrainKeyed(data, ComputeDatasetFingerprint(*data), config,
+                    train_ids);
+}
+
+StatusOr<DomdEstimator> DomdEstimator::Train(
     std::shared_ptr<const DataSnapshot> snapshot,
     const PipelineConfig& config,
     const std::vector<std::int64_t>& train_ids) {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("DomdEstimator::Train: null snapshot");
   }
-  auto estimator = Train(&snapshot->data(), config, train_ids);
+  auto estimator =
+      TrainKeyed(&snapshot->data(), snapshot->epoch(), config, train_ids);
   if (!estimator.ok()) return estimator.status();
   estimator->snapshot_ = std::move(snapshot);
   return estimator;
@@ -92,9 +100,9 @@ StatusOr<DomdEstimator> DomdEstimator::LoadModels(
   return LoadModelsFromStream(data, in, parallelism, cache_bytes);
 }
 
-StatusOr<DomdEstimator> DomdEstimator::LoadModelsFromStream(
-    const Dataset* data, std::istream& in, const Parallelism& parallelism,
-    std::size_t cache_bytes) {
+StatusOr<DomdEstimator> DomdEstimator::LoadKeyed(
+    const Dataset* data, std::uint64_t epoch, std::istream& in,
+    const Parallelism& parallelism, std::size_t cache_bytes) {
   DomdEstimator estimator(data, PipelineConfig{});
   auto models = TimelineModelSet::Load(in, StaticFeatureNames().size(),
                                        estimator.engineer_.catalog().size());
@@ -112,11 +120,18 @@ StatusOr<DomdEstimator> DomdEstimator::LoadModelsFromStream(
   all_ids.reserve(data->avails.size());
   for (const Avail& avail : data->avails.rows()) all_ids.push_back(avail.id);
   estimator.all_view_ =
-      BuildModelingViewShared(*data, estimator.engineer_, all_ids,
+      BuildModelingViewShared(*data, epoch, estimator.engineer_, all_ids,
                               estimator.grid_, estimator.config_.parallelism,
                               estimator.config_.cache_bytes);
   estimator.models_ = std::move(*models);
   return estimator;
+}
+
+StatusOr<DomdEstimator> DomdEstimator::LoadModelsFromStream(
+    const Dataset* data, std::istream& in, const Parallelism& parallelism,
+    std::size_t cache_bytes) {
+  return LoadKeyed(data, ComputeDatasetFingerprint(*data), in, parallelism,
+                   cache_bytes);
 }
 
 StatusOr<DomdEstimator> DomdEstimator::LoadModels(
@@ -125,11 +140,10 @@ StatusOr<DomdEstimator> DomdEstimator::LoadModels(
   if (snapshot == nullptr) {
     return Status::InvalidArgument("DomdEstimator::LoadModels: null snapshot");
   }
-  auto estimator =
-      LoadModels(&snapshot->data(), path, parallelism, cache_bytes);
-  if (!estimator.ok()) return estimator.status();
-  estimator->snapshot_ = std::move(snapshot);
-  return estimator;
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open " + path);
+  return LoadModelsFromStream(std::move(snapshot), in, parallelism,
+                              cache_bytes);
 }
 
 StatusOr<DomdEstimator> DomdEstimator::LoadModelsFromStream(
@@ -139,8 +153,8 @@ StatusOr<DomdEstimator> DomdEstimator::LoadModelsFromStream(
     return Status::InvalidArgument(
         "DomdEstimator::LoadModelsFromStream: null snapshot");
   }
-  auto estimator =
-      LoadModelsFromStream(&snapshot->data(), in, parallelism, cache_bytes);
+  auto estimator = LoadKeyed(&snapshot->data(), snapshot->epoch(), in,
+                             parallelism, cache_bytes);
   if (!estimator.ok()) return estimator.status();
   estimator->snapshot_ = std::move(snapshot);
   return estimator;

@@ -38,7 +38,9 @@ class DomdEstimator {
   /// Trains the model set per `config` on the avails in `train_ids`
   /// (labels required: they must be closed) and prepares features for every
   /// avail in the dataset so any of them can be queried. The dataset must
-  /// outlive the estimator.
+  /// outlive the estimator. Each call fingerprints the dataset once
+  /// (ComputeDatasetFingerprint) to key its view; the snapshot overload
+  /// keys on the epoch the snapshot already carries.
   static StatusOr<DomdEstimator> Train(
       const Dataset* data, const PipelineConfig& config,
       const std::vector<std::int64_t>& train_ids);
@@ -84,7 +86,7 @@ class DomdEstimator {
       std::size_t cache_bytes = kDefaultViewCacheBytes);
 
   /// Snapshot-isolated variant of LoadModels (see the snapshot Train
-  /// overload for the lifetime contract).
+  /// overload for the lifetime contract), keyed on the snapshot's epoch.
   static StatusOr<DomdEstimator> LoadModels(
       std::shared_ptr<const DataSnapshot> snapshot, const std::string& path,
       const Parallelism& parallelism = {},
@@ -114,6 +116,19 @@ class DomdEstimator {
  private:
   DomdEstimator(const Dataset* data, const PipelineConfig& config)
       : data_(data), config_(config), engineer_(data) {}
+
+  /// The bodies of Train and LoadModelsFromStream. `epoch` is the
+  /// dataset's content fingerprint, the dataset's part of the view-cache
+  /// key: the snapshot's epoch(), or one ComputeDatasetFingerprint per
+  /// call of a Dataset* overload.
+  static StatusOr<DomdEstimator> TrainKeyed(
+      const Dataset* data, std::uint64_t epoch, const PipelineConfig& config,
+      const std::vector<std::int64_t>& train_ids);
+  static StatusOr<DomdEstimator> LoadKeyed(const Dataset* data,
+                                           std::uint64_t epoch,
+                                           std::istream& in,
+                                           const Parallelism& parallelism,
+                                           std::size_t cache_bytes);
 
   /// Common body of Query/QueryAtLogicalTime: per-step estimates up to
   /// t_star plus fused estimate and attributions.

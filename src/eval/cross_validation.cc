@@ -11,10 +11,14 @@
 #include "obs/trace.h"
 
 namespace domd {
+namespace {
 
-StatusOr<CvResult> CrossValidate(const Dataset& data,
-                                 const PipelineConfig& config,
-                                 const CvOptions& options) {
+/// The body of both overloads; `epoch` is the content fingerprint of
+/// `data` that keys its view.
+StatusOr<CvResult> CrossValidateKeyed(const Dataset& data,
+                                      std::uint64_t epoch,
+                                      const PipelineConfig& config,
+                                      const CvOptions& options) {
   if (options.num_folds < 2) {
     return Status::InvalidArgument("cross-validation needs >= 2 folds");
   }
@@ -34,8 +38,9 @@ StatusOr<CvResult> CrossValidate(const Dataset& data,
   // dataset/split/grid (HPT trials, fusion sweeps) reuses one build.
   FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(options.window_width_pct);
-  const std::shared_ptr<const ModelingView> full_view = BuildModelingViewShared(
-      data, engineer, ids, grid, config.parallelism, config.cache_bytes);
+  const std::shared_ptr<const ModelingView> full_view =
+      BuildModelingViewShared(data, epoch, engineer, ids, grid,
+                              config.parallelism, config.cache_bytes);
   const ModelingView& full = *full_view;
   std::vector<std::string> names;
   names.reserve(engineer.catalog().size());
@@ -121,13 +126,23 @@ StatusOr<CvResult> CrossValidate(const Dataset& data,
   return result;
 }
 
+}  // namespace
+
+StatusOr<CvResult> CrossValidate(const Dataset& data,
+                                 const PipelineConfig& config,
+                                 const CvOptions& options) {
+  return CrossValidateKeyed(data, ComputeDatasetFingerprint(data), config,
+                            options);
+}
+
 StatusOr<CvResult> CrossValidate(
     const std::shared_ptr<const DataSnapshot>& snapshot,
     const PipelineConfig& config, const CvOptions& options) {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("CrossValidate: null snapshot");
   }
-  return CrossValidate(snapshot->data(), config, options);
+  return CrossValidateKeyed(snapshot->data(), snapshot->epoch(), config,
+                            options);
 }
 
 BootstrapInterval BootstrapMaeInterval(const std::vector<double>& y_true,

@@ -38,14 +38,14 @@ struct CvResult {
 /// fold; each fold trains a fresh timeline model set on the remaining
 /// avails and scores the held-out fold's fused estimates. Complements the
 /// paper's single chronological split with a variance estimate — important
-/// at n ~ 200.
+/// at n ~ 200. Each call fingerprints the dataset once to key its view.
 StatusOr<CvResult> CrossValidate(const Dataset& data,
                                  const PipelineConfig& config,
                                  const CvOptions& options);
 
 /// Snapshot-isolated variant: cross-validates the pinned, epoch-stamped cut
 /// of a DataStore, so folds engineered mid-ingestion never see a moving
-/// dataset.
+/// dataset. Its view is keyed on the snapshot's epoch.
 StatusOr<CvResult> CrossValidate(
     const std::shared_ptr<const DataSnapshot>& snapshot,
     const PipelineConfig& config, const CvOptions& options);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/fnv1a.h"
 #include "common/strings.h"
 
 namespace domd {
@@ -12,17 +13,6 @@ namespace fault {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-
-/// FNV-1a over the point name: the per-point rng stream index, so two
-/// points armed with the same seed still draw decorrelated sequences.
-std::uint64_t NameStream(const std::string& name) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (char c : name) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
 
 StatusOr<std::uint64_t> ParseCount(const std::string& text,
                                    const std::string& spec) {
@@ -143,8 +133,10 @@ void FaultPoint::Arm(const FaultPolicy& policy) {
   std::lock_guard<std::mutex> lock(mutex_);
   policy_ = policy;
   // Fresh deterministic stream per Arm: the same (seed, point) schedule
-  // replays identically however many times it is re-armed.
-  rng_ = Rng::ForStream(policy.seed, NameStream(name_));
+  // replays identically however many times it is re-armed. The stream
+  // index is the point name's FNV-1a, so two points armed with the same
+  // seed still draw decorrelated sequences.
+  rng_ = Rng::ForStream(policy.seed, Fnv1a(name_));
   hit_count_ = 0;
   injected_count_ = 0;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/fnv1a.h"
+
 namespace domd {
 
 const char* FeatureKindToString(FeatureKind kind) {
@@ -146,23 +148,14 @@ const std::vector<std::string>& StaticFeatureNames() {
 
 std::uint64_t FeatureCatalogVersion() {
   static const std::uint64_t version = [] {
-    auto fnv1a = [](std::uint64_t hash, const std::string& text) {
-      for (char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001B3ull;
-      }
-      hash ^= 0xFF;  // separator so {"ab","c"} != {"a","bc"}
-      hash *= 0x100000001B3ull;
-      return hash;
+    std::uint64_t hash = kFnv1aSeed;
+    // Each name ends in a 0xFF byte, so {"ab","c"} != {"a","bc"}.
+    const auto add = [&hash](const std::string& name) {
+      hash = Fnv1a("\xFF", Fnv1a(name, hash));
     };
-    std::uint64_t hash = 0xCBF29CE484222325ull;
-    for (const std::string& name : StaticFeatureNames()) {
-      hash = fnv1a(hash, name);
-    }
+    for (const std::string& name : StaticFeatureNames()) add(name);
     const FeatureCatalog catalog;
-    for (const FeatureDef& def : catalog.features()) {
-      hash = fnv1a(hash, def.name);
-    }
+    for (const FeatureDef& def : catalog.features()) add(def.name);
     return hash;
   }();
   return version;

@@ -104,14 +104,15 @@ void StreamRows(std::span<const Row> base_rows,
   }
 }
 
-/// EpochOf(*Materialize(base, tail)) without building either: the same
-/// rows in the same order go through the fingerprint. Materialize keeps
-/// each base row in place with the last upsert of its id, appends new ids
-/// in order of first appearance, and skips a record its Upsert rejects —
-/// exactly the records ValidateMutation rejects. Only the last write per id
-/// counts, so re-applying an already-merged tail prefix changes nothing
-/// here either. Row fields are all the fingerprint reads: an RCC moved to
-/// another avail keeps its row, and an avail amend changes only its row.
+/// ComputeDatasetFingerprint(*Materialize(base, tail)) without building
+/// either: the same rows in the same order go through the fingerprint.
+/// Materialize keeps each base row in place with the last upsert of its
+/// id, appends new ids in order of first appearance, and skips a record
+/// its Upsert rejects — exactly the records ValidateMutation rejects. Only
+/// the last write per id counts, so re-applying an already-merged tail
+/// prefix changes nothing here either. Row fields are all the fingerprint
+/// reads: an RCC moved to another avail keeps its row, and an avail amend
+/// changes only its row.
 std::uint64_t CutEpoch(const Dataset& base,
                        const std::vector<IngestMutation>& tail) {
   std::vector<const Avail*> avail_records;
@@ -141,21 +142,12 @@ Status WriteBaseTables(const Dataset& data, const std::string& dir) {
   return WriteFileDurably(dir + "/rccs.csv", data.rccs.ToCsv().Serialize());
 }
 
-std::uint64_t DataStore::EpochOf(const Dataset& data) {
-  // Dropping the address-keyed memo entry first is load-bearing: an
-  // in-place amend can preserve the memo's cheap probes (cardinalities +
-  // boundary ids), and only this invalidation guarantees the epoch — and
-  // with it every ViewCache key — reflects the amended content.
-  InvalidateFingerprint(data);
-  return DatasetFingerprint(data);
-}
-
 StatusOr<std::unique_ptr<DataStore>> DataStore::Open(
     Dataset base, DataStoreOptions options) {
   auto store = std::unique_ptr<DataStore>(new DataStore());
   store->options_ = std::move(options);
   store->base_ = std::make_shared<const Dataset>(std::move(base));
-  store->base_epoch_ = EpochOf(*store->base_);
+  store->base_epoch_ = ComputeDatasetFingerprint(*store->base_);
   if (!store->options_.log_path.empty()) {
     IngestLog::ReplayResult replay;
     auto log = IngestLog::Open(store->options_.log_path, &replay);
@@ -427,7 +419,7 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
     }
   }
   auto merged = std::make_shared<const Dataset>(std::move(data));
-  const std::uint64_t new_epoch = EpochOf(*merged);
+  const std::uint64_t new_epoch = ComputeDatasetFingerprint(*merged);
 
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
   std::lock_guard<std::mutex> append_lock(append_mu_);
@@ -501,11 +493,6 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
     // Materialization happens outside the lock: appends keep landing on
     // the tail while this cut is assembled.
     auto merged = Materialize(*cut.base, cut.tail);
-    // The copy is a fresh allocation that may reuse the address of a dead
-    // one the DatasetFingerprint memo still holds, with matching probes
-    // after an amend-only history. Dropping that entry keeps every
-    // ViewCache key built on this snapshot true to its content.
-    InvalidateFingerprint(*merged);
     snapshot->epoch_ = known_epoch.has_value()
                            ? *known_epoch
                            : CutEpoch(*cut.base, cut.tail);
@@ -543,7 +530,7 @@ StatusOr<MergeStats> DataStore::Merge() {
   // function of history, independent of where this replica's merge cuts
   // happen to land (see Materialize).
   auto merged = Materialize(*cut.base, cut.tail);
-  const std::uint64_t new_epoch = EpochOf(*merged);
+  const std::uint64_t new_epoch = ComputeDatasetFingerprint(*merged);
 
   const Status fault = DOMD_FAULT_POINT("ingest.merge.commit").Check();
   if (!fault.ok()) {

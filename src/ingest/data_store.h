@@ -79,10 +79,12 @@ struct ReplTail {
 
 /// An immutable, epoch-stamped view of the store: the avail/RCC tables at
 /// one consistent cut (the shared base when clean, a materialized copy of
-/// base + pending mutations when dirty). The epoch *is* the dataset
-/// fingerprint of the exposed tables, so every downstream cache keyed on
-/// DatasetFingerprint invalidates exactly when the data changes and stays
-/// warm when it does not.
+/// base + pending mutations when dirty). The epoch *is*
+/// ComputeDatasetFingerprint of the exposed tables, and it is the dataset
+/// part of every view-cache key built on the snapshot (the estimator's
+/// snapshot overloads, CrossValidate, bundle loads): those caches miss
+/// exactly when the data changes and stay warm when it does not, wherever
+/// in memory the tables live.
 ///
 /// Snapshots pin their state: merges and appends after the pin never
 /// mutate what a live snapshot sees. Deeply const and safe to share
@@ -209,14 +211,6 @@ class DataStore {
 
   IngestStats stats() const;
   const DataStoreOptions& options() const { return options_; }
-
-  /// The canonical epoch of a dataset: drops any stale address-keyed
-  /// fingerprint memo entry first, then fingerprints the content. Every
-  /// base epoch (Open, Merge, InstallSnapshot) goes through here, which is
-  /// what makes an in-place amend unable to resurrect a stale cached view
-  /// (the ViewCache regression). A dirty cut's epoch is streamed instead,
-  /// and Snapshot() drops the memo entry of its materialized copy itself.
-  static std::uint64_t EpochOf(const Dataset& data);
 
  private:
   /// One applied-but-possibly-unmerged mutation retained for replication:

@@ -8,10 +8,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "common/fnv1a.h"
 #include "common/strings.h"
 #include "fault/fault.h"
 
@@ -20,15 +19,6 @@ namespace {
 
 constexpr char kHeaderV1[] = "domd-ingest-log v1\n";
 constexpr char kHeaderV2Prefix[] = "domd-ingest-log v2 ";
-
-std::uint64_t Fnv1a(std::string_view bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
 
 std::string EncodeRecord(const IngestMutation& mutation) {
   const std::string payload = EncodeMutation(mutation);
@@ -94,17 +84,7 @@ Status FsyncFd(int fd, const std::string& what) {
 }
 
 Status FsyncParentDir(const std::string& path) {
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.empty() ? "." : dir.c_str(),
-                        O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::IoError("open dir for fsync failed: " + dir + ": " +
-                           std::strerror(errno));
-  }
-  const Status synced = FsyncFd(fd, "dir " + dir);
-  ::close(fd);
-  return synced;
+  return FsyncDirectory(std::filesystem::path(path).parent_path().string());
 }
 
 Status WriteAll(int fd, std::string_view bytes, const std::string& what) {
@@ -212,22 +192,14 @@ StatusOr<std::unique_ptr<IngestLog>> IngestLog::Open(
   const Status fault = DOMD_FAULT_POINT("ingest.log.replay").Check();
   if (!fault.ok()) return fault;
 
-  std::string contents;
-  bool existed = false;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      existed = true;
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      contents = buffer.str();
-      if (!in && !in.eof()) {
-        return Status::IoError("read failed for ingest log " + path);
-      }
-    }
+  // A missing file is a fresh log; so is an empty one: both get a header.
+  auto read = ReadFileToString(path);
+  std::error_code exists_ec;
+  if (!read.ok() && std::filesystem::exists(path, exists_ec)) {
+    return Status::IoError("read failed for ingest log " + path);
   }
-
-  if (contents.empty()) existed = false;  // empty file: write a header.
+  const std::string contents = read.ok() ? std::move(*read) : std::string();
+  const bool existed = !contents.empty();
 
   std::size_t good_end = 0;
   if (existed) {
@@ -372,19 +344,37 @@ Status IngestLog::Rotate(const std::vector<IngestMutation>& still_pending,
   return FsyncParentDir(path_);
 }
 
+Status WriteFileSynced(const std::string& path, std::string_view contents) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  Status written = WriteAll(fd, contents, path);
+  if (written.ok()) written = FsyncFd(fd, path);
+  if (::close(fd) != 0 && written.ok()) {
+    written = Status::IoError("close failed for " + path + ": " +
+                              std::strerror(errno));
+  }
+  return written;
+}
+
+Status FsyncDirectory(const std::string& dir) {
+  const int fd = ::open(dir.empty() ? "." : dir.c_str(),
+                        O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::IoError("open dir for fsync failed: " + dir + ": " +
+                           std::strerror(errno));
+  }
+  const Status synced = FsyncFd(fd, "dir " + dir);
+  ::close(fd);
+  return synced;
+}
+
 Status WriteFileDurably(const std::string& path,
                         const std::string& contents) {
   const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  Status written = WriteAll(fd, contents, tmp);
-  if (written.ok()) written = FsyncFd(fd, tmp);
-  ::close(fd);
-  if (!written.ok()) return written;
+  DOMD_RETURN_IF_ERROR(WriteFileSynced(tmp, contents));
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::IoError("cannot rename " + tmp + " into place: " +
                            std::strerror(errno));

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -102,9 +103,19 @@ class IngestLog {
   std::uint64_t count_ = 0;  ///< records currently in the file.
 };
 
-/// Durable small-file write (write to <path>.tmp, fsync, rename, fsync
-/// parent): the staging idiom the bundle writer uses, shared here for the
-/// merge path's CSV persistence.
+/// Writes `contents` to `path` (created or truncated) and fsyncs it before
+/// closing. A write interrupted by a signal resumes; a failed open, write,
+/// fsync or close is IoError.
+Status WriteFileSynced(const std::string& path, std::string_view contents);
+
+/// Fsyncs the directory `dir` (empty means "."), so entries created or
+/// renamed in it survive a crash. IoError when it cannot be opened or
+/// synced.
+Status FsyncDirectory(const std::string& dir);
+
+/// Durable small-file write: WriteFileSynced to <path>.tmp, rename onto
+/// `path`, FsyncDirectory of its parent. The merge path persists the base
+/// CSVs through it.
 Status WriteFileDurably(const std::string& path, const std::string& contents);
 
 }  // namespace domd

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "common/strings.h"
 
 namespace domd {
@@ -212,12 +213,7 @@ std::uint64_t MutationChain(std::uint64_t prev, std::string_view payload) {
   // FNV-1a seeded by the previous chain value: position-dependent, so two
   // histories that hold the same payload multiset in different orders (or
   // at different sequence numbers) still produce different chains.
-  std::uint64_t hash = 0xCBF29CE484222325ull ^ prev;
-  for (const char c : payload) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
+  return Fnv1a(payload, kFnv1aSeed ^ prev);
 }
 
 }  // namespace domd

@@ -113,12 +113,27 @@ std::vector<double> ElasticNetRegression::FeatureImportances() const {
   return importances;
 }
 
+void WriteElasticNetParams(std::ostream& out,
+                           const ElasticNetParams& params) {
+  out << params.alpha << ' ' << params.l1_ratio << ' '
+      << params.max_iterations << ' ' << params.tolerance;
+}
+
+Status ReadElasticNetParams(std::istream& in, const std::string& record,
+                            ElasticNetParams* params) {
+  if (!(in >> params->alpha >> params->l1_ratio >> params->max_iterations >>
+        params->tolerance)) {
+    return Status::InvalidArgument("bad " + record + " record");
+  }
+  return Status::OK();
+}
+
 void ElasticNetRegression::Save(std::ostream& out) const {
   out << std::setprecision(17);
   out << "elastic_net v1\n";
-  out << "params " << params_.alpha << ' ' << params_.l1_ratio << ' '
-      << params_.max_iterations << ' ' << params_.tolerance << "\n";
-  out << "model " << intercept_ << ' ' << coef_.size() << "\n";
+  out << "params ";
+  WriteElasticNetParams(out, params_);
+  out << "\nmodel " << intercept_ << ' ' << coef_.size() << "\n";
   for (std::size_t c = 0; c < coef_.size(); ++c) {
     out << coef_[c] << ' ' << feature_means_[c] << "\n";
   }
@@ -129,12 +144,12 @@ StatusOr<ElasticNetRegression> ElasticNetRegression::Load(std::istream& in) {
   if (!(in >> tag >> version) || tag != "elastic_net" || version != "v1") {
     return Status::InvalidArgument("bad elastic net header");
   }
-  ElasticNetParams params;
-  if (!(in >> tag >> params.alpha >> params.l1_ratio >>
-        params.max_iterations >> params.tolerance) ||
-      tag != "params") {
+  if (!(in >> tag) || tag != "params") {
     return Status::InvalidArgument("bad elastic net params record");
   }
+  ElasticNetParams params;
+  DOMD_RETURN_IF_ERROR(
+      ReadElasticNetParams(in, "elastic net params", &params));
   ElasticNetRegression model(params);
   std::size_t count = 0;
   if (!(in >> tag >> model.intercept_ >> count) || tag != "model") {

@@ -3,6 +3,7 @@
 
 #include <istream>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "ml/model.h"
@@ -19,6 +20,16 @@ struct ElasticNetParams {
   int max_iterations = 1000;
   double tolerance = 1e-6; ///< Max coefficient delta to declare convergence.
 };
+
+/// Writes the 4 ElasticNetParams fields space-separated, at the stream's
+/// precision and without a newline: the record a pipeline config and an
+/// elastic-net model file share.
+void WriteElasticNetParams(std::ostream& out, const ElasticNetParams& params);
+
+/// Reads a record WriteElasticNetParams wrote; InvalidArgument "bad
+/// <record> record" when a field does not parse.
+Status ReadElasticNetParams(std::istream& in, const std::string& record,
+                            ElasticNetParams* params);
 
 class ElasticNetRegression final : public Regressor {
  public:

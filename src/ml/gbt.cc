@@ -251,18 +251,38 @@ std::vector<double> GbtRegressor::FeatureImportances() const {
   return gains;
 }
 
+void WriteGbtParams(std::ostream& out, const GbtParams& params) {
+  out << params.num_rounds << ' ' << params.learning_rate << ' '
+      << params.tree.max_depth << ' ' << params.tree.min_child_weight << ' '
+      << params.tree.lambda << ' ' << params.tree.gamma << ' '
+      << static_cast<int>(params.tree.split_method) << ' '
+      << params.tree.histogram_bins << ' ' << params.subsample << ' '
+      << params.colsample << ' ' << params.seed;
+}
+
+Status ReadGbtParams(std::istream& in, const std::string& record,
+                     GbtParams* params) {
+  int split_method = 0;
+  if (!(in >> params->num_rounds >> params->learning_rate >>
+        params->tree.max_depth >> params->tree.min_child_weight >>
+        params->tree.lambda >> params->tree.gamma >> split_method >>
+        params->tree.histogram_bins >> params->subsample >>
+        params->colsample >> params->seed)) {
+    return Status::InvalidArgument("bad " + record + " record");
+  }
+  return ReadEnum(split_method, SplitMethod::kHistogram,
+                  (record + " split method").c_str(),
+                  &params->tree.split_method);
+}
+
 void GbtRegressor::Save(std::ostream& out) const {
   out << std::setprecision(17);
   out << "gbt v1\n";
   out << "loss " << static_cast<int>(loss_.kind()) << ' ' << loss_.delta()
       << "\n";
-  out << "params " << params_.num_rounds << ' ' << params_.learning_rate
-      << ' ' << params_.tree.max_depth << ' ' << params_.tree.min_child_weight
-      << ' ' << params_.tree.lambda << ' ' << params_.tree.gamma << ' '
-      << static_cast<int>(params_.tree.split_method) << ' '
-      << params_.tree.histogram_bins << ' ' << params_.subsample << ' '
-      << params_.colsample << ' ' << params_.seed << "\n";
-  out << "model " << base_score_ << ' ' << num_features_ << ' '
+  out << "params ";
+  WriteGbtParams(out, params_);
+  out << "\nmodel " << base_score_ << ' ' << num_features_ << ' '
       << trees_.size() << "\n";
   for (const RegressionTree& tree : trees_) tree.Save(out);
 }
@@ -277,19 +297,11 @@ StatusOr<GbtRegressor> GbtRegressor::Load(std::istream& in) {
   if (!(in >> tag >> loss_kind >> delta) || tag != "loss") {
     return Status::InvalidArgument("bad GBT loss record");
   }
-  GbtParams params;
-  int split_method = 0;
-  if (!(in >> tag >> params.num_rounds >> params.learning_rate >>
-        params.tree.max_depth >> params.tree.min_child_weight >>
-        params.tree.lambda >> params.tree.gamma >> split_method >>
-        params.tree.histogram_bins >> params.subsample >> params.colsample >>
-        params.seed) ||
-      tag != "params") {
+  if (!(in >> tag) || tag != "params") {
     return Status::InvalidArgument("bad GBT params record");
   }
-  DOMD_RETURN_IF_ERROR(ReadEnum(split_method, SplitMethod::kHistogram,
-                                "GBT split method",
-                                &params.tree.split_method));
+  GbtParams params;
+  DOMD_RETURN_IF_ERROR(ReadGbtParams(in, "GBT params", &params));
   LossKind kind = LossKind::kSquared;
   DOMD_RETURN_IF_ERROR(
       ReadEnum(loss_kind, LossKind::kQuantile, "GBT loss", &kind));

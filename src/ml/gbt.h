@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "ml/loss.h"
@@ -22,6 +23,17 @@ struct GbtParams {
   double colsample = 1.0;    ///< Feature sampling fraction per round.
   std::uint64_t seed = 7;    ///< Sampling seed.
 };
+
+/// Writes the 11 GbtParams fields space-separated, at the stream's
+/// precision and without a newline: the record a pipeline config and a GBT
+/// model file share.
+void WriteGbtParams(std::ostream& out, const GbtParams& params);
+
+/// Reads a record WriteGbtParams wrote. InvalidArgument "bad <record>
+/// record" when a field does not parse, and one naming "<record> split
+/// method" when that field names no SplitMethod.
+Status ReadGbtParams(std::istream& in, const std::string& record,
+                     GbtParams* params);
 
 /// Second-order gradient boosting over regression trees with a pluggable
 /// loss (squared / absolute / Pseudo-Huber). Each round fits a tree to the

@@ -1,20 +1,19 @@
 #include "serve/model_bundle.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <map>
 #include <sstream>
 
+#include "common/fnv1a.h"
 #include "common/strings.h"
 #include "core/fusion.h"
 #include "data/integrity.h"
 #include "data/logical_time.h"
 #include "fault/fault.h"
-#include "features/static_features.h"
+#include "features/feature_catalog.h"
+#include "ingest/ingest_log.h"
 
 namespace domd {
 namespace {
@@ -23,17 +22,6 @@ constexpr char kManifestName[] = "MANIFEST";
 constexpr char kModelsName[] = "models.txt";
 constexpr char kAvailsName[] = "avails.csv";
 constexpr char kRccsName[] = "rccs.csv";
-
-std::uint64_t Fnv1a(std::uint64_t hash, std::string_view text) {
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  // Separator byte so {"ab","c"} and {"a","bc"} hash differently.
-  hash ^= 0xFF;
-  hash *= 0x100000001B3ull;
-  return hash;
-}
 
 bool IsValidVersionTag(const std::string& version) {
   if (version.empty() || version.size() > 128) return false;
@@ -108,42 +96,13 @@ StatusOr<Manifest> ParseManifest(const std::string& dir,
   return manifest;
 }
 
-/// Writes `content` to `path` and fsyncs it before closing, so a committed
-/// bundle file is durable before the manifest (and then the rename) makes
-/// it reachable. The serve.bundle.write fault point simulates a crash
-/// mid-publication: the staging file is left torn and never committed.
-Status WriteFileDurable(const std::string& path, std::string_view content) {
+/// Writes one staged bundle file durably before the manifest (and then the
+/// rename) makes it reachable. The serve.bundle.write fault point
+/// simulates a crash mid-publication: the staging file is left torn and
+/// never committed.
+Status WriteStagedFile(const std::string& path, std::string_view content) {
   DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.write").Check());
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  std::size_t written = 0;
-  while (written < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + written,
-                              content.size() - written);
-    if (n < 0) {
-      ::close(fd);
-      return Status::IoError("write failed for " + path);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return Status::IoError("fsync failed for " + path);
-  }
-  if (::close(fd) != 0) {
-    return Status::IoError("close failed for " + path);
-  }
-  return Status::OK();
-}
-
-/// Best-effort fsync of a directory, making a just-renamed entry durable.
-void FsyncDirectory(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
+  return WriteFileSynced(path, content);
 }
 
 /// Atomically publishes the fully-written staging directory as `final`.
@@ -174,33 +133,13 @@ Status CommitDirectory(const std::string& staging, const std::string& final) {
                            final + ": " + ec.message());
   }
   if (displaced) std::filesystem::remove_all(old, ec);
-  const std::filesystem::path parent =
-      std::filesystem::path(final).parent_path();
-  FsyncDirectory(parent.empty() ? "." : parent.string());
-  return Status::OK();
+  return FsyncDirectory(std::filesystem::path(final).parent_path().string());
 }
 
 }  // namespace
 
-std::uint64_t ServingSchemaHash() {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const std::string& name : StaticFeatureNames()) {
-    hash = Fnv1a(hash, name);
-  }
-  static const FeatureCatalog catalog;
-  for (const FeatureDef& def : catalog.features()) {
-    hash = Fnv1a(hash, def.name);
-  }
-  return hash;
-}
-
 std::uint64_t BundleFileChecksum(std::string_view bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
+  return Fnv1a(bytes);
 }
 
 Status ModelBundle::Write(const DomdEstimator& estimator, const Dataset& data,
@@ -238,16 +177,15 @@ Status ModelBundle::WriteModels(const std::string& models_text,
   const std::string rccs_text = data.rccs.ToCsv().Serialize();
 
   DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kAvailsName, avails_text));
+      WriteStagedFile(staging + "/" + kAvailsName, avails_text));
+  DOMD_RETURN_IF_ERROR(WriteStagedFile(staging + "/" + kRccsName, rccs_text));
   DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kRccsName, rccs_text));
-  DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kModelsName, models_text));
+      WriteStagedFile(staging + "/" + kModelsName, models_text));
 
   std::ostringstream manifest;
   manifest << "domd_bundle v2\n";
   manifest << "version " << version << "\n";
-  manifest << "schema_hash " << ServingSchemaHash() << "\n";
+  manifest << "schema_hash " << FeatureCatalogVersion() << "\n";
   manifest << "avails " << data.avails.size() << "\n";
   manifest << "rccs " << data.rccs.size() << "\n";
   manifest << "checksum " << kAvailsName << " "
@@ -257,8 +195,8 @@ Status ModelBundle::WriteModels(const std::string& models_text,
   manifest << "checksum " << kModelsName << " "
            << BundleFileChecksum(models_text) << "\n";
   DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kManifestName, manifest.str()));
-  FsyncDirectory(staging);
+      WriteStagedFile(staging + "/" + kManifestName, manifest.str()));
+  DOMD_RETURN_IF_ERROR(FsyncDirectory(staging));
 
   // The commit point: a crash (or injected fault) before the rename leaves
   // only the staging directory; the published path is untouched.
@@ -294,11 +232,11 @@ Status CopyBundleDurable(const std::string& src_dir,
       return Status::DataLoss(src_dir + "/" + name +
                               ": checksum mismatch during staging copy");
     }
-    DOMD_RETURN_IF_ERROR(WriteFileDurable(staging + "/" + name, *bytes));
+    DOMD_RETURN_IF_ERROR(WriteStagedFile(staging + "/" + name, *bytes));
   }
   DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kManifestName, *manifest_bytes));
-  FsyncDirectory(staging);
+      WriteStagedFile(staging + "/" + kManifestName, *manifest_bytes));
+  DOMD_RETURN_IF_ERROR(FsyncDirectory(staging));
   DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.commit").Check());
   return CommitDirectory(staging, dest_dir);
 }
@@ -318,12 +256,12 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
 
   // Schema-compatibility gate: a bundle written under a different feature
   // catalog would misalign model input columns — refuse early and loudly.
-  if (manifest->schema_hash != ServingSchemaHash()) {
+  if (manifest->schema_hash != FeatureCatalogVersion()) {
     return Status::FailedPrecondition(
         dir + ": bundle schema hash " +
         std::to_string(manifest->schema_hash) +
         " does not match this binary's feature schema " +
-        std::to_string(ServingSchemaHash()));
+        std::to_string(FeatureCatalogVersion()));
   }
 
   // Read every payload file once, verify its recorded checksum, and parse

@@ -41,12 +41,6 @@ struct ServePrediction {
   std::string bundle_version;  ///< version tag of the scoring bundle.
 };
 
-/// FNV-1a hash over the serving feature schema (static feature names plus
-/// the full dynamic catalog, in column order). A bundle written under one
-/// schema refuses to load under another: model columns would silently
-/// misalign otherwise.
-std::uint64_t ServingSchemaHash();
-
 /// An immutable, versioned serving artifact: the trained `DomdEstimator`
 /// stack (per-step models + pipeline config), the reference fleet it was
 /// trained over, and the fleet's per-step reference estimates. A bundle
@@ -55,7 +49,10 @@ std::uint64_t ServingSchemaHash();
 /// of threads concurrently (shared-immutable, per DESIGN.md §6).
 ///
 /// On-disk layout (directory):
-///   MANIFEST    magic, version tag, schema hash, cardinalities, checksums
+///   MANIFEST    magic, version tag, schema hash (FeatureCatalogVersion:
+///               a bundle written under one feature schema refuses to load
+///               under another, whose model columns would misalign),
+///               cardinalities, checksums
 ///   models.txt  TimelineModelSet text serialization (config included)
 ///   avails.csv  reference fleet avail table
 ///   rccs.csv    reference fleet RCC table

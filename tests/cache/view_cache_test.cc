@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <thread>
@@ -14,11 +13,14 @@
 
 #include "cache/fingerprint.h"
 #include "common/rng.h"
+#include "core/test_helpers.h"
 #include "data/logical_time.h"
 #include "synth/generator.h"
 
 namespace domd {
 namespace {
+
+using testing_internal::ViewsBitIdentical;
 
 Dataset SmallData(std::uint64_t seed = 17) {
   SynthConfig config;
@@ -35,49 +37,10 @@ std::vector<std::int64_t> AllIds(const Dataset& data) {
   return ids;
 }
 
-bool ViewsBitIdentical(const ModelingView& a, const ModelingView& b) {
-  if (a.avail_ids != b.avail_ids) return false;
-  if (a.labels.size() != b.labels.size()) return false;
-  for (std::size_t i = 0; i < a.labels.size(); ++i) {
-    if (std::bit_cast<std::uint64_t>(a.labels[i]) !=
-        std::bit_cast<std::uint64_t>(b.labels[i])) {
-      return false;
-    }
-  }
-  if (a.static_x.rows() != b.static_x.rows() ||
-      a.static_x.cols() != b.static_x.cols()) {
-    return false;
-  }
-  for (std::size_t r = 0; r < a.static_x.rows(); ++r) {
-    for (std::size_t c = 0; c < a.static_x.cols(); ++c) {
-      if (std::bit_cast<std::uint64_t>(a.static_x.at(r, c)) !=
-          std::bit_cast<std::uint64_t>(b.static_x.at(r, c))) {
-        return false;
-      }
-    }
-  }
-  if (a.num_steps() != b.num_steps()) return false;
-  for (std::size_t s = 0; s < a.num_steps(); ++s) {
-    const Matrix& ma = a.dynamic.slice(s);
-    const Matrix& mb = b.dynamic.slice(s);
-    if (ma.rows() != mb.rows() || ma.cols() != mb.cols()) return false;
-    for (std::size_t r = 0; r < ma.rows(); ++r) {
-      for (std::size_t c = 0; c < ma.cols(); ++c) {
-        if (std::bit_cast<std::uint64_t>(ma.at(r, c)) !=
-            std::bit_cast<std::uint64_t>(mb.at(r, c))) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
 TEST(FingerprintTest, IdenticalContentFingerprintsIdentically) {
   const Dataset a = SmallData();
   const Dataset b = SmallData();  // same seed, distinct addresses
   EXPECT_EQ(ComputeDatasetFingerprint(a), ComputeDatasetFingerprint(b));
-  EXPECT_EQ(DatasetFingerprint(a), DatasetFingerprint(b));
 }
 
 TEST(FingerprintTest, OneMutatedRccRowChangesFingerprint) {
@@ -208,15 +171,16 @@ TEST(FingerprintTest, IdAndGridDigestsAreOrderSensitive) {
 
 TEST(ViewCacheTest, HitReturnsTheSameSnapshot) {
   const Dataset data = SmallData();
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const std::vector<std::int64_t> ids = AllIds(data);
 
   ViewCache cache(64ull << 20, /*num_shards=*/1);
-  const auto first = BuildModelingViewShared(data, engineer, ids, grid, {},
-                                             cache.max_bytes(), &cache);
-  const auto second = BuildModelingViewShared(data, engineer, ids, grid, {},
-                                              cache.max_bytes(), &cache);
+  const auto first = BuildModelingViewShared(
+      data, epoch, engineer, ids, grid, {}, cache.max_bytes(), &cache);
+  const auto second = BuildModelingViewShared(
+      data, epoch, engineer, ids, grid, {}, cache.max_bytes(), &cache);
   EXPECT_EQ(first.get(), second.get());  // one physical snapshot
   const ViewCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -227,28 +191,30 @@ TEST(ViewCacheTest, HitReturnsTheSameSnapshot) {
 
 TEST(ViewCacheTest, CachedViewBitIdenticalToDirectBuild) {
   const Dataset data = SmallData();
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const std::vector<std::int64_t> ids = AllIds(data);
 
   ViewCache cache(64ull << 20, 1);
-  const auto cached = BuildModelingViewShared(data, engineer, ids, grid, {},
-                                              cache.max_bytes(), &cache);
+  const auto cached = BuildModelingViewShared(
+      data, epoch, engineer, ids, grid, {}, cache.max_bytes(), &cache);
   const ModelingView direct = BuildModelingView(data, engineer, ids, grid);
   EXPECT_TRUE(ViewsBitIdentical(*cached, direct));
 }
 
 TEST(ViewCacheTest, ZeroBudgetBypassesStorageButStaysCorrect) {
   const Dataset data = SmallData();
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const std::vector<std::int64_t> ids = AllIds(data);
 
   ViewCache cache(0, 1);
   const auto first =
-      BuildModelingViewShared(data, engineer, ids, grid, {}, 0, &cache);
+      BuildModelingViewShared(data, epoch, engineer, ids, grid, {}, 0, &cache);
   const auto second =
-      BuildModelingViewShared(data, engineer, ids, grid, {}, 0, &cache);
+      BuildModelingViewShared(data, epoch, engineer, ids, grid, {}, 0, &cache);
   EXPECT_NE(first.get(), second.get());  // nothing retained
   EXPECT_TRUE(ViewsBitIdentical(*first, *second));
   const ViewCacheStats stats = cache.Stats();
@@ -260,6 +226,7 @@ TEST(ViewCacheTest, ZeroBudgetBypassesStorageButStaysCorrect) {
 
 TEST(ViewCacheTest, TinyBudgetEvictsLeastRecentlyUsed) {
   const Dataset data = SmallData();
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const std::vector<std::int64_t> ids = AllIds(data);
@@ -268,21 +235,21 @@ TEST(ViewCacheTest, TinyBudgetEvictsLeastRecentlyUsed) {
   // must push out the least recently used entry (single shard => global
   // LRU order).
   ViewCache probe(1ull << 30, 1);
-  const auto sized = BuildModelingViewShared(data, engineer, ids, grid, {},
-                                             probe.max_bytes(), &probe);
+  const auto sized = BuildModelingViewShared(
+      data, epoch, engineer, ids, grid, {}, probe.max_bytes(), &probe);
   const std::size_t one_view = ApproxModelingViewBytes(*sized);
 
   ViewCache cache(one_view + one_view / 2, 1);
   const std::vector<std::int64_t> half(ids.begin(),
                                        ids.begin() + ids.size() / 2);
-  const auto full_key = MakeViewCacheKey(data, ids, grid);
-  const auto half_key = MakeViewCacheKey(data, half, grid);
+  const auto full_key = MakeViewCacheKey(epoch, ids, grid);
+  const auto half_key = MakeViewCacheKey(epoch, half, grid);
   ASSERT_FALSE(full_key == half_key);
 
-  BuildModelingViewShared(data, engineer, ids, grid, {}, cache.max_bytes(),
-                          &cache);
-  BuildModelingViewShared(data, engineer, half, grid, {}, cache.max_bytes(),
-                          &cache);
+  BuildModelingViewShared(data, epoch, engineer, ids, grid, {},
+                          cache.max_bytes(), &cache);
+  BuildModelingViewShared(data, epoch, engineer, half, grid, {},
+                          cache.max_bytes(), &cache);
 
   EXPECT_GE(cache.Stats().evictions, 1u);
   EXPECT_EQ(cache.Lookup(full_key), nullptr);   // LRU tail was evicted
@@ -291,6 +258,7 @@ TEST(ViewCacheTest, TinyBudgetEvictsLeastRecentlyUsed) {
 
 TEST(ViewCacheTest, OversizeViewIsReturnedUncachedWithoutFlushingTheShard) {
   const Dataset data = SmallData();
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const std::vector<std::int64_t> ids = AllIds(data);
@@ -299,19 +267,19 @@ TEST(ViewCacheTest, OversizeViewIsReturnedUncachedWithoutFlushingTheShard) {
 
   ViewCache probe(1ull << 30, 1);
   const std::size_t full_bytes = ApproxModelingViewBytes(
-      *BuildModelingViewShared(data, engineer, ids, grid, {},
+      *BuildModelingViewShared(data, epoch, engineer, ids, grid, {},
                                probe.max_bytes(), &probe));
   const std::size_t half_bytes = ApproxModelingViewBytes(
-      *BuildModelingViewShared(data, engineer, half, grid, {},
+      *BuildModelingViewShared(data, epoch, engineer, half, grid, {},
                                probe.max_bytes(), &probe));
   ASSERT_LT(half_bytes, full_bytes);
 
   // One shard whose whole budget holds the half view but not the full one.
   ViewCache cache((half_bytes + full_bytes) / 2, 1);
-  BuildModelingViewShared(data, engineer, half, grid, {}, cache.max_bytes(),
-                          &cache);
-  const auto full = BuildModelingViewShared(data, engineer, ids, grid, {},
-                                            cache.max_bytes(), &cache);
+  BuildModelingViewShared(data, epoch, engineer, half, grid, {},
+                          cache.max_bytes(), &cache);
+  const auto full = BuildModelingViewShared(
+      data, epoch, engineer, ids, grid, {}, cache.max_bytes(), &cache);
   EXPECT_EQ(full->avail_ids, ids);  // the caller still gets its view
 
   const ViewCacheStats stats = cache.Stats();
@@ -319,8 +287,8 @@ TEST(ViewCacheTest, OversizeViewIsReturnedUncachedWithoutFlushingTheShard) {
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.bytes, half_bytes);
-  EXPECT_NE(cache.Lookup(MakeViewCacheKey(data, half, grid)), nullptr);
-  EXPECT_EQ(cache.Lookup(MakeViewCacheKey(data, ids, grid)), nullptr);
+  EXPECT_NE(cache.Lookup(MakeViewCacheKey(epoch, half, grid)), nullptr);
+  EXPECT_EQ(cache.Lookup(MakeViewCacheKey(epoch, ids, grid)), nullptr);
 }
 
 // The benchmark-scale fleet (200 avails, 10% grid) must be retained by the
@@ -333,15 +301,16 @@ TEST(ViewCacheTest, DefaultBudgetRetainsABenchScaleFleetView) {
   config.ongoing_fraction = 0.05;
   config.seed = 42;
   const Dataset data = GenerateDataset(config);
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(10.0);
   const std::vector<std::int64_t> ids = AllIds(data);
 
   ViewCache cache(kDefaultViewCacheBytes, 8);
   const auto first = BuildModelingViewShared(
-      data, engineer, ids, grid, {}, kDefaultViewCacheBytes, &cache);
+      data, epoch, engineer, ids, grid, {}, kDefaultViewCacheBytes, &cache);
   const auto second = BuildModelingViewShared(
-      data, engineer, ids, grid, {}, kDefaultViewCacheBytes, &cache);
+      data, epoch, engineer, ids, grid, {}, kDefaultViewCacheBytes, &cache);
   EXPECT_EQ(first.get(), second.get());
   const ViewCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -351,13 +320,14 @@ TEST(ViewCacheTest, DefaultBudgetRetainsABenchScaleFleetView) {
 
 TEST(ViewCacheTest, ShrinkingBudgetEvictsImmediately) {
   const Dataset data = SmallData();
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const std::vector<std::int64_t> ids = AllIds(data);
 
   ViewCache cache(1ull << 30, 1);
-  const auto view = BuildModelingViewShared(data, engineer, ids, grid, {},
-                                            cache.max_bytes(), &cache);
+  const auto view = BuildModelingViewShared(
+      data, epoch, engineer, ids, grid, {}, cache.max_bytes(), &cache);
   ASSERT_EQ(cache.Stats().entries, 1u);
 
   cache.SetMaxBytes(1);  // below any real view's footprint
@@ -369,13 +339,14 @@ TEST(ViewCacheTest, ShrinkingBudgetEvictsImmediately) {
 
 TEST(ViewCacheTest, ClearAndResetCountersIsolateRuns) {
   const Dataset data = SmallData();
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const std::vector<std::int64_t> ids = AllIds(data);
 
   ViewCache cache(64ull << 20, 1);
-  BuildModelingViewShared(data, engineer, ids, grid, {}, cache.max_bytes(),
-                          &cache);
+  BuildModelingViewShared(data, epoch, engineer, ids, grid, {},
+                          cache.max_bytes(), &cache);
   cache.Clear();
   EXPECT_EQ(cache.Stats().entries, 0u);
   cache.ResetCounters();
@@ -388,6 +359,7 @@ TEST(ViewCacheTest, ClearAndResetCountersIsolateRuns) {
 // keys must not corrupt shard state.
 TEST(ViewCacheConcurrencyTest, ConcurrentGetOrBuildConverges) {
   const Dataset data = SmallData();
+  const std::uint64_t epoch = ComputeDatasetFingerprint(data);
   const FeatureEngineer engineer(&data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const std::vector<std::int64_t> ids = AllIds(data);
@@ -404,7 +376,7 @@ TEST(ViewCacheConcurrencyTest, ConcurrentGetOrBuildConverges) {
         const std::vector<std::int64_t>& pick = (t % 2 == 0) ? ids : half;
         for (int round = 0; round < 4; ++round) {
           seen[static_cast<std::size_t>(t)] = BuildModelingViewShared(
-              data, engineer, pick, grid, {}, cache.max_bytes(), &cache);
+              data, epoch, engineer, pick, grid, {}, cache.max_bytes(), &cache);
         }
       });
     }
@@ -412,8 +384,8 @@ TEST(ViewCacheConcurrencyTest, ConcurrentGetOrBuildConverges) {
   }
   // After the dust settles every thread on the same key holds the stored
   // snapshot for that key.
-  const auto full_entry = cache.Lookup(MakeViewCacheKey(data, ids, grid));
-  const auto half_entry = cache.Lookup(MakeViewCacheKey(data, half, grid));
+  const auto full_entry = cache.Lookup(MakeViewCacheKey(epoch, ids, grid));
+  const auto half_entry = cache.Lookup(MakeViewCacheKey(epoch, half, grid));
   ASSERT_NE(full_entry, nullptr);
   ASSERT_NE(half_entry, nullptr);
   for (int t = 0; t < kThreads; ++t) {

@@ -1,6 +1,7 @@
 #ifndef DOMD_TESTS_CORE_TEST_HELPERS_H_
 #define DOMD_TESTS_CORE_TEST_HELPERS_H_
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,6 +64,30 @@ inline PipelineConfig FastConfig() {
   config.gbt.tree.max_depth = 3;
   config.window_width_pct = 25.0;
   return config;
+}
+
+/// Same doubles bit for bit: +0.0 and -0.0 differ, and a NaN equals itself.
+inline bool BitIdentical(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Same ids, labels, static features and tensor slices, bit for bit.
+inline bool ViewsBitIdentical(const ModelingView& a, const ModelingView& b) {
+  if (a.avail_ids != b.avail_ids || !BitIdentical(a.labels, b.labels) ||
+      a.static_x.cols() != b.static_x.cols() ||
+      !BitIdentical(a.static_x.data(), b.static_x.data()) ||
+      a.num_steps() != b.num_steps()) {
+    return false;
+  }
+  for (std::size_t s = 0; s < a.num_steps(); ++s) {
+    if (a.dynamic.slice(s).cols() != b.dynamic.slice(s).cols() ||
+        !BitIdentical(a.dynamic.slice(s).data(), b.dynamic.slice(s).data())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace testing_internal

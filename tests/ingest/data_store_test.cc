@@ -204,7 +204,6 @@ void ExpectEpochIsContent(const DataStore& store, const Dataset& truth,
   EXPECT_EQ(epoch, snapshot->epoch()) << "step " << step;
   EXPECT_EQ(epoch, ComputeDatasetFingerprint(snapshot->data()))
       << "step " << step;
-  EXPECT_EQ(epoch, DatasetFingerprint(snapshot->data())) << "step " << step;
   EXPECT_EQ(epoch, ComputeDatasetFingerprint(truth)) << "step " << step;
 }
 
@@ -658,27 +657,22 @@ TEST(DataStoreTest, CrashBeforeMergeReplaysTheLog) {
 }
 
 TEST(DataStoreTest, InPlaceAmendCannotServeStaleFingerprint) {
-  // The ViewCache regression this PR closes: the fingerprint memo probes
-  // {address, table sizes, last ids}, all of which survive an in-place
-  // amend of a middle row. A raw DatasetFingerprint would happily return
-  // the stale memo; every epoch bump therefore goes through
-  // DataStore::EpochOf, which drops the memo entry before hashing.
+  // An in-place amend of a middle row keeps the dataset's address, table
+  // sizes and last ids. The epoch of a store opened over it still follows
+  // the amended content, and so does every view-cache key built on it.
   Dataset data = SmallFleet();
-  const std::uint64_t before = DatasetFingerprint(data);
+  const std::uint64_t before = ComputeDatasetFingerprint(data);
 
   ASSERT_GE(data.rccs.size(), 3u);
   Rcc amended = data.rccs.rows()[data.rccs.size() / 2];
   amended.settled_amount += 5000.0;
   ASSERT_TRUE(data.rccs.Upsert(amended).ok());
 
-  // The memoized path is fooled: same address, same sizes, same last ids.
-  EXPECT_EQ(DatasetFingerprint(data), before);
-  // The DataStore epoch is not.
-  const std::uint64_t epoch = DataStore::EpochOf(data);
+  auto store = DataStore::Open(data);
+  ASSERT_TRUE(store.ok());
+  const std::uint64_t epoch = (*store)->epoch();
   EXPECT_NE(epoch, before);
   EXPECT_EQ(epoch, ComputeDatasetFingerprint(data));
-  // And EpochOf repaired the memo as a side effect.
-  EXPECT_EQ(DatasetFingerprint(data), epoch);
 }
 
 TEST(DataStoreTest, EpochMatchesMaterializedContent) {
@@ -740,8 +734,9 @@ TEST(DataStoreTest, EpochMatchesMaterializedContent) {
 }
 
 TEST(DataStoreTest, DirtySnapshotFingerprintIsNeverStale) {
-  // Amend-only: table sizes and last ids never move, so a dead snapshot's
-  // memo entry would pass every probe for a new copy at its address.
+  // Amend-only: table sizes and last ids never move, and each dirty cut is
+  // a fresh copy that may reuse a dead one's address. Its epoch must still
+  // be its own content's.
   const Dataset fleet = SmallFleet();
   auto store = DataStore::Open(fleet);
   ASSERT_TRUE(store.ok());
@@ -751,7 +746,7 @@ TEST(DataStoreTest, DirtySnapshotFingerprintIsNeverStale) {
         (*store)->AppendBatch(history.NextBatch(/*amend_only=*/true)).ok());
     const auto snapshot = (*store)->Snapshot();
     ASSERT_GT(snapshot->delta_depth(), 0u);
-    EXPECT_EQ(DatasetFingerprint(snapshot->data()), snapshot->epoch())
+    EXPECT_EQ(ComputeDatasetFingerprint(snapshot->data()), snapshot->epoch())
         << "step " << step;
   }
 }

@@ -330,6 +330,35 @@ TEST_F(IngestLogTest, V1HeaderReplaysAsBaseZero) {
   EXPECT_EQ((*log)->last_seq(), mutations.size());
 }
 
+TEST_F(IngestLogTest, UnreadableLogIsAnErrorNotAFreshLog) {
+  // A directory where the log should be exists but cannot be read: Open
+  // must refuse it, not write a header over it.
+  path_ = TempLogPath("unreadable");
+  std::filesystem::create_directory(path_);
+  IngestLog::ReplayResult replay;
+  EXPECT_EQ(IngestLog::Open(path_, &replay).status().code(),
+            StatusCode::kIoError);
+}
+
+TEST(DurableFileTest, SyncedWriteReplacesContentsAndFailuresAreIoErrors) {
+  const std::string dir = TempLogPath("durable");
+  std::filesystem::create_directory(dir);
+  const std::string path = dir + "/file";
+  ASSERT_TRUE(WriteFileSynced(path, "a longer first version").ok());
+  ASSERT_TRUE(WriteFileSynced(path, "second").ok());
+  EXPECT_EQ(*ReadFileToString(path), "second");
+  EXPECT_TRUE(FsyncDirectory(dir).ok());
+  EXPECT_TRUE(FsyncDirectory("").ok());  // the working directory
+
+  const std::string missing = dir + "/missing";
+  EXPECT_EQ(WriteFileSynced(missing + "/file", "x").code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(FsyncDirectory(missing).code(), StatusCode::kIoError);
+  EXPECT_EQ(WriteFileDurably(missing + "/file", "x").code(),
+            StatusCode::kIoError);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(IngestMutationTest, CodecRoundTripsDoublesExactly) {
   Avail avail;
   avail.id = 7;

@@ -7,17 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/view_cache.h"
 #include "core/domd_estimator.h"
+#include "core/test_helpers.h"
 #include "eval/cross_validation.h"
 #include "serve/model_bundle.h"
 #include "synth/generator.h"
 
 namespace domd {
 namespace {
+
+using testing_internal::ViewsBitIdentical;
 
 Dataset SmallData() {
   SynthConfig config;
@@ -153,6 +157,38 @@ TEST(CacheIdentityTest, DisabledCacheBundleLoadsBuildIndependently) {
     ASSERT_TRUE(b.ok()) << b.status();
     EXPECT_TRUE(BitIdentical(a->estimate_days, b->estimate_days));
   }
+}
+
+TEST(CacheIdentityTest, AmendedDatasetRebuiltAtTheSameAddressGetsItsOwnView) {
+  // A dataset rebuilt where a dead one lived keeps its address, its table
+  // sizes and its boundary ids. Only its content tells it apart, so only
+  // its content may key the view it trains on.
+  std::optional<Dataset> slot;
+  slot.emplace(SmallData());
+  const std::vector<std::int64_t> train_ids = LabeledIds(*slot);
+  const PipelineConfig config = CheapConfig(256ull << 20);
+  ASSERT_TRUE(DomdEstimator::Train(&*slot, config, train_ids).ok());
+
+  // Every RCC of one avail settled the day it was created.
+  Dataset amended = *slot;
+  const std::int64_t avail_id = slot->rccs.rows().front().avail_id;
+  for (Rcc rcc : slot->rccs.rows()) {
+    if (rcc.avail_id != avail_id) continue;
+    rcc.settled_date = rcc.creation_date;
+    ASSERT_TRUE(amended.rccs.Upsert(rcc).ok());
+  }
+  ASSERT_NE(ComputeDatasetFingerprint(amended),
+            ComputeDatasetFingerprint(*slot));
+  slot.reset();
+  slot.emplace(std::move(amended));
+
+  const auto estimator = DomdEstimator::Train(&*slot, config, train_ids);
+  ASSERT_TRUE(estimator.ok()) << estimator.status();
+  std::vector<std::int64_t> all_ids;
+  for (const Avail& avail : slot->avails.rows()) all_ids.push_back(avail.id);
+  const ModelingView fresh = BuildModelingView(
+      *slot, FeatureEngineer(&*slot), all_ids, estimator->grid());
+  EXPECT_TRUE(ViewsBitIdentical(*estimator->shared_view(), fresh));
 }
 
 }  // namespace

@@ -52,7 +52,9 @@ TEST(ModelBundleTest, RoundTripPreservesVersionSchemaAndFleet) {
   const auto& fixture = GetServeFixture();
   EXPECT_EQ(fixture.v1->version(), "v1");
   EXPECT_EQ(fixture.v2->version(), "v2");
-  EXPECT_EQ(fixture.v1->schema_hash(), ServingSchemaHash());
+  EXPECT_EQ(fixture.v1->schema_hash(), FeatureCatalogVersion());
+  // Pinned: every bundle ever written carries this schema hash.
+  EXPECT_EQ(FeatureCatalogVersion(), 10179255777321209353ull);
   EXPECT_EQ(fixture.v1->data().avails.size(),
             fixture.pipeline.data.avails.size());
   EXPECT_EQ(fixture.v1->data().rccs.size(),
@@ -96,7 +98,7 @@ TEST(ModelBundleTest, ManifestCardinalityMismatchRefused) {
   {
     std::ofstream manifest(dir + "/MANIFEST");
     manifest << "domd_bundle v1\nversion v1\nschema_hash "
-             << ServingSchemaHash() << "\navails 9999\nrccs 1\n";
+             << FeatureCatalogVersion() << "\navails 9999\nrccs 1\n";
   }
   auto bundle = ModelBundle::Load(dir);
   EXPECT_EQ(bundle.status().code(), StatusCode::kFailedPrecondition);
@@ -170,7 +172,7 @@ TEST(ModelBundleTest, V2ManifestMissingAChecksumLineIsDataLoss) {
     // a v2 bundle without its integrity records is itself torn.
     std::ofstream manifest(dir + "/MANIFEST", std::ios::trunc);
     manifest << "domd_bundle v2\nversion v1\nschema_hash "
-             << ServingSchemaHash() << "\navails "
+             << FeatureCatalogVersion() << "\navails "
              << fixture.pipeline.data.avails.size() << "\nrccs "
              << fixture.pipeline.data.rccs.size() << "\n";
   }
@@ -213,7 +215,7 @@ TEST(ModelBundleTest, LegacyV1ManifestStillLoadsWithoutChecksums) {
   {
     std::ofstream manifest(dir + "/MANIFEST", std::ios::trunc);
     manifest << "domd_bundle v1\nversion v1\nschema_hash "
-             << ServingSchemaHash() << "\navails "
+             << FeatureCatalogVersion() << "\navails "
              << fixture.pipeline.data.avails.size() << "\nrccs "
              << fixture.pipeline.data.rccs.size() << "\n";
   }

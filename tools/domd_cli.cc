@@ -321,13 +321,14 @@ int CmdTune(const Flags& flags) {
   }
 
   const ParamSpace space = PipelineOptimizer::GbtSearchSpace();
+  const std::uint64_t epoch = store->snapshot->epoch();
   const auto objective = [&](const ParamMap& map) {
     // Deliberately inside the trial: cache hit after the first trial.
     const auto train = BuildModelingViewShared(
-        data, engineer, split.train, grid, config.parallelism,
+        data, epoch, engineer, split.train, grid, config.parallelism,
         config.cache_bytes);
     const auto validation = BuildModelingViewShared(
-        data, engineer, split.validation, grid, config.parallelism,
+        data, epoch, engineer, split.validation, grid, config.parallelism,
         config.cache_bytes);
     PipelineConfig candidate = config;
     PipelineOptimizer::ApplyGbtParams(map, &candidate.gbt);
