@@ -32,6 +32,7 @@
 #include "cluster/hash_ring.h"
 #include "cluster/router.h"
 #include "cluster/upstream.h"
+#include "common/stats.h"
 #include "core/domd_estimator.h"
 #include "obs/stage.h"
 #include "serve/frontend.h"
@@ -44,6 +45,9 @@ namespace {
 constexpr std::size_t kClientThreads = 4;
 constexpr std::size_t kRequestsPerThread = 40;
 constexpr std::size_t kRequestPool = 12;
+/// Interleaved solo/batched repetitions of the batch-scoring stage; each
+/// side reads the median of its repetitions.
+constexpr int kBatchScoringReps = 21;
 
 bool BitIdentical(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -637,9 +641,12 @@ int Run() {
   stage_start = stage_clock();
 
   // ---- Batch-scoring phase: the whole request pool in one ScoreBatch
-  // (one feature sweep + the breadth-first batch scorer per step) against
-  // the same requests scored one at a time. The batched path must be
-  // bit-identical to solo scoring and at least as fast per row.
+  // (one dataset, one feature sweep, the breadth-first batch scorer over
+  // row blocks per step) against the same requests scored one at a time.
+  // The batched path must be bit-identical to solo scoring and at least as
+  // fast per row. One run of a side is too short to time once, so each
+  // side reads the median of kBatchScoringReps repetitions, interleaved
+  // with the other side's and alternating which goes first.
   struct BatchScoringResult {
     std::size_t rows = 0;
     double solo_seconds = 0.0;
@@ -658,25 +665,45 @@ int Run() {
   };
   BatchScoringResult batch_scoring;
   batch_scoring.rows = pool.size();
-  batch_scoring.solo_seconds = bench::TimeSeconds([&] {
-    for (const ScoreRequest& request : pool) {
-      if (!(*v1)->ScoreBatch({request})[0].ok()) std::abort();
+  batch_scoring.bit_identical = true;
+  const auto time_solo = [&] {
+    return bench::TimeSeconds(
+        [&] {
+          for (const ScoreRequest& request : pool) {
+            if (!(*v1)->ScoreBatch({request})[0].ok()) std::abort();
+          }
+        },
+        1);
+  };
+  const auto time_batch = [&] {
+    std::vector<StatusOr<ServePrediction>> batched;
+    const double seconds =
+        bench::TimeSeconds([&] { batched = (*v1)->ScoreBatch(pool); }, 1);
+    bool same = batched.size() == pool.size();
+    for (std::size_t i = 0; same && i < batched.size(); ++i) {
+      same = batched[i].ok() &&
+             BitIdentical(batched[i]->estimate_days, expected["v1"][i]);
     }
-  });
-  std::vector<StatusOr<ServePrediction>> batched_predictions;
-  batch_scoring.batch_seconds = bench::TimeSeconds(
-      [&] { batched_predictions = (*v1)->ScoreBatch(pool); });
-  batch_scoring.bit_identical = batched_predictions.size() == pool.size();
-  for (std::size_t i = 0; i < batched_predictions.size(); ++i) {
-    if (!batched_predictions[i].ok() ||
-        !BitIdentical(batched_predictions[i]->estimate_days,
-                      expected["v1"][i])) {
-      batch_scoring.bit_identical = false;
+    batch_scoring.bit_identical = batch_scoring.bit_identical && same;
+    return seconds;
+  };
+  std::vector<double> solo_runs, batch_runs;
+  for (int rep = 0; rep < kBatchScoringReps; ++rep) {
+    if (rep % 2 == 0) {
+      solo_runs.push_back(time_solo());
+      batch_runs.push_back(time_batch());
+    } else {
+      batch_runs.push_back(time_batch());
+      solo_runs.push_back(time_solo());
     }
   }
-  std::printf("batch scoring: %zu rows, solo %.0f rows/s, batched %.0f "
-              "rows/s (%.2fx), identical=%s\n",
-              batch_scoring.rows, batch_scoring.solo_rows_per_s(),
+  batch_scoring.solo_seconds = Median(solo_runs);
+  batch_scoring.batch_seconds = Median(batch_runs);
+  std::printf("batch scoring: %zu rows, median of %d interleaved reps: "
+              "solo %.0f rows/s, batched %.0f rows/s (%.2fx), "
+              "identical=%s\n",
+              batch_scoring.rows, kBatchScoringReps,
+              batch_scoring.solo_rows_per_s(),
               batch_scoring.batch_rows_per_s(),
               batch_scoring.solo_seconds > 0 && batch_scoring.batch_seconds > 0
                   ? batch_scoring.solo_seconds / batch_scoring.batch_seconds
@@ -881,6 +908,7 @@ int Run() {
        << ", \"ok\": " << burst_ok << ", \"rejected\": " << burst_rejected
        << ", \"queue_depth\": " << tight.max_queue_depth << "},\n";
   json << "  \"batch_scoring\": {\"rows\": " << batch_scoring.rows
+       << ", \"reps\": " << kBatchScoringReps
        << ", \"solo_rows_per_s\": " << batch_scoring.solo_rows_per_s()
        << ", \"batch_rows_per_s\": " << batch_scoring.batch_rows_per_s()
        << ", \"bit_identical\": "

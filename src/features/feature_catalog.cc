@@ -131,6 +131,11 @@ FeatureCatalog::FeatureCatalog() {
   }
 }
 
+const FeatureCatalog& FeatureCatalog::Shared() {
+  static const FeatureCatalog& catalog = *new FeatureCatalog();
+  return catalog;
+}
+
 int FeatureCatalog::FindByName(const std::string& name) const {
   for (std::size_t i = 0; i < features_.size(); ++i) {
     if (features_[i].name == name) return static_cast<int>(i);
@@ -154,8 +159,9 @@ std::uint64_t FeatureCatalogVersion() {
       hash = Fnv1a("\xFF", Fnv1a(name, hash));
     };
     for (const std::string& name : StaticFeatureNames()) add(name);
-    const FeatureCatalog catalog;
-    for (const FeatureDef& def : catalog.features()) add(def.name);
+    for (const FeatureDef& def : FeatureCatalog::Shared().features()) {
+      add(def.name);
+    }
     return hash;
   }();
   return version;

@@ -58,6 +58,11 @@ class FeatureCatalog {
   /// Builds the full 1490-feature catalog.
   FeatureCatalog();
 
+  /// The process's one catalog, built on first use and never modified, so
+  /// any thread may read it. Every engineer and FeatureCatalogVersion()
+  /// read this instance instead of building their own.
+  static const FeatureCatalog& Shared();
+
   const std::vector<FeatureDef>& features() const { return features_; }
   std::size_t size() const { return features_.size(); }
   const FeatureDef& feature(std::size_t i) const { return features_[i]; }

@@ -1,5 +1,7 @@
 #include "features/feature_engineer.h"
 
+#include <span>
+
 #include "obs/trace.h"
 
 namespace domd {
@@ -31,14 +33,15 @@ void SetGroupClause(int group_id, StatusQuery* query) {
 
 }  // namespace
 
-FeatureEngineer::FeatureEngineer(const Dataset* data) : data_(data) {}
+FeatureEngineer::FeatureEngineer(const Dataset* data)
+    : data_(data), catalog_(&FeatureCatalog::Shared()) {}
 
 FeatureTensor FeatureEngineer::ComputeIncremental(
     const std::vector<std::int64_t>& avail_ids,
     const std::vector<double>& time_grid,
     const Parallelism& parallelism) const {
   DOMD_OBS_SPAN("features.block_sweep");
-  FeatureTensor tensor(avail_ids, time_grid, catalog_.size());
+  FeatureTensor tensor(avail_ids, time_grid, catalog_->size());
   if (avail_ids.empty()) return tensor;
 
   const int threads =
@@ -74,24 +77,24 @@ void FeatureEngineer::EngineerRows(const std::vector<std::int64_t>& avail_ids,
 
   const std::size_t n_groups = GroupSchema::kNumGroups;
   std::vector<double> prev_created(block.size() * n_groups, 0.0);
+  const std::vector<FeatureDef>& features = catalog_->features();
 
   for (std::size_t step = 0; step < time_grid.size(); ++step) {
     sweep.AdvanceTo(time_grid[step]);
     Matrix& slice = tensor->slice(step);
     for (std::size_t i = 0; i < block.size(); ++i) {
-      const std::size_t row = row_begin + i;
-      for (std::size_t f = 0; f < catalog_.size(); ++f) {
-        const FeatureDef& def = catalog_.feature(f);
-        const GroupAggregates& agg = sweep.Get(block[i], def.group_id);
-        slice.at(row, f) = FeatureValue(
-            def.kind, agg, time_grid[step],
-            prev_created[i * n_groups +
-                         static_cast<std::size_t>(def.group_id)]);
+      // One lookup per avail and step: the avail's row of group aggregates.
+      const std::span<const GroupAggregates> aggs = sweep.Row(block[i]);
+      const std::span<double> prev(&prev_created[i * n_groups], n_groups);
+      const std::span<double> out = slice.row(row_begin + i);
+      for (std::size_t f = 0; f < features.size(); ++f) {
+        const FeatureDef& def = features[f];
+        const auto g = static_cast<std::size_t>(def.group_id);
+        out[f] = FeatureValue(def.kind, aggs[g], time_grid[step], prev[g]);
       }
       // Snapshot created counts for the next step's window features.
       for (std::size_t g = 0; g < n_groups; ++g) {
-        prev_created[i * n_groups + g] = static_cast<double>(
-            sweep.Get(block[i], static_cast<int>(g)).created_count);
+        prev[g] = static_cast<double>(aggs[g].created_count);
       }
     }
   }

@@ -22,10 +22,11 @@ namespace domd {
 /// and to quantify the incremental speedup.
 class FeatureEngineer {
  public:
-  /// The dataset must outlive the engineer.
+  /// The dataset must outlive the engineer. Construction builds nothing:
+  /// the engineer reads the shared catalog (FeatureCatalog::Shared()).
   explicit FeatureEngineer(const Dataset* data);
 
-  const FeatureCatalog& catalog() const { return catalog_; }
+  const FeatureCatalog& catalog() const { return *catalog_; }
 
   /// Incremental tensor construction for the given avails over the grid.
   /// With more than one thread, avails are partitioned into contiguous
@@ -55,7 +56,9 @@ class FeatureEngineer {
                     FeatureTensor* tensor) const;
 
   const Dataset* data_;
-  FeatureCatalog catalog_;
+  /// A pointer, not a reference, so an engineer (and an estimator holding
+  /// one) stays assignable.
+  const FeatureCatalog* catalog_;
 };
 
 }  // namespace domd

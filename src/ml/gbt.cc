@@ -132,7 +132,29 @@ Status GbtRegressor::Fit(const Matrix& x, const std::vector<double>& y) {
     }
     training_curve_.push_back(loss_sum / static_cast<double>(n));
   }
+  Flatten();
   return Status::OK();
+}
+
+void GbtRegressor::Flatten() {
+  std::size_t nodes = 0;
+  for (const RegressionTree& tree : trees_) {
+    nodes += std::max<std::size_t>(tree.num_nodes(), 1);  // empty: one leaf
+  }
+  flat_ = FlatForest();
+  flat_.feature.reserve(nodes);
+  flat_.left.reserve(nodes);
+  flat_.right.reserve(nodes);
+  flat_.threshold.reserve(nodes);
+  flat_.weight.reserve(nodes);
+  flat_.roots.reserve(trees_.size());
+  flat_.depths.reserve(trees_.size());
+  for (const RegressionTree& tree : trees_) {
+    flat_.roots.push_back(static_cast<std::int32_t>(flat_.feature.size()));
+    flat_.depths.push_back(tree.depth());
+    tree.AppendFlat(flat_.roots.back(), &flat_.feature, &flat_.threshold,
+                    &flat_.left, &flat_.right, &flat_.weight);
+  }
 }
 
 double GbtRegressor::Predict(std::span<const double> row) const {
@@ -148,20 +170,14 @@ std::vector<double> GbtRegressor::PredictBatch(const Matrix& x) const {
   std::vector<double> out(n, base_score_);
   if (trees_.empty() || n == 0) return out;
 
-  // Flatten the ensemble into parallel node arrays: one contiguous pool,
-  // per-tree root offsets, leaves as self-loops. Flattening is linear in
-  // node count (~tens of KB), negligible next to scoring a batch.
-  std::vector<std::int32_t> feature, left, right, roots;
-  std::vector<double> threshold, weight;
-  std::vector<int> depths;
-  roots.reserve(trees_.size());
-  depths.reserve(trees_.size());
-  for (const RegressionTree& tree : trees_) {
-    roots.push_back(static_cast<std::int32_t>(feature.size()));
-    depths.push_back(tree.depth());
-    tree.AppendFlat(roots.back(), &feature, &threshold, &left, &right,
-                    &weight);
-  }
+  // Read the node arrays Fit or Load flattened. Flattening is linear in
+  // node count but, for a batch of a few rows, costs several times the
+  // descent itself, so it is never done per call.
+  const std::vector<std::int32_t>& feature = flat_.feature;
+  const std::vector<std::int32_t>& left = flat_.left;
+  const std::vector<std::int32_t>& right = flat_.right;
+  const std::vector<double>& threshold = flat_.threshold;
+  const std::vector<double>& weight = flat_.weight;
 
   // Block of rows descends one tree at a time: every step reads one node
   // array entry per row (branch-free select), and per-row accumulation
@@ -183,8 +199,8 @@ std::vector<double> GbtRegressor::PredictBatch(const Matrix& x) const {
   for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
     const std::size_t bn = std::min(kBlock, n - b0);
     for (std::size_t t = 0; t < trees_.size(); ++t) {
-      const std::int32_t root = roots[t];
-      const int depth = depths[t];
+      const std::int32_t root = flat_.roots[t];
+      const int depth = flat_.depths[t];
       std::size_t j = 0;
 #if defined(__AVX2__)
       if (simd_ok) {
@@ -321,6 +337,7 @@ StatusOr<GbtRegressor> GbtRegressor::Load(std::istream& in) {
     if (!tree.ok()) return tree.status();
     model.trees_.push_back(std::move(*tree));
   }
+  model.Flatten();
   return model;
 }
 

@@ -53,10 +53,12 @@ class GbtRegressor final : public Regressor {
 
   double Predict(std::span<const double> row) const override;
 
-  /// Breadth-first batch scorer: flattens the ensemble into parallel node
-  /// arrays and descends all rows of a block through one tree at a time
-  /// (branch-free, prefetch-friendly; AVX2 when compiled in). Bit-identical
-  /// to calling Predict per row — per-row accumulation stays in tree order.
+  /// Breadth-first batch scorer: descends all rows of a block through one
+  /// tree at a time over the flat node arrays Fit and Load build
+  /// (branch-free, prefetch-friendly; AVX2 when compiled in). It only reads
+  /// the model, so one const model may score from many threads.
+  /// Bit-identical to calling Predict per row — per-row accumulation stays
+  /// in tree order.
   std::vector<double> PredictBatch(const Matrix& x) const override;
   /// Total split gain per feature across the ensemble.
   std::vector<double> FeatureImportances() const override;
@@ -83,9 +85,24 @@ class GbtRegressor final : public Regressor {
   static StatusOr<GbtRegressor> Load(std::istream& in);
 
  private:
+  /// The ensemble as parallel node arrays (RegressionTree::AppendFlat): one
+  /// contiguous pool with per-tree root offsets and depths, leaves as
+  /// self-loops. What PredictBatch reads.
+  struct FlatForest {
+    std::vector<std::int32_t> feature, left, right;
+    std::vector<double> threshold, weight;
+    std::vector<std::int32_t> roots;
+    std::vector<int> depths;
+  };
+
+  /// Rebuilds flat_ from trees_, each array allocated once at its exact
+  /// size. Fit and Load call it last, so flat_ always matches trees_.
+  void Flatten();
+
   GbtParams params_;
   Loss loss_;
   std::vector<RegressionTree> trees_;
+  FlatForest flat_;
   double base_score_ = 0.0;
   std::size_t num_features_ = 0;
   std::vector<double> training_curve_;

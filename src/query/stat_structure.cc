@@ -115,13 +115,18 @@ void StatStructure::AdvanceTo(double t_star) {
   current_time_ = t_star;
 }
 
+std::span<const GroupAggregates> StatStructure::Row(
+    std::int64_t avail_id) const {
+  static constexpr GroupAggregates kEmptyRow[GroupSchema::kNumGroups] = {};
+  constexpr auto kGroups = static_cast<std::size_t>(GroupSchema::kNumGroups);
+  const auto it = avail_index_.find(avail_id);
+  if (it == avail_index_.end()) return {kEmptyRow, kGroups};
+  return {&aggregates_[it->second * kGroups], kGroups};
+}
+
 const GroupAggregates& StatStructure::Get(std::int64_t avail_id,
                                           int group_id) const {
-  const auto it = avail_index_.find(avail_id);
-  if (it == avail_index_.end()) return empty_;
-  return aggregates_[it->second *
-                         static_cast<std::size_t>(GroupSchema::kNumGroups) +
-                     static_cast<std::size_t>(group_id)];
+  return Row(avail_id)[static_cast<std::size_t>(group_id)];
 }
 
 }  // namespace domd

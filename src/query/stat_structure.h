@@ -2,6 +2,7 @@
 #define DOMD_QUERY_STAT_STRUCTURE_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -86,8 +87,13 @@ class StatStructure {
   /// Current sweep time (-infinity before the first AdvanceTo).
   double current_time() const { return current_time_; }
 
-  /// Aggregates for one avail x group bucket at the current sweep time.
-  /// Unknown avail ids return empty aggregates.
+  /// One avail's aggregates at the current sweep time, kNumGroups of them
+  /// indexed by group id: one id lookup for the whole row. Unknown avail
+  /// ids return a row of empty aggregates.
+  std::span<const GroupAggregates> Row(std::int64_t avail_id) const;
+
+  /// Aggregates for one avail x group bucket at the current sweep time:
+  /// Row(avail_id)[group_id].
   const GroupAggregates& Get(std::int64_t avail_id, int group_id) const;
 
   /// Number of avails tracked.
@@ -111,7 +117,6 @@ class StatStructure {
   std::vector<std::size_t> settle_pos_;
   /// Dense aggregates: avail-major, kNumGroups per avail.
   std::vector<GroupAggregates> aggregates_;
-  GroupAggregates empty_;
   double current_time_;
 };
 

@@ -13,6 +13,18 @@ TEST(FeatureCatalogTest, ExactlyPaperFeatureCount) {
   EXPECT_EQ(catalog.size(), 1490u);
 }
 
+TEST(FeatureCatalogTest, SharedCatalogIsOneFullCatalog) {
+  const FeatureCatalog& shared = FeatureCatalog::Shared();
+  EXPECT_EQ(&shared, &FeatureCatalog::Shared());
+  const FeatureCatalog fresh;
+  ASSERT_EQ(shared.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(shared.feature(i).name, fresh.feature(i).name);
+    EXPECT_EQ(shared.feature(i).group_id, fresh.feature(i).group_id);
+    EXPECT_EQ(shared.feature(i).kind, fresh.feature(i).kind);
+  }
+}
+
 TEST(FeatureCatalogTest, NamesAreUnique) {
   FeatureCatalog catalog;
   std::set<std::string> names;

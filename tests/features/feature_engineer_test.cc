@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "data/logical_time.h"
 #include "features/static_features.h"
@@ -146,6 +148,69 @@ TEST(FeatureEngineerTest, WindowFeatureSumsToTotal) {
     EXPECT_DOUBLE_EQ(window_sum,
                      tensor.slice(grid.size() - 1)
                          .at(row, static_cast<std::size_t>(total_col)));
+  }
+}
+
+TEST(FeatureEngineerTest, UntrackedAvailsGetAllZeroRows) {
+  // Ids the dataset does not hold engineer a zero row at every step, and
+  // leave the rows of the ids it does hold as they read alone.
+  const Dataset data = SmallData(31);
+  const FeatureEngineer engineer(&data);
+  const auto grid = LogicalTimeGrid(20.0);
+  const auto present = AllIds(data);
+  const FeatureTensor alone = engineer.ComputeIncremental(present, grid);
+
+  std::vector<std::int64_t> mixed = {-7, present[0], 99999};
+  for (std::size_t i = 1; i < present.size(); ++i) {
+    mixed.push_back(present[i]);
+    if (i % 3 == 0) mixed.push_back(100000 + static_cast<std::int64_t>(i));
+  }
+  mixed.push_back(0);
+  for (const int threads : {1, 4}) {
+    Parallelism parallelism;
+    parallelism.num_threads = threads;
+    const FeatureTensor tensor =
+        engineer.ComputeIncremental(mixed, grid, parallelism);
+    ASSERT_EQ(tensor.num_avails(), mixed.size());
+    std::size_t next_present = 0;
+    for (std::size_t row = 0; row < mixed.size(); ++row) {
+      const bool tracked = data.avails.Find(mixed[row]).ok();
+      for (std::size_t step = 0; step < grid.size(); ++step) {
+        const auto got = tensor.slice(step).row(row);
+        if (!tracked) {
+          for (std::size_t f = 0; f < got.size(); ++f) {
+            ASSERT_EQ(got[f], 0.0) << "threads=" << threads << " id="
+                                   << mixed[row] << " step=" << step
+                                   << " feature=" << f;
+          }
+          continue;
+        }
+        const auto want = alone.slice(step).row(next_present);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+            << "threads=" << threads << " id=" << mixed[row]
+            << " step=" << step;
+      }
+      if (tracked) ++next_present;
+    }
+    EXPECT_EQ(next_present, present.size());
+  }
+}
+
+TEST(FeatureEngineerTest, EngineersShareOneCatalogAndStayAssignable) {
+  const Dataset first = SmallData(3);
+  const Dataset second = SmallData(5);
+  FeatureEngineer engineer(&first);
+  const FeatureEngineer other(&second);
+  EXPECT_EQ(&engineer.catalog(), &FeatureCatalog::Shared());
+  EXPECT_EQ(&other.catalog(), &FeatureCatalog::Shared());
+  static_assert(std::is_copy_assignable_v<FeatureEngineer>);
+  static_assert(std::is_move_assignable_v<FeatureEngineer>);
+  engineer = other;
+  const auto grid = LogicalTimeGrid(50.0);
+  const FeatureTensor got = engineer.ComputeIncremental(AllIds(second), grid);
+  const FeatureTensor want = other.ComputeIncremental(AllIds(second), grid);
+  for (std::size_t step = 0; step < grid.size(); ++step) {
+    EXPECT_EQ(got.slice(step).data(), want.slice(step).data());
   }
 }
 

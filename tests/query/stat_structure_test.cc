@@ -58,6 +58,31 @@ TEST(StatStructureTest, SweepAccumulatesCreatedAndSettled) {
   EXPECT_EQ(sweep.Get(1, all).active_count(), 1u);  // open RCC id 3
 }
 
+TEST(StatStructureTest, RowHoldsEveryGroupOfOneAvail) {
+  const Dataset data = TinyDataset();
+  StatStructure sweep(data);
+  sweep.AdvanceTo(45.0);
+  const auto row = sweep.Row(1);
+  ASSERT_EQ(row.size(), static_cast<std::size_t>(GroupSchema::kNumGroups));
+  for (int g = 0; g < GroupSchema::kNumGroups; ++g) {
+    EXPECT_EQ(&row[static_cast<std::size_t>(g)], &sweep.Get(1, g));
+  }
+  EXPECT_EQ(row[static_cast<std::size_t>(GroupSchema::Level1GroupId(0, 0))]
+                .created_count,
+            3u);
+
+  // An id the structure does not track reads a row of empty aggregates.
+  const auto untracked = sweep.Row(42);
+  ASSERT_EQ(untracked.size(), row.size());
+  for (const GroupAggregates& agg : untracked) {
+    EXPECT_EQ(agg.created_count, 0u);
+    EXPECT_EQ(agg.settled_count, 0u);
+    EXPECT_EQ(agg.created_sum_amount, 0.0);
+    EXPECT_EQ(agg.settled_max_duration, 0.0);
+  }
+  EXPECT_EQ(&sweep.Get(42, 5), &untracked[5]);
+}
+
 TEST(StatStructureTest, GroupBucketsAreIndependent) {
   const Dataset data = TinyDataset();
   StatStructure sweep(data);
