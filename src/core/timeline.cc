@@ -296,8 +296,10 @@ StatusOr<TimelineModelSet> TimelineModelSet::Load(std::istream& in,
     if (!(in >> tag >> count) || tag != "selected" || count > 1'000'000) {
       return Status::InvalidArgument("bad selected record");
     }
-    std::vector<std::size_t> selected(count);
-    for (std::size_t& c : selected) {
+    // Both lists grow as records parse: a count alone sizes no buffer.
+    std::vector<std::size_t> selected;
+    for (std::size_t k = 0; k < count; ++k) {
+      std::size_t c = 0;
       if (!(in >> c)) {
         return Status::InvalidArgument("truncated selected record");
       }
@@ -306,15 +308,18 @@ StatusOr<TimelineModelSet> TimelineModelSet::Load(std::istream& in,
             "step " + std::to_string(step) + " selects column " +
             std::to_string(c) + " of " + std::to_string(num_dynamic));
       }
+      selected.push_back(c);
     }
     if (!(in >> tag >> count) || tag != "names" || count > 1'000'000) {
       return Status::InvalidArgument("bad names record");
     }
-    std::vector<std::string> names(count);
-    for (std::string& name : names) {
+    std::vector<std::string> names;
+    for (std::size_t k = 0; k < count; ++k) {
+      std::string name;
       if (!(in >> name)) {
         return Status::InvalidArgument("truncated names record");
       }
+      names.push_back(std::move(name));
     }
     auto model = LoadRegressor(in);
     if (!model.ok()) return model.status();

@@ -158,12 +158,14 @@ StatusOr<ElasticNetRegression> ElasticNetRegression::Load(std::istream& in) {
   if (count > 100'000'000) {
     return Status::OutOfRange("implausible coefficient count");
   }
-  model.coef_.resize(count);
-  model.feature_means_.resize(count);
+  // Grow as records parse: the count alone must not size a buffer.
   for (std::size_t c = 0; c < count; ++c) {
-    if (!(in >> model.coef_[c] >> model.feature_means_[c])) {
+    double coef = 0.0, mean = 0.0;
+    if (!(in >> coef >> mean)) {
       return Status::InvalidArgument("truncated coefficient list");
     }
+    model.coef_.push_back(coef);
+    model.feature_means_.push_back(mean);
   }
   return model;
 }

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <limits>
 #include <numeric>
 #include <unordered_map>
 
 #include "common/rng.h"
 #include "ml/columnar.h"
 #include "obs/trace.h"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace domd {
 
@@ -31,7 +26,7 @@ Status GbtRegressor::Fit(const Matrix& x, const std::vector<double>& y) {
   }
 
   const TrainingFrame frame = TrainingFrame::FromMatrix(x);
-  trees_.clear();
+  forest_ = Forest();
   training_curve_.clear();
   num_features_ = p;
 
@@ -92,11 +87,11 @@ Status GbtRegressor::Fit(const Matrix& x, const std::vector<double>& y) {
       if (features.empty()) features = all_features;
     }
 
-    RegressionTree tree;
     {
       DOMD_OBS_SPAN("gbt.split_search");
-      tree.Fit(frame, grad, hess, rows, features, params_.tree);
+      forest_.GrowTree(frame, grad, hess, rows, features, params_.tree);
     }
+    const std::size_t tree = forest_.num_trees() - 1;
 
     // Zero-curvature losses (absolute, pinball): the Newton step under the
     // unit-Hessian surrogate is a tiny fixed-size move, so (as LightGBM
@@ -108,7 +103,7 @@ Status GbtRegressor::Fit(const Matrix& x, const std::vector<double>& y) {
           loss_.kind() == LossKind::kQuantile ? loss_.tau() : 0.5;
       std::unordered_map<std::int32_t, std::vector<double>> leaf_residuals;
       for (std::size_t i : rows) {
-        const std::int32_t leaf = tree.LeafFor(x.row(i));
+        const std::int32_t leaf = forest_.LeafFor(tree, x.row(i));
         leaf_residuals[leaf].push_back(y[i] - predictions[i]);
       }
       for (auto& [leaf, residuals] : leaf_residuals) {
@@ -117,14 +112,11 @@ Status GbtRegressor::Fit(const Matrix& x, const std::vector<double>& y) {
             residuals.size() - 1,
             static_cast<std::size_t>(level *
                                      static_cast<double>(residuals.size())));
-        tree.SetNodeWeight(leaf, residuals[index]);
+        forest_.SetWeight(leaf, residuals[index]);
       }
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-      predictions[i] += params_.learning_rate * tree.Predict(x.row(i));
-    }
-    trees_.push_back(std::move(tree));
+    forest_.AddPredictions(x, params_.learning_rate, tree, predictions);
 
     double loss_sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -132,138 +124,23 @@ Status GbtRegressor::Fit(const Matrix& x, const std::vector<double>& y) {
     }
     training_curve_.push_back(loss_sum / static_cast<double>(n));
   }
-  Flatten();
+  forest_.ShrinkToFit();
   return Status::OK();
 }
 
-void GbtRegressor::Flatten() {
-  std::size_t nodes = 0;
-  for (const RegressionTree& tree : trees_) {
-    nodes += std::max<std::size_t>(tree.num_nodes(), 1);  // empty: one leaf
-  }
-  flat_ = FlatForest();
-  flat_.feature.reserve(nodes);
-  flat_.left.reserve(nodes);
-  flat_.right.reserve(nodes);
-  flat_.threshold.reserve(nodes);
-  flat_.weight.reserve(nodes);
-  flat_.roots.reserve(trees_.size());
-  flat_.depths.reserve(trees_.size());
-  for (const RegressionTree& tree : trees_) {
-    flat_.roots.push_back(static_cast<std::int32_t>(flat_.feature.size()));
-    flat_.depths.push_back(tree.depth());
-    tree.AppendFlat(flat_.roots.back(), &flat_.feature, &flat_.threshold,
-                    &flat_.left, &flat_.right, &flat_.weight);
-  }
-}
-
 double GbtRegressor::Predict(std::span<const double> row) const {
-  double value = base_score_;
-  for (const RegressionTree& tree : trees_) {
-    value += params_.learning_rate * tree.Predict(row);
-  }
-  return value;
+  return forest_.Predict(row, base_score_, params_.learning_rate);
 }
 
 std::vector<double> GbtRegressor::PredictBatch(const Matrix& x) const {
-  const std::size_t n = x.rows();
-  std::vector<double> out(n, base_score_);
-  if (trees_.empty() || n == 0) return out;
-
-  // Read the node arrays Fit or Load flattened. Flattening is linear in
-  // node count but, for a batch of a few rows, costs several times the
-  // descent itself, so it is never done per call.
-  const std::vector<std::int32_t>& feature = flat_.feature;
-  const std::vector<std::int32_t>& left = flat_.left;
-  const std::vector<std::int32_t>& right = flat_.right;
-  const std::vector<double>& threshold = flat_.threshold;
-  const std::vector<double>& weight = flat_.weight;
-
-  // Block of rows descends one tree at a time: every step reads one node
-  // array entry per row (branch-free select), and per-row accumulation
-  // stays in tree order — the exact FP sequence of Predict().
-  constexpr std::size_t kBlock = 256;
-  std::vector<std::int32_t> idx(kBlock);
-  const double lr = params_.learning_rate;
-  const std::size_t cols = x.cols();
-  const double* xd = x.data().data();
-
-#if defined(__AVX2__)
-  // The gathers index with i32 lane offsets; huge matrices fall back to
-  // the scalar path.
-  const bool simd_ok =
-      n * cols < static_cast<std::size_t>(std::numeric_limits<
-                                          std::int32_t>::max());
-#endif
-
-  for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
-    const std::size_t bn = std::min(kBlock, n - b0);
-    for (std::size_t t = 0; t < trees_.size(); ++t) {
-      const std::int32_t root = flat_.roots[t];
-      const int depth = flat_.depths[t];
-      std::size_t j = 0;
-#if defined(__AVX2__)
-      if (simd_ok) {
-        // Four rows per vector; only comparisons and index selects are
-        // vectorized, so the result is bit-identical (v <= t with NaN is
-        // false under _CMP_LE_OQ, matching the scalar route-right).
-        const auto* fp = reinterpret_cast<const int*>(feature.data());
-        const auto* lp = reinterpret_cast<const int*>(left.data());
-        const auto* rp = reinterpret_cast<const int*>(right.data());
-        const int icols = static_cast<int>(cols);
-        for (; j + 4 <= bn; j += 4) {
-          __m128i vidx = _mm_set1_epi32(root);
-          const int r0 = static_cast<int>((b0 + j) * cols);
-          const __m128i rowbase =
-              _mm_setr_epi32(r0, r0 + icols, r0 + 2 * icols, r0 + 3 * icols);
-          for (int d = 0; d < depth; ++d) {
-            const __m128i f = _mm_i32gather_epi32(fp, vidx, 4);
-            const __m256d v =
-                _mm256_i32gather_pd(xd, _mm_add_epi32(rowbase, f), 8);
-            const __m256d th =
-                _mm256_i32gather_pd(threshold.data(), vidx, 8);
-            const __m256d le = _mm256_cmp_pd(v, th, _CMP_LE_OQ);
-            const __m128i l = _mm_i32gather_epi32(lp, vidx, 4);
-            const __m128i r = _mm_i32gather_epi32(rp, vidx, 4);
-            // Pack the 4x64-bit compare mask down to 4x32 for the select.
-            const __m256i lei = _mm256_castpd_si256(le);
-            const __m128i m32 = _mm_castps_si128(_mm_shuffle_ps(
-                _mm_castsi128_ps(_mm256_castsi256_si128(lei)),
-                _mm_castsi128_ps(_mm256_extracti128_si256(lei, 1)),
-                _MM_SHUFFLE(2, 0, 2, 0)));
-            vidx = _mm_blendv_epi8(r, l, m32);
-          }
-          alignas(16) std::int32_t lanes[4];
-          _mm_store_si128(reinterpret_cast<__m128i*>(lanes), vidx);
-          for (int lane = 0; lane < 4; ++lane) {
-            out[b0 + j + static_cast<std::size_t>(lane)] +=
-                lr * weight[static_cast<std::size_t>(lanes[lane])];
-          }
-        }
-      }
-#endif
-      for (std::size_t k = j; k < bn; ++k) idx[k] = root;
-      for (int d = 0; d < depth; ++d) {
-        for (std::size_t k = j; k < bn; ++k) {
-          const auto node = static_cast<std::size_t>(idx[k]);
-          const double v =
-              xd[(b0 + k) * cols + static_cast<std::size_t>(feature[node])];
-          idx[k] = v <= threshold[node] ? left[node] : right[node];
-        }
-      }
-      for (std::size_t k = j; k < bn; ++k) {
-        out[b0 + k] += lr * weight[static_cast<std::size_t>(idx[k])];
-      }
-    }
-  }
+  std::vector<double> out(x.rows(), base_score_);
+  forest_.AddPredictions(x, params_.learning_rate, 0, out);
   return out;
 }
 
 std::vector<double> GbtRegressor::FeatureImportances() const {
   std::vector<double> gains(num_features_, 0.0);
-  for (const RegressionTree& tree : trees_) {
-    tree.AccumulateGains(&gains);
-  }
+  forest_.AddGains(gains);
   return gains;
 }
 
@@ -299,8 +176,8 @@ void GbtRegressor::Save(std::ostream& out) const {
   out << "params ";
   WriteGbtParams(out, params_);
   out << "\nmodel " << base_score_ << ' ' << num_features_ << ' '
-      << trees_.size() << "\n";
-  for (const RegressionTree& tree : trees_) tree.Save(out);
+      << forest_.num_trees() << "\n";
+  forest_.Save(out);
 }
 
 StatusOr<GbtRegressor> GbtRegressor::Load(std::istream& in) {
@@ -331,25 +208,17 @@ StatusOr<GbtRegressor> GbtRegressor::Load(std::istream& in) {
   if (num_trees > 1'000'000) {
     return Status::OutOfRange("implausible GBT tree count");
   }
-  model.trees_.reserve(num_trees);
-  for (std::size_t t = 0; t < num_trees; ++t) {
-    auto tree = RegressionTree::Load(in, model.num_features_);
-    if (!tree.ok()) return tree.status();
-    model.trees_.push_back(std::move(*tree));
-  }
-  model.Flatten();
+  auto forest = Forest::Load(in, num_trees, model.num_features_);
+  if (!forest.ok()) return forest.status();
+  model.forest_ = std::move(*forest);
   return model;
 }
 
 std::vector<double> GbtRegressor::Contributions(
     std::span<const double> row) const {
   std::vector<double> contributions(num_features_ + 1, 0.0);
-  double base = base_score_;
-  for (const RegressionTree& tree : trees_) {
-    base += tree.AccumulateContributions(row, params_.learning_rate,
-                                         &contributions);
-  }
-  contributions.back() = base;
+  contributions.back() = base_score_;
+  forest_.AddContributions(row, params_.learning_rate, contributions);
   return contributions;
 }
 

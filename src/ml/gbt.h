@@ -47,18 +47,17 @@ class GbtRegressor final : public Regressor {
 
   /// Builds a TrainingFrame from x (every column of x sorted once per fit,
   /// so callers pass only the columns the model reads) and grows each
-  /// round's tree over it. Prediction updates and leaf refinement route
-  /// x's rows with the same traversal serving uses.
+  /// round's tree over it into the forest, replacing any earlier fit.
+  /// Prediction updates and leaf refinement route x's rows through the
+  /// forest serving reads.
   Status Fit(const Matrix& x, const std::vector<double>& y) override;
 
   double Predict(std::span<const double> row) const override;
 
-  /// Breadth-first batch scorer: descends all rows of a block through one
-  /// tree at a time over the flat node arrays Fit and Load build
-  /// (branch-free, prefetch-friendly; AVX2 when compiled in). It only reads
-  /// the model, so one const model may score from many threads.
-  /// Bit-identical to calling Predict per row — per-row accumulation stays
-  /// in tree order.
+  /// Breadth-first batch scorer (Forest::AddPredictions): descends all
+  /// rows of a block through one tree at a time. It only reads the model,
+  /// so one const model may score from many threads. Bit-identical to
+  /// calling Predict per row — per-row accumulation stays in tree order.
   std::vector<double> PredictBatch(const Matrix& x) const override;
   /// Total split gain per feature across the ensemble.
   std::vector<double> FeatureImportances() const override;
@@ -70,7 +69,7 @@ class GbtRegressor final : public Regressor {
 
   const GbtParams& params() const { return params_; }
   const Loss& loss() const { return loss_; }
-  std::size_t num_trees() const { return trees_.size(); }
+  std::size_t num_trees() const { return forest_.num_trees(); }
   double base_score() const { return base_score_; }
   /// Training-set loss after each round (length = num_trees()).
   const std::vector<double>& training_curve() const {
@@ -85,24 +84,9 @@ class GbtRegressor final : public Regressor {
   static StatusOr<GbtRegressor> Load(std::istream& in);
 
  private:
-  /// The ensemble as parallel node arrays (RegressionTree::AppendFlat): one
-  /// contiguous pool with per-tree root offsets and depths, leaves as
-  /// self-loops. What PredictBatch reads.
-  struct FlatForest {
-    std::vector<std::int32_t> feature, left, right;
-    std::vector<double> threshold, weight;
-    std::vector<std::int32_t> roots;
-    std::vector<int> depths;
-  };
-
-  /// Rebuilds flat_ from trees_, each array allocated once at its exact
-  /// size. Fit and Load call it last, so flat_ always matches trees_.
-  void Flatten();
-
   GbtParams params_;
   Loss loss_;
-  std::vector<RegressionTree> trees_;
-  FlatForest flat_;
+  Forest forest_;
   double base_score_ = 0.0;
   std::size_t num_features_ = 0;
   std::vector<double> training_curve_;

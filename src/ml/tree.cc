@@ -1,6 +1,7 @@
 #include "ml/tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iomanip>
 #include <limits>
@@ -9,8 +10,14 @@
 
 #include "ml/columnar.h"
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 namespace domd {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double NewtonWeight(double g, double h, double lambda) {
   return -g / (h + lambda);
@@ -22,15 +29,16 @@ double ScoreHalf(double g, double h, double lambda) {
 
 }  // namespace
 
-void RegressionTree::Fit(const TrainingFrame& frame,
-                         const std::vector<double>& grad,
-                         const std::vector<double>& hess,
-                         const std::vector<std::size_t>& rows,
-                         const std::vector<std::size_t>& features,
-                         const TreeParams& params) {
-  nodes_.clear();
+void Forest::GrowTree(const TrainingFrame& frame,
+                      const std::vector<double>& grad,
+                      const std::vector<double>& hess,
+                      const std::vector<std::size_t>& rows,
+                      const std::vector<std::size_t>& features,
+                      const TreeParams& params) {
+  roots_.push_back(static_cast<std::int32_t>(feature_.size()));
+  depths_.push_back(0);
   if (rows.empty()) {
-    nodes_.push_back(Node{});
+    AddLeaf(0.0, 0);
     return;
   }
   std::vector<std::size_t> work = rows;
@@ -41,24 +49,47 @@ void RegressionTree::Fit(const TrainingFrame& frame,
   Grow(frame, grad, hess, work, 0, work.size(), features, params, 0, mask);
 }
 
-std::int32_t RegressionTree::Grow(const TrainingFrame& frame,
-                                  const std::vector<double>& grad,
-                                  const std::vector<double>& hess,
-                                  std::vector<std::size_t>& rows,
-                                  std::size_t begin, std::size_t end,
-                                  const std::vector<std::size_t>& features,
-                                  const TreeParams& params, int depth,
-                                  std::vector<std::uint8_t>& mask) {
+std::int32_t Forest::AddLeaf(double weight, int depth) {
+  const auto self = static_cast<std::int32_t>(feature_.size());
+  // v <= +inf keeps a row parked on its leaf (a NaN compares false and
+  // takes `right`, which is also the leaf).
+  feature_.push_back(0);
+  threshold_.push_back(kInf);
+  left_.push_back(self);
+  right_.push_back(self);
+  weight_.push_back(weight);
+  gain_.push_back(0.0);
+  depths_.back() = std::max(depths_.back(), depth);
+  return self;
+}
+
+void Forest::ShrinkToFit() {
+  feature_.shrink_to_fit();
+  left_.shrink_to_fit();
+  right_.shrink_to_fit();
+  threshold_.shrink_to_fit();
+  weight_.shrink_to_fit();
+  gain_.shrink_to_fit();
+  roots_.shrink_to_fit();
+  depths_.shrink_to_fit();
+}
+
+std::int32_t Forest::Grow(const TrainingFrame& frame,
+                          const std::vector<double>& grad,
+                          const std::vector<double>& hess,
+                          std::vector<std::size_t>& rows, std::size_t begin,
+                          std::size_t end,
+                          const std::vector<std::size_t>& features,
+                          const TreeParams& params, int depth,
+                          std::vector<std::uint8_t>& mask) {
   double g_total = 0.0, h_total = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
     g_total += grad[rows[i]];
     h_total += hess[rows[i]];
   }
 
-  const auto node_id = static_cast<std::int32_t>(nodes_.size());
-  nodes_.push_back(Node{});
-  nodes_[static_cast<std::size_t>(node_id)].weight =
-      NewtonWeight(g_total, h_total, params.lambda);
+  const std::int32_t node_id =
+      AddLeaf(NewtonWeight(g_total, h_total, params.lambda), depth);
 
   if (depth >= params.max_depth || end - begin < 2) return node_id;
 
@@ -89,16 +120,16 @@ std::int32_t RegressionTree::Grow(const TrainingFrame& frame,
   const std::int32_t right = Grow(frame, grad, hess, rows, mid, end,
                                   features, params, depth + 1, mask);
 
-  Node& node = nodes_[static_cast<std::size_t>(node_id)];
-  node.feature = static_cast<std::int32_t>(feature);
-  node.threshold = threshold;
-  node.gain = split.gain;
-  node.left = left;
-  node.right = right;
+  const auto node = static_cast<std::size_t>(node_id);
+  feature_[node] = static_cast<std::int32_t>(feature);
+  threshold_[node] = threshold;
+  gain_[node] = split.gain;
+  left_[node] = left;
+  right_[node] = right;
   return node_id;
 }
 
-RegressionTree::SplitDecision RegressionTree::FindSplit(
+Forest::SplitDecision Forest::FindSplit(
     const TrainingFrame& frame, const std::vector<double>& grad,
     const std::vector<double>& hess, const std::vector<std::size_t>& rows,
     std::size_t begin, std::size_t end,
@@ -126,7 +157,7 @@ RegressionTree::SplitDecision RegressionTree::FindSplit(
   return best;
 }
 
-RegressionTree::SplitDecision RegressionTree::ScanFeatureExact(
+Forest::SplitDecision Forest::ScanFeatureExact(
     const TrainingFrame& frame, const std::vector<double>& grad,
     const std::vector<double>& hess, std::size_t node_size,
     std::size_t feature, const TreeParams& params, double g_total,
@@ -177,7 +208,7 @@ RegressionTree::SplitDecision RegressionTree::ScanFeatureExact(
   return best;
 }
 
-RegressionTree::SplitDecision RegressionTree::ScanFeatureHistogram(
+Forest::SplitDecision Forest::ScanFeatureHistogram(
     const TrainingFrame& frame, const std::vector<double>& grad,
     const std::vector<double>& hess, const std::vector<std::size_t>& rows,
     std::size_t begin, std::size_t end, std::size_t feature,
@@ -230,165 +261,247 @@ RegressionTree::SplitDecision RegressionTree::ScanFeatureHistogram(
   return best;
 }
 
-double RegressionTree::Predict(std::span<const double> row) const {
-  if (nodes_.empty()) return 0.0;
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature >= 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    node = row[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                                   : n.right;
+std::int32_t Forest::LeafFor(std::size_t tree,
+                             std::span<const double> row) const {
+  auto node = static_cast<std::size_t>(roots_[tree]);
+  while (!IsLeaf(node)) {
+    node = static_cast<std::size_t>(
+        row[static_cast<std::size_t>(feature_[node])] <= threshold_[node]
+            ? left_[node]
+            : right_[node]);
   }
-  return nodes_[static_cast<std::size_t>(node)].weight;
+  return static_cast<std::int32_t>(node);
 }
 
-double RegressionTree::AccumulateContributions(
-    std::span<const double> row, double scale,
-    std::vector<double>* contributions) const {
-  if (nodes_.empty()) return 0.0;
-  std::int32_t node = 0;
-  const double base = nodes_[0].weight * scale;
-  while (nodes_[static_cast<std::size_t>(node)].feature >= 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    const std::int32_t child =
-        row[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                                : n.right;
-    const double delta = nodes_[static_cast<std::size_t>(child)].weight -
-                         n.weight;
-    (*contributions)[static_cast<std::size_t>(n.feature)] += delta * scale;
-    node = child;
+double Forest::Predict(std::span<const double> row, double base,
+                       double scale) const {
+  for (std::size_t t = 0; t < roots_.size(); ++t) {
+    base += scale * weight_[static_cast<std::size_t>(LeafFor(t, row))];
   }
   return base;
 }
 
-std::int32_t RegressionTree::LeafFor(std::span<const double> row) const {
-  if (nodes_.empty()) return -1;
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature >= 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    node = row[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                                   : n.right;
-  }
-  return node;
-}
+void Forest::AddPredictions(const Matrix& x, double scale,
+                            std::size_t first_tree,
+                            std::span<double> out) const {
+  const std::size_t n = x.rows();
+  if (first_tree >= roots_.size() || n == 0) return;
 
-void RegressionTree::AppendFlat(std::int32_t base,
-                                std::vector<std::int32_t>* feature,
-                                std::vector<double>* threshold,
-                                std::vector<std::int32_t>* left,
-                                std::vector<std::int32_t>* right,
-                                std::vector<double>* weight) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (nodes_.empty()) {
-    feature->push_back(0);
-    threshold->push_back(kInf);
-    left->push_back(base);
-    right->push_back(base);
-    weight->push_back(0.0);
-    return;
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    const auto self = base + static_cast<std::int32_t>(i);
-    if (node.feature < 0) {
-      // Leaf self-loop: v <= +inf keeps the row parked here (a NaN
-      // compares false and takes `right`, which is also self).
-      feature->push_back(0);
-      threshold->push_back(kInf);
-      left->push_back(self);
-      right->push_back(self);
-    } else {
-      feature->push_back(node.feature);
-      threshold->push_back(node.threshold);
-      left->push_back(base + node.left);
-      right->push_back(base + node.right);
+  // Block of rows descends one tree at a time: every step reads one node
+  // array entry per row (branch-free select), and per-row accumulation
+  // stays in tree order — the exact FP sequence of Predict().
+  constexpr std::size_t kBlock = 256;
+  std::array<std::int32_t, kBlock> idx{};
+  const std::size_t cols = x.cols();
+  const double* xd = x.data().data();
+
+#if defined(__AVX2__)
+  // The gathers index with i32 lane offsets; huge matrices fall back to
+  // the scalar path.
+  const bool simd_ok =
+      n * cols < static_cast<std::size_t>(std::numeric_limits<
+                                          std::int32_t>::max());
+#endif
+
+  for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
+    const std::size_t bn = std::min(kBlock, n - b0);
+    for (std::size_t t = first_tree; t < roots_.size(); ++t) {
+      const std::int32_t root = roots_[t];
+      const int depth = depths_[t];
+      std::size_t j = 0;
+#if defined(__AVX2__)
+      if (simd_ok) {
+        // Four rows per vector; only comparisons and index selects are
+        // vectorized, so the result is bit-identical (v <= t with NaN is
+        // false under _CMP_LE_OQ, matching the scalar route-right).
+        const auto* fp = reinterpret_cast<const int*>(feature_.data());
+        const auto* lp = reinterpret_cast<const int*>(left_.data());
+        const auto* rp = reinterpret_cast<const int*>(right_.data());
+        const int icols = static_cast<int>(cols);
+        for (; j + 4 <= bn; j += 4) {
+          __m128i vidx = _mm_set1_epi32(root);
+          const int r0 = static_cast<int>((b0 + j) * cols);
+          const __m128i rowbase =
+              _mm_setr_epi32(r0, r0 + icols, r0 + 2 * icols, r0 + 3 * icols);
+          for (int d = 0; d < depth; ++d) {
+            const __m128i f = _mm_i32gather_epi32(fp, vidx, 4);
+            const __m256d v =
+                _mm256_i32gather_pd(xd, _mm_add_epi32(rowbase, f), 8);
+            const __m256d th =
+                _mm256_i32gather_pd(threshold_.data(), vidx, 8);
+            const __m256d le = _mm256_cmp_pd(v, th, _CMP_LE_OQ);
+            const __m128i l = _mm_i32gather_epi32(lp, vidx, 4);
+            const __m128i r = _mm_i32gather_epi32(rp, vidx, 4);
+            // Pack the 4x64-bit compare mask down to 4x32 for the select.
+            const __m256i lei = _mm256_castpd_si256(le);
+            const __m128i m32 = _mm_castps_si128(_mm_shuffle_ps(
+                _mm_castsi128_ps(_mm256_castsi256_si128(lei)),
+                _mm_castsi128_ps(_mm256_extracti128_si256(lei, 1)),
+                _MM_SHUFFLE(2, 0, 2, 0)));
+            vidx = _mm_blendv_epi8(r, l, m32);
+          }
+          alignas(16) std::int32_t lanes[4];
+          _mm_store_si128(reinterpret_cast<__m128i*>(lanes), vidx);
+          for (int lane = 0; lane < 4; ++lane) {
+            out[b0 + j + static_cast<std::size_t>(lane)] +=
+                scale * weight_[static_cast<std::size_t>(lanes[lane])];
+          }
+        }
+      }
+#endif
+      for (std::size_t k = j; k < bn; ++k) idx[k] = root;
+      for (int d = 0; d < depth; ++d) {
+        for (std::size_t k = j; k < bn; ++k) {
+          const auto node = static_cast<std::size_t>(idx[k]);
+          const double v =
+              xd[(b0 + k) * cols + static_cast<std::size_t>(feature_[node])];
+          idx[k] = v <= threshold_[node] ? left_[node] : right_[node];
+        }
+      }
+      for (std::size_t k = j; k < bn; ++k) {
+        out[b0 + k] += scale * weight_[static_cast<std::size_t>(idx[k])];
+      }
     }
-    weight->push_back(node.weight);
   }
 }
 
-void RegressionTree::AccumulateGains(std::vector<double>* gains) const {
-  for (const Node& node : nodes_) {
-    if (node.feature >= 0) {
-      (*gains)[static_cast<std::size_t>(node.feature)] += node.gain;
+void Forest::AddContributions(std::span<const double> row, double scale,
+                              std::span<double> out) const {
+  double base = out.back();
+  for (const std::int32_t root : roots_) {
+    auto node = static_cast<std::size_t>(root);
+    base += weight_[node] * scale;
+    while (!IsLeaf(node)) {
+      const auto feature = static_cast<std::size_t>(feature_[node]);
+      const auto child = static_cast<std::size_t>(
+          row[feature] <= threshold_[node] ? left_[node] : right_[node]);
+      out[feature] += (weight_[child] - weight_[node]) * scale;
+      node = child;
+    }
+  }
+  out.back() = base;
+}
+
+void Forest::AddGains(std::span<double> gains) const {
+  for (std::size_t node = 0; node < feature_.size(); ++node) {
+    if (!IsLeaf(node)) {
+      gains[static_cast<std::size_t>(feature_[node])] += gain_[node];
     }
   }
 }
 
-std::size_t RegressionTree::num_leaves() const {
+std::size_t Forest::num_leaves() const {
   std::size_t leaves = 0;
-  for (const Node& node : nodes_) {
-    if (node.feature < 0) ++leaves;
+  for (std::size_t node = 0; node < feature_.size(); ++node) {
+    if (IsLeaf(node)) ++leaves;
   }
   return leaves;
 }
 
-int RegressionTree::DepthOf(std::int32_t node) const {
-  const Node& n = nodes_[static_cast<std::size_t>(node)];
-  if (n.feature < 0) return 0;
-  return 1 + std::max(DepthOf(n.left), DepthOf(n.right));
-}
-
-int RegressionTree::depth() const {
-  return nodes_.empty() ? 0 : DepthOf(0);
-}
-
-void RegressionTree::Save(std::ostream& out) const {
+void Forest::Save(std::ostream& out) const {
   out << std::setprecision(17);
-  out << "tree " << nodes_.size() << "\n";
-  for (const Node& node : nodes_) {
-    out << node.feature << ' ' << node.left << ' ' << node.right << ' '
-        << node.threshold << ' ' << node.weight << ' ' << node.gain << "\n";
+  for (std::size_t t = 0; t < roots_.size(); ++t) {
+    const std::int32_t root = roots_[t];
+    const std::size_t end = t + 1 < roots_.size()
+                                ? static_cast<std::size_t>(roots_[t + 1])
+                                : feature_.size();
+    out << "tree " << end - static_cast<std::size_t>(root) << "\n";
+    for (auto node = static_cast<std::size_t>(root); node < end; ++node) {
+      if (IsLeaf(node)) {
+        out << "-1 -1 -1 0 " << weight_[node] << " 0\n";
+      } else {
+        out << feature_[node] << ' ' << left_[node] - root << ' '
+            << right_[node] - root << ' ' << threshold_[node] << ' '
+            << weight_[node] << ' ' << gain_[node] << "\n";
+      }
+    }
   }
 }
 
-StatusOr<RegressionTree> RegressionTree::Load(std::istream& in,
-                                              std::size_t num_features) {
-  std::string tag;
-  std::size_t count = 0;
-  if (!(in >> tag >> count) || tag != "tree") {
-    return Status::InvalidArgument("bad tree header");
-  }
-  if (count > 10'000'000) {
-    return Status::OutOfRange("implausible tree node count");
-  }
-  RegressionTree tree;
-  tree.nodes_.resize(count);
-  // Accept only what Save writes: a binary tree rooted at node 0 whose
-  // children follow their parent and whose non-root nodes each have one
-  // parent. Anything else lets a walk loop forever or read outside the
-  // node list or the input row.
-  std::vector<std::uint8_t> parents(count, 0);
-  const auto limit = static_cast<std::int32_t>(count);
-  for (std::int32_t i = 0; i < limit; ++i) {
-    Node& node = tree.nodes_[static_cast<std::size_t>(i)];
-    if (!(in >> node.feature >> node.left >> node.right >> node.threshold >>
-          node.weight >> node.gain)) {
-      return Status::InvalidArgument("truncated tree node list");
+StatusOr<Forest> Forest::Load(std::istream& in, std::size_t num_trees,
+                              std::size_t num_features) {
+  Forest forest;
+  std::vector<int> node_depth;
+  for (std::size_t t = 0; t < num_trees; ++t) {
+    std::string tag;
+    std::size_t count = 0;
+    if (!(in >> tag >> count) || tag != "tree") {
+      return Status::InvalidArgument("bad tree header");
     }
-    if (node.feature < 0) {
-      if (node.feature != -1 || node.left != -1 || node.right != -1) {
-        return Status::InvalidArgument("tree leaf must read -1 -1 -1");
+    // Node ids are int32 across the whole pool.
+    if (count > 10'000'000 ||
+        count > static_cast<std::size_t>(
+                    std::numeric_limits<std::int32_t>::max()) -
+                    forest.num_nodes()) {
+      return Status::OutOfRange("implausible tree node count");
+    }
+    if (count == 0) return Status::InvalidArgument("empty tree");
+    // Accept only what Save writes: a binary tree rooted at node 0 whose
+    // children follow their parent and whose non-root nodes each have one
+    // parent. Anything else lets a walk loop forever or read outside the
+    // pool or the input row.
+    const auto root = static_cast<std::int32_t>(forest.feature_.size());
+    forest.roots_.push_back(root);
+    forest.depths_.push_back(0);
+    const auto limit = static_cast<std::int32_t>(count);
+    for (std::int32_t i = 0; i < limit; ++i) {
+      std::int32_t feature = 0, left = 0, right = 0;
+      double threshold = 0.0, weight = 0.0, gain = 0.0;
+      if (!(in >> feature >> left >> right >> threshold >> weight >> gain)) {
+        return Status::InvalidArgument("truncated tree node list");
       }
-      continue;
-    }
-    if (static_cast<std::size_t>(node.feature) >= num_features) {
-      return Status::OutOfRange("tree split feature out of range");
-    }
-    for (const std::int32_t child : {node.left, node.right}) {
-      if (child <= i || child >= limit) {
-        return Status::OutOfRange("tree child index out of range");
+      const std::int32_t node = forest.AddLeaf(weight, 0);
+      if (feature < 0) {
+        if (feature != -1 || left != -1 || right != -1) {
+          return Status::InvalidArgument("tree leaf must read -1 -1 -1");
+        }
+        if (threshold != 0.0 || std::signbit(threshold) || gain != 0.0 ||
+            std::signbit(gain)) {
+          return Status::InvalidArgument(
+              "tree leaf threshold and gain must read 0");
+        }
+        continue;
       }
-      if (++parents[static_cast<std::size_t>(child)] > 1) {
-        return Status::InvalidArgument("tree node has two parents");
+      if (static_cast<std::size_t>(feature) >= num_features) {
+        return Status::OutOfRange("tree split feature out of range");
+      }
+      for (const std::int32_t child : {left, right}) {
+        if (child <= i || child >= limit) {
+          return Status::OutOfRange("tree child index out of range");
+        }
+      }
+      const auto n = static_cast<std::size_t>(node);
+      forest.feature_[n] = feature;
+      forest.threshold_[n] = threshold;
+      forest.gain_[n] = gain;
+      forest.left_[n] = root + left;
+      forest.right_[n] = root + right;
+    }
+    // Every line has parsed, so the scratch is no larger than the input:
+    // walk parents before children, giving each child its one parent's
+    // depth + 1 (-1 marks a node no parent has named yet).
+    node_depth.assign(count, -1);
+    node_depth[0] = 0;
+    int& depth = forest.depths_.back();
+    for (std::size_t i = 0; i < count; ++i) {
+      if (node_depth[i] < 0) {
+        return Status::InvalidArgument("tree node unreachable from the root");
+      }
+      depth = std::max(depth, node_depth[i]);
+      const std::size_t node = static_cast<std::size_t>(root) + i;
+      if (forest.IsLeaf(node)) continue;
+      for (const std::int32_t child :
+           {forest.left_[node], forest.right_[node]}) {
+        int& child_depth = node_depth[static_cast<std::size_t>(child - root)];
+        if (child_depth >= 0) {
+          return Status::InvalidArgument("tree node has two parents");
+        }
+        child_depth = node_depth[i] + 1;
       }
     }
   }
-  for (std::size_t i = 1; i < count; ++i) {
-    if (parents[i] != 1) {
-      return Status::InvalidArgument("tree node unreachable from the root");
-    }
-  }
-  return tree;
+  forest.ShrinkToFit();
+  return forest;
 }
 
 }  // namespace domd

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "ml/matrix.h"
 
 namespace domd {
 
@@ -31,90 +32,100 @@ struct TreeParams {
   int histogram_bins = 32;
 };
 
-/// One regression tree fitted to per-sample gradients and Hessians (a
-/// single boosting round's weak learner). Every node stores its Newton
-/// weight, which makes Saabas-style per-feature prediction attribution
-/// exact and cheap.
-class RegressionTree {
+/// The regression trees of one ensemble (a GBT's weak learners, one per
+/// boosting round) as one pool of nodes in parallel arrays, with per-tree
+/// roots and depths. Every node stores its Newton weight, which makes
+/// Saabas-style per-feature attribution exact and cheap. A leaf is a
+/// self-loop (feature 0, threshold +inf, left = right = itself), so a walk
+/// of depth(tree) steps from the root parks every row on its leaf, and a
+/// walk that stops at the self-loop visits only the decision path. The
+/// grower, every walk and the text codec read and write this one pool.
+class Forest {
  public:
-  RegressionTree() = default;
+  /// Grows one tree greedily over a columnar TrainingFrame on the given
+  /// sample rows, considering only `features` as split candidates, and
+  /// appends it to the pool. The exact scan walks each column's presorted
+  /// (value, row) order filtered by a node membership mask — the sequence
+  /// a per-node sort of the node's (value, row) pairs would produce — so
+  /// no node ever sorts. No rows grow one zero-weight leaf.
+  void GrowTree(const TrainingFrame& frame, const std::vector<double>& grad,
+                const std::vector<double>& hess,
+                const std::vector<std::size_t>& rows,
+                const std::vector<std::size_t>& features,
+                const TreeParams& params);
 
-  /// Grows the tree greedily over a columnar TrainingFrame on the given
-  /// sample rows, considering only `features` as split candidates. The
-  /// exact scan walks each column's presorted (value, row) order filtered
-  /// by a node membership mask — the sequence a per-node sort of the
-  /// node's (value, row) pairs would produce — so no node ever sorts.
-  void Fit(const TrainingFrame& frame, const std::vector<double>& grad,
-           const std::vector<double>& hess,
-           const std::vector<std::size_t>& rows,
-           const std::vector<std::size_t>& features, const TreeParams& params);
+  /// Releases spare capacity, so each array holds exactly its nodes.
+  void ShrinkToFit();
 
-  /// The tree's output for one instance (no shrinkage applied).
-  double Predict(std::span<const double> row) const;
+  /// `base` plus `scale` times each tree's leaf weight for `row`, added
+  /// in tree order.
+  double Predict(std::span<const double> row, double base,
+                 double scale) const;
 
-  /// Walks the decision path, adding (child weight - parent weight) to
-  /// (*contributions)[split_feature] scaled by `scale`; returns the root
-  /// weight (the tree's base value) scaled by `scale`.
-  double AccumulateContributions(std::span<const double> row, double scale,
-                                 std::vector<double>* contributions) const;
+  /// For every row r of x, adds `scale` times the leaf weight of each
+  /// tree from `first_tree` on to out[r], in tree order: the exact FP
+  /// sequence of Predict. Rows descend in blocks, one tree at a time, one
+  /// depth level per step (branch-free; comparisons and index selects in
+  /// AVX2 when compiled in). Only reads the pool, so one forest may score
+  /// from many threads.
+  void AddPredictions(const Matrix& x, double scale, std::size_t first_tree,
+                      std::span<double> out) const;
 
-  /// Adds each split's gain to (*gains)[feature].
-  void AccumulateGains(std::vector<double>* gains) const;
+  /// Saabas path attribution: for each tree in order, adds `scale` times
+  /// the root weight to out.back() and `scale` times (child weight -
+  /// parent weight) along the decision path to out[split feature]. The
+  /// walk stops at the leaf's self-loop, so no leaf adds a term. `out`
+  /// holds one slot per feature plus the base.
+  void AddContributions(std::span<const double> row, double scale,
+                        std::span<double> out) const;
 
-  /// Node index of the leaf this instance routes to.
-  std::int32_t LeafFor(std::span<const double> row) const;
+  /// Adds each split's gain to gains[feature], in pool order.
+  void AddGains(std::span<double> gains) const;
 
-  /// Appends this tree's nodes as flat parallel arrays for breadth-first
-  /// batch traversal. `base` is the index the first appended node receives;
-  /// child links are rebased onto it. Leaves become self-loops (feature 0,
-  /// threshold +inf, left = right = self), so iterating depth() steps from
-  /// the root lands every row on its leaf. An empty tree appends one
-  /// zero-weight self-loop (matching Predict() == 0.0).
-  void AppendFlat(std::int32_t base, std::vector<std::int32_t>* feature,
-                  std::vector<double>* threshold,
-                  std::vector<std::int32_t>* left,
-                  std::vector<std::int32_t>* right,
-                  std::vector<double>* weight) const;
+  /// Node index of the leaf `row` reaches in tree `tree`.
+  std::int32_t LeafFor(std::size_t tree, std::span<const double> row) const;
 
   /// Overrides a node's weight. Used by losses whose optimal leaf value is
   /// not the Newton step (e.g. the median residual for absolute loss).
-  void SetNodeWeight(std::int32_t node, double weight) {
-    nodes_[static_cast<std::size_t>(node)].weight = weight;
+  void SetWeight(std::int32_t node, double weight) {
+    weight_[static_cast<std::size_t>(node)] = weight;
   }
 
-  /// Serializes the tree as one text block (node count + one node per
-  /// line, full double precision).
+  /// Writes each tree as one text block ("tree <nodes>", then one
+  /// "feature left right threshold weight gain" line per node with
+  /// tree-local child indices, full double precision; a leaf reads
+  /// "-1 -1 -1 0 <weight> 0").
   void Save(std::ostream& out) const;
 
-  /// Reads a tree written by Save(). Rejects anything but a binary tree
-  /// rooted at node 0 (children after their parent, one parent per
-  /// non-root node, leaves exactly "-1 -1 -1") and any split feature
-  /// >= num_features, so a loaded tree can never loop or read out of range.
-  static StatusOr<RegressionTree> Load(std::istream& in,
-                                       std::size_t num_features);
+  /// Reads `num_trees` blocks Save wrote, growing the pool as nodes parse.
+  /// Rejects anything but a non-empty binary tree rooted at node 0
+  /// (children after their parent, one parent per non-root node, leaves
+  /// exactly "-1 -1 -1 0 <weight> 0") and any split feature
+  /// >= num_features, so no walk can loop or read out of range.
+  static StatusOr<Forest> Load(std::istream& in, std::size_t num_trees,
+                               std::size_t num_features);
 
-  std::size_t num_nodes() const { return nodes_.size(); }
-  /// Number of leaves.
+  std::size_t num_trees() const { return roots_.size(); }
+  std::size_t num_nodes() const { return feature_.size(); }
+  /// Number of leaves across all trees.
   std::size_t num_leaves() const;
-  /// Maximum depth actually grown (root = 0; 0 for a stump-less tree).
-  int depth() const;
+  /// Maximum depth tree `tree` reaches (root = 0; 0 for a lone leaf).
+  int depth(std::size_t tree) const { return depths_[tree]; }
 
  private:
-  struct Node {
-    std::int32_t feature = -1;  ///< -1 marks a leaf.
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    double threshold = 0.0;  ///< go left when value <= threshold.
-    double weight = 0.0;     ///< Newton weight -G/(H+lambda) at this node.
-    double gain = 0.0;       ///< split gain (internal nodes only).
-  };
-
   struct SplitDecision {
     bool found = false;
     std::size_t feature = 0;
     double threshold = 0.0;
     double gain = 0.0;
   };
+
+  /// Appends a leaf of the given weight at depth `depth` of the last tree.
+  std::int32_t AddLeaf(double weight, int depth);
+
+  bool IsLeaf(std::size_t node) const {
+    return left_[node] == static_cast<std::int32_t>(node);
+  }
 
   std::int32_t Grow(const TrainingFrame& frame,
                     const std::vector<double>& grad,
@@ -153,9 +164,13 @@ class RegressionTree {
                                      const TreeParams& params, double g_total,
                                      double h_total, double parent_score) const;
 
-  int DepthOf(std::int32_t node) const;
-
-  std::vector<Node> nodes_;
+  // One entry per node, trees back to back; child links are pool indices.
+  std::vector<std::int32_t> feature_, left_, right_;
+  std::vector<double> threshold_, weight_;
+  std::vector<double> gain_;  ///< Split gain; 0 at leaves.
+  // One entry per tree.
+  std::vector<std::int32_t> roots_;
+  std::vector<int> depths_;
 };
 
 }  // namespace domd

@@ -3,11 +3,13 @@
 // estimator save/load path.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -109,6 +111,20 @@ TEST(SerializationTest, PipelineConfigRoundTrip) {
   EXPECT_DOUBLE_EQ(loaded->elastic_net.alpha, config.elastic_net.alpha);
 }
 
+// A one-tree GBT model over two features whose tree is `tree` (in
+// Forest::Save's text form): what a hand-edited model file read by
+// `domd evaluate/query/report --model` looks like.
+constexpr char kOneTreeModelHeader[] =
+    "gbt v1\nloss 0 1\nparams 1 0.5 3 1 1 0 0 32 1 1 7\nmodel 0 2 1\n";
+
+StatusOr<GbtRegressor> LoadOneTreeModel(const std::string& tree) {
+  std::stringstream buffer(kOneTreeModelHeader + tree);
+  return GbtRegressor::Load(buffer);
+}
+
+constexpr char kWellFormedTree[] =
+    "tree 3\n1 1 2 0.5 0 1\n-1 -1 -1 0 -1 0\n-1 -1 -1 0 1 0\n";
+
 TEST(SerializationTest, CorruptedInputsRejected) {
   {
     std::stringstream buffer("not a model");
@@ -118,10 +134,7 @@ TEST(SerializationTest, CorruptedInputsRejected) {
     std::stringstream buffer("gbt v1\nloss 0 0\nparams 1 0.1");
     EXPECT_FALSE(GbtRegressor::Load(buffer).ok());
   }
-  {
-    std::stringstream buffer("tree 3\n0 1 2 0.5");
-    EXPECT_FALSE(RegressionTree::Load(buffer, 1).ok());
-  }
+  EXPECT_FALSE(LoadOneTreeModel("tree 3\n0 1 2 0.5").ok());
   {
     std::stringstream buffer("elastic_net v2\n");
     EXPECT_FALSE(ElasticNetRegression::Load(buffer).ok());
@@ -234,23 +247,11 @@ TEST(SerializationTest, GbtRejectsOutOfRangeEnums) {
 }
 
 TEST(SerializationTest, TreeChildIndexOutOfRangeRejected) {
-  std::stringstream buffer("tree 1\n0 5 6 0.5 1.0 0.0\n");
-  EXPECT_FALSE(RegressionTree::Load(buffer, 1).ok());
-}
-
-// A one-tree GBT model over two features whose tree is `tree` (in
-// RegressionTree::Save's text form): what a hand-edited model file read by
-// `domd evaluate/query/report --model` looks like.
-StatusOr<GbtRegressor> LoadOneTreeModel(const std::string& tree) {
-  std::stringstream buffer(
-      "gbt v1\nloss 0 1\nparams 1 0.5 3 1 1 0 0 32 1 1 7\nmodel 0 2 1\n" +
-      tree);
-  return GbtRegressor::Load(buffer);
+  EXPECT_FALSE(LoadOneTreeModel("tree 1\n0 5 6 0.5 1.0 0.0\n").ok());
 }
 
 TEST(SerializationTest, ModelLoadAcceptsAWellFormedTree) {
-  auto model = LoadOneTreeModel(
-      "tree 3\n1 1 2 0.5 0 1\n-1 -1 -1 0 -1 0\n-1 -1 -1 0 1 0\n");
+  auto model = LoadOneTreeModel(kWellFormedTree);
   ASSERT_TRUE(model.ok()) << model.status();
   EXPECT_EQ(model->Predict(std::vector<double>{9.0, 0.0}), -0.5);
   EXPECT_EQ(model->Predict(std::vector<double>{9.0, 1.0}), 0.5);
@@ -289,6 +290,117 @@ TEST(SerializationTest, ModelLoadRejectsSplitFeatureOutOfRange) {
   EXPECT_FALSE(LoadOneTreeModel("tree 3\n5 1 2 0.5 0 1\n"
                                 "-1 -1 -1 0 -1 0\n-1 -1 -1 0 1 0\n")
                    .ok());
+}
+
+TEST(SerializationTest, ModelLoadRejectsEmptyTree) {
+  // Fit grows at least one node per round, so Save never writes this.
+  const auto model = LoadOneTreeModel("tree 0\n");
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SerializationTest, ModelLoadRejectsLeafThresholdOrGain) {
+  // A leaf holds only its weight: Save writes "-1 -1 -1 0 <weight> 0".
+  for (const std::string leaf :
+       {"-1 -1 -1 0.5 -1 0\n", "-1 -1 -1 0 -1 2\n", "-1 -1 -1 -0 -1 0\n",
+        "-1 -1 -1 0 -1 -0\n"}) {
+    const auto model = LoadOneTreeModel("tree 3\n1 1 2 0.5 0 1\n" + leaf +
+                                        "-1 -1 -1 0 1 0\n");
+    ASSERT_FALSE(model.ok()) << leaf;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << leaf;
+  }
+}
+
+// Save(Load(text)) is `text`, byte for byte.
+void ExpectSaveOfLoadRepeats(const std::string& text) {
+  std::stringstream in(text);
+  const auto loaded = GbtRegressor::Load(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  std::ostringstream out;
+  loaded->Save(out);
+  EXPECT_EQ(out.str(), text);
+}
+
+TEST(SerializationTest, GbtSaveOfLoadRepeatsTheText) {
+  Rng rng(5);
+  Matrix x(150, 5);
+  std::vector<double> y(150);
+  for (std::size_t i = 0; i < 150; ++i) {
+    for (std::size_t c = 0; c < 5; ++c) x.at(i, c) = rng.Uniform(-1, 1);
+    y[i] = 12 * x.at(i, 1) + 4 * x.at(i, 0) * x.at(i, 4) + rng.Gaussian();
+  }
+  GbtParams params;
+  params.num_rounds = 25;
+  params.tree.max_depth = 4;
+  params.subsample = 0.8;
+  // Absolute loss refines its leaves to residual medians after growing.
+  for (const Loss& loss :
+       {Loss::Squared(), Loss::PseudoHuber(18.0), Loss::Absolute()}) {
+    GbtRegressor model(params, loss);
+    ASSERT_TRUE(model.Fit(x, y).ok());
+    std::ostringstream text;
+    model.Save(text);
+    ExpectSaveOfLoadRepeats(text.str());
+  }
+  ExpectSaveOfLoadRepeats(std::string(kOneTreeModelHeader) + kWellFormedTree);
+}
+
+// How much the process's peak resident set grows while `load` runs, in
+// MB. ctest runs each test in a process of its own, so the peak before is
+// the process's start-up.
+template <typename LoadFn>
+long PeakRssGrowthMb(LoadFn load) {
+  rusage before{}, after{};
+  getrusage(RUSAGE_SELF, &before);
+  load();
+  getrusage(RUSAGE_SELF, &after);
+  return (after.ru_maxrss - before.ru_maxrss) / 1024;  // ru_maxrss is KB
+}
+
+constexpr long kMaxLoadGrowthMb = 64;
+
+TEST(SerializationTest, GbtTreeNodeCountSizesNoBuffer) {
+  // A model file of under 100 bytes that promises ten million nodes and
+  // holds one.
+  const long growth = PeakRssGrowthMb([] {
+    const auto model = LoadOneTreeModel("tree 9999999\n0 1 2 0.5 0 1\n");
+    ASSERT_FALSE(model.ok());
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(model.status().message(), "truncated tree node list");
+  });
+  EXPECT_LT(growth, kMaxLoadGrowthMb);
+}
+
+TEST(SerializationTest, ElasticNetCoefficientCountSizesNoBuffer) {
+  const long growth = PeakRssGrowthMb([] {
+    std::stringstream buffer(
+        "elastic_net v1\nparams 0.01 0.5 500 1e-07\nmodel 0 100000000\n");
+    const auto model = ElasticNetRegression::Load(buffer);
+    ASSERT_FALSE(model.ok());
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(model.status().message(), "truncated coefficient list");
+  });
+  EXPECT_LT(growth, kMaxLoadGrowthMb);
+}
+
+TEST(SerializationTest, TimelineListCountsSizeNoBuffer) {
+  std::stringstream config;
+  PipelineConfig().Save(config);
+  const std::string prefix =
+      "timeline_model_set v1\n" + config.str() + "stacked 0\nsteps 1\n";
+  for (const auto& [lists, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"selected 1000000\n", "truncated selected record"},
+           {"selected 0\nnames 1000000\n", "truncated names record"}}) {
+    const long growth = PeakRssGrowthMb([&] {
+      std::stringstream buffer(prefix + lists);
+      const auto set = TimelineModelSet::Load(buffer, 8, 8);
+      ASSERT_FALSE(set.ok()) << lists;
+      EXPECT_EQ(set.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(set.status().message(), message);
+    });
+    EXPECT_LT(growth, kMaxLoadGrowthMb) << lists;
+  }
 }
 
 class EstimatorSerializationTest : public ::testing::Test {

@@ -43,12 +43,12 @@ std::vector<double> RandomLabels(std::size_t rows, std::uint64_t seed) {
   return y;
 }
 
-/// A serial reference grower written independently of RegressionTree's
-/// columnar scans. Per node and per feature it sorts the node's
+/// A serial reference grower written independently of Forest's columnar
+/// scans. Per node and per feature it sorts the node's
 /// (value, row) pairs and scans every boundary (exact), or fills
 /// equal-width bins (histogram); it partitions with std::partition and
-/// uses no threads. Grow() prints RegressionTree::Save's format, so the
-/// production grower must match it byte for byte.
+/// uses no threads. Grow() prints Forest::Save's format for one tree, so
+/// the production grower must match it byte for byte.
 class ReferenceGrower {
  public:
   ReferenceGrower(const Matrix& x, const std::vector<double>& grad,
@@ -254,28 +254,28 @@ TEST_P(TreeReferenceTest, TreesMatchSerialReference) {
       if (rng.Bernoulli(0.7)) features.push_back(f);
     }
 
-    std::vector<RegressionTree> trees(static_cast<std::size_t>(threads));
-    ASSERT_TRUE(ParallelFor(threads, trees.size(), /*grain=*/1,
+    std::vector<Forest> forests(static_cast<std::size_t>(threads));
+    ASSERT_TRUE(ParallelFor(threads, forests.size(), /*grain=*/1,
                             [&](std::size_t begin, std::size_t end) {
                               for (std::size_t t = begin; t < end; ++t) {
-                                trees[t].Fit(frame, grad, hess, rows,
-                                             features, params);
+                                forests[t].GrowTree(frame, grad, hess, rows,
+                                                    features, params);
                               }
                               return Status::OK();
                             })
                     .ok());
     const std::string reference =
         ReferenceGrower(x, grad, hess, params).Grow(rows, features);
-    for (const RegressionTree& tree : trees) {
-      ASSERT_GT(tree.num_nodes(), 1u) << "round " << round;
+    for (const Forest& forest : forests) {
+      ASSERT_GT(forest.num_nodes(), 1u) << "round " << round;
       std::ostringstream out;
-      tree.Save(out);
+      forest.Save(out);
       ASSERT_EQ(out.str(), reference) << "round " << round;
     }
-    const RegressionTree& tree = trees.front();
+    const Forest& forest = forests.front();
 
     for (std::size_t i = 0; i < n; ++i) {
-      predictions[i] += 0.3 * tree.Predict(x.row(i));
+      predictions[i] = forest.Predict(x.row(i), predictions[i], 0.3);
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 
 #include "common/rng.h"
 #include "ml/columnar.h"
@@ -17,6 +18,11 @@ void SquaredTargets(const std::vector<double>& y, std::vector<double>* grad,
   grad->resize(y.size());
   hess->assign(y.size(), 1.0);
   for (std::size_t i = 0; i < y.size(); ++i) (*grad)[i] = -y[i];
+}
+
+// The output of a one-tree forest's tree for `row` (no base, unit scale).
+double TreeOutput(const Forest& tree, std::span<const double> row) {
+  return tree.Predict(row, 0.0, 1.0);
 }
 
 std::vector<std::size_t> AllRows(std::size_t n) {
@@ -37,11 +43,12 @@ TEST(RegressionTreeTest, SplitsPerfectStepFunction) {
   TreeParams params;
   params.max_depth = 2;
   params.lambda = 0.0;
-  RegressionTree tree;
-  tree.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(10), {0}, params);
+  Forest tree;
+  tree.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(10),
+                {0}, params);
 
-  EXPECT_NEAR(tree.Predict(std::vector<double>{2.0}), -10.0, 1e-9);
-  EXPECT_NEAR(tree.Predict(std::vector<double>{7.0}), 10.0, 1e-9);
+  EXPECT_NEAR(TreeOutput(tree, std::vector<double>{2.0}), -10.0, 1e-9);
+  EXPECT_NEAR(TreeOutput(tree, std::vector<double>{7.0}), 10.0, 1e-9);
   EXPECT_GE(tree.num_leaves(), 2u);
 }
 
@@ -59,10 +66,10 @@ TEST(RegressionTreeTest, RespectsMaxDepth) {
     TreeParams params;
     params.max_depth = depth;
     params.min_child_weight = 1.0;
-    RegressionTree tree;
-    tree.Fit(TrainingFrame::FromMatrix(x),
-             grad, hess, AllRows(200), {0, 1, 2}, params);
-    EXPECT_LE(tree.depth(), depth);
+    Forest tree;
+    tree.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(200),
+                  {0, 1, 2}, params);
+    EXPECT_LE(tree.depth(0), depth);
     EXPECT_LE(tree.num_leaves(), static_cast<std::size_t>(1) << depth);
   }
 }
@@ -76,12 +83,12 @@ TEST(RegressionTreeTest, ConstantFeatureYieldsStump) {
   }
   std::vector<double> grad, hess;
   SquaredTargets(y, &grad, &hess);
-  RegressionTree tree;
-  tree.Fit(TrainingFrame::FromMatrix(x),
-           grad, hess, AllRows(20), {0}, TreeParams{});
+  Forest tree;
+  tree.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(20), {0},
+                TreeParams{});
   EXPECT_EQ(tree.num_nodes(), 1u);
   // Root weight = mean of y (lambda=1 shrinks slightly).
-  EXPECT_NEAR(tree.Predict(std::vector<double>{3.0}), 9.5, 0.6);
+  EXPECT_NEAR(TreeOutput(tree, std::vector<double>{3.0}), 9.5, 0.6);
 }
 
 TEST(RegressionTreeTest, MinChildWeightBlocksSmallLeaves) {
@@ -96,12 +103,13 @@ TEST(RegressionTreeTest, MinChildWeightBlocksSmallLeaves) {
   TreeParams params;
   params.min_child_weight = 3.0;  // forbids children with < 3 samples
   params.max_depth = 1;
-  RegressionTree tree;
-  tree.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(10), {0}, params);
+  Forest tree;
+  tree.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(10),
+                {0}, params);
   if (tree.num_nodes() > 1) {
     // Any split taken must leave >= 3 samples on the right.
-    EXPECT_NEAR(tree.Predict(std::vector<double>{9.0}),
-                tree.Predict(std::vector<double>{7.5}), 1e-9);
+    EXPECT_NEAR(TreeOutput(tree, std::vector<double>{9.0}),
+                TreeOutput(tree, std::vector<double>{7.5}), 1e-9);
   }
 }
 
@@ -117,8 +125,9 @@ TEST(RegressionTreeTest, GammaPrunesWeakSplits) {
   SquaredTargets(y, &grad, &hess);
   TreeParams params;
   params.gamma = 100.0;  // demands massive gain
-  RegressionTree tree;
-  tree.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(100), {0}, params);
+  Forest tree;
+  tree.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(100),
+                {0}, params);
   EXPECT_EQ(tree.num_nodes(), 1u);
 }
 
@@ -130,15 +139,17 @@ TEST(RegressionTreeTest, LambdaShrinksLeafWeights) {
   SquaredTargets(y, &grad, &hess);
   TreeParams no_reg;
   no_reg.lambda = 0.0;
-  RegressionTree tree_a;
-  tree_a.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(4), {0}, no_reg);
+  Forest tree_a;
+  tree_a.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(4), {0},
+                  no_reg);
   TreeParams heavy;
   heavy.lambda = 4.0;
-  RegressionTree tree_b;
-  tree_b.Fit(TrainingFrame::FromMatrix(x), grad, hess, AllRows(4), {0}, heavy);
+  Forest tree_b;
+  tree_b.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(4), {0},
+                  heavy);
   // -G/(H+l): 40/4 = 10 vs 40/8 = 5.
-  EXPECT_NEAR(tree_a.Predict(std::vector<double>{0.0}), 10.0, 1e-9);
-  EXPECT_NEAR(tree_b.Predict(std::vector<double>{0.0}), 5.0, 1e-9);
+  EXPECT_NEAR(TreeOutput(tree_a, std::vector<double>{0.0}), 10.0, 1e-9);
+  EXPECT_NEAR(TreeOutput(tree_b, std::vector<double>{0.0}), 5.0, 1e-9);
 }
 
 TEST(RegressionTreeTest, HistogramApproximatesExact) {
@@ -155,21 +166,22 @@ TEST(RegressionTreeTest, HistogramApproximatesExact) {
 
   TreeParams exact;
   exact.max_depth = 3;
-  RegressionTree tree_exact;
-  tree_exact.Fit(TrainingFrame::FromMatrix(x),
-                 grad, hess, AllRows(500), {0, 1}, exact);
+  Forest tree_exact;
+  tree_exact.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(500),
+                      {0, 1}, exact);
 
   TreeParams histogram = exact;
   histogram.split_method = SplitMethod::kHistogram;
   histogram.histogram_bins = 64;
-  RegressionTree tree_hist;
-  tree_hist.Fit(TrainingFrame::FromMatrix(x),
-                grad, hess, AllRows(500), {0, 1}, histogram);
+  Forest tree_hist;
+  tree_hist.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(500),
+                     {0, 1}, histogram);
 
   // Both should recover the dominant step near 0.5.
   for (double probe : {0.1, 0.4, 0.6, 0.9}) {
     const std::vector<double> row = {probe, 0.5};
-    EXPECT_NEAR(tree_exact.Predict(row), tree_hist.Predict(row), 3.0);
+    EXPECT_NEAR(TreeOutput(tree_exact, row), TreeOutput(tree_hist, row),
+                3.0);
   }
 }
 
@@ -185,17 +197,16 @@ TEST(RegressionTreeTest, ContributionsDecomposePrediction) {
   SquaredTargets(y, &grad, &hess);
   TreeParams params;
   params.max_depth = 4;
-  RegressionTree tree;
-  tree.Fit(TrainingFrame::FromMatrix(x),
-           grad, hess, AllRows(100), {0, 1, 2}, params);
+  Forest tree;
+  tree.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(100),
+                {0, 1, 2}, params);
 
   for (std::size_t r = 0; r < 10; ++r) {
-    std::vector<double> contributions(3, 0.0);
-    const double base =
-        tree.AccumulateContributions(x.row(r), 1.0, &contributions);
-    const double total =
-        base + contributions[0] + contributions[1] + contributions[2];
-    EXPECT_NEAR(total, tree.Predict(x.row(r)), 1e-9);
+    std::vector<double> contributions(4, 0.0);  // 3 features + the base
+    tree.AddContributions(x.row(r), 1.0, contributions);
+    const double total = contributions[3] + contributions[0] +
+                         contributions[1] + contributions[2];
+    EXPECT_NEAR(total, TreeOutput(tree, x.row(r)), 1e-9);
   }
 }
 
@@ -209,21 +220,21 @@ TEST(RegressionTreeTest, GainsAttributeToSplitFeatures) {
   }
   std::vector<double> grad, hess;
   SquaredTargets(y, &grad, &hess);
-  RegressionTree tree;
-  tree.Fit(TrainingFrame::FromMatrix(x),
-           grad, hess, AllRows(50), {0, 1}, TreeParams{});
+  Forest tree;
+  tree.GrowTree(TrainingFrame::FromMatrix(x), grad, hess, AllRows(50),
+                {0, 1}, TreeParams{});
   std::vector<double> gains(2, 0.0);
-  tree.AccumulateGains(&gains);
+  tree.AddGains(gains);
   EXPECT_GT(gains[0], 0.0);
   EXPECT_DOUBLE_EQ(gains[1], 0.0);
 }
 
 TEST(RegressionTreeTest, EmptyRowsYieldZeroTree) {
   Matrix x(5, 1);
-  RegressionTree tree;
-  tree.Fit(TrainingFrame::FromMatrix(x),
-           {0, 0, 0, 0, 0}, {1, 1, 1, 1, 1}, {}, {0}, TreeParams{});
-  EXPECT_DOUBLE_EQ(tree.Predict(std::vector<double>{1.0}), 0.0);
+  Forest tree;
+  tree.GrowTree(TrainingFrame::FromMatrix(x), {0, 0, 0, 0, 0},
+                {1, 1, 1, 1, 1}, {}, {0}, TreeParams{});
+  EXPECT_DOUBLE_EQ(TreeOutput(tree, std::vector<double>{1.0}), 0.0);
 }
 
 }  // namespace
