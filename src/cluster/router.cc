@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "fault/fault.h"
@@ -25,9 +26,9 @@ bool IsHedgeableResponse(const std::string& line) {
   return code == "UNAVAILABLE" || code == "RESOURCE_EXHAUSTED";
 }
 
-/// What a prediction must carry before it may queue. Ownership is decided
-/// on the worker, but a malformed request is answered on the reactor shard
-/// and never shed as RESOURCE_EXHAUSTED.
+/// What a prediction must carry before the router admits it, so a
+/// malformed request is answered at once and never shed as
+/// RESOURCE_EXHAUSTED.
 Status CheckPrediction(const JsonValue& request) {
   const JsonValue* avail_ids = request.Find("avail_ids");
   const JsonValue* avail_id = request.Find("avail_id");
@@ -54,6 +55,42 @@ Status CheckRollout(const JsonValue& request) {
 
 }  // namespace
 
+/// One routed point or scatter on its way back: a slot per forwarded line,
+/// filled on the event loop or by a worker's hedged retry, and the answer
+/// written once the last slot and the dispatcher are in. While it lives it
+/// holds one of the max_queue_depth places.
+struct ClusterRouter::Gather {
+  Gather(ClusterRouter* owner, Responder reply, std::size_t slots,
+         bool is_scatter)
+      : router(owner),
+        responder(std::move(reply)),
+        scatter(is_scatter),
+        results(slots, StatusOr<std::string>(std::string())),
+        pending(slots + 1) {}
+  ~Gather() { router->in_flight_.fetch_sub(1, std::memory_order_relaxed); }
+
+  void Fill(std::size_t slot, StatusOr<std::string> result, bool hedged_here) {
+    results[slot] = std::move(result);
+    if (hedged_here) hedged.store(true, std::memory_order_relaxed);
+    Arrive();
+  }
+  /// Called once per filled slot and once by the dispatcher, after its
+  /// last Forward; the last arrival answers.
+  void Arrive() {
+    if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      router->Answer(*this);
+    }
+  }
+
+  ClusterRouter* const router;
+  const Responder responder;
+  const bool scatter;
+  std::size_t fanout = 0;  ///< shards a scatter touches.
+  std::vector<StatusOr<std::string>> results;
+  std::atomic<std::size_t> pending;
+  std::atomic<bool> hedged{false};
+};
+
 ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
     : host_map_(std::move(host_map)),
       options_(options),
@@ -63,6 +100,21 @@ ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
   replica_states_.resize(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     replica_states_[i].resize(host_map_.shards()[i].replicas.size());
+  }
+  CallPeer site_peer;
+#if DOMD_FAULT_COMPILED
+  site_peer.connect_site = &DOMD_FAULT_POINT("cluster.route.connect");
+  site_peer.send_site = &DOMD_FAULT_POINT("cluster.route.send");
+  site_peer.recv_site = &DOMD_FAULT_POINT("cluster.route.recv");
+#endif
+  for (const ShardSpec& shard : host_map_.shards()) {
+    std::vector<CallPeer>& peers = peers_.emplace_back();
+    for (const Endpoint& replica : shard.replicas) {
+      CallPeer peer = site_peer;
+      peer.host = replica.host;
+      peer.port = replica.port;
+      peers.push_back(std::move(peer));
+    }
   }
 
 #if DOMD_OBS_COMPILED
@@ -89,8 +141,9 @@ ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
   cells_.shard_up.assign(num_shards, nullptr);
 #endif
 
-  // Control verbs read local state and answer inline; everything that
-  // waits on a shard hops to the worker pool.
+  // Control verbs read local state and answer inline, and predictions
+  // start there; everything else that waits on a shard hops to the worker
+  // pool.
   verbs_.Register("ping", VerbPolicy::kInline,
                   [this](const VerbRequest&, Responder responder) {
                     JsonValue out = JsonValue::Object();
@@ -109,7 +162,7 @@ ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
                   [this](const VerbRequest&, Responder responder) {
                     responder.Respond(StatsJson().Serialize());
                   });
-  verbs_.Register("", VerbPolicy::kWorker,
+  verbs_.Register("", VerbPolicy::kInline,
                   std::bind_front(&ClusterRouter::RunPredict, this),
                   CheckPrediction);
   verbs_.Register("rollout", VerbPolicy::kWorker,
@@ -160,10 +213,9 @@ void ClusterRouter::RunPredict(const VerbRequest& request,
                                Responder responder) {
   if (const JsonValue* ids = request.json.Find("avail_ids");
       ids != nullptr && ids->is_array()) {
-    RunScatter(request, responder);
+    RunScatter(request, std::move(responder));
     return;
   }
-  std::uint64_t key = 0;
   if (const JsonValue* avail_id = request.json.Find("avail_id");
       avail_id != nullptr && avail_id->is_number()) {
     // Checked by the shards' own parser before any hop, so a rejection
@@ -173,40 +225,48 @@ void ClusterRouter::RunPredict(const VerbRequest& request,
       responder.Respond(ErrorToJson(point.status()).Serialize());
       return;
     }
-    key = KeyForAvail(point->avail_id);
-  } else {
-    // Detached scoring travels with its avail; the ship owns the key so a
-    // ship's traffic lands on one shard regardless of avail numbering. A
-    // malformed ship_id routes like an absent one, and the owning shard's
-    // parser rejects it.
-    const JsonValue* avail = request.json.Find("avail");
-    const auto ship_id = avail != nullptr
-                             ? IntegerMember(*avail, "ship_id", 0)
-                             : StatusOr<std::int64_t>(0);
-    key = KeyForShip(ship_id.ok() ? *ship_id : 0);
+    const std::size_t shard_index =
+        host_map_.OwnerIndexOf(KeyForAvail(point->avail_id));
+    std::shared_ptr<Gather> gather = Admit(responder, 1, /*scatter=*/false);
+    if (gather == nullptr) return;
+    CountRouted(shard_index);
+    Forward(shard_index, request.line,
+            Clock::now() + options_.upstream_deadline, gather, 0);
+    gather->Arrive();
+    return;
   }
-  RunSingle(request.line, host_map_.OwnerIndexOf(key), responder);
+  // Detached scoring travels with its avail; the ship owns the key so a
+  // ship's traffic lands on one shard regardless of avail numbering. A
+  // malformed ship_id routes like an absent one, and the owning shard's
+  // parser rejects it. It forwards from a worker: the shard answers the
+  // ~43 KB line from its batcher, and points pipelined behind it on the
+  // event loop's connection would wait for it.
+  const JsonValue* avail = request.json.Find("avail");
+  const auto ship_id = avail != nullptr
+                           ? IntegerMember(*avail, "ship_id", 0)
+                           : StatusOr<std::int64_t>(0);
+  const std::size_t shard_index =
+      host_map_.OwnerIndexOf(KeyForShip(ship_id.ok() ? *ship_id : 0));
+  const bool queued = verbs_.Queue(
+      VerbPolicy::kWorker, [this, line = request.line, shard_index,
+                            responder] {
+        RunSingle(line, shard_index, responder);
+      });
+  if (!queued) responder.Respond(ErrorToJson(verbs_.Shed()).Serialize());
 }
 
 void ClusterRouter::RunSingle(const std::string& line,
                               std::size_t shard_index,
                               const Responder& responder) {
-  routed_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Counter* cell = cells_.routed_by_shard[shard_index];
-      cell != nullptr && obs::Enabled()) {
-    cell->Increment();
-  }
+  CountRouted(shard_index);
   bool hedged = false;
-  auto response = RouteToShard(shard_index, line,
-                               Clock::now() + options_.upstream_deadline,
-                               &hedged);
-  if (hedged) {
-    hedged_.fetch_add(1, std::memory_order_relaxed);
-    if (cells_.hedged != nullptr && obs::Enabled()) cells_.hedged->Increment();
-  }
+  auto response = RouteWithOrder(shard_index, PreferenceOrder(shard_index),
+                                 line,
+                                 Clock::now() + options_.upstream_deadline,
+                                 &hedged);
+  if (hedged) CountHedged();
   if (!response.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    if (cells_.failed != nullptr && obs::Enabled()) cells_.failed->Increment();
+    CountFailed();
     responder.Respond(ErrorToJson(response.status()).Serialize());
     return;
   }
@@ -216,31 +276,30 @@ void ClusterRouter::RunSingle(const std::string& line,
 }
 
 void ClusterRouter::RunScatter(const VerbRequest& request,
-                               const Responder& responder) {
-  scattered_.fetch_add(1, std::memory_order_relaxed);
+                               Responder responder) {
   const JsonValue& ids = *request.json.Find("avail_ids");
   const std::size_t n = ids.items().size();
+  std::shared_ptr<Gather> gather = Admit(responder, n, /*scatter=*/true);
+  if (gather == nullptr) return;
+  scattered_.fetch_add(1, std::memory_order_relaxed);
   const Clock::time_point deadline =
       Clock::now() + options_.upstream_deadline;
 
   // Per-id subrequests inherit the parent's scoring knobs, so each shard
-  // answers exactly as it would a direct single-avail request.
+  // answers exactly as it would a direct single-avail request. A bad id
+  // fills its own slot with the error.
+  const std::size_t num_shards = host_map_.num_shards();
   std::vector<std::string> sublines(n);
-  std::vector<std::string> results(n);
-  std::vector<std::int64_t> avail_ids(n, 0);
-  std::vector<bool> done(n, false);
-  std::size_t errors = 0;
+  std::vector<std::size_t> owners(n, num_shards);
+  std::vector<bool> touched(num_shards, false);
   for (std::size_t i = 0; i < n; ++i) {
     const JsonValue& id = ids.items()[i];
     const auto avail_id =
         IntegerFromJson(id, "avail_ids[" + std::to_string(i) + "]");
     if (!avail_id.ok()) {
-      results[i] = ErrorToJson(avail_id.status()).Serialize();
-      done[i] = true;
-      ++errors;
+      gather->Fill(i, avail_id.status(), /*hedged_here=*/false);
       continue;
     }
-    avail_ids[i] = *avail_id;
     JsonValue sub = JsonValue::Object();
     sub.Set("avail_id", id);
     if (const JsonValue* t = request.json.Find("t_star"); t != nullptr) {
@@ -250,103 +309,117 @@ void ClusterRouter::RunScatter(const VerbRequest& request,
       sub.Set("top_k", *k);
     }
     sublines[i] = sub.Serialize();
+    owners[i] = host_map_.OwnerIndexOf(KeyForAvail(*avail_id));
+    touched[owners[i]] = true;
   }
-
-  // Group the valid positions by owning shard, preserving request order
-  // within each group.
-  std::vector<std::vector<std::size_t>> by_shard(host_map_.num_shards());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (done[i]) continue;
-    by_shard[host_map_.OwnerIndexOf(KeyForAvail(avail_ids[i]))].push_back(i);
-  }
-  std::size_t fanout = 0;
-  for (const auto& group : by_shard) fanout += group.empty() ? 0 : 1;
+  gather->fanout = static_cast<std::size_t>(
+      std::count(touched.begin(), touched.end(), true));
   if (cells_.fanout != nullptr && obs::Enabled()) {
-    cells_.fanout->Observe(static_cast<double>(fanout));
+    cells_.fanout->Observe(static_cast<double>(gather->fanout));
   }
-
-  // Phase 1 — pipeline: one pooled connection per touched shard, every
-  // subrequest written up front. Reads below are sequential per shard but
-  // the shards compute concurrently from the moment their lines land.
-  std::vector<UpstreamConn> conns(host_map_.num_shards());
-  std::vector<bool> conn_ok(host_map_.num_shards(), false);
-  bool any_hedged = false;
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    const Endpoint& primary = host_map_.shards()[s].replicas[0];
-    auto conn = pool_.Checkout(primary, deadline);
-    if (!conn.ok()) {
-      MarkTransportFailure(s, 0);
-      continue;  // phase 2 re-routes this shard's ids through hedging.
-    }
-    bool sent_all = true;
-    for (std::size_t i : by_shard[s]) {
-      if (!DOMD_FAULT_POINT("cluster.route.send").Check().ok() ||
-          !conn->SendLine(sublines[i], deadline).ok()) {
-        sent_all = false;
-        break;
-      }
-    }
-    if (!sent_all) {
-      MarkTransportFailure(s, 0);
-      continue;
-    }
-    conns[s] = std::move(*conn);
-    conn_ok[s] = true;
-  }
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (!conn_ok[s]) continue;
-    bool conn_healthy = true;
-    for (std::size_t gi = 0; gi < by_shard[s].size(); ++gi) {
-      const std::size_t i = by_shard[s][gi];
-      const Status injected = DOMD_FAULT_POINT("cluster.route.recv").Check();
-      auto line = injected.ok() ? conns[s].ReadLine(deadline)
-                                : StatusOr<std::string>(injected);
-      if (!line.ok()) {
-        // Every pipelined response after a transport failure is lost;
-        // the unanswered tail re-routes through hedging below.
-        MarkTransportFailure(s, 0);
-        conn_healthy = false;
-        break;
-      }
-      results[i] = std::move(*line);
-      done[i] = true;
-    }
-    if (conn_healthy) {
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        replica_states_[s][0].up = true;
-      }
-      pool_.Return(host_map_.shards()[s].replicas[0], std::move(conns[s]));
-    }
-  }
-
-  // Phase 2 — repair: any id its primary never answered retries through
-  // the full hedged path (which now prefers the live replica, because the
-  // failures above marked the primary down).
+  // Each id travels as a point: the shards compute concurrently, and the
+  // ids one shard owns pipeline on one connection.
   for (std::size_t i = 0; i < n; ++i) {
-    if (done[i]) continue;
-    const std::size_t s = host_map_.OwnerIndexOf(KeyForAvail(avail_ids[i]));
-    bool hedged = false;
-    auto line = RouteToShard(s, sublines[i], deadline, &hedged);
-    any_hedged = any_hedged || hedged;
-    if (line.ok()) {
-      results[i] = std::move(*line);
-    } else {
-      results[i] = ErrorToJson(line.status()).Serialize();
-      ++errors;
-    }
-    done[i] = true;
+    if (owners[i] == num_shards) continue;
+    Forward(owners[i], std::move(sublines[i]), deadline, gather, i);
   }
-  if (any_hedged) {
-    hedged_.fetch_add(1, std::memory_order_relaxed);
-    if (cells_.hedged != nullptr && obs::Enabled()) cells_.hedged->Increment();
-  }
-  if (errors == n && n > 0) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    if (cells_.failed != nullptr && obs::Enabled()) cells_.failed->Increment();
-  }
+  gather->Arrive();
+}
 
+std::shared_ptr<ClusterRouter::Gather> ClusterRouter::Admit(
+    const Responder& responder, std::size_t slots, bool scatter) {
+  if (in_flight_.fetch_add(1, std::memory_order_relaxed) >=
+      options_.max_queue_depth) {
+    in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    responder.Respond(ErrorToJson(verbs_.Shed()).Serialize());
+    return nullptr;
+  }
+  return std::make_shared<Gather>(this, responder, slots, scatter);
+}
+
+void ClusterRouter::Forward(std::size_t shard_index, std::string line,
+                            Clock::time_point deadline,
+                            std::shared_ptr<Gather> gather,
+                            std::size_t slot) {
+  std::vector<std::size_t> order = PreferenceOrder(shard_index);
+  // A non-final attempt gets the hedge budget; the final replica gets
+  // whatever remains of the overall deadline.
+  const Clock::time_point attempt_deadline =
+      order.size() == 1
+          ? deadline
+          : std::min(deadline, Clock::now() + options_.hedge_deadline);
+  const CallPeer& peer = peers_[shard_index][order.front()];
+  std::string sent = line;  // the call's copy; `line` stays for a hedge.
+  const bool called = Reactor::Call(
+      peer, std::move(sent), attempt_deadline,
+      [this, shard_index, order = std::move(order), line = std::move(line),
+       deadline, gather, slot](StatusOr<std::string> answer) mutable {
+        const std::size_t r = order.front();
+        if (answer.ok() && !IsHedgeableResponse(*answer)) {
+          MarkServing(shard_index, r);
+          gather->Fill(slot, std::move(answer), /*hedged_here=*/false);
+          return;
+        }
+        std::string shed;  // a breaker shed's answer, forwarded if final.
+        Status error = answer.status();
+        if (answer.ok()) {
+          MarkBreakerShed(shard_index, r);
+          shed = std::move(*answer);
+          error = Status::Unavailable(
+              "shard " + std::to_string(host_map_.shards()[shard_index].id) +
+              " is shedding load");
+        } else {
+          MarkTransportFailure(shard_index, r);
+        }
+        order.erase(order.begin());
+        if (order.empty()) {
+          gather->Fill(slot,
+                       shed.empty() ? StatusOr<std::string>(error)
+                                    : StatusOr<std::string>(std::move(shed)),
+                       /*hedged_here=*/false);
+          return;
+        }
+        // The other replicas get it where blocking is allowed, through
+        // the one hedged-retry path.
+        const bool queued = verbs_.Queue(
+            VerbPolicy::kWorker,
+            [this, shard_index, order = std::move(order),
+             line = std::move(line), deadline, shed = std::move(shed),
+             gather, slot] {
+              auto result =
+                  RouteWithOrder(shard_index, order, line, deadline, nullptr);
+              if (!result.ok() && !shed.empty()) result = shed;
+              gather->Fill(slot, std::move(result), /*hedged_here=*/true);
+            });
+        if (!queued) gather->Fill(slot, verbs_.Shed(), /*hedged_here=*/false);
+      });
+  if (!called) {
+    gather->Fill(slot, Status::Internal("prediction routed off a reactor shard"),
+                 /*hedged_here=*/false);
+  }
+}
+
+void ClusterRouter::Answer(Gather& gather) {
+  const bool hedged = gather.hedged.load(std::memory_order_relaxed);
+  if (hedged) CountHedged();
+  if (!gather.scatter) {
+    StatusOr<std::string>& result = gather.results.front();
+    if (!result.ok()) {
+      CountFailed();
+      gather.responder.Respond(ErrorToJson(result.status()).Serialize());
+      return;
+    }
+    // Verbatim forwarding: a routed answer is bit-identical to asking the
+    // owning shard directly (the bit-identity contract, DESIGN.md §12).
+    gather.responder.Respond(std::move(*result));
+    return;
+  }
+  const std::size_t n = gather.results.size();
+  std::size_t errors = 0;
+  for (const StatusOr<std::string>& result : gather.results) {
+    if (!result.ok()) ++errors;
+  }
+  if (errors == n && n > 0) CountFailed();
   // In-order merge by raw-line splicing: each result is the owning shard's
   // response byte-for-byte, never reserialized.
   std::string out = "{\"ok\": ";
@@ -354,13 +427,14 @@ void ClusterRouter::RunScatter(const VerbRequest& request,
   out += ", \"results\": [";
   for (std::size_t i = 0; i < n; ++i) {
     if (i > 0) out += ", ";
-    out += results[i];
+    const StatusOr<std::string>& result = gather.results[i];
+    out += result.ok() ? *result : ErrorToJson(result.status()).Serialize();
   }
-  out += "], \"fanout\": " + std::to_string(fanout);
+  out += "], \"fanout\": " + std::to_string(gather.fanout);
   out += ", \"hedged\": ";
-  out += any_hedged ? "true" : "false";
+  out += hedged ? "true" : "false";
   out += ", \"errors\": " + std::to_string(errors) + "}";
-  responder.Respond(std::move(out));
+  gather.responder.Respond(std::move(out));
 }
 
 void ClusterRouter::RunIngest(const VerbRequest& request,
@@ -467,14 +541,8 @@ void ClusterRouter::RunIngest(const VerbRequest& request,
     parsed->Set("shard", JsonValue::Number(static_cast<double>(shard_id)));
     results.Append(std::move(*parsed));
   }
-  if (any_hedged) {
-    hedged_.fetch_add(1, std::memory_order_relaxed);
-    if (cells_.hedged != nullptr && obs::Enabled()) cells_.hedged->Increment();
-  }
-  if (!all_ok) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    if (cells_.failed != nullptr && obs::Enabled()) cells_.failed->Increment();
-  }
+  if (any_hedged) CountHedged();
+  if (!all_ok) CountFailed();
   // A single-shard batch forwards the owning primary's successful answer
   // verbatim (the bit-identity contract); failures and multi-shard
   // batches aggregate per-shard results.
@@ -699,14 +767,6 @@ std::vector<std::size_t> ClusterRouter::IngestPreferenceOrder(
   return order;
 }
 
-StatusOr<std::string> ClusterRouter::RouteToShard(std::size_t shard_index,
-                                                  const std::string& line,
-                                                  Clock::time_point deadline,
-                                                  bool* hedged) {
-  return RouteWithOrder(shard_index, PreferenceOrder(shard_index), line,
-                        deadline, hedged);
-}
-
 StatusOr<std::string> ClusterRouter::RouteWithOrder(
     std::size_t shard_index, const std::vector<std::size_t>& order,
     const std::string& line, Clock::time_point deadline, bool* hedged) {
@@ -739,18 +799,39 @@ StatusOr<std::string> ClusterRouter::RouteWithOrder(
                                        " is shedding load");
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      ReplicaState& state = replica_states_[shard_index][r];
-      state.up = true;
-      state.ready = true;
-    }
+    MarkServing(shard_index, r);
     return std::move(*response);
   }
   // Every replica shed but answered coherently: forward the shard's own
   // shed response rather than inventing a router-side error.
   if (!shed_response.empty()) return shed_response;
   return last_error;
+}
+
+void ClusterRouter::CountRouted(std::size_t shard_index) {
+  routed_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::Counter* cell = cells_.routed_by_shard[shard_index];
+      cell != nullptr && obs::Enabled()) {
+    cell->Increment();
+  }
+}
+
+void ClusterRouter::CountHedged() {
+  hedged_.fetch_add(1, std::memory_order_relaxed);
+  if (cells_.hedged != nullptr && obs::Enabled()) cells_.hedged->Increment();
+}
+
+void ClusterRouter::CountFailed() {
+  failed_.fetch_add(1, std::memory_order_relaxed);
+  if (cells_.failed != nullptr && obs::Enabled()) cells_.failed->Increment();
+}
+
+void ClusterRouter::MarkServing(std::size_t shard_index,
+                                std::size_t replica_index) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  ReplicaState& state = replica_states_[shard_index][replica_index];
+  state.up = true;
+  state.ready = true;
 }
 
 void ClusterRouter::MarkTransportFailure(std::size_t shard_index,

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -22,10 +23,13 @@ namespace cluster {
 
 /// Tuning knobs of the routing tier.
 struct RouterOptions {
-  /// Worker threads doing blocking upstream I/O (the reactor's event-loop
-  /// shards never block; every routed verb hops onto this pool).
+  /// Worker threads for the routed verbs that block on a shard: detached
+  /// predictions, ingest, freshness, retrain and rollout, plus every
+  /// hedged retry. Points and scatters forward on the reactor's
+  /// event-loop shards and reach this pool only to hedge.
   std::size_t workers = 4;
-  /// Pending routed requests beyond this are rejected with
+  /// Bounds both the worker queue and the points and scatters in flight
+  /// on the event loop; a request beyond either bound is rejected with
   /// RESOURCE_EXHAUSTED — the same explicit backpressure contract as the
   /// PredictionService admission queue.
   std::size_t max_queue_depth = 512;
@@ -85,19 +89,23 @@ struct RouterStatsSnapshot {
 /// verbatim — a routed request that succeeds is bit-identical to asking
 /// that shard directly.
 ///
-/// The constructor registers every verb on a VerbTable: the control verbs
-/// (ping, health, stats, and the table's metrics and shutdown) inline, and
-/// predictions, rollout, ingest, freshness and retrain on a pool of
-/// `workers` threads whose queue `max_queue_depth` bounds. Each Run*
-/// handler documents its verb; tools/domd_router.cc lists the wire forms.
+/// The constructor registers every verb on a VerbTable. The control verbs
+/// (ping, health, stats, and the table's metrics and shutdown) and the
+/// predictions run inline: a point or a scatter's per-id points forward
+/// on the reactor shard that read them, over that shard's pipelined
+/// connection to the replica (Reactor::Call). Detached predictions,
+/// rollout, ingest, freshness and retrain run on a pool of `workers`
+/// threads whose queue `max_queue_depth` bounds. Each Run* handler
+/// documents its verb; tools/domd_router.cc lists the wire forms.
 ///
 /// Hedging: each routed request walks the shard's replica preference
 /// order (primary first, replicas the prober marked down or breaker-open
 /// moved last). A replica that is down, not ready, or silent past
 /// hedge_deadline is abandoned and the request is retried on the next
-/// replica. Only transport failures and breaker sheds hedge — an
-/// application-level error (bad request, unknown avail) is a
-/// deterministic answer and forwards as-is.
+/// replica; after a point's first attempt, its remaining attempts run on
+/// the worker pool (RouteWithOrder). Only transport failures and breaker
+/// sheds hedge — an application-level error (bad request, unknown avail)
+/// is a deterministic answer and forwards as-is.
 class ClusterRouter {
  public:
   using Clock = std::chrono::steady_clock;
@@ -109,8 +117,9 @@ class ClusterRouter {
   ClusterRouter& operator=(const ClusterRouter&) = delete;
 
   /// Routes one client request line; always answers via `responder`,
-  /// exactly once. Control verbs answer inline on the reactor shard;
-  /// routed verbs hop to the table's bounded worker pool.
+  /// exactly once. Call it from a reactor handler: control verbs answer
+  /// and points forward on the reactor shard, the other routed verbs hop
+  /// to the table's bounded worker pool.
   void Handle(std::string line, Responder responder);
 
   /// One synchronous probe round over every replica of every shard
@@ -135,26 +144,39 @@ class ClusterRouter {
     obs::Counter* rollout_failures = nullptr;
   };
 
+  struct Gather;
+
   void ProberLoop();
 
-  /// Worker verbs. RunPredict picks scatter-gather or one owning shard.
+  /// Predictions, inline: a scatter, a point, or a detached request
+  /// handed to a worker (RunSingle).
   void RunPredict(const VerbRequest& request, Responder responder);
   void RunSingle(const std::string& line, std::size_t shard_index,
                  const Responder& responder);
-  void RunScatter(const VerbRequest& request, const Responder& responder);
+  void RunScatter(const VerbRequest& request, Responder responder);
+  /// Takes one of the max_queue_depth places for a point or a scatter of
+  /// `slots` ids, or answers RESOURCE_EXHAUSTED and returns null.
+  std::shared_ptr<Gather> Admit(const Responder& responder,
+                                std::size_t slots, bool scatter);
+  /// Sends `line` to shard `shard_index` and fills `slot` of `gather` with
+  /// the answer. The first replica in preference order gets it from this
+  /// event-loop shard; after a transport failure, a timeout or a breaker
+  /// shed, RouteWithOrder tries the others on a worker.
+  void Forward(std::size_t shard_index, std::string line,
+               Clock::time_point deadline, std::shared_ptr<Gather> gather,
+               std::size_t slot);
+  /// Writes a finished point's or scatter's answer.
+  void Answer(Gather& gather);
+  /// Worker verbs.
   void RunRollout(const VerbRequest& request, Responder responder);
   void RunIngest(const VerbRequest& request, Responder responder);
   void RunFreshness(const VerbRequest& request, Responder responder);
   void RunRetrainScatter(const VerbRequest& request, Responder responder);
 
-  /// Sends `line` to shard `shard_index` with hedged retries across its
-  /// replica preference order. Success returns the replica's verbatim
-  /// response line. `hedged` reports whether any non-primary attempt ran.
-  StatusOr<std::string> RouteToShard(std::size_t shard_index,
-                                     const std::string& line,
-                                     Clock::time_point deadline,
-                                     bool* hedged);
-  /// RouteToShard over an explicit replica attempt order.
+  /// Sends `line` to shard `shard_index` with hedged retries across the
+  /// replicas in `order`: the one hedged-retry path. Success returns the
+  /// replica's verbatim response line. `hedged` (may be null) reports
+  /// whether any attempt after the first ran.
   StatusOr<std::string> RouteWithOrder(std::size_t shard_index,
                                        const std::vector<std::size_t>& order,
                                        const std::string& line,
@@ -171,6 +193,10 @@ class ClusterRouter {
   std::vector<std::size_t> IngestPreferenceOrder(
       std::size_t shard_index) const;
 
+  void CountRouted(std::size_t shard_index);
+  void CountHedged();
+  void CountFailed();
+  void MarkServing(std::size_t shard_index, std::size_t replica_index);
   void MarkTransportFailure(std::size_t shard_index,
                             std::size_t replica_index);
   void MarkBreakerShed(std::size_t shard_index, std::size_t replica_index);
@@ -182,6 +208,8 @@ class ClusterRouter {
   const HostMap host_map_;
   const RouterOptions options_;
   UpstreamPool pool_;
+  /// peers_[shard][replica]: where the event loop sends points.
+  std::vector<std::vector<CallPeer>> peers_;
   MetricCells cells_;
 
   mutable std::mutex state_mutex_;  ///< guards replica_states_.
@@ -201,6 +229,8 @@ class ClusterRouter {
   std::atomic<std::uint64_t> probes_{0};
   std::atomic<std::uint64_t> rollouts_{0};
   std::atomic<std::uint64_t> rollout_failures_{0};
+  /// Points and scatters admitted and not yet gone (Admit, ~Gather).
+  std::atomic<std::size_t> in_flight_{0};
 
   std::thread prober_;  ///< joined in the destructor.
   /// Last member: its workers answer every queued request and join before

@@ -62,12 +62,13 @@ class UpstreamConn {
 /// endpoint. Checkout pops an idle connection or dials a new one (within
 /// 1 s, or sooner by the caller's deadline); Return parks a still-healthy
 /// connection for reuse, up to 8 per endpoint. `Rpc` is the one-call
-/// request/response path routers and replication use; scatter-gather
-/// checks out one connection per shard and pipelines over it itself.
+/// request/response path the router's workers and prober and replication
+/// use. (The router's event loop forwards points over the reactor's own
+/// connections instead: Reactor::Call.)
 ///
 /// Fault point cluster.route.connect fires on every dial the pool makes,
-/// and cluster.route.send / .recv on every send and read of `Rpc` and of
-/// the router's scatter pipeline. A bare UpstreamConn fires none of them.
+/// and cluster.route.send / .recv on every send and read of `Rpc`. A bare
+/// UpstreamConn fires none of them.
 class UpstreamPool {
  public:
   using Clock = std::chrono::steady_clock;

@@ -8,10 +8,14 @@
 #include <unistd.h>
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <iterator>
+#include <map>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -33,6 +37,11 @@ struct Completion {
   int action = kActNone;
 };
 
+struct ShardMailbox;
+
+/// The mailbox of the shard whose loop runs on this thread; null elsewhere.
+thread_local ShardMailbox* t_own_mailbox = nullptr;
+
 /// The only cross-thread surface of a shard: completions and freshly
 /// accepted fds land here under a mutex, and the eventfd wakes the shard.
 /// Responders hold a shared_ptr to the mailbox, so posting stays safe even
@@ -42,6 +51,10 @@ struct ShardMailbox {
   std::mutex mutex;
   std::vector<Completion> completions;
   std::vector<int> incoming_fds;
+  /// Completions the shard's own thread posts (an inline answer, a call's
+  /// reply): no lock and no wake, because the loop applies them before it
+  /// waits again. Only that thread touches this list.
+  std::vector<Completion> own_completions;
   int event_fd = -1;
 
   ~ShardMailbox() {
@@ -58,6 +71,10 @@ struct ShardMailbox {
   }
 
   void PostCompletion(Completion completion) {
+    if (t_own_mailbox == this) {
+      own_completions.push_back(std::move(completion));
+      return;
+    }
     {
       std::lock_guard<std::mutex> lock(mutex);
       completions.push_back(std::move(completion));
@@ -131,7 +148,10 @@ struct Slot {
   int action = kActNone;
 };
 
-/// One connection, owned exclusively by its shard thread.
+struct Upstream;
+
+/// One connection, owned exclusively by its shard thread: accepted from a
+/// client, or dialed to a peer by Reactor::Call (an upstream).
 struct Connection {
   int fd = -1;
   std::uint64_t id = 0;
@@ -149,7 +169,53 @@ struct Connection {
   Reactor::Clock::time_point last_activity{};
   Reactor::Clock::time_point stall_since{};  ///< epoch = not stalled.
   std::size_t accounted_bytes = 0;  ///< contribution to the global bound.
+  Upstream* upstream = nullptr;  ///< the peer's calls; null when accepted.
+  bool connecting = false;       ///< upstream: the dial has not resolved.
+  bool answered = false;         ///< upstream: has answered (a reused one).
+  bool flush_queued = false;     ///< upstream: on the shard's flush list.
 };
+
+/// One call written on an upstream connection.
+struct OutCall {
+  std::string line;  ///< kept for the one resend a redial may make.
+  Reactor::Clock::time_point deadline;
+  Reactor::CallDone done;
+  bool resent = false;
+};
+
+/// A shard's state for one peer it calls: the live connection and the
+/// unanswered calls on it, oldest first.
+struct Upstream {
+  CallPeer peer;
+  std::uint64_t conn_id = 0;  ///< the live connection; 0 = none.
+  std::deque<OutCall> calls;
+  /// Sliding-window minimum of the calls' deadlines: (deadline, position)
+  /// pairs with rising deadlines, so front() is the earliest of `calls`.
+  std::deque<std::pair<Reactor::Clock::time_point, std::uint64_t>> earliest;
+  std::uint64_t pushed = 0;  ///< calls ever queued: the next one's position.
+  std::uint64_t popped = 0;  ///< calls ever taken off the front.
+};
+
+void PushCall(Upstream& up, OutCall call) {
+  while (!up.earliest.empty() && up.earliest.back().first >= call.deadline) {
+    up.earliest.pop_back();
+  }
+  up.earliest.emplace_back(call.deadline, up.pushed++);
+  up.calls.push_back(std::move(call));
+}
+
+OutCall PopCall(Upstream& up) {
+  if (up.earliest.front().second == up.popped) up.earliest.pop_front();
+  ++up.popped;
+  OutCall call = std::move(up.calls.front());
+  up.calls.pop_front();
+  return call;
+}
+
+/// "connect host:port", the prefix of a dial's errors.
+std::string DialName(const Upstream& up) {
+  return "connect " + up.peer.host + ":" + std::to_string(up.peer.port);
+}
 
 /// A hashed timer wheel for idle reaping: buckets_[tick % kBuckets] holds
 /// (conn_id, deadline_tick) entries. Advancing visits every expired entry;
@@ -264,6 +330,12 @@ struct Reactor::Shard {
   int epoll_fd = -1;
   std::unordered_map<std::uint64_t, Connection> conns;
   std::uint64_t next_conn_id = 1;  ///< 0 is reserved for the eventfd.
+  /// The peers this shard calls (Reactor::Call), by host and port.
+  std::map<std::pair<std::string, int>, Upstream> upstreams;
+  /// Upstream connections written to since the loop last flushed them.
+  std::vector<std::uint64_t> flush_list;
+  /// Finished calls whose `done` has not run yet.
+  std::vector<std::pair<CallDone, StatusOr<std::string>>> replies;
   TimerWheel wheel;
   obs::Histogram* loop_ms = nullptr;
   obs::Histogram* stall_ms = nullptr;
@@ -485,6 +557,9 @@ struct ShardContext {
 
 Reactor::Clock::time_point Now(const ShardContext& ctx) { return ctx.now; }
 
+/// The context of the shard whose loop runs on this thread; null elsewhere.
+thread_local ShardContext* t_context = nullptr;
+
 /// Re-derives this connection's buffered footprint and folds the delta
 /// into the global gauge. Called after every mutation batch, so the
 /// accounting can never drift or leak.
@@ -511,20 +586,186 @@ void CloseConnection(ShardContext& ctx, std::uint64_t conn_id) {
   // gone from the counters.
   ctx.buffered_bytes->fetch_sub(conn.accounted_bytes,
                                 std::memory_order_release);
-  const std::uint64_t open =
-      ctx.open_connections->fetch_sub(1, std::memory_order_release) - 1;
-  if (obs::Gauge* gauge = ReactorCells().open_connections;
-      gauge != nullptr && obs::Enabled()) {
-    gauge->Set(static_cast<double>(open));
+  if (conn.upstream != nullptr) {
+    conn.upstream->conn_id = 0;  // the client counters never counted it.
+  } else {
+    const std::uint64_t open =
+        ctx.open_connections->fetch_sub(1, std::memory_order_release) - 1;
+    if (obs::Gauge* gauge = ReactorCells().open_connections;
+        gauge != nullptr && obs::Enabled()) {
+      gauge->Set(static_cast<double>(open));
+    }
   }
   ::epoll_ctl(ctx.shard->epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
   ::close(conn.fd);
   ctx.shard->conns.erase(it);
 }
 
+// ---------------------------------------------------------------------------
+// Calls out (Reactor::Call): a shard's pipelined connection to each peer.
+
+void FailUpstream(ShardContext& ctx, Upstream& up, const Status& why,
+                  bool timed_out);
+
+/// Starts a non-blocking dial to `up`'s peer and registers the socket in
+/// the shard's epoll set; EPOLLOUT reports the dial's outcome.
+Status DialUpstream(ShardContext& ctx, Upstream& up) {
+  if (up.peer.connect_site != nullptr) {
+    DOMD_RETURN_IF_ERROR(up.peer.connect_site->Check());
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(up.peer.port));
+  if (::inet_pton(AF_INET, up.peer.host.c_str(), &addr.sin_addr) != 1) {
+    return Status::InvalidArgument("bad upstream host \"" + up.peer.host +
+                                   "\" (IPv4 literals only)");
+  }
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return Status::IoError("socket(): " + std::string(std::strerror(errno)));
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const bool pending =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
+      0;
+  if (pending && errno != EINPROGRESS) {
+    const std::string error = std::strerror(errno);
+    ::close(fd);
+    return Status::Unavailable(DialName(up) + ": " + error);
+  }
+  const std::uint64_t id = ctx.shard->next_conn_id++;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  if (pending) ev.events |= EPOLLOUT;
+  ev.data.u64 = id;
+  if (::epoll_ctl(ctx.shard->epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    const std::string error = std::strerror(errno);
+    ::close(fd);
+    return Status::IoError("epoll_ctl: " + error);
+  }
+  Connection conn;
+  conn.fd = fd;
+  conn.id = id;
+  conn.upstream = &up;
+  conn.connecting = pending;
+  conn.want_write = pending;
+  conn.last_activity = Now(ctx);
+  ctx.shard->conns.emplace(id, std::move(conn));
+  up.conn_id = id;
+  return Status::OK();
+}
+
+/// Writes `calls` to `up`'s peer in order, dialing first when it has no
+/// live connection, and puts the connection on the loop's flush list. A
+/// failing send site breaks the connection, as a failed send would.
+void SendCalls(ShardContext& ctx, Upstream& up, std::span<OutCall> calls) {
+  if (up.conn_id == 0) {
+    if (const Status dialed = DialUpstream(ctx, up); !dialed.ok()) {
+      for (OutCall& call : calls) {
+        ctx.shard->replies.emplace_back(std::move(call.done), dialed);
+      }
+      return;
+    }
+  }
+  Connection& conn = ctx.shard->conns.at(up.conn_id);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const Status sent = up.peer.send_site != nullptr
+                            ? up.peer.send_site->Check()
+                            : Status::OK();
+    if (!sent.ok()) {
+      for (std::size_t j = i; j < calls.size(); ++j) {
+        PushCall(up, std::move(calls[j]));
+      }
+      FailUpstream(ctx, up, sent, /*timed_out=*/false);
+      return;
+    }
+    conn.write_buffer += calls[i].line;
+    conn.write_buffer += '\n';
+    PushCall(up, std::move(calls[i]));
+  }
+  if (!conn.flush_queued) {
+    conn.flush_queued = true;
+    ctx.shard->flush_list.push_back(conn.id);
+  }
+}
+
+/// Closes `up`'s connection and settles every call on it. After a timeout
+/// each call fails with `why`. Otherwise a call on a connection that had
+/// answered before (a stale connection fails like a dead peer, and a
+/// fresh dial tells them apart) goes out once more on a new dial, unless
+/// it was resent already or its deadline has passed.
+void FailUpstream(ShardContext& ctx, Upstream& up, const Status& why,
+                  bool timed_out) {
+  bool reused = false;
+  if (auto it = ctx.shard->conns.find(up.conn_id);
+      it != ctx.shard->conns.end()) {
+    reused = it->second.answered;
+    CloseConnection(ctx, up.conn_id);
+  }
+  std::deque<OutCall> calls;
+  calls.swap(up.calls);
+  up.earliest.clear();
+  up.popped = up.pushed;
+  const Reactor::Clock::time_point now = Reactor::Clock::now();
+  std::vector<OutCall> resend;
+  for (OutCall& call : calls) {
+    if (reused && !timed_out && !call.resent && now < call.deadline) {
+      call.resent = true;
+      resend.push_back(std::move(call));
+    } else {
+      ctx.shard->replies.emplace_back(std::move(call.done), why);
+    }
+  }
+  if (!resend.empty()) SendCalls(ctx, up, resend);
+}
+
+/// Hands `line` to the oldest call on upstream `conn`. Returns false when
+/// the line failed the connection instead: an answer nobody asked for, or
+/// a failing recv site.
+bool TakeAnswer(ShardContext& ctx, Connection& conn, std::string line) {
+  Upstream& up = *conn.upstream;
+  Status failed;
+  if (up.calls.empty()) {
+    failed = Status::Unavailable("upstream sent a line nobody asked for");
+  } else if (up.peer.recv_site != nullptr) {
+    failed = up.peer.recv_site->Check();
+  }
+  if (!failed.ok()) {
+    FailUpstream(ctx, up, failed, /*timed_out=*/false);
+    return false;
+  }
+  conn.answered = true;
+  OutCall call = PopCall(up);
+  ctx.shard->replies.emplace_back(std::move(call.done), std::move(line));
+  return true;
+}
+
+/// Fails every upstream whose earliest call's deadline has passed, with
+/// all of its calls: none is resent, since the peer may still run them.
+void ExpireCalls(ShardContext& ctx) {
+  const Reactor::Clock::time_point now = Reactor::Clock::now();
+  for (auto& [peer, up] : ctx.shard->upstreams) {
+    if (up.earliest.empty() || now < up.earliest.front().first) continue;
+    const auto it = ctx.shard->conns.find(up.conn_id);
+    const bool dialing =
+        it != ctx.shard->conns.end() && it->second.connecting;
+    FailUpstream(ctx, up,
+                 Status::Unavailable(dialing ? DialName(up) + ": timed out"
+                                             : "upstream read timed out"),
+                 /*timed_out=*/true);
+  }
+}
+
+// ---------------------------------------------------------------------------
+
 /// Flushes ready slots into the write buffer and pushes bytes to the
-/// socket. Returns false when the connection was closed.
+/// socket. Returns false when the connection was closed (an upstream that
+/// fails settles its calls too).
 bool FlushConnection(ShardContext& ctx, Connection& conn) {
+  if (conn.connecting) return true;  // EPOLLOUT flushes once it resolves.
+  Upstream* const up = conn.upstream;
   while (!conn.slots.empty() && conn.slots.front().ready) {
     Slot& slot = conn.slots.front();
     conn.write_buffer += slot.text;
@@ -536,11 +777,13 @@ bool FlushConnection(ShardContext& ctx, Connection& conn) {
   }
 
   while (conn.write_offset < conn.write_buffer.size()) {
-    const Status fault = DOMD_FAULT_POINT("serve.reactor.write").Check();
-    if (!fault.ok()) {
-      ctx.write_errors->fetch_add(1, std::memory_order_relaxed);
-      CloseConnection(ctx, conn.id);
-      return false;
+    if (up == nullptr) {
+      const Status fault = DOMD_FAULT_POINT("serve.reactor.write").Check();
+      if (!fault.ok()) {
+        ctx.write_errors->fetch_add(1, std::memory_order_relaxed);
+        CloseConnection(ctx, conn.id);
+        return false;
+      }
     }
     const ssize_t n =
         ::send(conn.fd, conn.write_buffer.data() + conn.write_offset,
@@ -552,6 +795,13 @@ bool FlushConnection(ShardContext& ctx, Connection& conn) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
+    if (up != nullptr) {
+      FailUpstream(ctx, *up,
+                   Status::Unavailable("upstream send: " +
+                                       std::string(std::strerror(errno))),
+                   /*timed_out=*/false);
+      return false;
+    }
     ctx.write_errors->fetch_add(1, std::memory_order_relaxed);
     CloseConnection(ctx, conn.id);
     return false;
@@ -603,7 +853,18 @@ bool FlushConnection(ShardContext& ctx, Connection& conn) {
     ::epoll_ctl(ctx.shard->epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
     conn.want_write = true;
   }
-  if (backlog > ctx.options->max_write_buffer_bytes) {
+  const bool stalled = backlog > ctx.options->max_write_buffer_bytes;
+  if (!stalled && ctx.buffered_bytes->load(std::memory_order_relaxed) <=
+                      ctx.options->max_total_buffer_bytes) {
+    return true;
+  }
+  if (up != nullptr) {
+    FailUpstream(ctx, *up,
+                 Status::Unavailable("upstream send: over the buffer bound"),
+                 /*timed_out=*/false);
+    return false;
+  }
+  if (stalled) {
     // Slow-reader shedding: bounded buffer, then a clean disconnect —
     // never unbounded growth (DESIGN.md §11).
     ctx.write_stall_disconnects->fetch_add(1, std::memory_order_relaxed);
@@ -611,17 +872,12 @@ bool FlushConnection(ShardContext& ctx, Connection& conn) {
     if (ctx.shard->stall_ms != nullptr && obs::Enabled()) {
       ctx.shard->stall_ms->Observe(ElapsedMs(conn.stall_since, Now(ctx)));
     }
-    CloseConnection(ctx, conn.id);
-    return false;
-  }
-  if (ctx.buffered_bytes->load(std::memory_order_relaxed) >
-      ctx.options->max_total_buffer_bytes) {
+  } else {
     ctx.buffer_limit_disconnects->fetch_add(1, std::memory_order_relaxed);
     Bump(ReactorCells().buffer_limit_disconnects);
-    CloseConnection(ctx, conn.id);
-    return false;
   }
-  return true;
+  CloseConnection(ctx, conn.id);
+  return false;
 }
 
 /// Appends an already-rendered response (oversize reject) in order.
@@ -633,12 +889,14 @@ void EnqueueImmediate(Connection& conn, const std::string& text) {
   ++conn.next_seq;
 }
 
-/// Splits the read buffer into request lines and hands each to the
-/// handler. Oversized lines are answered and discarded without killing
-/// the connection. Lines are consumed by offset and the buffer is erased
-/// once per call; the newline search resumes where the last call's
-/// stopped, so each byte is searched once.
-void ParseLines(ShardContext& ctx, Connection& conn) {
+/// Splits the read buffer into lines: requests for the handler on a client
+/// connection, answers for the oldest calls on an upstream. Oversized
+/// requests are answered and discarded without killing the connection.
+/// Lines are consumed by offset and the buffer is erased once per call;
+/// the newline search resumes where the last call's stopped, so each byte
+/// is searched once. Returns false when an upstream failed on an answer
+/// and is gone.
+bool ParseLines(ShardContext& ctx, Connection& conn) {
   std::string& buffer = conn.read_buffer;
   std::size_t begin = 0;  // first byte not yet consumed.
   for (;;) {
@@ -648,28 +906,33 @@ void ParseLines(ShardContext& ctx, Connection& conn) {
       if (newline == std::string::npos) {
         buffer.clear();  // still inside the oversized line.
         conn.scanned = 0;
-        return;
+        return true;
       }
       begin = newline + 1;
       conn.discarding = false;
       continue;
     }
     if (newline == std::string::npos) {
-      if (buffer.size() - begin > ctx.options->max_request_bytes) {
+      if (conn.upstream == nullptr &&
+          buffer.size() - begin > ctx.options->max_request_bytes) {
         ctx.oversized_requests->fetch_add(1, std::memory_order_relaxed);
         Bump(ReactorCells().oversized);
         EnqueueImmediate(conn, ctx.options->oversize_response);
         conn.discarding = true;
         buffer.clear();
         conn.scanned = 0;
-        return;
+        return true;
       }
       buffer.erase(0, begin);
       conn.scanned = buffer.size();
-      return;
+      return true;
     }
     std::string line = buffer.substr(begin, newline - begin);
     begin = newline + 1;
+    if (conn.upstream != nullptr) {
+      if (!TakeAnswer(ctx, conn, std::move(line))) return false;
+      continue;
+    }
     if (line.size() > ctx.options->max_request_bytes) {
       ctx.oversized_requests->fetch_add(1, std::memory_order_relaxed);
       Bump(ReactorCells().oversized);
@@ -689,25 +952,34 @@ void HandleReadable(ShardContext& ctx, std::uint64_t conn_id) {
   auto it = ctx.shard->conns.find(conn_id);
   if (it == ctx.shard->conns.end()) return;
   Connection& conn = it->second;
+  Upstream* const up = conn.upstream;
   char chunk[16384];
   // Bounded passes per event for shard fairness; level-triggered epoll
   // re-delivers whatever is left.
   for (int pass = 0; pass < 8; ++pass) {
-    const Status fault = DOMD_FAULT_POINT("serve.reactor.read").Check();
-    if (!fault.ok()) {
-      // Injected read failure: this connection degrades; the shard and
-      // its other connections are untouched.
-      ctx.read_errors->fetch_add(1, std::memory_order_relaxed);
-      CloseConnection(ctx, conn_id);
-      return;
+    if (up == nullptr) {
+      const Status fault = DOMD_FAULT_POINT("serve.reactor.read").Check();
+      if (!fault.ok()) {
+        // Injected read failure: this connection degrades; the shard and
+        // its other connections are untouched.
+        ctx.read_errors->fetch_add(1, std::memory_order_relaxed);
+        CloseConnection(ctx, conn_id);
+        return;
+      }
     }
     const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn.last_activity = Now(ctx);
       conn.read_buffer.append(chunk, static_cast<std::size_t>(n));
-      ParseLines(ctx, conn);
+      if (!ParseLines(ctx, conn)) return;
       if (static_cast<std::size_t>(n) < sizeof(chunk)) break;
       continue;
+    }
+    if (n == 0 && up != nullptr) {
+      FailUpstream(ctx, *up,
+                   Status::Unavailable("upstream closed the connection"),
+                   /*timed_out=*/false);
+      return;
     }
     if (n == 0) {
       // Half-close: the peer finished sending. Pending responses still
@@ -721,6 +993,13 @@ void HandleReadable(ShardContext& ctx, std::uint64_t conn_id) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
+    if (up != nullptr) {
+      FailUpstream(ctx, *up,
+                   Status::Unavailable("upstream read: " +
+                                       std::string(std::strerror(errno))),
+                   /*timed_out=*/false);
+      return;
+    }
     // Abrupt reset (ECONNRESET & friends): reap immediately; buffers are
     // released via the global accounting in CloseConnection.
     ctx.read_errors->fetch_add(1, std::memory_order_relaxed);
@@ -730,12 +1009,82 @@ void HandleReadable(ShardContext& ctx, std::uint64_t conn_id) {
   Reaccount(ctx, conn);
   if (ctx.buffered_bytes->load(std::memory_order_relaxed) >
       ctx.options->max_total_buffer_bytes) {
+    if (up != nullptr) {
+      FailUpstream(ctx, *up,
+                   Status::Unavailable("upstream read: over the buffer bound"),
+                   /*timed_out=*/false);
+      return;
+    }
     ctx.buffer_limit_disconnects->fetch_add(1, std::memory_order_relaxed);
     Bump(ReactorCells().buffer_limit_disconnects);
     CloseConnection(ctx, conn_id);
     return;
   }
-  FlushConnection(ctx, conn);
+  if (up == nullptr) FlushConnection(ctx, conn);
+}
+
+/// An event on an upstream: the dial resolving, answers, or writability.
+void HandleUpstreamEvent(ShardContext& ctx, Connection& conn,
+                         std::uint32_t events) {
+  if (conn.connecting) {
+    int error = 0;
+    socklen_t len = sizeof(error);
+    if (::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &error, &len) != 0) {
+      error = errno;
+    }
+    if (error != 0) {
+      FailUpstream(ctx, *conn.upstream,
+                   Status::Unavailable(DialName(*conn.upstream) + ": " +
+                                       std::strerror(error)),
+                   /*timed_out=*/false);
+      return;
+    }
+    conn.connecting = false;
+    FlushConnection(ctx, conn);
+    return;
+  }
+  const std::uint64_t id = conn.id;
+  if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) HandleReadable(ctx, id);
+  if ((events & EPOLLOUT) != 0) {
+    auto it = ctx.shard->conns.find(id);
+    if (it != ctx.shard->conns.end()) FlushConnection(ctx, it->second);
+  }
+}
+
+/// Finishes what the iteration's handlers started: flushes the upstream
+/// connections they wrote to and runs the replies that came in, until
+/// neither is left (a reply may make a call of its own).
+void Settle(ShardContext& ctx) {
+  Reactor::Shard& shard = *ctx.shard;
+  while (!shard.flush_list.empty() || !shard.replies.empty()) {
+    std::vector<std::uint64_t> flushing;
+    flushing.swap(shard.flush_list);
+    for (const std::uint64_t id : flushing) {
+      auto it = shard.conns.find(id);
+      if (it == shard.conns.end()) continue;
+      it->second.flush_queued = false;
+      FlushConnection(ctx, it->second);
+    }
+    auto replies = std::move(shard.replies);
+    shard.replies.clear();
+    for (auto& [done, answer] : replies) done(std::move(answer));
+  }
+}
+
+/// How long the loop may wait: no longer than the poll cadence or the
+/// earliest deadline of the shard's calls out.
+int WaitMs(const ShardContext& ctx, int cadence_ms) {
+  auto earliest = Reactor::Clock::time_point::max();
+  for (const auto& [peer, up] : ctx.shard->upstreams) {
+    if (!up.earliest.empty()) {
+      earliest = std::min(earliest, up.earliest.front().first);
+    }
+  }
+  if (earliest == Reactor::Clock::time_point::max()) return cadence_ms;
+  const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+      earliest - Reactor::Clock::now());
+  return static_cast<int>(
+      std::clamp<std::int64_t>(wait.count(), 0, cadence_ms));
 }
 
 void RegisterIncoming(ShardContext& ctx) {
@@ -768,12 +1117,20 @@ void RegisterIncoming(ShardContext& ctx) {
   }
 }
 
+/// Applies the completions the shard's own thread posted and those other
+/// threads left in the mailbox, then flushes each connection they filled.
 void ApplyCompletions(ShardContext& ctx) {
+  ShardMailbox& mailbox = *ctx.shard->mailbox;
   std::vector<Completion> completions;
+  completions.swap(mailbox.own_completions);
   {
-    std::lock_guard<std::mutex> lock(ctx.shard->mailbox->mutex);
-    completions.swap(ctx.shard->mailbox->completions);
+    std::lock_guard<std::mutex> lock(mailbox.mutex);
+    completions.insert(completions.end(),
+                       std::make_move_iterator(mailbox.completions.begin()),
+                       std::make_move_iterator(mailbox.completions.end()));
+    mailbox.completions.clear();
   }
+  if (completions.empty()) return;
   std::unordered_set<std::uint64_t> dirty;
   for (Completion& completion : completions) {
     auto it = ctx.shard->conns.find(completion.conn_id);
@@ -822,6 +1179,18 @@ void ReapIdle(ShardContext& ctx) {
 
 }  // namespace
 
+bool Reactor::Call(const CallPeer& peer, std::string line,
+                   Clock::time_point deadline, CallDone done) {
+  ShardContext* const ctx = t_context;
+  if (ctx == nullptr) return false;
+  auto [it, created] =
+      ctx->shard->upstreams.try_emplace({peer.host, peer.port});
+  if (created) it->second.peer = peer;
+  OutCall call{std::move(line), deadline, std::move(done)};
+  SendCalls(*ctx, it->second, std::span<OutCall>(&call, 1));
+  return true;
+}
+
 void Reactor::ShardLoop(Shard& shard) {
   ShardContext ctx;
   ctx.reactor = this;
@@ -839,10 +1208,13 @@ void Reactor::ShardLoop(Shard& shard) {
   ctx.write_errors = &write_errors_;
   ctx.buffered_bytes = &buffered_bytes_;
   ctx.now = options_.clock();
+  t_context = &ctx;
+  reactor_internal::t_own_mailbox = shard.mailbox.get();
 
   // Poll cadence: short enough to notice injected-clock jumps in tests,
   // and bounded by the reaping tick in production; the eventfd cuts
-  // through it for completions and fresh connections.
+  // through it for other threads' completions and fresh connections, and
+  // the earliest call deadline bounds it.
   int timeout_ms = 200;
   if (options_.idle_timeout.count() > 0) {
     timeout_ms = static_cast<int>(std::min<std::int64_t>(
@@ -853,7 +1225,8 @@ void Reactor::ShardLoop(Shard& shard) {
   while (!stop_.load(std::memory_order_acquire)) {
     const Clock::time_point iter_start = Clock::now();
     const int n = ::epoll_wait(shard.epoll_fd, events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
+                               static_cast<int>(events.size()),
+                               WaitMs(ctx, timeout_ms));
     if (stop_.load(std::memory_order_acquire)) break;
     if (n < 0 && errno != EINTR) break;
     ctx.now = options_.clock();
@@ -871,7 +1244,12 @@ void Reactor::ShardLoop(Shard& shard) {
       const epoll_event& event = events[static_cast<std::size_t>(i)];
       const std::uint64_t id = event.data.u64;
       if (id == 0) continue;
-      if (ctx.shard->conns.find(id) == ctx.shard->conns.end()) continue;
+      auto it = ctx.shard->conns.find(id);
+      if (it == ctx.shard->conns.end()) continue;
+      if (it->second.upstream != nullptr) {
+        HandleUpstreamEvent(ctx, it->second, event.events);
+        continue;
+      }
       if ((event.events & (EPOLLERR | EPOLLHUP)) != 0 &&
           (event.events & EPOLLIN) == 0) {
         ctx.read_errors->fetch_add(1, std::memory_order_relaxed);
@@ -882,10 +1260,15 @@ void Reactor::ShardLoop(Shard& shard) {
         HandleReadable(ctx, id);
       }
       if ((event.events & EPOLLOUT) != 0) {
-        auto it = ctx.shard->conns.find(id);
+        it = ctx.shard->conns.find(id);
         if (it != ctx.shard->conns.end()) FlushConnection(ctx, it->second);
       }
     }
+    ExpireCalls(ctx);
+    Settle(ctx);
+    // What this thread answered during the iteration goes out before the
+    // next wait: it posted no wake-up.
+    ApplyCompletions(ctx);
     ReapIdle(ctx);
     if (shard.loop_ms != nullptr && obs::Enabled()) {
       shard.loop_ms->Observe(ElapsedMs(iter_start, Clock::now()));
@@ -896,11 +1279,16 @@ void Reactor::ShardLoop(Shard& shard) {
     }
   }
 
-  // Teardown: release every connection (and its buffer accounting).
+  // Teardown: release every connection (and its buffer accounting), and
+  // drop the calls still out, unanswered.
   std::vector<std::uint64_t> ids;
   ids.reserve(shard.conns.size());
   for (const auto& [id, conn] : shard.conns) ids.push_back(id);
   for (const std::uint64_t id : ids) CloseConnection(ctx, id);
+  shard.upstreams.clear();
+  shard.replies.clear();
+  t_context = nullptr;
+  reactor_internal::t_own_mailbox = nullptr;
 }
 
 }  // namespace domd

@@ -16,6 +16,10 @@ namespace domd {
 
 class Responder;
 
+namespace fault {
+class FaultPoint;
+}  // namespace fault
+
 namespace reactor_internal {
 struct ShardMailbox;
 /// Internal factory for the shard loop (reactor.cc); not an embedder API.
@@ -86,6 +90,19 @@ struct ReactorStatsSnapshot {
   std::uint64_t buffered_bytes = 0;      ///< instantaneous global buffering.
 };
 
+/// A server a shard calls out to (Reactor::Call), and the embedder's fault
+/// sites its calls check: `connect_site` on each dial, `send_site` on each
+/// line written and `recv_site` on each answer read. A failing site breaks
+/// the connection as a failed dial, send or read would; a null site is
+/// skipped. The first call to a peer on a shard names its sites there.
+struct CallPeer {
+  std::string host;  ///< IPv4 literal.
+  int port = 0;
+  fault::FaultPoint* connect_site = nullptr;
+  fault::FaultPoint* send_site = nullptr;
+  fault::FaultPoint* recv_site = nullptr;
+};
+
 /// A per-request completion handle. The handler receives one Responder per
 /// request line and must eventually call exactly one Respond* method, from
 /// any thread: the response is enqueued into the request's ordered slot on
@@ -129,7 +146,9 @@ class Responder {
 /// shard. Idle connections are reaped on a per-shard timer wheel. Fault
 /// points `serve.reactor.{accept,read,write}` inject per-connection
 /// failures for chaos testing; an injected failure closes one connection
-/// and never takes down a shard.
+/// and never takes down a shard. A handler may also call out to another
+/// server from its shard (Call) and answer from the reply, on the same
+/// thread.
 ///
 /// The reactor is codec-agnostic: domd_serve plugs in the NDJSON frontend
 /// (serve/frontend.h), tests plug in scripted handlers.
@@ -162,6 +181,24 @@ class Reactor {
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
   ReactorStatsSnapshot stats() const;
+
+  /// Runs once per Call, on the calling shard's thread: the peer's answer
+  /// line (newline stripped), or why there is none (kUnavailable).
+  using CallDone = std::function<void(StatusOr<std::string> answer)>;
+
+  /// Sends `line` to `peer` from the handler's shard; `done` gets the answer
+  /// on that same thread, never inside Call (DESIGN.md §11, "Calls out").
+  /// Each shard keeps one pipelined connection per peer in its own epoll
+  /// set, dialed without blocking, and answers come back in the order the
+  /// lines were written. When a call's `deadline` passes first, the
+  /// connection is closed and every call still on it fails, none resent:
+  /// the peer may still be working on them. A connection that has answered
+  /// before and then fails without a timeout (a restarted peer, say) sends
+  /// each of its calls once more on a fresh dial; a call that fails on a
+  /// fresh dial is final. A shard that stops drops its calls unanswered.
+  /// Off a shard thread Call returns false and drops `done`.
+  static bool Call(const CallPeer& peer, std::string line,
+                   Clock::time_point deadline, CallDone done);
 
   /// Opaque per-shard state (defined in reactor.cc).
   struct Shard;

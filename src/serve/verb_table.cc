@@ -60,7 +60,7 @@ void VerbTable::Register(const std::string& name, VerbPolicy policy,
 
 void VerbTable::Drain(Pool* pool) {
   for (;;) {
-    Job job;
+    std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       pool->available.wait(lock,
@@ -69,8 +69,22 @@ void VerbTable::Drain(Pool* pool) {
       job = std::move(pool->queue.front());
       pool->queue.pop_front();
     }
-    (*job.handler)(job.request, std::move(job.responder));
+    job();
   }
+}
+
+bool VerbTable::Queue(VerbPolicy policy, std::function<void()> job) {
+  Pool& pool = policy == VerbPolicy::kSlowWorker ? slow_ : worker_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopping_ || pool.queue.size() >= max_queue_depth_) return false;
+  pool.queue.push_back(std::move(job));
+  pool.available.notify_one();
+  return true;
+}
+
+Status VerbTable::Shed() {
+  shed_.fetch_add(1, std::memory_order_relaxed);
+  return Status::ResourceExhausted(shed_message_);
 }
 
 void VerbTable::Handle(std::string line, Responder responder) {
@@ -100,21 +114,12 @@ void VerbTable::Handle(std::string line, Responder responder) {
     verb.handler(request, std::move(responder));
     return;
   }
-  Pool& pool = verb.policy == VerbPolicy::kSlowWorker ? slow_ : worker_;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;  // teardown races a late request: drop it.
-    if (pool.queue.size() < max_queue_depth_) {
-      pool.queue.push_back(
-          Job{&verb.handler, std::move(request), std::move(responder)});
-      pool.available.notify_one();
-      return;
-    }
-  }
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  responder.Respond(
-      ErrorToJson(Status::ResourceExhausted(shed_message_))
-          .Serialize());
+  const bool queued =
+      Queue(verb.policy, [handler = &verb.handler,
+                          request = std::move(request), responder]() {
+        (*handler)(request, responder);
+      });
+  if (!queued) responder.Respond(ErrorToJson(Shed()).Serialize());
 }
 
 }  // namespace domd

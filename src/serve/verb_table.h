@@ -75,9 +75,19 @@ class VerbTable {
   void Register(const std::string& name, VerbPolicy policy, Handler handler,
                 Check check = {});
 
-  /// Always answers via `responder` exactly once, except for a queued
-  /// verb that races the table's destruction.
+  /// Always answers via `responder` exactly once.
   void Handle(std::string line, Responder responder);
+
+  /// Runs `job` on the `policy` pool (kWorker or kSlowWorker): how an
+  /// inline handler hands off work that may block, such as a hedged
+  /// retry. False when `max_queue_depth` jobs already wait there, or the
+  /// table is being destroyed; then nothing runs, and the caller answers
+  /// with Shed().
+  bool Queue(VerbPolicy policy, std::function<void()> job);
+
+  /// Counts one request turned away for lack of room and returns what it
+  /// is answered: RESOURCE_EXHAUSTED with the table's shed message.
+  Status Shed();
 
   /// Requests answered RESOURCE_EXHAUSTED because their queue was full.
   std::uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
@@ -88,13 +98,8 @@ class VerbTable {
     Handler handler;
     Check check;
   };
-  struct Job {
-    const Handler* handler = nullptr;
-    VerbRequest request;
-    Responder responder;
-  };
   struct Pool {
-    std::deque<Job> queue;
+    std::deque<std::function<void()>> queue;
     std::condition_variable available;
     std::vector<std::thread> threads;
   };

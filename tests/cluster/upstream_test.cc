@@ -303,14 +303,16 @@ TEST(UpstreamPoolTest, ScatterFiresRouteSitesOncePerSubrequest) {
   ASSERT_TRUE(front.ok()) << front.status().ToString();
   const std::string scatter = R"({"avail_ids": [11, 12, 13, 14, 15, 16]})";
 
-  // The client's own connection fires nothing; the router dials each
-  // touched shard once, then pipelines one send and one read per id.
+  // The client's own connection fires nothing; each router reactor shard
+  // dials each touched shard once, then pipelines one send and one read
+  // per id. The second Rpc's connection lands on the front's other
+  // reactor shard, which dials its own connections.
   fault::ScopedFaultInjection counting(kCountRouteSites);
   const std::string first = testing_internal::Rpc((*front)->port(), scatter);
   EXPECT_NE(first.find("\"errors\": 0"), std::string::npos) << first;
   EXPECT_EQ(CountRouteHits(), (RouteHits{touched.size(), 6, 6}));
   EXPECT_EQ(testing_internal::Rpc((*front)->port(), scatter), first);
-  EXPECT_EQ(CountRouteHits(), (RouteHits{touched.size(), 12, 12}));
+  EXPECT_EQ(CountRouteHits(), (RouteHits{2 * touched.size(), 12, 12}));
   EXPECT_EQ(shard0.lines() + shard1.lines(), 12);
 }
 

@@ -3,9 +3,10 @@
 // estimator save/load path.
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -16,8 +17,45 @@
 #include "core/domd_estimator.h"
 #include "core/test_helpers.h"
 
+// A sanitizer runtime brings its own operator new (clang links it into the
+// binary), so under one the allocation count below comes from the
+// runtime's allocation hook instead of replacement operators.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DOMD_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DOMD_TEST_SANITIZED 1
+#endif
+#endif
+#ifndef DOMD_TEST_SANITIZED
+#define DOMD_TEST_SANITIZED 0
+#endif
+
+#if DOMD_TEST_SANITIZED
+extern "C" int __sanitizer_install_malloc_and_free_hooks(
+    void (*malloc_hook)(const volatile void* ptr, std::size_t size),
+    void (*free_hook)(const volatile void* ptr));
+#endif
+
 namespace domd {
 namespace {
+
+// Bytes this thread asks the allocator for while t_counting is set.
+thread_local bool t_counting = false;
+thread_local std::size_t t_allocated = 0;
+
+void CountAllocation(std::size_t size) {
+  if (t_counting) t_allocated += size;
+}
+
+#if DOMD_TEST_SANITIZED
+void CountHook(const volatile void*, std::size_t size) {
+  CountAllocation(size);
+}
+void IgnoreFree(const volatile void*) {}  // the runtime wants both hooks.
+[[maybe_unused]] const int kCountHookInstalled =
+    __sanitizer_install_malloc_and_free_hooks(CountHook, IgnoreFree);
+#endif
 
 using testing_internal::FastConfig;
 using testing_internal::MakePipelineFixture;
@@ -345,34 +383,36 @@ TEST(SerializationTest, GbtSaveOfLoadRepeatsTheText) {
   ExpectSaveOfLoadRepeats(std::string(kOneTreeModelHeader) + kWellFormedTree);
 }
 
-// How much the process's peak resident set grows while `load` runs, in
-// MB. ctest runs each test in a process of its own, so the peak before is
-// the process's start-up.
+// Bytes this thread asked the allocator for while `load` ran. The count
+// is armed only around the call, so neither earlier tests nor other
+// threads enter into it, however the tests are run.
 template <typename LoadFn>
-long PeakRssGrowthMb(LoadFn load) {
-  rusage before{}, after{};
-  getrusage(RUSAGE_SELF, &before);
+std::size_t AllocatedBytes(LoadFn load) {
+  t_allocated = 0;
+  t_counting = true;
   load();
-  getrusage(RUSAGE_SELF, &after);
-  return (after.ru_maxrss - before.ru_maxrss) / 1024;  // ru_maxrss is KB
+  t_counting = false;
+  return t_allocated;
 }
 
-constexpr long kMaxLoadGrowthMb = 64;
+// A parser that sizes a buffer from a count it has not read asks for
+// 8 MB or more here; growing as records parse, these loads take a few KB.
+constexpr std::size_t kMaxLoadBytes = std::size_t{1} << 20;
 
 TEST(SerializationTest, GbtTreeNodeCountSizesNoBuffer) {
   // A model file of under 100 bytes that promises ten million nodes and
   // holds one.
-  const long growth = PeakRssGrowthMb([] {
+  const std::size_t bytes = AllocatedBytes([] {
     const auto model = LoadOneTreeModel("tree 9999999\n0 1 2 0.5 0 1\n");
     ASSERT_FALSE(model.ok());
     EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(model.status().message(), "truncated tree node list");
   });
-  EXPECT_LT(growth, kMaxLoadGrowthMb);
+  EXPECT_LT(bytes, kMaxLoadBytes);
 }
 
 TEST(SerializationTest, ElasticNetCoefficientCountSizesNoBuffer) {
-  const long growth = PeakRssGrowthMb([] {
+  const std::size_t bytes = AllocatedBytes([] {
     std::stringstream buffer(
         "elastic_net v1\nparams 0.01 0.5 500 1e-07\nmodel 0 100000000\n");
     const auto model = ElasticNetRegression::Load(buffer);
@@ -380,7 +420,7 @@ TEST(SerializationTest, ElasticNetCoefficientCountSizesNoBuffer) {
     EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(model.status().message(), "truncated coefficient list");
   });
-  EXPECT_LT(growth, kMaxLoadGrowthMb);
+  EXPECT_LT(bytes, kMaxLoadBytes);
 }
 
 TEST(SerializationTest, TimelineListCountsSizeNoBuffer) {
@@ -392,14 +432,14 @@ TEST(SerializationTest, TimelineListCountsSizeNoBuffer) {
        std::vector<std::pair<std::string, std::string>>{
            {"selected 1000000\n", "truncated selected record"},
            {"selected 0\nnames 1000000\n", "truncated names record"}}) {
-    const long growth = PeakRssGrowthMb([&] {
+    const std::size_t bytes = AllocatedBytes([&] {
       std::stringstream buffer(prefix + lists);
       const auto set = TimelineModelSet::Load(buffer, 8, 8);
       ASSERT_FALSE(set.ok()) << lists;
       EXPECT_EQ(set.status().code(), StatusCode::kInvalidArgument);
       EXPECT_EQ(set.status().message(), message);
     });
-    EXPECT_LT(growth, kMaxLoadGrowthMb) << lists;
+    EXPECT_LT(bytes, kMaxLoadBytes) << lists;
   }
 }
 
@@ -649,5 +689,38 @@ TEST_F(ModelInputWidthTest, RejectsBaseModelWiderThanTheStatics) {
                  "base model reads");
 }
 
+#if !DOMD_TEST_SANITIZED
+void* CountedNew(std::size_t size) {
+  CountAllocation(size);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+#endif
+
 }  // namespace
 }  // namespace domd
+
+#if !DOMD_TEST_SANITIZED
+// The test binary's non-aligned operator new and delete, all on malloc and
+// free (aligned forms keep the library's): new counts for AllocatedBytes.
+void* operator new(std::size_t size) { return domd::CountedNew(size); }
+void* operator new[](std::size_t size) { return domd::CountedNew(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return domd::CountedNew(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#endif

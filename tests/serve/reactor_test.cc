@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -117,6 +118,33 @@ TEST(ReactorTest, PipelinedRequestsAnsweredInRequestOrder) {
     ASSERT_TRUE(response.has_value()) << "response " << i;
     EXPECT_EQ(*response, "r:q" + std::to_string(i));
   }
+}
+
+// An answer the shard's own thread posts wakes nothing (no eventfd write),
+// so the loop must apply it before it waits again: a loop that waited
+// first would hold the answers for one poll cadence (200 ms here). The
+// fastest of three bursts must beat half a cadence.
+TEST(ReactorTest, InlineAnswersGoOutBeforeTheLoopWaits) {
+  auto reactor = MustCreate(ReactorOptions{}, EchoHandler());
+  TestClient client = TestClient::Connect(reactor->port());
+  ASSERT_TRUE(client.connected());
+  constexpr int kRequests = 50;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    burst += "q" + std::to_string(i) + "\n";
+  }
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int round = 0; round < 3; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Send(burst));
+    for (int i = 0; i < kRequests; ++i) {
+      const auto response = client.ReadLine();
+      ASSERT_TRUE(response.has_value()) << "response " << i;
+      EXPECT_EQ(*response, "echo:q" + std::to_string(i));
+    }
+    fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+  }
+  EXPECT_LT(fastest, Ms(100));
 }
 
 TEST(ReactorTest, LongLinesOverManyReadsAndPipelinedLinesArriveWhole) {

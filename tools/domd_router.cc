@@ -11,6 +11,13 @@
 // value, or a number that does not parse or is out of range (--port 70000,
 // --workers abc, --max-queue -1) exits 2 with an error naming the flag.
 //
+// Points and scatters forward on the --loop-shards event-loop threads,
+// each over one pipelined connection per replica. --workers (4) threads
+// do the blocking upstream I/O: detached predictions, ingest, freshness,
+// retrain, rollout and every hedged retry. --max-queue (512) bounds both
+// the worker queue and the points and scatters in flight; a request past
+// either bound is answered RESOURCE_EXHAUSTED.
+//
 // Speaks the same newline-delimited JSON wire protocol as domd_serve and
 // listens on 127.0.0.1:P (P = 0 picks an ephemeral port, printed as
 // "listening on 127.0.0.1:<port>"). Clients talk to the router exactly as
