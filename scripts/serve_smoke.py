@@ -293,6 +293,10 @@ def check_bad_flags_rejected(build, bundle, work):
         # Without an ingest store there is nothing to replicate.
         ("domd_serve", serve + ["--repl-peers", "127.0.0.1:1"],
          "--repl-peers"),
+        # A peer no dialer can reach could never ack an ingest.
+        ("domd_serve", serve + store + ["--repl-peers", "localhost:1",
+                                        "--repl-quorum", "2"],
+         "--repl-peers"),
         ("domd_serve", serve + ["--repl-quorum", "1"], "--repl-quorum"),
         ("domd_serve", serve + ["--repl-role", "follower"], "--repl-role"),
         ("domd train", [build / "tools" / "domd", "train", "--dir",
@@ -673,6 +677,22 @@ def run_cluster_flow(build, bundle_v1, bundle_v2, work, num_shards):
         spec_path = work / "cluster_spec.json"
         spec_path.write_text(json.dumps(
             {"vnodes": 64, "shards": spec_shards}))
+
+        # A spec naming a host no dialer can reach fails to load: the
+        # router exits before it listens.
+        bad_spec = work / "hostname_spec.json"
+        bad_spec.write_text(json.dumps(
+            {"shards": [{"id": 0, "replicas": [
+                spec_shards[0]["replicas"][0].replace("127.0.0.1",
+                                                      "localhost")]}]}))
+        refused = subprocess.run(
+            [str(router_bin), "--cluster-spec", str(bad_spec), "--port", "0"],
+            capture_output=True, text=True, timeout=30)
+        expect(refused.returncode != 0 and
+               "listening" not in refused.stdout and
+               "localhost" in refused.stderr,
+               f"domd_router loaded a localhost spec: exit "
+               f"{refused.returncode}\n{refused.stdout}{refused.stderr}")
 
         router, router_port = start_router(
             router_bin, spec_path,

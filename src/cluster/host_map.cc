@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "serve/json.h"
+#include "serve/reactor.h"
 #include "serve/wire.h"
 
 namespace domd {
@@ -21,6 +22,10 @@ StatusOr<Endpoint> Endpoint::Parse(const std::string& text) {
   }
   Endpoint endpoint;
   endpoint.host = text.substr(0, colon);
+  if (const Status host = CheckDialHost(endpoint.host); !host.ok()) {
+    return Status::InvalidArgument("endpoint \"" + text + "\": " +
+                                   host.message());
+  }
   const std::string port_text = text.substr(colon + 1);
   for (const char c : port_text) {
     if (c < '0' || c > '9') {

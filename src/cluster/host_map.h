@@ -19,7 +19,8 @@ struct Endpoint {
   /// "host:port" — the wire spelling used in cluster specs, logs, and
   /// metric labels.
   std::string ToString() const { return host + ":" + std::to_string(port); }
-  /// Parses "host:port"; the port must be 1..65535.
+  /// Parses "host:port"; the host must be an IPv4 literal (CheckDialHost)
+  /// and the port 1..65535.
   static StatusOr<Endpoint> Parse(const std::string& text);
 
   bool operator==(const Endpoint& other) const {

@@ -56,9 +56,10 @@ Status CheckRollout(const JsonValue& request) {
 }  // namespace
 
 /// One routed point or scatter on its way back: a slot per forwarded line,
-/// filled on the event loop or by a worker's hedged retry, and the answer
-/// written once the last slot and the dispatcher are in. While it lives it
-/// holds one of the max_queue_depth places.
+/// filled when its walk ends, and the answer written once the last slot
+/// and the dispatcher are in. Created, filled and answered on the reactor
+/// shard that read the request. While it lives it holds one of the
+/// max_queue_depth places.
 struct ClusterRouter::Gather {
   Gather(ClusterRouter* owner, Responder reply, std::size_t slots,
          bool is_scatter)
@@ -71,15 +72,13 @@ struct ClusterRouter::Gather {
 
   void Fill(std::size_t slot, StatusOr<std::string> result, bool hedged_here) {
     results[slot] = std::move(result);
-    if (hedged_here) hedged.store(true, std::memory_order_relaxed);
+    hedged = hedged || hedged_here;
     Arrive();
   }
   /// Called once per filled slot and once by the dispatcher, after its
   /// last Forward; the last arrival answers.
   void Arrive() {
-    if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      router->Answer(*this);
-    }
+    if (--pending == 0) router->Answer(*this);
   }
 
   ClusterRouter* const router;
@@ -87,8 +86,8 @@ struct ClusterRouter::Gather {
   const bool scatter;
   std::size_t fanout = 0;  ///< shards a scatter touches.
   std::vector<StatusOr<std::string>> results;
-  std::atomic<std::size_t> pending;
-  std::atomic<bool> hedged{false};
+  std::size_t pending;
+  bool hedged = false;
 };
 
 ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
@@ -230,8 +229,9 @@ void ClusterRouter::RunPredict(const VerbRequest& request,
     std::shared_ptr<Gather> gather = Admit(responder, 1, /*scatter=*/false);
     if (gather == nullptr) return;
     CountRouted(shard_index);
-    Forward(shard_index, request.line,
-            Clock::now() + options_.upstream_deadline, gather, 0);
+    Forward(Walk(shard_index, PreferenceOrder(shard_index),
+                 Clock::now() + options_.upstream_deadline),
+            request.line, gather, 0);
     gather->Arrive();
     return;
   }
@@ -250,29 +250,15 @@ void ClusterRouter::RunPredict(const VerbRequest& request,
   const bool queued = verbs_.Queue(
       VerbPolicy::kWorker, [this, line = request.line, shard_index,
                             responder] {
-        RunSingle(line, shard_index, responder);
+        CountRouted(shard_index);
+        bool hedged = false;
+        auto result = RouteWithOrder(
+            Walk(shard_index, PreferenceOrder(shard_index),
+                 Clock::now() + options_.upstream_deadline),
+            line, &hedged);
+        Reply(responder, std::move(result), hedged);
       });
   if (!queued) responder.Respond(ErrorToJson(verbs_.Shed()).Serialize());
-}
-
-void ClusterRouter::RunSingle(const std::string& line,
-                              std::size_t shard_index,
-                              const Responder& responder) {
-  CountRouted(shard_index);
-  bool hedged = false;
-  auto response = RouteWithOrder(shard_index, PreferenceOrder(shard_index),
-                                 line,
-                                 Clock::now() + options_.upstream_deadline,
-                                 &hedged);
-  if (hedged) CountHedged();
-  if (!response.ok()) {
-    CountFailed();
-    responder.Respond(ErrorToJson(response.status()).Serialize());
-    return;
-  }
-  // Verbatim forwarding: a routed answer is bit-identical to asking the
-  // owning shard directly (the bit-identity contract, DESIGN.md §12).
-  responder.Respond(std::move(*response));
 }
 
 void ClusterRouter::RunScatter(const VerbRequest& request,
@@ -321,7 +307,8 @@ void ClusterRouter::RunScatter(const VerbRequest& request,
   // ids one shard owns pipeline on one connection.
   for (std::size_t i = 0; i < n; ++i) {
     if (owners[i] == num_shards) continue;
-    Forward(owners[i], std::move(sublines[i]), deadline, gather, i);
+    Forward(Walk(owners[i], PreferenceOrder(owners[i]), deadline),
+            std::move(sublines[i]), gather, i);
   }
   gather->Arrive();
 }
@@ -337,83 +324,37 @@ std::shared_ptr<ClusterRouter::Gather> ClusterRouter::Admit(
   return std::make_shared<Gather>(this, responder, slots, scatter);
 }
 
-void ClusterRouter::Forward(std::size_t shard_index, std::string line,
-                            Clock::time_point deadline,
+void ClusterRouter::Forward(Walk walk, std::string line,
                             std::shared_ptr<Gather> gather,
                             std::size_t slot) {
-  std::vector<std::size_t> order = PreferenceOrder(shard_index);
-  // A non-final attempt gets the hedge budget; the final replica gets
-  // whatever remains of the overall deadline.
-  const Clock::time_point attempt_deadline =
-      order.size() == 1
-          ? deadline
-          : std::min(deadline, Clock::now() + options_.hedge_deadline);
-  const CallPeer& peer = peers_[shard_index][order.front()];
-  std::string sent = line;  // the call's copy; `line` stays for a hedge.
+  Clock::time_point budget;
+  const CallPeer& peer = peers_[walk.shard_index][NextAttempt(walk, &budget)];
+  // The call's copy; `line` stays for a hedge unless no replica is left.
+  std::string sent =
+      walk.tried == walk.order.size() ? std::move(line) : line;
   const bool called = Reactor::Call(
-      peer, std::move(sent), attempt_deadline,
-      [this, shard_index, order = std::move(order), line = std::move(line),
-       deadline, gather, slot](StatusOr<std::string> answer) mutable {
-        const std::size_t r = order.front();
-        if (answer.ok() && !IsHedgeableResponse(*answer)) {
-          MarkServing(shard_index, r);
-          gather->Fill(slot, std::move(answer), /*hedged_here=*/false);
-          return;
-        }
-        std::string shed;  // a breaker shed's answer, forwarded if final.
-        Status error = answer.status();
-        if (answer.ok()) {
-          MarkBreakerShed(shard_index, r);
-          shed = std::move(*answer);
-          error = Status::Unavailable(
-              "shard " + std::to_string(host_map_.shards()[shard_index].id) +
-              " is shedding load");
+      peer, std::move(sent), budget,
+      [this, walk = std::move(walk), line = std::move(line), gather,
+       slot](StatusOr<std::string> answer) mutable {
+        if (Judge(walk, answer)) {
+          gather->Fill(slot, std::move(answer), walk.tried > 1);
         } else {
-          MarkTransportFailure(shard_index, r);
+          Forward(std::move(walk), std::move(line), std::move(gather), slot);
         }
-        order.erase(order.begin());
-        if (order.empty()) {
-          gather->Fill(slot,
-                       shed.empty() ? StatusOr<std::string>(error)
-                                    : StatusOr<std::string>(std::move(shed)),
-                       /*hedged_here=*/false);
-          return;
-        }
-        // The other replicas get it where blocking is allowed, through
-        // the one hedged-retry path.
-        const bool queued = verbs_.Queue(
-            VerbPolicy::kWorker,
-            [this, shard_index, order = std::move(order),
-             line = std::move(line), deadline, shed = std::move(shed),
-             gather, slot] {
-              auto result =
-                  RouteWithOrder(shard_index, order, line, deadline, nullptr);
-              if (!result.ok() && !shed.empty()) result = shed;
-              gather->Fill(slot, std::move(result), /*hedged_here=*/true);
-            });
-        if (!queued) gather->Fill(slot, verbs_.Shed(), /*hedged_here=*/false);
       });
   if (!called) {
-    gather->Fill(slot, Status::Internal("prediction routed off a reactor shard"),
+    gather->Fill(slot,
+                 Status::Internal("prediction routed off a reactor shard"),
                  /*hedged_here=*/false);
   }
 }
 
 void ClusterRouter::Answer(Gather& gather) {
-  const bool hedged = gather.hedged.load(std::memory_order_relaxed);
-  if (hedged) CountHedged();
   if (!gather.scatter) {
-    StatusOr<std::string>& result = gather.results.front();
-    if (!result.ok()) {
-      CountFailed();
-      gather.responder.Respond(ErrorToJson(result.status()).Serialize());
-      return;
-    }
-    // Verbatim forwarding: a routed answer is bit-identical to asking the
-    // owning shard directly (the bit-identity contract, DESIGN.md §12).
-    gather.responder.Respond(std::move(*result));
+    Reply(gather.responder, std::move(gather.results.front()), gather.hedged);
     return;
   }
+  if (gather.hedged) CountHedged();
   const std::size_t n = gather.results.size();
   std::size_t errors = 0;
   for (const StatusOr<std::string>& result : gather.results) {
@@ -432,9 +373,22 @@ void ClusterRouter::Answer(Gather& gather) {
   }
   out += "], \"fanout\": " + std::to_string(gather.fanout);
   out += ", \"hedged\": ";
-  out += hedged ? "true" : "false";
+  out += gather.hedged ? "true" : "false";
   out += ", \"errors\": " + std::to_string(errors) + "}";
   gather.responder.Respond(std::move(out));
+}
+
+void ClusterRouter::Reply(const Responder& responder,
+                          StatusOr<std::string> result, bool hedged) {
+  if (hedged) CountHedged();
+  if (!result.ok()) {
+    CountFailed();
+    responder.Respond(ErrorToJson(result.status()).Serialize());
+    return;
+  }
+  // Verbatim forwarding: a routed answer is bit-identical to asking the
+  // owning shard directly (the bit-identity contract, DESIGN.md §12).
+  responder.Respond(std::move(*result));
 }
 
 void ClusterRouter::RunIngest(const VerbRequest& request,
@@ -516,8 +470,8 @@ void ClusterRouter::RunIngest(const VerbRequest& request,
       sub.Set("rccs", std::move(shard_rccs[s]));
     }
     bool hedged = false;
-    auto response = RouteWithOrder(s, IngestPreferenceOrder(s),
-                                   sub.Serialize(), deadline, &hedged);
+    auto response = RouteWithOrder(
+        Walk(s, IngestPreferenceOrder(s), deadline), sub.Serialize(), &hedged);
     any_hedged = any_hedged || hedged;
     const int shard_id = host_map_.shards()[s].id;
     if (!response.ok()) {
@@ -767,45 +721,53 @@ std::vector<std::size_t> ClusterRouter::IngestPreferenceOrder(
   return order;
 }
 
-StatusOr<std::string> ClusterRouter::RouteWithOrder(
-    std::size_t shard_index, const std::vector<std::size_t>& order,
-    const std::string& line, Clock::time_point deadline, bool* hedged) {
-  Status last_error = Status::Unavailable("no replicas configured");
-  std::string shed_response;  // last breaker-shed answer, if all replicas shed.
-  for (std::size_t attempt = 0; attempt < order.size(); ++attempt) {
-    const std::size_t r = order[attempt];
-    const bool last = attempt + 1 == order.size();
-    // Non-final attempts get the hedge budget; the final replica gets
-    // whatever remains of the overall deadline.
-    Clock::time_point attempt_deadline = deadline;
-    if (!last) {
-      attempt_deadline =
-          std::min(deadline, Clock::now() + options_.hedge_deadline);
+StatusOr<std::string> ClusterRouter::RouteWithOrder(Walk walk,
+                                                    const std::string& line,
+                                                    bool* hedged) {
+  const std::vector<Endpoint>& replicas =
+      host_map_.shards()[walk.shard_index].replicas;
+  for (;;) {
+    Clock::time_point budget;
+    const std::size_t r = NextAttempt(walk, &budget);
+    StatusOr<std::string> answer = pool_.Rpc(replicas[r], line, budget);
+    if (Judge(walk, answer)) {
+      *hedged = walk.tried > 1;
+      return answer;
     }
-    if (attempt > 0 && hedged != nullptr) *hedged = true;
-    auto response = pool_.Rpc(host_map_.shards()[shard_index].replicas[r],
-                              line, attempt_deadline);
-    if (!response.ok()) {
-      MarkTransportFailure(shard_index, r);
-      last_error = response.status();
-      continue;
-    }
-    if (IsHedgeableResponse(*response)) {
-      MarkBreakerShed(shard_index, r);
-      shed_response = std::move(*response);
-      last_error = Status::Unavailable("shard " +
-                                       std::to_string(
-                                           host_map_.shards()[shard_index].id) +
-                                       " is shedding load");
-      continue;
-    }
-    MarkServing(shard_index, r);
-    return std::move(*response);
   }
-  // Every replica shed but answered coherently: forward the shard's own
-  // shed response rather than inventing a router-side error.
-  if (!shed_response.empty()) return shed_response;
-  return last_error;
+}
+
+std::size_t ClusterRouter::NextAttempt(Walk& walk,
+                                       Clock::time_point* budget) const {
+  const bool last = walk.tried + 1 == walk.order.size();
+  *budget = last ? walk.deadline
+                 : std::min(walk.deadline,
+                            Clock::now() + options_.hedge_deadline);
+  return walk.order[walk.tried++];
+}
+
+bool ClusterRouter::Judge(Walk& walk, StatusOr<std::string>& answer) {
+  const std::size_t r = walk.order[walk.tried - 1];
+  if (answer.ok() && !IsHedgeableResponse(*answer)) {
+    MarkServing(walk.shard_index, r);
+    return true;
+  }
+  if (answer.ok()) {
+    MarkBreakerShed(walk.shard_index, r);
+    walk.shed = std::move(*answer);
+    walk.error = Status::Unavailable(
+        "shard " + std::to_string(host_map_.shards()[walk.shard_index].id) +
+        " is shedding load");
+  } else {
+    MarkTransportFailure(walk.shard_index, r);
+    walk.error = answer.status();
+  }
+  if (walk.tried < walk.order.size()) return false;
+  // A replica that shed answered coherently: forward the shard's own shed
+  // answer rather than a router-side error.
+  answer = walk.shed.empty() ? StatusOr<std::string>(std::move(walk.error))
+                             : StatusOr<std::string>(std::move(walk.shed));
+  return true;
 }
 
 void ClusterRouter::CountRouted(std::size_t shard_index) {

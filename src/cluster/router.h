@@ -24,9 +24,9 @@ namespace cluster {
 /// Tuning knobs of the routing tier.
 struct RouterOptions {
   /// Worker threads for the routed verbs that block on a shard: detached
-  /// predictions, ingest, freshness, retrain and rollout, plus every
-  /// hedged retry. Points and scatters forward on the reactor's
-  /// event-loop shards and reach this pool only to hedge.
+  /// predictions, ingest, freshness, retrain and rollout. Points and
+  /// scatters forward on the reactor's event-loop shards, every hedge
+  /// included, and never reach this pool.
   std::size_t workers = 4;
   /// Bounds both the worker queue and the points and scatters in flight
   /// on the event loop; a request beyond either bound is rejected with
@@ -76,7 +76,9 @@ struct RouterStatsSnapshot {
   std::uint64_t ingest_routed = 0;  ///< ingest sub-batches routed to shards.
   std::uint64_t hedged = 0;         ///< requests that needed >= 1 hedge.
   std::uint64_t failed = 0;         ///< requests with no live replica left.
-  std::uint64_t rejected_overload = 0;  ///< worker-queue sheds.
+  /// Requests answered RESOURCE_EXHAUSTED: a full worker queue, or
+  /// max_queue_depth points and scatters already in flight.
+  std::uint64_t rejected_overload = 0;
   std::uint64_t probes = 0;         ///< health probes sent.
   std::uint64_t rollouts = 0;       ///< rollout attempts.
   std::uint64_t rollout_failures = 0;
@@ -102,10 +104,13 @@ struct RouterStatsSnapshot {
 /// order (primary first, replicas the prober marked down or breaker-open
 /// moved last). A replica that is down, not ready, or silent past
 /// hedge_deadline is abandoned and the request is retried on the next
-/// replica; after a point's first attempt, its remaining attempts run on
-/// the worker pool (RouteWithOrder). Only transport failures and breaker
-/// sheds hedge — an application-level error (bad request, unknown avail)
-/// is a deterministic answer and forwards as-is.
+/// replica. One attempt rule (NextAttempt, Judge) decides every attempt's
+/// budget and verdict, driven by two loops: a point's or scatter id's
+/// attempts all run on the reactor shard that read it (Forward), and the
+/// worker verbs' attempts block on a worker (RouteWithOrder). Only
+/// transport failures and breaker sheds hedge — an application-level
+/// error (bad request, unknown avail) is a deterministic answer and
+/// forwards as-is.
 class ClusterRouter {
  public:
   using Clock = std::chrono::steady_clock;
@@ -146,42 +151,65 @@ class ClusterRouter {
 
   struct Gather;
 
+  /// One request's walk down a shard's replicas (DESIGN.md §12 "Hedged
+  /// retries").
+  struct Walk {
+    Walk(std::size_t shard, std::vector<std::size_t> replicas,
+         Clock::time_point until)
+        : shard_index(shard), order(std::move(replicas)), deadline(until) {}
+
+    std::size_t shard_index;
+    std::vector<std::size_t> order;  ///< replica indexes, attempt order.
+    Clock::time_point deadline;      ///< the whole request's.
+    std::size_t tried = 0;           ///< attempts started.
+    std::string shed;  ///< the last breaker shed's answer, if any.
+    Status error;      ///< why the last attempt failed.
+  };
+
   void ProberLoop();
 
   /// Predictions, inline: a scatter, a point, or a detached request
-  /// handed to a worker (RunSingle).
+  /// handed to a worker.
   void RunPredict(const VerbRequest& request, Responder responder);
-  void RunSingle(const std::string& line, std::size_t shard_index,
-                 const Responder& responder);
   void RunScatter(const VerbRequest& request, Responder responder);
   /// Takes one of the max_queue_depth places for a point or a scatter of
   /// `slots` ids, or answers RESOURCE_EXHAUSTED and returns null.
   std::shared_ptr<Gather> Admit(const Responder& responder,
                                 std::size_t slots, bool scatter);
-  /// Sends `line` to shard `shard_index` and fills `slot` of `gather` with
-  /// the answer. The first replica in preference order gets it from this
-  /// event-loop shard; after a transport failure, a timeout or a breaker
-  /// shed, RouteWithOrder tries the others on a worker.
-  void Forward(std::size_t shard_index, std::string line,
-               Clock::time_point deadline, std::shared_ptr<Gather> gather,
+  /// Sends `line` down `walk` from this event-loop shard and fills `slot`
+  /// of `gather` with the result. Each attempt's answer is judged on the
+  /// same shard, which starts the next attempt until Judge calls one final.
+  void Forward(Walk walk, std::string line, std::shared_ptr<Gather> gather,
                std::size_t slot);
   /// Writes a finished point's or scatter's answer.
   void Answer(Gather& gather);
+  /// Answers a request forwarded to one shard, point or detached: the
+  /// shard's line verbatim, or the error.
+  void Reply(const Responder& responder, StatusOr<std::string> result,
+             bool hedged);
   /// Worker verbs.
   void RunRollout(const VerbRequest& request, Responder responder);
   void RunIngest(const VerbRequest& request, Responder responder);
   void RunFreshness(const VerbRequest& request, Responder responder);
   void RunRetrainScatter(const VerbRequest& request, Responder responder);
 
-  /// Sends `line` to shard `shard_index` with hedged retries across the
-  /// replicas in `order`: the one hedged-retry path. Success returns the
-  /// replica's verbatim response line. `hedged` (may be null) reports
-  /// whether any attempt after the first ran.
-  StatusOr<std::string> RouteWithOrder(std::size_t shard_index,
-                                       const std::vector<std::size_t>& order,
-                                       const std::string& line,
-                                       Clock::time_point deadline,
+  /// Sends `line` down `walk`, blocking on a worker: the detached and
+  /// ingest loop over the attempt rule. `hedged` reports whether more than
+  /// one attempt ran.
+  StatusOr<std::string> RouteWithOrder(Walk walk, const std::string& line,
                                        bool* hedged);
+
+  /// The attempt rule. NextAttempt starts `walk`'s next attempt: it
+  /// returns the replica and sets `budget`, min(deadline, now +
+  /// hedge_deadline) for a non-final attempt and what remains of the
+  /// deadline for the last replica. Judge gives the verdict on that
+  /// attempt's `answer`: true when it is the request's result. A
+  /// non-hedgeable answer is. A breaker shed is marked, kept and moves on;
+  /// a transport failure is marked and moves on. After the last replica,
+  /// `answer` becomes the last shed answer if any replica shed, else the
+  /// last error.
+  std::size_t NextAttempt(Walk& walk, Clock::time_point* budget) const;
+  bool Judge(Walk& walk, StatusOr<std::string>& answer);
 
   /// Replica indexes of shard `shard_index` in attempt order: routable
   /// replicas first (spec order), then the rest as a last resort.

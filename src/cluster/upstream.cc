@@ -1,9 +1,5 @@
 #include "cluster/upstream.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,6 +10,7 @@
 #include <cstring>
 
 #include "fault/fault.h"
+#include "serve/reactor.h"
 
 namespace domd {
 namespace cluster {
@@ -82,28 +79,15 @@ void UpstreamConn::Close() {
 
 StatusOr<UpstreamConn> UpstreamConn::Dial(const Endpoint& endpoint,
                                           Clock::time_point deadline) {
+  bool pending = false;
+  const StatusOr<int> dialed =
+      StartDial(endpoint.host, endpoint.port, &pending);
+  if (!dialed.ok()) return dialed.status();
   UpstreamConn conn;
-  conn.fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (conn.fd_ < 0) {
-    return Status::IoError("socket(): " + std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(conn.fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(endpoint.port));
-  if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad upstream host \"" + endpoint.host +
-                                   "\" (IPv4 literals only)");
-  }
+  conn.fd_ = *dialed;
   const std::string where = "connect " + endpoint.ToString();
-  const auto* peer = reinterpret_cast<const sockaddr*>(&addr);
-  if (::connect(conn.fd_, peer, sizeof(addr)) < 0 && errno != EINPROGRESS) {
-    return Status::Unavailable(where + ": " + std::strerror(errno));
-  }
   // Wait for the non-blocking connect to resolve, bounded by the deadline.
-  if (!WaitReady(conn.fd_, POLLOUT, deadline)) {
+  if (pending && !WaitReady(conn.fd_, POLLOUT, deadline)) {
     return Status::Unavailable(where + ": timed out");
   }
   int error = 0;

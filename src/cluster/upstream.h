@@ -63,8 +63,9 @@ class UpstreamConn {
 /// 1 s, or sooner by the caller's deadline); Return parks a still-healthy
 /// connection for reuse, up to 8 per endpoint. `Rpc` is the one-call
 /// request/response path the router's workers and prober and replication
-/// use. (The router's event loop forwards points over the reactor's own
-/// connections instead: Reactor::Call.)
+/// use. (The router's event loop forwards points and scatter ids, and
+/// their hedges, over the reactor's own connections instead:
+/// Reactor::Call.)
 ///
 /// Fault point cluster.route.connect fires on every dial the pool makes,
 /// and cluster.route.send / .recv on every send and read of `Rpc`. A bare

@@ -1,6 +1,5 @@
 #include "common/flags.h"
 
-#include <charconv>
 #include <cmath>
 #include <utility>
 
@@ -9,21 +8,15 @@
 namespace domd {
 namespace {
 
-bool ParseInt(const std::string& text, std::int64_t* value) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
-  return ec == std::errc() && ptr == end;
-}
-
 Status CheckValue(const FlagSpec& spec, const std::string& value) {
   const std::string flag = "--" + spec.name;
   if (spec.kind == FlagSpec::kInt) {
-    std::int64_t number = 0;
-    if (!ParseInt(value, &number)) {
+    const auto number = ParseInt64(value);
+    if (!number.ok()) {
       return Status::InvalidArgument(flag + ": \"" + value +
                                      "\" is not an integer");
     }
-    if (number < spec.min || number > spec.max) {
+    if (*number < spec.min || *number > spec.max) {
       return Status::InvalidArgument(
           flag + ": " + value + " is out of range [" +
           std::to_string(spec.min) + ", " + std::to_string(spec.max) + "]");
@@ -97,11 +90,10 @@ std::string Flags::String(const std::string& name,
 }
 
 std::int64_t Flags::Int(const std::string& name, std::int64_t fallback) const {
-  std::int64_t value = fallback;
-  if (const auto it = values_.find(name); it != values_.end()) {
-    ParseInt(it->second, &value);
-  }
-  return value;
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const auto value = ParseInt64(it->second);
+  return value.ok() ? *value : fallback;
 }
 
 double Flags::Double(const std::string& name, double fallback) const {

@@ -80,6 +80,23 @@ StatusOr<double> ParseDouble(std::string_view text) {
   return value;
 }
 
+StatusOr<std::int64_t> ParseInt64(std::string_view text, std::int64_t min,
+                                  std::int64_t max) {
+  std::int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc::invalid_argument || end != text.data() + text.size()) {
+    return Status::InvalidArgument("not an integer: \"" + std::string(text) +
+                                   "\"");
+  }
+  if (ec != std::errc() || value < min || value > max) {
+    return Status::InvalidArgument(
+        "integer out of range [" + std::to_string(min) + ", " +
+        std::to_string(max) + "]: \"" + std::string(text) + "\"");
+  }
+  return value;
+}
+
 std::string StrToLower(std::string_view text) {
   std::string out(text);
   for (char& c : out) {

@@ -2,6 +2,7 @@
 #define DOMD_COMMON_STRINGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +39,25 @@ std::string Hex64(std::uint64_t value);
 /// overflow. Accepts decimal and exponent forms, optional leading sign,
 /// and "inf"/"nan" (case-insensitive); locale-independent.
 StatusOr<double> ParseDouble(std::string_view text);
+
+/// Parses `text` as a base-10 integer, checked like ParseDouble: the whole
+/// string must be the number (an optional '-' and digits; no '+', spaces,
+/// fraction or exponent), and a value outside [min, max] is
+/// InvalidArgument, never wrapped or narrowed.
+StatusOr<std::int64_t> ParseInt64(
+    std::string_view text,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max = std::numeric_limits<std::int64_t>::max());
+
+/// ParseInt64 into `*out`, bounded by the range of `out`'s type.
+template <typename Int>
+Status ParseIntInto(std::string_view text, Int* out) {
+  const auto value = ParseInt64(text, std::numeric_limits<Int>::min(),
+                                std::numeric_limits<Int>::max());
+  if (!value.ok()) return value.status();
+  *out = static_cast<Int>(*value);
+  return Status::OK();
+}
 
 /// Reads a whole file into one string, allocated once from the file's size
 /// (a file that is not regular, or that grows while it is read, is still

@@ -17,16 +17,6 @@ std::string FormatDouble(double v) {
   return std::string(buf, result.ptr);
 }
 
-StatusOr<std::int64_t> ParseInt64(const std::string& text) {
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return Status::InvalidArgument("bad integer: " + text);
-  }
-  return value;
-}
-
 StatusOr<double> ParseField(const std::string& text) {
   const auto value = domd::ParseDouble(text);
   if (!value.ok()) return Status::InvalidArgument("bad double: " + text);
@@ -90,12 +80,8 @@ StatusOr<AvailTable> AvailTable::FromCsv(const CsvDocument& doc) {
   }
   for (const auto& row : doc.rows()) {
     Avail a;
-    auto id = ParseInt64(row[0]);
-    if (!id.ok()) return id.status();
-    a.id = *id;
-    auto ship = ParseInt64(row[1]);
-    if (!ship.ok()) return ship.status();
-    a.ship_id = *ship;
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[0], &a.id));
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[1], &a.ship_id));
     auto status = AvailStatusFromString(row[2]);
     if (!status.ok()) return status.status();
     a.status = *status;
@@ -113,30 +99,18 @@ StatusOr<AvailTable> AvailTable::FromCsv(const CsvDocument& doc) {
       if (!date.ok()) return date.status();
       a.actual_end = *date;
     }
-    auto ship_class = ParseInt64(row[7]);
-    if (!ship_class.ok()) return ship_class.status();
-    a.ship_class = static_cast<int>(*ship_class);
-    auto rmc = ParseInt64(row[8]);
-    if (!rmc.ok()) return rmc.status();
-    a.rmc_id = static_cast<int>(*rmc);
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[7], &a.ship_class));
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[8], &a.rmc_id));
     auto age = ParseField(row[9]);
     if (!age.ok()) return age.status();
     a.ship_age_years = *age;
-    auto type = ParseInt64(row[10]);
-    if (!type.ok()) return type.status();
-    a.avail_type = static_cast<int>(*type);
-    auto port = ParseInt64(row[11]);
-    if (!port.ok()) return port.status();
-    a.homeport = static_cast<int>(*port);
-    auto prior = ParseInt64(row[12]);
-    if (!prior.ok()) return prior.status();
-    a.prior_avail_count = static_cast<int>(*prior);
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[10], &a.avail_type));
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[11], &a.homeport));
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[12], &a.prior_avail_count));
     auto value = ParseField(row[13]);
     if (!value.ok()) return value.status();
     a.contract_value_musd = *value;
-    auto crew = ParseInt64(row[14]);
-    if (!crew.ok()) return crew.status();
-    a.crew_size = static_cast<int>(*crew);
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[14], &a.crew_size));
     DOMD_RETURN_IF_ERROR(table.Add(std::move(a)));
   }
   return table;
@@ -229,12 +203,8 @@ StatusOr<RccTable> RccTable::FromCsv(const CsvDocument& doc) {
   }
   for (const auto& row : doc.rows()) {
     Rcc r;
-    auto id = ParseInt64(row[0]);
-    if (!id.ok()) return id.status();
-    r.id = *id;
-    auto avail_id = ParseInt64(row[1]);
-    if (!avail_id.ok()) return avail_id.status();
-    r.avail_id = *avail_id;
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[0], &r.id));
+    DOMD_RETURN_IF_ERROR(ParseIntInto(row[1], &r.avail_id));
     auto type = RccTypeFromCode(row[2]);
     if (!type.ok()) return type.status();
     r.type = *type;

@@ -1,8 +1,6 @@
 #include "ingest/mutation.h"
 
-#include <charconv>
 #include <cstdio>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -34,29 +32,6 @@ std::vector<std::string_view> SplitFields(std::string_view payload) {
   return fields;
 }
 
-StatusOr<std::int64_t> ParseInt(std::string_view text) {
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return Status::InvalidArgument("mutation: bad integer field \"" +
-                                   std::string(text) + "\"");
-  }
-  return value;
-}
-
-Status ParseIntInto(std::string_view text, int* out) {
-  auto value = ParseInt(text);
-  if (!value.ok()) return value.status();
-  if (*value < std::numeric_limits<int>::min() ||
-      *value > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("mutation: integer field \"" +
-                                   std::string(text) + "\" out of range");
-  }
-  *out = static_cast<int>(*value);
-  return Status::OK();
-}
-
 StatusOr<IngestMutation> DecodeAvail(
     const std::vector<std::string_view>& fields) {
   if (fields.size() != 16) {
@@ -65,12 +40,8 @@ StatusOr<IngestMutation> DecodeAvail(
   IngestMutation mutation;
   mutation.kind = MutationKind::kAvailUpsert;
   Avail& a = mutation.avail;
-  auto id = ParseInt(fields[1]);
-  if (!id.ok()) return id.status();
-  a.id = *id;
-  auto ship = ParseInt(fields[2]);
-  if (!ship.ok()) return ship.status();
-  a.ship_id = *ship;
+  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[1], &a.id));
+  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[2], &a.ship_id));
   auto status = AvailStatusFromString(fields[3]);
   if (!status.ok()) return status.status();
   a.status = *status;
@@ -111,12 +82,8 @@ StatusOr<IngestMutation> DecodeRcc(
   IngestMutation mutation;
   mutation.kind = MutationKind::kRccUpsert;
   Rcc& r = mutation.rcc;
-  auto id = ParseInt(fields[1]);
-  if (!id.ok()) return id.status();
-  r.id = *id;
-  auto avail_id = ParseInt(fields[2]);
-  if (!avail_id.ok()) return avail_id.status();
-  r.avail_id = *avail_id;
+  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[1], &r.id));
+  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[2], &r.avail_id));
   auto type = RccTypeFromCode(fields[3]);
   if (!type.ok()) return type.status();
   r.type = *type;

@@ -613,28 +613,10 @@ Status DialUpstream(ShardContext& ctx, Upstream& up) {
   if (up.peer.connect_site != nullptr) {
     DOMD_RETURN_IF_ERROR(up.peer.connect_site->Check());
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(up.peer.port));
-  if (::inet_pton(AF_INET, up.peer.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad upstream host \"" + up.peer.host +
-                                   "\" (IPv4 literals only)");
-  }
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IoError("socket(): " + std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const bool pending =
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0;
-  if (pending && errno != EINPROGRESS) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return Status::Unavailable(DialName(up) + ": " + error);
-  }
+  bool pending = false;
+  const StatusOr<int> dialed = StartDial(up.peer.host, up.peer.port, &pending);
+  if (!dialed.ok()) return dialed.status();
+  const int fd = *dialed;
   const std::uint64_t id = ctx.shard->next_conn_id++;
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -1177,7 +1159,46 @@ void ReapIdle(ShardContext& ctx) {
   }
 }
 
+/// The address of `host`:`port`, or InvalidArgument for a host that is not
+/// an IPv4 literal.
+StatusOr<sockaddr_in> DialAddress(const std::string& host, int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return Status::InvalidArgument("host \"" + host +
+                                   "\" is not an IPv4 literal");
+  }
+  return addr;
+}
+
 }  // namespace
+
+Status CheckDialHost(const std::string& host) {
+  return DialAddress(host, 0).status();
+}
+
+StatusOr<int> StartDial(const std::string& host, int port, bool* pending) {
+  const StatusOr<sockaddr_in> addr = DialAddress(host, port);
+  if (!addr.ok()) return addr.status();
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return Status::IoError("socket(): " + std::string(std::strerror(errno)));
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  *pending =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&*addr), sizeof(*addr)) <
+      0;
+  if (*pending && errno != EINPROGRESS) {
+    const std::string error = std::strerror(errno);
+    ::close(fd);
+    return Status::Unavailable("connect " + host + ":" +
+                               std::to_string(port) + ": " + error);
+  }
+  return fd;
+}
 
 bool Reactor::Call(const CallPeer& peer, std::string line,
                    Clock::time_point deadline, CallDone done) {

@@ -103,6 +103,17 @@ struct CallPeer {
   fault::FaultPoint* recv_site = nullptr;
 };
 
+/// Starts a TCP dial to `host`:`port` on a new non-blocking, close-on-exec
+/// socket with TCP_NODELAY set: how the reactor's calls out and
+/// cluster::UpstreamConn both connect. Returns the socket, with `*pending`
+/// true while the connect is in progress. InvalidArgument for a host
+/// CheckDialHost refuses; kUnavailable when the connect fails at once.
+StatusOr<int> StartDial(const std::string& host, int port, bool* pending);
+
+/// InvalidArgument unless `host` is an IPv4 literal, the one spelling
+/// StartDial reaches.
+Status CheckDialHost(const std::string& host);
+
 /// A per-request completion handle. The handler receives one Responder per
 /// request line and must eventually call exactly one Respond* method, from
 /// any thread: the response is enqueued into the request's ordered slot on

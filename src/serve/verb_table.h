@@ -79,8 +79,8 @@ class VerbTable {
   void Handle(std::string line, Responder responder);
 
   /// Runs `job` on the `policy` pool (kWorker or kSlowWorker): how an
-  /// inline handler hands off work that may block, such as a hedged
-  /// retry. False when `max_queue_depth` jobs already wait there, or the
+  /// inline handler hands off work that may block, such as the router's
+  /// forward of a detached prediction. False when `max_queue_depth` jobs already wait there, or the
   /// table is being destroyed; then nothing runs, and the caller answers
   /// with Shed().
   bool Queue(VerbPolicy policy, std::function<void()> job);

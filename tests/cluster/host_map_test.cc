@@ -32,6 +32,7 @@ TEST(EndpointTest, RejectsMalformedSpellings) {
   EXPECT_FALSE(Endpoint::Parse("127.0.0.1:notaport").ok());
   EXPECT_FALSE(Endpoint::Parse("127.0.0.1:0").ok());
   EXPECT_FALSE(Endpoint::Parse("127.0.0.1:70000").ok());
+  EXPECT_FALSE(Endpoint::Parse("localhost:7501").ok());
 }
 
 TEST(HostMapTest, ParsesSpecAndSortsShardsById) {
@@ -80,16 +81,20 @@ TEST(HostMapTest, RejectsNonIntegralOrOutOfRangeIntegers) {
        {R"({"shards": [{"id": 1.5, "replicas": ["127.0.0.1:7501"]}]})",
         R"({"shards": [{"id": 1e12, "replicas": ["127.0.0.1:7501"]}]})",
         R"({"shards": [{"id": -1e300, "replicas": ["127.0.0.1:7501"]}]})",
-        R"({"vnodes": 2.5, "shards": [{"id": 0, "replicas": ["h:1"]}]})",
-        R"({"vnodes": 1e300, "shards": [{"id": 0, "replicas": ["h:1"]}]})",
-        R"({"vnodes": 0, "shards": [{"id": 0, "replicas": ["h:1"]}]})"}) {
+        R"({"vnodes": 2.5, )"
+        R"("shards": [{"id": 0, "replicas": ["127.0.0.1:1"]}]})",
+        R"({"vnodes": 1e300, )"
+        R"("shards": [{"id": 0, "replicas": ["127.0.0.1:1"]}]})",
+        R"({"vnodes": 0, )"
+        R"("shards": [{"id": 0, "replicas": ["127.0.0.1:1"]}]})"}) {
     const auto map = HostMap::Parse(spec);
     ASSERT_FALSE(map.ok()) << spec;
     EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument) << spec;
   }
   // An integral double is an integer.
   const auto map = HostMap::Parse(
-      R"({"vnodes": 8.0, "shards": [{"id": 3.0, "replicas": ["h:1"]}]})");
+      R"({"vnodes": 8.0, )"
+      R"("shards": [{"id": 3.0, "replicas": ["127.0.0.1:1"]}]})");
   ASSERT_TRUE(map.ok()) << map.status().ToString();
   EXPECT_EQ(map->shards().front().id, 3);
   EXPECT_EQ(map->ring().vnodes_per_shard(), 8u);

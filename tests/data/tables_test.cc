@@ -91,6 +91,20 @@ TEST(AvailTableTest, CsvRoundTrip) {
   EXPECT_EQ(restored->rows()[1].status, AvailStatus::kOngoing);
 }
 
+TEST(AvailTableTest, FromCsvRejectsIntegersOutsideTheirColumn) {
+  AvailTable table;
+  ASSERT_TRUE(table.Add(MakeAvail(1)).ok());
+  const CsvDocument good = table.ToCsv();
+  // ship_class (column 7) is an int: neither value may wrap into it.
+  for (const std::string bad : {"4294967297", "-2147483649"}) {
+    auto rows = good.rows();
+    rows[0][7] = bad;
+    const auto parsed = AvailTable::FromCsv(CsvDocument(good.header(), rows));
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(AvailTableTest, FromCsvRejectsWrongArity) {
   CsvDocument doc({"only", "two"}, {});
   EXPECT_FALSE(AvailTable::FromCsv(doc).ok());

@@ -1,10 +1,10 @@
 // The router's event-loop path (DESIGN.md §12): points and scatter ids
 // forward on the reactor shard that read them, over one pipelined
-// connection per replica, and only a failed first attempt reaches the
-// worker pool. Replicas here are scripted: reactors whose handler answers,
-// holds or is killed on cue, a raw peer that never answers, a peer that
-// drops its first connection mid-call, and a listener whose accept queue
-// is full.
+// connection per replica, and every hedge runs on that shard too: none
+// waits for the worker pool. Replicas here are scripted: reactors whose
+// handler answers, holds or is killed on cue, a raw peer that never
+// answers, a peer that drops its first connection mid-call, a listener
+// whose accept queue is full, and a closed port that refuses connections.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -267,7 +267,25 @@ struct RouterUnderTest {
       }
     }
   }
+
+  /// A detached request whose ship the ring gives shard `shard_index`.
+  std::string DetachedOwnedBy(std::size_t shard_index) const {
+    for (std::int64_t ship = 1;; ++ship) {
+      if (router->host_map().OwnerIndexOf(KeyForShip(ship)) == shard_index) {
+        return R"({"avail": {"ship_id": )" + std::to_string(ship) +
+               R"(}, "rccs": []})";
+      }
+    }
+  }
 };
+
+/// An endpoint that refuses connections: a loopback port nothing listens
+/// on any more.
+Endpoint RefusingEndpoint() {
+  int port = 0;
+  ::close(Listen(1, &port));
+  return {"127.0.0.1", port};
+}
 
 RouterOptions LoopOptions() {
   RouterOptions options;
@@ -480,6 +498,122 @@ TEST(RouterEventLoopTest, CallsInFlightBeyondMaxQueueDepthShed) {
   // The places are free again.
   EXPECT_EQ(Rpc(cluster->port(), Point(6)), replica.AnswerTo(Point(6)));
   EXPECT_EQ(cluster->router->stats().rejected_overload, 2u);
+}
+
+TEST(RouterEventLoopTest, HedgeRunsOnTheEventLoopWhileTheWorkerIsBusy) {
+  ScriptedReplica backup("backup");
+  ScriptedReplica holder("holder");
+  holder.Hold([](const std::string&) { return true; });
+  RouterOptions options = LoopOptions();
+  options.workers = 1;
+  auto cluster = RouterUnderTest::Start(
+      {{RefusingEndpoint(), backup.endpoint()}, {holder.endpoint()}}, options);
+  ASSERT_NE(cluster, nullptr);
+
+  // A detached request another shard owns holds the only worker.
+  const std::string detached = cluster->DetachedOwnedBy(1);
+  TestClient slow = TestClient::Connect(cluster->port());
+  ASSERT_TRUE(slow.connected() && slow.SendLine(detached));
+  ASSERT_TRUE(WaitFor([&] { return holder.held() == 1; }));
+
+  // The point's first replica refuses; the second answers it from the
+  // router shard that read it, though no worker is free.
+  const std::string point = Point(cluster->AvailOwnedBy(0));
+  const auto start = Clock::now();
+  TestClient fast = TestClient::Connect(cluster->port());
+  ASSERT_TRUE(fast.connected() && fast.SendLine(point));
+  EXPECT_EQ(fast.ReadLine(Ms(1000)), backup.AnswerTo(point));
+  EXPECT_LT(Clock::now() - start, Ms(1000));
+  EXPECT_EQ(backup.lines(), 1);
+  EXPECT_FALSE(cluster->router->replica_states(0)[0].up);
+  EXPECT_EQ(cluster->router->stats().hedged, 1u);
+
+  holder.AnswerHeld();
+  EXPECT_EQ(slow.ReadLine(), holder.AnswerTo(detached));
+}
+
+TEST(RouterEventLoopTest, HedgeIsNotShedWhenTheWorkerQueueIsFull) {
+  ScriptedReplica backup("backup");
+  ScriptedReplica holder("holder");
+  holder.Hold([](const std::string&) { return true; });
+  RouterOptions options = LoopOptions();
+  options.workers = 1;
+  options.max_queue_depth = 1;
+  auto cluster = RouterUnderTest::Start(
+      {{RefusingEndpoint(), backup.endpoint()}, {holder.endpoint()}}, options);
+  ASSERT_NE(cluster, nullptr);
+
+  // One detached request holds the only worker. Of the next two, one
+  // waits in the queue and the other finds it full.
+  const std::string detached = cluster->DetachedOwnedBy(1);
+  TestClient running = TestClient::Connect(cluster->port());
+  ASSERT_TRUE(running.connected() && running.SendLine(detached));
+  ASSERT_TRUE(WaitFor([&] { return holder.held() == 1; }));
+  TestClient second = TestClient::Connect(cluster->port());
+  TestClient third = TestClient::Connect(cluster->port());
+  ASSERT_TRUE(second.connected() && second.SendLine(detached));
+  ASSERT_TRUE(third.connected() && third.SendLine(detached));
+  ASSERT_TRUE(WaitFor(
+      [&] { return cluster->router->stats().rejected_overload == 1; }));
+
+  // The point takes the one in-flight place; its hedge needs no room in
+  // the worker queue.
+  const std::string point = Point(cluster->AvailOwnedBy(0));
+  EXPECT_EQ(Rpc(cluster->port(), point), backup.AnswerTo(point));
+  EXPECT_EQ(backup.lines(), 1);
+  const auto stats = cluster->router->stats();
+  EXPECT_EQ(stats.hedged, 1u);
+  EXPECT_EQ(stats.rejected_overload, 1u);
+
+  holder.Hold({});
+  holder.AnswerHeld();
+  EXPECT_EQ(running.ReadLine(), holder.AnswerTo(detached));
+  const auto answered = [&](TestClient& client) {
+    const auto answer = client.ReadLine();
+    return answer.has_value() && *answer == holder.AnswerTo(detached);
+  };
+  // Of those two, one ran and the other was shed.
+  EXPECT_NE(answered(second), answered(third));
+}
+
+TEST(RouterEventLoopTest, HedgePipelinedBehindATimedOutCallFailsWithIt) {
+  // Replica "shared" serves both shards, so shard 1's first attempts and
+  // shard 0's hedges share the router shard's one connection to it: the
+  // pipelining a hedge meets whenever the preference orders differ.
+  ScriptedReplica shared("shared");
+  ScriptedReplica spare("spare");
+  RouterOptions options = LoopOptions();
+  options.hedge_deadline = Ms(1000);
+  auto cluster = RouterUnderTest::Start(
+      {{RefusingEndpoint(), shared.endpoint()},
+       {shared.endpoint(), spare.endpoint()}},
+      options);
+  ASSERT_NE(cluster, nullptr);
+  const std::string stalled = Point(cluster->AvailOwnedBy(1));
+  const std::string hedged = Point(cluster->AvailOwnedBy(0));
+  shared.Hold([&](const std::string& line) { return line == stalled; });
+
+  TestClient first = TestClient::Connect(cluster->port());
+  ASSERT_TRUE(first.connected() && first.SendLine(stalled));
+  ASSERT_TRUE(WaitFor([&] { return shared.held() == 1; }));
+  // The replica reads the hedge at once, but answers in order, so the
+  // hedge's answer waits behind the stalled one.
+  TestClient second = TestClient::Connect(cluster->port());
+  ASSERT_TRUE(second.connected() && second.SendLine(hedged));
+  ASSERT_TRUE(WaitFor([&] { return shared.lines() == 2; }));
+
+  // The stalled call times out and closes the connection, failing the
+  // hedge on it: the hedge was its point's last replica.
+  EXPECT_EQ(second.ReadLine(Ms(3000)),
+            R"({"ok":false,"code":"UNAVAILABLE",)"
+            R"("error":"upstream read timed out"})");
+  EXPECT_EQ(first.ReadLine(Ms(3000)), spare.AnswerTo(stalled));
+  // Neither call went out to the stalled replica twice.
+  EXPECT_EQ(shared.lines(), 2);
+  EXPECT_EQ(spare.lines(), 1);
+  const auto stats = cluster->router->stats();
+  EXPECT_EQ(stats.hedged, 2u);
+  EXPECT_EQ(stats.failed, 1u);
 }
 
 }  // namespace

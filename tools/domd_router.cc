@@ -12,9 +12,10 @@
 // --workers abc, --max-queue -1) exits 2 with an error naming the flag.
 //
 // Points and scatters forward on the --loop-shards event-loop threads,
-// each over one pipelined connection per replica. --workers (4) threads
-// do the blocking upstream I/O: detached predictions, ingest, freshness,
-// retrain, rollout and every hedged retry. --max-queue (512) bounds both
+// each over one pipelined connection per replica, and hedge there too.
+// --workers (4) threads do the blocking upstream I/O: detached
+// predictions, ingest, freshness, retrain and rollout. --max-queue (512)
+// bounds both
 // the worker queue and the points and scatters in flight; a request past
 // either bound is answered RESOURCE_EXHAUSTED.
 //
