@@ -12,7 +12,11 @@ shard 0 runs three quorum-2 replicated replicas (durable stores, retrain
 roots), live mutations stream through the router, the shard-0 ingest
 primary is killed mid-stream (a follower must take over writes), the
 dead replica restarts on its old port and catches back up until router
-`freshness` reports the shard converged, and a retrain scatter — shard 0
+`freshness` reports the shard converged, an amount with more than six
+significant digits is merged on every shard-0 replica and a follower
+level with the primary restarts (its tables must reopen bit for bit, so
+its epoch equals its peers' with no catch-up to repair it), and a retrain
+scatter — shard 0
 trained once, its other replicas adopting byte-identical bundles — leaves
 every replica predicting for avails that only ever existed as mutations
 — byte-identically across shard-0 replicas.
@@ -871,7 +875,9 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
     killed, a follower must take over writes and merge them away from its
     log's tail, the dead replica restarts on its old port and is installed
     from a snapshot push (router freshness reports the shard converged),
-    and a retrain scatter — one training for shard 0, whose
+    a follower level with the primary restarts after merging an amount
+    with more than six significant digits and must reopen at its peers'
+    epoch, and a retrain scatter — one training for shard 0, whose
     other replicas adopt byte-identical bundles — leaves every replica
     answering for avails that only ever existed as mutations."""
     server_bin = build / "tools" / "domd_serve"
@@ -951,7 +957,7 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
                 "contract_value_musd": 30.0, "crew_size": 250,
             }
 
-        def ingest_line(ids):
+        def ingest_line(ids, amount=50000.0):
             return {
                 "cmd": "ingest",
                 "avails": [avail_json(i) for i in ids],
@@ -959,10 +965,10 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
                           "swlin": "434-11-001",
                           "creation_date": "2023-02-01",
                           "settled_date": "2023-03-01",
-                          "settled_amount": 50000.0} for i in ids],
+                          "settled_amount": amount} for i in ids],
             }
 
-        def ingest_until_acked(ids, timeout_s=45):
+        def ingest_until_acked(ids, amount=50000.0, timeout_s=45):
             """Resends the batch until the router reports every touched
             shard acked it. Redelivery is idempotent (mutations upsert by
             id), so retrying across a failover cannot double-apply."""
@@ -970,7 +976,7 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
             attempts = 0
             while time.time() < deadline:
                 attempts += 1
-                reply = rpc(ingest_line(ids))
+                reply = rpc(ingest_line(ids, amount))
                 if reply.get("ok"):
                     return reply, attempts
                 time.sleep(0.3)
@@ -1069,6 +1075,61 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
                f"the restarted replica converged without a snapshot "
                f"install: {rejoined}")
 
+        # Exact persistence across a replicated restart. An amount with
+        # more than six significant digits reaches shard 0, whose replicas
+        # merge it at once (--merge-threshold 1) into their persisted base
+        # tables. A follower level with the primary then restarts on its
+        # store: its (seq, chain) says it is level, so no catch-up repairs
+        # it, and it converges only if its tables reopen bit for bit.
+        def shard0_epochs():
+            return {p: shard_rpc(p, {"cmd": "freshness"})["store_epoch"]
+                    for p in repl_ports}
+
+        epochs_before = shard0_epochs()
+        exact_ids = list(range(91, 103))
+        ingest_until_acked(exact_ids, amount=12345.678901)
+
+        def shard0_level():
+            """The shard-0 replicas' health once all of them merged every
+            mutation at one last_seq, else None."""
+            healths = {p: shard_rpc(p, {"cmd": "health"})
+                       for p in repl_ports}
+            merged = all(shard_rpc(p, {"cmd": "freshness"})
+                         ["pending_mutations"] == 0 for p in repl_ports)
+            seqs = {h.get("ingest_last_seq") for h in healths.values()}
+            return healths if merged and len(seqs) == 1 else None
+
+        deadline = time.time() + 30
+        healths = shard0_level()
+        while time.time() < deadline and healths is None:
+            time.sleep(0.2)
+            healths = shard0_level()
+        expect(healths is not None,
+               "shard 0's replicas never merged the exact amounts at one "
+               "last_seq")
+        epochs_merged = shard0_epochs()
+        expect(len(set(epochs_merged.values())) == 1 and
+               set(epochs_merged.values()) != set(epochs_before.values()),
+               f"shard 0 did not take the exact amounts: "
+               f"{epochs_before} -> {epochs_merged}")
+        follower_port = next(p for p, h in healths.items()
+                             if h.get("ingest_role") == "follower")
+        follower_index = next(i for i, (_, port) in enumerate(servers)
+                              if port == follower_port)
+        follower_process, _ = servers[follower_index]
+        follower_process.kill()
+        follower_process.wait(timeout=30)
+        process, port = start_server(server_bin, bundle_v1,
+                                     repl_args(follower_index),
+                                     port=follower_port)
+        expect(port == follower_port, "restarted follower lost its port")
+        servers[follower_index] = (process, port)
+        wait_converged()
+        epochs_restarted = shard0_epochs()
+        expect(epochs_restarted == epochs_merged,
+               f"the restarted follower reopened at another epoch: "
+               f"{epochs_merged} -> {epochs_restarted}")
+
         # Retrain scatter, trained once per shard: one converged shard-0
         # replica trains and the other two adopt its models, so all three
         # publish one version; single-replica shards train themselves.
@@ -1152,10 +1213,12 @@ def run_replicated_cluster_flow(build, bundle_v1, work, num_shards):
             expect(process.wait(timeout=30) == 0, "shard exited non-zero")
         servers = []
         print(f"serve_smoke: replicated cluster of {num_shards} shards "
-              f"streamed {2 * len(first_ids + second_ids)} mutations, "
+              f"streamed {2 * len(first_ids + second_ids + exact_ids)} "
+              f"mutations, "
               f"survived an ingest-primary kill (failover acked after "
               f"{attempts} attempt(s)), installed the restarted replica "
-              f"from a snapshot, "
+              f"from a snapshot, reopened a restarted follower at its "
+              f"peers' epoch after an exact merge, "
               f"and retrained every replica onto one converged cut, "
               f"training shard 0 once ({len(owned)} avails owned by "
               f"shard 0)")

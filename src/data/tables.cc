@@ -2,28 +2,193 @@
 
 #include <algorithm>
 #include <charconv>
+#include <concepts>
+#include <optional>
+#include <type_traits>
 
 #include "common/strings.h"
 
 namespace domd {
 namespace {
 
-/// The tables' double format: the C++ standard defines to_chars' general
-/// format at precision 6 as printf's "%.6g", so these are its bytes.
-std::string FormatDouble(double v) {
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v,
-                                    std::chars_format::general, 6);
-  return std::string(buf, result.ptr);
+/// The avail table's columns, in file order, each with its member: the
+/// CSV header, AvailToFields and AvailFromFields all walk this one list.
+/// `Row` is Avail or const Avail.
+template <typename Row, typename Column>
+  requires std::same_as<std::remove_const_t<Row>, Avail>
+void ForEachColumn(Row& a, Column&& column) {
+  column("avail_id", a.id);
+  column("ship_id", a.ship_id);
+  column("status", a.status);
+  column("plan_start", a.planned_start);
+  column("plan_end", a.planned_end);
+  column("actual_start", a.actual_start);
+  column("actual_end", a.actual_end);
+  column("ship_class", a.ship_class);
+  column("rmc_id", a.rmc_id);
+  column("ship_age_years", a.ship_age_years);
+  column("avail_type", a.avail_type);
+  column("homeport", a.homeport);
+  column("prior_avail_count", a.prior_avail_count);
+  column("contract_value_musd", a.contract_value_musd);
+  column("crew_size", a.crew_size);
 }
 
-StatusOr<double> ParseField(const std::string& text) {
-  const auto value = domd::ParseDouble(text);
-  if (!value.ok()) return Status::InvalidArgument("bad double: " + text);
-  return *value;
+/// The RCC table's columns, in file order, each with its member.
+template <typename Row, typename Column>
+  requires std::same_as<std::remove_const_t<Row>, Rcc>
+void ForEachColumn(Row& r, Column&& column) {
+  column("rcc_id", r.id);
+  column("avail_id", r.avail_id);
+  column("type", r.type);
+  column("swlin", r.swlin);
+  column("creation_date", r.creation_date);
+  column("settled_date", r.settled_date);
+  column("settled_amount", r.settled_amount);
+}
+
+template <std::integral Int>
+std::string FormatField(Int value) {
+  return std::to_string(value);
+}
+/// The one double format: the shortest spelling that reads back the same
+/// bits.
+std::string FormatField(double value) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+std::string FormatField(Date date) { return date.ToString(); }
+std::string FormatField(const std::optional<Date>& date) {
+  return date.has_value() ? date->ToString() : std::string();
+}
+std::string FormatField(AvailStatus status) {
+  return AvailStatusToString(status);
+}
+std::string FormatField(RccType type) { return RccTypeToCode(type); }
+std::string FormatField(const Swlin& swlin) { return swlin.ToString(); }
+
+template <typename T>
+Status Assign(StatusOr<T> parsed, T* out) {
+  if (!parsed.ok()) return parsed.status();
+  *out = *std::move(parsed);
+  return Status::OK();
+}
+
+template <std::integral Int>
+Status ParseField(std::string_view text, Int* out) {
+  return ParseIntInto(text, out);
+}
+Status ParseField(std::string_view text, double* out) {
+  return Assign(ParseDouble(text), out);
+}
+Status ParseField(std::string_view text, Date* out) {
+  return Assign(Date::Parse(text), out);
+}
+/// An empty field is an absent date.
+Status ParseField(std::string_view text, std::optional<Date>* out) {
+  if (text.empty()) {
+    out->reset();
+    return Status::OK();
+  }
+  out->emplace();
+  return ParseField(text, &**out);
+}
+Status ParseField(std::string_view text, AvailStatus* out) {
+  return Assign(AvailStatusFromString(text), out);
+}
+Status ParseField(std::string_view text, RccType* out) {
+  return Assign(RccTypeFromCode(text), out);
+}
+Status ParseField(std::string_view text, Swlin* out) {
+  return Assign(Swlin::Parse(text), out);
+}
+
+/// The CSV header of a Row table.
+template <typename Row>
+const std::vector<std::string>& Columns() {
+  static const auto* names = [] {
+    auto* out = new std::vector<std::string>;
+    Row row;
+    ForEachColumn(row, [out](const char* name, const auto&) {
+      out->emplace_back(name);
+    });
+    return out;
+  }();
+  return *names;
+}
+
+template <typename Row>
+std::vector<std::string> ToFields(const Row& row) {
+  std::vector<std::string> fields;
+  fields.reserve(Columns<Row>().size());
+  ForEachColumn(row, [&fields](const char*, const auto& value) {
+    fields.push_back(FormatField(value));
+  });
+  return fields;
+}
+
+template <typename Row>
+StatusOr<Row> FromFields(std::span<const std::string_view> fields,
+                         const char* what) {
+  if (fields.size() != Columns<Row>().size()) {
+    return Status::InvalidArgument(
+        std::string(what) + " row needs " +
+        std::to_string(Columns<Row>().size()) + " fields, got " +
+        std::to_string(fields.size()));
+  }
+  Row row;
+  Status status;
+  std::size_t i = 0;
+  ForEachColumn(row, [&](const char*, auto& value) {
+    if (!status.ok()) return;
+    Status parsed = ParseField(fields[i++], &value);
+    if (!parsed.ok()) status = std::move(parsed);
+  });
+  if (!status.ok()) return status;
+  return row;
+}
+
+template <typename Row>
+CsvDocument RowsToCsv(const std::vector<Row>& rows) {
+  CsvDocument doc;
+  doc.set_header(Columns<Row>());
+  for (const Row& row : rows) doc.AddRow(ToFields(row));
+  return doc;
+}
+
+template <typename Table, typename Row>
+StatusOr<Table> TableFromCsv(const CsvDocument& doc, const char* what) {
+  if (doc.num_columns() != Columns<Row>().size()) {
+    return Status::InvalidArgument(std::string(what) + " CSV must have " +
+                                   std::to_string(Columns<Row>().size()) +
+                                   " columns");
+  }
+  Table table;
+  std::vector<std::string_view> fields;
+  for (const auto& cells : doc.rows()) {
+    fields.assign(cells.begin(), cells.end());
+    auto row = FromFields<Row>(fields, what);
+    if (!row.ok()) return row.status();
+    DOMD_RETURN_IF_ERROR(table.Add(*std::move(row)));
+  }
+  return table;
 }
 
 }  // namespace
+
+std::vector<std::string> AvailToFields(const Avail& avail) {
+  return ToFields(avail);
+}
+
+std::vector<std::string> RccToFields(const Rcc& rcc) { return ToFields(rcc); }
+
+StatusOr<Avail> AvailFromFields(std::span<const std::string_view> fields) {
+  return FromFields<Avail>(fields, "avail");
+}
+
+StatusOr<Rcc> RccFromFields(std::span<const std::string_view> fields) {
+  return FromFields<Rcc>(fields, "RCC");
+}
 
 Status AvailTable::Add(Avail avail) {
   DOMD_RETURN_IF_ERROR(ValidateAvail(avail));
@@ -52,68 +217,10 @@ StatusOr<const Avail*> AvailTable::Find(std::int64_t id) const {
   return &rows_[it->second];
 }
 
-CsvDocument AvailTable::ToCsv() const {
-  CsvDocument doc;
-  doc.set_header({"avail_id", "ship_id", "status", "plan_start", "plan_end",
-                  "actual_start", "actual_end", "ship_class", "rmc_id",
-                  "ship_age_years", "avail_type", "homeport",
-                  "prior_avail_count", "contract_value_musd", "crew_size"});
-  for (const Avail& a : rows_) {
-    doc.AddRow({std::to_string(a.id), std::to_string(a.ship_id),
-                AvailStatusToString(a.status), a.planned_start.ToString(),
-                a.planned_end.ToString(), a.actual_start.ToString(),
-                a.actual_end.has_value() ? a.actual_end->ToString() : "",
-                std::to_string(a.ship_class), std::to_string(a.rmc_id),
-                FormatDouble(a.ship_age_years), std::to_string(a.avail_type),
-                std::to_string(a.homeport),
-                std::to_string(a.prior_avail_count),
-                FormatDouble(a.contract_value_musd),
-                std::to_string(a.crew_size)});
-  }
-  return doc;
-}
+CsvDocument AvailTable::ToCsv() const { return RowsToCsv(rows_); }
 
 StatusOr<AvailTable> AvailTable::FromCsv(const CsvDocument& doc) {
-  AvailTable table;
-  if (doc.num_columns() != 15) {
-    return Status::InvalidArgument("avail CSV must have 15 columns");
-  }
-  for (const auto& row : doc.rows()) {
-    Avail a;
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[0], &a.id));
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[1], &a.ship_id));
-    auto status = AvailStatusFromString(row[2]);
-    if (!status.ok()) return status.status();
-    a.status = *status;
-    for (const auto& [text, field] :
-         std::initializer_list<std::pair<const std::string*, Date*>>{
-             {&row[3], &a.planned_start},
-             {&row[4], &a.planned_end},
-             {&row[5], &a.actual_start}}) {
-      auto date = Date::Parse(*text);
-      if (!date.ok()) return date.status();
-      *field = *date;
-    }
-    if (!row[6].empty()) {
-      auto date = Date::Parse(row[6]);
-      if (!date.ok()) return date.status();
-      a.actual_end = *date;
-    }
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[7], &a.ship_class));
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[8], &a.rmc_id));
-    auto age = ParseField(row[9]);
-    if (!age.ok()) return age.status();
-    a.ship_age_years = *age;
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[10], &a.avail_type));
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[11], &a.homeport));
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[12], &a.prior_avail_count));
-    auto value = ParseField(row[13]);
-    if (!value.ok()) return value.status();
-    a.contract_value_musd = *value;
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[14], &a.crew_size));
-    DOMD_RETURN_IF_ERROR(table.Add(std::move(a)));
-  }
-  return table;
+  return TableFromCsv<AvailTable, Avail>(doc, "avail");
 }
 
 StatusOr<AvailTable> AvailTable::ReadFile(const std::string& path) {
@@ -182,49 +289,10 @@ RccTable RccTable::Scale(int factor) const {
   return scaled;
 }
 
-CsvDocument RccTable::ToCsv() const {
-  CsvDocument doc;
-  doc.set_header({"rcc_id", "avail_id", "type", "swlin", "creation_date",
-                  "settled_date", "settled_amount"});
-  for (const Rcc& r : rows_) {
-    doc.AddRow({std::to_string(r.id), std::to_string(r.avail_id),
-                RccTypeToCode(r.type), r.swlin.ToString(),
-                r.creation_date.ToString(),
-                r.settled_date.has_value() ? r.settled_date->ToString() : "",
-                FormatDouble(r.settled_amount)});
-  }
-  return doc;
-}
+CsvDocument RccTable::ToCsv() const { return RowsToCsv(rows_); }
 
 StatusOr<RccTable> RccTable::FromCsv(const CsvDocument& doc) {
-  RccTable table;
-  if (doc.num_columns() != 7) {
-    return Status::InvalidArgument("RCC CSV must have 7 columns");
-  }
-  for (const auto& row : doc.rows()) {
-    Rcc r;
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[0], &r.id));
-    DOMD_RETURN_IF_ERROR(ParseIntInto(row[1], &r.avail_id));
-    auto type = RccTypeFromCode(row[2]);
-    if (!type.ok()) return type.status();
-    r.type = *type;
-    auto swlin = Swlin::Parse(row[3]);
-    if (!swlin.ok()) return swlin.status();
-    r.swlin = *swlin;
-    auto created = Date::Parse(row[4]);
-    if (!created.ok()) return created.status();
-    r.creation_date = *created;
-    if (!row[5].empty()) {
-      auto settled = Date::Parse(row[5]);
-      if (!settled.ok()) return settled.status();
-      r.settled_date = *settled;
-    }
-    auto amount = ParseField(row[6]);
-    if (!amount.ok()) return amount.status();
-    r.settled_amount = *amount;
-    DOMD_RETURN_IF_ERROR(table.Add(std::move(r)));
-  }
-  return table;
+  return TableFromCsv<RccTable, Rcc>(doc, "RCC");
 }
 
 StatusOr<RccTable> RccTable::ReadFile(const std::string& path) {

@@ -2,7 +2,9 @@
 #define DOMD_DATA_TABLES_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +14,23 @@
 #include "data/rcc.h"
 
 namespace domd {
+
+/// The row codec (DESIGN.md §14). Each row type's fields, in table column
+/// order, are written by one function and read by one checked function:
+/// the tables' CSV files and the mutation records of the ingest log and of
+/// replication (ingest/mutation.h) all go through these. A double is
+/// written as the shortest spelling that reads back the same bits
+/// (`std::to_chars(first, last, v)`), and any spelling ParseDouble takes
+/// reads back, so `%.6g` tables and `%.17g` log records still open.
+std::vector<std::string> AvailToFields(const Avail& avail);
+std::vector<std::string> RccToFields(const Rcc& rcc);
+
+/// Reads the fields AvailToFields / RccToFields write. InvalidArgument on a
+/// wrong field count or an unreadable field, including an integer outside
+/// its member's type. Row rules (ValidateAvail, ValidateRcc) are left to
+/// the caller.
+StatusOr<Avail> AvailFromFields(std::span<const std::string_view> fields);
+StatusOr<Rcc> RccFromFields(std::span<const std::string_view> fields);
 
 /// In-memory availability table with id lookup. Mirrors the paper's avail
 /// table (Table 1). Rows are stored in insertion order.
@@ -34,9 +53,10 @@ class AvailTable {
   /// Looks up by avail id.
   StatusOr<const Avail*> Find(std::int64_t id) const;
 
-  /// Serializes to CSV with the paper's column layout plus static features.
+  /// Serializes to CSV with the paper's column layout plus static features,
+  /// one row per AvailToFields.
   CsvDocument ToCsv() const;
-  /// Parses from CSV produced by ToCsv().
+  /// Parses from CSV produced by ToCsv(), one row per AvailFromFields.
   static StatusOr<AvailTable> FromCsv(const CsvDocument& doc);
 
   Status WriteFile(const std::string& path) const {

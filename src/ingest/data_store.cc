@@ -385,10 +385,10 @@ StatusOr<ReplTail> DataStore::TailFrom(std::uint64_t from_seq,
   const Dataset& data = snap->data();
   out.rows.reserve(data.avails.rows().size() + data.rccs.rows().size());
   for (const Avail& avail : data.avails.rows()) {
-    out.rows.push_back(EncodeMutation(MakeAvailUpsert(avail)));
+    out.rows.push_back(EncodeAvailUpsert(avail));
   }
   for (const Rcc& rcc : data.rccs.rows()) {
-    out.rows.push_back(EncodeMutation(MakeRccUpsert(rcc)));
+    out.rows.push_back(EncodeRccUpsert(rcc));
   }
   return out;
 }

@@ -1,24 +1,16 @@
 #include "ingest/mutation.h"
 
-#include <cstdio>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/fnv1a.h"
-#include "common/strings.h"
+#include "data/tables.h"
 
 namespace domd {
 namespace {
 
 constexpr char kSep = '|';
-
-/// Shortest exact representation: every double round-trips through
-/// ParseDouble bit-identically at 17 significant digits.
-std::string FormatDoubleExact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::vector<std::string_view> SplitFields(std::string_view payload) {
   std::vector<std::string_view> fields;
@@ -32,76 +24,14 @@ std::vector<std::string_view> SplitFields(std::string_view payload) {
   return fields;
 }
 
-StatusOr<IngestMutation> DecodeAvail(
-    const std::vector<std::string_view>& fields) {
-  if (fields.size() != 16) {
-    return Status::InvalidArgument("mutation: avail record needs 16 fields");
+/// One record: the kind tag, then the row's fields, each after a '|'.
+std::string Record(char tag, const std::vector<std::string>& fields) {
+  std::string out(1, tag);
+  for (const std::string& field : fields) {
+    out += kSep;
+    out += field;
   }
-  IngestMutation mutation;
-  mutation.kind = MutationKind::kAvailUpsert;
-  Avail& a = mutation.avail;
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[1], &a.id));
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[2], &a.ship_id));
-  auto status = AvailStatusFromString(fields[3]);
-  if (!status.ok()) return status.status();
-  a.status = *status;
-  for (const auto& [text, field] :
-       std::initializer_list<std::pair<std::string_view, Date*>>{
-           {fields[4], &a.planned_start},
-           {fields[5], &a.planned_end},
-           {fields[6], &a.actual_start}}) {
-    auto date = Date::Parse(text);
-    if (!date.ok()) return date.status();
-    *field = *date;
-  }
-  if (!fields[7].empty()) {
-    auto date = Date::Parse(fields[7]);
-    if (!date.ok()) return date.status();
-    a.actual_end = *date;
-  }
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[8], &a.ship_class));
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[9], &a.rmc_id));
-  auto age = ParseDouble(fields[10]);
-  if (!age.ok()) return age.status();
-  a.ship_age_years = *age;
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[11], &a.avail_type));
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[12], &a.homeport));
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[13], &a.prior_avail_count));
-  auto value = ParseDouble(fields[14]);
-  if (!value.ok()) return value.status();
-  a.contract_value_musd = *value;
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[15], &a.crew_size));
-  return mutation;
-}
-
-StatusOr<IngestMutation> DecodeRcc(
-    const std::vector<std::string_view>& fields) {
-  if (fields.size() != 8) {
-    return Status::InvalidArgument("mutation: RCC record needs 8 fields");
-  }
-  IngestMutation mutation;
-  mutation.kind = MutationKind::kRccUpsert;
-  Rcc& r = mutation.rcc;
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[1], &r.id));
-  DOMD_RETURN_IF_ERROR(ParseIntInto(fields[2], &r.avail_id));
-  auto type = RccTypeFromCode(fields[3]);
-  if (!type.ok()) return type.status();
-  r.type = *type;
-  auto swlin = Swlin::Parse(fields[4]);
-  if (!swlin.ok()) return swlin.status();
-  r.swlin = *swlin;
-  auto created = Date::Parse(fields[5]);
-  if (!created.ok()) return created.status();
-  r.creation_date = *created;
-  if (!fields[6].empty()) {
-    auto settled = Date::Parse(fields[6]);
-    if (!settled.ok()) return settled.status();
-    r.settled_date = *settled;
-  }
-  auto amount = ParseDouble(fields[7]);
-  if (!amount.ok()) return amount.status();
-  r.settled_amount = *amount;
-  return mutation;
+  return out;
 }
 
 }  // namespace
@@ -127,42 +57,18 @@ Status ValidateMutation(const IngestMutation& mutation) {
   return ValidateRcc(mutation.rcc);
 }
 
+std::string EncodeAvailUpsert(const Avail& avail) {
+  return Record('A', AvailToFields(avail));
+}
+
+std::string EncodeRccUpsert(const Rcc& rcc) {
+  return Record('R', RccToFields(rcc));
+}
+
 std::string EncodeMutation(const IngestMutation& mutation) {
-  std::string out;
-  const auto add = [&out](const std::string& field) {
-    out += kSep;
-    out += field;
-  };
-  if (mutation.kind == MutationKind::kAvailUpsert) {
-    const Avail& a = mutation.avail;
-    out += 'A';
-    add(std::to_string(a.id));
-    add(std::to_string(a.ship_id));
-    add(AvailStatusToString(a.status));
-    add(a.planned_start.ToString());
-    add(a.planned_end.ToString());
-    add(a.actual_start.ToString());
-    add(a.actual_end.has_value() ? a.actual_end->ToString() : "");
-    add(std::to_string(a.ship_class));
-    add(std::to_string(a.rmc_id));
-    add(FormatDoubleExact(a.ship_age_years));
-    add(std::to_string(a.avail_type));
-    add(std::to_string(a.homeport));
-    add(std::to_string(a.prior_avail_count));
-    add(FormatDoubleExact(a.contract_value_musd));
-    add(std::to_string(a.crew_size));
-  } else {
-    const Rcc& r = mutation.rcc;
-    out += 'R';
-    add(std::to_string(r.id));
-    add(std::to_string(r.avail_id));
-    add(RccTypeToCode(r.type));
-    add(r.swlin.ToString());
-    add(r.creation_date.ToString());
-    add(r.settled_date.has_value() ? r.settled_date->ToString() : "");
-    add(FormatDoubleExact(r.settled_amount));
-  }
-  return out;
+  return mutation.kind == MutationKind::kAvailUpsert
+             ? EncodeAvailUpsert(mutation.avail)
+             : EncodeRccUpsert(mutation.rcc);
 }
 
 StatusOr<IngestMutation> DecodeMutation(std::string_view payload) {
@@ -170,8 +76,17 @@ StatusOr<IngestMutation> DecodeMutation(std::string_view payload) {
   if (fields.empty() || fields[0].size() != 1) {
     return Status::InvalidArgument("mutation: missing kind tag");
   }
-  if (fields[0] == "A") return DecodeAvail(fields);
-  if (fields[0] == "R") return DecodeRcc(fields);
+  const auto row = std::span(fields).subspan(1);
+  if (fields[0] == "A") {
+    auto avail = AvailFromFields(row);
+    if (!avail.ok()) return avail.status();
+    return MakeAvailUpsert(*std::move(avail));
+  }
+  if (fields[0] == "R") {
+    auto rcc = RccFromFields(row);
+    if (!rcc.ok()) return rcc.status();
+    return MakeRccUpsert(*std::move(rcc));
+  }
   return Status::InvalidArgument("mutation: unknown kind tag \"" +
                                  std::string(fields[0]) + "\"");
 }

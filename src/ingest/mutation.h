@@ -42,12 +42,16 @@ IngestMutation MakeRccUpsert(Rcc rcc);
 /// Validates the payload row (same rules the tables enforce on Add).
 Status ValidateMutation(const IngestMutation& mutation);
 
-/// Serializes a mutation as one newline-free log payload. The field layout
-/// mirrors the CSV column order of the tables, but doubles are written
-/// with 17 significant digits so a replayed record reproduces the appended
-/// in-memory value bit for bit (the CSV files themselves round to %.6g;
-/// bit-identity of ingest vs batch depends on the log not rounding again).
+/// Serializes a mutation as one newline-free payload: the log record, a
+/// `replicate`/`catchup` record and a snapshot row. A kind tag ('A' or
+/// 'R'), then the row's fields through the tables' row codec
+/// (AvailToFields / RccToFields), each after a '|'. Every value reads back
+/// bit for bit, so a replayed, shipped or merged row is the appended one.
 std::string EncodeMutation(const IngestMutation& mutation);
+/// EncodeMutation of MakeAvailUpsert(avail) / MakeRccUpsert(rcc), straight
+/// from a table row.
+std::string EncodeAvailUpsert(const Avail& avail);
+std::string EncodeRccUpsert(const Rcc& rcc);
 
 /// Parses a payload produced by EncodeMutation. kInvalidArgument for a
 /// malformed payload, including an integer field outside its type's range

@@ -10,10 +10,6 @@
 
 #include "ml/columnar.h"
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace domd {
 namespace {
 
@@ -295,70 +291,21 @@ void Forest::AddPredictions(const Matrix& x, double scale,
   const std::size_t cols = x.cols();
   const double* xd = x.data().data();
 
-#if defined(__AVX2__)
-  // The gathers index with i32 lane offsets; huge matrices fall back to
-  // the scalar path.
-  const bool simd_ok =
-      n * cols < static_cast<std::size_t>(std::numeric_limits<
-                                          std::int32_t>::max());
-#endif
-
   for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
     const std::size_t bn = std::min(kBlock, n - b0);
     for (std::size_t t = first_tree; t < roots_.size(); ++t) {
       const std::int32_t root = roots_[t];
       const int depth = depths_[t];
-      std::size_t j = 0;
-#if defined(__AVX2__)
-      if (simd_ok) {
-        // Four rows per vector; only comparisons and index selects are
-        // vectorized, so the result is bit-identical (v <= t with NaN is
-        // false under _CMP_LE_OQ, matching the scalar route-right).
-        const auto* fp = reinterpret_cast<const int*>(feature_.data());
-        const auto* lp = reinterpret_cast<const int*>(left_.data());
-        const auto* rp = reinterpret_cast<const int*>(right_.data());
-        const int icols = static_cast<int>(cols);
-        for (; j + 4 <= bn; j += 4) {
-          __m128i vidx = _mm_set1_epi32(root);
-          const int r0 = static_cast<int>((b0 + j) * cols);
-          const __m128i rowbase =
-              _mm_setr_epi32(r0, r0 + icols, r0 + 2 * icols, r0 + 3 * icols);
-          for (int d = 0; d < depth; ++d) {
-            const __m128i f = _mm_i32gather_epi32(fp, vidx, 4);
-            const __m256d v =
-                _mm256_i32gather_pd(xd, _mm_add_epi32(rowbase, f), 8);
-            const __m256d th =
-                _mm256_i32gather_pd(threshold_.data(), vidx, 8);
-            const __m256d le = _mm256_cmp_pd(v, th, _CMP_LE_OQ);
-            const __m128i l = _mm_i32gather_epi32(lp, vidx, 4);
-            const __m128i r = _mm_i32gather_epi32(rp, vidx, 4);
-            // Pack the 4x64-bit compare mask down to 4x32 for the select.
-            const __m256i lei = _mm256_castpd_si256(le);
-            const __m128i m32 = _mm_castps_si128(_mm_shuffle_ps(
-                _mm_castsi128_ps(_mm256_castsi256_si128(lei)),
-                _mm_castsi128_ps(_mm256_extracti128_si256(lei, 1)),
-                _MM_SHUFFLE(2, 0, 2, 0)));
-            vidx = _mm_blendv_epi8(r, l, m32);
-          }
-          alignas(16) std::int32_t lanes[4];
-          _mm_store_si128(reinterpret_cast<__m128i*>(lanes), vidx);
-          for (int lane = 0; lane < 4; ++lane) {
-            out[b0 + j + static_cast<std::size_t>(lane)] +=
-                scale * weight_[static_cast<std::size_t>(lanes[lane])];
-          }
-        }
-      }
-#endif
-      for (std::size_t k = j; k < bn; ++k) idx[k] = root;
+      for (std::size_t k = 0; k < bn; ++k) idx[k] = root;
       for (int d = 0; d < depth; ++d) {
-        for (std::size_t k = j; k < bn; ++k) {
+        for (std::size_t k = 0; k < bn; ++k) {
           const auto node = static_cast<std::size_t>(idx[k]);
           const double v =
               xd[(b0 + k) * cols + static_cast<std::size_t>(feature_[node])];
           idx[k] = v <= threshold_[node] ? left_[node] : right_[node];
         }
       }
-      for (std::size_t k = j; k < bn; ++k) {
+      for (std::size_t k = 0; k < bn; ++k) {
         out[b0 + k] += scale * weight_[static_cast<std::size_t>(idx[k])];
       }
     }

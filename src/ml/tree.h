@@ -65,9 +65,8 @@ class Forest {
   /// For every row r of x, adds `scale` times the leaf weight of each
   /// tree from `first_tree` on to out[r], in tree order: the exact FP
   /// sequence of Predict. Rows descend in blocks, one tree at a time, one
-  /// depth level per step (branch-free; comparisons and index selects in
-  /// AVX2 when compiled in). Only reads the pool, so one forest may score
-  /// from many threads.
+  /// depth level per step (branch-free). Only reads the pool, so one
+  /// forest may score from many threads.
   void AddPredictions(const Matrix& x, double scale, std::size_t first_tree,
                       std::span<double> out) const;
 

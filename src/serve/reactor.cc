@@ -28,7 +28,7 @@ namespace domd {
 namespace reactor_internal {
 
 /// Slot actions, ordered by severity so a merge can take the max.
-enum SlotAction { kActNone = 0, kActClose = 1, kActStop = 2 };
+enum SlotAction { kActNone = 0, kActStop = 1 };
 
 struct Completion {
   std::uint64_t conn_id = 0;
@@ -96,7 +96,6 @@ struct ShardMailbox {
 namespace {
 
 using reactor_internal::Completion;
-using reactor_internal::kActClose;
 using reactor_internal::kActNone;
 using reactor_internal::kActStop;
 using reactor_internal::ShardMailbox;
@@ -314,9 +313,6 @@ Responder MakeResponder(std::shared_ptr<ShardMailbox> mailbox,
 }
 }  // namespace reactor_internal
 
-void Responder::RespondThenClose(std::string line) const {
-  Post(std::move(line), kActClose);
-}
 void Responder::RespondThenStop(std::string line) const {
   Post(std::move(line), kActStop);
 }
@@ -816,8 +812,7 @@ bool FlushConnection(ShardContext& ctx, Connection& conn) {
       ctx.stop_requested = true;
       return true;
     }
-    if (conn.pending_action == kActClose ||
-        (conn.read_closed && conn.slots.empty())) {
+    if (conn.read_closed && conn.slots.empty()) {
       CloseConnection(ctx, conn.id);
       return false;
     }

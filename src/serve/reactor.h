@@ -128,8 +128,6 @@ class Responder {
 
   /// Enqueues `line` (no trailing newline) as this request's response.
   void Respond(std::string line) const;
-  /// Responds, then closes the connection once the response has drained.
-  void RespondThenClose(std::string line) const;
   /// Responds, then stops the whole reactor once the response has drained
   /// (the shutdown verb).
   void RespondThenStop(std::string line) const;

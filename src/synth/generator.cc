@@ -1,6 +1,7 @@
 #include "synth/generator.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <vector>
 
@@ -46,6 +47,19 @@ const std::vector<double>& SubsystemTroubleGain() {
   static const std::vector<double>& gains =
       *new std::vector<double>{1.6, 1.4, 1.3, 0.9, 0.8, 0.7, 0.9, 0.6, 0.5};
   return gains;
+}
+
+// A generated double is the six-significant-digit value (printf's "%.6g")
+// that every fleet, model and digest made from this generator has been
+// built on: the tables were once written in that format. Rows are rounded
+// as they are emitted, after every draw that depends on the value, so the
+// random stream and every date stay the same.
+double SixSignificantDigits(double value) {
+  char buf[32];
+  const auto written = std::to_chars(buf, buf + sizeof(buf), value,
+                                     std::chars_format::general, 6);
+  std::from_chars(buf, written.ptr, value);
+  return value;
 }
 
 }  // namespace
@@ -176,6 +190,9 @@ Dataset FleetGenerator::Generate() const {
     }
     const std::int64_t horizon_days = std::max<std::int64_t>(actual_days, 30);
 
+    avail.ship_age_years = SixSignificantDigits(avail.ship_age_years);
+    avail.contract_value_musd =
+        SixSignificantDigits(avail.contract_value_musd);
     (void)data.avails.Add(avail);
 
     // --- RCC process ---
@@ -238,9 +255,9 @@ Dataset FleetGenerator::Generate() const {
       }
 
       const double amount_scale = 1.0 + 0.6 * (trouble - 1.0);
-      rcc.settled_amount = std::max(
+      rcc.settled_amount = SixSignificantDigits(std::max(
           100.0, rng.LogNormal(std::log(20000.0), 1.0) *
-                     std::max(0.2, amount_scale));
+                     std::max(0.2, amount_scale)));
       (void)data.rccs.Add(rcc);
     }
   }

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -175,9 +176,10 @@ TEST(RccTableTest, ScaleByOneIsIdentityCardinality) {
 }
 
 // ---------------------------------------------------------------------------
-// The table codec's byte contract (DESIGN.md §14): doubles are printf's
-// "%.6g", dates "%04d-%02d-%02d" and SWLINs "ddd-dd-ddd". printf itself is
-// the oracle for each.
+// The table codec's byte contract (DESIGN.md §14): doubles are the shortest
+// spelling that reads back the same bits (std::to_chars without a format),
+// dates "%04d-%02d-%02d" and SWLINs "ddd-dd-ddd". printf is the oracle for
+// dates and SWLINs.
 // ---------------------------------------------------------------------------
 
 __attribute__((format(printf, 1, 2))) std::string Printf(const char* format,
@@ -192,7 +194,28 @@ __attribute__((format(printf, 1, 2))) std::string Printf(const char* format,
   return buf;
 }
 
-std::string DoubleOracle(double v) { return Printf("%.6g", v); }
+std::string DoubleOracle(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// The bits ParseDouble reads `text` back as equal `v`'s (a NaN keeps its
+/// sign; its payload is not written).
+::testing::AssertionResult ReadsBackExactly(const std::string& text,
+                                            double v) {
+  const auto parsed = ParseDouble(text);
+  if (!parsed.ok()) {
+    return ::testing::AssertionFailure() << parsed.status().ToString();
+  }
+  const bool same =
+      std::isnan(v) ? std::isnan(*parsed) &&
+                          std::signbit(*parsed) == std::signbit(v)
+                    : std::bit_cast<std::uint64_t>(*parsed) ==
+                          std::bit_cast<std::uint64_t>(v);
+  if (same) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "\"" << text << "\" reads back as " << *parsed;
+}
 
 std::string DateOracle(Date date) {
   return Printf("%04d-%02d-%02d", date.year(), date.month(), date.day());
@@ -214,13 +237,13 @@ void ExpectColumn(const CsvDocument& doc, std::size_t column,
     if (doc.rows()[i][column] == want[i]) continue;
     if (mismatches++ == 0) {
       first = "row " + std::to_string(i) + ": wrote \"" +
-              doc.rows()[i][column] + "\", printf \"" + want[i] + "\"";
+              doc.rows()[i][column] + "\", want \"" + want[i] + "\"";
     }
   }
   EXPECT_EQ(mismatches, 0u) << doc.header()[column] << ": " << first;
 }
 
-TEST(TableCodecTest, DoublesAreWrittenAsPrintfG6) {
+TEST(TableCodecTest, DoublesAreWrittenShortestAndReadBackExactly) {
   std::vector<double> values = {0.0,      -0.0, 1e-5, 123456.5,
                                 999999.5, 1e15, DBL_MAX,
                                 std::numeric_limits<double>::denorm_min()};
@@ -267,6 +290,10 @@ TEST(TableCodecTest, DoublesAreWrittenAsPrintfG6) {
                negated_text);
   const CsvDocument rcc_doc = rccs.ToCsv();
   ExpectColumn(rcc_doc, *rcc_doc.ColumnIndex("settled_amount"), amount_text);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_TRUE(ReadsBackExactly(value_text[i], values[i])) << i;
+    ASSERT_TRUE(ReadsBackExactly(negated_text[i], -values[i])) << i;
+  }
 }
 
 bool IsLeapYear(int y) { return (y % 4 == 0 && y % 100 != 0) || y % 400 == 0; }
@@ -334,7 +361,7 @@ TEST(TableCodecTest, SwlinsAreWrittenAsPrintfDigits) {
   }
 }
 
-TEST(TableCodecTest, GeneratedFleetMatchesAPrintfWriter) {
+TEST(TableCodecTest, GeneratedFleetMatchesAShortestWriter) {
   SynthConfig config;
   config.seed = 11;
   config.num_avails = 60;

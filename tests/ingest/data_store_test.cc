@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "cache/fingerprint.h"
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "fault/fault.h"
@@ -78,8 +81,6 @@ Rcc NewRcc(std::int64_t id, std::int64_t avail_id) {
   rcc.swlin = *Swlin::Parse("434-11-001");
   rcc.creation_date = *Date::Parse("2021-04-01");
   rcc.settled_date = *Date::Parse("2021-06-15");
-  // CSV-stable: <= 6 significant digits and binary-exact, so a persisting
-  // merge's %.6g rewrite round-trips and the epoch survives reopen.
   rcc.settled_amount = 1357.25;
   return rcc;
 }
@@ -555,6 +556,145 @@ TEST(DataStoreTest, CrashedLogRotationLosesNothing) {
   // ...idempotently: identical content, identical epoch.
   EXPECT_TRUE(snapshot->data().rccs.Find(rcc_id).ok());
   EXPECT_EQ(snapshot->epoch(), merged_epoch);
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// An RCC upsert and a new avail whose doubles need all 17 significant
+/// digits, or 11 for the amount, to read back: none survives six.
+std::vector<IngestMutation> ExactValues(const Dataset& fleet) {
+  Avail avail = NewAvail(MaxAvailId(fleet) + 1);
+  avail.ship_age_years = 17.123456789012345;
+  avail.contract_value_musd = 0.1 + 0.2;
+  Rcc rcc = NewRcc(MaxRccId(fleet) + 1, avail.id);
+  rcc.settled_amount = 12345.678901;
+  return {MakeAvailUpsert(avail), MakeRccUpsert(rcc)};
+}
+
+/// `data` holds the rows of `mutations` with every double's bits.
+void ExpectExactValues(const Dataset& data,
+                       const std::vector<IngestMutation>& mutations) {
+  const auto avail = data.avails.Find(mutations[0].avail.id);
+  ASSERT_TRUE(avail.ok()) << avail.status().ToString();
+  EXPECT_EQ(Bits((*avail)->ship_age_years), Bits(17.123456789012345));
+  EXPECT_EQ(Bits((*avail)->contract_value_musd), Bits(0.1 + 0.2));
+  const auto rcc = data.rccs.Find(mutations[1].rcc.id);
+  ASSERT_TRUE(rcc.ok()) << rcc.status().ToString();
+  EXPECT_EQ(Bits((*rcc)->settled_amount), Bits(12345.678901))
+      << (*rcc)->settled_amount;
+}
+
+// An acknowledged value survives a persisted merge and a restart bit for
+// bit, and so the epoch does too: the merge writes the base tables in the
+// one exact number format.
+TEST(DataStoreTest, PersistedMergeKeepsEveryBitAcrossReopen) {
+  ScopedTempDir dir("exactmerge");
+  const Dataset fleet = SmallFleet();
+  ASSERT_TRUE(WriteBaseTables(fleet, dir.path()).ok());
+  const std::vector<IngestMutation> mutations = ExactValues(fleet);
+  std::uint64_t merged_epoch = 0;
+  {
+    auto store = DataStore::OpenDir(dir.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->AppendBatch(mutations).ok());
+    auto merged = (*store)->Merge();
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    ASSERT_TRUE(merged->persisted);
+    merged_epoch = merged->new_epoch;
+  }
+  auto reopened = DataStore::OpenDir(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->stats().replayed, 0u);
+  const auto snapshot = (*reopened)->Snapshot();
+  EXPECT_EQ(Hex64(snapshot->epoch()), Hex64(merged_epoch));
+  ExpectExactValues(snapshot->data(), mutations);
+}
+
+// The same across a snapshot install: a replica that installs a peer's
+// export into its persist dir and restarts holds the peer's values, at
+// the peer's epoch and position.
+TEST(DataStoreTest, InstalledSnapshotKeepsEveryBitAcrossReopen) {
+  auto sender = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+  const std::vector<IngestMutation> mutations = ExactValues(SmallFleet());
+  ASSERT_TRUE((*sender)->AppendBatch(mutations).ok());
+  auto exported = (*sender)->TailFrom(0, nullptr, 0);
+  ASSERT_TRUE(exported.ok() && exported->snapshot);
+  std::vector<IngestMutation> rows;
+  for (const std::string& payload : exported->rows) {
+    auto row = DecodeMutation(payload);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    rows.push_back(std::move(*row));
+  }
+  const std::uint64_t epoch = (*sender)->epoch();
+
+  ScopedTempDir dir("exactinstall");
+  ASSERT_TRUE(WriteBaseTables(SmallFleet(12), dir.path()).ok());
+  {
+    auto receiver = DataStore::OpenDir(dir.path());
+    ASSERT_TRUE(receiver.ok()) << receiver.status().ToString();
+    ASSERT_TRUE((*receiver)
+                    ->InstallSnapshot(rows, exported->last_seq,
+                                      exported->chain)
+                    .ok());
+    EXPECT_EQ((*receiver)->epoch(), epoch);
+  }
+  auto reopened = DataStore::OpenDir(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(Hex64((*reopened)->epoch()), Hex64(epoch));
+  ExpectExactValues((*reopened)->Snapshot()->data(), mutations);
+  std::uint64_t seq = 0;
+  std::uint64_t chain = 0;
+  (*reopened)->Position(&seq, &chain);
+  EXPECT_EQ(seq, exported->last_seq);
+  EXPECT_EQ(chain, exported->chain);
+}
+
+/// The record an earlier build's log held for `mutation`: its doubles
+/// written with printf's "%.17g".
+std::string SeventeenDigitRecord(const IngestMutation& mutation) {
+  const auto g17 = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::vector<std::string> fields = StrSplit(EncodeMutation(mutation), '|');
+  if (mutation.kind == MutationKind::kAvailUpsert) {
+    fields[10] = g17(mutation.avail.ship_age_years);
+    fields[14] = g17(mutation.avail.contract_value_musd);
+  } else {
+    fields[7] = g17(mutation.rcc.settled_amount);
+  }
+  return StrJoin(fields, "|");
+}
+
+// A log whose records spell doubles in "%.17g", as earlier builds wrote
+// it, replays to the epoch of the same mutations appended by this build.
+TEST(DataStoreTest, SeventeenDigitLogReplaysToTheAppendedEpoch) {
+  const Dataset fleet = SmallFleet();
+  const std::vector<IngestMutation> mutations = ExactValues(fleet);
+  auto appended = DataStore::Open(fleet);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  ASSERT_TRUE((*appended)->AppendBatch(mutations).ok());
+
+  ScopedTempDir dir("g17log");
+  std::string log = "domd-ingest-log v1\n";
+  std::size_t respelled = 0;
+  for (const IngestMutation& mutation : mutations) {
+    const std::string payload = SeventeenDigitRecord(mutation);
+    respelled += payload != EncodeMutation(mutation);
+    log += std::to_string(payload.size()) + " " + Hex64(Fnv1a(payload)) +
+           " " + payload + "\n";
+  }
+  EXPECT_GT(respelled, 0u);
+  ASSERT_TRUE(WriteFileDurably(dir.path() + "/ingest.log", log).ok());
+  DataStoreOptions options;
+  options.log_path = dir.path() + "/ingest.log";
+  auto replayed = DataStore::Open(fleet, options);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ((*replayed)->stats().replayed, mutations.size());
+  EXPECT_EQ(Hex64((*replayed)->epoch()), Hex64((*appended)->epoch()));
+  ExpectExactValues((*replayed)->Snapshot()->data(), mutations);
 }
 
 std::string FileBytes(const std::string& path) {

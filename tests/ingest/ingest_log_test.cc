@@ -4,6 +4,8 @@
 
 #include <unistd.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/strings.h"
+#include "data/tables.h"
 #include "fault/fault.h"
 #include "synth/generator.h"
 
@@ -29,8 +33,7 @@ std::string TempLogPath(const std::string& name) {
 }
 
 /// Mutations sampled from a synthetic fleet: guaranteed-valid rows with
-/// realistic field values (including non-round doubles for the %.17g
-/// round-trip checks).
+/// realistic field values.
 std::vector<IngestMutation> SampleMutations(std::size_t count) {
   SynthConfig config;
   config.num_avails = 12;
@@ -370,7 +373,7 @@ TEST(IngestMutationTest, CodecRoundTripsDoublesExactly) {
   avail.actual_end = *Date::Parse("2020-07-13");
   avail.ship_class = 2;
   avail.rmc_id = 1;
-  avail.ship_age_years = 17.123456789012345;  // does not survive %.6g.
+  avail.ship_age_years = 17.123456789012345;  // 17 significant digits.
   avail.avail_type = 1;
   avail.homeport = 3;
   avail.prior_avail_count = 4;
@@ -418,6 +421,209 @@ TEST(IngestMutationTest, DecodeRejectsGarbage) {
       EXPECT_EQ(EncodeMutation(*decoded), StrJoin(edited, "|"));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// One row codec (DESIGN.md §14): a table's CSV row and a mutation record
+// carry the same fields for a row, and each reads them back bit for bit.
+// ---------------------------------------------------------------------------
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Any finite double: every finite bit pattern, amounts in cents, and
+/// log-uniform magnitudes.
+double AnyDouble(Rng* rng) {
+  switch (rng->Next() % 3) {
+    case 0: {
+      double v = 0.0;
+      do {
+        v = std::bit_cast<double>(rng->Next());
+      } while (!std::isfinite(v));
+      return v;
+    }
+    case 1:
+      return std::round(rng->Uniform() * 1e11) / 100.0;
+    default:
+      return std::exp(rng->Uniform() * 80.0 - 40.0);
+  }
+}
+
+Date AnyDate(Rng* rng) {
+  return Date::FromCivil(1990, 1, 1) + rng->UniformInt(0, 20000);
+}
+
+/// A valid avail with every field drawn at random.
+Avail AnyAvail(Rng* rng, std::int64_t id) {
+  Avail a;
+  a.id = id;
+  a.ship_id = static_cast<std::int64_t>(rng->Next());
+  a.status = static_cast<AvailStatus>(rng->Next() % 3);
+  a.planned_start = AnyDate(rng);
+  a.planned_end = a.planned_start + rng->UniformInt(1, 900);
+  a.actual_start = AnyDate(rng);
+  if (a.status == AvailStatus::kClosed) {
+    a.actual_end = a.actual_start + rng->UniformInt(1, 900);
+  }
+  for (int* field : {&a.ship_class, &a.rmc_id, &a.avail_type, &a.homeport,
+                     &a.prior_avail_count, &a.crew_size}) {
+    *field = static_cast<int>(static_cast<std::uint32_t>(rng->Next()));
+  }
+  a.ship_age_years = AnyDouble(rng);
+  a.contract_value_musd = -AnyDouble(rng);
+  return a;
+}
+
+/// A valid RCC of avail `avail_id` with every field drawn at random.
+Rcc AnyRcc(Rng* rng, std::int64_t id, std::int64_t avail_id) {
+  Rcc r;
+  r.id = id;
+  r.avail_id = avail_id;
+  r.type = static_cast<RccType>(rng->Next() % kNumRccTypes);
+  r.swlin = *Swlin::FromInt(static_cast<std::int64_t>(rng->Next() % 100000000));
+  r.creation_date = AnyDate(rng);
+  if (rng->Next() % 4 != 0) {
+    r.settled_date = r.creation_date + rng->UniformInt(0, 400);
+  }
+  r.settled_amount = std::fabs(AnyDouble(rng));
+  return r;
+}
+
+::testing::AssertionResult SameAvail(const Avail& got, const Avail& want) {
+  if (got.id == want.id && got.ship_id == want.ship_id &&
+      got.status == want.status && got.planned_start == want.planned_start &&
+      got.planned_end == want.planned_end &&
+      got.actual_start == want.actual_start &&
+      got.actual_end == want.actual_end && got.ship_class == want.ship_class &&
+      got.rmc_id == want.rmc_id &&
+      Bits(got.ship_age_years) == Bits(want.ship_age_years) &&
+      got.avail_type == want.avail_type && got.homeport == want.homeport &&
+      got.prior_avail_count == want.prior_avail_count &&
+      Bits(got.contract_value_musd) == Bits(want.contract_value_musd) &&
+      got.crew_size == want.crew_size) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "avail " << want.id << " read back as ship_age_years "
+         << got.ship_age_years << ", contract_value_musd "
+         << got.contract_value_musd;
+}
+
+::testing::AssertionResult SameRcc(const Rcc& got, const Rcc& want) {
+  if (got.id == want.id && got.avail_id == want.avail_id &&
+      got.type == want.type && got.swlin == want.swlin &&
+      got.creation_date == want.creation_date &&
+      got.settled_date == want.settled_date &&
+      Bits(got.settled_amount) == Bits(want.settled_amount)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "RCC " << want.id << " read back as settled_amount "
+         << got.settled_amount << " for " << want.settled_amount;
+}
+
+/// Tables of random rows: 2,000 avails and 5,000 RCCs.
+Dataset RandomRows(std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset data;
+  for (std::int64_t id = 1; id <= 2000; ++id) {
+    EXPECT_TRUE(data.avails.Add(AnyAvail(&rng, id)).ok());
+  }
+  for (std::int64_t id = 1; id <= 5000; ++id) {
+    EXPECT_TRUE(data.rccs.Add(AnyRcc(&rng, id, 1 + id % 2000)).ok());
+  }
+  return data;
+}
+
+/// The fields of a mutation record after its kind tag, which must be `tag`.
+std::vector<std::string> RecordFields(const std::string& record,
+                                      const std::string& tag) {
+  std::vector<std::string> fields = StrSplit(record, '|');
+  EXPECT_EQ(fields.front(), tag);
+  fields.erase(fields.begin());
+  return fields;
+}
+
+TEST(RowCodecTest, CsvRowsAndMutationRecordsCarryTheSameFields) {
+  const Dataset data = RandomRows(30);
+  const CsvDocument avails = data.avails.ToCsv();
+  for (std::size_t i = 0; i < data.avails.size(); ++i) {
+    ASSERT_EQ(RecordFields(EncodeMutation(MakeAvailUpsert(
+                               data.avails.rows()[i])),
+                           "A"),
+              avails.rows()[i])
+        << "avail row " << i;
+  }
+  const CsvDocument rccs = data.rccs.ToCsv();
+  for (std::size_t i = 0; i < data.rccs.size(); ++i) {
+    ASSERT_EQ(RecordFields(EncodeMutation(MakeRccUpsert(data.rccs.rows()[i])),
+                           "R"),
+              rccs.rows()[i])
+        << "RCC row " << i;
+  }
+}
+
+TEST(RowCodecTest, BothCodecsReadEveryFieldBackBitForBit) {
+  const Dataset data = RandomRows(31);
+  auto avail_doc = CsvDocument::Parse(data.avails.ToCsv().Serialize());
+  ASSERT_TRUE(avail_doc.ok()) << avail_doc.status().ToString();
+  auto avails = AvailTable::FromCsv(*avail_doc);
+  ASSERT_TRUE(avails.ok()) << avails.status().ToString();
+  ASSERT_EQ(avails->size(), data.avails.size());
+  for (std::size_t i = 0; i < data.avails.size(); ++i) {
+    const Avail& want = data.avails.rows()[i];
+    ASSERT_TRUE(SameAvail(avails->rows()[i], want)) << "CSV";
+    const auto decoded = DecodeMutation(EncodeMutation(MakeAvailUpsert(want)));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_TRUE(SameAvail(decoded->avail, want)) << "mutation record";
+  }
+  auto rcc_doc = CsvDocument::Parse(data.rccs.ToCsv().Serialize());
+  ASSERT_TRUE(rcc_doc.ok()) << rcc_doc.status().ToString();
+  auto rccs = RccTable::FromCsv(*rcc_doc);
+  ASSERT_TRUE(rccs.ok()) << rccs.status().ToString();
+  ASSERT_EQ(rccs->size(), data.rccs.size());
+  for (std::size_t i = 0; i < data.rccs.size(); ++i) {
+    const Rcc& want = data.rccs.rows()[i];
+    ASSERT_TRUE(SameRcc(rccs->rows()[i], want)) << "CSV";
+    const auto decoded = DecodeMutation(EncodeMutation(MakeRccUpsert(want)));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_TRUE(SameRcc(decoded->rcc, want)) << "mutation record";
+  }
+}
+
+// What earlier builds wrote still reads, to the same bits: log records
+// with "%.17g" doubles and tables with "%.6g" ones, exponent form
+// included. Written again, each value takes the shortest spelling.
+TEST(RowCodecTest, OldSpellingsReadBackAndAreRewrittenShortest) {
+  const auto avail = DecodeMutation(
+      "A|7|103|closed|2020-01-04|2020-06-01|2020-01-06|2020-07-13|2|1|"
+      "12.300000000000001|1|3|4|0.30000000000000004|280");
+  ASSERT_TRUE(avail.ok()) << avail.status().ToString();
+  EXPECT_EQ(Bits(avail->avail.ship_age_years), Bits(12.3));
+  EXPECT_EQ(Bits(avail->avail.contract_value_musd), Bits(0.1 + 0.2));
+  EXPECT_EQ(EncodeMutation(*avail),
+            "A|7|103|closed|2020-01-04|2020-06-01|2020-01-06|2020-07-13|2|1|"
+            "12.3|1|3|4|0.30000000000000004|280");
+  const auto rcc = DecodeMutation(
+      "R|9|7|N|434-11-001|2021-04-01|2021-06-15|12345.678900999999");
+  ASSERT_TRUE(rcc.ok()) << rcc.status().ToString();
+  EXPECT_EQ(Bits(rcc->rcc.settled_amount), Bits(12345.678901));
+  EXPECT_EQ(EncodeMutation(*rcc),
+            "R|9|7|N|434-11-001|2021-04-01|2021-06-15|12345.678901");
+
+  const std::string header =
+      "rcc_id,avail_id,type,swlin,creation_date,settled_date,"
+      "settled_amount\n";
+  const auto doc = CsvDocument::Parse(
+      header + "9,7,N,434-11-001,2021-04-01,2021-06-15,12345.7\n"
+               "10,7,NG,789-56-601,2022-10-26,2023-01-06,1.36982e+06\n");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const auto table = RccTable::FromCsv(*doc);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(Bits(table->rows()[0].settled_amount), Bits(12345.7));
+  EXPECT_EQ(Bits(table->rows()[1].settled_amount), Bits(1369820.0));
+  EXPECT_EQ(table->ToCsv().Serialize(),
+            header + "9,7,N,434-11-001,2021-04-01,2021-06-15,12345.7\n"
+                     "10,7,NG,789-56-601,2022-10-26,2023-01-06,1369820\n");
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ class IngestIdentityTest : public ::testing::Test {
     full_ = GenerateDataset(config);
 
     // Base = the avail-id prefix and its RCCs, copied row by row from the
-    // in-memory dataset (never through CSV, which rounds to %.6g).
+    // in-memory dataset.
     for (const Avail& avail : full_.avails.rows()) {
       if (avail.id <= kBaseAvails) ASSERT_TRUE(base_.avails.Add(avail).ok());
     }
@@ -129,7 +129,7 @@ TEST_F(IngestIdentityTest, StreamedSuffixReproducesBatchEpoch) {
   EXPECT_EQ(clean->data().rccs.size(), full_.rccs.size());
 
   // Crash-replay identity: a second store over the same base replays the
-  // %.17g log and lands on the same epoch — the codec never rounds.
+  // log and lands on the same epoch — the codec never rounds.
   auto replayed = DataStore::Open(base_, options);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   EXPECT_EQ((*replayed)->stats().replayed, mutations_.size());

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "fault/fault.h"
 #include "ingest/data_store.h"
 #include "serve/frontend.h"
@@ -592,6 +593,46 @@ TEST(ReactorIngestTest, AdoptChecksVersionModelsEpochAndChecksum) {
   }
   EXPECT_EQ(Rpc(client, R"({"cmd": "ping"})").StringOr("bundle_version", ""),
             "a1");
+  std::filesystem::remove_all(root);
+}
+
+// A retrain over a store holding a value with more than six significant
+// digits publishes a bundle whose tables are that store's, bit for bit:
+// the loaded bundle's epoch is the one the retrain reports, and freshness
+// answers fresh right after.
+TEST(ReactorIngestTest, RetrainedBundleHoldsTheStoreExactly) {
+  const auto& fixture = GetServeFixture();
+  auto store = DataStore::Open(fixture.v1->data());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  Rcc amended = fixture.v1->data().rccs.rows().front();
+  amended.settled_amount = 12345.678901;
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(amended)).ok());
+  const std::string root = ::testing::TempDir() + "/domd_rchaos_exact." +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(root);
+  FrontendOptions frontend_options;
+  frontend_options.store = store->get();
+  frontend_options.retrain_root = root;
+  WireServer server(fixture.v1, {}, frontend_options);
+  TestClient client = TestClient::Connect(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const JsonValue retrained =
+      Rpc(client, R"({"cmd": "retrain", "version": "x1"})");
+  ASSERT_TRUE(retrained.BoolOr("ok", false)) << retrained.Serialize();
+  const std::string epoch = retrained.StringOr("bundle_epoch", "");
+  EXPECT_EQ(epoch, Hex64((*store)->epoch()));
+  const auto bundle = server.service.bundle();
+  EXPECT_EQ(bundle->version(), "x1");
+  EXPECT_EQ(Hex64(bundle->data_epoch()), epoch);
+  const auto rcc = bundle->data().rccs.Find(amended.id);
+  ASSERT_TRUE(rcc.ok()) << rcc.status().ToString();
+  EXPECT_EQ((*rcc)->settled_amount, 12345.678901);
+
+  const JsonValue fresh = Rpc(client, R"({"cmd": "freshness"})");
+  ASSERT_TRUE(fresh.BoolOr("ok", false)) << fresh.Serialize();
+  EXPECT_FALSE(fresh.BoolOr("stale", true)) << fresh.Serialize();
+  EXPECT_EQ(fresh.StringOr("bundle_epoch", ""), epoch);
   std::filesystem::remove_all(root);
 }
 

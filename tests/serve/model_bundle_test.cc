@@ -297,8 +297,7 @@ std::string ReferenceMismatch(const ServePrediction& scored,
 // attributes every step per query. Both must agree bit for bit on every
 // reference avail, at every grid t* and off it, for every top_k, across
 // architectures, model families and fusion methods. The reference is the
-// loaded bundle's estimator, not the in-memory one it was written from:
-// the bundle's CSV round trip rounds RCC amounts.
+// loaded bundle's own estimator.
 TEST(ModelBundleTest, ReferenceScoreMatchesEstimatorQuery) {
   const auto& fixture = GetServeFixture();
   std::vector<std::shared_ptr<const ModelBundle>> bundles = {fixture.v1};

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/stats.h"
 #include "data/logical_time.h"
@@ -147,6 +149,25 @@ TEST(GeneratorTest, SomeRccsRemainOpen) {
       static_cast<double>(open) / static_cast<double>(data.rccs.size());
   EXPECT_GT(fraction, 0.05);
   EXPECT_LT(fraction, 0.2);
+}
+
+// Every generated double is the value printf's "%.6g" reads back as: the
+// values every generated fleet has been trained on.
+TEST(GeneratorTest, DoublesCarrySixSignificantDigits) {
+  const Dataset data = GenerateDataset(SmallConfig());
+  const auto six_digits = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return std::strtod(buf, nullptr);
+  };
+  for (const Avail& a : data.avails.rows()) {
+    EXPECT_EQ(a.ship_age_years, six_digits(a.ship_age_years)) << a.id;
+    EXPECT_EQ(a.contract_value_musd, six_digits(a.contract_value_musd))
+        << a.id;
+  }
+  for (const Rcc& r : data.rccs.rows()) {
+    ASSERT_EQ(r.settled_amount, six_digits(r.settled_amount)) << r.id;
+  }
 }
 
 TEST(GeneratorTest, RccCreationWithinAvailExecution) {
